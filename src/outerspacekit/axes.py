@@ -14,13 +14,12 @@ import csv
 import io
 import logging
 import math
-import os
 import random
 from dataclasses import dataclass, field
 
 from .graphs import MarkedMetricGraph, random_point, rose
 from .metric import distance
-from .traintrack import TrainTrackMap, legality_report
+from .traintrack import TrainTrackMap
 from .words import Automorphism, CyclicWord, WhiteheadMove, letter_key, signed_letters
 
 log = logging.getLogger(__name__)
@@ -292,13 +291,6 @@ BALL_HEADER = ["seed", "sample", "r", "n_ball_points", "proj_diam_m", "proj_diam
 MORSE_HEADER = ["seed", "sample", "n_points", "max_off_axis", "hausdorff_defect"]
 PROBE_HEADER = ["seed", "xdesc", "ydesc", "sep", "delta1", "delta2", "delta3"]
 PAIR_HEADER = ["windows", "diam", "parallel"]
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("OSK_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _perturb(point: MarkedMetricGraph, rng: random.Random, strength: float,

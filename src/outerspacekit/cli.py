@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import axes as ax_mod
 from .axes import (
     Axis,
     BALL_HEADER,
@@ -33,7 +32,6 @@ from .traintrack import (
     NotTrainTrackError,
     lamination_length_ratio,
     leaf_segment,
-    legality_report,
     load_selfmap,
     no_cut_vertex_search,
     pf_metric,

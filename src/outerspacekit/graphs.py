@@ -481,14 +481,6 @@ def validate_point(point: MarkedMetricGraph) -> ValidationReport:
         problems.append("marking loops do not define a basis of the free group")
     else:
         point.marking_inverse()  # certifies invertibility by composition
-        from .whitehead import whitehead_minimize
-
-        label_classes = [
-            CyclicWord.make(w.letters) for w in point.marking_inverse().images
-        ]
-        trace = whitehead_minimize(label_classes, point.rank)
-        if trace.terminal_state != "basis-reached":
-            problems.append("edge labels fail Whitehead basis minimization")
     return ValidationReport(not problems, problems)
 
 

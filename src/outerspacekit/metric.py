@@ -57,10 +57,6 @@ def distance(x: MarkedMetricGraph, y: MarkedMetricGraph) -> DistanceResult:
     )
 
 
-def distance_value(x, y) -> float:
-    return distance(x, y).value
-
-
 def distance_oracle(x: MarkedMetricGraph, y: MarkedMetricGraph, max_len: int) -> float:
     """Log max stretch over all conjugacy classes of word length <= max_len."""
     if max_len < 1:

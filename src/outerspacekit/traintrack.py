@@ -181,9 +181,18 @@ def _path_turns(path, cyclic=False):
 
 
 def is_irreducible_matrix(A: np.ndarray) -> bool:
+    """True iff every index reaches every other along positive entries.
+
+    Boolean reachability by repeated squaring of I + (A > 0), so large
+    entries cannot overflow into inf * 0 = NaN as float powers would.
+    """
     m = A.shape[0]
-    B = np.linalg.matrix_power(np.eye(m) + A.astype(float), m)
-    return bool((B > 0).all())
+    reach = (np.asarray(A) > 0) | np.eye(m, dtype=bool)
+    span = 1
+    while span < m:
+        reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        span *= 2
+    return bool(reach.all())
 
 
 def verify_train_track(f: GraphSelfMap) -> TrainTrackReport:

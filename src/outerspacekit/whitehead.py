@@ -5,6 +5,19 @@ vertices and one edge {u^-1, v} per cyclic two-letter subword uv, with
 multiplicity. Connectivity and cut vertices drive Whitehead's reduction
 algorithm: a basis element minimizes to a single letter, while a connected
 cut-vertex-free graph certifies a non-basis element.
+
+The best Whitehead move is found by minimum cuts rather than by trying all
+2n * 4^(n-1) moves. For a move (A, a) put S = {a} u {x^-1 : x in A, x != a};
+S contains a but not a^-1, and every such S comes from exactly one move.
+Then (Lyndon-Schupp, Combinatorial Group Theory, Ch. I.4)
+
+    sum |phi_(A,a)(w)| - sum |w| = cap(S) - deg(a),
+
+where cap(S) is the total multiplicity of edges with exactly one end in S.
+The largest decrease for a given a is deg(a) minus the minimum a / a^-1
+cut, so a step costs O(n) max-flows on 2n vertices and is polynomial
+(Roig-Ventura-Weil, "On the complexity of the Whitehead minimization
+problem", IJAC 2007).
 """
 
 from __future__ import annotations
@@ -15,7 +28,6 @@ from dataclasses import dataclass, field
 from .words import (
     CyclicWord,
     WhiteheadMove,
-    all_whitehead_moves,
     letter_key,
     signed_letters,
     word_key,
@@ -189,12 +201,111 @@ def _apply_move(move: WhiteheadMove, words, rank):
     return [phi.apply_cyclic(w) for w in words]
 
 
-def whitehead_minimize(words, rank=None) -> ReductionTrace:
-    """Repeatedly apply a length-decreasing Whitehead move until none exists.
+def _letter_index(x: int) -> int:
+    """Position of a signed letter in letter_key order: 1, -1, 2, -2, ..."""
+    return 2 * (abs(x) - 1) + (x < 0)
 
-    Moves come from cut vertices when the (used) graph is connected and has
-    one; otherwise from exhaustive search over all moves. Tie-break: largest
-    decrease, then lexicographic (a, sorted A).
+
+def _min_cut(cap, s: int, t: int) -> int:
+    """Value of a minimum s-t cut: Edmonds-Karp max-flow on a capacity matrix."""
+    n = len(cap)
+    res = [row[:] for row in cap]
+    flow = 0
+    while True:
+        parent = [-1] * n
+        parent[s] = s
+        queue = [s]
+        for u in queue:
+            for v in range(n):
+                if parent[v] < 0 and res[u][v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+            if parent[t] >= 0:
+                break
+        if parent[t] < 0:
+            return flow
+        path = [t]
+        while path[-1] != s:
+            path.append(parent[path[-1]])
+        arcs = list(zip(path[1:], path))
+        push = min(res[u][v] for u, v in arcs)
+        for u, v in arcs:
+            res[u][v] -= push
+            res[v][u] += push
+        flow += push
+
+
+def _min_cut_move(graph: WhiteheadGraph):
+    """Most length-decreasing move (A, a) and its decrease, or None.
+
+    Ties go to the least a in letter_key order and then to the least A as a
+    letter_key-sorted tuple, as if every move were tried in that order.
+    """
+    rank = graph.rank
+    cap = [[0] * (2 * rank) for _ in range(2 * rank)]
+    for (u, v), m in graph.edges:
+        cap[_letter_index(u)][_letter_index(v)] += m
+        cap[_letter_index(v)][_letter_index(u)] += m
+    best_a, best_cut, best_decrease = None, None, 0
+    # a^-1 has the same degree and cut value as a and comes after it in
+    # letter_key order, so only the generators can win
+    for a in range(1, rank + 1):
+        i = _letter_index(a)
+        cut = _min_cut(cap, i, i + 1)
+        if sum(cap[i]) - cut > best_decrease:
+            best_a, best_cut, best_decrease = a, cut, sum(cap[i]) - cut
+    if best_a is None:
+        return None
+    return WhiteheadMove(_least_min_cut_side(cap, best_a, best_cut), best_a), best_decrease
+
+
+def _least_min_cut_side(cap, a: int, target: int) -> frozenset:
+    """The least A (as a letter_key-sorted tuple) whose S has cut value target.
+
+    Letters are decided greedily in letter_key order. Each check is one
+    max-flow, with the decided vertices of S tied to a or a^-1 by edges of
+    infinite capacity.
+    """
+    s, t = _letter_index(a), _letter_index(-a)
+    inf = sum(map(sum, cap)) + 1
+    forced = [row[:] for row in cap]
+
+    def is_min_cut(keep=(), drop=()):
+        trial = [row[:] for row in forced]
+        for x in keep:
+            trial[s][_letter_index(-x)] += inf
+        for x in drop:
+            trial[_letter_index(-x)][t] += inf
+        return _min_cut(trial, s, t) == target
+
+    letters = [x for x in sorted(signed_letters(len(cap) // 2), key=letter_key) if x != -a]
+    A = {a}
+    for k, x in enumerate(letters):
+        if x == a:
+            continue
+        # past a, the letters taken so far are the least A if they suffice
+        if letter_key(x) > letter_key(a) and is_min_cut(drop=letters[k:]):
+            break
+        if is_min_cut(keep=[x]):
+            A.add(x)
+            forced[s][_letter_index(-x)] += inf
+        else:
+            forced[_letter_index(-x)][t] += inf
+    return frozenset(A)
+
+
+def whitehead_minimize(words, rank=None) -> ReductionTrace:
+    """Repeatedly apply the most length-decreasing Whitehead move until none
+    decreases the total length of the cyclic words.
+
+    When the Whitehead graph (over its used vertices) is connected and has a
+    cut vertex, the moves tried are those of moves_from_cut_vertex. Otherwise
+    the best move over all (A, a) comes from minimum cuts (see the module
+    docstring): O(n) max-flows on 2n vertices per step, so each step is
+    polynomial in the rank and the word lengths. Tie-break in both cases:
+    largest decrease, then least a in letter_key order (1 < -1 < 2 < ...),
+    then least A as a letter_key-sorted tuple, so the result equals trying
+    every move in that order.
     """
     words = [w if isinstance(w, CyclicWord) else CyclicWord.make(w) for w in words]
     if any(not w for w in words):
@@ -223,17 +334,17 @@ def whitehead_minimize(words, rank=None) -> ReductionTrace:
                 )
             chosen = (best[1], best[2], after)
         else:
-            best = None
-            for move in all_whitehead_moves(rank):
+            found = _min_cut_move(graph)
+            if found is not None:
+                move, decrease = found
                 new = _apply_move(move, words, rank)
                 after = _total(new)
-                if after >= before:
-                    continue
-                key = (after, move.sort_key())
-                if best is None or key < best[0]:
-                    best = (key, move, new)
-            if best is not None:
-                chosen = (best[1], best[2], best[0][0])
+                if after != before - decrease:
+                    raise AssertionError(
+                        f"min-cut move {move} predicted length {before - decrease}, "
+                        f"got {after}"
+                    )
+                chosen = (move, new, after)
         if chosen is None:
             break
         move, words, after = chosen

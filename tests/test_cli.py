@@ -1,11 +1,15 @@
 import json
+import random
 
 import pytest
 
+import outerspacekit.whitehead as whitehead_mod
+import outerspacekit.words as words_mod
 from outerspacekit.cli import main
 from outerspacekit.graphs import point_to_dict, rose
+from outerspacekit.words import CyclicWord, format_letters
 
-from .conftest import FIG1_TARGET_DICT, THETA_DICT
+from .conftest import FIG1_TARGET_DICT, THETA_DICT, random_move
 
 GOLDEN_MAP = {
     "graph": {
@@ -107,6 +111,24 @@ class TestWhitehead:
     def test_rank_flag(self, capsys):
         assert main(["whitehead", "primitive", "aa", "--rank", "3"]) == 0
         assert "not primitive" in capsys.readouterr().out
+
+    def test_rank8_without_exhaustive_scan(self, capsys, monkeypatch):
+        # any fallback to the 2n * 4^(n-1) move scan fails the test outright
+        def no_scan(rank):
+            raise AssertionError("all_whitehead_moves called")
+
+        monkeypatch.setattr(words_mod, "all_whitehead_moves", no_scan)
+        monkeypatch.setattr(whitehead_mod, "all_whitehead_moves", no_scan, raising=False)
+        rng = random.Random(8)
+        w = CyclicWord.make((1,))
+        while len(w) < 200:
+            w = random_move(rng, 8).automorphism(8).apply_cyclic(w)
+        assert main(["whitehead", "primitive", format_letters(w.letters), "--rank", "8"]) == 0
+        assert capsys.readouterr().out.strip() == "primitive"
+        root = [rng.choice([1, -1]) * x for x in [*range(1, 9), *range(1, 9)]]
+        square = format_letters(tuple(root + root))
+        assert main(["whitehead", "primitive", square, "--rank", "8"]) == 0
+        assert capsys.readouterr().out.strip() == "not primitive"
 
 
 class TestTT:

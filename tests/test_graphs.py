@@ -17,10 +17,16 @@ from outerspacekit.graphs import (
     validate_point,
 )
 from outerspacekit.metric import distance, points_equal
-from outerspacekit.whitehead import is_primitive
-from outerspacekit.words import Automorphism, CyclicWord, Word, all_whitehead_moves
+from outerspacekit.whitehead import is_primitive, whitehead_minimize
+from outerspacekit.words import (
+    ALPHABET,
+    Automorphism,
+    CyclicWord,
+    Word,
+    all_whitehead_moves,
+)
 
-from .conftest import DUMBBELL_DICT, THETA_DICT
+from .conftest import DUMBBELL_DICT, THETA_DICT, random_move
 
 
 def C(text):
@@ -55,6 +61,74 @@ class TestValidate:
         report = validate_point(p)
         assert not report.valid
         assert any("basis" in s for s in report.problems)
+
+
+def _cell_ends(cell, rank, rng):
+    """(n_vertices, edge ends) of a graph in the given cell of rank `rank`."""
+    if cell == "rose":
+        return 1, [(0, 0)] * rank
+    if cell == "theta":
+        return 2, [(0, 1)] * (rank + 1)
+    if cell == "barbell":
+        left = rng.randint(1, rank - 1)
+        return 2, [(0, 0)] * left + [(0, 1)] + [(1, 1)] * (rank - left)
+    # trivalent: grow a rank-2 theta or barbell by joining midpoints of two edges
+    ends = [(0, 1)] * 3 if rng.random() < 0.5 else [(0, 0), (0, 1), (1, 1)]
+    n = 2
+    for _ in range(rank - 2):
+        for _ in range(2):
+            i = rng.randrange(len(ends))
+            u, v = ends[i]
+            ends[i] = (u, n)
+            ends.append((n, v))
+            n += 1
+        ends.append((n - 2, n - 1))
+    return n, ends
+
+
+def _cell_point(cell, rank, rng, n_moves=3):
+    """Point of the cell with a spanning-tree marking scrambled by moves."""
+    n, ends = _cell_ends(cell, rank, rng)
+    parent = {0: ()}  # vertex -> tree path from vertex 0, as signed edge numbers
+    while len(parent) < n:
+        for i, (a, b) in enumerate(ends):
+            for x, y, h in ((a, b, i + 1), (b, a, -(i + 1))):
+                if x in parent and y not in parent:
+                    parent[y] = parent[x] + (h,)
+    tree = {abs(p[-1]) for p in parent.values() if p}
+    ref = lambda h: ("~" if h < 0 else "") + f"e{abs(h)}"
+    loops = [
+        parent[a] + (i + 1,) + tuple(-h for h in reversed(parent[b]))
+        for i, (a, b) in enumerate(ends)
+        if i + 1 not in tree
+    ]
+    point = point_from_dict({
+        "rank": rank,
+        "vertices": [f"v{i}" for i in range(n)],
+        "edges": [
+            {"id": f"e{i + 1}", "from": f"v{a}", "to": f"v{b}", "length": 1.0 / len(ends)}
+            for i, (a, b) in enumerate(ends)
+        ],
+        "marking": {ALPHABET[k]: [ref(h) for h in loop] for k, loop in enumerate(loops)},
+        "basepoint": "v0",
+    })
+    for _ in range(n_moves):
+        point = point.act(random_move(rng, rank).automorphism(rank))
+    return point_from_dict(point_to_dict(point), validate=False)
+
+
+class TestBasisCertificate:
+    @pytest.mark.parametrize("cell", ["rose", "theta", "barbell", "trivalent"])
+    def test_label_classes_minimize_to_basis(self, cell):
+        # validate_point certifies a marking by is_basis and its verified
+        # inverse alone; the edge labels must then reduce to single letters
+        rng = random.Random(cell)
+        for rank in range(2, 6):
+            for _ in range(3):
+                point = _cell_point(cell, rank, rng)
+                assert validate_point(point).valid
+                labels = [CyclicWord.make(w.letters) for w in point.marking_inverse().images]
+                assert whitehead_minimize(labels, rank).terminal_state == "basis-reached"
 
 
 class TestTighten:

@@ -9,6 +9,7 @@ from outerspacekit.traintrack import (
     GraphSelfMap,
     NotTrainTrackError,
     gates,
+    is_irreducible_matrix,
     lamination_length_ratio,
     lamination_whitehead_graph,
     leaf_segment,
@@ -59,6 +60,14 @@ class TestVerify:
         rep = verify_train_track(GraphSelfMap(rose(2), {0: 0}, {1: (1, 2), 2: (1, -2)}))
         assert not rep.is_tt
         assert set(rep.illegal_turn) == {-1, 2}
+
+    def test_irreducible_huge_entries(self):
+        # float powers of I + A overflow here and inf * 0 gives NaN
+        B = 1e200
+        A = np.array([[0, B, 0], [0, 0, B], [B, 0, 0]])
+        assert is_irreducible_matrix(A)
+        A[2, 0] = 0.0
+        assert not is_irreducible_matrix(A)
 
 
 class TestPF:

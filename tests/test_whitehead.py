@@ -11,9 +11,10 @@ from outerspacekit.whitehead import (
     whitehead_graph,
     whitehead_minimize,
 )
-from outerspacekit.words import CyclicWord, reduce_word
+from outerspacekit.words import CyclicWord, reduce_word, signed_letters
 
-from .oracles import bfs_primitive
+from .conftest import random_move
+from .oracles import bfs_primitive, exhaustive_minimize
 
 
 def C(text):
@@ -136,6 +137,39 @@ class TestMinimize:
         trace = whitehead_minimize([C("ab"), C("a")], 2)
         assert trace.terminal_state == "basis-reached"
         assert {w.letters for w in trace.final_words} <= {(1,), (2,)}
+
+
+def _random_word_set(rng, rank):
+    """1-3 nonempty cyclic words: single letters, short random words and
+    images of short words under a few random Whitehead moves."""
+    letters = list(signed_letters(rank))
+    words = []
+    for _ in range(rng.randint(1, 3)):
+        w = CyclicWord.make([rng.choice(letters) for _ in range(rng.choice([1, 1, 3, 6, 9]))])
+        for _ in range(rng.randint(0, 4)):
+            w = random_move(rng, rank).automorphism(rank).apply_cyclic(w)
+        words.append(w or CyclicWord.make([rng.choice(letters)]))
+    return words
+
+
+class TestExhaustiveOracle:
+    @pytest.mark.parametrize("rank,n_sets", [(2, 60), (3, 40), (4, 12), (5, 4)])
+    def test_same_trace_as_exhaustive_scan(self, rank, n_sets):
+        rng = random.Random(100 + rank)
+        states = Counter()
+        n_steps = n_with_letter = 0
+        for _ in range(n_sets):
+            words = _random_word_set(rng, rank)
+            n_with_letter += any(len(w) == 1 for w in words)
+            got = whitehead_minimize(words, rank)
+            want = exhaustive_minimize(words, rank)
+            assert got.steps == want.steps, words
+            assert got.final_words == want.final_words, words
+            assert got.terminal_state == want.terminal_state, words
+            states[got.terminal_state] += 1
+            n_steps += len(got.steps)
+        assert states["basis-reached"] > 0 and len(states) >= 2
+        assert n_steps >= n_sets // 2 and n_with_letter > 0
 
 
 class TestPrimitive:

@@ -15,12 +15,12 @@ import io
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graphs import MarkedMetricGraph, random_point, rose
+from .graphs import MarkedMetricGraph, random_point
 from .metric import distance
 from .traintrack import TrainTrackMap
-from .words import Automorphism, CyclicWord, WhiteheadMove, letter_key, signed_letters
+from .words import Automorphism, CyclicWord, random_whitehead_move
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +61,6 @@ class Axis:
             self.phi.inverse()
         self._powers = {0: Automorphism.identity(self.phi.rank), 1: self.phi}
         self._points = {0: self.base}
-        self._dist_cache = {}
 
     @property
     def rank(self):
@@ -85,12 +84,7 @@ class Axis:
             self._points[m] = self.base.act(self.power(m))
         return self._points[m]
 
-    def dist_to_axis_point(self, X: MarkedMetricGraph, m: int, key=None) -> float:
-        if key is not None:
-            k = (key, m)
-            if k not in self._dist_cache:
-                self._dist_cache[k] = distance(X, self.point(m)).value
-            return self._dist_cache[k]
+    def dist_to_axis_point(self, X: MarkedMetricGraph, m: int) -> float:
         return distance(X, self.point(m)).value
 
     def estimate_mu(self, window: int = 8) -> float:
@@ -102,19 +96,8 @@ class Axis:
 
     def translate(self, psi: Automorphism) -> "Axis":
         """The axis of psi^-1 phi psi through base . psi."""
-        inv = psi.inverse()
-        phi2 = inv.compose(self.phi).compose(psi)
-        ax = Axis.__new__(Axis)
-        ax.forward = self.forward
-        ax.backward = self.backward
-        ax.base = self.base.act(psi)
-        ax.phi = phi2
-        ax.lam = self.lam
-        ax.mu = self.mu
-        ax._powers = {0: Automorphism.identity(phi2.rank), 1: phi2}
-        ax._points = {0: ax.base}
-        ax._dist_cache = {}
-        return ax
+        phi2 = psi.inverse().compose(self.phi).compose(psi)
+        return Axis(self.forward, base=self.base.act(psi), phi=phi2, lam=self.lam, mu=self.mu)
 
 
 def axis_point(ax: Axis, m: int) -> MarkedMetricGraph:
@@ -179,8 +162,7 @@ class ProjectionResult:
     unimodal: bool
 
 
-def project(X: MarkedMetricGraph, ax: Axis, budget: int = 40, margin: int = 2,
-            key=None) -> ProjectionResult:
+def project(X: MarkedMetricGraph, ax: Axis, budget: int = 40, margin: int = 2) -> ProjectionResult:
     """Closest-point projection of X to the axis over an expanding window."""
     lo, hi = -margin, margin
     d = {}
@@ -188,7 +170,7 @@ def project(X: MarkedMetricGraph, ax: Axis, budget: int = 40, margin: int = 2,
     def ensure(a, b):
         for m in range(a, b + 1):
             if m not in d:
-                d[m] = ax.dist_to_axis_point(X, m, key=key)
+                d[m] = ax.dist_to_axis_point(X, m)
 
     ensure(lo, hi)
     while True:
@@ -288,7 +270,7 @@ class BallRecord:
 
 
 BALL_HEADER = ["seed", "sample", "r", "n_ball_points", "proj_diam_m", "proj_diam_dist"]
-MORSE_HEADER = ["seed", "sample", "n_points", "max_off_axis", "hausdorff_defect"]
+MORSE_HEADER = ["seed", "sample", "n_points", "max_off_axis"]
 PROBE_HEADER = ["seed", "xdesc", "ydesc", "sep", "delta1", "delta2", "delta3"]
 PAIR_HEADER = ["windows", "diam", "parallel"]
 
@@ -297,11 +279,7 @@ def _perturb(point: MarkedMetricGraph, rng: random.Random, strength: float,
              move_prob: float = 0.0) -> MarkedMetricGraph:
     rank = point.rank
     if move_prob and rng.random() < move_prob:
-        letters = sorted(signed_letters(rank), key=letter_key)
-        a = rng.choice(letters)
-        extra = [x for x in letters if x != a and x != -a and rng.random() < 0.5]
-        move = WhiteheadMove(frozenset([a, *extra]), a)
-        point = point.act(move.automorphism(rank))
+        point = point.act(random_whitehead_move(rank, rng).automorphism(rank))
     s = min(strength, 0.9)
     lengths = [l * (1.0 + s * (2.0 * rng.random() - 1.0)) for l in point.graph.lengths]
     vol = math.fsum(lengths)
@@ -341,11 +319,9 @@ class MorseRecord:
     sample: int
     n_points: int
     max_off_axis: float
-    hausdorff_defect: float
 
     def row(self):
-        return [self.seed, self.sample, self.n_points, self.max_off_axis,
-                self.hausdorff_defect]
+        return [self.seed, self.sample, self.n_points, self.max_off_axis]
 
 
 def morse_sample_record(ax: Axis, seed: int, sample: int, half_span: int = 3) -> MorseRecord:
@@ -360,7 +336,7 @@ def morse_sample_record(ax: Axis, seed: int, sample: int, half_span: int = 3) ->
     for p in pts:
         pr = project(p, ax)
         offs.append(pr.value)
-    return MorseRecord(seed, sample, len(pts), max(offs), max(offs))
+    return MorseRecord(seed, sample, len(pts), max(offs))
 
 
 def contraction_experiment(ax: Axis, n_samples: int, seed: int, mode: str = "balls",
@@ -510,12 +486,9 @@ def detour_path(ax: Axis, R: float, seed: int, max_tries: int = 8):
 
 
 def _random_composite(rank: int, rng: random.Random, n_moves: int) -> Automorphism:
-    letters = sorted(signed_letters(rank), key=letter_key)
     phi = Automorphism.identity(rank)
     for _ in range(n_moves):
-        a = rng.choice(letters)
-        extra = [x for x in letters if x != a and x != -a and rng.random() < 0.5]
-        phi = phi.compose(WhiteheadMove(frozenset([a, *extra]), a).automorphism(rank))
+        phi = phi.compose(random_whitehead_move(rank, rng).automorphism(rank))
     return phi
 
 
@@ -534,7 +507,7 @@ class TwoAxisReport:
 def _axis_projection_params(ax_target: Axis, ax_source: Axis, window: int, stride=1):
     params = []
     for m in range(-window, window + 1, stride):
-        pr = project(ax_source.point(m), ax_target, key=None)
+        pr = project(ax_source.point(m), ax_target)
         params.extend(pr.argmin)
     return params
 

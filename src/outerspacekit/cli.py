@@ -15,22 +15,19 @@ from .axes import (
     BALL_HEADER,
     MORSE_HEADER,
     PAIR_HEADER,
-    PROBE_HEADER,
     contraction_experiment,
     detour_path,
     divergence_check,
     length_profile,
     max_projection_diameter,
     project,
-    tree_inequality_probe,
     two_axis_report,
     write_csv,
 )
-from .graphs import InvalidPointError, load_point, random_point, validate_point
+from .graphs import InvalidPointError, load_point, validate_point
 from .metric import distance, distance_oracle
 from .traintrack import (
     NotTrainTrackError,
-    lamination_length_ratio,
     leaf_segment,
     load_selfmap,
     no_cut_vertex_search,

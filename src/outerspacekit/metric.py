@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .graphs import MarkedMetricGraph, tighten_path
 from .words import (
-    CyclicWord,
-    Word,
     enumerate_cyclic_words,
     reduce_letters,
     word_key,
@@ -163,6 +161,8 @@ def linear_map_lipschitz(
         raise ValueError("edge images are inconsistent with the markings")
     slopes = {}
     for e in range(1, gx.n_edges + 1):
+        if gx.lengths[e - 1] == 0.0:
+            raise ValueError(f"edge {gx.edge_ids[e - 1]} has length 0: its slope is undefined")
         img = tighten_path(gy, spec.edge_images[e], check_incidence=False)
         l_img = math.fsum(gy.length_of(h) for h in img)
         slopes[gx.edge_ids[e - 1]] = l_img / gx.lengths[e - 1]

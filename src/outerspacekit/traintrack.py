@@ -13,7 +13,7 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,20 +26,15 @@ from .graphs import (
     tighten_path,
 )
 from .whitehead import (
-    CutReport,
     WhiteheadGraph,
     cut_analysis,
     moves_from_cut_vertex,
-    whitehead_graph,
 )
 from .words import (
     Automorphism,
-    CyclicWord,
     Word,
     WhiteheadMove,
-    reduce_letters,
     verify_inverse,
-    word_key,
 )
 
 log = logging.getLogger(__name__)

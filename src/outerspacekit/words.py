@@ -8,7 +8,7 @@ so "abA" is the reduced word a b a^-1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -210,6 +210,11 @@ class Automorphism:
 
     Bijectivity is not checked on construction; `verified` is set by explicit
     certification (Whitehead moves, verify_inverse, or .inverse()).
+    .inverse() Stallings-folds the wedge of the image loops; each edge reads
+    a domain word, a closed path at the base reading the word whose image is
+    its label, and folding an edge reading d2 onto one reading d1 changes
+    the gauge at the absorbed vertex by g = d1^-1 d2. The loops of the
+    folded rose read the inverse images, which verify_inverse then checks.
     """
 
     __slots__ = ("rank", "images", "verified", "_inv")
@@ -397,6 +402,17 @@ class WhiteheadMove:
         return f"({{{body}}}, {format_letters((self.a,))})"
 
 
+def random_whitehead_move(rank: int, rng) -> WhiteheadMove:
+    """A seeded move (A, a): a drawn by rng.choice over the letters in
+    letter_key order, then one rng.random() draw per other letter, which
+    joins A with probability 1/2."""
+    letters = sorted(signed_letters(rank), key=letter_key)
+    a = rng.choice(letters)
+    return WhiteheadMove(
+        frozenset([a, *(x for x in letters if x not in (a, -a) and rng.random() < 0.5)]), a
+    )
+
+
 def _move_automorphism_raw(move: WhiteheadMove, rank: int, inverse: Automorphism):
     phi = move.automorphism(rank)
     phi._inv = inverse
@@ -428,186 +444,101 @@ def all_whitehead_moves(rank: int):
                 yield WhiteheadMove(frozenset((a,) + extra), a)
 
 
-# Basis certification (Stallings folding) and tuple inversion (Nielsen
-# reduction with history). These back Automorphism.inverse and the
-# marking-validity checks in the graph layer.
+# Basis certification and inversion: one Stallings fold (Stallings, "Topology
+# of finite graphs", 1983; Kapovich-Myasnikov, "Stallings foldings and
+# subgroups of free groups", 2002) of the wedge of the image loops at a base
+# vertex. Each edge carries its label, a letter a_j of an image, and the
+# domain word, in x_1..x_n, that it reads. Invariant: a closed path at the
+# base reads the domain word whose image is the path's label. Folding two
+# edges with one label out of a vertex, the kept one reading d1 and the
+# folded one d2, first changes the gauge at the absorbed end vertex by
+# g = d1^-1 d2 (its out-edges then read g d, its in-edges d g^-1), then
+# identifies the two ends. If the ends are already one vertex and g != 1,
+# a nontrivial word maps to 1 and the tuple is not a basis. The tuple is a
+# basis iff the fold ends at the base vertex alone, carrying n loops
+# labelled a_1..a_n, that is iff the base carries a loop labelled a_j for
+# every j; the loop labelled a_j then reads phi^-1(a_j).
+
+
+def _fold(images, rank: int):
+    """Inverse images of the basis x_i -> images[i], or None if not a basis."""
+    images = [w.letters for w in images]
+    if len(images) != rank or not all(images):
+        return None
+    # vertex v: union-find parent and gauge word; the half-edge (a, l, b, d)
+    # from a to b labelled l reads G(a) d G(b)^-1, G(v) = G(parent) gauge[v]
+    parent, gauge, halves = [0], [()], []
+    for i, w in enumerate(images, 1):
+        tail = 0
+        for pos, l in enumerate(w, 1):
+            head = len(parent) if pos < len(w) else 0
+            if head:
+                parent.append(head)
+                gauge.append(())
+            d = (i,) if pos == 1 else ()
+            halves += [(tail, l, head, d), (head, -l, tail, inverse_letters(d))]
+            tail = head
+
+    def find(v):
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        g = ()
+        for u in reversed(path):
+            g = reduce_letters(g + gauge[u])
+            parent[u], gauge[u] = v, g
+        return v, g
+
+    def read(h):
+        """Head of half-edge h and the domain word it reads."""
+        a, _, b, d = halves[h]
+        (_, ga), (b, gb) = find(a), find(b)
+        return b, reduce_letters(ga + d + inverse_letters(gb))
+
+    adj = [{} for _ in parent]  # root -> {label: half-edge out of it}
+    todo = []  # (kept, folded): half-edges with one tail and one label
+
+    def place(h):
+        a, l = halves[h][:2]
+        kept = adj[find(a)[0]].setdefault(l, h)
+        if kept != h:
+            todo.append((kept, h))
+
+    for h in range(len(halves)):
+        place(h)
+    while todo:
+        h1, h2 = todo.pop()
+        w1, d1 = read(h1)
+        w2, d2 = read(h2)
+        g = reduce_letters(inverse_letters(d1) + d2)
+        if w1 == w2:
+            if g:
+                return None
+            continue
+        if w2 == 0:
+            w1, w2, g = w2, w1, inverse_letters(g)
+        parent[w2], gauge[w2] = w1, g
+        for h in adj[w2].values():
+            place(h)
+    loops = [adj[0].get(j) for j in range(1, rank + 1)]
+    if None in loops or any(read(h)[0] != 0 for h in loops):
+        return None
+    return [Word(read(h)[1]) for h in loops]
 
 
 def is_basis(words, rank: int) -> bool:
-    """True iff the given Words form a free basis of F_rank.
-
-    Folds the wedge of word loops; the tuple is a basis iff the folded core
-    graph is the full rank-n rose (n words generating F_n are a basis).
-    """
-    words = list(words)
-    if len(words) != rank:
-        return False
-    parent = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    base = 0
-    parent[base] = base
-    nxt = 1
-    edges = []
-    for w in words:
-        if not w.letters:
-            return False
-        prev = base
-        for i, l in enumerate(w.letters):
-            if i == len(w.letters) - 1:
-                node = base
-            else:
-                node = nxt
-                parent[node] = node
-                nxt += 1
-            if l > 0:
-                edges.append((l, prev, node))
-            else:
-                edges.append((-l, node, prev))
-            prev = node
-
-    while True:
-        out_seen, in_seen = {}, {}
-        merged = False
-        dedup = set()
-        for (l, u, v) in edges:
-            u, v = find(u), find(v)
-            if (l, u, v) in dedup:
-                continue
-            dedup.add((l, u, v))
-            if (l, u) in out_seen and find(out_seen[(l, u)]) != v:
-                union(out_seen[(l, u)], v)
-                merged = True
-                break
-            out_seen[(l, u)] = v
-            if (l, v) in in_seen and find(in_seen[(l, v)]) != u:
-                union(in_seen[(l, v)], u)
-                merged = True
-                break
-            in_seen[(l, v)] = u
-        if not merged:
-            edges = sorted(dedup)
-            break
-        edges = [(l, find(u), find(v)) for (l, u, v) in edges]
-
-    # Trim hanging trees away from the basepoint.
-    b = find(base)
-    while True:
-        deg = {}
-        for (l, u, v) in edges:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        drop = {v for v, d in deg.items() if d <= 1 and v != b}
-        if not drop:
-            break
-        edges = [e for e in edges if e[1] not in drop and e[2] not in drop]
-
-    labels = {l for (l, u, v) in edges}
-    return (
-        len(edges) == rank
-        and labels == set(range(1, rank + 1))
-        and all(u == b and v == b for (_, u, v) in edges)
-    )
+    """True iff the given Words form a free basis of F_rank."""
+    return _fold(words, rank) is not None
 
 
-def inverse_images(images, rank: int, max_states: int = 20000):
-    """Images of the inverse automorphism, given generator images that form a
-    basis. Greedy Nielsen reduction with history; short plateau search when no
-    single transformation shortens the tuple."""
-    words = [im.letters for im in images]
-    exprs = [(i,) for i in range(1, rank + 1)]
-
-    def total(ws):
-        return sum(len(w) for w in ws)
-
-    def options(ws):
-        # (new_words_i, i, op) candidates, deterministic order
-        for i in range(rank):
-            for j in range(rank):
-                if i == j:
-                    continue
-                for s in (1, -1):
-                    wj = ws[j] if s > 0 else inverse_letters(ws[j])
-                    yield i, j, s, "r", reduce_letters(ws[i] + wj)
-                    yield i, j, s, "l", reduce_letters(wj + ws[i])
-
-    def apply_op(ws, es, op):
-        i, j, s, side, neww = op
-        ej = es[j] if s > 0 else inverse_letters(es[j])
-        ws = list(ws)
-        es = list(es)
-        ws[i] = neww
-        es[i] = reduce_letters(es[i] + ej) if side == "r" else reduce_letters(ej + es[i])
-        return ws, es
-
-    def best_reducing(ws):
-        best = None
-        for i, j, s, side, neww in options(ws):
-            gain = len(ws[i]) - len(neww)
-            if gain > 0:
-                key = (-gain, i, j, s == -1, side)
-                if best is None or key < best[0]:
-                    best = (key, (i, j, s, side, neww))
-        return None if best is None else best[1]
-
-    seen = set()
-    while total(words) > rank:
-        op = best_reducing(words)
-        if op is not None:
-            words, exprs = apply_op(words, exprs, op)
-            continue
-        # Plateau: breadth-first over length-preserving transformations.
-        frontier = [(tuple(words), tuple(exprs))]
-        seen.add(tuple(words))
-        found = None
-        for _ in range(4):
-            nxt = []
-            for ws, es in frontier:
-                for i, j, s, side, neww in options(list(ws)):
-                    if len(neww) != len(ws[i]):
-                        continue
-                    ws2, es2 = apply_op(list(ws), list(es), (i, j, s, side, neww))
-                    key = tuple(ws2)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if len(seen) > max_states:
-                        raise ValueError("not a basis or marking too complex to invert")
-                    if best_reducing(ws2) is not None:
-                        found = (ws2, es2)
-                        break
-                    nxt.append((tuple(ws2), tuple(es2)))
-                if found:
-                    break
-            if found:
-                break
-            frontier = nxt
-        if not found:
-            raise ValueError("generator images do not form a basis")
-        words, exprs = found
-
-    result = [None] * rank
-    for w, e in zip(words, exprs):
-        if len(w) != 1:
-            raise ValueError("generator images do not form a basis")
-        letter = w[0]
-        idx = abs(letter) - 1
-        if result[idx] is not None:
-            raise ValueError("generator images do not form a basis")
-        result[idx] = Word(e if letter > 0 else inverse_letters(e))
-    if any(r is None for r in result):
+def inverse_images(images, rank: int):
+    """Images of the inverse automorphism of x_i -> images[i]; raises
+    ValueError when the images do not form a basis."""
+    inverse = _fold(images, rank)
+    if inverse is None:
         raise ValueError("generator images do not form a basis")
-    return result
+    return inverse
 
 
 def enumerate_cyclic_words(rank: int, max_len: int):

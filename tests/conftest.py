@@ -5,7 +5,6 @@ import pytest
 from outerspacekit.axes import Axis
 from outerspacekit.graphs import point_from_dict, rose
 from outerspacekit.traintrack import GraphSelfMap, pf_metric
-from outerspacekit.words import WhiteheadMove, signed_letters
 
 logging.getLogger("outerspacekit").setLevel(logging.ERROR)
 
@@ -22,16 +21,6 @@ def tribo_selfmaps():
     fwd = GraphSelfMap(rose(3), {0: 0}, {1: (2,), 2: (3,), 3: (1, 2)})
     bwd = GraphSelfMap(rose(3), {0: 0}, {1: (3, -1), 2: (1,), 3: (2,)})
     return fwd, bwd
-
-
-def random_move(rng, rank):
-    """A seeded Whitehead move (A, a): a uniform, each other letter in A
-    with probability 1/2."""
-    letters = list(signed_letters(rank))
-    a = rng.choice(letters)
-    return WhiteheadMove(
-        frozenset([a, *(x for x in letters if x not in (a, -a) and rng.random() < 0.5)]), a
-    )
 
 
 THETA_DICT = {

@@ -5,6 +5,8 @@ primitivity oracle does a breadth-first search over Whitehead moves with
 the intermediate length bounded by the start length (peak reduction makes
 this complete for the minimal length question), and the minimization
 oracle finds each non-cut-vertex step by trying all 2n * 4^(n-1) moves.
+The basis oracle folds by restarting its whole edge scan after every
+single fold, and reads no inverse.
 """
 
 from collections import deque
@@ -91,3 +93,91 @@ def exhaustive_minimize(words, rank) -> ReductionTrace:
         connected = report.connected and not report.isolated
         trace.terminal_state = "no-cut-vertex" if connected else "disconnected-min"
     return trace
+
+
+def scan_is_basis(words, rank: int) -> bool:
+    """Reference for words.is_basis: True iff the given Words form a free
+    basis of F_rank.
+
+    Folds the wedge of word loops; the tuple is a basis iff the folded core
+    graph is the full rank-n rose (n words generating F_n are a basis).
+    """
+    words = list(words)
+    if len(words) != rank:
+        return False
+    parent = {}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(u, v):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+
+    base = 0
+    parent[base] = base
+    nxt = 1
+    edges = []
+    for w in words:
+        if not w.letters:
+            return False
+        prev = base
+        for i, l in enumerate(w.letters):
+            if i == len(w.letters) - 1:
+                node = base
+            else:
+                node = nxt
+                parent[node] = node
+                nxt += 1
+            if l > 0:
+                edges.append((l, prev, node))
+            else:
+                edges.append((-l, node, prev))
+            prev = node
+
+    while True:
+        out_seen, in_seen = {}, {}
+        merged = False
+        dedup = set()
+        for (l, u, v) in edges:
+            u, v = find(u), find(v)
+            if (l, u, v) in dedup:
+                continue
+            dedup.add((l, u, v))
+            if (l, u) in out_seen and find(out_seen[(l, u)]) != v:
+                union(out_seen[(l, u)], v)
+                merged = True
+                break
+            out_seen[(l, u)] = v
+            if (l, v) in in_seen and find(in_seen[(l, v)]) != u:
+                union(in_seen[(l, v)], u)
+                merged = True
+                break
+            in_seen[(l, v)] = u
+        if not merged:
+            edges = sorted(dedup)
+            break
+        edges = [(l, find(u), find(v)) for (l, u, v) in edges]
+
+    # Trim hanging trees away from the basepoint.
+    b = find(base)
+    while True:
+        deg = {}
+        for (l, u, v) in edges:
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+        drop = {v for v, d in deg.items() if d <= 1 and v != b}
+        if not drop:
+            break
+        edges = [e for e in edges if e[1] not in drop and e[2] not in drop]
+
+    labels = {l for (l, u, v) in edges}
+    return (
+        len(edges) == rank
+        and labels == set(range(1, rank + 1))
+        and all(u == b and v == b for (_, u, v) in edges)
+    )

@@ -7,9 +7,9 @@ import outerspacekit.whitehead as whitehead_mod
 import outerspacekit.words as words_mod
 from outerspacekit.cli import main
 from outerspacekit.graphs import point_to_dict, rose
-from outerspacekit.words import CyclicWord, format_letters
+from outerspacekit.words import CyclicWord, format_letters, random_whitehead_move
 
-from .conftest import FIG1_TARGET_DICT, THETA_DICT, random_move
+from .conftest import FIG1_TARGET_DICT, THETA_DICT
 
 GOLDEN_MAP = {
     "graph": {
@@ -122,7 +122,7 @@ class TestWhitehead:
         rng = random.Random(8)
         w = CyclicWord.make((1,))
         while len(w) < 200:
-            w = random_move(rng, 8).automorphism(8).apply_cyclic(w)
+            w = random_whitehead_move(8, rng).automorphism(8).apply_cyclic(w)
         assert main(["whitehead", "primitive", format_letters(w.letters), "--rank", "8"]) == 0
         assert capsys.readouterr().out.strip() == "primitive"
         root = [rng.choice([1, -1]) * x for x in [*range(1, 9), *range(1, 9)]]

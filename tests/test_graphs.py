@@ -24,9 +24,10 @@ from outerspacekit.words import (
     CyclicWord,
     Word,
     all_whitehead_moves,
+    random_whitehead_move,
 )
 
-from .conftest import DUMBBELL_DICT, THETA_DICT, random_move
+from .conftest import DUMBBELL_DICT, THETA_DICT
 
 
 def C(text):
@@ -113,14 +114,14 @@ def _cell_point(cell, rank, rng, n_moves=3):
         "basepoint": "v0",
     })
     for _ in range(n_moves):
-        point = point.act(random_move(rng, rank).automorphism(rank))
+        point = point.act(random_whitehead_move(rank, rng).automorphism(rank))
     return point_from_dict(point_to_dict(point), validate=False)
 
 
 class TestBasisCertificate:
     @pytest.mark.parametrize("cell", ["rose", "theta", "barbell", "trivalent"])
     def test_label_classes_minimize_to_basis(self, cell):
-        # validate_point certifies a marking by is_basis and its verified
+        # validate_point certifies a marking by its folded and verified
         # inverse alone; the edge labels must then reduce to single letters
         rng = random.Random(cell)
         for rank in range(2, 6):

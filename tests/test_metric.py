@@ -14,7 +14,7 @@ from outerspacekit.metric import (
 )
 from outerspacekit.words import Automorphism, CyclicWord, Word, all_whitehead_moves
 
-from .conftest import FIG1_EDGE_IMAGES, FIG1_TARGET_DICT
+from .conftest import FIG1_EDGE_IMAGES, FIG1_TARGET_DICT, THETA_DICT
 
 
 def C(text):
@@ -115,6 +115,15 @@ class TestLinearMap:
         )
         for s in rep.slopes.values():
             assert s == pytest.approx(golden_tt.lam, abs=1e-9)
+
+    def test_zero_length_edge_rejected(self):
+        # a zero-length forest edge is a valid point on a face, but the
+        # slope of that edge is undefined
+        x = point_from_dict(dict(THETA_DICT, edges=[
+            dict(e, length=l) for e, l in zip(THETA_DICT["edges"], ("0", "1/2", "1/2"))]))
+        spec = LinearMapSpec({0: 0, 1: 1}, {1: (1,), 2: (2,), 3: (3,)})
+        with pytest.raises(ValueError, match="edge e1 has length 0"):
+            linear_map_lipschitz(spec, x, point_from_dict(THETA_DICT))
 
     def test_inconsistent_spec_rejected(self):
         with pytest.raises(ValueError):

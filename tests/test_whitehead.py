@@ -11,9 +11,8 @@ from outerspacekit.whitehead import (
     whitehead_graph,
     whitehead_minimize,
 )
-from outerspacekit.words import CyclicWord, reduce_word, signed_letters
+from outerspacekit.words import CyclicWord, random_whitehead_move, reduce_word, signed_letters
 
-from .conftest import random_move
 from .oracles import bfs_primitive, exhaustive_minimize
 
 
@@ -147,7 +146,7 @@ def _random_word_set(rng, rank):
     for _ in range(rng.randint(1, 3)):
         w = CyclicWord.make([rng.choice(letters) for _ in range(rng.choice([1, 1, 3, 6, 9]))])
         for _ in range(rng.randint(0, 4)):
-            w = random_move(rng, rank).automorphism(rank).apply_cyclic(w)
+            w = random_whitehead_move(rank, rng).automorphism(rank).apply_cyclic(w)
         words.append(w or CyclicWord.make([rng.choice(letters)]))
     return words
 

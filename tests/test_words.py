@@ -16,11 +16,17 @@ from outerspacekit.words import (
     canonical_cyclic,
     cyclic_reduce,
     inverse_images,
+    inverse_letters,
     is_basis,
+    random_whitehead_move,
+    reduce_letters,
     reduce_word,
+    signed_letters,
     verify_inverse,
     whitehead_move,
 )
+
+from .oracles import scan_is_basis
 
 
 def W(text):
@@ -211,8 +217,93 @@ class TestInversion:
         assert not is_basis([W("aa"), W("b")], 2)
         assert is_basis([W("a"), W("b"), W("c")], 3)
         assert not is_basis([W("a"), W("b")], 3)
+        assert not is_basis([W("aa")], 1)
+
+    def test_inverse_images_rejects_non_basis(self):
+        with pytest.raises(ValueError, match="generator images do not form a basis"):
+            inverse_images([W("a"), W("babAB")], 2)
 
     def test_inverse_images_signed_permutation(self):
         imgs = inverse_images([W("B"), W("a")], 2)
         phi = Automorphism(2, [W("B"), W("a")])
         assert verify_inverse(phi, Automorphism(2, imgs))
+
+
+def _seeded_basis(rank, rng, n_moves):
+    """(images, expected inverse images) of a composite of Whitehead moves,
+    its images shuffled and some inverted; the expected inverse is composed
+    from the inverse moves, without folding."""
+    phi = Automorphism.identity(rank)
+    for _ in range(n_moves):
+        phi = phi.compose(random_whitehead_move(rank, rng).automorphism(rank))
+    order = list(range(rank))
+    rng.shuffle(order)
+    signs = [rng.choice((1, -1)) for _ in range(rank)]
+    images = [phi.images[j] if e > 0 else phi.images[j].inverse() for j, e in zip(order, signs)]
+    # images = phi o pi with pi(x_i) = x_order[i]^sign; pi^-1(x_order[i]) = x_i^sign
+    pi_inv = [None] * rank
+    for i, (j, e) in enumerate(zip(order, signs)):
+        pi_inv[j] = Word((e * (i + 1),))
+    expected = Automorphism(rank, pi_inv).compose(phi.inverse()).images
+    return images, list(expected)
+
+
+def _non_basis(images, rng):
+    """Replace one image j by a word in the images that leaves no basis:
+    its square, a word whose exponent sum in x_j is not +-1 (abelianization
+    |det| != 1), or w_j w_i w_j w_i^-1 w_j^-1 beside w_i (babAB next to a)."""
+    rank = len(images)
+    words = [w.letters for w in images]
+    j = rng.randrange(rank)
+    kind = rng.randrange(3)
+    if kind == 0:
+        new = words[j] + words[j]
+    elif kind == 1:
+        while True:
+            u = [rng.choice(list(signed_letters(rank))) for _ in range(rng.randint(1, 5))]
+            if abs(sum(1 if x > 0 else -1 for x in u if abs(x) == j + 1)) != 1:
+                break
+        new = sum((words[abs(x) - 1] if x > 0 else inverse_letters(words[abs(x) - 1])
+                   for x in u), ())
+    else:
+        a, b = words[(j + 1) % rank], words[j]
+        new = b + a + b + inverse_letters(a) + inverse_letters(b)
+    out = list(images)
+    out[j] = Word(reduce_letters(new))
+    return out
+
+
+class TestBasisFold:
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_matches_oracle_and_composed_inverse(self, rank):
+        rng = random.Random(1000 + rank)
+        for _ in range(40):
+            images, expected = _seeded_basis(rank, rng, rng.randint(0, 6))
+            assert scan_is_basis(images, rank)
+            assert is_basis(images, rank)
+            assert inverse_images(images, rank) == expected
+            bad = _non_basis(images, rng)
+            assert not scan_is_basis(bad, rank)
+            assert not is_basis(bad, rank)
+            with pytest.raises(ValueError, match="do not form a basis"):
+                inverse_images(bad, rank)
+
+    def test_rank_two_commutator_criterion(self):
+        # (u, v) is a basis of F_2 iff [u, v] is conjugate to [a, b]^+-1
+        commutator = C("abAB")
+        short = [w for n in range(1, 4)
+                 for w in map(Word, itertools.product((1, -1, 2, -2), repeat=n))
+                 if reduce_letters(w.letters) == w.letters]
+        for u in short:
+            for v in short:
+                c = CyclicWord.make(u.letters + v.letters + inverse_letters(u.letters)
+                                    + inverse_letters(v.letters))
+                assert is_basis([u, v], 2) == (c == commutator), (u, v)
+
+    def test_long_rank_five_basis(self):
+        rng = random.Random(55)
+        phi = Automorphism.identity(5)
+        while sum(map(len, phi.images)) < 2000:
+            phi = phi.compose(random_whitehead_move(5, rng).automorphism(5))
+        images = Automorphism(5, phi.images)
+        assert verify_inverse(images, Automorphism(5, inverse_images(phi.images, 5)))

@@ -220,6 +220,7 @@ def cmd_tt_whsearch(args):
     print(f"lamination-plus {' '.join(_f(v) for v in res.plus_trace)}")
     print(f"lamination-minus {' '.join(_f(v) for v in res.minus_trace)}")
     print(f"axis-distance {_f(res.axis_distance)}")
+    print(f"unconverged {res.unconverged}")
 
 
 def cmd_axis(args):

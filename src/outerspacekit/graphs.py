@@ -251,7 +251,8 @@ class MarkedMetricGraph:
         return w if h > 0 else inverse_letters(w)
 
     def path_word(self, path) -> Word:
-        """Based word of a closed path at the basepoint (exact element)."""
+        """Word in F_n of any half-edge path, closed up at both ends through
+        the spanning tree; exact for a closed path at the basepoint."""
         return Word(self.marking_inverse().apply_letters(self.geo_word_of_path(path)))
 
     def path_class(self, path) -> CyclicWord:

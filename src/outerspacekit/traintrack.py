@@ -9,6 +9,7 @@ in which the map stretches every edge by the eigenvalue.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -25,6 +26,7 @@ from .graphs import (
     reverse_path,
     tighten_path,
 )
+from .metric import distance
 from .whitehead import (
     WhiteheadGraph,
     cut_analysis,
@@ -32,7 +34,6 @@ from .whitehead import (
 )
 from .words import (
     Automorphism,
-    Word,
     WhiteheadMove,
     verify_inverse,
 )
@@ -41,6 +42,10 @@ log = logging.getLogger(__name__)
 
 PF_RESIDUAL = 1e-12
 PF_MAX_ITER = 100_000
+LEAF_GRAPH_K_CAP = 20  # deepest leaf level read by lamination_whitehead_graph
+SEARCH_TOLERANCE = 2e-3  # of the cut-vertex search's lamination length estimates
+SEARCH_MAX_STEPS = 200
+SEARCH_DEPTH_BOOSTS = (0, 3, 6, 9)  # leaf levels added when no cut-vertex move helps
 
 
 class NotTrainTrackError(ValueError):
@@ -166,13 +171,8 @@ class TrainTrackReport:
     illegal_turn: object  # (h1, h2) crossed by some edge image, or None
 
 
-def _path_turns(path, cyclic=False):
-    turns = []
-    for i in range(len(path) - 1):
-        turns.append((-path[i], path[i + 1]))
-    if cyclic and len(path) >= 1:
-        turns.append((-path[-1], path[0]))
-    return turns
+def _path_turns(path):
+    return [(-path[i], path[i + 1]) for i in range(len(path) - 1)]
 
 
 def is_irreducible_matrix(A: np.ndarray) -> bool:
@@ -215,7 +215,6 @@ class TrainTrackMap:
         self.lam = lam
         self.point = pf_point  # marked graph with the PF metric, volume 1
         self._automorphism = None
-        self._leaf_cache = {}
 
     @property
     def graph(self):
@@ -237,25 +236,49 @@ class TrainTrackMap:
         """f^k(e) as a tight half-edge path (legal, so no cancellation)."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        key = (edge_index, k)
-        if key not in self._leaf_cache:
-            if k == 0:
-                self._leaf_cache[key] = (edge_index,)
-            else:
-                prev = self.leaf_path(edge_index, k - 1)
-                out = []
-                for h in prev:
-                    out.extend(self.selfmap.image_of(h))
-                self._leaf_cache[key] = tuple(out)
-        return self._leaf_cache[key]
+        path = (edge_index,)
+        for _ in range(k):
+            out = []
+            for h in path:
+                out.extend(self.selfmap.image_of(h))
+            path = tuple(out)
+        return path
 
-    def leaf_word(self, edge_index: int, k: int) -> Word:
-        """Word traced in the fundamental group by the tile f^k(e)."""
-        return Word(
-            self.point.marking_inverse().apply_letters(
-                self.point.geo_word_of_path(self.leaf_path(edge_index, k))
-            )
-        )
+    def realized_leaves(self, point: MarkedMetricGraph):
+        """Yield, for k = 0, 1, 2, ..., the tight based paths at `point` of the
+        tiles f^k(e) of every edge e, each read in F_n through self.point.
+
+        Realizing at a point maps concatenation to tightened concatenation,
+        and f^(k+1)(e) concatenates f^k(h) over the half-edges h of f(e), so
+        each level is built from the one before; only one level is held.
+        """
+        g = point.graph
+        images = [self.selfmap.edge_images[e] for e in range(1, self.graph.n_edges + 1)]
+        level = [point.realize_based(self.point.path_word((e,)).letters)
+                 for e in range(1, len(images) + 1)]
+        while True:
+            yield level
+            level = [
+                tighten_path(g, (x for h in img
+                                 for x in (level[h - 1] if h > 0 else reverse_path(level[-h - 1]))),
+                             check_incidence=False)
+                for img in images
+            ]
+
+
+def _perron(A: np.ndarray):
+    """(eigenvalue, eigenvector normalized to sum 1) of a nonnegative
+    irreducible matrix, by power iteration on A + I from the all-ones vector."""
+    m = A.shape[0]
+    v = np.ones(m)
+    shifted = A + np.eye(m)
+    for _ in range(PF_MAX_ITER):
+        w = shifted @ v
+        v = w / w.sum()
+        lam = float(v @ (A @ v) / (v @ v))
+        if np.max(np.abs(A @ v - lam * v)) < PF_RESIDUAL:
+            return lam, v / v.sum()
+    raise NotTrainTrackError("power iteration did not converge")
 
 
 def pf_metric(f: GraphSelfMap) -> TrainTrackMap:
@@ -271,22 +294,9 @@ def pf_metric(f: GraphSelfMap) -> TrainTrackMap:
         )
     if not report.irreducible:
         raise NotTrainTrackError("transition matrix is reducible")
-    A = f.transition_matrix().astype(float)
-    m = A.shape[0]
-    v = np.ones(m)
-    shifted = A + np.eye(m)
-    lam = 0.0
-    for _ in range(PF_MAX_ITER):
-        w = shifted @ v
-        v = w / w.sum()
-        lam = float(v @ (A @ v) / (v @ v))
-        if np.max(np.abs(A @ v - lam * v)) < PF_RESIDUAL:
-            break
-    else:
-        raise NotTrainTrackError("power iteration did not converge")
+    lam, lengths = _perron(f.transition_matrix().astype(float))
     if lam <= 1.0 + 1e-9:
         raise NotTrainTrackError(f"expansion factor {lam} <= 1 (finite order map)")
-    lengths = v / v.sum()
     pf_point = f.point.with_lengths(list(lengths))
     structure = gates(f)
     tt = TrainTrackMap(GraphSelfMap(pf_point, f.vertex_images, f.edge_images),
@@ -303,16 +313,23 @@ class LegalityReport:
     total_length: float
 
 
-def legality_report(alpha, tt: TrainTrackMap, cyclic=True) -> LegalityReport:
-    """Split a loop (or path) at illegal turns; LEG is the fraction of length
-    carried by legal pieces longer than the threshold kappa."""
-    g = tt.graph
+def _loop_path(alpha, tt: TrainTrackMap):
+    """A loop as a half-edge path of tt's graph: a word is realized at
+    tt.point and cyclically tightened, a path is taken as given."""
     if hasattr(alpha, "letters"):
         path = cyclic_tighten(tt.point.realize_based(alpha.letters))
     else:
         path = tuple(alpha)
     if not path:
         raise ValueError("empty loop")
+    return path
+
+
+def legality_report(alpha, tt: TrainTrackMap, cyclic=True) -> LegalityReport:
+    """Split a loop (or path) at illegal turns; LEG is the fraction of length
+    carried by legal pieces longer than the threshold kappa."""
+    g = tt.graph
+    path = _loop_path(alpha, tt)
     total = math.fsum(g.length_of(h) for h in path)
     n = len(path)
     illegal_after = []  # positions i where the turn (path[i], path[i+1]) is illegal
@@ -321,27 +338,16 @@ def legality_report(alpha, tt: TrainTrackMap, cyclic=True) -> LegalityReport:
         h1, h2 = path[i], path[(i + 1) % n]
         if not tt.structure.is_legal_turn(-h1, h2):
             illegal_after.append(i)
-    pieces = []
     if not illegal_after:
-        pieces.append(path)
+        pieces = [path]
     elif cyclic:
-        k = len(illegal_after)
-        for t in range(k):
-            start = (illegal_after[t] + 1) % n
-            end = illegal_after[(t + 1) % k]
-            piece = []
-            i = start
-            while True:
-                piece.append(path[i])
-                if i == end:
-                    break
-                i = (i + 1) % n
-            pieces.append(tuple(piece))
+        # a piece runs from after one illegal turn to the next, wrapping once
+        doubled = path + path
+        bounds = illegal_after + [illegal_after[0] + n]
+        pieces = [doubled[a + 1 : b + 1] for a, b in zip(bounds, bounds[1:])]
     else:
         bounds = [-1] + illegal_after + [n - 1]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if b > a:
-                pieces.append(path[a + 1 : b + 1])
+        pieces = [path[a + 1 : b + 1] for a, b in zip(bounds, bounds[1:]) if b > a]
     kappa = tt.legality_threshold()
     with_lengths = [(p, math.fsum(g.length_of(h) for h in p)) for p in pieces]
     leg = math.fsum(l for (_, l) in with_lengths if l > kappa) / total
@@ -357,7 +363,7 @@ def legality_report(alpha, tt: TrainTrackMap, cyclic=True) -> LegalityReport:
 def leaf_segment(tt: TrainTrackMap, edge_index: int, k: int):
     """(half-edge path, Word form) of the stable leaf segment f^k(e)."""
     path = tt.leaf_path(edge_index, k)
-    return path, tt.leaf_word(edge_index, k)
+    return path, tt.point.path_word(path)
 
 
 def _path_tokens(path):
@@ -369,12 +375,7 @@ def longest_leaf_piece(alpha, leaf_path, tt: TrainTrackMap) -> float:
     """Max PF-metric length of a subpath of the loop alpha (either direction,
     doubled cyclically) occurring in the given leaf segment."""
     g = tt.graph
-    if hasattr(alpha, "letters"):
-        loop = cyclic_tighten(tt.point.realize_based(alpha.letters))
-    else:
-        loop = tuple(alpha)
-    if not loop:
-        raise ValueError("empty loop")
+    loop = _loop_path(alpha, tt)
     leaf_tok = _path_tokens(leaf_path)
     best = 0.0
     for variant in (loop, reverse_path(loop)):
@@ -401,16 +402,7 @@ class LaminationLengthEstimate:
 
 def tile_frequencies(tt: TrainTrackMap) -> np.ndarray:
     """PF occurrence frequencies of edges in the leaf, normalized to sum 1."""
-    A = tt.matrix.astype(float)
-    m = A.shape[0]
-    v = np.ones(m)
-    shifted = A.T + np.eye(m)
-    for _ in range(PF_MAX_ITER):
-        w = shifted @ v
-        v = w / w.sum()
-        if np.max(np.abs(A.T @ v - (v @ (A.T @ v) / (v @ v)) * v)) < PF_RESIDUAL:
-            break
-    return v / v.sum()
+    return _perron(tt.matrix.astype(float).T)[1]
 
 
 def lamination_length_ratio(
@@ -424,25 +416,26 @@ def lamination_length_ratio(
     """Length of the attracting lamination in `target`, scaled by the
     train-track base: limit of tile-frequency-weighted length ratios a_k.
 
-    Both sides measure the tile words through the same based-path
-    functional, so the estimate is exactly 1 when target is the base point.
+    Both sides measure the tiles through the same based-path functional,
+    so the estimate is exactly 1 when target is the base point.
     Convergence declares after `consecutive` successive differences below
     tolerance, from depth k_min on (marking junk decays like 1/lambda^k).
     """
     if target.rank != tt.point.rank:
         raise ValueError("rank mismatch")
+    if k_cap < 1:
+        raise ValueError("k_cap must be >= 1")
     r = tile_frequencies(tt)
-    m = tt.graph.n_edges
+    levels = zip(tt.realized_leaves(target), tt.realized_leaves(tt.point))
     seq = []
     prev = None
     streak = 0
-    for k in range(1, k_cap + 1):
+    for k, (at_target, at_base) in enumerate(itertools.islice(levels, 1, k_cap + 1), 1):
         num = 0.0
         den = 0.0
-        for j in range(m):
-            w = tt.leaf_word(j + 1, k).letters
-            num += r[j] * target.based_length(w)
-            den += r[j] * tt.point.based_length(w)
+        for j, (p, q) in enumerate(zip(at_target, at_base)):
+            num += r[j] * math.fsum(target.graph.length_of(h) for h in p)
+            den += r[j] * math.fsum(tt.graph.length_of(h) for h in q)
         a_k = num / den
         seq.append(a_k)
         if prev is not None and abs(a_k - prev) < tolerance:
@@ -459,33 +452,26 @@ def lamination_length_ratio(
 # -- lamination Whitehead graphs and the cut-vertex-free point search ----
 
 
-def lamination_whitehead_graph(
-    tt: TrainTrackMap, point: MarkedMetricGraph, k_start: int = 3, k_cap: int = 20
-):
+def lamination_whitehead_graph(tt: TrainTrackMap, point: MarkedMetricGraph, k_start: int = 3):
     """Whitehead graph (over the oriented edges of `point`, a rose) of the
     stabilized leaf segments of tt's lamination realized at `point`.
 
     Turns are read off the realized leaf paths; the wrap-around turn is not
-    taken. k is increased until the graph is unchanged for two consecutive
-    depths; returns (graph, k_used).
+    taken. k is increased, up to LEAF_GRAPH_K_CAP, until the graph is
+    unchanged for two consecutive depths; returns (graph, k_used).
     """
     if point.graph.n_vertices != 1:
         raise ValueError("lamination Whitehead graphs are computed at roses")
-    rank = point.rank
     prev = None
-    for k in range(k_start, k_cap + 1):
-        edges = set()
-        for j in range(1, tt.graph.n_edges + 1):
-            w = tt.leaf_word(j, k).letters
-            path = point.realize_based(w)
-            for (u, v) in _path_turns(path):
-                edges.add(frozenset((u, v)))
-        graph = WhiteheadGraph.from_counter(rank, Counter({e: 1 for e in edges}))
+    levels = itertools.islice(tt.realized_leaves(point), k_start, LEAF_GRAPH_K_CAP + 1)
+    for k, level in enumerate(levels, k_start):
+        turns = {frozenset(t) for path in level for t in _path_turns(path)}
+        graph = WhiteheadGraph.from_counter(point.rank, Counter(turns))
         if prev is not None and graph.same_simple_graph(prev):
             return graph, k
         prev = graph
-    log.warning("lamination Whitehead graph did not stabilize by k=%d", k_cap)
-    return prev, k_cap
+    log.warning("lamination Whitehead graph did not stabilize by k=%d", LEAF_GRAPH_K_CAP)
+    return prev, LEAF_GRAPH_K_CAP
 
 
 @dataclass
@@ -497,6 +483,7 @@ class CutVertexSearchResult:
     combined_graph: WhiteheadGraph
     stabilization_k: int
     axis_distance: float  # min over a small window of d(G_m, F) + d(F, G_m)
+    unconverged: int  # lamination length estimates of the search that did not converge
 
 
 def _acted_by_edge_move(X: MarkedMetricGraph, move: WhiteheadMove):
@@ -508,12 +495,7 @@ def _acted_by_edge_move(X: MarkedMetricGraph, move: WhiteheadMove):
 
 
 def no_cut_vertex_search(
-    ttF: TrainTrackMap,
-    ttB: TrainTrackMap,
-    start: MarkedMetricGraph,
-    tolerance: float = 2e-3,
-    max_steps: int = 200,
-    max_depth_boost: int = 9,
+    ttF: TrainTrackMap, ttB: TrainTrackMap, start: MarkedMetricGraph
 ) -> CutVertexSearchResult:
     """Find a rose point where the combined Whitehead graph of the attracting
     and repelling laminations is connected with no cut vertex.
@@ -521,7 +503,8 @@ def no_cut_vertex_search(
     While a cut vertex exists, act by a Whitehead move derived from it that
     strictly decreases both lamination length functionals. The leaf graphs
     stabilize empirically; when no cut-vertex move decreases both
-    functionals the leaf depth is boosted to expose missing turns.
+    functionals the leaf depth is boosted to expose missing turns. The
+    result counts the length estimates that did not converge.
     """
     phi = ttF.automorphism()
     psi = ttB.automorphism()
@@ -529,24 +512,24 @@ def no_cut_vertex_search(
         raise ValueError("backward map is not inverse to the forward map")
     if start.graph.n_vertices != 1:
         raise ValueError("search starts at a rose point")
+    converged = []
+
     def plateau(tt, point):
-        return lamination_length_ratio(
-            tt, point, tolerance, k_cap=20, k_min=8, consecutive=2
-        ).value
+        est = lamination_length_ratio(
+            tt, point, SEARCH_TOLERANCE, k_cap=20, k_min=8, consecutive=2
+        )
+        converged.append(est.converged)
+        return est.value
 
     X = start
     moves = []
     plus_trace = [plateau(ttF, X)]
     minus_trace = [plateau(ttB, X)]
-    k_used = 0
-    for _ in range(max_steps):
-        boost = 0
-        decision = None  # ("done", combined) or ("step", move, X2, plus, minus)
-        while decision is None:
+    for _ in range(SEARCH_MAX_STEPS):
+        for boost in SEARCH_DEPTH_BOOSTS:
             gF, kF = lamination_whitehead_graph(ttF, X, k_start=3 + boost)
             gB, kB = lamination_whitehead_graph(ttB, X, k_start=3 + boost)
             combined = gF.union(gB)
-            k_used = max(kF, kB)
             report = cut_analysis(combined)
             if report.isolated or not report.connected:
                 raise NotTrainTrackError(
@@ -554,8 +537,15 @@ def no_cut_vertex_search(
                     "(input not fully irreducible)"
                 )
             if not report.cut_vertices:
-                decision = ("done", combined)
-                break
+                prox = min(
+                    distance(X, start.act(phi.power(m))).value
+                    + distance(start.act(phi.power(m)), X).value
+                    for m in range(-3, 4)
+                )
+                return CutVertexSearchResult(
+                    X, moves, plus_trace, minus_trace, combined, max(kF, kB), prox,
+                    converged.count(False),
+                )
             viable = []
             for move in moves_from_cut_vertex(combined, report):
                 X2 = _acted_by_edge_move(X, move)
@@ -565,30 +555,18 @@ def no_cut_vertex_search(
                     drop = (plus_trace[-1] - p2) + (minus_trace[-1] - m2)
                     viable.append(((-drop, move.sort_key()), move, X2, p2, m2))
             if viable:
-                decision = ("step",) + min(viable)[1:]
-            else:
-                boost += 3
-                if boost > max_depth_boost:
-                    raise NotTrainTrackError(
-                        "no cut-vertex move decreases both lamination lengths "
-                        "(leaf stabilization failed)"
-                    )
-        if decision[0] == "done":
-            from .metric import distance
-
-            prox = min(
-                distance(X, start.act(phi.power(m))).value
-                + distance(start.act(phi.power(m)), X).value
-                for m in range(-3, 4)
+                _, move, X, plus, minus = min(viable)
+                break
+        else:
+            raise NotTrainTrackError(
+                "no cut-vertex move decreases both lamination lengths "
+                f"(leaf stabilization failed; {converged.count(False)} of "
+                f"{len(converged)} lamination estimates did not converge)"
             )
-            return CutVertexSearchResult(
-                X, moves, plus_trace, minus_trace, decision[1], k_used, prox
-            )
-        _, move, X, plus, minus = decision
         moves.append(move)
         plus_trace.append(plus)
         minus_trace.append(minus)
-    raise NotTrainTrackError(f"cut-vertex search did not terminate in {max_steps} steps")
+    raise NotTrainTrackError(f"cut-vertex search did not terminate in {SEARCH_MAX_STEPS} steps")
 
 
 # -- file format ----------------------------------------------------------

@@ -23,6 +23,18 @@ def tribo_selfmaps():
     return fwd, bwd
 
 
+def silver_selfmap():
+    """x -> xxy, y -> x on the rank-2 rose."""
+    return GraphSelfMap(rose(2), {0: 0}, {1: (1, 1, 2), 2: (1,)})
+
+
+def rank4_selfmaps():
+    """x_i -> x_(i+1), x_4 -> x_1 x_2 on the rank-4 rose, and its inverse."""
+    fwd = GraphSelfMap(rose(4), {0: 0}, {1: (2,), 2: (3,), 3: (4,), 4: (1, 2)})
+    bwd = GraphSelfMap(rose(4), {0: 0}, {1: (4, -1), 2: (1,), 3: (2,), 4: (3,)})
+    return fwd, bwd
+
+
 THETA_DICT = {
     "rank": 2,
     "vertices": ["u", "v"],

@@ -6,11 +6,14 @@ the intermediate length bounded by the start length (peak reduction makes
 this complete for the minimal length question), and the minimization
 oracle finds each non-cut-vertex step by trying all 2n * 4^(n-1) moves.
 The basis oracle folds by restarting its whole edge scan after every
-single fold, and reads no inverse.
+single fold, and reads no inverse. The leaf oracles expand each tile
+f^k(e) on the train-track graph, read it as a word of F_n and realize
+that word at the target, one depth at a time.
 """
 
 from collections import deque
 
+from outerspacekit.traintrack import tile_frequencies
 from outerspacekit.whitehead import (
     ReductionTrace,
     cut_analysis,
@@ -181,3 +184,29 @@ def scan_is_basis(words, rank: int) -> bool:
         and labels == set(range(1, rank + 1))
         and all(u == b and v == b for (_, u, v) in edges)
     )
+
+
+def leaf_levels(tt, point, k_max):
+    """Reference for TrainTrackMap.realized_leaves: level k lists, over the
+    edges e, the based path at `point` of the word read by f^k(e)."""
+    m = tt.graph.n_edges
+    return [
+        [point.realize_based(tt.point.path_word(tt.leaf_path(e, k)).letters)
+         for e in range(1, m + 1)]
+        for k in range(k_max + 1)
+    ]
+
+
+def lamination_sequence(tt, target, k_max):
+    """Reference for the ratios a_1..a_k_max of lamination_length_ratio."""
+    r = tile_frequencies(tt)
+    seq = []
+    for k in range(1, k_max + 1):
+        num = 0.0
+        den = 0.0
+        for j in range(tt.graph.n_edges):
+            w = tt.point.path_word(tt.leaf_path(j + 1, k)).letters
+            num += r[j] * target.based_length(w)
+            den += r[j] * tt.point.based_length(w)
+        seq.append(num / den)
+    return seq

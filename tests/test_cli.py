@@ -152,6 +152,7 @@ class TestTT:
         assert main(["tt", "whsearch", files["fwd"], files["bwd"]]) == 0
         out = capsys.readouterr().out
         assert "moves 0" in out
+        assert "unconverged 0" in out
 
     def test_non_tt_rejected(self, files, tmp_path, capsys):
         bad = dict(GOLDEN_MAP)

@@ -1,13 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from outerspacekit.graphs import point_from_dict, rose
+from outerspacekit.graphs import point_from_dict, random_point, rose
 from outerspacekit.metric import distance
 from outerspacekit.traintrack import (
     GraphSelfMap,
     NotTrainTrackError,
+    TrainTrackMap,
     gates,
     is_irreducible_matrix,
     lamination_length_ratio,
@@ -24,7 +26,15 @@ from outerspacekit.traintrack import (
 from outerspacekit.whitehead import cut_analysis
 from outerspacekit.words import Automorphism, CyclicWord, verify_inverse
 
-from .conftest import THETA_DICT, golden_selfmaps, tribo_selfmaps
+from . import oracles
+from .conftest import (
+    DUMBBELL_DICT,
+    THETA_DICT,
+    golden_selfmaps,
+    rank4_selfmaps,
+    silver_selfmap,
+    tribo_selfmaps,
+)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -100,6 +110,24 @@ class TestPF:
     def test_associated_automorphism(self, golden_tt):
         phi = golden_tt.automorphism()
         assert [str(w) for w in phi.images] == ["ab", "a"]
+
+    @pytest.mark.parametrize(
+        "selfmap",
+        [golden_selfmaps()[0], silver_selfmap(), tribo_selfmaps()[0], rank4_selfmaps()[0]],
+        ids=["golden", "silver", "tribonacci", "rank4"],
+    )
+    def test_matches_numpy_eig(self, selfmap):
+        tt = pf_metric(selfmap)
+        A = tt.matrix.astype(float)
+        vals, vecs = np.linalg.eig(A)
+        i = int(np.argmax(vals.real))
+        lengths = np.abs(vecs[:, i].real) / np.abs(vecs[:, i].real).sum()
+        assert abs(tt.lam - vals[i].real) <= 1e-9
+        assert np.max(np.abs(np.array(tt.graph.lengths) - lengths)) <= 1e-9
+        vals, vecs = np.linalg.eig(A.T)
+        i = int(np.argmax(vals.real))
+        freqs = np.abs(vecs[:, i].real) / np.abs(vecs[:, i].real).sum()
+        assert np.max(np.abs(tile_frequencies(tt) - freqs)) <= 1e-9
 
 
 class TestLegality:
@@ -186,7 +214,47 @@ class TestLeaves:
             assert pairs8 <= pairs
 
 
+def _leaf_cases(golden_tt, tribo_tt):
+    """(train-track map, target) pairs: the base point, seeded roses and,
+    at rank 2, the theta and dumbbell graphs."""
+    rank4_tt = pf_metric(rank4_selfmaps()[0])
+    cases = []
+    for tt in (golden_tt, tribo_tt, rank4_tt):
+        rank = tt.point.rank
+        targets = [tt.point] + [random_point(rank, 31 + s, n_moves=3) for s in range(3)]
+        if rank == 2:
+            targets += [point_from_dict(THETA_DICT), point_from_dict(DUMBBELL_DICT)]
+        cases += [(tt, X) for X in targets]
+    return cases
+
+
+class TestRealizedLeaves:
+    def test_levels_match_word_reading(self, golden_tt, tribo_tt):
+        for tt, X in _leaf_cases(golden_tt, tribo_tt):
+            ref = oracles.leaf_levels(tt, X, 8)
+            assert list(itertools.islice(tt.realized_leaves(X), 9)) == ref
+
+    def test_sequence_matches_reference(self, golden_tt, tribo_tt):
+        for tt, X in _leaf_cases(golden_tt, tribo_tt):
+            est = lamination_length_ratio(tt, X, tolerance=0.0, k_cap=8)
+            assert est.sequence == oracles.lamination_sequence(tt, X, 8)
+
+    def test_estimators_do_not_expand_leaves(self, golden_tt, golden_inv_tt, monkeypatch):
+        def expand(*args):
+            raise AssertionError("leaf_path called")
+
+        monkeypatch.setattr(TrainTrackMap, "leaf_path", expand)
+        assert lamination_length_ratio(golden_tt, rose(2, [1 / 3, 2 / 3])).converged
+        graph, _ = lamination_whitehead_graph(golden_tt, rose(2))
+        assert len(graph.simple_edges()) >= 3
+        assert no_cut_vertex_search(golden_tt, golden_inv_tt, rose(2)).moves == []
+
+
 class TestLamination:
+    def test_k_cap_zero_rejected(self, golden_tt):
+        with pytest.raises(ValueError, match="k_cap must be >= 1"):
+            lamination_length_ratio(golden_tt, rose(2), k_cap=0)
+
     def test_tile_frequencies_golden(self, golden_tt):
         r = tile_frequencies(golden_tt)
         assert r[0] == pytest.approx(GOLDEN / (1 + GOLDEN), abs=1e-9)
@@ -222,6 +290,7 @@ class TestCutVertexSearch:
         rep = cut_analysis(res.combined_graph)
         assert rep.connected and rep.cut_vertex is None and not rep.isolated
         assert res.axis_distance <= 1e-9  # F lies on the axis here
+        assert res.unconverged == 0
 
     def test_tribo_translated_start_moves(self, tribo_tt, tribo_inv_tt):
         psi = Automorphism.from_strings(3, "a", "bc", "c")
@@ -233,6 +302,15 @@ class TestCutVertexSearch:
         assert all(b < a for a, b in zip(res.minus_trace, res.minus_trace[1:]))
         rep = cut_analysis(res.combined_graph)
         assert rep.connected and rep.cut_vertex is None and not rep.isolated
+        assert res.unconverged == 0
+
+    def test_unconverged_estimate_reported(self):
+        # the start estimate of the attracting length stops at k = 20 unconverged,
+        # and the only cut-vertex move seems to raise it
+        fwd, bwd = (pf_metric(f) for f in rank4_selfmaps())
+        start = random_point(4, 2117954675, n_moves=3)
+        with pytest.raises(NotTrainTrackError, match="1 of 10 lamination estimates"):
+            no_cut_vertex_search(fwd, bwd, start)
 
     def test_whitehead_graph_axis_invariance(self, golden_tt, golden_inv_tt):
         phi = golden_tt.automorphism()

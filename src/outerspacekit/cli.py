@@ -191,8 +191,9 @@ def cmd_tt(args):
         if args.edge not in edge_ids:
             raise UsageError(f"unknown edge {args.edge}")
         path, word = leaf_segment(tt, edge_ids.index(args.edge) + 1, args.iters)
-        refs = " ".join(("~" if h < 0 else "") + edge_ids[abs(h) - 1] for h in path)
-        print(f"path {refs}")
+        ref = {sign * (i + 1): ("~" if sign < 0 else "") + eid
+               for i, eid in enumerate(edge_ids) for sign in (1, -1)}
+        print(f"path {' '.join(map(ref.__getitem__, path))}")
         print(f"word {word}")
 
 

@@ -43,6 +43,7 @@ log = logging.getLogger(__name__)
 PF_RESIDUAL = 1e-12
 PF_MAX_ITER = 100_000
 LEAF_GRAPH_K_CAP = 20  # deepest leaf level read by lamination_whitehead_graph
+LEAF_WINDOW = 48  # half-edges a leaf tile keeps at each end, before any widening
 SEARCH_TOLERANCE = 2e-3  # of the cut-vertex search's lamination length estimates
 SEARCH_MAX_STEPS = 200
 SEARCH_DEPTH_BOOSTS = (0, 3, 6, 9)  # leaf levels added when no cut-vertex move helps
@@ -192,7 +193,10 @@ def is_irreducible_matrix(A: np.ndarray) -> bool:
 
 def verify_train_track(f: GraphSelfMap) -> TrainTrackReport:
     """Check edge-image legality for the induced gates, and irreducibility."""
-    structure = gates(f)
+    return _verify(f, gates(f), f.transition_matrix())
+
+
+def _verify(f: GraphSelfMap, structure, matrix) -> TrainTrackReport:
     illegal = None
     for e in range(1, f.graph.n_edges + 1):
         for (h1, h2) in _path_turns(f.edge_images[e]):
@@ -201,7 +205,7 @@ def verify_train_track(f: GraphSelfMap) -> TrainTrackReport:
                 break
         if illegal:
             break
-    irreducible = is_irreducible_matrix(f.transition_matrix())
+    irreducible = is_irreducible_matrix(matrix)
     return TrainTrackReport(is_tt=illegal is None, irreducible=irreducible, illegal_turn=illegal)
 
 
@@ -215,6 +219,7 @@ class TrainTrackMap:
         self.lam = lam
         self.point = pf_point  # marked graph with the PF metric, volume 1
         self._automorphism = None
+        self._frequencies = None
 
     @property
     def graph(self):
@@ -232,38 +237,162 @@ class TrainTrackMap:
     def legality_threshold(self) -> float:
         return 4.0 * self.bcc_bound() / (self.lam - 1.0)
 
+    def tile_frequencies(self) -> np.ndarray:
+        """PF occurrence frequencies of edges in the leaf, normalized to sum 1."""
+        if self._frequencies is None:
+            self._frequencies = _perron(self.matrix.astype(float).T)[1]
+        return self._frequencies
+
     def leaf_path(self, edge_index: int, k: int):
         """f^k(e) as a tight half-edge path (legal, so no cancellation)."""
         if k < 0:
             raise ValueError("k must be >= 0")
+        m = self.graph.n_edges
+        image = {h: self.selfmap.image_of(h) for h in range(-m, m + 1) if h}
         path = (edge_index,)
         for _ in range(k):
-            out = []
-            for h in path:
-                out.extend(self.selfmap.image_of(h))
-            path = tuple(out)
+            path = tuple(itertools.chain.from_iterable(map(image.__getitem__, path)))
         return path
 
     def realized_leaves(self, point: MarkedMetricGraph):
-        """Yield, for k = 0, 1, 2, ..., the tight based paths at `point` of the
-        tiles f^k(e) of every edge e, each read in F_n through self.point.
+        """Yield, for k = 0, 1, 2, ..., one LeafTile per edge e: the tight
+        based path at `point` of the tile f^k(e), read in F_n through
+        self.point, summarized with the window LEAF_WINDOW or wider.
 
         Realizing at a point maps concatenation to tightened concatenation,
         and f^(k+1)(e) concatenates f^k(h) over the half-edges h of f(e), so
         each level is built from the one before; only one level is held.
+        Adjacent tiles cancel in boundedly many half-edges (Cooper 1987), so
+        the joins are tightened inside the end windows alone. When a
+        cancellation, or a tile short enough to be kept whole, needs a
+        half-edge beyond a window, the window doubles and the levels are
+        rebuilt from level 0; every yielded level is exact, so memory is
+        O(edges * window) per level instead of lambda^k.
         """
-        g = point.graph
+        m = point.graph.n_edges
         images = [self.selfmap.edge_images[e] for e in range(1, self.graph.n_edges + 1)]
-        level = [point.realize_based(self.point.path_word((e,)).letters)
+        reversed_edges = sorted({-h for img in images for h in img if h < 0})
+        roots = [point.realize_based(self.point.path_word((e,)).letters)
                  for e in range(1, len(images) + 1)]
+        window = LEAF_WINDOW
+        level = [LeafTile.of_path(p, m, window) for p in roots]
+        depth = yielded = 0
         while True:
-            yield level
-            level = [
-                tighten_path(g, (x for h in img
-                                 for x in (level[h - 1] if h > 0 else reverse_path(level[-h - 1]))),
-                             check_incidence=False)
-                for img in images
-            ]
+            if depth == yielded:
+                yield level
+                yielded += 1
+            try:
+                reverse = {e: level[e - 1].reversed() for e in reversed_edges}
+                level = [_join([level[h - 1] if h > 0 else reverse[-h] for h in img],
+                               m, window)
+                         for img in images]
+                depth += 1
+            except _WindowTooNarrow:
+                window *= 2
+                log.debug("leaf window widened to %d half-edges at level %d", window, depth + 1)
+                level = [LeafTile.of_path(p, m, window) for p in roots]
+                depth = 0
+
+
+@dataclass
+class LeafTile:
+    """A tight half-edge path, summarized: its length n, its first and last
+    `window` half-edges (both the whole path when n <= 2 * window), how
+    often it crosses each edge, and how often it takes each turn
+    {-h_i, h_(i+1)} of consecutive half-edges."""
+
+    n: int
+    head: tuple
+    tail: tuple
+    edge_counts: tuple  # crossings of edge i + 1, either way
+    turns: Counter  # frozenset({-h_i, h_(i+1)}) -> count
+    window: int
+
+    @classmethod
+    def of_path(cls, path, n_edges: int, window: int) -> "LeafTile":
+        path = tuple(path)
+        counts = [0] * n_edges
+        for h in path:
+            counts[abs(h) - 1] += 1
+        turns = Counter(frozenset((-a, b)) for a, b in zip(path, path[1:]))
+        if len(path) <= 2 * window:
+            return cls(len(path), path, path, tuple(counts), turns, window)
+        return cls(len(path), path[:window], path[-window:], tuple(counts), turns, window)
+
+    def reversed(self) -> "LeafTile":
+        # a turn is unordered, so reversing keeps the turn counts
+        return LeafTile(self.n, reverse_path(self.tail), reverse_path(self.head),
+                        self.edge_counts, self.turns, self.window)
+
+    def slice(self, start: int, stop: int):
+        """Half-edges start..stop-1 of the path, when they lie in a window."""
+        if stop <= len(self.head):
+            return self.head[start:stop]
+        offset = self.n - len(self.tail)
+        if start >= offset:
+            return self.tail[start - offset : stop - offset]
+        raise _WindowTooNarrow
+
+
+class _WindowTooNarrow(Exception):
+    """A tightening needs a half-edge outside a tile's end windows."""
+
+
+def _join(pieces, n_edges: int, window: int) -> LeafTile:
+    """LeafTile of the tightened concatenation of the paths of `pieces`;
+    raises _WindowTooNarrow when it needs a half-edge outside a window."""
+    # [tile, s, t]: a tile with s half-edges cancelled at its start, t at its end
+    stack = []
+    for tile in pieces:
+        s = 0
+        while stack and s < tile.n:
+            top = stack[-1]
+            last = top[0].n - top[2] - 1
+            if top[0].slice(last, last + 1)[0] != -tile.slice(s, s + 1)[0]:
+                break
+            s += 1
+            top[2] += 1
+            if top[1] + top[2] == top[0].n:
+                stack.pop()
+        if s < tile.n:
+            stack.append([tile, s, 0])
+    counts = [0] * n_edges
+    turns = Counter()
+    n = 0
+    before = None  # last half-edge of the surviving path so far
+    for tile, s, t in stack:
+        n += tile.n - s - t
+        for i, c in enumerate(tile.edge_counts):
+            counts[i] += c
+        for turn, c in tile.turns.items():
+            turns[turn] = turns.get(turn, 0) + c
+        # drop the cancelled ends and the turns they take, add the join turn
+        cut = tile.slice(0, s + 1) + tile.slice(tile.n - t - 1, tile.n)
+        for h in cut[:s] + cut[s + 2:]:
+            counts[abs(h) - 1] -= 1
+        for a, b in itertools.chain(zip(cut[:s + 1], cut[1:s + 1]), zip(cut[s + 1:], cut[s + 2:])):
+            turns[frozenset((-a, b))] -= 1
+        if before is not None:
+            turn = frozenset((-before, cut[s]))
+            turns[turn] = turns.get(turn, 0) + 1
+        before = cut[s + 1]
+    turns = Counter({turn: c for turn, c in turns.items() if c})
+    if n <= 2 * window:
+        path = tuple(itertools.chain.from_iterable(
+            tile.slice(s, tile.n - t) for tile, s, t in stack))
+        return LeafTile(n, path, path, tuple(counts), turns, window)
+    head, tail = [], []
+    for tile, s, t in stack:
+        take = min(window - len(head), tile.n - s - t)
+        head.extend(tile.slice(s, s + take))
+        if len(head) == window:
+            break
+    for tile, s, t in reversed(stack):
+        take = min(window - len(tail), tile.n - s - t)
+        tail[:0] = tile.slice(tile.n - t - take, tile.n - t)
+        if len(tail) == window:
+            break
+    return LeafTile(n, tuple(head), tuple(tail), tuple(counts), turns, window)
 
 
 def _perron(A: np.ndarray):
@@ -287,21 +416,21 @@ def pf_metric(f: GraphSelfMap) -> TrainTrackMap:
     Power iteration on M + I (all-ones start, 1e-12 residual); rejects
     reducible matrices and eigenvalues within 1e-9 of 1.
     """
-    report = verify_train_track(f)
+    structure = gates(f)
+    matrix = f.transition_matrix()
+    report = _verify(f, structure, matrix)
     if not report.is_tt:
         raise NotTrainTrackError(
             f"not a train-track map: edge image crosses illegal turn {report.illegal_turn}"
         )
     if not report.irreducible:
         raise NotTrainTrackError("transition matrix is reducible")
-    lam, lengths = _perron(f.transition_matrix().astype(float))
+    lam, lengths = _perron(matrix.astype(float))
     if lam <= 1.0 + 1e-9:
         raise NotTrainTrackError(f"expansion factor {lam} <= 1 (finite order map)")
     pf_point = f.point.with_lengths(list(lengths))
-    structure = gates(f)
-    tt = TrainTrackMap(GraphSelfMap(pf_point, f.vertex_images, f.edge_images),
-                       structure, f.transition_matrix(), lam, pf_point)
-    return tt
+    return TrainTrackMap(GraphSelfMap(pf_point, f.vertex_images, f.edge_images),
+                         structure, matrix, lam, pf_point)
 
 
 @dataclass
@@ -400,9 +529,17 @@ class LaminationLengthEstimate:
     converged: bool
 
 
-def tile_frequencies(tt: TrainTrackMap) -> np.ndarray:
-    """PF occurrence frequencies of edges in the leaf, normalized to sum 1."""
-    return _perron(tt.matrix.astype(float).T)[1]
+def _dyadic(lengths):
+    """(numerators, denominator) with lengths[i] == numerators[i] / denominator
+    exactly: floats are dyadic, so one power of two serves them all."""
+    ratios = [x.as_integer_ratio() for x in lengths]
+    den = max(d for _, d in ratios)
+    return [a * (den // d) for a, d in ratios], den
+
+
+def _tile_length(tile, numerators, den) -> float:
+    # int / int is correctly rounded, the same float as math.fsum over the path
+    return sum(c * a for c, a in zip(tile.edge_counts, numerators)) / den
 
 
 def lamination_length_ratio(
@@ -417,7 +554,10 @@ def lamination_length_ratio(
     train-track base: limit of tile-frequency-weighted length ratios a_k.
 
     Both sides measure the tiles through the same based-path functional,
-    so the estimate is exactly 1 when target is the base point.
+    so the estimate is exactly 1 when target is the base point. A tile's
+    length is read from its edge counts as the correctly rounded value of
+    sum(count_e * length_e), the float math.fsum gives over its path; no
+    leaf path is expanded, so memory is O(edges * window) per level.
     Convergence declares after `consecutive` successive differences below
     tolerance, from depth k_min on (marking junk decays like 1/lambda^k).
     """
@@ -425,7 +565,9 @@ def lamination_length_ratio(
         raise ValueError("rank mismatch")
     if k_cap < 1:
         raise ValueError("k_cap must be >= 1")
-    r = tile_frequencies(tt)
+    r = tt.tile_frequencies()
+    target_lengths = _dyadic(target.graph.lengths)
+    base_lengths = _dyadic(tt.graph.lengths)
     levels = zip(tt.realized_leaves(target), tt.realized_leaves(tt.point))
     seq = []
     prev = None
@@ -434,8 +576,8 @@ def lamination_length_ratio(
         num = 0.0
         den = 0.0
         for j, (p, q) in enumerate(zip(at_target, at_base)):
-            num += r[j] * math.fsum(target.graph.length_of(h) for h in p)
-            den += r[j] * math.fsum(tt.graph.length_of(h) for h in q)
+            num += r[j] * _tile_length(p, *target_lengths)
+            den += r[j] * _tile_length(q, *base_lengths)
         a_k = num / den
         seq.append(a_k)
         if prev is not None and abs(a_k - prev) < tolerance:
@@ -456,16 +598,17 @@ def lamination_whitehead_graph(tt: TrainTrackMap, point: MarkedMetricGraph, k_st
     """Whitehead graph (over the oriented edges of `point`, a rose) of the
     stabilized leaf segments of tt's lamination realized at `point`.
 
-    Turns are read off the realized leaf paths; the wrap-around turn is not
-    taken. k is increased, up to LEAF_GRAPH_K_CAP, until the graph is
-    unchanged for two consecutive depths; returns (graph, k_used).
+    Turns are read off the turn counts of the realized leaf tiles; the
+    wrap-around turn is not taken. k is increased, up to LEAF_GRAPH_K_CAP,
+    until the graph is unchanged for two consecutive depths; returns
+    (graph, k_used).
     """
     if point.graph.n_vertices != 1:
         raise ValueError("lamination Whitehead graphs are computed at roses")
     prev = None
     levels = itertools.islice(tt.realized_leaves(point), k_start, LEAF_GRAPH_K_CAP + 1)
     for k, level in enumerate(levels, k_start):
-        turns = {frozenset(t) for path in level for t in _path_turns(path)}
+        turns = {t for tile in level for t in tile.turns}
         graph = WhiteheadGraph.from_counter(point.rank, Counter(turns))
         if prev is not None and graph.same_simple_graph(prev):
             return graph, k

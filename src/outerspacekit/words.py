@@ -7,6 +7,7 @@ so "abA" is the reduced word a b a^-1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -65,14 +66,21 @@ def parse_letters(text: str, names: str = ALPHABET) -> tuple:
     return tuple(letters)
 
 
+@functools.lru_cache(maxsize=16)
+def _letter_names(names: str) -> dict:
+    """Letter -> text: generator i is names[i - 1], its inverse upper case."""
+    table = {}
+    for i, ch in enumerate(names, 1):
+        table[i] = ch
+        table[-i] = ch.upper()
+    return table
+
+
 def format_letters(letters, names: str = ALPHABET) -> str:
-    out = []
-    for l in letters:
-        if abs(l) > len(names):
-            raise ValueError(f"no name for generator {abs(l)}")
-        ch = names[abs(l) - 1]
-        out.append(ch if l > 0 else ch.upper())
-    return "".join(out)
+    try:
+        return "".join(map(_letter_names(names).__getitem__, letters))
+    except KeyError as e:
+        raise ValueError(f"no name for generator {abs(e.args[0])}") from None
 
 
 def least_rotation(letters) -> tuple:

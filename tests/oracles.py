@@ -8,14 +8,16 @@ oracle finds each non-cut-vertex step by trying all 2n * 4^(n-1) moves.
 The basis oracle folds by restarting its whole edge scan after every
 single fold, and reads no inverse. The leaf oracles expand each tile
 f^k(e) on the train-track graph, read it as a word of F_n and realize
-that word at the target, one depth at a time.
+that word at the target, one depth at a time; tiles and Whitehead graphs
+are then read off these explicit paths.
 """
 
-from collections import deque
+from collections import Counter, deque
 
-from outerspacekit.traintrack import tile_frequencies
+from outerspacekit.traintrack import LEAF_GRAPH_K_CAP
 from outerspacekit.whitehead import (
     ReductionTrace,
+    WhiteheadGraph,
     cut_analysis,
     moves_from_cut_vertex,
     whitehead_graph,
@@ -189,17 +191,41 @@ def scan_is_basis(words, rank: int) -> bool:
 def leaf_levels(tt, point, k_max):
     """Reference for TrainTrackMap.realized_leaves: level k lists, over the
     edges e, the based path at `point` of the word read by f^k(e)."""
-    m = tt.graph.n_edges
-    return [
-        [point.realize_based(tt.point.path_word(tt.leaf_path(e, k)).letters)
-         for e in range(1, m + 1)]
-        for k in range(k_max + 1)
-    ]
+    return [leaf_level(tt, point, k) for k in range(k_max + 1)]
+
+
+def leaf_level(tt, point, k):
+    return [point.realize_based(tt.point.path_word(tt.leaf_path(e, k)).letters)
+            for e in range(1, tt.graph.n_edges + 1)]
+
+
+def tile_summary(path, n_edges, window):
+    """Reference for a LeafTile: (n, head, tail, edge counts, turns) of a
+    path, the head and tail being the whole path when n <= 2 * window."""
+    n = len(path)
+    ends = (path, path) if n <= 2 * window else (path[:window], path[n - window:])
+    counts = tuple(sum(1 for h in path if abs(h) == e) for e in range(1, n_edges + 1))
+    turns = Counter(frozenset((-path[i], path[i + 1])) for i in range(n - 1))
+    return (n, *ends, counts, turns)
+
+
+def leaf_whitehead_graph(tt, point, k_start):
+    """Reference for lamination_whitehead_graph: the turns of the explicit
+    leaf paths at `point`, read until the graph repeats."""
+    prev = None
+    for k in range(k_start, LEAF_GRAPH_K_CAP + 1):
+        turns = {frozenset((-p[i], p[i + 1]))
+                 for p in leaf_level(tt, point, k) for i in range(len(p) - 1)}
+        graph = WhiteheadGraph.from_counter(point.rank, Counter(turns))
+        if prev is not None and graph.same_simple_graph(prev):
+            return graph, k
+        prev = graph
+    return prev, LEAF_GRAPH_K_CAP
 
 
 def lamination_sequence(tt, target, k_max):
     """Reference for the ratios a_1..a_k_max of lamination_length_ratio."""
-    r = tile_frequencies(tt)
+    r = tt.tile_frequencies()
     seq = []
     for k in range(1, k_max + 1):
         num = 0.0

@@ -1,10 +1,13 @@
-import itertools
+import logging
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from outerspacekit.graphs import point_from_dict, random_point, rose
+from outerspacekit import graphs, traintrack
+from outerspacekit.graphs import point_from_dict, random_point, rose, tighten_path
 from outerspacekit.metric import distance
 from outerspacekit.traintrack import (
     GraphSelfMap,
@@ -20,13 +23,13 @@ from outerspacekit.traintrack import (
     no_cut_vertex_search,
     pf_metric,
     selfmap_from_dict,
-    tile_frequencies,
     verify_train_track,
 )
 from outerspacekit.whitehead import cut_analysis
 from outerspacekit.words import Automorphism, CyclicWord, verify_inverse
 
 from . import oracles
+from .test_graphs import _cell_point
 from .conftest import (
     DUMBBELL_DICT,
     THETA_DICT,
@@ -127,7 +130,7 @@ class TestPF:
         vals, vecs = np.linalg.eig(A.T)
         i = int(np.argmax(vals.real))
         freqs = np.abs(vecs[:, i].real) / np.abs(vecs[:, i].real).sum()
-        assert np.max(np.abs(tile_frequencies(tt) - freqs)) <= 1e-9
+        assert np.max(np.abs(tt.tile_frequencies() - freqs)) <= 1e-9
 
 
 class TestLegality:
@@ -228,11 +231,74 @@ def _leaf_cases(golden_tt, tribo_tt):
     return cases
 
 
+def _summary(tile):
+    return (tile.n, tile.head, tile.tail, tile.edge_counts, tile.turns)
+
+
+def _assert_tiles_match(tt, X, ref):
+    """The levels of tt.realized_leaves(X) summarize the oracle's paths;
+    a path of at most 2 * window half-edges is kept whole."""
+    for tiles, paths in zip(tt.realized_leaves(X), ref):
+        for tile, path in zip(tiles, paths):
+            assert _summary(tile) == oracles.tile_summary(path, X.graph.n_edges, tile.window)
+            if len(path) <= 2 * tile.window:
+                assert tile.head == tile.tail == path
+
+
+CELLS = ("rose", "theta", "barbell", "trivalent")
+
+
+@pytest.fixture(scope="module")
+def cell_cases():
+    """(cell, map, target, k_max, oracle levels) over seeded targets of
+    every cell at ranks 2-4, with jittered edge lengths; the inverse maps
+    have reversed half-edges in their edge images."""
+    rng = random.Random(5)
+    cases = []
+    for selfmap, k_max in ((golden_selfmaps()[0], 12), (golden_selfmaps()[1], 12),
+                           (silver_selfmap(), 8), (tribo_selfmaps()[0], 12),
+                           (tribo_selfmaps()[1], 12), (rank4_selfmaps()[0], 12),
+                           (rank4_selfmaps()[1], 12)):
+        tt = pf_metric(selfmap)
+        for cell in CELLS:
+            X = _cell_point(cell, tt.point.rank, rng)
+            lengths = [rng.uniform(0.5, 1.5) for _ in X.graph.lengths]
+            X = X.with_lengths([l / math.fsum(lengths) for l in lengths])
+            cases.append((cell, tt, X, k_max, oracles.leaf_levels(tt, X, k_max)))
+    return cases
+
+
+@pytest.fixture(params=[None, 1, 2], ids=["default-window", "window-1", "window-2"])
+def leaf_window(request, monkeypatch, caplog):
+    """The leaf window, monkeypatched to 1-2 half-edges so that tiles widen
+    and rebuild; a narrow window must log at least one widening."""
+    caplog.set_level(logging.DEBUG, logger="outerspacekit.traintrack")
+    if request.param is not None:
+        monkeypatch.setattr(traintrack, "LEAF_WINDOW", request.param)
+    yield request.param
+    if request.param is not None:
+        assert any("leaf window widened" in r.getMessage() for r in caplog.get_records("call"))
+
+
 class TestRealizedLeaves:
     def test_levels_match_word_reading(self, golden_tt, tribo_tt):
         for tt, X in _leaf_cases(golden_tt, tribo_tt):
-            ref = oracles.leaf_levels(tt, X, 8)
-            assert list(itertools.islice(tt.realized_leaves(X), 9)) == ref
+            _assert_tiles_match(tt, X, oracles.leaf_levels(tt, X, 8))
+
+    def test_cells_match_oracle(self, cell_cases, leaf_window):
+        for _, tt, X, k_max, ref in cell_cases:
+            _assert_tiles_match(tt, X, ref)
+            est = lamination_length_ratio(tt, X, tolerance=0.0, k_cap=k_max)
+            assert est.sequence == oracles.lamination_sequence(tt, X, k_max)
+
+    def test_whitehead_graphs_match_oracle(self, cell_cases, leaf_window):
+        for cell, tt, X, _, _ in cell_cases:
+            if cell != "rose":
+                continue
+            for k_start in (3, 6):
+                graph, k = lamination_whitehead_graph(tt, X, k_start)
+                ref, k_ref = oracles.leaf_whitehead_graph(tt, X, k_start)
+                assert (graph.edges, k) == (ref.edges, k_ref)
 
     def test_sequence_matches_reference(self, golden_tt, tribo_tt):
         for tt, X in _leaf_cases(golden_tt, tribo_tt):
@@ -250,13 +316,57 @@ class TestRealizedLeaves:
         assert no_cut_vertex_search(golden_tt, golden_inv_tt, rose(2)).moves == []
 
 
+# a target where marking junk persists: a_1, a_2 and a_3 all differ
+JUNK_TARGET = (2, 4, 3)  # random_point(rank, seed, n_moves)
+
+
+class TestLeafMemory:
+    @pytest.mark.parametrize("images", [{1: (1, 1, 1, 2), 2: (1,)}, {1: (1, 1, 2), 2: (1,)}],
+                             ids=["lambda-3.30", "silver"])
+    def test_default_k_cap_stays_small(self, images):
+        tt = pf_metric(GraphSelfMap(rose(2), {0: 0}, images))
+        X = random_point(*JUNK_TARGET)
+        tracemalloc.start()
+        try:
+            est = lamination_length_ratio(tt, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.k_used > 8
+        assert peak < 2_000_000
+        assert est.sequence[:8] == oracles.lamination_sequence(tt, X, 8)
+
+    def test_golden_junk_target_holds_windows_only(self, golden_tt, monkeypatch):
+        tightened, held = [], []
+
+        def recording_tighten(graph, path, check_incidence=True):
+            path = tuple(path)
+            tightened.append(len(path))
+            return tighten_path(graph, path, check_incidence)
+
+        init = traintrack.LeafTile.__init__
+
+        def recording_init(self, n, head, tail, *rest):
+            held.append((n, max(len(head), len(tail))))
+            init(self, n, head, tail, *rest)
+
+        monkeypatch.setattr(traintrack, "tighten_path", recording_tighten)
+        monkeypatch.setattr(graphs, "tighten_path", recording_tighten)
+        monkeypatch.setattr(traintrack.LeafTile, "__init__", recording_init)
+        est = lamination_length_ratio(golden_tt, random_point(*JUNK_TARGET))
+        assert not est.converged and est.k_used == 25
+        assert max(n for n, _ in held) > 100_000
+        assert max(w for _, w in held) <= 2 * traintrack.LEAF_WINDOW
+        assert max(tightened, default=0) <= 2 * traintrack.LEAF_WINDOW
+
+
 class TestLamination:
     def test_k_cap_zero_rejected(self, golden_tt):
         with pytest.raises(ValueError, match="k_cap must be >= 1"):
             lamination_length_ratio(golden_tt, rose(2), k_cap=0)
 
     def test_tile_frequencies_golden(self, golden_tt):
-        r = tile_frequencies(golden_tt)
+        r = golden_tt.tile_frequencies()
         assert r[0] == pytest.approx(GOLDEN / (1 + GOLDEN), abs=1e-9)
         assert r[1] == pytest.approx(1 / (1 + GOLDEN), abs=1e-9)
 

@@ -15,6 +15,7 @@ from outerspacekit.words import (
     apply_endomorphism,
     canonical_cyclic,
     cyclic_reduce,
+    format_letters,
     inverse_images,
     inverse_letters,
     is_basis,
@@ -63,6 +64,19 @@ class TestReduce:
     def test_idempotent(self, letters):
         once = reduce_word(letters)
         assert reduce_word(once.letters) == once
+
+
+class TestFormat:
+    def test_names_and_inverses(self):
+        assert format_letters((1, -2, 26, -26)) == "aBzZ"
+        assert format_letters((2, -1), "xy") == "yX"
+        assert format_letters(()) == ""
+
+    def test_unnamed_generator(self):
+        with pytest.raises(ValueError, match="no name for generator 27"):
+            format_letters((1, -27))
+        with pytest.raises(ValueError, match="no name for generator 3"):
+            format_letters((3,), "xy")
 
 
 class TestCyclicReduce:

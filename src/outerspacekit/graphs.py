@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .words import (
     Automorphism,
@@ -171,6 +172,7 @@ class MarkedMetricGraph:
         self._geo_letter = c.get("geo_letter")  # edge index -> geometric letter
         self._basis_to_edges = c.get("basis_to_edges")  # Automorphism F_n -> F_geo
         self._edges_to_basis = c.get("edges_to_basis")
+        self._labels = c.get("labels")  # half-edge -> label letters, see path_word
         self._candidates = None
 
     # -- spanning tree and geometric basis -------------------------------
@@ -241,19 +243,37 @@ class MarkedMetricGraph:
             self._edges_to_basis = self.marking_map().inverse()
         return self._edges_to_basis
 
-    def halfedge_label(self, h: int):
-        """Label word (letters in F_n) of an oriented edge; empty on the tree."""
-        self._ensure_tree()
-        g = self._geo_letter.get(abs(h) - 1)
-        if g is None:
-            return ()
-        w = self.marking_inverse().images[g - 1].letters
-        return w if h > 0 else inverse_letters(w)
+    def _label_table(self):
+        """Half-edge -> its label: the marking_inverse() image of its
+        geometric letter, () on the spanning tree."""
+        if self._labels is None:
+            self._ensure_tree()
+            images = self.marking_inverse().images
+            labels = {}
+            for i in range(self.graph.n_edges):
+                g = self._geo_letter.get(i)
+                w = () if g is None else images[g - 1].letters
+                labels[i + 1] = w
+                labels[-(i + 1)] = inverse_letters(w)
+            self._labels = labels
+        return self._labels
 
     def path_word(self, path) -> Word:
         """Word in F_n of any half-edge path, closed up at both ends through
-        the spanning tree; exact for a closed path at the basepoint."""
-        return Word(self.marking_inverse().apply_letters(self.geo_word_of_path(path)))
+        the spanning tree; exact for a closed path at the basepoint.
+
+        Concatenates the half-edge labels and freely reduces once. Reading
+        the geometric word and then mapping it through the marking inverse
+        gives the same word, since both maps are homomorphisms and free
+        reduction is confluent. Raises ValueError on a half-edge outside
+        +-1..+-n_edges.
+        """
+        labels = self._label_table()
+        try:
+            return Word(reduce_letters(chain.from_iterable(map(labels.__getitem__, path))))
+        except KeyError as e:
+            raise ValueError(
+                f"half-edge {e.args[0]!r} is not one of +-1..+-{self.graph.n_edges}") from None
 
     def path_class(self, path) -> CyclicWord:
         """Conjugacy class of a closed path."""
@@ -316,6 +336,7 @@ class MarkedMetricGraph:
             "geo_letter": self._geo_letter,
             "basis_to_edges": self._basis_to_edges,
             "edges_to_basis": self._edges_to_basis,
+            "labels": self._labels,
         }
         return MarkedMetricGraph(
             self.graph.with_lengths(lengths), self.basepoint, self.gen_loops, caches

@@ -44,6 +44,7 @@ PF_RESIDUAL = 1e-12
 PF_MAX_ITER = 100_000
 LEAF_GRAPH_K_CAP = 20  # deepest leaf level read by lamination_whitehead_graph
 LEAF_WINDOW = 48  # half-edges a leaf tile keeps at each end, before any widening
+LEAF_PATH_MAX = 10_000_000  # half-edges leaf_path expands at most
 SEARCH_TOLERANCE = 2e-3  # of the cut-vertex search's lamination length estimates
 SEARCH_MAX_STEPS = 200
 SEARCH_DEPTH_BOOSTS = (0, 3, 6, 9)  # leaf levels added when no cut-vertex move helps
@@ -220,6 +221,8 @@ class TrainTrackMap:
         self.point = pf_point  # marked graph with the PF metric, volume 1
         self._automorphism = None
         self._frequencies = None
+        self._base_levels = None  # realized_leaves(self.point), resumed on demand
+        self._base_sums = []  # level k -> sum_j r_j * length of tile_k(e_j) at self.point
 
     @property
     def graph(self):
@@ -244,15 +247,56 @@ class TrainTrackMap:
         return self._frequencies
 
     def leaf_path(self, edge_index: int, k: int):
-        """f^k(e) as a tight half-edge path (legal, so no cancellation)."""
+        """f^k(e) for the half-edge e = edge_index, as a tuple of half-edges.
+
+        The map is legal, so f^k(e) is the concatenation of the images of
+        the half-edges of f^(k-1)(e), with no cancellation: each level is
+        one gather from the flat table of edge images. Its length is
+        counted first with Python ints, and a leaf longer than
+        LEAF_PATH_MAX half-edges raises ValueError, as does an edge_index
+        outside +-1..+-n_edges.
+        """
         if k < 0:
             raise ValueError("k must be >= 0")
         m = self.graph.n_edges
-        image = {h: self.selfmap.image_of(h) for h in range(-m, m + 1) if h}
-        path = (edge_index,)
+        if not 0 < abs(edge_index) <= m:
+            raise ValueError(f"edge index {edge_index} is not one of +-1..+-{m}")
+        ref = ("~" if edge_index < 0 else "") + self.graph.edge_ids[abs(edge_index) - 1]
+        # |f^j(e)| never decreases in j, since no edge image is empty
+        counts = [1] * m
+        for j in range(1, k + 1):
+            counts = [sum(counts[abs(h) - 1] for h in self.selfmap.edge_images[e])
+                      for e in range(1, m + 1)]
+            if counts[abs(edge_index) - 1] > LEAF_PATH_MAX:
+                raise ValueError(f"leaf f^{k}({ref}) has more than {LEAF_PATH_MAX} half-edges "
+                                 f"(f^{j}({ref}) has {counts[abs(edge_index) - 1]})")
+        # the image of half-edge h is flat[offsets[h + m] : offsets[h + m] + sizes[h + m]]
+        images = [self.selfmap.image_of(h) if h else () for h in range(-m, m + 1)]
+        sizes = np.array([len(p) for p in images], dtype=np.intp)
+        offsets = np.cumsum(sizes) - sizes
+        flat = np.array([h for p in images for h in p], dtype=np.intp)
+        path = np.array([edge_index], dtype=np.intp)
         for _ in range(k):
-            path = tuple(itertools.chain.from_iterable(map(image.__getitem__, path)))
-        return path
+            size = sizes[path + m]
+            ends = np.cumsum(size)
+            # entry i of the next level is flat[offsets[h] + i - (start of h's block)]
+            path = flat[np.repeat(offsets[path + m] - ends + size, size) + np.arange(ends[-1])]
+        return tuple(path.tolist())
+
+    def _base_level_sum(self, k: int) -> float:
+        """sum_j r_j * length of the realized tile f^k(e_j) at self.point,
+        with r the tile frequencies; the levels are read once per map."""
+        while len(self._base_sums) <= k:
+            if self._base_levels is None:
+                self._base_levels = self.realized_leaves(self.point)
+            level = next(self._base_levels)
+            r = self.tile_frequencies()
+            lengths = _dyadic(self.graph.lengths)
+            den = 0.0
+            for j, tile in enumerate(level):
+                den += r[j] * _tile_length(tile, *lengths)
+            self._base_sums.append(den)
+        return self._base_sums[k]
 
     def realized_leaves(self, point: MarkedMetricGraph):
         """Yield, for k = 0, 1, 2, ..., one LeafTile per edge e: the tight
@@ -557,9 +601,11 @@ def lamination_length_ratio(
     so the estimate is exactly 1 when target is the base point. A tile's
     length is read from its edge counts as the correctly rounded value of
     sum(count_e * length_e), the float math.fsum gives over its path; no
-    leaf path is expanded, so memory is O(edges * window) per level.
-    Convergence declares after `consecutive` successive differences below
-    tolerance, from depth k_min on (marking junk decays like 1/lambda^k).
+    leaf path is expanded, so memory is O(edges * window) per level. The
+    base side does not depend on target, so every estimate on tt shares
+    its level sums (tt._base_level_sum). Convergence declares after
+    `consecutive` successive differences below tolerance, from depth k_min
+    on (marking junk decays like 1/lambda^k).
     """
     if target.rank != tt.point.rank:
         raise ValueError("rank mismatch")
@@ -567,17 +613,14 @@ def lamination_length_ratio(
         raise ValueError("k_cap must be >= 1")
     r = tt.tile_frequencies()
     target_lengths = _dyadic(target.graph.lengths)
-    base_lengths = _dyadic(tt.graph.lengths)
-    levels = zip(tt.realized_leaves(target), tt.realized_leaves(tt.point))
     seq = []
     prev = None
     streak = 0
-    for k, (at_target, at_base) in enumerate(itertools.islice(levels, 1, k_cap + 1), 1):
+    for k, level in enumerate(itertools.islice(tt.realized_leaves(target), 1, k_cap + 1), 1):
         num = 0.0
-        den = 0.0
-        for j, (p, q) in enumerate(zip(at_target, at_base)):
-            num += r[j] * _tile_length(p, *target_lengths)
-            den += r[j] * _tile_length(q, *base_lengths)
+        for j, tile in enumerate(level):
+            num += r[j] * _tile_length(tile, *target_lengths)
+        den = tt._base_level_sum(k)
         a_k = num / den
         seq.append(a_k)
         if prev is not None and abs(a_k - prev) < tolerance:

@@ -9,10 +9,14 @@ The basis oracle folds by restarting its whole edge scan after every
 single fold, and reads no inverse. The leaf oracles expand each tile
 f^k(e) on the train-track graph, read it as a word of F_n and realize
 that word at the target, one depth at a time; tiles and Whitehead graphs
-are then read off these explicit paths.
+are then read off these explicit paths. Paths are expanded and read by
+`leaf_path` and `path_word` below: one substitution round per level and
+one geometric letter at a time, against which the library's per-level
+gathers and per-half-edge label table are checked.
 """
 
 from collections import Counter, deque
+from itertools import chain
 
 from outerspacekit.traintrack import LEAF_GRAPH_K_CAP
 from outerspacekit.whitehead import (
@@ -22,7 +26,7 @@ from outerspacekit.whitehead import (
     moves_from_cut_vertex,
     whitehead_graph,
 )
-from outerspacekit.words import CyclicWord, all_whitehead_moves
+from outerspacekit.words import CyclicWord, Word, all_whitehead_moves, reduce_letters
 
 _memo = {}
 
@@ -188,6 +192,33 @@ def scan_is_basis(words, rank: int) -> bool:
     )
 
 
+def path_word(point, path):
+    """Reference for MarkedMetricGraph.path_word: the word over the
+    geometric basis (the non-tree edges, numbered in edge order) crossed by
+    the path, reduced, then mapped letter by letter through the marking
+    inverse. Half-edges of no edge are skipped."""
+    g = point.graph
+    tree = {abs(h) for v in range(g.n_vertices) for h in point.tree_path_from_base(v)}
+    geo = dict(zip((e for e in range(1, g.n_edges + 1) if e not in tree), range(1, g.n_edges + 1)))
+    letters = []
+    for h in path:
+        x = geo.get(abs(h))
+        if x is not None:
+            letters.append(x if h > 0 else -x)
+    return Word(point.marking_inverse().apply_letters(reduce_letters(letters)))
+
+
+def leaf_path(tt, edge_index, k):
+    """Reference for TrainTrackMap.leaf_path: f^k(e) by k rounds of
+    substituting each half-edge by its image."""
+    m = tt.graph.n_edges
+    image = {h: tt.selfmap.image_of(h) for h in range(-m, m + 1) if h}
+    path = (edge_index,)
+    for _ in range(k):
+        path = tuple(chain.from_iterable(map(image.__getitem__, path)))
+    return path
+
+
 def leaf_levels(tt, point, k_max):
     """Reference for TrainTrackMap.realized_leaves: level k lists, over the
     edges e, the based path at `point` of the word read by f^k(e)."""
@@ -195,7 +226,7 @@ def leaf_levels(tt, point, k_max):
 
 
 def leaf_level(tt, point, k):
-    return [point.realize_based(tt.point.path_word(tt.leaf_path(e, k)).letters)
+    return [point.realize_based(path_word(tt.point, leaf_path(tt, e, k)).letters)
             for e in range(1, tt.graph.n_edges + 1)]
 
 
@@ -231,7 +262,7 @@ def lamination_sequence(tt, target, k_max):
         num = 0.0
         den = 0.0
         for j in range(tt.graph.n_edges):
-            w = tt.point.path_word(tt.leaf_path(j + 1, k)).letters
+            w = path_word(tt.point, leaf_path(tt, j + 1, k)).letters
             num += r[j] * target.based_length(w)
             den += r[j] * tt.point.based_length(w)
         seq.append(num / den)

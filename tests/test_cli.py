@@ -3,12 +3,15 @@ import random
 
 import pytest
 
+import outerspacekit.cli as cli_mod
 import outerspacekit.whitehead as whitehead_mod
 import outerspacekit.words as words_mod
 from outerspacekit.cli import main
-from outerspacekit.graphs import point_to_dict, rose
-from outerspacekit.words import CyclicWord, format_letters, random_whitehead_move
+from outerspacekit.graphs import MarkedMetricGraph, point_to_dict, rose
+from outerspacekit.traintrack import load_selfmap, pf_metric
+from outerspacekit.words import Automorphism, CyclicWord, format_letters, random_whitehead_move
 
+from . import oracles
 from .conftest import FIG1_TARGET_DICT, THETA_DICT
 
 GOLDEN_MAP = {
@@ -147,6 +150,34 @@ class TestTT:
         assert main(["tt", "leaf", files["fwd"], "--edge", "e1", "--iters", "4"]) == 0
         out = capsys.readouterr().out
         assert "word abaababa" in out
+
+    def test_leaf_word_read_through_label_table(self, files, capsys, monkeypatch):
+        # golden f^25(e1) has 196 418 half-edges; once the map is loaded,
+        # neither letter-by-letter pass of the old path_word may run
+        tt = pf_metric(load_selfmap(files["fwd"]))
+        path = oracles.leaf_path(tt, 1, 25)
+        word = oracles.path_word(tt.point, path)
+
+        def refuse(*args):
+            raise AssertionError("letter-by-letter pass over the leaf")
+
+        def pf_then_refuse(sm):
+            tt = pf_metric(sm)
+            monkeypatch.setattr(Automorphism, "apply_letters", refuse)
+            monkeypatch.setattr(MarkedMetricGraph, "geo_word_of_path", refuse)
+            return tt
+
+        monkeypatch.setattr(cli_mod, "pf_metric", pf_then_refuse)
+        assert main(["tt", "leaf", files["fwd"], "--edge", "e1", "--iters", "25"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and len(lines[0].split()) == 1 + len(path) == 196_419
+        assert lines[1] == f"word {word}"
+
+    def test_leaf_too_long_is_a_domain_error(self, files, capsys):
+        assert main(["tt", "leaf", files["fwd"], "--edge", "e1", "--iters", "60"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: leaf f^60(e1) has more than 10000000 half-edges")
 
     def test_whsearch(self, files, capsys):
         assert main(["tt", "whsearch", files["fwd"], files["bwd"]]) == 0

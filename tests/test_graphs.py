@@ -27,6 +27,7 @@ from outerspacekit.words import (
     random_whitehead_move,
 )
 
+from . import oracles
 from .conftest import DUMBBELL_DICT, THETA_DICT
 
 
@@ -130,6 +131,45 @@ class TestBasisCertificate:
                 assert validate_point(point).valid
                 labels = [CyclicWord.make(w.letters) for w in point.marking_inverse().images]
                 assert whitehead_minimize(labels, rank).terminal_state == "basis-reached"
+
+
+def _random_walk(graph, rng, length):
+    """Half-edge path of a random walk from a random vertex: it backtracks
+    often and need not start, end or pass at the basepoint."""
+    v = rng.randrange(graph.n_vertices)
+    path = []
+    for _ in range(length):
+        h = -path[-1] if path and rng.random() < 0.25 else rng.choice(graph.out_halfedges(v))
+        path.append(h)
+        v = graph.term_of(h)
+    return tuple(path)
+
+
+class TestPathWord:
+    @pytest.mark.parametrize("cell", ["rose", "theta", "barbell", "trivalent"])
+    def test_matches_letterwise_reading(self, cell):
+        rng = random.Random(f"path-word-{cell}")
+        for rank in range(2, 6):
+            for _ in range(2):
+                X = _cell_point(cell, rank, rng)
+                paths = [_random_walk(X.graph, rng, rng.randrange(40)) for _ in range(25)]
+                for i, loop in enumerate(X.gen_loops, 1):
+                    assert X.path_word(loop) == Word((i,))
+                words = [X.path_word(p) for p in paths]
+                assert words == [oracles.path_word(X, p) for p in paths]
+                # made after X has read paths: act must build new labels,
+                # with_lengths keeps the marking and so the labels
+                lengths = [rng.uniform(0.5, 1.5) for _ in X.graph.lengths]
+                Z = X.with_lengths([l / math.fsum(lengths) for l in lengths])
+                assert [Z.path_word(p) for p in paths] == words
+                Y = X.act(random_whitehead_move(rank, rng).automorphism(rank))
+                assert [Y.path_word(p) for p in paths] == [oracles.path_word(Y, p) for p in paths]
+
+    def test_rejects_halfedges_of_no_edge(self, theta_point):
+        m = theta_point.graph.n_edges
+        for bad in (0, m + 1, -(m + 1)):
+            with pytest.raises(ValueError, match=f"half-edge {bad} is not one of"):
+                theta_point.path_word((1, bad))
 
 
 class TestTighten:

@@ -217,6 +217,56 @@ class TestLeaves:
             assert pairs8 <= pairs
 
 
+# the maps whose leaves leaf_path expands: golden, silver, plastic (tribo),
+# rank-4, x -> xxxy, y -> x, and the inverses of golden, plastic and rank-4
+LEAF_MAPS = {
+    "golden": lambda: golden_selfmaps()[0],
+    "golden-inverse": lambda: golden_selfmaps()[1],
+    "silver": silver_selfmap,
+    "plastic": lambda: tribo_selfmaps()[0],
+    "plastic-inverse": lambda: tribo_selfmaps()[1],
+    "rank4": lambda: rank4_selfmaps()[0],
+    "rank4-inverse": lambda: rank4_selfmaps()[1],
+    "x-xxxy": lambda: GraphSelfMap(rose(2), {0: 0}, {1: (1, 1, 1, 2), 2: (1,)}),
+}
+
+
+class TestLeafPath:
+    @pytest.mark.parametrize("name", LEAF_MAPS)
+    def test_matches_substitution(self, name):
+        tt = pf_metric(LEAF_MAPS[name]())
+        m = tt.graph.n_edges
+        for e in range(1, m + 1):
+            for h in (e, -e):
+                for k in range(13):
+                    assert tt.leaf_path(h, k) == oracles.leaf_path(tt, h, k)
+        assert all(type(h) is int for h in tt.leaf_path(1, 12))
+
+    def test_edge_index_outside_range(self, golden_tt):
+        for k in (0, 1, 5):
+            for bad in (0, 3, -3):
+                with pytest.raises(ValueError, match=f"edge index {bad} is not one of"):
+                    golden_tt.leaf_path(bad, k)
+
+    def test_size_bound_is_exact(self, golden_tt, monkeypatch):
+        # |f^4(e1)| = 8 and |f^5(e1)| = 13 on golden
+        monkeypatch.setattr(traintrack, "LEAF_PATH_MAX", 8)
+        assert len(golden_tt.leaf_path(1, 4)) == 8
+        with pytest.raises(ValueError, match=r"f\^5\(~e1\) has more than 8 half-edges "
+                                             r"\(f\^5\(~e1\) has 13\)"):
+            golden_tt.leaf_path(-1, 5)
+
+    def test_too_long_leaf_fails_in_small_memory(self, golden_tt):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"f\^60\(e1\) has more than 10000000"):
+                golden_tt.leaf_path(1, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+
 def _leaf_cases(golden_tt, tribo_tt):
     """(train-track map, target) pairs: the base point, seeded roses and,
     at rank 2, the theta and dumbbell graphs."""
@@ -383,6 +433,23 @@ class TestLamination:
         predicted = (rx / 3 + 2 * ry / 3) / (rx * lx + ry * ly)
         assert est.converged
         assert est.value == pytest.approx(predicted, abs=1e-9)
+
+    def test_base_levels_read_once_per_map(self, monkeypatch):
+        targets = [random_point(*JUNK_TARGET)] + [random_point(2, s, n_moves=3) for s in range(4)]
+        fresh = [lamination_length_ratio(pf_metric(golden_selfmaps()[0]), X).sequence
+                 for X in targets]
+        starts = []
+        realized_leaves = TrainTrackMap.realized_leaves
+
+        def counting(tt, point):
+            if point is tt.point:
+                starts.append(tt)
+            return realized_leaves(tt, point)
+
+        monkeypatch.setattr(TrainTrackMap, "realized_leaves", counting)
+        tt = pf_metric(golden_selfmaps()[0])
+        assert [lamination_length_ratio(tt, X).sequence for X in targets] == fresh
+        assert starts == [tt]
 
     def test_difference_decay(self, golden_tt):
         est = lamination_length_ratio(

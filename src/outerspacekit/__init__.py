@@ -63,7 +63,6 @@ from .traintrack import (
 )
 from .axes import (
     Axis,
-    axis_point,
     contraction_experiment,
     divergence_check,
     length_profile,

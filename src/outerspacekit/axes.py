@@ -100,11 +100,6 @@ class Axis:
         return Axis(self.forward, base=self.base.act(psi), phi=phi2, lam=self.lam, mu=self.mu)
 
 
-def axis_point(ax: Axis, m: int) -> MarkedMetricGraph:
-    """The axis point base . phi^m."""
-    return ax.point(m)
-
-
 @dataclass
 class LengthProfile:
     word: CyclicWord
@@ -400,15 +395,6 @@ def probe_experiment(ax: Axis, n_pairs: int, seed: int, shift: int = 3,
                         probe.delta1, probe.delta2, probe.delta3)
         )
     return records
-
-
-def probe_lower_bounds(records):
-    """Empirical lower-bound constants (min observed defects)."""
-    return (
-        min(r.delta1 for r in records),
-        min(r.delta2 for r in records),
-        min(r.delta3 for r in records),
-    )
 
 
 # -- divergence ------------------------------------------------------------

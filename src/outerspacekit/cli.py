@@ -8,6 +8,7 @@ structured output goes to --out as CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .axes import (
@@ -275,7 +276,15 @@ def cmd_axis(args):
             sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser():
+    """The `osk` argument parser, built once per process.
+
+    Each subcommand binds its cmd_* function when the parser is first
+    built, so patching a cmd_* afterwards does not reach the CLI. argparse
+    writes usage and errors to sys.stdout/sys.stderr as they are at parse
+    time, so redirected streams still capture them.
+    """
     p = argparse.ArgumentParser(
         prog="osk",
         description="Outer Space toolkit: Lipschitz distances, Whitehead "

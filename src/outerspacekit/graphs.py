@@ -40,20 +40,25 @@ class InvalidPointError(ValueError):
 class MetricGraph:
     """Finite graph with an edge metric. Vertices are 0..n_vertices-1."""
 
-    __slots__ = ("n_vertices", "edge_ids", "ends", "lengths", "_out")
+    __slots__ = ("n_vertices", "edge_ids", "ends", "lengths", "_out", "_half")
 
     def __init__(self, n_vertices, edge_ids, ends, lengths):
         self.n_vertices = int(n_vertices)
         self.edge_ids = tuple(edge_ids)
         self.ends = tuple((int(u), int(v)) for u, v in ends)
-        self.lengths = tuple(float(x) for x in lengths)
-        if not (len(self.edge_ids) == len(self.ends) == len(self.lengths)):
-            raise ValueError("edge tables must have equal lengths")
+        self._set_lengths(lengths)
         out = [[] for _ in range(self.n_vertices)]
         for i, (u, v) in enumerate(self.ends):
             out[u].append(i + 1)
             out[v].append(-(i + 1))
         self._out = tuple(tuple(sorted(hs, key=lambda h: (abs(h), h < 0))) for hs in out)
+
+    def _set_lengths(self, lengths):
+        self.lengths = tuple(float(x) for x in lengths)
+        if not (len(self.edge_ids) == len(self.ends) == len(self.lengths)):
+            raise ValueError("edge tables must have equal lengths")
+        # half-edge length table, h -> length of h for h in +-1..+-n_edges
+        self._half = {s * (i + 1): l for i, l in enumerate(self.lengths) for s in (1, -1)}
 
     @property
     def n_edges(self):
@@ -69,6 +74,15 @@ class MetricGraph:
     def length_of(self, h: int) -> float:
         return self.lengths[abs(h) - 1]
 
+    def path_length(self, path) -> float:
+        """Length of a half-edge path; KeyError on a half-edge outside
+        +-1..+-n_edges.
+
+        math.fsum is correctly rounded, so the float does not depend on the
+        order of the path.
+        """
+        return math.fsum(map(self._half.__getitem__, path))
+
     def out_halfedges(self, v: int):
         return self._out[v]
 
@@ -79,7 +93,12 @@ class MetricGraph:
         return math.fsum(self.lengths)
 
     def with_lengths(self, lengths) -> "MetricGraph":
-        return MetricGraph(self.n_vertices, self.edge_ids, self.ends, lengths)
+        """The same graph with new edge lengths, sharing its incidence tables."""
+        new = MetricGraph.__new__(MetricGraph)
+        new.n_vertices, new.edge_ids, new.ends, new._out = (
+            self.n_vertices, self.edge_ids, self.ends, self._out)
+        new._set_lengths(lengths)
+        return new
 
     def connected(self) -> bool:
         if self.n_vertices == 0:
@@ -135,10 +154,11 @@ def tighten_path(graph: MetricGraph, path, check_incidence=True):
 
 def cyclic_tighten(path):
     """Strip matching ends of a (freely reduced) closed path."""
-    path = list(path)
-    while len(path) >= 2 and path[0] == -path[-1]:
-        path = path[1:-1]
-    return tuple(path)
+    i, j = 0, len(path) - 1
+    while i < j and path[i] == -path[j]:
+        i += 1
+        j -= 1
+    return tuple(path[i : j + 1])
 
 
 def reverse_path(path):
@@ -173,6 +193,9 @@ class MarkedMetricGraph:
         self._basis_to_edges = c.get("basis_to_edges")  # Automorphism F_n -> F_geo
         self._edges_to_basis = c.get("edges_to_basis")
         self._labels = c.get("labels")  # half-edge -> label letters, see path_word
+        self._pieces = c.get("pieces")  # letter -> tightened loop, see realize_based
+        # candidates of a point with this graph and marking at other lengths
+        self._inherited = c.get("candidates")
         self._candidates = None
 
     # -- spanning tree and geometric basis -------------------------------
@@ -281,31 +304,50 @@ class MarkedMetricGraph:
 
     # -- realizing words --------------------------------------------------
 
+    def _piece_table(self):
+        """Letter +-i -> generator loop i tightened, reversed for -i."""
+        if self._pieces is None:
+            pieces = {}
+            for i, loop in enumerate(self.gen_loops):
+                tight = tighten_path(self.graph, loop, check_incidence=False)
+                pieces[i + 1] = tight
+                pieces[-(i + 1)] = reverse_path(tight)
+            self._pieces = pieces
+        return self._pieces
+
     def realize_based(self, letters):
-        """Tightened based edge path of a word via the generator loops."""
+        """Tightened based edge path of a word via the generator loops.
+
+        Appends the tightened loop of each letter, cancelling only at the
+        junction: the pieces are reduced, so what is left of a piece after
+        the junction is too, and the result is the free reduction of the
+        concatenated loops. Raises KeyError on a letter outside +-1..+-rank.
+        """
+        pieces = self._piece_table()
         out = []
+        pop, extend = out.pop, out.extend
         for l in letters:
-            loop = self.gen_loops[abs(l) - 1]
-            if l < 0:
-                loop = reverse_path(loop)
-            for h in loop:
-                if out and out[-1] == -h:
-                    out.pop()
-                else:
-                    out.append(h)
+            piece = pieces[l]
+            if out and piece and out[-1] == -piece[0]:
+                pop()
+                k, n = 1, len(piece)
+                while k < n and out and out[-1] == -piece[k]:
+                    pop()
+                    k += 1
+                extend(piece[k:])
+            else:
+                extend(piece)
         return tuple(out)
 
     def based_length(self, letters) -> float:
-        path = self.realize_based(letters)
-        return math.fsum(self.graph.length_of(h) for h in path)
+        return self.graph.path_length(self.realize_based(letters))
 
     def loop_length(self, alpha) -> float:
         """Length of the immersed loop freely homotopic to alpha."""
         letters = alpha.letters if hasattr(alpha, "letters") else tuple(alpha)
         if not letters:
             raise ValueError("loop_length of empty class")
-        path = cyclic_tighten(self.realize_based(letters))
-        return math.fsum(self.graph.length_of(h) for h in path)
+        return self.graph.path_length(cyclic_tighten(self.realize_based(letters)))
 
     # -- action of automorphisms -----------------------------------------
 
@@ -331,12 +373,21 @@ class MarkedMetricGraph:
         return new
 
     def with_lengths(self, lengths) -> "MarkedMetricGraph":
+        """The same graph and marking with new edge lengths.
+
+        Everything that depends on the marking alone carries over: the
+        spanning tree, the marking maps, the label and loop tables, and the
+        candidate list of this point, whether enumerated here or inherited.
+        The copy's candidates() recomputes only their lengths.
+        """
         caches = {
             "tree_parent": self._tree_parent,
             "geo_letter": self._geo_letter,
             "basis_to_edges": self._basis_to_edges,
             "edges_to_basis": self._edges_to_basis,
             "labels": self._labels,
+            "pieces": self._pieces,
+            "candidates": self._candidates if self._candidates is not None else self._inherited,
         }
         return MarkedMetricGraph(
             self.graph.with_lengths(lengths), self.basepoint, self.gen_loops, caches
@@ -345,8 +396,23 @@ class MarkedMetricGraph:
     # -- candidates --------------------------------------------------------
 
     def candidates(self):
+        """The candidate loops of this point, enumerated once.
+
+        The set depends only on the graph and the marking (Francaviglia-
+        Martino), so a point made by with_lengths keeps the kind, path and
+        class of each inherited candidate, in the same order, and reads
+        only their lengths here: the list enumerate_candidates would give.
+        """
         if self._candidates is None:
-            self._candidates = enumerate_candidates(self)
+            if self._inherited is None:
+                self._candidates = enumerate_candidates(self)
+            else:
+                length = self.graph.path_length
+                self._candidates = [
+                    CandidateLoop(c.kind, c.path, c.conjugacy_class, length(c.path))
+                    for c in self._inherited
+                ]
+                self._inherited = None
         return self._candidates
 
 
@@ -445,10 +511,9 @@ def enumerate_candidates(point: MarkedMetricGraph):
     seen = {}
     for kind, path in raw:
         cls = point.path_class(path)
-        length = math.fsum(g.length_of(h) for h in path)
         key = cls.letters
         if key not in seen or kind_order[kind] < kind_order[seen[key].kind]:
-            seen[key] = CandidateLoop(kind, tuple(path), cls, length)
+            seen[key] = CandidateLoop(kind, tuple(path), cls, g.path_length(path))
     return sorted(
         seen.values(), key=lambda c: (kind_order[c.kind], word_key(c.conjugacy_class.letters))
     )

@@ -164,8 +164,7 @@ def linear_map_lipschitz(
         if gx.lengths[e - 1] == 0.0:
             raise ValueError(f"edge {gx.edge_ids[e - 1]} has length 0: its slope is undefined")
         img = tighten_path(gy, spec.edge_images[e], check_incidence=False)
-        l_img = math.fsum(gy.length_of(h) for h in img)
-        slopes[gx.edge_ids[e - 1]] = l_img / gx.lengths[e - 1]
+        slopes[gx.edge_ids[e - 1]] = gy.path_length(img) / gx.lengths[e - 1]
     lip = max(slopes.values())
     green = [eid for eid, s in sorted(slopes.items()) if s >= lip * (1.0 - 1e-9)]
     return LipschitzReport(slopes=slopes, lip=lip, green=green)

@@ -151,13 +151,16 @@ def gates(f: GraphSelfMap) -> TrainTrackStructure:
             h = parent[h]
         return h
 
+    init = {h: g.init_of(h) for h in dirs}
     iterate = {h: h for h in dirs}
     for _ in range(2 * n):
         iterate = {h: dmap[iterate[h]] for h in dirs}
-        for i, h1 in enumerate(dirs):
-            for h2 in dirs[i + 1 :]:
-                if g.init_of(h1) == g.init_of(h2) and iterate[h1] == iterate[h2]:
-                    parent[find(h1)] = find(h2)
+        # directions at one vertex with one image merge: union each group
+        first = {}
+        for h in dirs:
+            h0 = first.setdefault((init[h], iterate[h]), h)
+            if h0 != h:
+                parent[find(h0)] = find(h)
     groups = {}
     for h in dirs:
         groups.setdefault(find(h), []).append(h)
@@ -503,7 +506,7 @@ def legality_report(alpha, tt: TrainTrackMap, cyclic=True) -> LegalityReport:
     carried by legal pieces longer than the threshold kappa."""
     g = tt.graph
     path = _loop_path(alpha, tt)
-    total = math.fsum(g.length_of(h) for h in path)
+    total = g.path_length(path)
     n = len(path)
     illegal_after = []  # positions i where the turn (path[i], path[i+1]) is illegal
     limit = n if cyclic else n - 1
@@ -522,7 +525,7 @@ def legality_report(alpha, tt: TrainTrackMap, cyclic=True) -> LegalityReport:
         bounds = [-1] + illegal_after + [n - 1]
         pieces = [path[a + 1 : b + 1] for a, b in zip(bounds, bounds[1:]) if b > a]
     kappa = tt.legality_threshold()
-    with_lengths = [(p, math.fsum(g.length_of(h) for h in p)) for p in pieces]
+    with_lengths = [(p, g.path_length(p)) for p in pieces]
     leg = math.fsum(l for (_, l) in with_lengths if l > kappa) / total
     return LegalityReport(
         bcc_bound=tt.bcc_bound(),
@@ -559,7 +562,7 @@ def longest_leaf_piece(alpha, leaf_path, tt: TrainTrackMap) -> float:
                 seg = doubled[start : end + 1]
                 if _path_tokens(seg) not in leaf_tok:
                     break
-                length = math.fsum(g.length_of(h) for h in seg)
+                length = g.path_length(seg)
             best = max(best, length)
     return best
 

@@ -12,13 +12,18 @@ that word at the target, one depth at a time; tiles and Whitehead graphs
 are then read off these explicit paths. Paths are expanded and read by
 `leaf_path` and `path_word` below: one substitution round per level and
 one geometric letter at a time, against which the library's per-level
-gathers and per-half-edge label table are checked.
+gathers and per-half-edge label table are checked. Words are realized by
+`realize_based` and measured by `loop_length` below, one half-edge of one
+untightened generator loop at a time, against the library's tightened loop
+table and half-edge length table. `gates` merges directions by comparing
+every pair of them after each iterate of the direction map.
 """
 
+import math
 from collections import Counter, deque
 from itertools import chain
 
-from outerspacekit.traintrack import LEAF_GRAPH_K_CAP
+from outerspacekit.traintrack import LEAF_GRAPH_K_CAP, TrainTrackStructure
 from outerspacekit.whitehead import (
     ReductionTrace,
     WhiteheadGraph,
@@ -267,3 +272,60 @@ def lamination_sequence(tt, target, k_max):
             den += r[j] * tt.point.based_length(w)
         seq.append(num / den)
     return seq
+
+
+def realize_based(point, letters):
+    """Reference for MarkedMetricGraph.realize_based: each half-edge of each
+    generator loop (reversed for an inverse letter) pushed on a stack that
+    cancels backtracking."""
+    out = []
+    for l in letters:
+        loop = point.gen_loops[abs(l) - 1]
+        if l < 0:
+            loop = tuple(-h for h in reversed(loop))
+        for h in loop:
+            if out and out[-1] == -h:
+                out.pop()
+            else:
+                out.append(h)
+    return tuple(out)
+
+
+def loop_length(point, letters):
+    """Reference for MarkedMetricGraph.loop_length: strip matching ends of
+    the based path one pair at a time, then sum edge lengths."""
+    path = list(realize_based(point, letters))
+    while len(path) >= 2 and path[0] == -path[-1]:
+        path = path[1:-1]
+    return math.fsum(point.graph.length_of(h) for h in path)
+
+
+def gates(f):
+    """Reference for traintrack.gates: after each of 2n iterates of the
+    direction map, merge every pair of directions at one vertex with one
+    image."""
+    g = f.graph
+    dmap = f.direction_map()
+    dirs = sorted(dmap, key=lambda h: (abs(h), h < 0))
+    n = len(dirs)
+    parent = {h: h for h in dirs}
+
+    def find(h):
+        while parent[h] != h:
+            parent[h] = parent[parent[h]]
+            h = parent[h]
+        return h
+
+    iterate = {h: h for h in dirs}
+    for _ in range(2 * n):
+        iterate = {h: dmap[iterate[h]] for h in dirs}
+        for i, h1 in enumerate(dirs):
+            for h2 in dirs[i + 1 :]:
+                if g.init_of(h1) == g.init_of(h2) and iterate[h1] == iterate[h2]:
+                    parent[find(h1)] = find(h2)
+    groups = {}
+    for h in dirs:
+        groups.setdefault(find(h), []).append(h)
+    return TrainTrackStructure(
+        tuple(sorted((frozenset(v) for v in groups.values()), key=lambda s: min(abs(h) for h in s)))
+    )

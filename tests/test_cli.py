@@ -225,6 +225,17 @@ class TestUsage:
     def test_unknown_flag(self, files, capsys):
         assert main(["dist", files["rose"], files["rose"], "--bogus"]) == 2
 
+    def test_parser_built_once(self, files, capsys):
+        parser = cli_mod.build_parser()
+        before = cli_mod.build_parser.cache_info()
+        assert main(["dist", files["rose"], files["uneven"]]) == 0
+        assert main(["dist", files["rose"], files["uneven"], "--bogus"]) == 2
+        after = cli_mod.build_parser.cache_info()
+        assert (after.hits - before.hits, after.misses) == (2, before.misses)
+        assert cli_mod.build_parser() is parser
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --bogus" in err
+
     def test_no_command(self, capsys):
         assert main([]) == 2
 

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+import outerspacekit.graphs as graphs_mod
 from outerspacekit.graphs import (
     InvalidPointError,
     MarkedMetricGraph,
     MetricGraph,
+    enumerate_candidates,
     minimal_model,
     point_from_dict,
     point_to_dict,
@@ -228,6 +230,13 @@ class TestLoopLength:
         with pytest.raises(ValueError):
             rose(2).loop_length(CyclicWord(()))
 
+    def test_path_length_rejects_halfedges_of_no_edge(self, theta_point):
+        g = theta_point.graph
+        assert g.path_length((1, -2)) == g.lengths[0] + g.lengths[1]
+        for bad in (0, g.n_edges + 1, -(g.n_edges + 1)):
+            with pytest.raises(KeyError):
+                g.path_length((1, bad))
+
 
 class TestCandidates:
     def test_rank2_rose(self):
@@ -286,6 +295,134 @@ class TestCandidates:
         for p in (rose(2), rose(3), theta_point, dumbbell_point):
             for c in p.candidates():
                 assert is_primitive(c.conjugacy_class, p.rank), c
+
+
+CELLS = ["rose", "theta", "barbell", "trivalent"]
+
+
+def _unit_lengths(rng, m):
+    raw = [rng.uniform(0.2, 1.0) for _ in range(m)]
+    vol = math.fsum(raw)
+    return [x / vol for x in raw]
+
+
+def _fresh(point, lengths):
+    """A point built from nothing with the graph and marking of `point`."""
+    g = point.graph
+    return MarkedMetricGraph(
+        MetricGraph(g.n_vertices, g.edge_ids, g.ends, lengths), point.basepoint, point.gen_loops
+    )
+
+
+def _fields(cands):
+    return [(c.kind, c.path, c.conjugacy_class, c.length) for c in cands]
+
+
+def _backtracking_point(cell, rank, rng):
+    """A valid point of the cell whose marking loops carry spurs h, -h."""
+    X = _cell_point(cell, rank, rng)
+    g = X.graph
+    ref = lambda h: ("~" if h < 0 else "") + g.edge_ids[abs(h) - 1]  # noqa: E731
+    loops = []
+    for loop in X.gen_loops:
+        loop = list(loop)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(loop) + 1)
+            v = g.init_of(loop[i]) if i < len(loop) else g.term_of(loop[-1])
+            h = rng.choice(g.out_halfedges(v))
+            loop[i:i] = [h, -h]
+        loops.append(loop)
+    d = point_to_dict(X)
+    d["marking"] = {ALPHABET[k]: [ref(h) for h in loop] for k, loop in enumerate(loops)}
+    point = point_from_dict(d)
+    assert any(tighten_path(g, loop) != loop for loop in point.gen_loops)
+    return point
+
+
+class TestLengthChange:
+    """A point made by with_lengths keeps what depends on the marking alone."""
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_inherited_candidates_equal_enumeration(self, cell, monkeypatch):
+        real = graphs_mod.enumerate_candidates
+        calls = []
+        monkeypatch.setattr(graphs_mod, "enumerate_candidates",
+                            lambda p: calls.append(p) or real(p))
+        rng = random.Random(f"length-change-{cell}")
+        expected = 0
+        for rank in range(2, 6):
+            for depth in (1, 2, 3):
+                chain = [_cell_point(cell, rank, rng)]
+                held = [False]  # whether each point holds a candidate list
+
+                def read(i):
+                    nonlocal expected
+                    expected += not held[i]
+                    held[i] = True
+                    return chain[i].candidates()
+
+                for _ in range(depth):
+                    # the parent's candidates are read before the copy,
+                    # after it, or not at all
+                    when = rng.choice(["before", "after", "never"])
+                    if when == "before":
+                        read(len(chain) - 1)
+                    chain.append(chain[-1].with_lengths(_unit_lengths(rng, chain[0].graph.n_edges)))
+                    held.append(held[-1])
+                    if when == "after":
+                        read(len(chain) - 2)
+                for i, p in enumerate(chain):
+                    want = real(_fresh(p, p.graph.lengths))
+                    assert _fields(read(i)) == _fields(want)
+        assert len(calls) == expected
+
+    def test_act_enumerates_its_own_candidates(self):
+        rng = random.Random("act-candidates")
+        changed = 0
+        for cell in CELLS:
+            for rank in (2, 3, 4):
+                X = _cell_point(cell, rank, rng)
+                X.candidates()
+                Y = X.act(random_whitehead_move(rank, rng).automorphism(rank))
+                want = enumerate_candidates(_fresh(Y, Y.graph.lengths))
+                assert _fields(Y.candidates()) == _fields(want)
+                changed += [c.conjugacy_class for c in want] != [
+                    c.conjugacy_class for c in X.candidates()]
+        assert changed > 0
+
+    def test_distance_on_a_copy_enumerates_nothing(self, monkeypatch):
+        rng = random.Random("distance-copy")
+        cases = []
+        for cell in CELLS:
+            X = _cell_point(cell, 3, rng)
+            Y = _cell_point(cell, 3, rng)
+            lengths = _unit_lengths(rng, X.graph.n_edges)
+            cases.append((X, Y, lengths, distance(_fresh(X, lengths), Y)))
+            X.candidates()
+
+        def refuse(point):
+            raise AssertionError("candidates enumerated again")
+
+        monkeypatch.setattr(graphs_mod, "enumerate_candidates", refuse)
+        for X, Y, lengths, want in cases:
+            got = distance(X.with_lengths(lengths), Y)
+            assert (got.value, got.witness, got.table) == (want.value, want.witness, want.table)
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_realize_and_measure_match_letterwise_reading(self, cell):
+        rng = random.Random(f"realize-{cell}")
+        for rank in range(2, 6):
+            X = _backtracking_point(cell, rank, rng)
+            Z = X.with_lengths(_unit_lengths(rng, X.graph.n_edges))
+            Y = X.act(random_whitehead_move(rank, rng).automorphism(rank))
+            letters = [l for i in range(1, rank + 1) for l in (i, -i)]
+            for _ in range(40):
+                w = tuple(rng.choice(letters) for _ in range(rng.randrange(1, 13)))
+                for P in (X, Z, Y):
+                    path = oracles.realize_based(P, w)
+                    assert P.realize_based(w) == path
+                    assert P.based_length(w) == math.fsum(P.graph.length_of(h) for h in path)
+                    assert P.loop_length(w) == oracles.loop_length(P, w)
 
 
 class TestAct:

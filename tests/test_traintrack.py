@@ -29,7 +29,7 @@ from outerspacekit.whitehead import cut_analysis
 from outerspacekit.words import Automorphism, CyclicWord, verify_inverse
 
 from . import oracles
-from .test_graphs import _cell_point
+from .test_graphs import CELLS, _cell_point
 from .conftest import (
     DUMBBELL_DICT,
     THETA_DICT,
@@ -46,6 +46,21 @@ def C(text):
     return CyclicWord.parse(text)
 
 
+# the maps whose leaves leaf_path expands and whose gates are checked: golden,
+# silver, plastic (tribo), rank-4, x -> xxxy, y -> x, and the inverses of
+# golden, plastic and rank-4
+LEAF_MAPS = {
+    "golden": lambda: golden_selfmaps()[0],
+    "golden-inverse": lambda: golden_selfmaps()[1],
+    "silver": silver_selfmap,
+    "plastic": lambda: tribo_selfmaps()[0],
+    "plastic-inverse": lambda: tribo_selfmaps()[1],
+    "rank4": lambda: rank4_selfmaps()[0],
+    "rank4-inverse": lambda: rank4_selfmaps()[1],
+    "x-xxxy": lambda: GraphSelfMap(rose(2), {0: 0}, {1: (1, 1, 1, 2), 2: (1,)}),
+}
+
+
 class TestGates:
     def test_golden(self):
         st = gates(golden_selfmaps()[0])
@@ -58,6 +73,33 @@ class TestGates:
     def test_swap_map(self):
         f = GraphSelfMap(rose(2), {0: 0}, {1: (2,), 2: (1,)})
         assert all(len(g) == 1 for g in gates(f).gates)
+
+    @pytest.mark.parametrize("name", [*LEAF_MAPS, "tribonacci"])
+    def test_matches_pairwise_merging(self, name):
+        if name == "tribonacci":  # x -> xy, y -> xz, z -> x
+            f = GraphSelfMap(rose(3), {0: 0}, {1: (1, 2), 2: (1, 3), 3: (1,)})
+        else:
+            f = LEAF_MAPS[name]()
+        assert gates(f) == oracles.gates(f)
+
+    def test_random_direction_maps_off_the_rose(self):
+        # gates reads only the graph and the direction map, so any map of
+        # directions tests the grouping, with directions at several vertices
+        class Directions:
+            def __init__(self, graph, dmap):
+                self.graph, self._dmap = graph, dmap
+
+            def direction_map(self):
+                return self._dmap
+
+        rng = random.Random("gates")
+        for cell in CELLS:
+            for rank in (2, 3, 4):
+                g = _cell_point(cell, rank, rng).graph
+                dirs = [h for e in range(1, g.n_edges + 1) for h in (e, -e)]
+                for _ in range(5):
+                    f = Directions(g, {h: rng.choice(dirs) for h in dirs})
+                    assert gates(f) == oracles.gates(f)
 
 
 class TestVerify:
@@ -215,20 +257,6 @@ class TestLeaves:
             window = w12[start : start + 10]
             pairs = {window[i : i + 2] for i in range(len(window) - 1)}
             assert pairs8 <= pairs
-
-
-# the maps whose leaves leaf_path expands: golden, silver, plastic (tribo),
-# rank-4, x -> xxxy, y -> x, and the inverses of golden, plastic and rank-4
-LEAF_MAPS = {
-    "golden": lambda: golden_selfmaps()[0],
-    "golden-inverse": lambda: golden_selfmaps()[1],
-    "silver": silver_selfmap,
-    "plastic": lambda: tribo_selfmaps()[0],
-    "plastic-inverse": lambda: tribo_selfmaps()[1],
-    "rank4": lambda: rank4_selfmaps()[0],
-    "rank4-inverse": lambda: rank4_selfmaps()[1],
-    "x-xxxy": lambda: GraphSelfMap(rose(2), {0: 0}, {1: (1, 1, 1, 2), 2: (1,)}),
-}
 
 
 class TestLeafPath:

@@ -2,14 +2,19 @@
 
 Exit codes: 0 success, 1 domain errors (invalid graph, non-train-track
 map), 2 usage and I/O errors. Floats print with 9 significant digits;
-structured output goes to --out as CSV.
+structured output goes to --out as CSV. `osk --log-level LEVEL ...` logs
+the outerspacekit package to stderr at LEVEL; without it the package
+logger is left as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import logging
 import sys
+
+import numpy as np
 
 from .axes import (
     Axis,
@@ -29,7 +34,6 @@ from .graphs import InvalidPointError, load_point, validate_point
 from .metric import distance, distance_oracle
 from .traintrack import (
     NotTrainTrackError,
-    leaf_segment,
     load_selfmap,
     no_cut_vertex_search,
     pf_metric,
@@ -191,11 +195,27 @@ def cmd_tt(args):
         edge_ids = list(tt.graph.edge_ids)
         if args.edge not in edge_ids:
             raise UsageError(f"unknown edge {args.edge}")
-        path, word = leaf_segment(tt, edge_ids.index(args.edge) + 1, args.iters)
-        ref = {sign * (i + 1): ("~" if sign < 0 else "") + eid
-               for i, eid in enumerate(edge_ids) for sign in (1, -1)}
-        print(f"path {' '.join(map(ref.__getitem__, path))}")
-        print(f"word {word}")
+        path = tt.leaf_array(edge_ids.index(args.edge) + 1, args.iters)
+        word = tt.point.path_word(path)
+        print("path", _path_text(path, edge_ids))
+        print("word", word)
+
+
+def _path_text(path, edge_ids) -> str:
+    """A half-edge array as space-separated refs ("e1", "~e1", ...), read
+    from a per-half-edge table of the refs' bytes, each with its space."""
+    m = len(edge_ids)
+    refs = [b""] * (2 * m + 1)  # half-edge h at index h, negative h from the end
+    for i, eid in enumerate(edge_ids, 1):
+        refs[i] = eid.encode() + b" "
+        refs[-i] = b"~" + refs[i]
+    table = np.zeros((2 * m + 1, max(map(len, refs))), dtype=np.uint8)
+    for i, r in enumerate(refs):
+        table[i, : len(r)] = np.frombuffer(r, dtype=np.uint8)
+    # row h holds the ref of h in its first len(refs[h]) bytes
+    used = np.arange(table.shape[1]) < np.array([len(r) for r in refs])[:, None]
+    text = table.take(path, axis=0)[used.take(path, axis=0)]
+    return text[:-1].tobytes().decode()
 
 
 def _pf(sm):
@@ -290,6 +310,8 @@ def build_parser():
         description="Outer Space toolkit: Lipschitz distances, Whitehead "
         "reduction, train tracks, axes and projection experiments.",
     )
+    p.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
+                   help="log the outerspacekit package at this level to stderr")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("validate", help="validate a graph or self-map file")
@@ -372,6 +394,21 @@ def build_parser():
     return p
 
 
+class _StderrHandler(logging.StreamHandler):
+    """The handler --log-level puts on the package logger."""
+
+
+def _log_to_stderr(level: str):
+    """Set the outerspacekit logger to `level` and give it one handler on
+    the current sys.stderr, replacing the one an earlier call added."""
+    logger = logging.getLogger("outerspacekit")
+    logger.setLevel(level.upper())
+    for h in [h for h in logger.handlers if isinstance(h, _StderrHandler)]:
+        logger.removeHandler(h)
+        h.close()
+    logger.addHandler(_StderrHandler(sys.stderr))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -381,8 +418,10 @@ def main(argv=None) -> int:
     for name in ("seed", "samples", "window", "iters", "oracle", "radius", "pairs"):
         v = getattr(args, name, None)
         if v is not None and v < 0:
-            print(f"error: --{name} must be positive", file=sys.stderr)
+            print(f"error: --{name} must be >= 0", file=sys.stderr)
             return 2
+    if args.log_level:
+        _log_to_stderr(args.log_level)
     try:
         args.func(args)
     except UsageError as e:

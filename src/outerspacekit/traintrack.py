@@ -22,6 +22,8 @@ from .graphs import (
     MarkedMetricGraph,
     MetricGraph,
     cyclic_tighten,
+    gather_pieces,
+    halfedge_pieces,
     point_from_dict,
     reverse_path,
     tighten_path,
@@ -249,15 +251,16 @@ class TrainTrackMap:
             self._frequencies = _perron(self.matrix.astype(float).T)[1]
         return self._frequencies
 
-    def leaf_path(self, edge_index: int, k: int):
-        """f^k(e) for the half-edge e = edge_index, as a tuple of half-edges.
+    def leaf_array(self, edge_index: int, k: int) -> np.ndarray:
+        """f^k(e) for the half-edge e = edge_index, as a 1-D np.intp array
+        of half-edges.
 
         The map is legal, so f^k(e) is the concatenation of the images of
         the half-edges of f^(k-1)(e), with no cancellation: each level is
-        one gather from the flat table of edge images. Its length is
-        counted first with Python ints, and a leaf longer than
-        LEAF_PATH_MAX half-edges raises ValueError, as does an edge_index
-        outside +-1..+-n_edges.
+        one gather from the piece table of edge images. Before anything is
+        allocated, its length is counted with Python ints, and a leaf
+        longer than LEAF_PATH_MAX half-edges raises ValueError, as do a
+        negative k and an edge_index outside +-1..+-n_edges.
         """
         if k < 0:
             raise ValueError("k must be >= 0")
@@ -273,18 +276,16 @@ class TrainTrackMap:
             if counts[abs(edge_index) - 1] > LEAF_PATH_MAX:
                 raise ValueError(f"leaf f^{k}({ref}) has more than {LEAF_PATH_MAX} half-edges "
                                  f"(f^{j}({ref}) has {counts[abs(edge_index) - 1]})")
-        # the image of half-edge h is flat[offsets[h + m] : offsets[h + m] + sizes[h + m]]
-        images = [self.selfmap.image_of(h) if h else () for h in range(-m, m + 1)]
-        sizes = np.array([len(p) for p in images], dtype=np.intp)
-        offsets = np.cumsum(sizes) - sizes
-        flat = np.array([h for p in images for h in p], dtype=np.intp)
+        images = halfedge_pieces(self.selfmap.image_of, m)
         path = np.array([edge_index], dtype=np.intp)
         for _ in range(k):
-            size = sizes[path + m]
-            ends = np.cumsum(size)
-            # entry i of the next level is flat[offsets[h] + i - (start of h's block)]
-            path = flat[np.repeat(offsets[path + m] - ends + size, size) + np.arange(ends[-1])]
-        return tuple(path.tolist())
+            path = gather_pieces(images, path)
+        return path
+
+    def leaf_path(self, edge_index: int, k: int):
+        """f^k(e) as a tuple of Python ints: leaf_array(edge_index, k), with
+        the same errors."""
+        return tuple(self.leaf_array(edge_index, k).tolist())
 
     def _base_level_sum(self, k: int) -> float:
         """sum_j r_j * length of the realized tile f^k(e_j) at self.point,
@@ -451,8 +452,9 @@ def _perron(A: np.ndarray):
     for _ in range(PF_MAX_ITER):
         w = shifted @ v
         v = w / w.sum()
-        lam = float(v @ (A @ v) / (v @ v))
-        if np.max(np.abs(A @ v - lam * v)) < PF_RESIDUAL:
+        Av = A @ v
+        lam = float(v @ Av / (v @ v))
+        if np.abs(Av - lam * v).max() < PF_RESIDUAL:
             return lam, v / v.sum()
     raise NotTrainTrackError("power iteration did not converge")
 
@@ -537,9 +539,10 @@ def legality_report(alpha, tt: TrainTrackMap, cyclic=True) -> LegalityReport:
 
 
 def leaf_segment(tt: TrainTrackMap, edge_index: int, k: int):
-    """(half-edge path, Word form) of the stable leaf segment f^k(e)."""
-    path = tt.leaf_path(edge_index, k)
-    return path, tt.point.path_word(path)
+    """(half-edge path as a tuple, Word form) of the stable leaf segment
+    f^k(e), both read from one tt.leaf_array(edge_index, k)."""
+    path = tt.leaf_array(edge_index, k)
+    return tuple(path.tolist()), tt.point.path_word(path)
 
 
 def _path_tokens(path):
@@ -556,13 +559,13 @@ def longest_leaf_piece(alpha, leaf_path, tt: TrainTrackMap) -> float:
     best = 0.0
     for variant in (loop, reverse_path(loop)):
         doubled = variant + variant
+        doubled_tok = _path_tokens(doubled)  # one character per half-edge
         for start in range(len(variant)):
             length = 0.0
             for end in range(start, min(start + len(variant), len(doubled))):
-                seg = doubled[start : end + 1]
-                if _path_tokens(seg) not in leaf_tok:
+                if doubled_tok[start : end + 1] not in leaf_tok:
                     break
-                length = g.path_length(seg)
+                length = g.path_length(doubled[start : end + 1])
             best = max(best, length)
     return best
 

@@ -11,6 +11,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -40,6 +42,38 @@ def reduce_letters(letters) -> tuple:
         else:
             out.append(l)
     return tuple(out)
+
+
+def reduce_array(a) -> np.ndarray:
+    """Freely reduce a 1-D integer array of letters, in rounds of disjoint
+    cancellations.
+
+    Each round finds the starts i of the pairs a[i + 1] == -a[i], keeps
+    every other start within each run of consecutive starts (so the kept
+    pairs are disjoint) and deletes those pairs. A round that removes under
+    1/8 of the letters hands what is left to reduce_letters, so the numpy
+    work stays under about 8 * len(a) element operations. The result equals
+    reduce_letters(a): free reduction is confluent.
+    """
+    a = np.asarray(a)
+    while len(a) >= 2:
+        starts = np.flatnonzero(a[1:] == -a[:-1])
+        if not len(starts):
+            break
+        # a start right after another one begins no new run; keep the even
+        # positions of each run, counted from its first start
+        j = np.arange(len(starts))
+        first = np.ones(len(starts), dtype=bool)
+        first[1:] = starts[1:] != starts[:-1] + 1
+        starts = starts[(j - np.maximum.accumulate(np.where(first, j, 0))) % 2 == 0]
+        keep = np.ones(len(a), dtype=bool)
+        keep[starts] = False
+        keep[starts + 1] = False
+        n = len(a)
+        a = a[keep]
+        if 16 * len(starts) < n:  # 2 * len(starts) of n letters went
+            return np.array(reduce_letters(a.tolist()), dtype=a.dtype)
+    return a
 
 
 def inverse_letters(letters) -> tuple:

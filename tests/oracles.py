@@ -16,14 +16,26 @@ gathers and per-half-edge label table are checked. Words are realized by
 `realize_based` and measured by `loop_length` below, one half-edge of one
 untightened generator loop at a time, against the library's tightened loop
 table and half-edge length table. `gates` merges directions by comparing
-every pair of them after each iterate of the direction map.
+every pair of them after each iterate of the direction map. `perron` and
+`longest_leaf_piece` are the library's earlier versions, kept as they
+were: the first computes A @ v twice per step, the second re-encodes
+every segment it looks up.
 """
 
 import math
 from collections import Counter, deque
 from itertools import chain
 
-from outerspacekit.traintrack import LEAF_GRAPH_K_CAP, TrainTrackStructure
+import numpy as np
+
+from outerspacekit.graphs import cyclic_tighten, reverse_path
+from outerspacekit.traintrack import (
+    LEAF_GRAPH_K_CAP,
+    PF_MAX_ITER,
+    PF_RESIDUAL,
+    NotTrainTrackError,
+    TrainTrackStructure,
+)
 from outerspacekit.whitehead import (
     ReductionTrace,
     WhiteheadGraph,
@@ -329,3 +341,47 @@ def gates(f):
     return TrainTrackStructure(
         tuple(sorted((frozenset(v) for v in groups.values()), key=lambda s: min(abs(h) for h in s)))
     )
+
+
+def perron(A):
+    """Reference for traintrack._perron, as it was before it computed
+    A @ v once per step: the same float operations in the same order."""
+    m = A.shape[0]
+    v = np.ones(m)
+    shifted = A + np.eye(m)
+    for _ in range(PF_MAX_ITER):
+        w = shifted @ v
+        v = w / w.sum()
+        lam = float(v @ (A @ v) / (v @ v))
+        if np.max(np.abs(A @ v - lam * v)) < PF_RESIDUAL:
+            return lam, v / v.sum()
+    raise NotTrainTrackError("power iteration did not converge")
+
+
+def _path_tokens(path):
+    return "".join(chr(0x100 + h + 0x800) for h in path)
+
+
+def longest_leaf_piece(alpha, leaf_path, tt):
+    """Reference for traintrack.longest_leaf_piece, as it was before it
+    encoded each doubled loop once: every segment is encoded anew."""
+    g = tt.graph
+    if hasattr(alpha, "letters"):
+        loop = cyclic_tighten(tt.point.realize_based(alpha.letters))
+    else:
+        loop = tuple(alpha)
+    if not loop:
+        raise ValueError("empty loop")
+    leaf_tok = _path_tokens(leaf_path)
+    best = 0.0
+    for variant in (loop, reverse_path(loop)):
+        doubled = variant + variant
+        for start in range(len(variant)):
+            length = 0.0
+            for end in range(start, min(start + len(variant), len(doubled))):
+                seg = doubled[start : end + 1]
+                if _path_tokens(seg) not in leaf_tok:
+                    break
+                length = g.path_length(seg)
+            best = max(best, length)
+    return best

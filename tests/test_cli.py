@@ -1,13 +1,16 @@
 import json
+import logging
 import random
 
 import pytest
 
 import outerspacekit.cli as cli_mod
+import outerspacekit.graphs as graphs_mod
+import outerspacekit.traintrack as traintrack_mod
 import outerspacekit.whitehead as whitehead_mod
 import outerspacekit.words as words_mod
 from outerspacekit.cli import main
-from outerspacekit.graphs import MarkedMetricGraph, point_to_dict, rose
+from outerspacekit.graphs import MarkedMetricGraph, point_to_dict, random_point, rose
 from outerspacekit.traintrack import load_selfmap, pf_metric
 from outerspacekit.words import Automorphism, CyclicWord, format_letters, random_whitehead_move
 
@@ -153,7 +156,8 @@ class TestTT:
 
     def test_leaf_word_read_through_label_table(self, files, capsys, monkeypatch):
         # golden f^25(e1) has 196 418 half-edges; once the map is loaded,
-        # neither letter-by-letter pass of the old path_word may run
+        # neither letter-by-letter pass of the old path_word may run, nor
+        # the reduce_letters that graphs looks up
         tt = pf_metric(load_selfmap(files["fwd"]))
         path = oracles.leaf_path(tt, 1, 25)
         word = oracles.path_word(tt.point, path)
@@ -165,6 +169,7 @@ class TestTT:
             tt = pf_metric(sm)
             monkeypatch.setattr(Automorphism, "apply_letters", refuse)
             monkeypatch.setattr(MarkedMetricGraph, "geo_word_of_path", refuse)
+            monkeypatch.setattr(graphs_mod, "reduce_letters", refuse)
             return tt
 
         monkeypatch.setattr(cli_mod, "pf_metric", pf_then_refuse)
@@ -172,6 +177,28 @@ class TestTT:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 and len(lines[0].split()) == 1 + len(path) == 196_419
         assert lines[1] == f"word {word}"
+
+    def test_leaf_path_line_with_refs_of_unequal_length(self, tmp_path, capsys):
+        # the golden maps with edges "a" and "edge22": refs of 1 to 7 bytes
+        ids = {"e1": "a", "e2": "edge22", "~e2": "~edge22"}
+        graph = dict(GOLDEN_MAP["graph"],
+                     edges=[dict(e, id=ids[e["id"]]) for e in GOLDEN_MAP["graph"]["edges"]],
+                     marking={"x": ["a"], "y": ["edge22"]})
+        refs = {1: "a", -1: "~a", 2: "edge22", -2: "~edge22"}
+        for name, images in (("fwd", GOLDEN_MAP["edge_images"]),
+                             ("bwd", GOLDEN_INV_MAP["edge_images"])):
+            p = tmp_path / f"{name}.map"
+            p.write_text(json.dumps({
+                "graph": graph, "vertex_images": {"v": "v"},
+                "edge_images": {ids[e]: [ids[h] for h in image] for e, image in images.items()}}))
+            tt = pf_metric(load_selfmap(str(p)))
+            for edge, h in (("a", 1), ("edge22", 2)):
+                for k in (0, 1, 2, 9, 17):
+                    assert main(["tt", "leaf", str(p), "--edge", edge, "--iters", str(k)]) == 0
+                    path = oracles.leaf_path(tt, h, k)
+                    assert capsys.readouterr().out == (
+                        f"path {' '.join(refs[x] for x in path)}\n"
+                        f"word {oracles.path_word(tt.point, path)}\n")
 
     def test_leaf_too_long_is_a_domain_error(self, files, capsys):
         assert main(["tt", "leaf", files["fwd"], "--edge", "e1", "--iters", "60"]) == 1
@@ -248,3 +275,48 @@ class TestUsage:
     def test_negative_flag_rejected(self, files, capsys):
         assert main(["axis", "contract", files["fwd"], files["bwd"],
                      "--samples", "-3"]) == 2
+
+    def test_negative_flag_message_says_zero_is_allowed(self, files, capsys):
+        assert main(["tt", "leaf", files["fwd"], "--edge", "e1", "--iters", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --iters must be >= 0\n"
+        assert main(["tt", "leaf", files["fwd"], "--edge", "e1", "--iters", "0"]) == 0
+        assert capsys.readouterr().out == "path e1\nword a\n"
+
+
+@pytest.fixture()
+def package_logger():
+    """The outerspacekit logger, its level and handlers restored afterwards."""
+    logger = logging.getLogger("outerspacekit")
+    level, handlers = logger.level, list(logger.handlers)
+    yield logger
+    logger.setLevel(level)
+    for h in list(logger.handlers):
+        if h not in handlers:
+            logger.removeHandler(h)
+
+
+class TestLogLevel:
+    def test_debug_logs_window_widening_to_stderr(self, files, capsys, monkeypatch,
+                                                  package_logger):
+        # from this start the golden search widens a window of 1 half-edge
+        start = files["tmp"] / "start.graph"
+        start.write_text(json.dumps(point_to_dict(random_point(2, 1, n_moves=2))))
+        argv = ["tt", "whsearch", files["fwd"], files["bwd"], "--start", str(start)]
+        monkeypatch.setattr(traintrack_mod, "LEAF_WINDOW", 1)
+        level = package_logger.level
+        assert main(argv) == 0
+        assert "leaf window widened" not in capsys.readouterr().err
+        assert package_logger.level == level
+        assert main(["--log-level", "debug"] + argv) == 0
+        assert "leaf window widened" in capsys.readouterr().err
+        assert package_logger.level == logging.DEBUG
+
+    def test_repeated_calls_add_one_handler(self, files, capsys, package_logger):
+        before = len(package_logger.handlers)
+        for level in ("info", "warning", "error"):
+            assert main(["--log-level", level, "tt", "pf", files["fwd"]]) == 0
+            assert package_logger.level == getattr(logging, level.upper())
+            assert len(package_logger.handlers) == before + 1
+
+    def test_unknown_level_is_a_usage_error(self, files, capsys):
+        assert main(["--log-level", "verbose", "tt", "pf", files["fwd"]]) == 2

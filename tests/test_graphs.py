@@ -2,9 +2,11 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 import outerspacekit.graphs as graphs_mod
+import outerspacekit.words as words_mod
 from outerspacekit.graphs import (
     InvalidPointError,
     MarkedMetricGraph,
@@ -14,6 +16,7 @@ from outerspacekit.graphs import (
     point_from_dict,
     point_to_dict,
     random_point,
+    reverse_path,
     rose,
     tighten_path,
     validate_point,
@@ -27,6 +30,7 @@ from outerspacekit.words import (
     Word,
     all_whitehead_moves,
     random_whitehead_move,
+    reduce_letters,
 )
 
 from . import oracles
@@ -135,6 +139,9 @@ class TestBasisCertificate:
                 assert whitehead_minimize(labels, rank).terminal_state == "basis-reached"
 
 
+CELLS = ["rose", "theta", "barbell", "trivalent"]
+
+
 def _random_walk(graph, rng, length):
     """Half-edge path of a random walk from a random vertex: it backtracks
     often and need not start, end or pass at the basepoint."""
@@ -172,6 +179,71 @@ class TestPathWord:
         for bad in (0, m + 1, -(m + 1)):
             with pytest.raises(ValueError, match=f"half-edge {bad} is not one of"):
                 theta_point.path_word((1, bad))
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_long_walks_match_letterwise_reading(self, cell):
+        # past the default PATH_WORD_ARRAY_MIN, as tuples and as arrays
+        rng = random.Random(f"long-walk-{cell}")
+        for rank in (2, 4):
+            X = _cell_point(cell, rank, rng)
+            for n in (1023, 1024, 3000):
+                p = _random_walk(X.graph, rng, n)
+                want = oracles.path_word(X, p)
+                assert X.path_word(p) == want
+                assert X.path_word(np.array(p, dtype=np.intp)) == want
+
+    def test_empty_path(self, theta_point):
+        assert theta_point.path_word(()) == Word(())
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_path_then_its_reverse_is_trivial(self, cell):
+        rng = random.Random(f"there-and-back-{cell}")
+        for rank in (2, 3, 5):
+            X = _cell_point(cell, rank, rng)
+            for n in (1, 7, 600):
+                p = _random_walk(X.graph, rng, n)
+                assert X.path_word(p + reverse_path(p)) == Word(())
+
+
+def _tight_walk(graph, rng, length):
+    """Half-edge path of a random walk that never backtracks."""
+    v = rng.randrange(graph.n_vertices)
+    path = []
+    for _ in range(length):
+        h = rng.choice([h for h in graph.out_halfedges(v) if not path or h != -path[-1]])
+        path.append(h)
+        v = graph.term_of(h)
+    return tuple(path)
+
+
+class TestPathWordArrayRoute(TestPathWord):
+    """TestPathWord again, with every path read by the array route."""
+
+    @pytest.fixture(autouse=True)
+    def array_route(self, monkeypatch):
+        monkeypatch.setattr(graphs_mod, "PATH_WORD_ARRAY_MIN", 0)
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_nested_walks_reach_the_finish(self, cell, monkeypatch):
+        # w w^-1 for a tight walk w cancels about one pair per round at the
+        # middle, so reduce_array hands the rest to reduce_letters
+        finishes = []
+
+        def counted(letters):
+            finishes.append(len(letters))
+            return reduce_letters(letters)
+
+        monkeypatch.setattr(words_mod, "reduce_letters", counted)
+        rng = random.Random(f"nested-{cell}")
+        for rank in (2, 3, 4):
+            X = _cell_point(cell, rank, rng)
+            for n in (50, 400):
+                p = _tight_walk(X.graph, rng, n)
+                q = _tight_walk(X.graph, rng, 3)
+                assert X.path_word(p + reverse_path(p)) == Word(())
+                assert X.path_word(p + q + reverse_path(p)) == oracles.path_word(
+                    X, p + q + reverse_path(p))
+        assert finishes
 
 
 class TestTighten:
@@ -295,9 +367,6 @@ class TestCandidates:
         for p in (rose(2), rose(3), theta_point, dumbbell_point):
             for c in p.candidates():
                 assert is_primitive(c.conjugacy_class, p.rank), c
-
-
-CELLS = ["rose", "theta", "barbell", "trivalent"]
 
 
 def _unit_lengths(rng, m):

@@ -175,6 +175,31 @@ class TestPF:
         assert np.max(np.abs(tt.tile_frequencies() - freqs)) <= 1e-9
 
 
+def _random_irreducible(rng, m):
+    while True:
+        A = rng.integers(0, 3, size=(m, m)) * (rng.random((m, m)) < 0.5)
+        if is_irreducible_matrix(A):
+            return A.astype(float)
+
+
+class TestPerron:
+    @pytest.mark.parametrize("name", LEAF_MAPS)
+    def test_equals_reference_on_leaf_maps(self, name):
+        A = LEAF_MAPS[name]().transition_matrix().astype(float)
+        for M in (A, A.T):
+            lam, v = traintrack._perron(M)
+            ref_lam, ref_v = oracles.perron(M)
+            assert lam == ref_lam and np.array_equal(v, ref_v)
+
+    def test_equals_reference_on_random_irreducible(self):
+        rng = np.random.default_rng(20)
+        for _ in range(60):
+            A = _random_irreducible(rng, int(rng.integers(1, 7)))
+            lam, v = traintrack._perron(A)
+            ref_lam, ref_v = oracles.perron(A)
+            assert lam == ref_lam and np.array_equal(v, ref_v)
+
+
 class TestLegality:
     def test_short_legal_loop_leg_zero(self, golden_tt):
         rep = legality_report(C("a"), golden_tt)
@@ -249,6 +274,26 @@ class TestLeaves:
         expect = math.fsum(golden_tt.graph.length_of(h) for h in sub)
         assert got == pytest.approx(expect, abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["golden", "plastic", "rank4"])
+    def test_longest_piece_matches_reference(self, name):
+        tt = pf_metric(LEAF_MAPS[name]())
+        rank = tt.graph.n_edges
+        rng = random.Random(f"longest-piece-{name}")
+        k = 0
+        while len(tt.leaf_path(1, k)) < 200:
+            k += 1
+        leaf = tt.leaf_path(1, k)
+        for _ in range(15):
+            letters = [rng.choice([1, -1]) * rng.randrange(1, rank + 1)
+                       for _ in range(rng.randrange(1, 12))]
+            start = rng.randrange(len(leaf) - 20)
+            for alpha in (CyclicWord.make(letters), CyclicWord.make(leaf[start : start + 20]),
+                          leaf[start : start + rng.randrange(1, 20)]):
+                if not len(alpha):
+                    continue
+                assert longest_leaf_piece(alpha, leaf, tt) == oracles.longest_leaf_piece(
+                    alpha, leaf, tt)
+
     def test_quasi_periodicity_witness(self, golden_tt):
         w8 = leaf_segment(golden_tt, 1, 8)[0]
         w12 = leaf_segment(golden_tt, 1, 12)[0]
@@ -283,6 +328,33 @@ class TestLeafPath:
         with pytest.raises(ValueError, match=r"f\^5\(~e1\) has more than 8 half-edges "
                                              r"\(f\^5\(~e1\) has 13\)"):
             golden_tt.leaf_path(-1, 5)
+
+    @pytest.mark.parametrize("name", LEAF_MAPS)
+    def test_array_and_segment_match_leaf_path(self, name):
+        tt = pf_metric(LEAF_MAPS[name]())
+        for e in range(1, tt.graph.n_edges + 1):
+            for h in (e, -e):
+                # every level up to the first one that path_word reads as an array
+                path, k = (), 0
+                while len(path) < graphs.PATH_WORD_ARRAY_MIN:
+                    a = tt.leaf_array(h, k)
+                    assert a.dtype == np.intp and a.ndim == 1
+                    path = tt.leaf_path(h, k)
+                    assert a.tolist() == list(path)
+                    seg_path, word = leaf_segment(tt, h, k)
+                    assert seg_path == path and all(type(x) is int for x in seg_path[:50])
+                    assert word == oracles.path_word(tt.point, path)
+                    k += 1
+
+    def test_leaf_array_errors_match_leaf_path(self, golden_tt, monkeypatch):
+        for bad in (0, 3, -3):
+            with pytest.raises(ValueError, match=f"edge index {bad} is not one of"):
+                golden_tt.leaf_array(bad, 4)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            golden_tt.leaf_array(1, -1)
+        monkeypatch.setattr(traintrack, "LEAF_PATH_MAX", 8)
+        with pytest.raises(ValueError, match=r"f\^5\(e1\) has more than 8 half-edges"):
+            golden_tt.leaf_array(1, 5)
 
     def test_too_long_leaf_fails_in_small_memory(self, golden_tt):
         tracemalloc.start()

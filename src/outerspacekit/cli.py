@@ -196,9 +196,9 @@ def cmd_tt(args):
         if args.edge not in edge_ids:
             raise UsageError(f"unknown edge {args.edge}")
         path = tt.leaf_array(edge_ids.index(args.edge) + 1, args.iters)
-        word = tt.point.path_word(path)
+        letters = tt.point.path_letters(path)
         print("path", _path_text(path, edge_ids))
-        print("word", word)
+        print("word", _word_text(letters))
 
 
 def _path_text(path, edge_ids) -> str:
@@ -216,6 +216,20 @@ def _path_text(path, edge_ids) -> str:
     used = np.arange(table.shape[1]) < np.array([len(r) for r in refs])[:, None]
     text = table.take(path, axis=0)[used.take(path, axis=0)]
     return text[:-1].tobytes().decode()
+
+
+def _word_text(letters) -> str:
+    """A reduced letter array as its Word prints ("1" when empty), read
+    from a per-letter table of the generator names' bytes."""
+    if not len(letters):
+        return "1"
+    names = ALPHABET.encode()
+    outside = np.flatnonzero(np.abs(letters) > len(names))
+    if len(outside):
+        raise ValueError(f"no name for generator {abs(int(letters[outside[0]]))}")
+    # letter i at index i, its inverse -i from the end; index 0 is no letter
+    table = np.frombuffer(b"?" + names + names.upper()[::-1], dtype=np.uint8)
+    return table[letters].tobytes().decode()
 
 
 def _pf(sm):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -216,30 +217,57 @@ class ValidationReport:
     problems: list
 
 
-class MarkedMetricGraph:
-    """A point of Outer Space: metric graph, basepoint, generator loops."""
+class Marking:
+    """What a point's graph, basepoint and generator loops fix, whatever its
+    edge lengths. Every with_lengths copy of a point shares its marking
+    object; act starts a new one.
 
-    def __init__(self, graph, basepoint, gen_loops, _caches=None):
+    The tables are filled in as the points read them: the spanning tree
+    (vertex -> half-edge into it) and the geometric letter of each edge off
+    it, the marking map and its certified inverse, the half-edge labels
+    (as a dict and as halfedge_pieces arrays), the tightened generator loops
+    (letter -> piece) and the candidate list of the first point that
+    enumerated it. `loops` maps another marking object to the tight cyclic
+    loops, at this marking, of that marking's candidate classes, in
+    candidate order (see MarkedMetricGraph.tight_loops). Its keys are the
+    marking objects themselves, held weakly: an entry dies with its key,
+    so no later marking can read it.
+    """
+
+    __slots__ = ("tree_parent", "geo_letter", "basis_to_edges", "edges_to_basis", "labels",
+                 "label_pieces", "pieces", "candidates", "loops", "__weakref__")
+
+    def __init__(self, tree_parent=None, geo_letter=None):
+        self.tree_parent = tree_parent  # vertex -> halfedge into it
+        self.geo_letter = geo_letter  # edge index -> geometric letter
+        self.basis_to_edges = None  # Automorphism F_n -> F_geo
+        self.edges_to_basis = None
+        self.labels = None  # half-edge -> label letters, see path_word
+        self.label_pieces = None  # the labels as halfedge_pieces
+        self.pieces = None  # letter -> tightened loop, see realize_based
+        self.candidates = None
+        self.loops = weakref.WeakKeyDictionary()
+
+
+class MarkedMetricGraph:
+    """A point of Outer Space: metric graph, basepoint, generator loops.
+
+    `marking` is the Marking object of the graph, basepoint and loops; pass
+    one only for a point that has the same three as the marking's points.
+    """
+
+    def __init__(self, graph, basepoint, gen_loops, marking=None):
         self.graph = graph
         self.basepoint = int(basepoint)
         self.gen_loops = tuple(tuple(loop) for loop in gen_loops)
         self.rank = len(self.gen_loops)
-        c = _caches or {}
-        self._tree_parent = c.get("tree_parent")  # vertex -> halfedge into it
-        self._geo_letter = c.get("geo_letter")  # edge index -> geometric letter
-        self._basis_to_edges = c.get("basis_to_edges")  # Automorphism F_n -> F_geo
-        self._edges_to_basis = c.get("edges_to_basis")
-        self._labels = c.get("labels")  # half-edge -> label letters, see path_word
-        self._label_pieces = c.get("label_pieces")  # the labels as halfedge_pieces
-        self._pieces = c.get("pieces")  # letter -> tightened loop, see realize_based
-        # candidates of a point with this graph and marking at other lengths
-        self._inherited = c.get("candidates")
+        self.marking = Marking() if marking is None else marking
         self._candidates = None
 
     # -- spanning tree and geometric basis -------------------------------
 
     def _ensure_tree(self):
-        if self._tree_parent is not None:
+        if self.marking.tree_parent is not None:
             return
         g = self.graph
         parent = {self.basepoint: 0}
@@ -255,7 +283,7 @@ class MarkedMetricGraph:
                     order.append(w)
         if len(parent) != g.n_vertices:
             raise InvalidPointError(["graph is not connected"])
-        self._tree_parent = parent
+        self.marking.tree_parent = parent
         tree_edges = {abs(h) - 1 for v, h in parent.items() if v != self.basepoint}
         geo = {}
         nxt = 1
@@ -263,14 +291,15 @@ class MarkedMetricGraph:
             if i not in tree_edges:
                 geo[i] = nxt
                 nxt += 1
-        self._geo_letter = geo
+        self.marking.geo_letter = geo
 
     def tree_path_from_base(self, v: int):
         """Half-edge path basepoint -> v inside the spanning tree."""
         self._ensure_tree()
+        parent = self.marking.tree_parent
         path = []
         while v != self.basepoint:
-            h = self._tree_parent[v]
+            h = parent[v]
             path.append(h)
             v = self.graph.init_of(h)
         return tuple(reversed(path))
@@ -278,53 +307,57 @@ class MarkedMetricGraph:
     def geo_word_of_path(self, path):
         """Word over the geometric basis crossed by a half-edge path."""
         self._ensure_tree()
+        geo = self.marking.geo_letter
         letters = []
         for h in path:
-            g = self._geo_letter.get(abs(h) - 1)
+            g = geo.get(abs(h) - 1)
             if g is not None:
                 letters.append(g if h > 0 else -g)
         return reduce_letters(letters)
 
     def marking_map(self) -> Automorphism:
         """F_n -> F(geometric basis), generator -> geometric word of its loop."""
-        if self._basis_to_edges is None:
+        m = self.marking
+        if m.basis_to_edges is None:
             self._ensure_tree()
-            n_geo = len(self._geo_letter)
+            n_geo = len(m.geo_letter)
             if n_geo != self.rank:
                 raise InvalidPointError(
                     [f"first Betti number {n_geo} does not match rank {self.rank}"]
                 )
             images = [Word(self.geo_word_of_path(loop)) for loop in self.gen_loops]
-            self._basis_to_edges = Automorphism(self.rank, images)
-        return self._basis_to_edges
+            m.basis_to_edges = Automorphism(self.rank, images)
+        return m.basis_to_edges
 
     def marking_inverse(self) -> Automorphism:
         """F(geometric basis) -> F_n; certified inverse of marking_map."""
-        if self._edges_to_basis is None:
-            self._edges_to_basis = self.marking_map().inverse()
-        return self._edges_to_basis
+        m = self.marking
+        if m.edges_to_basis is None:
+            m.edges_to_basis = self.marking_map().inverse()
+        return m.edges_to_basis
 
     def _label_table(self):
         """Half-edge -> its label: the marking_inverse() image of its
         geometric letter, () on the spanning tree."""
-        if self._labels is None:
+        m = self.marking
+        if m.labels is None:
             self._ensure_tree()
             images = self.marking_inverse().images
             labels = {}
             for i in range(self.graph.n_edges):
-                g = self._geo_letter.get(i)
+                g = m.geo_letter.get(i)
                 w = () if g is None else images[g - 1].letters
                 labels[i + 1] = w
                 labels[-(i + 1)] = inverse_letters(w)
-            self._labels = labels
-        return self._labels
+            m.labels = labels
+        return m.labels
 
     def _label_piece_table(self):
         """The label table as halfedge_pieces arrays."""
-        if self._label_pieces is None:
-            self._label_pieces = halfedge_pieces(self._label_table().__getitem__,
-                                                 self.graph.n_edges)
-        return self._label_pieces
+        m = self.marking
+        if m.label_pieces is None:
+            m.label_pieces = halfedge_pieces(self._label_table().__getitem__, self.graph.n_edges)
+        return m.label_pieces
 
     def path_word(self, path) -> Word:
         """Word in F_n of any half-edge path, closed up at both ends through
@@ -340,21 +373,29 @@ class MarkedMetricGraph:
         half-edge outside +-1..+-n_edges raises ValueError naming the first
         one.
         """
-        m = self.graph.n_edges
+        if len(path) >= PATH_WORD_ARRAY_MIN:
+            return Word(tuple(self.path_letters(path).tolist()))
+        labels = self._label_table()
+        try:
+            return Word(reduce_letters(chain.from_iterable(map(labels.__getitem__, path))))
+        except KeyError as e:
+            bad = e.args[0]
+        raise self._outside(bad)
+
+    def path_letters(self, path) -> np.ndarray:
+        """The letters of path_word(path) as an integer array; a path of
+        PATH_WORD_ARRAY_MIN or more half-edges is read as arrays throughout."""
         if len(path) < PATH_WORD_ARRAY_MIN:
-            labels = self._label_table()
-            try:
-                return Word(reduce_letters(chain.from_iterable(map(labels.__getitem__, path))))
-            except KeyError as e:
-                bad = e.args[0]
-        else:
-            path = np.asarray(path, dtype=np.intp)
-            outside = np.flatnonzero((path == 0) | (path > m) | (path < -m))
-            if not len(outside):
-                letters = reduce_array(gather_pieces(self._label_piece_table(), path))
-                return Word(tuple(letters.tolist()))
-            bad = int(path[outside[0]])
-        raise ValueError(f"half-edge {bad!r} is not one of +-1..+-{m}")
+            return np.array(self.path_word(path).letters, dtype=np.intp)
+        m = self.graph.n_edges
+        path = np.asarray(path, dtype=np.intp)
+        outside = np.flatnonzero((path == 0) | (path > m) | (path < -m))
+        if len(outside):
+            raise self._outside(int(path[outside[0]]))
+        return reduce_array(gather_pieces(self._label_piece_table(), path))
+
+    def _outside(self, h) -> ValueError:
+        return ValueError(f"half-edge {h!r} is not one of +-1..+-{self.graph.n_edges}")
 
     def path_class(self, path) -> CyclicWord:
         """Conjugacy class of a closed path."""
@@ -364,14 +405,15 @@ class MarkedMetricGraph:
 
     def _piece_table(self):
         """Letter +-i -> generator loop i tightened, reversed for -i."""
-        if self._pieces is None:
+        m = self.marking
+        if m.pieces is None:
             pieces = {}
             for i, loop in enumerate(self.gen_loops):
                 tight = tighten_path(self.graph, loop, check_incidence=False)
                 pieces[i + 1] = tight
                 pieces[-(i + 1)] = reverse_path(tight)
-            self._pieces = pieces
-        return self._pieces
+            m.pieces = pieces
+        return m.pieces
 
     def realize_based(self, letters):
         """Tightened based edge path of a word via the generator loops.
@@ -401,77 +443,95 @@ class MarkedMetricGraph:
         return self.graph.path_length(self.realize_based(letters))
 
     def loop_length(self, alpha) -> float:
-        """Length of the immersed loop freely homotopic to alpha."""
+        """Length of the immersed loop freely homotopic to alpha, realized
+        anew on every call: the uncached reference for tight_loops."""
         letters = alpha.letters if hasattr(alpha, "letters") else tuple(alpha)
         if not letters:
             raise ValueError("loop_length of empty class")
         return self.graph.path_length(cyclic_tighten(self.realize_based(letters)))
 
+    def tight_loops(self, x: "MarkedMetricGraph"):
+        """The tight cyclic loops at this point of the candidate classes of
+        x, in the order of x.candidates().
+
+        They depend on the two markings alone, so the list is realized once
+        per pair of marking objects: it is kept in this point's marking,
+        keyed weakly by x's, and every with_lengths copy of either point
+        reads the same list. Measured with graph.path_length, loop i has the
+        length loop_length gives for the class of candidate i.
+        """
+        loops = self.marking.loops
+        found = loops.get(x.marking)
+        if found is None:
+            realize = self.realize_based
+            found = loops[x.marking] = [
+                cyclic_tighten(realize(c.conjugacy_class.letters)) for c in x.candidates()
+            ]
+        return found
+
     # -- action of automorphisms -----------------------------------------
 
     def act(self, phi: Automorphism) -> "MarkedMetricGraph":
-        """Right action: same metric graph, marking precomposed with phi."""
+        """Right action: same metric graph, marking precomposed with phi.
+
+        The result has a marking object of its own, seeded with this one's
+        spanning tree and, where this point has them, its marking maps
+        composed with phi; it shares no candidate list or loop cache.
+        """
         if phi.rank != self.rank:
             raise ValueError("rank mismatch in act")
         if not phi.verified:
             raise ValueError("act requires a verified (certified bijective) automorphism")
         inv = phi.inverse()
         new_loops = [self.realize_based(phi.images[i].letters) for i in range(self.rank)]
-        caches = {"tree_parent": self._tree_parent, "geo_letter": self._geo_letter}
-        new = MarkedMetricGraph(self.graph, self.basepoint, new_loops, _caches=caches)
-        if self._basis_to_edges is not None:
-            new._basis_to_edges = self._basis_to_edges.compose(phi)
-        if self._edges_to_basis is not None:
-            old = self._edges_to_basis
-            new._edges_to_basis = Automorphism(
+        m = self.marking
+        marking = Marking(m.tree_parent, m.geo_letter)
+        if m.basis_to_edges is not None:
+            marking.basis_to_edges = m.basis_to_edges.compose(phi)
+        if m.edges_to_basis is not None:
+            old = m.edges_to_basis
+            marking.edges_to_basis = Automorphism(
                 self.rank,
                 [inv.apply(w) for w in old.images],
                 verified=old.verified and inv.verified,
             )
-        return new
+        return MarkedMetricGraph(self.graph, self.basepoint, new_loops, marking)
 
     def with_lengths(self, lengths) -> "MarkedMetricGraph":
         """The same graph and marking with new edge lengths.
 
-        Everything that depends on the marking alone carries over: the
-        spanning tree, the marking maps, the label and loop tables, and the
-        candidate list of this point, whether enumerated here or inherited.
-        The copy's candidates() recomputes only their lengths.
+        The copy shares this point's marking object, so everything that
+        depends on the marking alone is computed once for all copies: the
+        spanning tree, the marking maps, the label and loop tables, the
+        candidate list, and the tight_loops cache, whose entries are keyed
+        weakly by the other point's marking object. The copy's candidates()
+        recomputes only their lengths.
         """
-        caches = {
-            "tree_parent": self._tree_parent,
-            "geo_letter": self._geo_letter,
-            "basis_to_edges": self._basis_to_edges,
-            "edges_to_basis": self._edges_to_basis,
-            "labels": self._labels,
-            "label_pieces": self._label_pieces,
-            "pieces": self._pieces,
-            "candidates": self._candidates if self._candidates is not None else self._inherited,
-        }
         return MarkedMetricGraph(
-            self.graph.with_lengths(lengths), self.basepoint, self.gen_loops, caches
+            self.graph.with_lengths(lengths), self.basepoint, self.gen_loops, self.marking
         )
 
     # -- candidates --------------------------------------------------------
 
     def candidates(self):
-        """The candidate loops of this point, enumerated once.
+        """The candidate loops of this point, enumerated once per marking.
 
         The set depends only on the graph and the marking (Francaviglia-
-        Martino), so a point made by with_lengths keeps the kind, path and
-        class of each inherited candidate, in the same order, and reads
-        only their lengths here: the list enumerate_candidates would give.
+        Martino), so a point that shares its marking object with one that
+        enumerated them keeps the kind, path and class of each candidate,
+        in the same order, and reads only their lengths here: the list
+        enumerate_candidates would give.
         """
         if self._candidates is None:
-            if self._inherited is None:
-                self._candidates = enumerate_candidates(self)
+            m = self.marking
+            if m.candidates is None:
+                self._candidates = m.candidates = enumerate_candidates(self)
             else:
                 length = self.graph.path_length
                 self._candidates = [
                     CandidateLoop(c.kind, c.path, c.conjugacy_class, length(c.path))
-                    for c in self._inherited
+                    for c in m.candidates
                 ]
-                self._inherited = None
         return self._candidates
 
 
@@ -689,8 +749,8 @@ def rose(rank: int, lengths=None) -> MarkedMetricGraph:
     g = MetricGraph(1, [f"e{i + 1}" for i in range(rank)], [(0, 0)] * rank, lengths)
     point = MarkedMetricGraph(g, 0, [(i + 1,) for i in range(rank)])
     ident = Automorphism.identity(rank)
-    point._basis_to_edges = Automorphism(rank, ident.images, verified=True)
-    point._edges_to_basis = point._basis_to_edges.inverse()
+    point.marking.basis_to_edges = Automorphism(rank, ident.images, verified=True)
+    point.marking.edges_to_basis = point.marking.basis_to_edges.inverse()
     return point
 
 

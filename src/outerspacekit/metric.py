@@ -5,6 +5,16 @@ candidate loops of x (embedded circles, figure eights, barbells); a
 brute-force oracle maximizes over all conjugacy classes up to a length
 bound instead. Explicit linear maps get their Lipschitz constant and green
 subgraph computed edge by edge.
+
+A point's marking object (graphs.Marking) holds what its graph and marking
+fix at any edge lengths, shared by all its with_lengths copies: the
+spanning tree, marking maps, label and loop tables, the candidate list, and
+a cache of tight loops keyed weakly by other marking objects. `distance`
+realizes the candidate classes of x at y once per pair of marking objects
+through that cache (MarkedMetricGraph.tight_loops) and then only sums edge
+lengths; an entry dies with x's marking object. `loop_length`, which
+`stretch_factor` and `distance_oracle` read, realizes every class anew and
+is the uncached reference.
 """
 
 from __future__ import annotations
@@ -35,13 +45,21 @@ def stretch_factor(alpha, x: MarkedMetricGraph, y: MarkedMetricGraph) -> float:
 
 
 def distance(x: MarkedMetricGraph, y: MarkedMetricGraph) -> DistanceResult:
-    """Lipschitz distance d(x, y) maximized over the candidates of x."""
+    """Lipschitz distance d(x, y) maximized over the candidates of x.
+
+    Each length at y is y.graph.path_length of the candidate's tight loop
+    from y.tight_loops(x), cached in y's marking object and keyed weakly by
+    x's, so a repeated query of the same two markings, at any lengths,
+    realizes nothing. The same math.fsum over the same path gives the float
+    y.loop_length would.
+    """
     if x.rank != y.rank:
         raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
+    length = y.graph.path_length
     table = []
-    for cand in x.candidates():
+    for cand, loop in zip(x.candidates(), y.tight_loops(x)):
         lx = cand.length
-        ly = y.loop_length(cand.conjugacy_class)
+        ly = length(loop)
         table.append((cand, lx, ly, ly / lx))
     best = max(r for (_, _, _, r) in table)
     winners = [

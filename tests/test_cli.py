@@ -2,6 +2,7 @@ import json
 import logging
 import random
 
+import numpy as np
 import pytest
 
 import outerspacekit.cli as cli_mod
@@ -12,7 +13,14 @@ import outerspacekit.words as words_mod
 from outerspacekit.cli import main
 from outerspacekit.graphs import MarkedMetricGraph, point_to_dict, random_point, rose
 from outerspacekit.traintrack import load_selfmap, pf_metric
-from outerspacekit.words import Automorphism, CyclicWord, format_letters, random_whitehead_move
+from outerspacekit.words import (
+    ALPHABET,
+    Automorphism,
+    CyclicWord,
+    Word,
+    format_letters,
+    random_whitehead_move,
+)
 
 from . import oracles
 from .conftest import FIG1_TARGET_DICT, THETA_DICT
@@ -37,6 +45,38 @@ GOLDEN_INV_MAP = {
     "edge_images": {"e1": ["e2"], "e2": ["~e2", "e1"]},
     "vertex_images": {"v": "v"},
 }
+
+
+
+
+def _rose_map(images, marking=None):
+    """A rose self-map file: edge e_i -> images[i - 1], a tuple of signed
+    edge numbers; the identity marking unless one is given."""
+    rank = len(images)
+    ref = lambda h: ("~" if h < 0 else "") + f"e{abs(h)}"  # noqa: E731
+    return {
+        "graph": {
+            "rank": rank,
+            "vertices": ["v"],
+            "edges": [{"id": f"e{i}", "from": "v", "to": "v", "length": 1 / rank}
+                      for i in range(1, rank + 1)],
+            "marking": marking or {ALPHABET[i]: [f"e{i + 1}"] for i in range(rank)},
+            "basepoint": "v",
+        },
+        "edge_images": {f"e{i}": [ref(h) for h in image] for i, image in enumerate(images, 1)},
+        "vertex_images": {"v": "v"},
+    }
+
+
+# the golden, plastic and rank-4 maps, the golden one also with the marking
+# y -> e1 e2, whose leaf words cancel; each with --iters on both sides of
+# PATH_WORD_ARRAY_MIN = 1024 half-edges
+LEAF_WORD_CASES = [
+    ("golden", GOLDEN_MAP, (0, 1, 4, 15, 16, 22)),
+    ("golden-marked", _rose_map([(1, 2), (1,)], {"x": ["e1"], "y": ["e1", "e2"]}), (0, 3, 15, 16, 21)),
+    ("plastic", _rose_map([(2,), (3,), (1, 2)]), (0, 2, 9, 26, 33)),
+    ("rank-4", _rose_map([(2,), (3,), (4,), (1, 2)]), (0, 3, 17, 41, 50)),
+]
 
 
 @pytest.fixture()
@@ -199,6 +239,25 @@ class TestTT:
                     assert capsys.readouterr().out == (
                         f"path {' '.join(refs[x] for x in path)}\n"
                         f"word {oracles.path_word(tt.point, path)}\n")
+
+    @pytest.mark.parametrize("name, data, iters", LEAF_WORD_CASES, ids=[c[0] for c in LEAF_WORD_CASES])
+    def test_leaf_word_line_matches_format_letters(self, tmp_path, capsys, name, data, iters):
+        p = tmp_path / f"{name}.map"
+        p.write_text(json.dumps(data))
+        tt = pf_metric(load_selfmap(str(p)))
+        for k in iters:
+            for h in range(1, tt.graph.n_edges + 1):
+                assert main(["tt", "leaf", str(p), "--edge", f"e{h}", "--iters", str(k)]) == 0
+                word = oracles.path_word(tt.point, oracles.leaf_path(tt, h, k))
+                assert capsys.readouterr().out.splitlines()[1] == (
+                    f"word {format_letters(word.letters)}")
+
+    def test_word_text_of_every_letter(self):
+        letters = [s * i for i in range(1, 27) for s in (1, -1)]
+        assert cli_mod._word_text(np.array(letters)) == format_letters(letters)
+        assert cli_mod._word_text(np.array([], dtype=np.intp)) == "1" == str(Word(()))
+        with pytest.raises(ValueError, match="no name for generator 27"):
+            cli_mod._word_text(np.array([1, -27, 28]))
 
     def test_leaf_too_long_is_a_domain_error(self, files, capsys):
         assert main(["tt", "leaf", files["fwd"], "--edge", "e1", "--iters", "60"]) == 1

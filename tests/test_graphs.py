@@ -179,6 +179,9 @@ class TestPathWord:
         for bad in (0, m + 1, -(m + 1)):
             with pytest.raises(ValueError, match=f"half-edge {bad} is not one of"):
                 theta_point.path_word((1, bad))
+            for read in (theta_point.path_word, theta_point.path_letters):
+                with pytest.raises(ValueError, match=f"half-edge {bad} is not one of"):
+                    read((1, -1) * 600 + (bad,))
 
     @pytest.mark.parametrize("cell", CELLS)
     def test_long_walks_match_letterwise_reading(self, cell):
@@ -191,6 +194,8 @@ class TestPathWord:
                 want = oracles.path_word(X, p)
                 assert X.path_word(p) == want
                 assert X.path_word(np.array(p, dtype=np.intp)) == want
+                assert X.path_letters(p).tolist() == list(want.letters)
+                assert X.path_letters(p[:n // 3]).tolist() == list(X.path_word(p[:n // 3]).letters)
 
     def test_empty_path(self, theta_point):
         assert theta_point.path_word(()) == Word(())
@@ -418,32 +423,25 @@ class TestLengthChange:
         monkeypatch.setattr(graphs_mod, "enumerate_candidates",
                             lambda p: calls.append(p) or real(p))
         rng = random.Random(f"length-change-{cell}")
-        expected = 0
+        chains = 0
         for rank in range(2, 6):
             for depth in (1, 2, 3):
                 chain = [_cell_point(cell, rank, rng)]
-                held = [False]  # whether each point holds a candidate list
-
-                def read(i):
-                    nonlocal expected
-                    expected += not held[i]
-                    held[i] = True
-                    return chain[i].candidates()
-
                 for _ in range(depth):
                     # the parent's candidates are read before the copy,
                     # after it, or not at all
                     when = rng.choice(["before", "after", "never"])
                     if when == "before":
-                        read(len(chain) - 1)
+                        chain[-1].candidates()
                     chain.append(chain[-1].with_lengths(_unit_lengths(rng, chain[0].graph.n_edges)))
-                    held.append(held[-1])
                     if when == "after":
-                        read(len(chain) - 2)
-                for i, p in enumerate(chain):
+                        chain[-2].candidates()
+                for p in chain:
                     want = real(_fresh(p, p.graph.lengths))
-                    assert _fields(read(i)) == _fields(want)
-        assert len(calls) == expected
+                    assert _fields(p.candidates()) == _fields(want)
+                chains += 1
+        # the points of a chain share one marking object: one enumeration
+        assert len(calls) == chains
 
     def test_act_enumerates_its_own_candidates(self):
         rng = random.Random("act-candidates")

@@ -1,10 +1,12 @@
+import gc
 import math
 import random
 
 import pytest
 
-from outerspacekit.graphs import point_from_dict, random_point, rose
+from outerspacekit.graphs import MarkedMetricGraph, point_from_dict, random_point, rose
 from outerspacekit.metric import (
+    TIE_TOL,
     LinearMapSpec,
     distance,
     distance_oracle,
@@ -12,9 +14,18 @@ from outerspacekit.metric import (
     points_equal,
     stretch_factor,
 )
-from outerspacekit.words import Automorphism, CyclicWord, Word, all_whitehead_moves
+from outerspacekit.words import (
+    Automorphism,
+    CyclicWord,
+    Word,
+    all_whitehead_moves,
+    random_whitehead_move,
+    word_key,
+)
 
+from . import oracles
 from .conftest import FIG1_EDGE_IMAGES, FIG1_TARGET_DICT, THETA_DICT
+from .test_graphs import CELLS, _cell_point, _unit_lengths
 
 
 def C(text):
@@ -179,3 +190,102 @@ class TestMetricAxioms:
     def test_points_equal(self):
         assert points_equal(rose(2), rose(2))
         assert not points_equal(rose(2), rose(2, [1 / 3, 2 / 3]))
+
+
+def _reference(x, y):
+    """distance(x, y) with every length at y realized anew by
+    oracles.loop_length: (value, witness, table)."""
+    rows = [(c, c.length, oracles.loop_length(y, c.conjugacy_class.letters))
+            for c in x.candidates()]
+    rows = [(c, lx, ly, ly / lx) for c, lx, ly in rows]
+    best = max(r for *_, r in rows)
+    witness = min((c for c, *_, r in rows if r >= best * (1.0 - TIE_TOL)),
+                  key=lambda c: word_key(c.conjugacy_class.letters))
+    return math.log(best), witness, [(c.conjugacy_class, lx, ly, r) for c, lx, ly, r in rows]
+
+
+def _fields(res):
+    return res.value, res.witness, res.table
+
+
+def _copies(P, rng):
+    """P, a with_lengths copy of it and an act copy of it."""
+    moved = P.act(random_whitehead_move(P.rank, rng).automorphism(P.rank))
+    return [P, P.with_lengths(_unit_lengths(rng, P.graph.n_edges)), moved]
+
+
+class TestLoopCache:
+    """distance reads the tight loops of a pair of markings from a cache in
+    the target's marking object; it must give what realizing every loop
+    anew gives, bit for bit."""
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_cached_distance_equals_reference(self, cell):
+        rng = random.Random(f"loop-cache-{cell}")
+        for rank in range(2, 6):
+            xs = _copies(_cell_point(cell, rank, rng), rng)
+            ys = _copies(_cell_point(rng.choice(CELLS), rank, rng), rng)
+            pairs = [(a, b) for a in xs for b in ys] + [(b, a) for a in xs for b in ys]
+            pairs += [(xs[0], xs[1]), (xs[1], xs[0]), (ys[2], ys[2])]
+            want = [_reference(a, b) for a, b in pairs]
+            for _ in range(2):  # the second round reads every pair from the cache
+                assert [_fields(distance(a, b)) for a, b in pairs] == want
+            # new length copies of both ends read the same cache entries
+            for (a, b), (value, witness, table) in zip(pairs, want):
+                a2 = a.with_lengths(a.graph.lengths)
+                b2 = b.with_lengths(b.graph.lengths)
+                assert _fields(distance(a2, b2)) == (value, witness, table)
+
+    def test_copies_realize_nothing(self, monkeypatch):
+        real = MarkedMetricGraph.realize_based
+        calls = []
+        monkeypatch.setattr(MarkedMetricGraph, "realize_based",
+                            lambda self, letters: calls.append(1) or real(self, letters))
+        rng = random.Random("copies-realize-nothing")
+        for cell in CELLS:
+            for rank in (2, 3, 4):
+                X = _cell_point(cell, rank, rng)
+                Y = _cell_point(cell, rank, rng)
+                distance(X, Y)
+                assert calls
+                calls.clear()
+                for _ in range(3):
+                    X2 = X.with_lengths(_unit_lengths(rng, X.graph.n_edges))
+                    Y2 = Y.with_lengths(_unit_lengths(rng, Y.graph.n_edges))
+                    for a, b in ((X2, Y), (X, Y2), (X2, Y2)):
+                        got = _fields(distance(a, b))
+                        assert not calls
+                        assert got == _reference(a, b)
+
+    def test_act_copy_reads_no_parent_entry(self):
+        rng = random.Random("act-copy-entries")
+        for cell in CELLS:
+            for rank in (2, 3, 4):
+                X = _cell_point(cell, rank, rng)
+                Y = _cell_point(cell, rank, rng)
+                parent = Y.tight_loops(X)
+                Z = Y.act(random_whitehead_move(rank, rng).automorphism(rank))
+                assert Z.marking is not Y.marking and not len(Z.marking.loops)
+                assert Z.marking.tree_parent is Y.marking.tree_parent
+                assert _fields(distance(X, Z)) == _reference(X, Z)
+                assert Z.tight_loops(X) is not parent and Y.tight_loops(X) is parent
+                assert Y.with_lengths(Y.graph.lengths).marking is Y.marking
+
+    def test_entries_die_with_their_marking(self):
+        # a deleted marking object's address is reused by later ones: an
+        # entry keyed by address would then be read for the wrong marking
+        rng = random.Random("entries-die")
+        for cell in CELLS:
+            Y = _cell_point(cell, 3, rng)
+            for _ in range(6):
+                X = _cell_point(cell, 3, rng)
+                copy = X.with_lengths(_unit_lengths(rng, X.graph.n_edges))
+                distance(X, Y)
+                assert len(Y.marking.loops) == 1
+                del X, copy
+                gc.collect()
+                assert not len(Y.marking.loops)
+                W = _cell_point(cell, 3, rng).act(
+                    random_whitehead_move(3, rng).automorphism(3))
+                assert _fields(distance(W, Y)) == _reference(W, Y)
+                del W

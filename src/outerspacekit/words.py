@@ -413,25 +413,18 @@ class WhiteheadMove:
     def inverse_move(self) -> "WhiteheadMove":
         return WhiteheadMove(frozenset(self.A - {self.a}) | {-self.a}, -self.a)
 
+    def images(self, rank: int) -> tuple:
+        """Letters of the images of the generators 1..rank: a fixes +-a,
+        and x -> (a if x^-1 in A) x (a^-1 if x in A) otherwise."""
+        a, A = self.a, self.A
+        return tuple(
+            (x,) if x == abs(a)
+            else ((a,) if -x in A else ()) + (x,) + ((-a,) if x in A else ())
+            for x in range(1, rank + 1)
+        )
+
     def automorphism(self, rank: int) -> Automorphism:
-        images = []
-        a = self.a
-        for x in range(1, rank + 1):
-            if x == abs(a):
-                images.append(Word((x,) if a > 0 else (x,)))
-                continue
-            xin = x in self.A
-            xinvin = -x in self.A
-            if xin and xinvin:
-                letters = (a, x, -a)
-            elif xin:
-                letters = (x, -a)
-            elif xinvin:
-                letters = (a, x)
-            else:
-                letters = (x,)
-            images.append(Word(letters))
-        phi = Automorphism(rank, images, verified=True)
+        phi = Automorphism(rank, [Word(im) for im in self.images(rank)], verified=True)
         inv = self.inverse_move()
         phi._inv = lambda: _move_automorphism_raw(inv, rank, phi)
         return phi

@@ -5,6 +5,12 @@ primitivity oracle does a breadth-first search over Whitehead moves with
 the intermediate length bounded by the start length (peak reduction makes
 this complete for the minimal length question), and the minimization
 oracle finds each non-cut-vertex step by trying all 2n * 4^(n-1) moves.
+`scan_cut_analysis` finds cut vertices by removing each used vertex in
+turn and counting the components left, and `least_min_cut_side` decides
+each letter of the least minimum-cut side by one more max-flow with the
+decided letters tied to a or a^-1 by edges of infinite capacity: both are
+the library's earlier versions, kept as they were, against its single
+depth-first search and its residual-graph reading.
 The basis oracle folds by restarting its whole edge scan after every
 single fold, and reads no inverse. The leaf oracles expand each tile
 f^k(e) on the train-track graph, read it as a word of F_n and realize
@@ -37,13 +43,20 @@ from outerspacekit.traintrack import (
     TrainTrackStructure,
 )
 from outerspacekit.whitehead import (
+    CutReport,
     ReductionTrace,
     WhiteheadGraph,
-    cut_analysis,
     moves_from_cut_vertex,
     whitehead_graph,
 )
-from outerspacekit.words import CyclicWord, Word, all_whitehead_moves, reduce_letters
+from outerspacekit.words import (
+    CyclicWord,
+    Word,
+    all_whitehead_moves,
+    letter_key,
+    reduce_letters,
+    signed_letters,
+)
 
 _memo = {}
 
@@ -94,7 +107,7 @@ def exhaustive_minimize(words, rank) -> ReductionTrace:
     trace = ReductionTrace()
     while True:
         graph = whitehead_graph(words, rank)
-        report = cut_analysis(graph)
+        report = scan_cut_analysis(graph)
         before = sum(len(w) for w in words)
         if report.connected and report.cut_vertices:
             candidates = [(m, m.automorphism(rank)) for m in moves_from_cut_vertex(graph, report)]
@@ -112,13 +125,133 @@ def exhaustive_minimize(words, rank) -> ReductionTrace:
         (after, _), move, words = best
         trace.steps.append((move, before, after))
     trace.final_words = words
-    if all(len(w) == 1 for w in words):
+    if all(len(w) == 1 for w in words) and len(set(words)) == len(words):
         trace.terminal_state = "basis-reached"
     else:
-        report = cut_analysis(whitehead_graph(words, rank))
+        report = scan_cut_analysis(whitehead_graph(words, rank))
         connected = report.connected and not report.isolated
         trace.terminal_state = "no-cut-vertex" if connected else "disconnected-min"
     return trace
+
+
+def _components(vertices, adjacency):
+    comps = []
+    left = set(vertices)
+    while left:
+        start = min(left, key=letter_key)
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in adjacency.get(v, ()):
+                if u in left and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        comps.append(comp)
+        left -= comp
+    return comps
+
+
+def _adjacency(graph: WhiteheadGraph):
+    adj = {}
+    for (u, v), _ in graph.edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return adj
+
+
+def scan_cut_analysis(graph: WhiteheadGraph) -> CutReport:
+    """Reference for whitehead.cut_analysis: connectivity (over used
+    vertices) and cut vertices of a Whitehead graph."""
+    adj = _adjacency(graph)
+    used = sorted(adj, key=letter_key)
+    comps = _components(used, adj)
+    connected = len(comps) <= 1
+    cuts = []
+    if connected and len(used) > 2:
+        for v in used:
+            rest = [u for u in used if u != v]
+            sub = {u: {w for w in adj[u] if w != v} for u in rest}
+            if len(_components(rest, sub)) > 1:
+                cuts.append(v)
+    cuts.sort(key=letter_key)
+    return CutReport(
+        connected=connected,
+        cut_vertex=cuts[0] if cuts else None,
+        cut_vertices=tuple(cuts),
+        isolated=tuple(graph.isolated_vertices()),
+        components=tuple(tuple(sorted(c, key=letter_key)) for c in comps),
+    )
+
+
+def _letter_index(x: int) -> int:
+    """Position of a signed letter in letter_key order: 1, -1, 2, -2, ..."""
+    return 2 * (abs(x) - 1) + (x < 0)
+
+
+def min_cut(cap, s: int, t: int) -> int:
+    """Value of a minimum s-t cut: Edmonds-Karp max-flow on a capacity matrix."""
+    n = len(cap)
+    res = [row[:] for row in cap]
+    flow = 0
+    while True:
+        parent = [-1] * n
+        parent[s] = s
+        queue = [s]
+        for u in queue:
+            for v in range(n):
+                if parent[v] < 0 and res[u][v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+            if parent[t] >= 0:
+                break
+        if parent[t] < 0:
+            return flow
+        path = [t]
+        while path[-1] != s:
+            path.append(parent[path[-1]])
+        arcs = list(zip(path[1:], path))
+        push = min(res[u][v] for u, v in arcs)
+        for u, v in arcs:
+            res[u][v] -= push
+            res[v][u] += push
+        flow += push
+
+
+def least_min_cut_side(cap, a: int, target: int) -> frozenset:
+    """Reference for whitehead._least_min_cut_side: the least A (as a
+    letter_key-sorted tuple) whose S has cut value target.
+
+    Letters are decided greedily in letter_key order. Each check is one
+    max-flow, with the decided vertices of S tied to a or a^-1 by edges of
+    infinite capacity.
+    """
+    s, t = _letter_index(a), _letter_index(-a)
+    inf = sum(map(sum, cap)) + 1
+    forced = [row[:] for row in cap]
+
+    def is_min_cut(keep=(), drop=()):
+        trial = [row[:] for row in forced]
+        for x in keep:
+            trial[s][_letter_index(-x)] += inf
+        for x in drop:
+            trial[_letter_index(-x)][t] += inf
+        return min_cut(trial, s, t) == target
+
+    letters = [x for x in sorted(signed_letters(len(cap) // 2), key=letter_key) if x != -a]
+    A = {a}
+    for k, x in enumerate(letters):
+        if x == a:
+            continue
+        # past a, the letters taken so far are the least A if they suffice
+        if letter_key(x) > letter_key(a) and is_min_cut(drop=letters[k:]):
+            break
+        if is_min_cut(keep=[x]):
+            A.add(x)
+            forced[s][_letter_index(-x)] += inf
+        else:
+            forced[_letter_index(-x)][t] += inf
+    return frozenset(A)
 
 
 def scan_is_basis(words, rank: int) -> bool:

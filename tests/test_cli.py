@@ -149,6 +149,11 @@ class TestWhitehead:
         assert "step 1: move" in out and "length 2->1" in out
         assert "basis-reached" in out
 
+    def test_repeated_generator_is_no_basis(self, capsys):
+        # a and A are one cyclic word twice: not part of a basis
+        assert main(["whitehead", "minimize", "a", "A"]) == 0
+        assert capsys.readouterr().out == "final a a (no-cut-vertex)\n"
+
     def test_primitive(self, capsys):
         assert main(["whitehead", "primitive", "xyXY"]) == 0
         assert "not primitive" in capsys.readouterr().out

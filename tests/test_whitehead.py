@@ -3,17 +3,34 @@ from collections import Counter
 
 import pytest
 
+import outerspacekit.whitehead as whitehead_mod
 from outerspacekit.whitehead import (
     WhiteheadGraph,
+    _least_min_cut_side,
+    _letter_index,
+    _min_cut,
     cut_analysis,
     is_primitive,
     moves_from_cut_vertex,
     whitehead_graph,
     whitehead_minimize,
 )
-from outerspacekit.words import CyclicWord, random_whitehead_move, reduce_word, signed_letters
+from outerspacekit.words import (
+    CyclicWord,
+    RankMismatchError,
+    WhiteheadMove,
+    random_whitehead_move,
+    reduce_word,
+    signed_letters,
+)
 
-from .oracles import bfs_primitive, exhaustive_minimize
+from .oracles import (
+    bfs_primitive,
+    exhaustive_minimize,
+    least_min_cut_side,
+    min_cut,
+    scan_cut_analysis,
+)
 
 
 def C(text):
@@ -50,6 +67,19 @@ class TestWhiteheadGraph:
         with pytest.raises(ValueError):
             whitehead_graph([CyclicWord(())], 2)
 
+    def test_rank_below_a_letter_rejected(self):
+        with pytest.raises(RankMismatchError, match=r"letter 3 out of rank range \(rank 2\)"):
+            whitehead_graph([C("abc")], 2)
+
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rank_below_one_rejected(self, rank):
+        with pytest.raises(RankMismatchError, match=f"rank must be at least 1, got {rank}"):
+            whitehead_graph([C("a")], rank)
+
+    def test_no_words_no_rank_rejected(self):
+        with pytest.raises(RankMismatchError):
+            whitehead_graph([])
+
     def test_inversion_invariance(self):
         rng = random.Random(3)
         for _ in range(500):
@@ -72,6 +102,28 @@ class TestCutAnalysis:
     def test_disconnected(self):
         rep = cut_analysis(whitehead_graph([C("ab")], 2))
         assert not rep.connected and rep.cut_vertex is None
+
+    def test_single_dfs_matches_removal_scan(self):
+        # random multigraphs: parallel edges, isolated vertices, several
+        # components, and trees and cycles with and without cut vertices
+        rng = random.Random(7)
+        seen = Counter()
+        for i in range(10_000):
+            rank = 2 + i % 5
+            letters = list(signed_letters(rank))
+            counter = Counter()
+            for _ in range(rng.choice([0, 1, 2, 3, rank, 2 * rank, 3 * rank])):
+                u, v = rng.sample(letters, 2)
+                counter[frozenset((u, v))] += rng.choice([1, 1, 1, 2, 3])
+            g = WhiteheadGraph.from_counter(rank, counter)
+            got = cut_analysis(g)
+            assert got == scan_cut_analysis(g), g
+            seen["parallel"] += any(m > 1 for _, m in g.edges)
+            seen["isolated"] += bool(got.isolated)
+            seen["disconnected"] += not got.connected
+            seen["cut"] += bool(got.cut_vertices)
+            seen["connected, no cut"] += got.connected and not got.cut_vertices and bool(g.edges)
+        assert min(seen.values()) > 500, seen
 
     def test_path_cut_vertex(self):
         g = WhiteheadGraph.from_counter(
@@ -137,6 +189,38 @@ class TestMinimize:
         assert trace.terminal_state == "basis-reached"
         assert {w.letters for w in trace.final_words} <= {(1,), (2,)}
 
+    def test_repeated_generator_is_no_basis(self):
+        trace = whitehead_minimize([C("ab"), C("ab")], 2)
+        assert [w.letters for w in trace.final_words] == [(2,), (2,)]
+        assert trace.terminal_state == "disconnected-min"
+        trace = whitehead_minimize([C("a"), C("A")])
+        assert trace.terminal_state == "no-cut-vertex"
+
+    @pytest.mark.parametrize("rank", [2, 0])
+    def test_rank_below_a_letter_rejected(self, rank):
+        with pytest.raises(RankMismatchError):
+            whitehead_minimize([C("abc")], rank)
+
+    def test_least_side_from_residual_matches_max_flow_scan(self):
+        # symmetric capacity matrices, sparse enough to have many minimum cuts
+        rng = random.Random(13)
+        checked = 0
+        for i in range(400):
+            n = 2 * (2 + i % 4)
+            cap = [[0] * n for _ in range(n)]
+            density = rng.choice([0.2, 0.4, 0.7])
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < density:
+                        cap[u][v] = cap[v][u] = rng.choice([1, 1, 2, 3])
+            for a in range(1, n // 2 + 1):
+                i_a = _letter_index(a)
+                cut, res = _min_cut(cap, i_a, i_a + 1)
+                assert cut == min_cut(cap, i_a, i_a + 1)
+                assert _least_min_cut_side(res, a) == least_min_cut_side(cap, a, cut), (cap, a)
+                checked += 1
+        assert checked == 1400
+
 
 def _random_word_set(rng, rank):
     """1-3 nonempty cyclic words: single letters, short random words and
@@ -152,8 +236,10 @@ def _random_word_set(rng, rank):
 
 
 class TestExhaustiveOracle:
-    @pytest.mark.parametrize("rank,n_sets", [(2, 60), (3, 40), (4, 12), (5, 4)])
-    def test_same_trace_as_exhaustive_scan(self, rank, n_sets):
+    @pytest.mark.parametrize("rank,n_sets", [(2, 60), (3, 40), (4, 12), (5, 4), (6, 2)])
+    def test_same_trace_as_exhaustive_scan(self, rank, n_sets, monkeypatch):
+        cut_steps = []
+        _counting(monkeypatch, "moves_from_cut_vertex", cut_steps.append)
         rng = random.Random(100 + rank)
         states = Counter()
         n_steps = n_with_letter = 0
@@ -169,6 +255,71 @@ class TestExhaustiveOracle:
             n_steps += len(got.steps)
         assert states["basis-reached"] > 0 and len(states) >= 2
         assert n_steps >= n_sets // 2 and n_with_letter > 0
+        assert 0 < len(cut_steps) < n_steps
+
+
+def _counting(monkeypatch, name, record):
+    """Replace whitehead.<name> by a wrapper that passes its result to record."""
+    real = getattr(whitehead_mod, name)
+
+    def wrapper(*args):
+        out = real(*args)
+        record(out)
+        return out
+
+    monkeypatch.setattr(whitehead_mod, name, wrapper)
+
+
+class TestStepWork:
+    """Deterministic counts of the work done per minimization step."""
+
+    def _word_sets(self):
+        rng = random.Random(21)
+        for i in range(40):
+            rank = 2 + i % 4
+            yield _random_word_set(rng, rank), rank
+
+    def test_rank_max_flows_one_rewrite_per_step(self, monkeypatch):
+        flows, per_step, rewrites = [], [], []
+        _counting(monkeypatch, "_min_cut", flows.append)
+        _counting(monkeypatch, "_apply_move", rewrites.append)
+        real_move = whitehead_mod._min_cut_move
+
+        def min_cut_move(cap):
+            before = len(flows)
+            out = real_move(cap)
+            per_step.append(len(flows) - before)
+            return out
+
+        monkeypatch.setattr(whitehead_mod, "_min_cut_move", min_cut_move)
+        n_steps = 0
+        for words, rank in self._word_sets():
+            del rewrites[:]
+            start = len(per_step)
+            trace = whitehead_minimize(words, rank)
+            assert len(rewrites) == len(trace.steps)
+            assert all(k <= rank for k in per_step[start:])
+            n_steps += len(trace.steps)
+        assert per_step and n_steps > 40
+
+    def test_no_automorphism_objects(self, monkeypatch):
+        branches = Counter()
+        _counting(monkeypatch, "moves_from_cut_vertex", lambda out: branches.update(["cut"]))
+        _counting(monkeypatch, "_min_cut_move",
+                  lambda out: branches.update(["min-cut"] if out else []))
+        want = [(whitehead_minimize(words, rank), words, rank) for words, rank in self._word_sets()]
+
+        def no_automorphism(self, rank):
+            raise AssertionError("WhiteheadMove.automorphism called")
+
+        monkeypatch.setattr(WhiteheadMove, "automorphism", no_automorphism)
+        for trace, words, rank in want:
+            got = whitehead_minimize(words, rank)
+            assert (got.steps, got.final_words, got.terminal_state) == (
+                trace.steps, trace.final_words, trace.terminal_state)
+            if len(words) == 1:
+                assert is_primitive(words[0], rank) is (trace.terminal_state == "basis-reached")
+        assert branches["cut"] > 0 and branches["min-cut"] > 0
 
 
 class TestPrimitive:
@@ -197,3 +348,8 @@ class TestPrimitive:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             is_primitive(CyclicWord(()), 2)
+
+    @pytest.mark.parametrize("rank", [2, 0])
+    def test_rank_below_a_letter_rejected(self, rank):
+        with pytest.raises(RankMismatchError, match="out of rank range|at least 1"):
+            is_primitive(CyclicWord.make((3,)), rank)

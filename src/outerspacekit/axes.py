@@ -17,10 +17,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import MarkedMetricGraph, random_point
+from .graphs import MarkedMetricGraph, jitter_lengths, random_point
 from .metric import distance
 from .traintrack import TrainTrackMap
-from .words import Automorphism, CyclicWord, random_whitehead_move
+from .words import Automorphism, CyclicWord, random_automorphism
 
 log = logging.getLogger(__name__)
 
@@ -38,20 +38,12 @@ class Axis:
         backward: TrainTrackMap = None,
         base: MarkedMetricGraph = None,
         phi: Automorphism = None,
-        lam: float = None,
-        mu: float = None,
     ):
         self.forward = forward
         self.backward = backward
         self.base = base if base is not None else forward.point
         self.phi = phi if phi is not None else forward.automorphism()
-        self.lam = lam if lam is not None else forward.lam
-        if mu is not None:
-            self.mu = mu
-        elif backward is not None:
-            self.mu = backward.lam
-        else:
-            self.mu = None  # estimated on demand from left-tail profile slopes
+        self.lam = forward.lam
         if backward is not None:
             from .words import verify_inverse
 
@@ -87,17 +79,10 @@ class Axis:
     def dist_to_axis_point(self, X: MarkedMetricGraph, m: int) -> float:
         return distance(X, self.point(m)).value
 
-    def estimate_mu(self, window: int = 8) -> float:
-        """Backward expansion factor from the left-tail slope of a profile."""
-        if self.mu is None:
-            prof = length_profile(CyclicWord.make((1,)), self, (-window, window))
-            self.mu = math.exp(prof.left_slope)
-        return self.mu
-
     def translate(self, psi: Automorphism) -> "Axis":
         """The axis of psi^-1 phi psi through base . psi."""
         phi2 = psi.inverse().compose(self.phi).compose(psi)
-        return Axis(self.forward, base=self.base.act(psi), phi=phi2, lam=self.lam, mu=self.mu)
+        return Axis(self.forward, base=self.base.act(psi), phi=phi2)
 
 
 @dataclass
@@ -272,13 +257,9 @@ PAIR_HEADER = ["windows", "diam", "parallel"]
 
 def _perturb(point: MarkedMetricGraph, rng: random.Random, strength: float,
              move_prob: float = 0.0) -> MarkedMetricGraph:
-    rank = point.rank
     if move_prob and rng.random() < move_prob:
-        point = point.act(random_whitehead_move(rank, rng).automorphism(rank))
-    s = min(strength, 0.9)
-    lengths = [l * (1.0 + s * (2.0 * rng.random() - 1.0)) for l in point.graph.lengths]
-    vol = math.fsum(lengths)
-    return point.with_lengths([l / vol for l in lengths])
+        point = point.act(random_automorphism(point.rank, rng, 1))
+    return jitter_lengths(point, rng, min(strength, 0.9))
 
 
 def ball_sample_record(ax: Axis, Y: MarkedMetricGraph, seed: int, sample: int,
@@ -417,6 +398,8 @@ def divergence_check(path_points, ax: Axis, R: float, d_emp: float,
     avoiding the inward R-ball around the axis midpoint of its endpoints."""
     if len(path_points) < 2:
         raise ValueError("path needs at least two points")
+    if d_emp < 0 or c_emp < 0:
+        raise ValueError(f"d_emp and c_emp must be >= 0, got {d_emp} and {c_emp}")
     if R <= 2.0 * d_emp:
         raise ValueError(f"R={R} must exceed twice the contraction bound {d_emp}")
     p_start = project(path_points[0], ax)
@@ -471,13 +454,6 @@ def detour_path(ax: Axis, R: float, seed: int, max_tries: int = 8):
     return points
 
 
-def _random_composite(rank: int, rng: random.Random, n_moves: int) -> Automorphism:
-    phi = Automorphism.identity(rank)
-    for _ in range(n_moves):
-        phi = phi.compose(random_whitehead_move(rank, rng).automorphism(rank))
-    return phi
-
-
 # -- two-axis projections --------------------------------------------------
 
 
@@ -490,9 +466,9 @@ class TwoAxisReport:
     behrstock: dict  # only for triples: {"AB,C":..., "BA,C":..., "CA,B":...}
 
 
-def _axis_projection_params(ax_target: Axis, ax_source: Axis, window: int, stride=1):
+def _axis_projection_params(ax_target: Axis, ax_source: Axis, window: int):
     params = []
-    for m in range(-window, window + 1, stride):
+    for m in range(-window, window + 1):
         pr = project(ax_source.point(m), ax_target)
         params.extend(pr.argmin)
     return params
@@ -500,8 +476,11 @@ def _axis_projection_params(ax_target: Axis, ax_source: Axis, window: int, strid
 
 def two_axis_report(axA: Axis, axB: Axis, axC: Axis = None, window: int = 6) -> TwoAxisReport:
     """Project axis B (and optionally C) onto A; detect parallelism by linear
-    growth of the diameter under window doubling."""
-    half_window = max(1, window // 2)
+    growth of the diameter under window doubling; window must be at least 2,
+    so that the half window is smaller."""
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window}")
+    half_window = window // 2
     full = _axis_projection_params(axA, axB, window)
     half = _axis_projection_params(axA, axB, half_window)
     diam = (max(full) - min(full)) * axA.step

@@ -40,7 +40,7 @@ from .traintrack import (
     verify_train_track,
 )
 from .whitehead import is_primitive, whitehead_minimize
-from .words import ALPHABET, CyclicWord, format_letters
+from .words import ALPHABET, CyclicWord, format_letters, random_automorphism
 
 
 def _f(x: float) -> str:
@@ -147,7 +147,7 @@ def cmd_dist(args):
     table = write_csv(["class", "len_x", "len_y", "stretch"], rows, args.out)
     if not args.out:
         sys.stdout.write(table)
-    if args.oracle:
+    if args.oracle is not None:
         o = distance_oracle(x, y, args.oracle)
         print(f"oracle(L={args.oracle}) {_f(o)}")
 
@@ -296,12 +296,10 @@ def cmd_axis(args):
     elif args.action == "pair":
         import random as _random
 
-        from .axes import _random_composite
-
         rng = _random.Random(args.seed)
         rows = []
         for i in range(args.pairs):
-            psi = _random_composite(ax.rank, rng, 4)
+            psi = random_automorphism(ax.rank, rng, 4)
             axB = ax.translate(psi)
             rep = two_axis_report(ax, axB, window=args.window)
             rows.append((args.window, rep.diam, rep.parallel))

@@ -24,7 +24,7 @@ from .words import (
     CyclicWord,
     Word,
     inverse_letters,
-    random_whitehead_move,
+    random_automorphism,
     reduce_array,
     reduce_letters,
     word_key,
@@ -754,18 +754,22 @@ def rose(rank: int, lengths=None) -> MarkedMetricGraph:
     return point
 
 
+def jitter_lengths(point: MarkedMetricGraph, rng, jitter: float) -> MarkedMetricGraph:
+    """point with each edge length scaled by 1 + jitter * (2u - 1), one draw
+    u = rng.random() per edge in edge order, then renormalized to volume 1."""
+    lengths = [l * (1.0 + jitter * (2.0 * rng.random() - 1.0)) for l in point.graph.lengths]
+    vol = math.fsum(lengths)
+    return point.with_lengths([l / vol for l in lengths])
+
+
 def random_point(rank: int, seed: int, n_moves: int = 3, jitter: float = 0.3):
-    """Deterministic random point: rose acted by random Whitehead moves with
-    multiplicatively jittered, renormalized lengths."""
+    """Deterministic random point: the rose acted on once by
+    random_automorphism(rank, rng, n_moves), then its lengths jittered by
+    jitter_lengths, both from one random.Random(seed)."""
     if not (0.0 <= jitter < 1.0):
         raise ValueError("jitter must lie in [0, 1) to keep lengths positive")
     rng = random.Random(seed)
-    point = rose(rank)
-    for _ in range(n_moves):
-        point = point.act(random_whitehead_move(rank, rng).automorphism(rank))
-    lengths = [l * (1.0 + jitter * (2.0 * rng.random() - 1.0)) for l in point.graph.lengths]
-    vol = math.fsum(lengths)
-    point = point.with_lengths([l / vol for l in lengths])
+    point = jitter_lengths(rose(rank).act(random_automorphism(rank, rng, n_moves)), rng, jitter)
     report = validate_point(point)
     if not report.valid:
         raise AssertionError(f"random_point produced invalid point: {report.problems}")

@@ -2,11 +2,15 @@
 
 The Whitehead graph of a set of cyclic words has the 2n signed letters as
 vertices and one edge {u^-1, v} per cyclic two-letter subword uv, with
-multiplicity. Connectivity and cut vertices drive Whitehead's reduction
-algorithm: a basis element minimizes to a single letter, while a connected
+multiplicity. It is stored once, as the symmetric 2n x 2n matrix of edge
+multiplicities with rows and columns in letter_key order 1, -1, 2, -2, ...;
+its edge list, isolated vertices and unions are read off that matrix.
+Connectivity and cut vertices drive Whitehead's reduction algorithm: a
+basis element minimizes to a single letter, while a connected
 cut-vertex-free graph certifies a non-basis element. Cut vertices are the
 articulation points of one iterative depth-first search with lowpoints
-(Hopcroft-Tarjan, CACM 1973).
+(Hopcroft-Tarjan, CACM 1973), and the same search gives the components
+left when each cut vertex is removed, as slices of its preorder.
 
 Every step of the minimization is read off the Whitehead graph. For a move
 (A, a) put S = {a} u {x^-1 : x in A, x != a}; S contains a but not a^-1,
@@ -24,13 +28,15 @@ problem", IJAC 2007). The source sides of the minimum cuts are the sets
 closed under the arcs of the residual graph of one maximum flow that hold a
 and not a^-1 (Picard-Queyranne, Math. Programming Study 13, 1980), so the
 least A among them is read off that residual graph. The words are rewritten
-once per step, by the chosen move alone.
+once per step, by the chosen move alone, and the terminal state is read off
+the last step's analysis.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add
 
 from .words import (
     CyclicWord,
@@ -40,53 +46,49 @@ from .words import (
     inverse_letters,
     letter_key,
     signed_letters,
-    word_key,
 )
+
+
+def _letter_index(x: int) -> int:
+    """Position of a signed letter in letter_key order: 1, -1, 2, -2, ..."""
+    return 2 * (abs(x) - 1) + (x < 0)
 
 
 @dataclass(frozen=True)
 class WhiteheadGraph:
     rank: int
-    edges: tuple  # sorted ((u, v), multiplicity) pairs, u <= v by letter_key
+    cap: tuple  # symmetric matrix of edge multiplicities, rows in letter_key order
 
     @staticmethod
     def from_counter(rank: int, counter: Counter) -> "WhiteheadGraph":
-        items = sorted(
-            ((tuple(sorted(e, key=letter_key)), m) for e, m in counter.items()),
-            key=lambda it: word_key(it[0]),
-        )
-        return WhiteheadGraph(rank, tuple(items))
+        """Graph of a counter of edges {u, v} (two-letter sets) to multiplicities."""
+        cap = [[0] * (2 * rank) for _ in range(2 * rank)]
+        for e, m in counter.items():
+            i, j = map(_letter_index, e)
+            cap[i][j] += m
+            cap[j][i] += m
+        return WhiteheadGraph(rank, tuple(map(tuple, cap)))
 
-    def vertices(self):
-        return sorted(signed_letters(self.rank), key=letter_key)
+    @property
+    def edges(self) -> tuple:
+        """Sorted ((u, v), multiplicity) pairs, u before v in letter_key order."""
+        letters = tuple(signed_letters(self.rank))
+        return tuple(((letters[i], letters[j]), m)
+                     for i, row in enumerate(self.cap) for j, m in enumerate(row) if j > i and m)
 
     def simple_edges(self):
         return [e for e, _ in self.edges]
 
-    def used_vertices(self):
-        used = set()
-        for (u, v), _ in self.edges:
-            used.add(u)
-            used.add(v)
-        return used
-
     def isolated_vertices(self):
-        used = self.used_vertices()
-        return [v for v in self.vertices() if v not in used]
-
-    def degree(self, v) -> int:
-        return sum(m for (a, b), m in self.edges if v in (a, b))
+        return [x for x, row in zip(signed_letters(self.rank), self.cap) if not any(row)]
 
     def union(self, other: "WhiteheadGraph") -> "WhiteheadGraph":
-        c = Counter(dict((frozenset(e), m) for e, m in self.edges))
-        for e, m in other.edges:
-            c[frozenset(e)] += m
-        return WhiteheadGraph.from_counter(self.rank, c)
+        return WhiteheadGraph(
+            self.rank, tuple(tuple(map(add, r, s)) for r, s in zip(self.cap, other.cap)))
 
     def same_simple_graph(self, other: "WhiteheadGraph") -> bool:
-        return self.rank == other.rank and set(self.simple_edges()) == set(
-            other.simple_edges()
-        )
+        return self.rank == other.rank and all(
+            bool(a) == bool(b) for r, s in zip(self.cap, other.cap) for a, b in zip(r, s))
 
 
 def whitehead_graph(words, rank=None) -> WhiteheadGraph:
@@ -111,35 +113,18 @@ def whitehead_graph(words, rank=None) -> WhiteheadGraph:
 
 def _turn_graph(words, rank: int) -> WhiteheadGraph:
     """Whitehead graph of nonempty cyclically reduced letter tuples."""
-    counter: Counter = Counter()
+    cap = [[0] * (2 * rank) for _ in range(2 * rank)]
     for ls in words:
-        n = len(ls)
-        for i in range(n):
-            u, v = ls[i], ls[(i + 1) % n]
-            counter[frozenset((-u, v)) if -u != v else frozenset((v,))] += 1
-    # -u == v cannot occur in a cyclically reduced word, keep guard simple
-    for e in counter:
-        if len(e) == 1:
-            raise ValueError("self-loop in Whitehead graph: word not cyclically reduced")
-    return WhiteheadGraph.from_counter(rank, counter)
-
-
-def _components(vertices, adjacency):
-    comps = []
-    left = set(vertices)
-    while left:
-        start = min(left, key=letter_key)
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adjacency.get(v, ()):
-                if u in left and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        comps.append(comp)
-        left -= comp
-    return comps
+        u = ls[-1]
+        for v in ls:
+            i, j = _letter_index(-u), _letter_index(v)
+            # -u == v cannot occur in a cyclically reduced word, keep guard simple
+            if i == j:
+                raise ValueError("self-loop in Whitehead graph: word not cyclically reduced")
+            cap[i][j] += 1
+            cap[j][i] += 1
+            u = v
+    return WhiteheadGraph(rank, tuple(map(tuple, cap)))
 
 
 @dataclass(frozen=True)
@@ -149,64 +134,73 @@ class CutReport:
     cut_vertices: tuple
     isolated: tuple  # signed letters with no incident edge
     components: tuple  # components over used vertices, as sorted tuples
-
-
-def _adjacency(graph: WhiteheadGraph):
-    adj = {}
-    for (u, v), _ in graph.edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return adj
+    splits: tuple  # ((a, components of the used graph minus a), ...) per cut vertex a
 
 
 def cut_analysis(graph: WhiteheadGraph) -> CutReport:
-    """Connectivity (over used vertices) and cut vertices of a Whitehead graph.
+    """Connectivity (over used vertices), cut vertices and the components
+    each cut vertex splits off, from one walk of the graph's matrix rows.
 
     One iterative depth-first search from each least unvisited vertex finds
     the components; in a connected graph the cut vertices are the root if it
     has two or more tree children, and every other vertex with a tree child
     c whose lowpoint low[c] (least depth reachable from c's subtree by one
-    back edge) is at least its own depth.
+    back edge) is at least its own depth. The subtree of each such c is a
+    component of the graph minus the cut vertex a, the slice of the preorder
+    from c on when c is finished; what is left besides a is one more.
+    splits lists the cut vertices in letter_key order, each with its
+    components as sorted tuples ordered by their least letter.
     """
-    adj = _adjacency(graph)
-    depth, low = {}, {}
-    comps, cuts = [], set()
-    for root in sorted(adj, key=letter_key):
-        if root in depth:
+    letters = tuple(signed_letters(graph.rank))
+    adj = [[j for j, m in enumerate(row) if m] for row in graph.cap]
+    n = len(adj)
+    depth, low, pre = [-1] * n, [0] * n, [0] * n
+    order, comps = [], []
+    below = {}  # vertex -> subtrees of its tree children c with low[c] >= its depth
+    for root in range(n):
+        if depth[root] >= 0 or not adj[root]:
             continue
-        depth[root] = low[root] = 0
-        comp, root_children = [root], 0
-        stack = [(root, 0, iter(adj[root]))]  # 0 is no letter: the root's parent
+        depth[root] = 0
+        pre[root] = len(order)
+        order.append(root)
+        stack = [(root, -1, iter(adj[root]))]  # -1 is no vertex: the root's parent
         while stack:
             v, parent, it = stack[-1]
             for u in it:
-                if u not in depth:
+                if depth[u] < 0:
                     depth[u] = low[u] = depth[v] + 1
-                    comp.append(u)
+                    pre[u] = len(order)
+                    order.append(u)
                     stack.append((u, v, iter(adj[u])))
                     break
                 if u != parent and depth[u] < low[v]:
                     low[v] = depth[u]
             else:
                 stack.pop()
-                if parent == root:
-                    root_children += 1
-                elif parent:
+                if parent >= 0:
                     if low[v] < low[parent]:
                         low[parent] = low[v]
                     if low[v] >= depth[parent]:
-                        cuts.add(parent)
-        if root_children > 1:
-            cuts.add(root)
-        comps.append(tuple(sorted(comp, key=letter_key)))
+                        below.setdefault(parent, []).append(order[pre[v]:])
+        comps.append(tuple(letters[i] for i in sorted(order[pre[root]:])))
     connected = len(comps) <= 1
-    cuts = sorted(cuts, key=letter_key) if connected else []
+    splits = []
+    if connected:
+        for a in sorted(below):
+            subtrees = below[a]
+            if depth[a] == 0 and len(subtrees) < 2:
+                continue  # a root with one tree child is no cut vertex
+            rest = set(order).difference([a], *subtrees)
+            parts = sorted(map(sorted, subtrees + [rest] if rest else subtrees))
+            splits.append((letters[a], tuple(tuple(letters[i] for i in p) for p in parts)))
+    cuts = [a for a, _ in splits]
     return CutReport(
         connected=connected,
         cut_vertex=cuts[0] if cuts else None,
         cut_vertices=tuple(cuts),
         isolated=tuple(graph.isolated_vertices()),
         components=tuple(comps),
+        splits=tuple(splits),
     )
 
 
@@ -216,20 +210,14 @@ def moves_from_cut_vertex(graph: WhiteheadGraph, report: CutReport = None):
     For a cut vertex a and a component W'' of the used graph minus a that
     does not contain a^-1, the word-level reducing move is
     (A, a) with A = (W'')^-1 union {a}: its length change equals
-    -(number of edges joining a to W'') < 0 on a connected graph.
+    -(number of edges joining a to W'') < 0 on a connected graph. The
+    components are read off report.splits; the graph is analysed only when
+    no report is given.
     """
     if report is None:
         report = cut_analysis(graph)
-    adj = _adjacency(graph)
-    moves = []
-    for a in report.cut_vertices:
-        rest = [u for u in adj if u != a]
-        sub = {u: {w for w in adj[u] if w != a} for u in rest}
-        for comp in _components(rest, sub):
-            if -a in comp:
-                continue
-            moves.append(WhiteheadMove(frozenset(-x for x in comp) | {a}, a))
-    return moves
+    return [WhiteheadMove(frozenset(-x for x in comp) | {a}, a)
+            for a, comps in report.splits for comp in comps if -a not in comp]
 
 
 @dataclass
@@ -271,20 +259,6 @@ def _apply_move(move: WhiteheadMove, words, rank):
     return out
 
 
-def _letter_index(x: int) -> int:
-    """Position of a signed letter in letter_key order: 1, -1, 2, -2, ..."""
-    return 2 * (abs(x) - 1) + (x < 0)
-
-
-def _capacities(graph: WhiteheadGraph):
-    """Edge multiplicities as a symmetric matrix over letter indices."""
-    cap = [[0] * (2 * graph.rank) for _ in range(2 * graph.rank)]
-    for (u, v), m in graph.edges:
-        cap[_letter_index(u)][_letter_index(v)] += m
-        cap[_letter_index(v)][_letter_index(u)] += m
-    return cap
-
-
 def _length_change(cap, move: WhiteheadMove) -> int:
     """cap(S) - deg(a): the change of total length the move makes."""
     S = {_letter_index(move.a)} | {_letter_index(-x) for x in move.A if x != move.a}
@@ -296,7 +270,7 @@ def _min_cut(cap, s: int, t: int):
     """Value of a minimum s-t cut and the residual matrix of a maximum flow:
     Edmonds-Karp on a capacity matrix."""
     n = len(cap)
-    res = [row[:] for row in cap]
+    res = [list(row) for row in cap]
     flow = 0
     while True:
         parent = [-1] * n
@@ -394,8 +368,9 @@ def whitehead_minimize(words, rank=None) -> ReductionTrace:
 
     Each step is read off the Whitehead graph of the current words (see the
     module docstring). When the graph (over its used vertices) is connected
-    and has a cut vertex, the moves of moves_from_cut_vertex are scored by
-    cap(S) - deg(a) on its capacity matrix. Otherwise the best move over all
+    and has a cut vertex, the moves of moves_from_cut_vertex (read off the
+    step's cut_analysis) are scored by cap(S) - deg(a) on the graph's
+    matrix. Otherwise the best move over all
     (A, a) comes from n minimum cuts, and its A from the residual graph of
     the winning maximum flow: each step is polynomial in the rank and the
     word lengths. Tie-break in both cases: largest decrease, then least a in
@@ -406,7 +381,9 @@ def whitehead_minimize(words, rank=None) -> ReductionTrace:
 
     terminal_state is basis-reached when the final words are pairwise
     distinct generators; otherwise disconnected-min when the final graph is
-    disconnected or has an isolated vertex, and no-cut-vertex when not.
+    disconnected or has an isolated vertex, and no-cut-vertex when not, as
+    read off the cut_analysis of the last step, which found no shorter
+    words: cut_analysis runs once per step and once more.
     """
     words = [w if isinstance(w, CyclicWord) else CyclicWord.make(w) for w in words]
     if any(not w for w in words):
@@ -419,10 +396,10 @@ def whitehead_minimize(words, rank=None) -> ReductionTrace:
     trace = ReductionTrace()
     while True:
         report = cut_analysis(graph)
-        cap = _capacities(graph)
         before = _total(words)
         if report.connected and report.cut_vertices:
-            scored = [(_length_change(cap, m), m) for m in moves_from_cut_vertex(graph, report)]
+            scored = [(_length_change(graph.cap, m), m)
+                      for m in moves_from_cut_vertex(graph, report)]
             change, move = min(scored, key=lambda it: (it[0], it[1].sort_key()))
             after = before + change
             if after >= before:
@@ -431,7 +408,7 @@ def whitehead_minimize(words, rank=None) -> ReductionTrace:
                     f"({before} -> {after})"
                 )
         else:
-            found = _min_cut_move(cap)
+            found = _min_cut_move(graph.cap)
             if found is None:
                 break
             move, decrease = found
@@ -447,12 +424,12 @@ def whitehead_minimize(words, rank=None) -> ReductionTrace:
     # canonical one-letter words are generators
     if all(len(w) == 1 for w in finals) and len(set(finals)) == len(finals):
         trace.terminal_state = "basis-reached"
+    # a rotation or inversion of a word keeps its Whitehead graph, so the
+    # last report describes the graph of the final words
+    elif report.isolated or not report.connected:
+        trace.terminal_state = "disconnected-min"
     else:
-        report = cut_analysis(whitehead_graph(finals, rank))
-        if report.isolated or not report.connected:
-            trace.terminal_state = "disconnected-min"
-        else:
-            trace.terminal_state = "no-cut-vertex"
+        trace.terminal_state = "no-cut-vertex"
     return trace
 
 

@@ -448,6 +448,13 @@ def random_whitehead_move(rank: int, rng) -> WhiteheadMove:
     )
 
 
+def random_automorphism(rank: int, rng, n_moves: int) -> Automorphism:
+    """The composite m_1 m_2 ... m_k of n_moves seeded random_whitehead_moves,
+    drawn in that order; acting by it acts by m_1, then m_2, and so on."""
+    moves = [random_whitehead_move(rank, rng).automorphism(rank) for _ in range(n_moves)]
+    return functools.reduce(Automorphism.compose, moves) if moves else Automorphism.identity(rank)
+
+
 def _move_automorphism_raw(move: WhiteheadMove, rank: int, inverse: Automorphism):
     phi = move.automorphism(rank)
     phi._inv = inverse

@@ -6,7 +6,7 @@ the intermediate length bounded by the start length (peak reduction makes
 this complete for the minimal length question), and the minimization
 oracle finds each non-cut-vertex step by trying all 2n * 4^(n-1) moves.
 `scan_cut_analysis` finds cut vertices by removing each used vertex in
-turn and counting the components left, and `least_min_cut_side` decides
+turn and counting the components left, which it keeps as the splits, and `least_min_cut_side` decides
 each letter of the least minimum-cut side by one more max-flow with the
 decided letters tied to a or a^-1 by edges of infinite capacity: both are
 the library's earlier versions, kept as they were, against its single
@@ -162,25 +162,28 @@ def _adjacency(graph: WhiteheadGraph):
 
 def scan_cut_analysis(graph: WhiteheadGraph) -> CutReport:
     """Reference for whitehead.cut_analysis: connectivity (over used
-    vertices) and cut vertices of a Whitehead graph."""
+    vertices), cut vertices of a Whitehead graph and the components each
+    one splits the graph into."""
     adj = _adjacency(graph)
     used = sorted(adj, key=letter_key)
     comps = _components(used, adj)
     connected = len(comps) <= 1
-    cuts = []
+    cuts, splits = [], []
     if connected and len(used) > 2:
         for v in used:
             rest = [u for u in used if u != v]
             sub = {u: {w for w in adj[u] if w != v} for u in rest}
-            if len(_components(rest, sub)) > 1:
+            parts = _components(rest, sub)
+            if len(parts) > 1:
                 cuts.append(v)
-    cuts.sort(key=letter_key)
+                splits.append((v, tuple(tuple(sorted(c, key=letter_key)) for c in parts)))
     return CutReport(
         connected=connected,
         cut_vertex=cuts[0] if cuts else None,
         cut_vertices=tuple(cuts),
         isolated=tuple(graph.isolated_vertices()),
         components=tuple(tuple(sorted(c, key=letter_key)) for c in comps),
+        splits=tuple(splits),
     )
 
 

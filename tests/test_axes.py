@@ -4,7 +4,6 @@ import random
 import pytest
 
 from outerspacekit.axes import (
-    Axis,
     BALL_HEADER,
     MORSE_HEADER,
     ball_sample_record,
@@ -18,12 +17,11 @@ from outerspacekit.axes import (
     tree_inequality_probe,
     two_axis_report,
     write_csv,
-    _random_composite,
 )
 from outerspacekit.graphs import random_point, rose
 from outerspacekit.metric import distance
 from outerspacekit.traintrack import legality_report
-from outerspacekit.words import Automorphism, CyclicWord
+from outerspacekit.words import Automorphism, CyclicWord, random_automorphism
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -58,11 +56,7 @@ class TestAxisPoints:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_mu_from_backward(self, golden_axis):
-        assert golden_axis.mu == pytest.approx(GOLDEN, abs=1e-9)
-
-    def test_mu_estimated_without_backward(self, golden_tt):
-        ax = Axis(golden_tt)
-        assert ax.estimate_mu() == pytest.approx(GOLDEN, rel=0.1)
+        assert golden_axis.backward.lam == pytest.approx(GOLDEN, abs=1e-9)
 
 
 class TestLengthProfile:
@@ -199,15 +193,27 @@ class TestDivergence:
         rep = divergence_check(path, golden_axis, 2.0, d_emp=0.5, c_emp=0.1)
         assert rep.avoids_ball and rep.satisfied
 
+    @pytest.mark.parametrize("d_emp, c_emp", [(-1.0, 0.1), (0.5, -0.1)])
+    def test_negative_constants_rejected(self, golden_axis, d_emp, c_emp):
+        path = [golden_axis.point(-2), golden_axis.point(2)]
+        with pytest.raises(ValueError, match="must be >= 0"):
+            divergence_check(path, golden_axis, 2.0, d_emp=d_emp, c_emp=c_emp)
+
 
 class TestTwoAxis:
     def test_same_axis_parallel(self, golden_axis):
         rep = two_axis_report(golden_axis, golden_axis, window=4)
         assert rep.parallel
 
+    @pytest.mark.parametrize("window", [0, 1])
+    def test_window_below_two_rejected(self, golden_axis, window):
+        # the half window would not be smaller, so any pair would read parallel
+        with pytest.raises(ValueError, match="window must be >= 2"):
+            two_axis_report(golden_axis, golden_axis, window=window)
+
     def test_translate_bounded(self, golden_axis):
         rng = random.Random(3)
-        psi = _random_composite(2, rng, 4)
+        psi = random_automorphism(2, rng, 4)
         axB = golden_axis.translate(psi)
         rep = two_axis_report(golden_axis, axB, window=6)
         assert not rep.parallel
@@ -215,7 +221,7 @@ class TestTwoAxis:
 
     def test_translate_is_axis(self, golden_axis):
         rng = random.Random(1)
-        psi = _random_composite(2, rng, 3)
+        psi = random_automorphism(2, rng, 3)
         axB = golden_axis.translate(psi)
         d = distance(axB.point(0), axB.point(1)).value
         assert d == pytest.approx(golden_axis.step, abs=1e-9)
@@ -246,7 +252,7 @@ class TestShortLoopProjection:
             rng = random.Random(seed)
             eps = 0.05
             x = rose(2, [eps, 1 - eps])
-            psi = _random_composite(2, rng, 1)
+            psi = random_automorphism(2, rng, 1)
             y = x.act(psi)
             if y.loop_length(C("a")) > bound or x.loop_length(C("a")) > bound:
                 continue

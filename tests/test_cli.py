@@ -132,6 +132,10 @@ class TestDist:
         assert main(["dist", files["rose"], files["uneven"], "--oracle", "4"]) == 0
         assert "oracle(L=4) 0.287682072" in capsys.readouterr().out
 
+    def test_oracle_zero_is_a_domain_error(self, files, capsys):
+        assert main(["dist", files["rose"], files["uneven"], "--oracle", "0"]) == 1
+        assert "oracle length bound must be >= 1" in capsys.readouterr().err
+
     def test_missing_file(self, files, capsys):
         assert main(["dist", str(files["tmp"] / "missing.graph"), files["rose"]]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -310,6 +314,21 @@ class TestAxis:
                      "--pairs", "1", "--window", "4", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("windows,diam,parallel")
+
+    @pytest.mark.parametrize("window", ["0", "1"])
+    def test_pair_window_below_two(self, files, capsys, window):
+        assert main(["axis", "pair", files["fwd"], files["bwd"],
+                     "--pairs", "2", "--window", window]) == 1
+        captured = capsys.readouterr()
+        assert "window must be >= 2" in captured.err
+        assert "parallel" not in captured.out
+
+    def test_diverge_negative_d_emp(self, files, capsys):
+        assert main(["axis", "diverge", files["fwd"], files["bwd"],
+                     "--radius", "3", "--d-emp", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "must be >= 0" in captured.err
+        assert "satisfied" not in captured.out
 
 
 class TestUsage:

@@ -13,6 +13,7 @@ from outerspacekit.graphs import (
     MetricGraph,
     enumerate_candidates,
     minimal_model,
+    jitter_lengths,
     point_from_dict,
     point_to_dict,
     random_point,
@@ -587,6 +588,22 @@ class TestRandomPoint:
     def test_jitter_bounds(self):
         with pytest.raises(ValueError):
             random_point(2, 0, 0, 1.5)
+
+    def test_one_action_by_the_composite_equals_one_per_move(self):
+        # the composite of the drawn moves acts on the rose once; acting by
+        # the moves one at a time, then jittering, gives the same point
+        for rank in (2, 3, 4):
+            for n_moves in range(4):
+                for seed in range(5):
+                    rng = random.Random(seed)
+                    point = rose(rank)
+                    for _ in range(n_moves):
+                        point = point.act(random_whitehead_move(rank, rng).automorphism(rank))
+                    want = jitter_lengths(point, rng, 0.3)
+                    got = random_point(rank, seed, n_moves)
+                    assert point_to_dict(got) == point_to_dict(want)
+                    assert got.marking_map().images == want.marking_map().images
+                    assert got.marking_inverse().images == want.marking_inverse().images
 
 
 class TestFileFormat:

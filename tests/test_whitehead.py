@@ -321,6 +321,36 @@ class TestStepWork:
                 assert is_primitive(words[0], rank) is (trace.terminal_state == "basis-reached")
         assert branches["cut"] > 0 and branches["min-cut"] > 0
 
+    def test_one_cut_analysis_per_step_and_one_more(self, monkeypatch):
+        # the terminal state is read off the last step's report
+        reports = []
+        _counting(monkeypatch, "cut_analysis", reports.append)
+        states = Counter()
+        for words, rank in self._word_sets():
+            del reports[:]
+            trace = whitehead_minimize(words, rank)
+            assert len(reports) == len(trace.steps) + 1
+            states[trace.terminal_state] += 1
+        assert len(states) == 3, states
+
+    def test_cut_vertex_moves_read_off_the_report(self, monkeypatch):
+        # given a report, the moves come from its splits alone: the graph is
+        # neither analysed nor walked, so it may be left out
+        cases = []
+        for words, rank in self._word_sets():
+            g = whitehead_graph(words, rank)
+            rep = cut_analysis(g)
+            if rep.cut_vertices:
+                cases.append((rep, moves_from_cut_vertex(g)))
+
+        def no_analysis(graph):
+            raise AssertionError("cut_analysis called")
+
+        monkeypatch.setattr(whitehead_mod, "cut_analysis", no_analysis)
+        assert len(cases) > 10
+        for rep, want in cases:
+            assert moves_from_cut_vertex(None, rep) == want
+
 
 class TestPrimitive:
     def test_generator(self):

@@ -474,12 +474,17 @@ def _axis_projection_params(ax_target: Axis, ax_source: Axis, window: int):
     return params
 
 
+def check_pair_window(window: int):
+    """Raise ValueError unless window is a valid two_axis_report window."""
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window}")
+
+
 def two_axis_report(axA: Axis, axB: Axis, axC: Axis = None, window: int = 6) -> TwoAxisReport:
     """Project axis B (and optionally C) onto A; detect parallelism by linear
     growth of the diameter under window doubling; window must be at least 2,
     so that the half window is smaller."""
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
+    check_pair_window(window)
     half_window = window // 2
     full = _axis_projection_params(axA, axB, window)
     half = _axis_projection_params(axA, axB, half_window)

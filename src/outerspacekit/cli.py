@@ -21,6 +21,7 @@ from .axes import (
     BALL_HEADER,
     MORSE_HEADER,
     PAIR_HEADER,
+    check_pair_window,
     contraction_experiment,
     detour_path,
     divergence_check,
@@ -31,7 +32,7 @@ from .axes import (
     write_csv,
 )
 from .graphs import InvalidPointError, load_point, validate_point
-from .metric import distance, distance_oracle
+from .metric import check_oracle_bound, distance, distance_oracle
 from .traintrack import (
     NotTrainTrackError,
     load_selfmap,
@@ -138,6 +139,8 @@ def cmd_validate(args):
 
 
 def cmd_dist(args):
+    if args.oracle is not None:
+        check_oracle_bound(args.oracle)
     x = _load_point(args.x)
     y = _load_point(args.y)
     res = distance(x, y)
@@ -296,6 +299,7 @@ def cmd_axis(args):
     elif args.action == "pair":
         import random as _random
 
+        check_pair_window(args.window)
         rng = _random.Random(args.seed)
         rows = []
         for i in range(args.pairs):

@@ -16,6 +16,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -211,6 +212,9 @@ class CandidateLoop:
     length: float
 
 
+_PATH = attrgetter("path")
+
+
 @dataclass
 class ValidationReport:
     valid: bool
@@ -227,11 +231,13 @@ class Marking:
     it, the marking map and its certified inverse, the half-edge labels
     (as a dict and as halfedge_pieces arrays), the tightened generator loops
     (letter -> piece) and the candidate list of the first point that
-    enumerated it. `loops` maps another marking object to the tight cyclic
-    loops, at this marking, of that marking's candidate classes, in
-    candidate order (see MarkedMetricGraph.tight_loops). Its keys are the
-    marking objects themselves, held weakly: an entry dies with its key,
-    so no later marking can read it.
+    enumerated it; every point of the marking reads the kind, path and class
+    of each candidate there and keeps only its own lengths of the paths
+    (MarkedMetricGraph.candidate_lengths). `loops` maps another marking
+    object to the tight cyclic loops, at this marking, of that marking's
+    candidate classes, in candidate order (see MarkedMetricGraph.tight_loops).
+    Its keys are the marking objects themselves, held weakly: an entry dies
+    with its key, so no later marking can read it.
     """
 
     __slots__ = ("tree_parent", "geo_letter", "basis_to_edges", "edges_to_basis", "labels",
@@ -262,7 +268,9 @@ class MarkedMetricGraph:
         self.gen_loops = tuple(tuple(loop) for loop in gen_loops)
         self.rank = len(self.gen_loops)
         self.marking = Marking() if marking is None else marking
-        self._candidates = None
+        self._candidates = None  # CandidateLoop objects, built on request
+        self._lx = None  # see candidate_lengths
+        self._ly = None  # see loop_lengths
 
     # -- spanning tree and geometric basis -------------------------------
 
@@ -452,7 +460,7 @@ class MarkedMetricGraph:
 
     def tight_loops(self, x: "MarkedMetricGraph"):
         """The tight cyclic loops at this point of the candidate classes of
-        x, in the order of x.candidates().
+        x, in the order of x.shared_candidates().
 
         They depend on the two markings alone, so the list is realized once
         per pair of marking objects: it is kept in this point's marking,
@@ -465,8 +473,26 @@ class MarkedMetricGraph:
         if found is None:
             realize = self.realize_based
             found = loops[x.marking] = [
-                cyclic_tighten(realize(c.conjugacy_class.letters)) for c in x.candidates()
+                cyclic_tighten(realize(c.conjugacy_class.letters))
+                for c in x.shared_candidates()
             ]
+        return found
+
+    def loop_lengths(self, x: "MarkedMetricGraph"):
+        """The lengths at this point of the candidate classes of x, in
+        candidate order: graph.path_length of each loop of tight_loops(x).
+
+        They depend on this point's lengths and x's marking alone, so this
+        point keeps them, keyed weakly by x's marking object, and sums each
+        loop once per pair; an entry dies with x's marking, and a
+        with_lengths or act copy of this point starts with none.
+        """
+        ly = self._ly
+        if ly is None:
+            ly = self._ly = weakref.WeakKeyDictionary()
+        found = ly.get(x.marking)
+        if found is None:
+            found = ly[x.marking] = tuple(map(self.graph.path_length, self.tight_loops(x)))
         return found
 
     # -- action of automorphisms -----------------------------------------
@@ -476,7 +502,7 @@ class MarkedMetricGraph:
 
         The result has a marking object of its own, seeded with this one's
         spanning tree and, where this point has them, its marking maps
-        composed with phi; it shares no candidate list or loop cache.
+        composed with phi; it shares no candidate list, loop or length cache.
         """
         if phi.rank != self.rank:
             raise ValueError("rank mismatch in act")
@@ -504,8 +530,10 @@ class MarkedMetricGraph:
         depends on the marking alone is computed once for all copies: the
         spanning tree, the marking maps, the label and loop tables, the
         candidate list, and the tight_loops cache, whose entries are keyed
-        weakly by the other point's marking object. The copy's candidates()
-        recomputes only their lengths.
+        weakly by the other point's marking object. What depends on the
+        lengths is the copy's own and starts empty: its candidate lengths
+        (candidate_lengths) and the lengths of the loops it is a target of
+        (loop_lengths), each summed on first use.
         """
         return MarkedMetricGraph(
             self.graph.with_lengths(lengths), self.basepoint, self.gen_loops, self.marking
@@ -513,24 +541,42 @@ class MarkedMetricGraph:
 
     # -- candidates --------------------------------------------------------
 
-    def candidates(self):
-        """The candidate loops of this point, enumerated once per marking.
+    def shared_candidates(self):
+        """The candidate list of this point's marking object, enumerated
+        here if no point of the marking has done so yet.
 
         The set depends only on the graph and the marking (Francaviglia-
-        Martino), so a point that shares its marking object with one that
-        enumerated them keeps the kind, path and class of each candidate,
-        in the same order, and reads only their lengths here: the list
-        enumerate_candidates would give.
+        Martino), so every point of the marking reads the kind, path and
+        class of each candidate, in order, from this one list. Its lengths
+        are those of the point that enumerated it: a point's own are
+        candidate_lengths().
+        """
+        m = self.marking
+        if m.candidates is None:
+            self._candidates = m.candidates = enumerate_candidates(self)
+        return m.candidates
+
+    def candidate_lengths(self):
+        """The length at this point of each candidate, in candidate order:
+        graph.path_length over the shared candidate paths, summed once per
+        point."""
+        if self._lx is None:
+            self._lx = tuple(map(self.graph.path_length, map(_PATH, self.shared_candidates())))
+        return self._lx
+
+    def candidates(self):
+        """The candidate loops of this point as CandidateLoop objects: the
+        list enumerate_candidates would give.
+
+        They are the shared candidates with this point's lengths, built
+        only here, once per point, when a caller asks for the objects.
         """
         if self._candidates is None:
-            m = self.marking
-            if m.candidates is None:
-                self._candidates = m.candidates = enumerate_candidates(self)
-            else:
-                length = self.graph.path_length
+            shared = self.shared_candidates()
+            if self._candidates is None:  # another point enumerated them
                 self._candidates = [
-                    CandidateLoop(c.kind, c.path, c.conjugacy_class, length(c.path))
-                    for c in m.candidates
+                    CandidateLoop(c.kind, c.path, c.conjugacy_class, length)
+                    for c, length in zip(shared, self.candidate_lengths())
                 ]
         return self._candidates
 

@@ -9,20 +9,30 @@ subgraph computed edge by edge.
 A point's marking object (graphs.Marking) holds what its graph and marking
 fix at any edge lengths, shared by all its with_lengths copies: the
 spanning tree, marking maps, label and loop tables, the candidate list, and
-a cache of tight loops keyed weakly by other marking objects. `distance`
-realizes the candidate classes of x at y once per pair of marking objects
-through that cache (MarkedMetricGraph.tight_loops) and then only sums edge
-lengths; an entry dies with x's marking object. `loop_length`, which
-`stretch_factor` and `distance_oracle` read, realizes every class anew and
-is the uncached reference.
+the tight loops at this marking of other markings' candidate classes, keyed
+weakly by those marking objects. What depends on lengths belongs to the
+point instance, which never changes its lengths (with_lengths and act make
+new instances), and is summed once:
+
+- lx, x.candidate_lengths(): the lengths of x's shared candidate paths;
+- ly, y.loop_lengths(x): the lengths of y.tight_loops(x), kept by y and
+  keyed weakly by x's marking object, so an entry dies with that marking.
+
+`distance(x, y)` is the log of the largest ratio ly/lx of the two lists, so
+a scan of many points against one target sums no path at the target after
+its first query of each marking. `loop_length`, which `stretch_factor` and
+`distance_oracle` read, realizes every class anew and is the uncached
+reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import attrgetter, truediv
 
-from .graphs import MarkedMetricGraph, tighten_path
+from .graphs import CandidateLoop, MarkedMetricGraph, tighten_path
 from .words import (
     enumerate_cyclic_words,
     reduce_letters,
@@ -30,6 +40,8 @@ from .words import (
 )
 
 TIE_TOL = 1e-12
+
+_CLASS = attrgetter("conjugacy_class")
 
 
 @dataclass
@@ -47,36 +59,41 @@ def stretch_factor(alpha, x: MarkedMetricGraph, y: MarkedMetricGraph) -> float:
 def distance(x: MarkedMetricGraph, y: MarkedMetricGraph) -> DistanceResult:
     """Lipschitz distance d(x, y) maximized over the candidates of x.
 
-    Each length at y is y.graph.path_length of the candidate's tight loop
-    from y.tight_loops(x), cached in y's marking object and keyed weakly by
-    x's, so a repeated query of the same two markings, at any lengths,
-    realizes nothing. The same math.fsum over the same path gives the float
-    y.loop_length would.
+    The lengths at x are x.candidate_lengths() and those at y are
+    y.loop_lengths(x), both kept by their point instances, so a repeated
+    query sums no path and realizes no loop; the same math.fsum over the
+    same paths gives the floats c.length and y.loop_length would. Among
+    the ratios within TIE_TOL of the largest, the witness is the class
+    least in word_key order, and it is the one CandidateLoop built here.
     """
     if x.rank != y.rank:
         raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
-    length = y.graph.path_length
-    table = []
-    for cand, loop in zip(x.candidates(), y.tight_loops(x)):
-        lx = cand.length
-        ly = length(loop)
-        table.append((cand, lx, ly, ly / lx))
-    best = max(r for (_, _, _, r) in table)
-    winners = [
-        c for (c, _, _, r) in table if r >= best * (1.0 - TIE_TOL)
-    ]
-    witness = min(winners, key=lambda c: word_key(c.conjugacy_class.letters))
+    lx = x.candidate_lengths()
+    ly = y.loop_lengths(x)
+    ratios = list(map(truediv, ly, lx))
+    best = max(ratios)
+    cut = best * (1.0 - TIE_TOL)
+    shared = x.shared_candidates()
+    winners = list(compress(count(), map(cut.__le__, ratios)))  # i with ratios[i] >= cut
+    i = winners[0] if len(winners) == 1 else min(
+        winners, key=lambda i: word_key(shared[i].conjugacy_class.letters))
+    c = shared[i]
     return DistanceResult(
         value=math.log(best),
-        witness=witness,
-        table=[(c.conjugacy_class, lx, ly, r) for (c, lx, ly, r) in table],
+        witness=CandidateLoop(c.kind, c.path, c.conjugacy_class, lx[i]),
+        table=list(zip(map(_CLASS, shared), lx, ly, ratios)),
     )
+
+
+def check_oracle_bound(max_len: int):
+    """Raise ValueError unless max_len is a valid distance_oracle bound."""
+    if max_len < 1:
+        raise ValueError("oracle length bound must be >= 1")
 
 
 def distance_oracle(x: MarkedMetricGraph, y: MarkedMetricGraph, max_len: int) -> float:
     """Log max stretch over all conjugacy classes of word length <= max_len."""
-    if max_len < 1:
-        raise ValueError("oracle length bound must be >= 1")
+    check_oracle_bound(max_len)
     best = 0.0
     first = True
     for w in enumerate_cyclic_words(x.rank, max_len):

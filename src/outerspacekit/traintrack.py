@@ -729,11 +729,8 @@ def no_cut_vertex_search(
                     "(input not fully irreducible)"
                 )
             if not report.cut_vertices:
-                prox = min(
-                    distance(X, start.act(phi.power(m))).value
-                    + distance(start.act(phi.power(m)), X).value
-                    for m in range(-3, 4)
-                )
+                orbit = [start.act(phi.power(m)) for m in range(-3, 4)]
+                prox = min(distance(X, G).value + distance(G, X).value for G in orbit)
                 return CutVertexSearchResult(
                     X, moves, plus_trace, minus_trace, combined, max(kF, kB), prox,
                     converged.count(False),

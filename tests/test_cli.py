@@ -134,7 +134,11 @@ class TestDist:
 
     def test_oracle_zero_is_a_domain_error(self, files, capsys):
         assert main(["dist", files["rose"], files["uneven"], "--oracle", "0"]) == 1
-        assert "oracle length bound must be >= 1" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "oracle length bound must be >= 1" in captured.err
+        # the bound is checked before the distance is computed or printed
+        assert not any(line.startswith("value") for line in captured.out.splitlines())
+        assert captured.out == ""
 
     def test_missing_file(self, files, capsys):
         assert main(["dist", str(files["tmp"] / "missing.graph"), files["rose"]]) == 2
@@ -322,6 +326,14 @@ class TestAxis:
         captured = capsys.readouterr()
         assert "window must be >= 2" in captured.err
         assert "parallel" not in captured.out
+
+    def test_pair_window_checked_with_no_pairs(self, files, capsys):
+        # a run of zero pairs never reaches two_axis_report
+        assert main(["axis", "pair", files["fwd"], files["bwd"],
+                     "--pairs", "0", "--window", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "window must be >= 2, got 1" in captured.err
+        assert captured.out == ""
 
     def test_diverge_negative_d_emp(self, files, capsys):
         assert main(["axis", "diverge", files["fwd"], files["bwd"],

@@ -1,10 +1,18 @@
 import gc
 import math
 import random
+import weakref
 
 import pytest
 
-from outerspacekit.graphs import MarkedMetricGraph, point_from_dict, random_point, rose
+from outerspacekit.graphs import (
+    MarkedMetricGraph,
+    MetricGraph,
+    enumerate_candidates,
+    point_from_dict,
+    random_point,
+    rose,
+)
 from outerspacekit.metric import (
     TIE_TOL,
     LinearMapSpec,
@@ -289,3 +297,78 @@ class TestLoopCache:
                     random_whitehead_move(3, rng).automorphism(3))
                 assert _fields(distance(W, Y)) == _reference(W, Y)
                 del W
+
+
+class TestLengthCache:
+    """distance reads the candidate lengths (lx) kept by the point x and the
+    loop lengths (ly) kept by the point y, keyed weakly by x's marking; a
+    copy with other lengths must sum its own, bit for bit as the
+    reference does, and a repeated query must sum nothing at y."""
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_copies_with_new_lengths_equal_reference(self, cell):
+        rng = random.Random(f"length-cache-{cell}")
+        for rank in range(2, 6):
+            X = _cell_point(cell, rank, rng)
+            Y = _cell_point(rng.choice(CELLS), rank, rng)
+            assert _fields(distance(X, Y)) == _reference(X, Y)  # fills both caches
+            for _ in range(2):
+                X2 = X.with_lengths(_unit_lengths(rng, X.graph.n_edges))
+                Y2 = Y.with_lengths(_unit_lengths(rng, Y.graph.n_edges))
+                assert X2.graph.lengths != X.graph.lengths
+                assert Y2.graph.lengths != Y.graph.lengths
+                for a, b in ((X, Y2), (X2, Y), (X2, Y2), (Y2, X2), (X, Y)):
+                    assert _fields(distance(a, b)) == _reference(a, b)
+
+    def test_repeated_query_sums_no_path_at_y(self, monkeypatch):
+        real = MetricGraph.path_length
+        calls = []
+        monkeypatch.setattr(MetricGraph, "path_length",
+                            lambda self, path: calls.append(self) or real(self, path))
+        rng = random.Random("repeated-query")
+        for cell in CELLS:
+            for rank in range(2, 6):
+                X = _cell_point(cell, rank, rng)
+                Y = _cell_point(rng.choice(CELLS), rank, rng)
+                want = _fields(distance(X, Y))
+                n = len(X.shared_candidates())
+                calls.clear()
+                assert _fields(distance(X, Y)) == want
+                assert not calls  # the same two instances: nothing summed
+                X2 = X.with_lengths(_unit_lengths(rng, X.graph.n_edges))
+                got = _fields(distance(X2, Y))
+                assert len(calls) == n and all(g is X2.graph for g in calls)
+                assert X2._candidates is None  # no candidate objects built
+                calls.clear()
+                assert _fields(distance(X2, Y)) == got and not calls
+                assert got == _reference(X2, Y)
+
+    def test_loop_lengths_die_with_the_marking(self):
+        rng = random.Random("loop-lengths-die")
+        for cell in CELLS:
+            for rank in range(2, 6):
+                Y = _cell_point(cell, rank, rng)
+                X = _cell_point(rng.choice(CELLS), rank, rng)
+                copy = X.with_lengths(_unit_lengths(rng, X.graph.n_edges))
+                distance(X, Y)
+                distance(copy, Y)
+                key = weakref.ref(X.marking)
+                assert len(Y._ly) == 1 and len(Y.marking.loops) == 1
+                del X, copy
+                gc.collect()
+                assert key() is None
+                assert not len(Y._ly) and not len(Y.marking.loops)
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_copy_candidates_equal_enumeration(self, cell):
+        rng = random.Random(f"copy-candidates-{cell}")
+        for rank in range(2, 6):
+            X = _cell_point(cell, rank, rng)
+            Y = _cell_point(cell, rank, rng)
+            distance(X, Y)
+            for _ in range(2):
+                copy = X.with_lengths(_unit_lengths(rng, X.graph.n_edges))
+                distance(copy, Y)  # the lengths are read before the objects
+                assert copy.candidates() == enumerate_candidates(copy)
+                assert copy.candidate_lengths() == tuple(c.length for c in copy.candidates())
+            assert X.candidates() == enumerate_candidates(X)

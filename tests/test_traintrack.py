@@ -605,6 +605,16 @@ class TestCutVertexSearch:
         assert g0.same_simple_graph(g_fwd)
         assert g0.same_simple_graph(g_bwd)
 
+    def test_proximity_builds_each_orbit_point_once(self, golden_tt, golden_inv_tt,
+                                                    monkeypatch):
+        real = graphs.MarkedMetricGraph.act
+        calls = []
+        monkeypatch.setattr(graphs.MarkedMetricGraph, "act",
+                            lambda self, phi: calls.append(phi) or real(self, phi))
+        res = no_cut_vertex_search(golden_tt, golden_inv_tt, rose(2))
+        assert res.moves == []  # no move acts: every call is the proximity step's
+        assert len(calls) == 7  # start.act(phi^m) for m = -3..3
+
     def test_requires_rose(self, golden_tt, golden_inv_tt, theta_point):
         with pytest.raises(ValueError):
             no_cut_vertex_search(golden_tt, golden_inv_tt, theta_point)

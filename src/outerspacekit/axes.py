@@ -2,10 +2,22 @@
 and the contraction / divergence / two-axis experiment harness.
 
 The axis of phi through a train-track point G is discretized to the orbit
-{G . phi^m}; consecutive points are log(lambda) apart. Projection of a
-point X scans m -> d(X, G_m) over an expanding window until the minimum is
-interior. Experiments are deterministic in their seeds; per-sample RNG
-streams derive from (seed, sample index).
+{G_m = G . phi^m}; consecutive points are log(lambda) apart. Every G_m has
+the base graph with the base lengths, and the tight loop at G_m of a class
+alpha is the tight loop at the base of phi^m(alpha). So distances to the
+axis are read off two step maps of the base graph, f+ and f-: f+(h) is the
+tight based path G_1.realize_based(label(h)), label(h) the base's label of
+the half-edge h, and f- the same at G_-1. The tight loop of phi^(m+-1)(alpha)
+is the cyclic tightening of the f+- images of the half-edges of the tight
+loop of phi^m(alpha), joined as realize_based joins its pieces; no word
+phi^m and no point G_m is built for it. A point in the marking of an axis
+point G_k is read by translation instead: Out(F_n) acts by isometries, so
+d(X, G_m) = d(X . phi^-k, G_(m-k)), and X . phi^-k is the base graph with
+X's lengths.
+
+Projection of a point X scans m -> d(X, G_m) over an expanding window
+until the minimum is interior. Experiments are deterministic in their
+seeds; per-sample RNG streams derive from (seed, sample index).
 """
 
 from __future__ import annotations
@@ -15,12 +27,14 @@ import io
 import logging
 import math
 import random
+import weakref
 from dataclasses import dataclass
+from operator import truediv
 
-from .graphs import MarkedMetricGraph, jitter_lengths, random_point
+from .graphs import MarkedMetricGraph, cyclic_tighten, jitter_lengths, join_pieces, random_point
 from .metric import distance
 from .traintrack import TrainTrackMap
-from .words import Automorphism, CyclicWord, random_automorphism
+from .words import Automorphism, CyclicWord, RankMismatchError, random_automorphism
 
 log = logging.getLogger(__name__)
 
@@ -29,8 +43,49 @@ class ProjectionError(RuntimeError):
     """Projection scan could not bracket an interior minimum."""
 
 
+class _Walk:
+    """The tight loops at the base graph of phi^m(alpha), for a list of
+    classes alpha given by their tight loops at level 0, walked one level
+    at a time by the step maps {+1: f+, -1: f-}.
+
+    Keeps the lengths of every level reached, and the loops of the lowest
+    and the highest level only, since the walk goes on from those.
+    """
+
+    __slots__ = ("steps", "path_length", "lengths", "ends")
+
+    def __init__(self, steps, path_length, loops):
+        self.steps = steps
+        self.path_length = path_length
+        self.lengths = {0: tuple(map(path_length, loops))}
+        self.ends = {1: (0, loops), -1: (0, loops)}
+
+    def lengths_at(self, m: int):
+        """The base lengths of the loops at level m, in the order given."""
+        found = self.lengths.get(m)
+        if found is None:
+            s = 1 if m > 0 else -1
+            f = self.steps[s]
+            k, loops = self.ends[s]
+            while k != m:
+                loops = [cyclic_tighten(join_pieces(f, loop)) for loop in loops]
+                k += s
+                self.lengths[k] = tuple(map(self.path_length, loops))
+            self.ends[s] = (k, loops)
+            found = self.lengths[m]
+        return found
+
+
 class Axis:
-    """The discrete axis {base . phi^m} of a fully irreducible phi."""
+    """The discrete axis {G_m = base . phi^m} of a fully irreducible phi.
+
+    Distances to the axis are read by dist_to_axis_point, through the step
+    maps f+ and f- of the base graph (see the module docstring), built once
+    from G_1 and G_-1. `point` and `power` build G_m and phi^m for the
+    callers that need the points themselves; each point built is recorded
+    with its level, so that a point sharing its marking object (G_k itself
+    or a with_lengths copy of it) is read by translation.
+    """
 
     def __init__(
         self,
@@ -53,6 +108,9 @@ class Axis:
             self.phi.inverse()
         self._powers = {0: Automorphism.identity(self.phi.rank), 1: self.phi}
         self._points = {0: self.base}
+        self._level_of = {self.base.marking: 0}  # marking object of G_k -> k
+        self._steps = None  # see _step_maps
+        self._walks = weakref.WeakKeyDictionary()  # marking object -> _Walk
 
     @property
     def rank(self):
@@ -73,11 +131,56 @@ class Axis:
 
     def point(self, m: int) -> MarkedMetricGraph:
         if m not in self._points:
-            self._points[m] = self.base.act(self.power(m))
+            p = self._points[m] = self.base.act(self.power(m))
+            self._level_of[p.marking] = m
         return self._points[m]
 
+    def _step_maps(self):
+        """The step maps {+1: f+, -1: f-}: half-edge h of the base graph ->
+        G_(+-1).realize_based(label(h)), label(h) the base's label of h."""
+        if self._steps is None:
+            n = self.base.graph.n_edges
+            labels = [(h, self.base.path_word((h,)).letters)
+                      for h in (*range(1, n + 1), *range(-n, 0))]
+            self._steps = {s: {h: self.point(s).realize_based(w) for h, w in labels}
+                           for s in (1, -1)}
+        return self._steps
+
+    def _walk_from(self, loops) -> _Walk:
+        """A walk from the given tight loops at the base graph, at level 0."""
+        return _Walk(self._step_maps(), self.base.graph.path_length, loops)
+
+    def _walk_of(self, X: MarkedMetricGraph) -> _Walk:
+        """The walk of X's candidate classes, from base.tight_loops(X); kept
+        per marking object of X, held weakly."""
+        found = self._walks.get(X.marking)
+        if found is None:
+            found = self._walks[X.marking] = self._walk_from(self.base.tight_loops(X))
+        return found
+
     def dist_to_axis_point(self, X: MarkedMetricGraph, m: int) -> float:
-        return distance(X, self.point(m)).value
+        """d(X, G_m), the value of distance(X, self.point(m)), bit for bit.
+
+        The lengths at G_m of X's candidate classes are those of the walk
+        of X's candidates at level m. A point X in the marking of an axis
+        point G_k is read by translation: X . phi^-k is the base graph with
+        X's lengths, so the ratios are the walk of the base's candidates at
+        level m - k over X's lengths of the base's candidate paths. Both
+        markings have the same graph, so these are the same candidate paths
+        in another order; the tight loop of a class is unique up to
+        rotation and path_length is an exactly rounded sum, so the ratios
+        are those of distance, and so are their max and its log.
+        """
+        if X.rank != self.rank:
+            raise ValueError(f"rank mismatch: {X.rank} vs {self.rank}")
+        k = self._level_of.get(X.marking)
+        if k is None:
+            ly = self._walk_of(X).lengths_at(m)
+            lx = X.candidate_lengths()
+        else:
+            ly = self._walk_of(self.base).lengths_at(m - k)
+            lx = [X.graph.path_length(c.path) for c in self.base.shared_candidates()]
+        return math.log(max(map(truediv, ly, lx)))
 
     def translate(self, psi: Automorphism) -> "Axis":
         """The axis of psi^-1 phi psi through base . psi."""
@@ -107,14 +210,14 @@ def _fit_slope(points):
 
 def length_profile(alpha: CyclicWord, ax: Axis, window) -> LengthProfile:
     """Lengths l(phi^m(alpha), base) over an integer window, with min-set and
-    tail growth rates."""
+    tail growth rates; the loops are walked by the axis's step maps."""
     if not alpha:
         raise ValueError("empty conjugacy class")
+    if alpha.max_index() > ax.rank:
+        raise RankMismatchError("word rank exceeds automorphism rank")
     lo, hi = int(window[0]), int(window[1])
-    values = []
-    for m in range(lo, hi + 1):
-        w = ax.power(m).apply_cyclic(alpha)
-        values.append((m, ax.base.loop_length(w)))
+    walk = ax._walk_from([cyclic_tighten(ax.base.realize_based(alpha.letters))])
+    values = [(m, walk.lengths_at(m)[0]) for m in range(lo, hi + 1)]
     mn = min(v for (_, v) in values)
     min_set = tuple(m for (m, v) in values if v <= mn * (1.0 + 1e-12) + 1e-15)
     boundary = lo in min_set or hi in min_set
@@ -143,7 +246,11 @@ class ProjectionResult:
 
 
 def project(X: MarkedMetricGraph, ax: Axis, budget: int = 40, margin: int = 2) -> ProjectionResult:
-    """Closest-point projection of X to the axis over an expanding window."""
+    """Closest-point projection of X to the axis over an expanding window.
+
+    Each d(X, G_m) is read by ax.dist_to_axis_point: off the step maps, or
+    by translation for a point in the marking of an axis point, so the scan
+    builds no point G_m and no word phi^m."""
     lo, hi = -margin, margin
     d = {}
 
@@ -198,9 +305,10 @@ def tree_inequality_probe(X, Y, ax: Axis) -> ProbeResult:
     d_yx = distance(Y, X).value
     d_xy = distance(X, Y).value
     d_y_piy = py.value
-    d_piy_pix = distance(ax.point(ty), ax.point(tx)).value
-    d_y_pix = distance(Y, ax.point(tx)).value
-    d_pix_piy = distance(ax.point(tx), ax.point(ty)).value
+    # d(G_a, G_b) = d(base, G_(b-a)) by translation
+    d_piy_pix = ax.dist_to_axis_point(ax.base, tx - ty)
+    d_y_pix = ax.dist_to_axis_point(Y, tx)
+    d_pix_piy = ax.dist_to_axis_point(ax.base, ty - tx)
     return ProbeResult(
         separation_steps=abs(tx - ty),
         delta1=d_yx - (d_y_piy + d_piy_pix),
@@ -410,8 +518,7 @@ def divergence_check(path_points, ax: Axis, R: float, d_emp: float,
             f"endpoints project {sep:.6g} apart; need at least 2R = {2 * R:.6g}"
         )
     mid = (p_start.argmin[0] + p_end.argmin[0]) // 2
-    z = ax.point(mid)
-    avoids = all(distance(p, z).value >= R - 1e-12 for p in path_points)
+    avoids = all(ax.dist_to_axis_point(p, mid) >= R - 1e-12 for p in path_points)
     b_prime = d_emp + 4.0 * c_emp + 3.0
     bound = R * R / (2.0 * b_prime) - R / 2.0
     vacuous = bound <= 0.0
@@ -435,7 +542,6 @@ def detour_path(ax: Axis, R: float, seed: int, max_tries: int = 8):
     """
     rng = random.Random(1_000_003 * seed + 99991)
     k = max(1, math.ceil(R / ax.step))
-    z = ax.point(0)
     points = [ax.point(-k)]
     for m in range(-k, k + 1):
         base_pt = ax.point(m)
@@ -445,7 +551,7 @@ def detour_path(ax: Axis, R: float, seed: int, max_tries: int = 8):
             rest = sum(lengths) - lengths[0]
             lengths = [eps] + [l * (1.0 - eps) / rest for l in lengths[1:]]
             cand = base_pt.with_lengths(lengths)
-            if distance(cand, z).value >= R:
+            if ax.dist_to_axis_point(cand, 0) >= R:
                 points.append(cand)
                 break
         else:
@@ -483,11 +589,13 @@ def check_pair_window(window: int):
 def two_axis_report(axA: Axis, axB: Axis, axC: Axis = None, window: int = 6) -> TwoAxisReport:
     """Project axis B (and optionally C) onto A; detect parallelism by linear
     growth of the diameter under window doubling; window must be at least 2,
-    so that the half window is smaller."""
+    so that the half window is smaller. Each point of B is projected once:
+    the half window reads its argmins off the full window's."""
     check_pair_window(window)
     half_window = window // 2
-    full = _axis_projection_params(axA, axB, window)
-    half = _axis_projection_params(axA, axB, half_window)
+    by_m = {m: project(axB.point(m), axA).argmin for m in range(-window, window + 1)}
+    full = [t for ts in by_m.values() for t in ts]
+    half = [t for m, ts in by_m.items() if abs(m) <= half_window for t in ts]
     diam = (max(full) - min(full)) * axA.step
     diam_half = (max(half) - min(half)) * axA.step
     growth = diam - diam_half

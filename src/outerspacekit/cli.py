@@ -271,8 +271,7 @@ def cmd_axis(args):
         print(f"value {_f(pr.value)}")
         print(f"diam {_f(pr.diam_dist)}")
     elif args.action == "profile":
-        words, rank, names = _parse_words([args.word], ax.rank)
-        prof = length_profile(CyclicWord.make(words[0], rank), ax,
+        prof = length_profile(CyclicWord.parse(args.word, ax.rank), ax,
                               (-args.window, args.window))
         for m, v in prof.values:
             print(f"l({m}) {_f(v)}")

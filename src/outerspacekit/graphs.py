@@ -174,6 +174,27 @@ def reverse_path(path):
     return tuple(-h for h in reversed(path))
 
 
+def join_pieces(pieces, keys):
+    """The free reduction of the concatenated pieces[k] for k in keys, each
+    piece a reduced half-edge path: appends piece by piece, cancelling only
+    at the junction, since what is left of a reduced piece after the
+    junction is reduced too. Raises KeyError on a key not in pieces."""
+    out = []
+    pop, extend = out.pop, out.extend
+    for key in keys:
+        piece = pieces[key]
+        if out and piece and out[-1] == -piece[0]:
+            pop()
+            k, n = 1, len(piece)
+            while k < n and out and out[-1] == -piece[k]:
+                pop()
+                k += 1
+            extend(piece[k:])
+        else:
+            extend(piece)
+    return tuple(out)
+
+
 def halfedge_pieces(piece_of, n_edges: int):
     """(sizes, offsets, flat) arrays holding the integer sequence
     piece_of(h) of each half-edge h in +-1..+-n_edges: the piece of h is
@@ -424,28 +445,10 @@ class MarkedMetricGraph:
         return m.pieces
 
     def realize_based(self, letters):
-        """Tightened based edge path of a word via the generator loops.
-
-        Appends the tightened loop of each letter, cancelling only at the
-        junction: the pieces are reduced, so what is left of a piece after
-        the junction is too, and the result is the free reduction of the
-        concatenated loops. Raises KeyError on a letter outside +-1..+-rank.
-        """
-        pieces = self._piece_table()
-        out = []
-        pop, extend = out.pop, out.extend
-        for l in letters:
-            piece = pieces[l]
-            if out and piece and out[-1] == -piece[0]:
-                pop()
-                k, n = 1, len(piece)
-                while k < n and out and out[-1] == -piece[k]:
-                    pop()
-                    k += 1
-                extend(piece[k:])
-            else:
-                extend(piece)
-        return tuple(out)
+        """Tightened based edge path of a word: join_pieces of the tightened
+        generator loops of its letters. Raises KeyError on a letter outside
+        +-1..+-rank."""
+        return join_pieces(self._piece_table(), letters)
 
     def based_length(self, letters) -> float:
         return self.graph.path_length(self.realize_based(letters))

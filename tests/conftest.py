@@ -100,6 +100,21 @@ def tribo_inv_tt():
     return pf_metric(tribo_selfmaps()[1])
 
 
+@pytest.fixture(scope="session")
+def silver_axis():
+    return Axis(pf_metric(silver_selfmap()))
+
+
+@pytest.fixture(scope="session")
+def tribo_axis(tribo_tt, tribo_inv_tt):
+    return Axis(tribo_tt, tribo_inv_tt)
+
+
+@pytest.fixture(scope="session")
+def rank4_axis():
+    return Axis(*map(pf_metric, rank4_selfmaps()))
+
+
 @pytest.fixture()
 def theta_point():
     return point_from_dict(THETA_DICT)

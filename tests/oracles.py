@@ -25,7 +25,11 @@ table and half-edge length table. `gates` merges directions by comparing
 every pair of them after each iterate of the direction map. `perron` and
 `longest_leaf_piece` are the library's earlier versions, kept as they
 were: the first computes A @ v twice per step, the second re-encodes
-every segment it looks up.
+every segment it looks up. `dist_to_axis_point` and `project` are the
+library's earlier axis scan, kept as it was but for the warning it logs
+on a non-contiguous argmin: each level m builds the axis
+point G_m from the word phi^m and takes the candidate distance to it, and
+`length_values` measures phi^m(alpha) at the base the same way.
 """
 
 import math
@@ -34,7 +38,9 @@ from itertools import chain
 
 import numpy as np
 
+from outerspacekit.axes import ProjectionError, ProjectionResult
 from outerspacekit.graphs import cyclic_tighten, reverse_path
+from outerspacekit.metric import distance
 from outerspacekit.traintrack import (
     LEAF_GRAPH_K_CAP,
     PF_MAX_ITER,
@@ -521,3 +527,51 @@ def longest_leaf_piece(alpha, leaf_path, tt):
                 length = g.path_length(seg)
             best = max(best, length)
     return best
+
+
+def dist_to_axis_point(ax, X, m):
+    """Reference for Axis.dist_to_axis_point: the distance to the point G_m."""
+    return distance(X, ax.point(m)).value
+
+
+def project(X, ax, budget=40, margin=2):
+    """Reference for axes.project, scanning dist_to_axis_point above."""
+    lo, hi = -margin, margin
+    d = {}
+
+    def ensure(a, b):
+        for m in range(a, b + 1):
+            if m not in d:
+                d[m] = dist_to_axis_point(ax, X, m)
+
+    ensure(lo, hi)
+    while True:
+        mn = min(d.values())
+        argmin = sorted(m for m, v in d.items() if v <= mn + 1e-9)
+        if argmin[0] >= lo + margin and argmin[-1] <= hi - margin:
+            break
+        if argmin[0] < lo + margin:
+            lo -= margin
+        if argmin[-1] > hi - margin:
+            hi += margin
+        if hi - lo > 2 * budget:
+            raise ProjectionError(
+                f"no interior minimum within parameter budget [{lo}, {hi}]"
+            )
+        ensure(lo, hi)
+    unimodal = all(b - a == 1 for a, b in zip(argmin, argmin[1:]))
+    return ProjectionResult(
+        argmin=tuple(argmin),
+        value=mn,
+        diam_steps=argmin[-1] - argmin[0],
+        diam_dist=(argmin[-1] - argmin[0]) * ax.step,
+        scanned=(lo, hi),
+        unimodal=unimodal,
+    )
+
+
+def length_values(alpha, ax, window):
+    """Reference for the values of axes.length_profile: l(phi^m(alpha), base)
+    with phi^m(alpha) applied as a word."""
+    lo, hi = window
+    return [(m, ax.base.loop_length(ax.power(m).apply_cyclic(alpha))) for m in range(lo, hi + 1)]

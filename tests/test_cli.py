@@ -305,6 +305,27 @@ class TestAxis:
         out = capsys.readouterr().out
         assert "min-set -1" in out
 
+    def test_profile_word_in_axis_basis(self, files, capsys):
+        # b is the second generator of the axis, not renamed onto a
+        assert main(["axis", "profile", files["fwd"], files["bwd"],
+                     "--word", "b", "--window", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("l(-1) 1\nl(0) 0.381966011\nl(1) 0.618033989\n")
+
+    def test_profile_letter_beyond_rank(self, files, capsys):
+        assert main(["axis", "profile", files["fwd"], files["bwd"], "--word", "c"]) == 1
+        captured = capsys.readouterr()
+        assert "letter 3 out of rank range (rank 2)" in captured.err
+        assert captured.out == ""
+
+    def test_project_rank_mismatch(self, files, tmp_path, capsys):
+        point = tmp_path / "rose3.graph"
+        point.write_text(json.dumps(point_to_dict(rose(3))))
+        assert main(["axis", "project", files["fwd"], files["bwd"], str(point)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: rank mismatch: 3 vs 2\n"
+        assert captured.out == ""
+
     def test_contract_deterministic(self, files, tmp_path):
         out1, out2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
         args = ["axis", "contract", files["fwd"], files["bwd"],

@@ -31,12 +31,22 @@ import weakref
 from dataclasses import dataclass
 from operator import truediv
 
-from .graphs import MarkedMetricGraph, cyclic_tighten, jitter_lengths, join_pieces, random_point
+from .graphs import MarkedMetricGraph, jitter_lengths, join_pieces, random_point
 from .metric import distance
 from .traintrack import TrainTrackMap
-from .words import Automorphism, CyclicWord, RankMismatchError, random_automorphism
+from .words import Automorphism, CyclicWord, RankMismatchError, cyclic_tighten, random_automorphism
 
 log = logging.getLogger(__name__)
+
+PROJECT_MARGIN = 2  # levels kept on each side of the argmin, and the widening step
+PROJECT_BUDGET = 40  # half the widest window project scans before it gives up
+BALL_POINTS = 6  # points of each ball, Y among them, that the ball sampler projects
+OFFSET_MOVES = 2  # random Whitehead moves of a ball sample's centre Y
+OFFSET_JITTER = 0.35  # length jitter of a ball sample's centre Y
+MORSE_HALF_SPAN = 3  # a Morse sample runs from G_-3 to G_3
+PROBE_SHIFT = 3  # probe pairs are drawn as X . phi^-3 and Y . phi^3
+PROBE_MIN_SEPARATION = 3  # levels a probe pair's projections must be more than apart
+DETOUR_TRIES = 8  # shrinking edges tried per detour point
 
 
 class ProjectionError(RuntimeError):
@@ -245,13 +255,13 @@ class ProjectionResult:
     unimodal: bool
 
 
-def project(X: MarkedMetricGraph, ax: Axis, budget: int = 40, margin: int = 2) -> ProjectionResult:
+def project(X: MarkedMetricGraph, ax: Axis) -> ProjectionResult:
     """Closest-point projection of X to the axis over an expanding window.
 
     Each d(X, G_m) is read by ax.dist_to_axis_point: off the step maps, or
     by translation for a point in the marking of an axis point, so the scan
     builds no point G_m and no word phi^m."""
-    lo, hi = -margin, margin
+    lo, hi = -PROJECT_MARGIN, PROJECT_MARGIN
     d = {}
 
     def ensure(a, b):
@@ -263,15 +273,15 @@ def project(X: MarkedMetricGraph, ax: Axis, budget: int = 40, margin: int = 2) -
     while True:
         mn = min(d.values())
         argmin = sorted(m for m, v in d.items() if v <= mn + 1e-9)
-        if argmin[0] >= lo + margin and argmin[-1] <= hi - margin:
+        if argmin[0] >= lo + PROJECT_MARGIN and argmin[-1] <= hi - PROJECT_MARGIN:
             break
-        if argmin[0] < lo + margin:
-            lo -= margin
-        if argmin[-1] > hi - margin:
-            hi += margin
-        if hi - lo > 2 * budget:
+        if argmin[0] < lo + PROJECT_MARGIN:
+            lo -= PROJECT_MARGIN
+        if argmin[-1] > hi - PROJECT_MARGIN:
+            hi += PROJECT_MARGIN
+        if hi - lo > 2 * PROJECT_BUDGET:
             raise ProjectionError(
-                f"no interior minimum within parameter budget [{lo}, {hi}]"
+                f"no interior minimum within the widest window [{lo}, {hi}]"
             )
         ensure(lo, hi)
     unimodal = all(b - a == 1 for a, b in zip(argmin, argmin[1:]))
@@ -293,8 +303,6 @@ class ProbeResult:
     delta1: float  # d(Y,X) - [d(Y,pi(Y)) + d(pi(Y),pi(X))]
     delta2: float  # d(Y,X) - d(Y,pi(X))
     delta3: float  # d(X,Y) - d(pi(X),pi(Y))
-    t_x: int
-    t_y: int
 
 
 def tree_inequality_probe(X, Y, ax: Axis) -> ProbeResult:
@@ -314,8 +322,6 @@ def tree_inequality_probe(X, Y, ax: Axis) -> ProbeResult:
         delta1=d_yx - (d_y_piy + d_piy_pix),
         delta2=d_yx - d_y_pix,
         delta3=d_xy - d_pix_piy,
-        t_x=tx,
-        t_y=ty,
     )
 
 
@@ -359,7 +365,6 @@ class BallRecord:
 
 BALL_HEADER = ["seed", "sample", "r", "n_ball_points", "proj_diam_m", "proj_diam_dist"]
 MORSE_HEADER = ["seed", "sample", "n_points", "max_off_axis"]
-PROBE_HEADER = ["seed", "xdesc", "ydesc", "sep", "delta1", "delta2", "delta3"]
 PAIR_HEADER = ["windows", "diam", "parallel"]
 
 
@@ -370,8 +375,7 @@ def _perturb(point: MarkedMetricGraph, rng: random.Random, strength: float,
     return jitter_lengths(point, rng, min(strength, 0.9))
 
 
-def ball_sample_record(ax: Axis, Y: MarkedMetricGraph, seed: int, sample: int,
-                       ball_points: int = 6) -> BallRecord:
+def ball_sample_record(ax: Axis, Y: MarkedMetricGraph, seed: int, sample: int) -> BallRecord:
     """Project an outward ball B(Y, r) with r = d(Y, axis); record the
     parameter diameter of the union of the projections."""
     rng = random.Random(1_000_003 * seed + 2 * sample)
@@ -384,7 +388,7 @@ def ball_sample_record(ax: Axis, Y: MarkedMetricGraph, seed: int, sample: int,
     accepted = 1  # Y itself lies in the open ball
     attempts = 0
     strength = 0.5 * min(r, 1.0)
-    while accepted < ball_points and attempts < 8 * ball_points:
+    while accepted < BALL_POINTS and attempts < 8 * BALL_POINTS:
         attempts += 1
         Z = _perturb(Y, rng, strength)
         if distance(Y, Z).value < r:
@@ -408,14 +412,14 @@ class MorseRecord:
         return [self.seed, self.sample, self.n_points, self.max_off_axis]
 
 
-def morse_sample_record(ax: Axis, seed: int, sample: int, half_span: int = 3) -> MorseRecord:
+def morse_sample_record(ax: Axis, seed: int, sample: int) -> MorseRecord:
     """Discrete quasi-geodesic with endpoints on the axis: perturbed axis
     points; records how far the path strays from the axis."""
     rng = random.Random(1_000_003 * seed + 2 * sample + 1)
-    pts = [ax.point(-half_span)]
-    for m in range(-half_span + 1, half_span):
+    pts = [ax.point(-MORSE_HALF_SPAN)]
+    for m in range(-MORSE_HALF_SPAN + 1, MORSE_HALF_SPAN):
         pts.append(_perturb(ax.point(m), rng, 0.4, move_prob=0.5))
-    pts.append(ax.point(half_span))
+    pts.append(ax.point(MORSE_HALF_SPAN))
     offs = []
     for p in pts:
         pr = project(p, ax)
@@ -423,9 +427,7 @@ def morse_sample_record(ax: Axis, seed: int, sample: int, half_span: int = 3) ->
     return MorseRecord(seed, sample, len(pts), max(offs))
 
 
-def contraction_experiment(ax: Axis, n_samples: int, seed: int, mode: str = "balls",
-                           ball_points: int = 6, offset_moves: int = 2,
-                           jitter: float = 0.35):
+def contraction_experiment(ax: Axis, n_samples: int, seed: int, mode: str = "balls"):
     """Monte-Carlo contraction probes; deterministic in (seed, sample)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -433,8 +435,8 @@ def contraction_experiment(ax: Axis, n_samples: int, seed: int, mode: str = "bal
     for i in range(n_samples):
         if mode == "balls":
             y_seed = (7_919 * seed + 104_729 * i + 13) & 0x7FFFFFFF
-            Y = random_point(ax.rank, y_seed, n_moves=offset_moves, jitter=jitter)
-            records.append(ball_sample_record(ax, Y, seed, i, ball_points))
+            Y = random_point(ax.rank, y_seed, n_moves=OFFSET_MOVES, jitter=OFFSET_JITTER)
+            records.append(ball_sample_record(ax, Y, seed, i))
         elif mode == "morse":
             records.append(morse_sample_record(ax, seed, i))
         else:
@@ -457,15 +459,10 @@ class ProbeRecord:
     delta2: float
     delta3: float
 
-    def row(self):
-        return [self.seed, self.xdesc, self.ydesc, self.sep,
-                self.delta1, self.delta2, self.delta3]
 
-
-def probe_experiment(ax: Axis, n_pairs: int, seed: int, shift: int = 3,
-                     min_separation: int = 3):
+def probe_experiment(ax: Axis, n_pairs: int, seed: int):
     """Tree-inequality defects over pairs whose projections are separated by
-    more than min_separation fundamental domains."""
+    more than PROBE_MIN_SEPARATION fundamental domains."""
     records = []
     i = 0
     attempts = 0
@@ -474,10 +471,10 @@ def probe_experiment(ax: Axis, n_pairs: int, seed: int, shift: int = 3,
         sx = (104_729 * seed + 7_919 * i) & 0x7FFFFFFF
         sy = (104_729 * seed + 7_919 * i + 1) & 0x7FFFFFFF
         i += 1
-        X = random_point(ax.rank, sx, n_moves=2, jitter=0.35).act(ax.power(-shift))
-        Y = random_point(ax.rank, sy, n_moves=2, jitter=0.35).act(ax.power(shift))
+        X = random_point(ax.rank, sx, n_moves=2, jitter=0.35).act(ax.power(-PROBE_SHIFT))
+        Y = random_point(ax.rank, sy, n_moves=2, jitter=0.35).act(ax.power(PROBE_SHIFT))
         probe = tree_inequality_probe(X, Y, ax)
-        if probe.separation_steps <= min_separation:
+        if probe.separation_steps <= PROBE_MIN_SEPARATION:
             continue
         records.append(
             ProbeRecord(seed, f"x{sx}", f"y{sy}", probe.separation_steps,
@@ -497,7 +494,6 @@ class DivergenceReport:
     satisfied: bool
     vacuous: bool
     b_prime: float
-    midpoint_m: int
 
 
 def divergence_check(path_points, ax: Axis, R: float, d_emp: float,
@@ -523,16 +519,16 @@ def divergence_check(path_points, ax: Axis, R: float, d_emp: float,
     bound = R * R / (2.0 * b_prime) - R / 2.0
     vacuous = bound <= 0.0
     if not avoids:
-        return DivergenceReport(False, float("nan"), bound, False, vacuous, b_prime, mid)
+        return DivergenceReport(False, float("nan"), bound, False, vacuous, b_prime)
     length = math.fsum(
         distance(path_points[i], path_points[i + 1]).value
         for i in range(len(path_points) - 1)
     )
     satisfied = length >= bound
-    return DivergenceReport(True, length, bound, satisfied, vacuous, b_prime, mid)
+    return DivergenceReport(True, length, bound, satisfied, vacuous, b_prime)
 
 
-def detour_path(ax: Axis, R: float, seed: int, max_tries: int = 8):
+def detour_path(ax: Axis, R: float, seed: int):
     """A sampled path between axis points projecting 2R apart whose interior
     detours around the inward R-ball at the axis midpoint.
 
@@ -545,7 +541,7 @@ def detour_path(ax: Axis, R: float, seed: int, max_tries: int = 8):
     points = [ax.point(-k)]
     for m in range(-k, k + 1):
         base_pt = ax.point(m)
-        for attempt in range(max_tries):
+        for attempt in range(DETOUR_TRIES):
             eps = 0.25 * math.exp(-(R + 1.0 + attempt)) * (1.0 + 0.5 * rng.random())
             lengths = list(base_pt.graph.lengths)
             rest = sum(lengths) - lengths[0]
@@ -569,15 +565,6 @@ class TwoAxisReport:
     diam: float  # diameter of p_A(B) in distance units
     diam_half: float
     parallel: bool
-    behrstock: dict  # only for triples: {"AB,C":..., "BA,C":..., "CA,B":...}
-
-
-def _axis_projection_params(ax_target: Axis, ax_source: Axis, window: int):
-    params = []
-    for m in range(-window, window + 1):
-        pr = project(ax_source.point(m), ax_target)
-        params.extend(pr.argmin)
-    return params
 
 
 def check_pair_window(window: int):
@@ -586,11 +573,11 @@ def check_pair_window(window: int):
         raise ValueError(f"window must be >= 2, got {window}")
 
 
-def two_axis_report(axA: Axis, axB: Axis, axC: Axis = None, window: int = 6) -> TwoAxisReport:
-    """Project axis B (and optionally C) onto A; detect parallelism by linear
-    growth of the diameter under window doubling; window must be at least 2,
-    so that the half window is smaller. Each point of B is projected once:
-    the half window reads its argmins off the full window's."""
+def two_axis_report(axA: Axis, axB: Axis, window: int = 6) -> TwoAxisReport:
+    """Project axis B onto A; detect parallelism by linear growth of the
+    diameter under window doubling; window must be at least 2, so that the
+    half window is smaller. Each point of B is projected once: the half
+    window reads its argmins off the full window's."""
     check_pair_window(window)
     half_window = window // 2
     by_m = {m: project(axB.point(m), axA).argmin for m in range(-window, window + 1)}
@@ -602,18 +589,4 @@ def two_axis_report(axA: Axis, axB: Axis, axC: Axis = None, window: int = 6) -> 
     # parallel axes grow the diameter at twice the window rate; independent
     # ones stabilize, so half the parallel rate separates the two cases
     parallel = growth >= (window - half_window) * axA.step
-    behrstock = {}
-    if axC is not None:
-        pa_b = full
-        pa_c = _axis_projection_params(axA, axC, window)
-        pb_a = _axis_projection_params(axB, axA, window)
-        pb_c = _axis_projection_params(axB, axC, window)
-        pc_a = _axis_projection_params(axC, axA, window)
-        pc_b = _axis_projection_params(axC, axB, window)
-        behrstock = {
-            "d_A(B,C)": (max(pa_b + pa_c) - min(pa_b + pa_c)) * axA.step,
-            "d_B(A,C)": (max(pb_a + pb_c) - min(pb_a + pb_c)) * axB.step,
-            "d_C(A,B)": (max(pc_a + pc_b) - min(pc_a + pc_b)) * axC.step,
-        }
-    return TwoAxisReport(window=window, diam=diam, diam_half=diam_half,
-                         parallel=parallel, behrstock=behrstock)
+    return TwoAxisReport(window=window, diam=diam, diam_half=diam_half, parallel=parallel)

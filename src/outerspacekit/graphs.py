@@ -24,6 +24,7 @@ from .words import (
     Automorphism,
     CyclicWord,
     Word,
+    cyclic_tighten,
     inverse_letters,
     random_automorphism,
     reduce_array,
@@ -159,15 +160,6 @@ def tighten_path(graph: MetricGraph, path, check_incidence=True):
         else:
             out.append(h)
     return tuple(out)
-
-
-def cyclic_tighten(path):
-    """Strip matching ends of a (freely reduced) closed path."""
-    i, j = 0, len(path) - 1
-    while i < j and path[i] == -path[j]:
-        i += 1
-        j -= 1
-    return tuple(path[i : j + 1])
 
 
 def reverse_path(path):

@@ -34,6 +34,7 @@ from operator import attrgetter, truediv
 
 from .graphs import CandidateLoop, MarkedMetricGraph, tighten_path
 from .words import (
+    cyclic_tighten,
     enumerate_cyclic_words,
     reduce_letters,
     word_key,
@@ -133,14 +134,9 @@ def _image_path(spec: LinearMapSpec, h: int):
 def _common_conjugator_is_inner(images, rank):
     """True iff x_i -> images[i] is an inner automorphism of F_rank."""
     # cyclically reduce the first image, tracking the conjugator u
-    w = list(images[0])
-    pre = []
-    while len(w) >= 2 and w[0] == -w[-1]:
-        pre.append(w[0])
-        w = w[1:-1]
-    if tuple(w) != (1,):
+    if cyclic_tighten(images[0]) != (1,):
         return False
-    u = tuple(pre)  # images[0] = u x_1 u^-1
+    u = tuple(images[0][: (len(images[0]) - 1) // 2])  # images[0] = u x_1 u^-1
     inv_u = tuple(-l for l in reversed(u))
     stripped = [reduce_letters(inv_u + tuple(im) + u) for im in images]
     if rank == 1:

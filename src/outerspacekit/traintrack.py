@@ -21,7 +21,6 @@ import numpy as np
 from .graphs import (
     MarkedMetricGraph,
     MetricGraph,
-    cyclic_tighten,
     gather_pieces,
     halfedge_pieces,
     point_from_dict,
@@ -37,13 +36,12 @@ from .whitehead import (
 from .words import (
     Automorphism,
     WhiteheadMove,
+    cyclic_tighten,
     verify_inverse,
 )
 
 log = logging.getLogger(__name__)
 
-PF_RESIDUAL = 1e-12
-PF_MAX_ITER = 100_000
 LEAF_GRAPH_K_CAP = 20  # deepest leaf level read by lamination_whitehead_graph
 LEAF_WINDOW = 48  # half-edges a leaf tile keeps at each end, before any widening
 LEAF_PATH_MAX = 10_000_000  # half-edges leaf_path expands at most
@@ -445,24 +443,22 @@ def _join(pieces, n_edges: int, window: int) -> LeafTile:
 
 def _perron(A: np.ndarray):
     """(eigenvalue, eigenvector normalized to sum 1) of a nonnegative
-    irreducible matrix, by power iteration on A + I from the all-ones vector."""
-    m = A.shape[0]
-    v = np.ones(m)
-    shifted = A + np.eye(m)
-    for _ in range(PF_MAX_ITER):
-        w = shifted @ v
-        v = w / w.sum()
-        Av = A @ v
-        lam = float(v @ Av / (v @ v))
-        if np.abs(Av - lam * v).max() < PF_RESIDUAL:
-            return lam, v / v.sum()
-    raise NotTrainTrackError("power iteration did not converge")
+    irreducible matrix: the eigenvalue of largest real part, which for such a
+    matrix is the Perron-Frobenius root, and its eigenvector, which is
+    positive; raises NotTrainTrackError when it is not."""
+    vals, vecs = np.linalg.eig(A)
+    i = int(np.argmax(vals.real))
+    v = vecs[:, i].real
+    v = v / v.sum()
+    if not (v > 0).all():
+        raise NotTrainTrackError(f"Perron eigenvector {v.tolist()} is not positive")
+    return float(vals[i].real), v
 
 
 def pf_metric(f: GraphSelfMap) -> TrainTrackMap:
     """PF eigenvalue and metric of an irreducible train-track self-map.
 
-    Power iteration on M + I (all-ones start, 1e-12 residual); rejects
+    One eigen-solve of the transition matrix (see _perron); rejects
     reducible matrices and eigenvalues within 1e-9 of 1.
     """
     structure = gates(f)

@@ -180,17 +180,25 @@ def reduce_word(letters, rank=None) -> Word:
     return Word.make(letters, rank)
 
 
+def cyclic_tighten(letters) -> tuple:
+    """The core of a freely reduced word or closed path, letters =
+    u + core + u^-1 with no inverse pair at the ends of core. The ends are
+    stripped by two index pointers, so the cost is linear in the length."""
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i += 1
+        j -= 1
+    return tuple(letters[i : j + 1])
+
+
 def cyclic_reduce(w: Word) -> tuple:
     """Split w = conjugator * core * conjugator^-1 with core cyclically reduced.
 
     Returns (CyclicWord, conjugator Word).
     """
-    letters = list(w.letters)
-    pre = []
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        pre.append(letters[0])
-        letters = letters[1:-1]
-    return CyclicWord(canonical_cyclic(letters)), Word(tuple(pre))
+    core = cyclic_tighten(w.letters)
+    conjugator = w.letters[: (len(w) - len(core)) // 2]
+    return CyclicWord(canonical_cyclic(core)), Word(conjugator)
 
 
 def canonical_cyclic(letters) -> tuple:
@@ -199,13 +207,6 @@ def canonical_cyclic(letters) -> tuple:
     a = least_rotation(letters)
     b = least_rotation(inverse_letters(letters))
     return a if word_key(a) <= word_key(b) else b
-
-
-def _cyclically_reduce_letters(letters) -> tuple:
-    letters = list(reduce_letters(letters))
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        letters = letters[1:-1]
-    return tuple(letters)
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ class CyclicWord:
     @staticmethod
     def make(letters, rank=None) -> "CyclicWord":
         _check_letters(letters, rank)
-        return CyclicWord(canonical_cyclic(_cyclically_reduce_letters(letters)))
+        return CyclicWord(canonical_cyclic(cyclic_tighten(reduce_letters(letters))))
 
     @staticmethod
     def parse(text: str, rank=None) -> "CyclicWord":
@@ -233,9 +234,6 @@ class CyclicWord:
 
     def __bool__(self):
         return bool(self.letters)
-
-    def as_word(self) -> Word:
-        return Word(self.letters)
 
     def inverse(self) -> "CyclicWord":
         return self  # canonical form already identifies w with w^-1
@@ -590,7 +588,7 @@ def enumerate_cyclic_words(rank: int, max_len: int):
     for n in range(1, max_len + 1):
         seen = set()
         for tup in itertools.product(letters, repeat=n):
-            red = _cyclically_reduce_letters(tup)
+            red = cyclic_tighten(reduce_letters(tup))
             if len(red) != n:
                 continue
             can = canonical_cyclic(red)

@@ -22,12 +22,15 @@ gathers and per-half-edge label table are checked. Words are realized by
 `realize_based` and measured by `loop_length` below, one half-edge of one
 untightened generator loop at a time, against the library's tightened loop
 table and half-edge length table. `gates` merges directions by comparing
-every pair of them after each iterate of the direction map. `perron` and
-`longest_leaf_piece` are the library's earlier versions, kept as they
-were: the first computes A @ v twice per step, the second re-encodes
-every segment it looks up. `dist_to_axis_point` and `project` are the
-library's earlier axis scan, kept as it was but for the warning it logs
-on a non-contiguous argmin: each level m builds the axis
+every pair of them after each iterate of the direction map. `perron` is
+the library's earlier power iteration on A + I, with its own step cap and
+residual, against which the one eigen-solve is compared within a
+tolerance. `longest_leaf_piece` is the library's earlier version, kept as
+it was, re-encoding every segment it looks up. `strip_inverse_ends` trims
+one inverse end pair per slice, as the library's three copies of that
+loop did before they shared one index loop. `dist_to_axis_point` and
+`project` are the library's earlier axis scan, kept as it was but for the
+warning it logs on a non-contiguous argmin: each level m builds the axis
 point G_m from the word phi^m and takes the candidate distance to it, and
 `length_values` measures phi^m(alpha) at the base the same way.
 """
@@ -43,8 +46,6 @@ from outerspacekit.graphs import cyclic_tighten, reverse_path
 from outerspacekit.metric import distance
 from outerspacekit.traintrack import (
     LEAF_GRAPH_K_CAP,
-    PF_MAX_ITER,
-    PF_RESIDUAL,
     NotTrainTrackError,
     TrainTrackStructure,
 )
@@ -485,9 +486,14 @@ def gates(f):
     )
 
 
+PF_RESIDUAL = 1e-12
+PF_MAX_ITER = 100_000
+
+
 def perron(A):
-    """Reference for traintrack._perron, as it was before it computed
-    A @ v once per step: the same float operations in the same order."""
+    """(eigenvalue, eigenvector normalized to sum 1) of a nonnegative
+    irreducible matrix, by power iteration on A + I from the all-ones
+    vector, until the residual max |A v - lam v| is below PF_RESIDUAL."""
     m = A.shape[0]
     v = np.ones(m)
     shifted = A + np.eye(m)
@@ -498,6 +504,17 @@ def perron(A):
         if np.max(np.abs(A @ v - lam * v)) < PF_RESIDUAL:
             return lam, v / v.sum()
     raise NotTrainTrackError("power iteration did not converge")
+
+
+def strip_inverse_ends(letters):
+    """(conjugator, core) with letters = conjugator + core + conjugator^-1
+    and core starting and ending in no inverse pair: one pair per slice."""
+    letters = list(letters)
+    pre = []
+    while len(letters) >= 2 and letters[0] == -letters[-1]:
+        pre.append(letters[0])
+        letters = letters[1:-1]
+    return tuple(pre), tuple(letters)
 
 
 def _path_tokens(path):

@@ -140,7 +140,7 @@ class TestProbe:
     def test_probe_experiment_deterministic(self, golden_axis):
         a = probe_experiment(golden_axis, 5, seed=1)
         b = probe_experiment(golden_axis, 5, seed=1)
-        assert [r.row() for r in a] == [r.row() for r in b]
+        assert a == b
         assert all(r.sep > 3 for r in a)
 
 

@@ -1,7 +1,9 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+name it defines is read somewhere in the repository."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -23,3 +25,54 @@ def test_no_unused_imports(path):
             imported.update((a.asname or a.name).split(".")[0] for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# a string that names a dotted attribute path, such as "Automorphism.compose"
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _defined(tree):
+    """(name, qualified name) of each module-level def, class and
+    assignment target, and of each method, leaving out dunder names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, f"{node.name}.{item.name}"
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else (node.target,):
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, n.id
+
+
+def _loaded(tree):
+    """Every name a tree loads, as a variable or an attribute, or spells out
+    in a dotted string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            yield from node.value.split(".")
+
+
+def test_every_library_name_is_loaded():
+    """Every name the library defines is read in src/, tests/ or benchmarks/."""
+    loaded = set()
+    for folder in ("src", "tests", "benchmarks"):
+        for path in (ROOT / folder).rglob("*.py"):
+            loaded.update(_loaded(ast.parse(path.read_text(encoding="utf-8"))))
+    unread = [f"{path.stem}.{qual}"
+              for path in MODULES
+              for name, qual in _defined(ast.parse(path.read_text(encoding="utf-8")))
+              if not _is_dunder(name) and name not in loaded]
+    assert unread == []

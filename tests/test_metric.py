@@ -13,6 +13,7 @@ from outerspacekit.graphs import (
     random_point,
     rose,
 )
+from outerspacekit import metric
 from outerspacekit.metric import (
     TIE_TOL,
     LinearMapSpec,
@@ -27,12 +28,15 @@ from outerspacekit.words import (
     CyclicWord,
     Word,
     all_whitehead_moves,
+    inverse_letters,
     random_whitehead_move,
+    reduce_letters,
     word_key,
 )
 
 from . import oracles
 from .conftest import FIG1_EDGE_IMAGES, FIG1_TARGET_DICT, THETA_DICT
+from .test_words import random_reduced_letters
 from .test_graphs import CELLS, _cell_point, _unit_lengths
 
 
@@ -108,6 +112,13 @@ class TestOracle:
 
 
 class TestLinearMap:
+    def test_inner_with_long_conjugator(self):
+        u = random_reduced_letters(random.Random(5), 3, 5_000)
+        images = [reduce_letters(u + (i,) + inverse_letters(u)) for i in (1, 2, 3)]
+        assert metric._common_conjugator_is_inner(images, 3)
+        images[1] = reduce_letters(u + (-2,) + inverse_letters(u))
+        assert not metric._common_conjugator_is_inner(images, 3)
+
     def test_figure_one_slopes(self):
         x = rose(2)
         y = point_from_dict(FIG1_TARGET_DICT)

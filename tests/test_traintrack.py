@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import sympy
 
 from outerspacekit import graphs, traintrack
 from outerspacekit.graphs import point_from_dict, random_point, rose, tighten_path
@@ -182,22 +183,51 @@ def _random_irreducible(rng, m):
             return A.astype(float)
 
 
+@pytest.mark.parametrize("name", LEAF_MAPS)
+def test_pf_data_exact(name):
+    """lambda is the largest real root of the characteristic polynomial to
+    1e-14, and the PF lengths and tile frequencies are positive, sum to 1
+    and are eigenvectors to a residual of 1e-13."""
+    tt = pf_metric(LEAF_MAPS[name]())
+    roots = sympy.Matrix(tt.matrix.tolist()).charpoly().nroots(n=40)
+    rho = float(max(r for r in roots if r.is_real))
+    assert abs(tt.lam - rho) <= 1e-14 * rho
+    A = tt.matrix.astype(float)
+    for M, v in ((A, np.array(tt.graph.lengths)), (A.T, tt.tile_frequencies())):
+        assert (v > 0).all()
+        assert abs(v.sum() - 1.0) <= 1e-15
+        assert np.abs(M @ v - tt.lam * v).max() <= 1e-13
+
+
 class TestPerron:
+    """The eigen-solve against the power iteration it replaced, which
+    stops at a residual of 1e-12, so the two agree to within 1e-11."""
+
+    @staticmethod
+    def _close_to_reference(A):
+        lam, v = traintrack._perron(A)
+        ref_lam, ref_v = oracles.perron(A)
+        assert abs(lam - ref_lam) <= 1e-11
+        assert np.abs(v - ref_v).max() <= 1e-11
+
     @pytest.mark.parametrize("name", LEAF_MAPS)
     def test_equals_reference_on_leaf_maps(self, name):
         A = LEAF_MAPS[name]().transition_matrix().astype(float)
         for M in (A, A.T):
-            lam, v = traintrack._perron(M)
-            ref_lam, ref_v = oracles.perron(M)
-            assert lam == ref_lam and np.array_equal(v, ref_v)
+            self._close_to_reference(M)
 
     def test_equals_reference_on_random_irreducible(self):
         rng = np.random.default_rng(20)
         for _ in range(60):
-            A = _random_irreducible(rng, int(rng.integers(1, 7)))
-            lam, v = traintrack._perron(A)
-            ref_lam, ref_v = oracles.perron(A)
-            assert lam == ref_lam and np.array_equal(v, ref_v)
+            self._close_to_reference(_random_irreducible(rng, int(rng.integers(1, 7))))
+
+    def test_imprimitive_takes_the_positive_root(self):
+        # eigenvalues +-sqrt(6): the root is the one of largest real part
+        A = np.array([[0.0, 2.0], [3.0, 0.0]])
+        lam, v = traintrack._perron(A)
+        assert abs(lam - math.sqrt(6)) <= 1e-14 * math.sqrt(6)
+        assert (v > 0).all()
+        self._close_to_reference(A)
 
 
 class TestLegality:

@@ -17,6 +17,7 @@ from outerspacekit.words import (
     apply_endomorphism,
     canonical_cyclic,
     cyclic_reduce,
+    cyclic_tighten,
     format_letters,
     inverse_images,
     inverse_letters,
@@ -30,7 +31,17 @@ from outerspacekit.words import (
     whitehead_move,
 )
 
-from .oracles import scan_is_basis
+from .oracles import scan_is_basis, strip_inverse_ends
+
+
+def random_reduced_letters(rng, rank, length):
+    """A seeded freely reduced word of the given length."""
+    out = []
+    while len(out) < length:
+        x = rng.choice((1, -1)) * rng.randint(1, rank)
+        if not out or out[-1] != -x:
+            out.append(x)
+    return tuple(out)
 
 
 def W(text):
@@ -153,6 +164,23 @@ class TestCyclicReduce:
         assert len(stripped) == len(core)
         assert CyclicWord.of(stripped) == core
         assert not stripped.letters or stripped.letters[0] != -stripped.letters[-1]
+
+    def test_strip_matches_reference(self):
+        # seeded words u w u^-1, conjugators u of up to 6 000 letters,
+        # against the reference that strips one end pair per slice
+        rng = random.Random(16)
+        for length in [0, 1, 2, 3, 8, 30] * 30 + [5_000, 5_500, 6_000]:
+            rank = rng.randint(1, 4)
+            u = random_reduced_letters(rng, rank, length)
+            w = random_reduced_letters(rng, rank, rng.randint(0, 12))
+            raw = u + w + inverse_letters(u)
+            letters = reduce_letters(raw)
+            ref_conj, ref_core = strip_inverse_ends(letters)
+            assert cyclic_tighten(letters) == ref_core
+            core, conj = cyclic_reduce(Word(letters))
+            assert conj.letters == ref_conj
+            assert core == CyclicWord(canonical_cyclic(ref_core))
+            assert CyclicWord.make(raw) == CyclicWord.make(w)
 
 
 class TestCanonicalCyclic:

@@ -7,11 +7,8 @@ from .words import (
     RankMismatchError,
     Word,
     WhiteheadMove,
-    apply_endomorphism,
     cyclic_reduce,
-    reduce_word,
     verify_inverse,
-    whitehead_move,
 )
 from .whitehead import (
     ReductionTrace,
@@ -42,8 +39,6 @@ from .metric import (
     distance,
     distance_oracle,
     linear_map_lipschitz,
-    points_equal,
-    stretch_factor,
 )
 from .traintrack import (
     GraphSelfMap,
@@ -52,10 +47,8 @@ from .traintrack import (
     TrainTrackMap,
     gates,
     lamination_length_ratio,
-    leaf_segment,
     legality_report,
     load_selfmap,
-    longest_leaf_piece,
     no_cut_vertex_search,
     pf_metric,
     selfmap_from_dict,

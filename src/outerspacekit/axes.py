@@ -94,13 +94,15 @@ class Axis:
     from G_1 and G_-1. `point` and `power` build G_m and phi^m for the
     callers that need the points themselves; each point built is recorded
     with its level, so that a point sharing its marking object (G_k itself
-    or a with_lengths copy of it) is read by translation.
+    or a with_lengths copy of it) is read by translation. Of `backward`, a
+    train-track map or self-map of phi^-1, only its automorphism is read,
+    and it must be the inverse of phi.
     """
 
     def __init__(
         self,
         forward: TrainTrackMap,
-        backward: TrainTrackMap = None,
+        backward=None,
         base: MarkedMetricGraph = None,
         phi: Automorphism = None,
     ):
@@ -249,7 +251,6 @@ def length_profile(alpha: CyclicWord, ax: Axis, window) -> LengthProfile:
 class ProjectionResult:
     argmin: tuple  # all integer parameters attaining the minimum (1e-9 ties)
     value: float
-    diam_steps: int
     diam_dist: float
     scanned: tuple
     unimodal: bool
@@ -290,7 +291,6 @@ def project(X: MarkedMetricGraph, ax: Axis) -> ProjectionResult:
     return ProjectionResult(
         argmin=tuple(argmin),
         value=mn,
-        diam_steps=argmin[-1] - argmin[0],
         diam_dist=(argmin[-1] - argmin[0]) * ax.step,
         scanned=(lo, hi),
         unimodal=unimodal,
@@ -451,9 +451,6 @@ def max_projection_diameter(records) -> float:
 
 @dataclass
 class ProbeRecord:
-    seed: int
-    xdesc: str
-    ydesc: str
     sep: int
     delta1: float
     delta2: float
@@ -476,10 +473,7 @@ def probe_experiment(ax: Axis, n_pairs: int, seed: int):
         probe = tree_inequality_probe(X, Y, ax)
         if probe.separation_steps <= PROBE_MIN_SEPARATION:
             continue
-        records.append(
-            ProbeRecord(seed, f"x{sx}", f"y{sy}", probe.separation_steps,
-                        probe.delta1, probe.delta2, probe.delta3)
-        )
+        records.append(ProbeRecord(probe.separation_steps, probe.delta1, probe.delta2, probe.delta3))
     return records
 
 

@@ -35,6 +35,7 @@ from .graphs import InvalidPointError, load_point, validate_point
 from .metric import check_oracle_bound, distance, distance_oracle
 from .traintrack import (
     NotTrainTrackError,
+    check_train_track,
     load_selfmap,
     no_cut_vertex_search,
     pf_metric,
@@ -89,8 +90,11 @@ def _load_point(path):
 
 
 def _load_axis(fwd_path, bwd_path):
+    """The axis of the forward map. The backward map is checked and its
+    automorphism read; no output reads its PF data, so none is built."""
     fwd = pf_metric(_load_selfmap(fwd_path))
-    bwd = pf_metric(_load_selfmap(bwd_path))
+    bwd = _load_selfmap(bwd_path)
+    check_train_track(bwd)
     return Axis(fwd, bwd)
 
 

@@ -81,9 +81,6 @@ class MetricGraph:
     def term_of(self, h: int) -> int:
         return self.init_of(-h)
 
-    def length_of(self, h: int) -> float:
-        return self.lengths[abs(h) - 1]
-
     def path_length(self, path) -> float:
         """Length of a half-edge path; KeyError on a half-edge outside
         +-1..+-n_edges.
@@ -441,9 +438,6 @@ class MarkedMetricGraph:
         generator loops of its letters. Raises KeyError on a letter outside
         +-1..+-rank."""
         return join_pieces(self._piece_table(), letters)
-
-    def based_length(self, letters) -> float:
-        return self.graph.path_length(self.realize_based(letters))
 
     def loop_length(self, alpha) -> float:
         """Length of the immersed loop freely homotopic to alpha, realized

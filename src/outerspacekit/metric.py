@@ -20,9 +20,8 @@ new instances), and is summed once:
 
 `distance(x, y)` is the log of the largest ratio ly/lx of the two lists, so
 a scan of many points against one target sums no path at the target after
-its first query of each marking. `loop_length`, which `stretch_factor` and
-`distance_oracle` read, realizes every class anew and is the uncached
-reference.
+its first query of each marking. `loop_length`, which `distance_oracle`
+reads, realizes every class anew and is the uncached reference.
 """
 
 from __future__ import annotations
@@ -50,11 +49,6 @@ class DistanceResult:
     value: float
     witness: object  # CandidateLoop achieving the max
     table: list  # (conjugacy class, length at x, length at y, ratio)
-
-
-def stretch_factor(alpha, x: MarkedMetricGraph, y: MarkedMetricGraph) -> float:
-    """loop_length(alpha, y) / loop_length(alpha, x)."""
-    return y.loop_length(alpha) / x.loop_length(alpha)
 
 
 def distance(x: MarkedMetricGraph, y: MarkedMetricGraph) -> DistanceResult:
@@ -199,8 +193,3 @@ def linear_map_lipschitz(
     lip = max(slopes.values())
     green = [eid for eid, s in sorted(slopes.items()) if s >= lip * (1.0 - 1e-9)]
     return LipschitzReport(slopes=slopes, lip=lip, green=green)
-
-
-def points_equal(p: MarkedMetricGraph, q: MarkedMetricGraph, tol: float = 1e-9) -> bool:
-    """Point equality via the metric characterization: d = 0 both ways."""
-    return distance(p, q).value <= tol and distance(q, p).value <= tol

@@ -1,5 +1,5 @@
 """Train-track self-maps: gates, Perron-Frobenius metrics, legality,
-lamination leaf segments and the cut-vertex-free point search.
+lamination leaves and the cut-vertex-free point search.
 
 A graph self-map carries edge-image paths over a marked graph. When every
 edge image is legal for the induced gate structure and the transition
@@ -108,7 +108,7 @@ class GraphSelfMap:
                 A[e - 1][abs(h) - 1] += 1
         return A
 
-    def associated_automorphism(self) -> Automorphism:
+    def automorphism(self) -> Automorphism:
         """Outer class of the induced map on the fundamental group."""
         p = self.point
         rho = p.tree_path_from_base(self.vertex_images[p.basepoint])
@@ -132,38 +132,26 @@ class TrainTrackStructure:
     def is_legal_turn(self, h1: int, h2: int) -> bool:
         return self.gate_of(h1) is not self.gate_of(h2)
 
-    def gates_at(self, graph, v):
-        return [g for g in self.gates if graph.init_of(next(iter(g))) == v]
-
 
 def gates(f: GraphSelfMap) -> TrainTrackStructure:
-    """Gate partition induced by f: directions merge when some iterate of the
-    direction map sends them to the same direction."""
+    """Gate partition induced by f: directions at one vertex share a gate
+    when some iterate of the direction map Df sends them to one direction.
+
+    Two iterates that meet stay equal. Two distinct directions that first
+    meet at step j have distinct preimages of one direction at step j - 1,
+    so not both are periodic there, and the directions before a
+    non-periodic one are distinct and non-periodic: j <= N - 1 for N
+    directions. So the gates are the classes of (initial vertex, Df^N(h)).
+    """
     g = f.graph
     dmap = f.direction_map()
     dirs = sorted(dmap, key=lambda h: (abs(h), h < 0))
-    n = len(dirs)
-    parent = {h: h for h in dirs}
-
-    def find(h):
-        while parent[h] != h:
-            parent[h] = parent[parent[h]]
-            h = parent[h]
-        return h
-
-    init = {h: g.init_of(h) for h in dirs}
-    iterate = {h: h for h in dirs}
-    for _ in range(2 * n):
-        iterate = {h: dmap[iterate[h]] for h in dirs}
-        # directions at one vertex with one image merge: union each group
-        first = {}
-        for h in dirs:
-            h0 = first.setdefault((init[h], iterate[h]), h)
-            if h0 != h:
-                parent[find(h0)] = find(h)
     groups = {}
     for h in dirs:
-        groups.setdefault(find(h), []).append(h)
+        image = h
+        for _ in dirs:
+            image = dmap[image]
+        groups.setdefault((g.init_of(h), image), []).append(h)
     return TrainTrackStructure(
         tuple(sorted((frozenset(v) for v in groups.values()), key=lambda s: min(abs(h) for h in s)))
     )
@@ -200,6 +188,21 @@ def verify_train_track(f: GraphSelfMap) -> TrainTrackReport:
     return _verify(f, gates(f), f.transition_matrix())
 
 
+def check_train_track(f: GraphSelfMap):
+    """(gates, transition matrix) of f; raises NotTrainTrackError unless f is
+    an irreducible train-track map."""
+    structure = gates(f)
+    matrix = f.transition_matrix()
+    report = _verify(f, structure, matrix)
+    if not report.is_tt:
+        raise NotTrainTrackError(
+            f"not a train-track map: edge image crosses illegal turn {report.illegal_turn}"
+        )
+    if not report.irreducible:
+        raise NotTrainTrackError("transition matrix is reducible")
+    return structure, matrix
+
+
 def _verify(f: GraphSelfMap, structure, matrix) -> TrainTrackReport:
     illegal = None
     for e in range(1, f.graph.n_edges + 1):
@@ -233,7 +236,7 @@ class TrainTrackMap:
 
     def automorphism(self) -> Automorphism:
         if self._automorphism is None:
-            self._automorphism = self.selfmap.associated_automorphism()
+            self._automorphism = self.selfmap.automorphism()
         return self._automorphism
 
     def bcc_bound(self) -> float:
@@ -458,18 +461,10 @@ def _perron(A: np.ndarray):
 def pf_metric(f: GraphSelfMap) -> TrainTrackMap:
     """PF eigenvalue and metric of an irreducible train-track self-map.
 
-    One eigen-solve of the transition matrix (see _perron); rejects
-    reducible matrices and eigenvalues within 1e-9 of 1.
+    One eigen-solve of the transition matrix (see _perron), after
+    check_train_track; rejects eigenvalues within 1e-9 of 1.
     """
-    structure = gates(f)
-    matrix = f.transition_matrix()
-    report = _verify(f, structure, matrix)
-    if not report.is_tt:
-        raise NotTrainTrackError(
-            f"not a train-track map: edge image crosses illegal turn {report.illegal_turn}"
-        )
-    if not report.irreducible:
-        raise NotTrainTrackError("transition matrix is reducible")
+    structure, matrix = check_train_track(f)
     lam, lengths = _perron(matrix.astype(float))
     if lam <= 1.0 + 1e-9:
         raise NotTrainTrackError(f"expansion factor {lam} <= 1 (finite order map)")
@@ -487,23 +482,17 @@ class LegalityReport:
     total_length: float
 
 
-def _loop_path(alpha, tt: TrainTrackMap):
-    """A loop as a half-edge path of tt's graph: a word is realized at
-    tt.point and cyclically tightened, a path is taken as given."""
+def legality_report(alpha, tt: TrainTrackMap, cyclic=True) -> LegalityReport:
+    """Split a loop (or path) at illegal turns; LEG is the fraction of length
+    carried by legal pieces longer than the threshold kappa. A word is
+    realized at tt.point and cyclically tightened, a path is taken as given."""
+    g = tt.graph
     if hasattr(alpha, "letters"):
         path = cyclic_tighten(tt.point.realize_based(alpha.letters))
     else:
         path = tuple(alpha)
     if not path:
         raise ValueError("empty loop")
-    return path
-
-
-def legality_report(alpha, tt: TrainTrackMap, cyclic=True) -> LegalityReport:
-    """Split a loop (or path) at illegal turns; LEG is the fraction of length
-    carried by legal pieces longer than the threshold kappa."""
-    g = tt.graph
-    path = _loop_path(alpha, tt)
     total = g.path_length(path)
     n = len(path)
     illegal_after = []  # positions i where the turn (path[i], path[i+1]) is illegal
@@ -532,38 +521,6 @@ def legality_report(alpha, tt: TrainTrackMap, cyclic=True) -> LegalityReport:
         leg=leg,
         total_length=total,
     )
-
-
-def leaf_segment(tt: TrainTrackMap, edge_index: int, k: int):
-    """(half-edge path as a tuple, Word form) of the stable leaf segment
-    f^k(e), both read from one tt.leaf_array(edge_index, k)."""
-    path = tt.leaf_array(edge_index, k)
-    return tuple(path.tolist()), tt.point.path_word(path)
-
-
-def _path_tokens(path):
-    # injective encoding of half-edges as characters, for substring scans
-    return "".join(chr(0x100 + h + 0x800) for h in path)
-
-
-def longest_leaf_piece(alpha, leaf_path, tt: TrainTrackMap) -> float:
-    """Max PF-metric length of a subpath of the loop alpha (either direction,
-    doubled cyclically) occurring in the given leaf segment."""
-    g = tt.graph
-    loop = _loop_path(alpha, tt)
-    leaf_tok = _path_tokens(leaf_path)
-    best = 0.0
-    for variant in (loop, reverse_path(loop)):
-        doubled = variant + variant
-        doubled_tok = _path_tokens(doubled)  # one character per half-edge
-        for start in range(len(variant)):
-            length = 0.0
-            for end in range(start, min(start + len(variant), len(doubled))):
-                if doubled_tok[start : end + 1] not in leaf_tok:
-                    break
-                length = g.path_length(doubled[start : end + 1])
-            best = max(best, length)
-    return best
 
 
 @dataclass

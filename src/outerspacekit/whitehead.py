@@ -76,9 +76,6 @@ class WhiteheadGraph:
         return tuple(((letters[i], letters[j]), m)
                      for i, row in enumerate(self.cap) for j, m in enumerate(row) if j > i and m)
 
-    def simple_edges(self):
-        return [e for e, _ in self.edges]
-
     def isolated_vertices(self):
         return [x for x, row in zip(signed_letters(self.rank), self.cap) if not any(row)]
 
@@ -130,10 +127,8 @@ def _turn_graph(words, rank: int) -> WhiteheadGraph:
 @dataclass(frozen=True)
 class CutReport:
     connected: bool  # over vertices that carry at least one edge
-    cut_vertex: object  # least cut vertex, or None
     cut_vertices: tuple
     isolated: tuple  # signed letters with no incident edge
-    components: tuple  # components over used vertices, as sorted tuples
     splits: tuple  # ((a, components of the used graph minus a), ...) per cut vertex a
 
 
@@ -155,13 +150,13 @@ def cut_analysis(graph: WhiteheadGraph) -> CutReport:
     adj = [[j for j, m in enumerate(row) if m] for row in graph.cap]
     n = len(adj)
     depth, low, pre = [-1] * n, [0] * n, [0] * n
-    order, comps = [], []
+    order = []
+    n_components = 0
     below = {}  # vertex -> subtrees of its tree children c with low[c] >= its depth
     for root in range(n):
         if depth[root] >= 0 or not adj[root]:
             continue
         depth[root] = 0
-        pre[root] = len(order)
         order.append(root)
         stack = [(root, -1, iter(adj[root]))]  # -1 is no vertex: the root's parent
         while stack:
@@ -182,8 +177,8 @@ def cut_analysis(graph: WhiteheadGraph) -> CutReport:
                         low[parent] = low[v]
                     if low[v] >= depth[parent]:
                         below.setdefault(parent, []).append(order[pre[v]:])
-        comps.append(tuple(letters[i] for i in sorted(order[pre[root]:])))
-    connected = len(comps) <= 1
+        n_components += 1
+    connected = n_components <= 1
     splits = []
     if connected:
         for a in sorted(below):
@@ -193,13 +188,10 @@ def cut_analysis(graph: WhiteheadGraph) -> CutReport:
             rest = set(order).difference([a], *subtrees)
             parts = sorted(map(sorted, subtrees + [rest] if rest else subtrees))
             splits.append((letters[a], tuple(tuple(letters[i] for i in p) for p in parts)))
-    cuts = [a for a, _ in splits]
     return CutReport(
         connected=connected,
-        cut_vertex=cuts[0] if cuts else None,
-        cut_vertices=tuple(cuts),
+        cut_vertices=tuple(a for a, _ in splits),
         isolated=tuple(graph.isolated_vertices()),
-        components=tuple(comps),
         splits=tuple(splits),
     )
 

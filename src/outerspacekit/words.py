@@ -175,11 +175,6 @@ class Word:
         return max((abs(l) for l in self.letters), default=0)
 
 
-def reduce_word(letters, rank=None) -> Word:
-    """Unique freely reduced representative of a raw letter sequence."""
-    return Word.make(letters, rank)
-
-
 def cyclic_tighten(letters) -> tuple:
     """The core of a freely reduced word or closed path, letters =
     u + core + u^-1 with no inverse pair at the ends of core. The ends are
@@ -224,10 +219,6 @@ class CyclicWord:
     @staticmethod
     def parse(text: str, rank=None) -> "CyclicWord":
         return CyclicWord.make(parse_letters(text), rank)
-
-    @staticmethod
-    def of(w: Word) -> "CyclicWord":
-        return CyclicWord.make(w.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -279,10 +270,6 @@ class Automorphism:
         phi._inv = phi
         return phi
 
-    @staticmethod
-    def from_strings(rank: int, *texts) -> "Automorphism":
-        return Automorphism(rank, [Word.parse(t, rank) for t in texts])
-
     def image_of(self, letter: int) -> tuple:
         im = self.images[abs(letter) - 1].letters
         return im if letter > 0 else inverse_letters(im)
@@ -302,11 +289,6 @@ class Automorphism:
             raise RankMismatchError("word rank exceeds automorphism rank")
         return Word(self.apply_letters(w.letters))
 
-    def apply_cyclic(self, w: CyclicWord) -> CyclicWord:
-        if w.max_index() > self.rank:
-            raise RankMismatchError("word rank exceeds automorphism rank")
-        return CyclicWord.make(self.apply_letters(w.letters))
-
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: (self.compose(other))(w) = self(other(w))."""
         if self.rank != other.rank:
@@ -316,9 +298,6 @@ class Automorphism:
         if self._inv is not None and other._inv is not None:
             inv = _lazy_compose_inverse(other._inv, self._inv)
         return Automorphism(self.rank, images, verified=self.verified and other.verified, _inv=inv)
-
-    def is_identity(self) -> bool:
-        return all(im.letters == (i + 1,) for i, im in enumerate(self.images))
 
     def power(self, k: int) -> "Automorphism":
         if k == 0:
@@ -369,13 +348,6 @@ def _lazy_compose_inverse(inv_other, inv_self):
         return a.compose(b)
 
     return build
-
-
-def apply_endomorphism(phi: Automorphism, w):
-    """Image of a Word or CyclicWord under phi, reduced."""
-    if isinstance(w, CyclicWord):
-        return phi.apply_cyclic(w)
-    return phi.apply(w)
 
 
 def verify_inverse(phi: Automorphism, psi: Automorphism) -> bool:
@@ -459,29 +431,10 @@ def _move_automorphism_raw(move: WhiteheadMove, rank: int, inverse: Automorphism
     return phi
 
 
-def whitehead_move(A, a: int, rank: int) -> Automorphism:
-    """The Whitehead automorphism phi_(A,a) on F_rank."""
-    move = WhiteheadMove(frozenset(A), a)
-    for x in move.A:
-        if abs(x) > rank:
-            raise ValueError(f"letter {x} out of rank range")
-    return move.automorphism(rank)
-
-
 def signed_letters(rank: int):
     for i in range(1, rank + 1):
         yield i
         yield -i
-
-
-def all_whitehead_moves(rank: int):
-    """All (A, a) moves, identity-like ones included, in deterministic order."""
-    letters = sorted(signed_letters(rank), key=letter_key)
-    for a in letters:
-        others = [x for x in letters if x != a and x != -a]
-        for r in range(len(others) + 1):
-            for extra in itertools.combinations(others, r):
-                yield WhiteheadMove(frozenset((a,) + extra), a)
 
 
 # Basis certification and inversion: one Stallings fold (Stallings, "Topology

@@ -5,8 +5,14 @@ import pytest
 from outerspacekit.axes import Axis
 from outerspacekit.graphs import point_from_dict, rose
 from outerspacekit.traintrack import GraphSelfMap, pf_metric
+from outerspacekit.words import Automorphism, Word
 
 logging.getLogger("outerspacekit").setLevel(logging.ERROR)
+
+
+def aut(rank, *texts):
+    """The endomorphism of F_rank sending generator i to the word texts[i - 1]."""
+    return Automorphism(rank, [Word.parse(t, rank) for t in texts])
 
 
 def golden_selfmaps():

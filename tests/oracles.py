@@ -4,7 +4,9 @@ These deliberately avoid the library's high-level algorithms: the
 primitivity oracle does a breadth-first search over Whitehead moves with
 the intermediate length bounded by the start length (peak reduction makes
 this complete for the minimal length question), and the minimization
-oracle finds each non-cut-vertex step by trying all 2n * 4^(n-1) moves.
+oracle finds each non-cut-vertex step by trying all 2n * 4^(n-1) moves,
+which `all_whitehead_moves` lists and `apply_cyclic` applies. `points_equal`
+tells two points apart by the metric alone.
 `scan_cut_analysis` finds cut vertices by removing each used vertex in
 turn and counting the components left, which it keeps as the splits, and `least_min_cut_side` decides
 each letter of the least minimum-cut side by one more max-flow with the
@@ -25,8 +27,7 @@ table and half-edge length table. `gates` merges directions by comparing
 every pair of them after each iterate of the direction map. `perron` is
 the library's earlier power iteration on A + I, with its own step cap and
 residual, against which the one eigen-solve is compared within a
-tolerance. `longest_leaf_piece` is the library's earlier version, kept as
-it was, re-encoding every segment it looks up. `strip_inverse_ends` trims
+tolerance. `strip_inverse_ends` trims
 one inverse end pair per slice, as the library's three copies of that
 loop did before they shared one index loop. `dist_to_axis_point` and
 `project` are the library's earlier axis scan, kept as it was but for the
@@ -37,12 +38,11 @@ point G_m from the word phi^m and takes the candidate distance to it, and
 
 import math
 from collections import Counter, deque
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
 from outerspacekit.axes import ProjectionError, ProjectionResult
-from outerspacekit.graphs import cyclic_tighten, reverse_path
 from outerspacekit.metric import distance
 from outerspacekit.traintrack import (
     LEAF_GRAPH_K_CAP,
@@ -58,12 +58,32 @@ from outerspacekit.whitehead import (
 )
 from outerspacekit.words import (
     CyclicWord,
+    WhiteheadMove,
     Word,
-    all_whitehead_moves,
     letter_key,
     reduce_letters,
     signed_letters,
 )
+
+def all_whitehead_moves(rank: int):
+    """All (A, a) moves, identity-like ones included, in deterministic order."""
+    letters = sorted(signed_letters(rank), key=letter_key)
+    for a in letters:
+        others = [x for x in letters if x != a and x != -a]
+        for r in range(len(others) + 1):
+            for extra in combinations(others, r):
+                yield WhiteheadMove(frozenset((a,) + extra), a)
+
+
+def apply_cyclic(phi, w: CyclicWord) -> CyclicWord:
+    """phi(w) for a cyclic word w."""
+    return CyclicWord.make(phi.apply_letters(w.letters))
+
+
+def points_equal(p, q, tol: float = 1e-9) -> bool:
+    """Point equality via the metric characterization: d = 0 both ways."""
+    return distance(p, q).value <= tol and distance(q, p).value <= tol
+
 
 _memo = {}
 
@@ -86,7 +106,7 @@ def bfs_primitive(word: CyclicWord, rank: int) -> bool:
         if best == 1:
             break
         for phi in moves:
-            nxt = phi.apply_cyclic(CyclicWord(current)).letters
+            nxt = apply_cyclic(phi, CyclicWord(current)).letters
             if len(nxt) <= bound and nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -122,7 +142,7 @@ def exhaustive_minimize(words, rank) -> ReductionTrace:
             candidates = _all_moves(rank)
         best = None
         for move, phi in candidates:
-            new = [phi.apply_cyclic(w) for w in words]
+            new = [apply_cyclic(phi, w) for w in words]
             after = sum(len(w) for w in new)
             key = (after, move.sort_key())
             if after < before and (best is None or key < best[0]):
@@ -186,10 +206,8 @@ def scan_cut_analysis(graph: WhiteheadGraph) -> CutReport:
                 splits.append((v, tuple(tuple(sorted(c, key=letter_key)) for c in parts)))
     return CutReport(
         connected=connected,
-        cut_vertex=cuts[0] if cuts else None,
         cut_vertices=tuple(cuts),
         isolated=tuple(graph.isolated_vertices()),
-        components=tuple(tuple(sorted(c, key=letter_key)) for c in comps),
         splits=tuple(splits),
     )
 
@@ -423,8 +441,8 @@ def lamination_sequence(tt, target, k_max):
         den = 0.0
         for j in range(tt.graph.n_edges):
             w = path_word(tt.point, leaf_path(tt, j + 1, k)).letters
-            num += r[j] * target.based_length(w)
-            den += r[j] * tt.point.based_length(w)
+            num += r[j] * based_length(target, w)
+            den += r[j] * based_length(tt.point, w)
         seq.append(num / den)
     return seq
 
@@ -446,13 +464,22 @@ def realize_based(point, letters):
     return tuple(out)
 
 
+def path_length(point, path):
+    return math.fsum(point.graph.lengths[abs(h) - 1] for h in path)
+
+
+def based_length(point, letters):
+    """Length of the based path realize_based gives."""
+    return path_length(point, realize_based(point, letters))
+
+
 def loop_length(point, letters):
     """Reference for MarkedMetricGraph.loop_length: strip matching ends of
     the based path one pair at a time, then sum edge lengths."""
     path = list(realize_based(point, letters))
     while len(path) >= 2 and path[0] == -path[-1]:
         path = path[1:-1]
-    return math.fsum(point.graph.length_of(h) for h in path)
+    return path_length(point, path)
 
 
 def gates(f):
@@ -517,35 +544,6 @@ def strip_inverse_ends(letters):
     return tuple(pre), tuple(letters)
 
 
-def _path_tokens(path):
-    return "".join(chr(0x100 + h + 0x800) for h in path)
-
-
-def longest_leaf_piece(alpha, leaf_path, tt):
-    """Reference for traintrack.longest_leaf_piece, as it was before it
-    encoded each doubled loop once: every segment is encoded anew."""
-    g = tt.graph
-    if hasattr(alpha, "letters"):
-        loop = cyclic_tighten(tt.point.realize_based(alpha.letters))
-    else:
-        loop = tuple(alpha)
-    if not loop:
-        raise ValueError("empty loop")
-    leaf_tok = _path_tokens(leaf_path)
-    best = 0.0
-    for variant in (loop, reverse_path(loop)):
-        doubled = variant + variant
-        for start in range(len(variant)):
-            length = 0.0
-            for end in range(start, min(start + len(variant), len(doubled))):
-                seg = doubled[start : end + 1]
-                if _path_tokens(seg) not in leaf_tok:
-                    break
-                length = g.path_length(seg)
-            best = max(best, length)
-    return best
-
-
 def dist_to_axis_point(ax, X, m):
     """Reference for Axis.dist_to_axis_point: the distance to the point G_m."""
     return distance(X, ax.point(m)).value
@@ -580,7 +578,6 @@ def project(X, ax, budget=40, margin=2):
     return ProjectionResult(
         argmin=tuple(argmin),
         value=mn,
-        diam_steps=argmin[-1] - argmin[0],
         diam_dist=(argmin[-1] - argmin[0]) * ax.step,
         scanned=(lo, hi),
         unimodal=unimodal,
@@ -591,4 +588,4 @@ def length_values(alpha, ax, window):
     """Reference for the values of axes.length_profile: l(phi^m(alpha), base)
     with phi^m(alpha) applied as a word."""
     lo, hi = window
-    return [(m, ax.base.loop_length(ax.power(m).apply_cyclic(alpha))) for m in range(lo, hi + 1)]
+    return [(m, ax.base.loop_length(apply_cyclic(ax.power(m), alpha))) for m in range(lo, hi + 1)]

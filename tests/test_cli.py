@@ -8,8 +8,6 @@ import pytest
 import outerspacekit.cli as cli_mod
 import outerspacekit.graphs as graphs_mod
 import outerspacekit.traintrack as traintrack_mod
-import outerspacekit.whitehead as whitehead_mod
-import outerspacekit.words as words_mod
 from outerspacekit.cli import main
 from outerspacekit.graphs import MarkedMetricGraph, point_to_dict, random_point, rose
 from outerspacekit.traintrack import load_selfmap, pf_metric
@@ -23,6 +21,7 @@ from outerspacekit.words import (
 )
 
 from . import oracles
+from .oracles import apply_cyclic
 from .conftest import FIG1_TARGET_DICT, THETA_DICT
 
 GOLDEN_MAP = {
@@ -171,17 +170,13 @@ class TestWhitehead:
         assert main(["whitehead", "primitive", "aa", "--rank", "3"]) == 0
         assert "not primitive" in capsys.readouterr().out
 
-    def test_rank8_without_exhaustive_scan(self, capsys, monkeypatch):
-        # any fallback to the 2n * 4^(n-1) move scan fails the test outright
-        def no_scan(rank):
-            raise AssertionError("all_whitehead_moves called")
-
-        monkeypatch.setattr(words_mod, "all_whitehead_moves", no_scan)
-        monkeypatch.setattr(whitehead_mod, "all_whitehead_moves", no_scan, raising=False)
+    def test_rank8_without_exhaustive_scan(self, capsys):
+        # the 2n * 4^(n-1) move list lives only in tests/oracles.py, so the
+        # library cannot fall back to it; at rank 8 it has 262 144 moves
         rng = random.Random(8)
         w = CyclicWord.make((1,))
         while len(w) < 200:
-            w = random_whitehead_move(8, rng).automorphism(8).apply_cyclic(w)
+            w = apply_cyclic(random_whitehead_move(8, rng).automorphism(8), w)
         assert main(["whitehead", "primitive", format_letters(w.letters), "--rank", "8"]) == 0
         assert capsys.readouterr().out.strip() == "primitive"
         root = [rng.choice([1, -1]) * x for x in [*range(1, 9), *range(1, 9)]]
@@ -355,6 +350,19 @@ class TestAxis:
                      "--pairs", "0", "--window", "1"]) == 1
         captured = capsys.readouterr()
         assert "window must be >= 2, got 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("images, message", [
+        ({"e1": ["e1", "e2"], "e2": ["e1", "~e2"]},
+         "not a train-track map: edge image crosses illegal turn (-1, 2)"),
+        (GOLDEN_MAP["edge_images"], "backward train track does not represent the inverse"),
+    ], ids=["illegal-turn", "not-inverse"])
+    def test_bad_backward_map(self, files, tmp_path, capsys, images, message):
+        bwd = tmp_path / "bad_inv.map"
+        bwd.write_text(json.dumps(dict(GOLDEN_INV_MAP, edge_images=images)))
+        assert main(["axis", "project", files["fwd"], str(bwd), files["rose"]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     def test_diverge_negative_d_emp(self, files, capsys):

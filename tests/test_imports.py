@@ -1,5 +1,7 @@
-"""Every name a library module imports is used in that module, and every
-name it defines is read somewhere in the repository."""
+"""Every name a library module imports is used in that module, every name
+it defines (dataclass fields included) is read somewhere in the repository,
+and every name outside the public API of outerspacekit/__init__.py is read
+by the library or the benchmark."""
 
 import ast
 import pathlib
@@ -36,15 +38,19 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def _defined(tree):
+def _defined(tree, fields):
     """(name, qualified name) of each module-level def, class and
-    assignment target, and of each method, leaving out dunder names."""
+    assignment target, and of each method, and with fields of each
+    annotated class attribute (a dataclass field)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.name
             for item in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     yield item.name, f"{node.name}.{item.name}"
+                elif (fields and isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)):
+                    yield item.target.id, f"{node.name}.{item.target.id}"
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else (node.target,):
                 for n in ast.walk(target):
@@ -65,14 +71,35 @@ def _loaded(tree):
             yield from node.value.split(".")
 
 
-def test_every_library_name_is_loaded():
-    """Every name the library defines is read in src/, tests/ or benchmarks/."""
+def _loaded_in(*folders):
     loaded = set()
-    for folder in ("src", "tests", "benchmarks"):
+    for folder in folders:
         for path in (ROOT / folder).rglob("*.py"):
             loaded.update(_loaded(ast.parse(path.read_text(encoding="utf-8"))))
-    unread = [f"{path.stem}.{qual}"
-              for path in MODULES
-              for name, qual in _defined(ast.parse(path.read_text(encoding="utf-8")))
-              if not _is_dunder(name) and name not in loaded]
-    assert unread == []
+    return loaded
+
+
+def _unread(loaded, fields, exempt=()):
+    """Qualified names the library defines (see _defined), not dunder, not
+    in exempt and not in loaded."""
+    return [f"{path.stem}.{qual}"
+            for path in MODULES
+            for name, qual in _defined(ast.parse(path.read_text(encoding="utf-8")), fields)
+            if not _is_dunder(name) and name not in loaded and qual not in exempt]
+
+
+def test_every_library_name_is_loaded():
+    """Every name the library defines, dataclass fields included, is read in
+    src/, tests/ or benchmarks/."""
+    assert _unread(_loaded_in("src", "tests", "benchmarks"), fields=True) == []
+
+
+def test_names_outside_the_api_are_read_by_the_library():
+    """The names outerspacekit/__init__.py imports are the public API; every
+    other def, class, assignment and method the library defines is read in
+    src/ or benchmarks/, so a helper that only tests read lives in tests/.
+    Fields are left out: a result's fields are what the API returns."""
+    init = ast.parse((ROOT / "src" / "outerspacekit" / "__init__.py").read_text(encoding="utf-8"))
+    api = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
+           for a in node.names}
+    assert _unread(_loaded_in("src", "benchmarks"), fields=False, exempt=api) == []

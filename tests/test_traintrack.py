@@ -18,22 +18,22 @@ from outerspacekit.traintrack import (
     is_irreducible_matrix,
     lamination_length_ratio,
     lamination_whitehead_graph,
-    leaf_segment,
     legality_report,
-    longest_leaf_piece,
     no_cut_vertex_search,
     pf_metric,
     selfmap_from_dict,
     verify_train_track,
 )
 from outerspacekit.whitehead import cut_analysis
-from outerspacekit.words import Automorphism, CyclicWord, verify_inverse
+from outerspacekit.words import CyclicWord, verify_inverse
 
 from . import oracles
+from .oracles import apply_cyclic
 from .test_graphs import CELLS, _cell_point
 from .conftest import (
     DUMBBELL_DICT,
     THETA_DICT,
+    aut,
     golden_selfmaps,
     rank4_selfmaps,
     silver_selfmap,
@@ -145,13 +145,13 @@ class TestPF:
             g = tt.graph
             for e in range(1, g.n_edges + 1):
                 img = tt.selfmap.edge_images[e]
-                stretched = math.fsum(g.length_of(h) for h in img)
-                assert stretched == pytest.approx(tt.lam * g.length_of(e), abs=1e-9)
+                stretched = g.path_length(img)
+                assert stretched == pytest.approx(tt.lam * g.lengths[e - 1], abs=1e-9)
 
     def test_at_least_two_gates_per_vertex(self, golden_tt, tribo_tt):
         for tt in (golden_tt, tribo_tt):
             for v in range(tt.graph.n_vertices):
-                assert len(tt.structure.gates_at(tt.graph, v)) >= 2
+                assert sum(tt.graph.init_of(min(gate)) == v for gate in tt.structure.gates) >= 2
 
     def test_associated_automorphism(self, golden_tt):
         phi = golden_tt.automorphism()
@@ -267,15 +267,18 @@ class TestLegality:
             base = golden_tt.point.loop_length(alpha)
             w = alpha
             for n in range(1, 6):
-                w = phi.apply_cyclic(w)
+                w = apply_cyclic(phi, w)
                 assert golden_tt.point.loop_length(w) >= c * lam**n * base - 1e-9
 
 
 class TestLeaves:
     def test_fibonacci_words(self, golden_tt):
-        assert str(leaf_segment(golden_tt, 1, 1)[1]) == "ab"
-        assert str(leaf_segment(golden_tt, 1, 2)[1]) == "aba"
-        word4 = leaf_segment(golden_tt, 1, 4)[1]
+        def word(k):
+            return golden_tt.point.path_word(golden_tt.leaf_array(1, k))
+
+        assert str(word(1)) == "ab"
+        assert str(word(2)) == "aba"
+        word4 = word(4)
         assert str(word4) == "abaababa"
         assert len(word4) == 8
 
@@ -289,44 +292,9 @@ class TestLeaves:
                 for e in range(m):
                     assert nxt[e] == sum(A[e][j] * lens[j] for j in range(m))
 
-    def test_longest_piece(self, golden_tt):
-        leaf = golden_tt.leaf_path(1, 4)
-        assert longest_leaf_piece(C("ab"), leaf, golden_tt) == pytest.approx(1.0, abs=1e-9)
-        assert longest_leaf_piece(C("bb"), leaf, golden_tt) == pytest.approx(
-            0.3819660, abs=1e-6
-        )
-
-    def test_longest_piece_self_occurrence(self, golden_tt):
-        leaf = golden_tt.leaf_path(1, 6)
-        sub = leaf[2:7]
-        alpha = CyclicWord.make(sub)  # 5-letter leaf subword, as a loop
-        got = longest_leaf_piece(alpha, leaf, golden_tt)
-        expect = math.fsum(golden_tt.graph.length_of(h) for h in sub)
-        assert got == pytest.approx(expect, abs=1e-9)
-
-    @pytest.mark.parametrize("name", ["golden", "plastic", "rank4"])
-    def test_longest_piece_matches_reference(self, name):
-        tt = pf_metric(LEAF_MAPS[name]())
-        rank = tt.graph.n_edges
-        rng = random.Random(f"longest-piece-{name}")
-        k = 0
-        while len(tt.leaf_path(1, k)) < 200:
-            k += 1
-        leaf = tt.leaf_path(1, k)
-        for _ in range(15):
-            letters = [rng.choice([1, -1]) * rng.randrange(1, rank + 1)
-                       for _ in range(rng.randrange(1, 12))]
-            start = rng.randrange(len(leaf) - 20)
-            for alpha in (CyclicWord.make(letters), CyclicWord.make(leaf[start : start + 20]),
-                          leaf[start : start + rng.randrange(1, 20)]):
-                if not len(alpha):
-                    continue
-                assert longest_leaf_piece(alpha, leaf, tt) == oracles.longest_leaf_piece(
-                    alpha, leaf, tt)
-
     def test_quasi_periodicity_witness(self, golden_tt):
-        w8 = leaf_segment(golden_tt, 1, 8)[0]
-        w12 = leaf_segment(golden_tt, 1, 12)[0]
+        w8 = golden_tt.leaf_path(1, 8)
+        w12 = golden_tt.leaf_path(1, 12)
         pairs8 = {w8[i : i + 2] for i in range(len(w8) - 1)}
         for start in range(len(w12) - 9):
             window = w12[start : start + 10]
@@ -371,9 +339,8 @@ class TestLeafPath:
                     assert a.dtype == np.intp and a.ndim == 1
                     path = tt.leaf_path(h, k)
                     assert a.tolist() == list(path)
-                    seg_path, word = leaf_segment(tt, h, k)
-                    assert seg_path == path and all(type(x) is int for x in seg_path[:50])
-                    assert word == oracles.path_word(tt.point, path)
+                    assert all(type(x) is int for x in path[:50])
+                    assert tt.point.path_word(a) == oracles.path_word(tt.point, path)
                     k += 1
 
     def test_leaf_array_errors_match_leaf_path(self, golden_tt, monkeypatch):
@@ -492,7 +459,7 @@ class TestRealizedLeaves:
         monkeypatch.setattr(TrainTrackMap, "leaf_path", expand)
         assert lamination_length_ratio(golden_tt, rose(2, [1 / 3, 2 / 3])).converged
         graph, _ = lamination_whitehead_graph(golden_tt, rose(2))
-        assert len(graph.simple_edges()) >= 3
+        assert len(graph.edges) >= 3
         assert no_cut_vertex_search(golden_tt, golden_inv_tt, rose(2)).moves == []
 
 
@@ -593,14 +560,14 @@ class TestCutVertexSearch:
     def test_golden_standard_rose_is_terminal(self, golden_tt, golden_inv_tt):
         res = no_cut_vertex_search(golden_tt, golden_inv_tt, rose(2))
         assert res.moves == []
-        assert len(res.combined_graph.simple_edges()) == 6  # K4
+        assert len(res.combined_graph.edges) == 6  # K4
         rep = cut_analysis(res.combined_graph)
-        assert rep.connected and rep.cut_vertex is None and not rep.isolated
+        assert rep.connected and not rep.cut_vertices and not rep.isolated
         assert res.axis_distance <= 1e-9  # F lies on the axis here
         assert res.unconverged == 0
 
     def test_tribo_translated_start_moves(self, tribo_tt, tribo_inv_tt):
-        psi = Automorphism.from_strings(3, "a", "bc", "c")
+        psi = aut(3, "a", "bc", "c")
         psi.inverse()
         start = rose(3).act(psi)
         res = no_cut_vertex_search(tribo_tt, tribo_inv_tt, start)
@@ -608,7 +575,7 @@ class TestCutVertexSearch:
         assert all(b < a for a, b in zip(res.plus_trace, res.plus_trace[1:]))
         assert all(b < a for a, b in zip(res.minus_trace, res.minus_trace[1:]))
         rep = cut_analysis(res.combined_graph)
-        assert rep.connected and rep.cut_vertex is None and not rep.isolated
+        assert rep.connected and not rep.cut_vertices and not rep.isolated
         assert res.unconverged == 0
 
     def test_unconverged_estimate_reported(self):

@@ -42,7 +42,7 @@ from .traintrack import (
     verify_train_track,
 )
 from .whitehead import is_primitive, whitehead_minimize
-from .words import ALPHABET, CyclicWord, format_letters, random_automorphism
+from .words import ALPHABET, CyclicWord, format_letters, random_automorphism, reduce_array
 
 
 def _f(x: float) -> str:
@@ -200,12 +200,20 @@ def cmd_tt(args):
             print(f"length {eid} {_f(l)}")
     elif args.action == "leaf":
         edge_ids = list(tt.graph.edge_ids)
-        if args.edge not in edge_ids:
+        name = args.edge.removeprefix("~")
+        if name not in edge_ids:
             raise UsageError(f"unknown edge {args.edge}")
-        path = tt.leaf_array(edge_ids.index(args.edge) + 1, args.iters)
-        letters = tt.point.path_letters(path)
-        print("path", _path_text(path, edge_ids))
-        print("word", _word_text(letters))
+        e = edge_ids.index(name) + 1
+        # both lines are read off the <= 2 n_edges distinct pieces of the
+        # leaf; free reduction is confluent, so reducing the joined piece
+        # words once gives the word of the whole leaf
+        pieces, first = tt.leaf_pieces(e if name == args.edge else -e, args.iters)
+        order = first.tolist()
+        used = set(order)
+        texts = {h: _path_text(pieces[h], edge_ids) for h in used}
+        letters = {h: tt.point.path_letters(pieces[h]) for h in used}
+        print("path", " ".join([texts[h] for h in order]))
+        print("word", _word_text(reduce_array(np.concatenate([letters[h] for h in order]))))
 
 
 def _path_text(path, edge_ids) -> str:
@@ -363,7 +371,8 @@ def build_parser():
         q.set_defaults(func=cmd_tt, action=name)
     q = ttsub.add_parser("leaf")
     q.add_argument("map")
-    q.add_argument("--edge", required=True)
+    q.add_argument("--edge", required=True,
+                   help="edge id, or ~id for the edge reversed, as in map files")
     q.add_argument("--iters", type=int, required=True)
     q.set_defaults(func=cmd_tt, action="leaf")
     q = ttsub.add_parser("whsearch")
@@ -434,10 +443,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
-    for name in ("seed", "samples", "window", "iters", "oracle", "radius", "pairs"):
+    for name, low in (("seed", 0), ("samples", 1), ("window", 0), ("iters", 0), ("oracle", 0),
+                      ("radius", 0), ("pairs", 0)):
         v = getattr(args, name, None)
-        if v is not None and v < 0:
-            print(f"error: --{name} must be >= 0", file=sys.stderr)
+        if v is not None and v < low:
+            print(f"error: --{name} must be >= {low}", file=sys.stderr)
             return 2
     if args.log_level:
         _log_to_stderr(args.log_level)

@@ -198,8 +198,8 @@ def halfedge_pieces(piece_of, n_edges: int):
 def gather_pieces(table, path) -> np.ndarray:
     """The pieces of the half-edges of `path` (an integer array, half-edges
     in range) in a halfedge_pieces table, concatenated by one ragged
-    gather. Works in place where it can: a leaf path can have 10^7
-    half-edges."""
+    gather. Works in place where it can, so a long path holds one index
+    array of the result's size at a time."""
     sizes, offsets, flat = table
     size = sizes[path]
     starts = offsets[path]
@@ -401,9 +401,10 @@ class MarkedMetricGraph:
         raise self._outside(bad)
 
     def path_letters(self, path) -> np.ndarray:
-        """The letters of path_word(path) as an integer array; a path of
-        PATH_WORD_ARRAY_MIN or more half-edges is read as arrays throughout."""
-        if len(path) < PATH_WORD_ARRAY_MIN:
+        """The letters of path_word(path) as an integer array; an integer
+        array, or a path of PATH_WORD_ARRAY_MIN or more half-edges, is read
+        as arrays throughout."""
+        if len(path) < PATH_WORD_ARRAY_MIN and not isinstance(path, np.ndarray):
             return np.array(self.path_word(path).letters, dtype=np.intp)
         m = self.graph.n_edges
         path = np.asarray(path, dtype=np.intp)

@@ -21,8 +21,6 @@ import numpy as np
 from .graphs import (
     MarkedMetricGraph,
     MetricGraph,
-    gather_pieces,
-    halfedge_pieces,
     point_from_dict,
     reverse_path,
     tighten_path,
@@ -252,16 +250,20 @@ class TrainTrackMap:
             self._frequencies = _perron(self.matrix.astype(float).T)[1]
         return self._frequencies
 
-    def leaf_array(self, edge_index: int, k: int) -> np.ndarray:
-        """f^k(e) for the half-edge e = edge_index, as a 1-D np.intp array
-        of half-edges.
+    def leaf_pieces(self, edge_index: int, k: int):
+        """(pieces, first): f^k(e) for the half-edge e = edge_index is the
+        concatenation of pieces[h] over the half-edges h of first.
 
-        The map is legal, so f^k(e) is the concatenation of the images of
-        the half-edges of f^(k-1)(e), with no cancellation: each level is
-        one gather from the piece table of edge images. Before anything is
-        allocated, its length is counted with Python ints, and a leaf
-        longer than LEAF_PATH_MAX half-edges raises ValueError, as do a
-        negative k and an edge_index outside +-1..+-n_edges.
+        With a = k // 2 and b = k - a, first is f^a(e) and pieces[h] is
+        f^b(h), as 1-D np.intp arrays of half-edges, for h in
+        +-1..+-n_edges (a negative h indexes from the end; index 0 is
+        unused). The map is legal, so f^j(h) is the concatenation of the
+        f^(j-1) arrays of the half-edges of f(h), with no cancellation:
+        each level is one concatenate per edge, and a reversed edge takes
+        the reversed, negated array. Before anything is allocated, the
+        length of f^k(e) is counted with Python ints, and a leaf longer
+        than LEAF_PATH_MAX half-edges raises ValueError, as do a negative
+        k and an edge_index outside +-1..+-n_edges.
         """
         if k < 0:
             raise ValueError("k must be >= 0")
@@ -269,19 +271,33 @@ class TrainTrackMap:
         if not 0 < abs(edge_index) <= m:
             raise ValueError(f"edge index {edge_index} is not one of +-1..+-{m}")
         ref = ("~" if edge_index < 0 else "") + self.graph.edge_ids[abs(edge_index) - 1]
+        images = [self.selfmap.edge_images[e] for e in range(1, m + 1)]
         # |f^j(e)| never decreases in j, since no edge image is empty
         counts = [1] * m
         for j in range(1, k + 1):
-            counts = [sum(counts[abs(h) - 1] for h in self.selfmap.edge_images[e])
-                      for e in range(1, m + 1)]
+            counts = [sum(counts[abs(h) - 1] for h in image) for image in images]
             if counts[abs(edge_index) - 1] > LEAF_PATH_MAX:
                 raise ValueError(f"leaf f^{k}({ref}) has more than {LEAF_PATH_MAX} half-edges "
                                  f"(f^{j}({ref}) has {counts[abs(edge_index) - 1]})")
-        images = halfedge_pieces(self.selfmap.image_of, m)
-        path = np.array([edge_index], dtype=np.intp)
-        for _ in range(k):
-            path = gather_pieces(images, path)
-        return path
+        pieces = [np.array([h], dtype=np.intp) for h in (*range(m + 1), *range(-m, 0))]
+        first = pieces[edge_index]
+        for j in range(1, k - k // 2 + 1):
+            forward = [np.concatenate([pieces[h] for h in image]) for image in images]
+            pieces = [pieces[0], *forward, *(-p[::-1] for p in reversed(forward))]
+            if j == k // 2:
+                first = pieces[edge_index]
+        return pieces, first
+
+    def leaf_array(self, edge_index: int, k: int) -> np.ndarray:
+        """f^k(e) for the half-edge e = edge_index, as a 1-D np.intp array
+        of half-edges, with the errors of leaf_pieces.
+
+        Split at half depth: one concatenate of the f^(k - k // 2) pieces
+        of the half-edges of f^(k // 2)(e), each about sqrt(len) long, so
+        the result is the one allocation of its size.
+        """
+        pieces, first = self.leaf_pieces(edge_index, k)
+        return np.concatenate([pieces[h] for h in first.tolist()])
 
     def leaf_path(self, edge_index: int, k: int):
         """f^k(e) as a tuple of Python ints: leaf_array(edge_index, k), with

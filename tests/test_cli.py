@@ -67,14 +67,20 @@ def _rose_map(images, marking=None):
     }
 
 
-# the golden, plastic and rank-4 maps, the golden one also with the marking
-# y -> e1 e2, whose leaf words cancel; each with --iters on both sides of
-# PATH_WORD_ARRAY_MIN = 1024 half-edges
+# the golden, plastic and rank-4 maps, the golden one also with the markings
+# y -> e1 e2 and y -> e2 e1, whose leaf words cancel (with y -> e2 e1 also
+# where tt leaf joins its pieces, at odd half depths), and the plastic and
+# rank-4 inverses, whose images hold reversed half-edges; each with odd and
+# even --iters on both sides of PATH_WORD_ARRAY_MIN = 1024 half-edges
 LEAF_WORD_CASES = [
     ("golden", GOLDEN_MAP, (0, 1, 4, 15, 16, 22)),
     ("golden-marked", _rose_map([(1, 2), (1,)], {"x": ["e1"], "y": ["e1", "e2"]}), (0, 3, 15, 16, 21)),
+    ("golden-marked-yx", _rose_map([(1, 2), (1,)], {"x": ["e1"], "y": ["e2", "e1"]}),
+     (0, 1, 3, 14, 15, 21)),
     ("plastic", _rose_map([(2,), (3,), (1, 2)]), (0, 2, 9, 26, 33)),
+    ("plastic-inverse", _rose_map([(3, -1), (1,), (2,)]), (0, 3, 8, 17, 20, 23)),
     ("rank-4", _rose_map([(2,), (3,), (4,), (1, 2)]), (0, 3, 17, 41, 50)),
+    ("rank-4-inverse", _rose_map([(4, -1), (1,), (2,), (3,)]), (0, 5, 12, 19, 22, 27)),
 ]
 
 
@@ -260,6 +266,28 @@ class TestTT:
                 assert capsys.readouterr().out.splitlines()[1] == (
                     f"word {format_letters(word.letters)}")
 
+    @pytest.mark.parametrize("name, data, iters", LEAF_WORD_CASES, ids=[c[0] for c in LEAF_WORD_CASES])
+    def test_leaf_of_reversed_edge(self, tmp_path, capsys, name, data, iters):
+        p = tmp_path / f"{name}.map"
+        p.write_text(json.dumps(data))
+        tt = pf_metric(load_selfmap(str(p)))
+        for k in iters:
+            for h in range(1, tt.graph.n_edges + 1):
+                assert main(["tt", "leaf", str(p), "--edge", f"~e{h}", "--iters", str(k)]) == 0
+                path = oracles.leaf_path(tt, -h, k)
+                refs = " ".join(("~" if x < 0 else "") + f"e{abs(x)}" for x in path)
+                assert capsys.readouterr().out == (
+                    f"path {refs}\nword {oracles.path_word(tt.point, path)}\n")
+
+    def test_leaf_edge_errors(self, files, capsys):
+        assert main(["tt", "leaf", files["fwd"], "--edge", "~e3", "--iters", "1"]) == 2
+        assert capsys.readouterr().err == "error: unknown edge ~e3\n"
+        assert main(["tt", "leaf", files["fwd"], "--edge", "~~e1", "--iters", "1"]) == 2
+        assert capsys.readouterr().err == "error: unknown edge ~~e1\n"
+        assert main(["tt", "leaf", files["fwd"], "--edge", "~e2", "--iters", "60"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: leaf f^60(~e2) has more than 10000000 half-edges")
+
     def test_word_text_of_every_letter(self):
         letters = [s * i for i in range(1, 27) for s in (1, -1)]
         assert cli_mod._word_text(np.array(letters)) == format_letters(letters)
@@ -400,6 +428,14 @@ class TestUsage:
     def test_negative_flag_rejected(self, files, capsys):
         assert main(["axis", "contract", files["fwd"], files["bwd"],
                      "--samples", "-3"]) == 2
+
+    @pytest.mark.parametrize("mode", ["balls", "morse"])
+    def test_zero_samples_is_a_usage_error(self, files, capsys, mode):
+        # checked before the maps are read: missing map files do not matter
+        missing = str(files["tmp"] / "missing.map")
+        for fwd, bwd in ((files["fwd"], files["bwd"]), (missing, missing)):
+            assert main(["axis", "contract", fwd, bwd, "--samples", "0", "--mode", mode]) == 2
+            assert capsys.readouterr().err == "error: --samples must be >= 1\n"
 
     def test_negative_flag_message_says_zero_is_allowed(self, files, capsys):
         assert main(["tt", "leaf", files["fwd"], "--edge", "e1", "--iters", "-1"]) == 2

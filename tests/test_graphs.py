@@ -183,6 +183,8 @@ class TestPathWord:
             for read in (theta_point.path_word, theta_point.path_letters):
                 with pytest.raises(ValueError, match=f"half-edge {bad} is not one of"):
                     read((1, -1) * 600 + (bad,))
+            with pytest.raises(ValueError, match=f"half-edge {bad} is not one of"):
+                theta_point.path_letters(np.array([1, bad], dtype=np.intp))
 
     @pytest.mark.parametrize("cell", CELLS)
     def test_long_walks_match_letterwise_reading(self, cell):
@@ -197,6 +199,8 @@ class TestPathWord:
                 assert X.path_word(np.array(p, dtype=np.intp)) == want
                 assert X.path_letters(p).tolist() == list(want.letters)
                 assert X.path_letters(p[:n // 3]).tolist() == list(X.path_word(p[:n // 3]).letters)
+                short = np.array(p[:n // 3], dtype=np.intp)
+                assert X.path_letters(short).tolist() == list(X.path_word(p[:n // 3]).letters)
 
     def test_empty_path(self, theta_point):
         assert theta_point.path_word(()) == Word(())

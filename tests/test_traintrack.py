@@ -309,9 +309,29 @@ class TestLeafPath:
         m = tt.graph.n_edges
         for e in range(1, m + 1):
             for h in (e, -e):
-                for k in range(13):
-                    assert tt.leaf_path(h, k) == oracles.leaf_path(tt, h, k)
+                # every level up to the first leaf longer than
+                # 2 * PATH_WORD_ARRAY_MIN half-edges, so that the small-lambda
+                # maps reach long half-depth pieces too
+                k = 0
+                while True:
+                    path = tt.leaf_path(h, k)
+                    assert path == oracles.leaf_path(tt, h, k)
+                    if len(path) > 2 * graphs.PATH_WORD_ARRAY_MIN:
+                        break
+                    k += 1
         assert all(type(h) is int for h in tt.leaf_path(1, 12))
+
+    @pytest.mark.parametrize("name", LEAF_MAPS)
+    def test_pieces_are_half_depth_leaves(self, name):
+        tt = pf_metric(LEAF_MAPS[name]())
+        m = tt.graph.n_edges
+        for k in (0, 1, 2, 7, 10):
+            for e in (1, -m):
+                pieces, first = tt.leaf_pieces(e, k)
+                assert first.tolist() == list(oracles.leaf_path(tt, e, k // 2))
+                for h in (*range(1, m + 1), *range(-m, 0)):
+                    assert pieces[h].dtype == np.intp
+                    assert pieces[h].tolist() == list(oracles.leaf_path(tt, h, k - k // 2))
 
     def test_edge_index_outside_range(self, golden_tt):
         for k in (0, 1, 5):
@@ -352,6 +372,18 @@ class TestLeafPath:
         monkeypatch.setattr(traintrack, "LEAF_PATH_MAX", 8)
         with pytest.raises(ValueError, match=r"f\^5\(e1\) has more than 8 half-edges"):
             golden_tt.leaf_array(1, 5)
+
+    def test_leaf_array_allocates_about_its_result(self, golden_tt):
+        # golden f^30(e1) has 2 178 309 half-edges; a gather per level held
+        # about 2.85 times the result at its peak
+        tracemalloc.start()
+        try:
+            path = golden_tt.leaf_array(1, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(path) == 2_178_309
+        assert peak <= 1.25 * path.nbytes
 
     def test_too_long_leaf_fails_in_small_memory(self, golden_tt):
         tracemalloc.start()

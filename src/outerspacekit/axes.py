@@ -561,18 +561,13 @@ class TwoAxisReport:
     parallel: bool
 
 
-def check_pair_window(window: int):
-    """Raise ValueError unless window is a valid two_axis_report window."""
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
-
-
 def two_axis_report(axA: Axis, axB: Axis, window: int = 6) -> TwoAxisReport:
     """Project axis B onto A; detect parallelism by linear growth of the
     diameter under window doubling; window must be at least 2, so that the
     half window is smaller. Each point of B is projected once: the half
     window reads its argmins off the full window's."""
-    check_pair_window(window)
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window}")
     half_window = window // 2
     by_m = {m: project(axB.point(m), axA).argmin for m in range(-window, window + 1)}
     full = [t for ts in by_m.values() for t in ts]

@@ -21,7 +21,6 @@ from .axes import (
     BALL_HEADER,
     MORSE_HEADER,
     PAIR_HEADER,
-    check_pair_window,
     contraction_experiment,
     detour_path,
     divergence_check,
@@ -206,14 +205,20 @@ def cmd_tt(args):
         e = edge_ids.index(name) + 1
         # both lines are read off the <= 2 n_edges distinct pieces of the
         # leaf; free reduction is confluent, so reducing the joined piece
-        # words once gives the word of the whole leaf
+        # words once gives the word of the whole leaf. Each piece word is
+        # reduced, so when none is empty only a join can cancel: the last
+        # letter of one piece against the first of the next
         pieces, first = tt.leaf_pieces(e if name == args.edge else -e, args.iters)
         order = first.tolist()
         used = set(order)
         texts = {h: _path_text(pieces[h], edge_ids) for h in used}
         letters = {h: tt.point.path_letters(pieces[h]) for h in used}
         print("path", " ".join([texts[h] for h in order]))
-        print("word", _word_text(reduce_array(np.concatenate([letters[h] for h in order]))))
+        word = np.concatenate([letters[h] for h in order])
+        if not all(map(len, letters.values())) or any(
+                letters[a][-1] == -letters[b][0] for a, b in set(zip(order, order[1:]))):
+            word = reduce_array(word)
+        print("word", _word_text(word))
 
 
 def _path_text(path, edge_ids) -> str:
@@ -310,7 +315,6 @@ def cmd_axis(args):
     elif args.action == "pair":
         import random as _random
 
-        check_pair_window(args.window)
         rng = _random.Random(args.seed)
         rows = []
         for i in range(args.pairs):
@@ -443,8 +447,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
-    for name, low in (("seed", 0), ("samples", 1), ("window", 0), ("iters", 0), ("oracle", 0),
-                      ("radius", 0), ("pairs", 0)):
+    # two_axis_report needs a half window smaller than the window
+    pair = args.cmd == "axis" and args.action == "pair"
+    for name, low in (("seed", 0), ("samples", 1), ("window", 2 if pair else 0), ("iters", 0),
+                      ("oracle", 0), ("radius", 0), ("pairs", 0)):
         v = getattr(args, name, None)
         if v is not None and v < low:
             print(f"error: --{name} must be >= {low}", file=sys.stderr)

@@ -15,6 +15,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .graphs import (
     reverse_path,
     tighten_path,
 )
-from .metric import distance
 from .whitehead import (
     WhiteheadGraph,
     cut_analysis,
@@ -322,7 +322,8 @@ class TrainTrackMap:
     def realized_leaves(self, point: MarkedMetricGraph):
         """Yield, for k = 0, 1, 2, ..., one LeafTile per edge e: the tight
         based path at `point` of the tile f^k(e), read in F_n through
-        self.point, summarized with the window LEAF_WINDOW or wider.
+        self.point, summarized with the window LEAF_WINDOW or wider, its
+        turns indexed by _turns(point.graph).
 
         Realizing at a point maps concatenation to tightened concatenation,
         and f^(k+1)(e) concatenates f^k(h) over the half-edges h of f(e), so
@@ -334,13 +335,20 @@ class TrainTrackMap:
         rebuilt from level 0; every yielded level is exact, so memory is
         O(edges * window) per level instead of lambda^k.
         """
-        m = point.graph.n_edges
+        g = point.graph
+        m = g.n_edges
+        turns = _turns(g)
+        # index[a][b]: the position of the turn {a, b} in a tile's counts
+        index = [[None] * (2 * m + 1) for _ in range(2 * m + 1)]
+        for i, (a, b) in enumerate(turns, m):
+            index[a][b] = index[b][a] = i
+        size = m + len(turns)
         images = [self.selfmap.edge_images[e] for e in range(1, self.graph.n_edges + 1)]
         reversed_edges = sorted({-h for img in images for h in img if h < 0})
         roots = [point.realize_based(self.point.path_word((e,)).letters)
                  for e in range(1, len(images) + 1)]
         window = LEAF_WINDOW
-        level = [LeafTile.of_path(p, m, window) for p in roots]
+        level = [LeafTile.of_path(p, index, size, window) for p in roots]
         depth = yielded = 0
         while True:
             if depth == yielded:
@@ -349,45 +357,57 @@ class TrainTrackMap:
             try:
                 reverse = {e: level[e - 1].reversed() for e in reversed_edges}
                 level = [_join([level[h - 1] if h > 0 else reverse[-h] for h in img],
-                               m, window)
+                               index, window)
                          for img in images]
                 depth += 1
             except _WindowTooNarrow:
                 window *= 2
                 log.debug("leaf window widened to %d half-edges at level %d", window, depth + 1)
-                level = [LeafTile.of_path(p, m, window) for p in roots]
+                level = [LeafTile.of_path(p, index, size, window) for p in roots]
                 depth = 0
+
+
+def _turns(graph: MetricGraph):
+    """The turns of a graph, in a fixed order: the pairs of distinct
+    half-edges at each vertex, vertex by vertex. A tight path takes the
+    turn {-h_i, h_(i+1)} at each of its inner vertices."""
+    return [turn for v in range(graph.n_vertices)
+            for turn in itertools.combinations(graph.out_halfedges(v), 2)]
 
 
 @dataclass
 class LeafTile:
     """A tight half-edge path, summarized: its length n, its first and last
-    `window` half-edges (both the whole path when n <= 2 * window), how
-    often it crosses each edge, and how often it takes each turn
-    {-h_i, h_(i+1)} of consecutive half-edges."""
+    `window` half-edges (both the whole path when n <= 2 * window), and
+    its counts, exact Python ints: how often it crosses each edge i + 1,
+    either way, at position i, and then how often it takes each turn
+    {-h_i, h_(i+1)} of consecutive half-edges, in the order of the turn
+    table (_turns) of its graph."""
 
     n: int
     head: tuple
     tail: tuple
-    edge_counts: tuple  # crossings of edge i + 1, either way
-    turns: Counter  # frozenset({-h_i, h_(i+1)}) -> count
+    counts: tuple
     window: int
 
     @classmethod
-    def of_path(cls, path, n_edges: int, window: int) -> "LeafTile":
+    def of_path(cls, path, index, size: int, window: int) -> "LeafTile":
+        """The tile of a tight path; index[a][b] is the position of the turn
+        {a, b} in counts, which has `size` entries."""
         path = tuple(path)
-        counts = [0] * n_edges
+        counts = [0] * size
         for h in path:
             counts[abs(h) - 1] += 1
-        turns = Counter(frozenset((-a, b)) for a, b in zip(path, path[1:]))
+        for a, b in zip(path, path[1:]):
+            counts[index[-a][b]] += 1
         if len(path) <= 2 * window:
-            return cls(len(path), path, path, tuple(counts), turns, window)
-        return cls(len(path), path[:window], path[-window:], tuple(counts), turns, window)
+            return cls(len(path), path, path, tuple(counts), window)
+        return cls(len(path), path[:window], path[-window:], tuple(counts), window)
 
     def reversed(self) -> "LeafTile":
-        # a turn is unordered, so reversing keeps the turn counts
+        # a turn is unordered, so reversing keeps the counts
         return LeafTile(self.n, reverse_path(self.tail), reverse_path(self.head),
-                        self.edge_counts, self.turns, self.window)
+                        self.counts, self.window)
 
     def slice(self, start: int, stop: int):
         """Half-edges start..stop-1 of the path, when they lie in a window."""
@@ -403,9 +423,16 @@ class _WindowTooNarrow(Exception):
     """A tightening needs a half-edge outside a tile's end windows."""
 
 
-def _join(pieces, n_edges: int, window: int) -> LeafTile:
+def _join(pieces, index, window: int) -> LeafTile:
     """LeafTile of the tightened concatenation of the paths of `pieces`;
-    raises _WindowTooNarrow when it needs a half-edge outside a window."""
+    raises _WindowTooNarrow when it needs a half-edge outside a window.
+
+    One piece is its own tile. Otherwise the counts are the sum of the
+    pieces' counts, less the half-edges and turns of the cancelled ends,
+    plus the turn taken at each join; index[a][b] is the position of the
+    turn {a, b} in the counts."""
+    if len(pieces) == 1:
+        return pieces[0]
     # [tile, s, t]: a tile with s half-edges cancelled at its start, t at its end
     stack = []
     for tile in pieces:
@@ -421,31 +448,25 @@ def _join(pieces, n_edges: int, window: int) -> LeafTile:
                 stack.pop()
         if s < tile.n:
             stack.append([tile, s, 0])
-    counts = [0] * n_edges
-    turns = Counter()
+    counts = [0] * len(pieces[0].counts)
     n = 0
     before = None  # last half-edge of the surviving path so far
     for tile, s, t in stack:
         n += tile.n - s - t
-        for i, c in enumerate(tile.edge_counts):
-            counts[i] += c
-        for turn, c in tile.turns.items():
-            turns[turn] = turns.get(turn, 0) + c
+        counts = list(map(add, counts, tile.counts))
         # drop the cancelled ends and the turns they take, add the join turn
         cut = tile.slice(0, s + 1) + tile.slice(tile.n - t - 1, tile.n)
         for h in cut[:s] + cut[s + 2:]:
             counts[abs(h) - 1] -= 1
         for a, b in itertools.chain(zip(cut[:s + 1], cut[1:s + 1]), zip(cut[s + 1:], cut[s + 2:])):
-            turns[frozenset((-a, b))] -= 1
+            counts[index[-a][b]] -= 1
         if before is not None:
-            turn = frozenset((-before, cut[s]))
-            turns[turn] = turns.get(turn, 0) + 1
+            counts[index[-before][cut[s]]] += 1
         before = cut[s + 1]
-    turns = Counter({turn: c for turn, c in turns.items() if c})
     if n <= 2 * window:
         path = tuple(itertools.chain.from_iterable(
             tile.slice(s, tile.n - t) for tile, s, t in stack))
-        return LeafTile(n, path, path, tuple(counts), turns, window)
+        return LeafTile(n, path, path, tuple(counts), window)
     head, tail = [], []
     for tile, s, t in stack:
         take = min(window - len(head), tile.n - s - t)
@@ -457,7 +478,7 @@ def _join(pieces, n_edges: int, window: int) -> LeafTile:
         tail[:0] = tile.slice(tile.n - t - take, tile.n - t)
         if len(tail) == window:
             break
-    return LeafTile(n, tuple(head), tuple(tail), tuple(counts), turns, window)
+    return LeafTile(n, tuple(head), tuple(tail), tuple(counts), window)
 
 
 def _perron(A: np.ndarray):
@@ -557,8 +578,9 @@ def _dyadic(lengths):
 
 
 def _tile_length(tile, numerators, den) -> float:
-    # int / int is correctly rounded, the same float as math.fsum over the path
-    return sum(c * a for c, a in zip(tile.edge_counts, numerators)) / den
+    # zip stops at the edge counts; int / int is correctly rounded, the
+    # same float as math.fsum over the path
+    return sum(c * a for c, a in zip(tile.counts, numerators)) / den
 
 
 def lamination_length_ratio(
@@ -616,18 +638,22 @@ def lamination_whitehead_graph(tt: TrainTrackMap, point: MarkedMetricGraph, k_st
     """Whitehead graph (over the oriented edges of `point`, a rose) of the
     stabilized leaf segments of tt's lamination realized at `point`.
 
-    Turns are read off the turn counts of the realized leaf tiles; the
-    wrap-around turn is not taken. k is increased, up to LEAF_GRAPH_K_CAP,
-    until the graph is unchanged for two consecutive depths; returns
-    (graph, k_used).
+    A turn is an edge of the graph when some realized leaf tile of the
+    level takes it: its count, read through the turn table of `point`
+    (_turns), is nonzero; the wrap-around turn is not taken. k is
+    increased, up to LEAF_GRAPH_K_CAP, until the graph is unchanged for two
+    consecutive depths; returns (graph, k_used).
     """
     if point.graph.n_vertices != 1:
         raise ValueError("lamination Whitehead graphs are computed at roses")
+    m = point.graph.n_edges
+    turns = _turns(point.graph)
     prev = None
     levels = itertools.islice(tt.realized_leaves(point), k_start, LEAF_GRAPH_K_CAP + 1)
     for k, level in enumerate(levels, k_start):
-        turns = {t for tile in level for t in tile.turns}
-        graph = WhiteheadGraph.from_counter(point.rank, Counter(turns))
+        taken = map(any, zip(*(tile.counts[m:] for tile in level)))
+        graph = WhiteheadGraph.from_counter(
+            point.rank, Counter(turn for turn, t in zip(turns, taken) if t))
         if prev is not None and graph.same_simple_graph(prev):
             return graph, k
         prev = graph
@@ -643,7 +669,9 @@ class CutVertexSearchResult:
     minus_trace: list
     combined_graph: WhiteheadGraph
     stabilization_k: int
-    axis_distance: float  # min over a small window of d(G_m, F) + d(F, G_m)
+    # distance of F to the orbit of the start: the min over m in -3..3 of
+    # d(F, start . phi^m) + d(start . phi^m, F)
+    axis_distance: float
     unconverged: int  # lamination length estimates of the search that did not converge
 
 
@@ -666,13 +694,23 @@ def no_cut_vertex_search(
     stabilize empirically; when no cut-vertex move decreases both
     functionals the leaf depth is boosted to expose missing turns. The
     result counts the length estimates that did not converge.
+
+    The axis distance of the point F found is read off two axis walks:
+    Out(F_n) acts by isometries, so d(start . phi^m, F) is
+    d(start, F . phi^-m), a distance to the axis of phi through F, and
+    d(F, start . phi^m) one to the axis through the start (see
+    Axis.dist_to_axis_point, which equals distance bit for bit).
     """
+    from .axes import Axis  # axes imports this module
+
     phi = ttF.automorphism()
     psi = ttB.automorphism()
     if not verify_inverse(phi, psi):
         raise ValueError("backward map is not inverse to the forward map")
     if start.graph.n_vertices != 1:
         raise ValueError("search starts at a rose point")
+    if start.rank != ttF.point.rank:
+        raise ValueError(f"rank mismatch: {start.rank} vs {ttF.point.rank}")
     converged = []
 
     def plateau(tt, point):
@@ -698,8 +736,9 @@ def no_cut_vertex_search(
                     "(input not fully irreducible)"
                 )
             if not report.cut_vertices:
-                orbit = [start.act(phi.power(m)) for m in range(-3, 4)]
-                prox = min(distance(X, G).value + distance(G, X).value for G in orbit)
+                along, back = Axis(ttF, base=start, phi=phi), Axis(ttF, base=X, phi=phi)
+                prox = min(along.dist_to_axis_point(X, m) + back.dist_to_axis_point(start, -m)
+                           for m in range(-3, 4))
                 return CutVertexSearchResult(
                     X, moves, plus_trace, minus_trace, combined, max(kF, kB), prox,
                     converged.count(False),

@@ -299,15 +299,6 @@ class Automorphism:
             inv = _lazy_compose_inverse(other._inv, self._inv)
         return Automorphism(self.rank, images, verified=self.verified and other.verified, _inv=inv)
 
-    def power(self, k: int) -> "Automorphism":
-        if k == 0:
-            return Automorphism.identity(self.rank)
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out.compose(base)
-        return out
-
     def inverse(self) -> "Automorphism":
         if self._inv is None:
             inv_images = inverse_images(self.images, self.rank)

@@ -57,6 +57,7 @@ from outerspacekit.whitehead import (
     whitehead_graph,
 )
 from outerspacekit.words import (
+    Automorphism,
     CyclicWord,
     WhiteheadMove,
     Word,
@@ -547,6 +548,26 @@ def strip_inverse_ends(letters):
 def dist_to_axis_point(ax, X, m):
     """Reference for Axis.dist_to_axis_point: the distance to the point G_m."""
     return distance(X, ax.point(m)).value
+
+
+def search_axis_distance(ttF, start, X):
+    """Reference for CutVertexSearchResult.axis_distance: the min over
+    m in -3..3 of d(X, start . phi^m) + d(start . phi^m, X), each orbit
+    point built by act and each distance read by distance."""
+    phi = ttF.automorphism()
+    orbit = [start.act(automorphism_power(phi, m)) for m in range(-3, 4)]
+    return min(distance(X, G).value + distance(G, X).value for G in orbit)
+
+
+def automorphism_power(phi, k):
+    """phi^k, composed one factor of phi or phi^-1 at a time."""
+    if k == 0:
+        return Automorphism.identity(phi.rank)
+    base = phi if k > 0 else phi.inverse()
+    out = base
+    for _ in range(abs(k) - 1):
+        out = out.compose(base)
+    return out
 
 
 def project(X, ax, budget=40, margin=2):

@@ -69,7 +69,7 @@ def _rose_map(images, marking=None):
 
 # the golden, plastic and rank-4 maps, the golden one also with the markings
 # y -> e1 e2 and y -> e2 e1, whose leaf words cancel (with y -> e2 e1 also
-# where tt leaf joins its pieces, at odd half depths), and the plastic and
+# where tt leaf joins its pieces, at --iters 2 and from 4 on), and the plastic and
 # rank-4 inverses, whose images hold reversed half-edges; each with odd and
 # even --iters on both sides of PATH_WORD_ARRAY_MIN = 1024 half-edges
 LEAF_WORD_CASES = [
@@ -279,6 +279,21 @@ class TestTT:
                 assert capsys.readouterr().out == (
                     f"path {refs}\nword {oracles.path_word(tt.point, path)}\n")
 
+    def test_leaf_word_reduced_only_where_a_join_cancels(self, tmp_path, capsys, monkeypatch):
+        # of these runs, only those of y -> e2 e1 from --iters 14 on have a
+        # piece join that cancels
+        reduced = []
+        real = cli_mod.reduce_array
+        monkeypatch.setattr(cli_mod, "reduce_array", lambda a: reduced.append(len(a)) or real(a))
+        for name, data, iters in LEAF_WORD_CASES:
+            p = tmp_path / f"{name}.map"
+            p.write_text(json.dumps(data))
+            for k in iters:
+                assert main(["tt", "leaf", str(p), "--edge", "e1", "--iters", str(k)]) == 0
+                capsys.readouterr()
+                assert len(reduced) == (name == "golden-marked-yx" and k >= 14)
+                reduced.clear()
+
     def test_leaf_edge_errors(self, files, capsys):
         assert main(["tt", "leaf", files["fwd"], "--edge", "~e3", "--iters", "1"]) == 2
         assert capsys.readouterr().err == "error: unknown edge ~e3\n"
@@ -306,6 +321,14 @@ class TestTT:
         out = capsys.readouterr().out
         assert "moves 0" in out
         assert "unconverged 0" in out
+
+    def test_whsearch_rank_mismatch(self, files, tmp_path, capsys):
+        start = tmp_path / "rose3.graph"
+        start.write_text(json.dumps(point_to_dict(rose(3))))
+        assert main(["tt", "whsearch", files["fwd"], files["bwd"], "--start", str(start)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: rank mismatch: 3 vs 2\n"
+        assert captured.out == ""
 
     def test_non_tt_rejected(self, files, tmp_path, capsys):
         bad = dict(GOLDEN_MAP)
@@ -367,17 +390,17 @@ class TestAxis:
     @pytest.mark.parametrize("window", ["0", "1"])
     def test_pair_window_below_two(self, files, capsys, window):
         assert main(["axis", "pair", files["fwd"], files["bwd"],
-                     "--pairs", "2", "--window", window]) == 1
+                     "--pairs", "2", "--window", window]) == 2
         captured = capsys.readouterr()
-        assert "window must be >= 2" in captured.err
-        assert "parallel" not in captured.out
+        assert captured.err == "error: --window must be >= 2\n"
+        assert captured.out == ""
 
     def test_pair_window_checked_with_no_pairs(self, files, capsys):
-        # a run of zero pairs never reaches two_axis_report
-        assert main(["axis", "pair", files["fwd"], files["bwd"],
-                     "--pairs", "0", "--window", "1"]) == 1
+        # a run of zero pairs never reaches two_axis_report; no map is read
+        missing = str(files["tmp"] / "missing.map")
+        assert main(["axis", "pair", missing, missing, "--pairs", "0", "--window", "1"]) == 2
         captured = capsys.readouterr()
-        assert "window must be >= 2, got 1" in captured.err
+        assert captured.err == "error: --window must be >= 2\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("images, message", [

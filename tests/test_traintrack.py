@@ -1,7 +1,9 @@
+import itertools
 import logging
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -410,8 +412,14 @@ def _leaf_cases(golden_tt, tribo_tt):
     return cases
 
 
-def _summary(tile):
-    return (tile.n, tile.head, tile.tail, tile.edge_counts, tile.turns)
+def _summary(tile, graph):
+    """(n, head, tail, edge counts, turns) of a tile at `graph`, its turn
+    counts read through the turn table, as oracles.tile_summary gives them."""
+    m = graph.n_edges
+    turns = Counter({frozenset(turn): c
+                     for turn, c in zip(traintrack._turns(graph), tile.counts[m:]) if c})
+    assert len(tile.counts) == m + len(traintrack._turns(graph))
+    return (tile.n, tile.head, tile.tail, tile.counts[:m], turns)
 
 
 def _assert_tiles_match(tt, X, ref):
@@ -419,7 +427,8 @@ def _assert_tiles_match(tt, X, ref):
     a path of at most 2 * window half-edges is kept whole."""
     for tiles, paths in zip(tt.realized_leaves(X), ref):
         for tile, path in zip(tiles, paths):
-            assert _summary(tile) == oracles.tile_summary(path, X.graph.n_edges, tile.window)
+            assert _summary(tile, X.graph) == oracles.tile_summary(path, X.graph.n_edges,
+                                                                   tile.window)
             if len(path) <= 2 * tile.window:
                 assert tile.head == tile.tail == path
 
@@ -555,6 +564,19 @@ class TestLamination:
             assert est.value == 1.0
             assert all(a == 1.0 for a in est.sequence)
 
+    def test_edge_counts_exact_beyond_int64(self):
+        """At tt.point no join cancels, so the edge counts of level k are the
+        rows of A^k, here in Python ints for silver at k = 60 (about 1e23)."""
+        tt = pf_metric(silver_selfmap())
+        A = tt.matrix.tolist()
+        power = [[int(i == j) for j in range(len(A))] for i in range(len(A))]
+        for _ in range(60):
+            power = [[sum(row[l] * A[l][j] for l in range(len(A))) for j in range(len(A))]
+                     for row in power]
+        level = next(itertools.islice(tt.realized_leaves(tt.point), 60, None))
+        assert [list(tile.counts[:len(A)]) for tile in level] == power
+        assert max(map(max, power)) > 2 ** 64
+
     def test_golden_vs_uneven_rose(self, golden_tt):
         est = lamination_length_ratio(golden_tt, rose(2, [1 / 3, 2 / 3]))
         rx, ry = est.frequencies
@@ -586,6 +608,17 @@ class TestLamination:
         )
         diffs = [abs(b - a) for a, b in zip(est.sequence, est.sequence[1:])]
         assert all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
+
+
+# (forward, backward) self-maps of the cut-vertex search checks: golden,
+# silver, plastic (tribo) and rank-4
+SEARCH_MAPS = {
+    "golden": golden_selfmaps,
+    "silver": lambda: (silver_selfmap(),
+                       GraphSelfMap(rose(2), {0: 0}, {1: (2,), 2: (-2, -2, 1)})),
+    "plastic": tribo_selfmaps,
+    "rank4": rank4_selfmaps,
+}
 
 
 class TestCutVertexSearch:
@@ -634,15 +667,51 @@ class TestCutVertexSearch:
         assert g0.same_simple_graph(g_fwd)
         assert g0.same_simple_graph(g_bwd)
 
-    def test_proximity_builds_each_orbit_point_once(self, golden_tt, golden_inv_tt,
-                                                    monkeypatch):
+    def test_proximity_acts_for_two_step_maps(self, golden_tt, golden_inv_tt, monkeypatch):
         real = graphs.MarkedMetricGraph.act
         calls = []
         monkeypatch.setattr(graphs.MarkedMetricGraph, "act",
                             lambda self, phi: calls.append(phi) or real(self, phi))
         res = no_cut_vertex_search(golden_tt, golden_inv_tt, rose(2))
         assert res.moves == []  # no move acts: every call is the proximity step's
-        assert len(calls) == 7  # start.act(phi^m) for m = -3..3
+        assert len(calls) == 4  # G_1 and G_-1 of the axes through the start and F
+
+    @pytest.mark.parametrize("name", SEARCH_MAPS)
+    def test_axis_distance_matches_orbit_reference(self, name):
+        """axis_distance is the oracle's min over the orbit of the start,
+        float for float, from seeded starts of 1-4 moves."""
+        fwd, bwd = (pf_metric(f) for f in SEARCH_MAPS[name]())
+        rank = fwd.point.rank
+        nonzero = 0
+        for seed in range(1, 13):
+            for n_moves in range(1, 5):
+                start = random_point(rank, seed, n_moves)
+                try:
+                    res = no_cut_vertex_search(fwd, bwd, start)
+                except NotTrainTrackError:
+                    continue
+                assert res.axis_distance == oracles.search_axis_distance(fwd, start, res.point)
+                nonzero += res.axis_distance != 0
+        assert nonzero
+
+    def test_axis_distance_nearest_orbit_point_off_level_zero(self, tribo_tt, tribo_inv_tt):
+        # from this start the search ends nearest start . phi^1, so the
+        # two walks must read their levels with opposite signs
+        phi = tribo_tt.automorphism()
+        start = random_point(3, 5, 3).act(oracles.automorphism_power(phi, -2))
+        res = no_cut_vertex_search(tribo_tt, tribo_inv_tt, start)
+        expected = oracles.search_axis_distance(tribo_tt, start, res.point)
+        assert expected < distance(res.point, start).value + distance(start, res.point).value
+        assert res.axis_distance == expected
+
+    def test_rank_mismatch_named_before_any_estimate(self, golden_tt, golden_inv_tt,
+                                                     monkeypatch):
+        def estimate(*args, **kwargs):
+            raise AssertionError("estimate made")
+
+        monkeypatch.setattr(traintrack, "lamination_length_ratio", estimate)
+        with pytest.raises(ValueError, match=r"^rank mismatch: 3 vs 2$"):
+            no_cut_vertex_search(golden_tt, golden_inv_tt, rose(3))
 
     def test_requires_rose(self, golden_tt, golden_inv_tt, theta_point):
         with pytest.raises(ValueError):

@@ -6,14 +6,19 @@ The axis of phi through a train-track point G is discretized to the orbit
 the base graph with the base lengths, and the tight loop at G_m of a class
 alpha is the tight loop at the base of phi^m(alpha). So distances to the
 axis are read off two step maps of the base graph, f+ and f-: f+(h) is the
-tight based path G_1.realize_based(label(h)), label(h) the base's label of
-the half-edge h, and f- the same at G_-1. The tight loop of phi^(m+-1)(alpha)
-is the cyclic tightening of the f+- images of the half-edges of the tight
-loop of phi^m(alpha), joined as realize_based joins its pieces; no word
-phi^m and no point G_m is built for it. A point in the marking of an axis
-point G_k is read by translation instead: Out(F_n) acts by isometries, so
-d(X, G_m) = d(X . phi^-k, G_(m-k)), and X . phi^-k is the base graph with
-X's lengths.
+tight based path base.realize_based(phi(label(h))), label(h) the base's
+label of the half-edge h, which is G_1.realize_based(label(h)), and f- the
+same with phi^-1. The tight loop of phi^(m+-1)(alpha) is the cyclic
+tightening of the f+- images of the half-edges of the tight loop of
+phi^m(alpha), joined as realize_based joins its pieces; no word phi^m and
+no point G_m is built for it. The classes alpha are X's candidates, taken
+as the graph's candidate paths in graph order: d(X, G_m) is a max of
+length ratios, so no conjugacy class is read. A point in the marking of
+an axis point G_k is read by translation instead: Out(F_n) acts by
+isometries, so d(X, G_m) = d(X . phi^-k, G_(m-k)), and X . phi^-k is the
+base graph with X's lengths, whose candidate paths are the base's in the
+same graph order. A translate of the axis by psi builds its points as the
+parent's points acted on by psi, composing no conjugated power.
 
 Projection of a point X scans m -> d(X, G_m) over an expanding window
 until the minimum is interior. Experiments are deterministic in their
@@ -91,7 +96,7 @@ class Axis:
 
     Distances to the axis are read by dist_to_axis_point, through the step
     maps f+ and f- of the base graph (see the module docstring), built once
-    from G_1 and G_-1. `point` and `power` build G_m and phi^m for the
+    from phi and phi^-1. `point` and `power` build G_m and phi^m for the
     callers that need the points themselves; each point built is recorded
     with its level, so that a point sharing its marking object (G_k itself
     or a with_lengths copy of it) is read by translation. Of `backward`, a
@@ -122,6 +127,7 @@ class Axis:
         self._points = {0: self.base}
         self._level_of = {self.base.marking: 0}  # marking object of G_k -> k
         self._steps = None  # see _step_maps
+        self._parent = None  # (axis, psi) of a translate, see translate
         self._walks = weakref.WeakKeyDictionary()  # marking object -> _Walk
 
     @property
@@ -142,20 +148,30 @@ class Axis:
         return self._powers[m]
 
     def point(self, m: int) -> MarkedMetricGraph:
+        """G_m: base . phi^m, or for a translate (see translate) the
+        parent's G_m . psi."""
         if m not in self._points:
-            p = self._points[m] = self.base.act(self.power(m))
+            if self._parent is None:
+                p = self.base.act(self.power(m))
+            else:
+                parent, psi = self._parent
+                p = parent.point(m).act(psi)
+            self._points[m] = p
             self._level_of[p.marking] = m
         return self._points[m]
 
     def _step_maps(self):
         """The step maps {+1: f+, -1: f-}: half-edge h of the base graph ->
-        G_(+-1).realize_based(label(h)), label(h) the base's label of h."""
+        base.realize_based(phi^(+-1)(label(h))), label(h) the base's label
+        of h. This is G_(+-1).realize_based(label(h)), since G_(+-1) realizes
+        a generator as the base realizes its phi^(+-1) image, but it builds
+        no point."""
         if self._steps is None:
-            n = self.base.graph.n_edges
-            labels = [(h, self.base.path_word((h,)).letters)
-                      for h in (*range(1, n + 1), *range(-n, 0))]
-            self._steps = {s: {h: self.point(s).realize_based(w) for h, w in labels}
-                           for s in (1, -1)}
+            base = self.base
+            n = base.graph.n_edges
+            labels = [(h, base.path_word((h,)).letters) for h in (*range(1, n + 1), *range(-n, 0))]
+            self._steps = {s: {h: base.realize_based(f.apply_letters(w)) for h, w in labels}
+                           for s, f in ((1, self.phi), (-1, self.phi.inverse()))}
         return self._steps
 
     def _walk_from(self, loops) -> _Walk:
@@ -173,15 +189,16 @@ class Axis:
     def dist_to_axis_point(self, X: MarkedMetricGraph, m: int) -> float:
         """d(X, G_m), the value of distance(X, self.point(m)), bit for bit.
 
-        The lengths at G_m of X's candidate classes are those of the walk
-        of X's candidates at level m. A point X in the marking of an axis
+        The lengths at G_m of X's candidate classes, in X's graph order,
+        are those of the walk of X's candidates at level m, and X's own
+        are X.candidate_lengths(). A point X in the marking of an axis
         point G_k is read by translation: X . phi^-k is the base graph with
         X's lengths, so the ratios are the walk of the base's candidates at
-        level m - k over X's lengths of the base's candidate paths. Both
-        markings have the same graph, so these are the same candidate paths
-        in another order; the tight loop of a class is unique up to
-        rotation and path_length is an exactly rounded sum, so the ratios
-        are those of distance, and so are their max and its log.
+        level m - k over X.candidate_lengths(), both in the graph order of
+        the one graph. distance takes the same ratios in class order; the
+        tight loop of a class is unique up to rotation and path_length is
+        an exactly rounded sum, so the ratios are the same floats, and so
+        are their max and its log.
         """
         if X.rank != self.rank:
             raise ValueError(f"rank mismatch: {X.rank} vs {self.rank}")
@@ -191,13 +208,19 @@ class Axis:
             lx = X.candidate_lengths()
         else:
             ly = self._walk_of(self.base).lengths_at(m - k)
-            lx = [X.graph.path_length(c.path) for c in self.base.shared_candidates()]
+            lx = X.candidate_lengths()
         return math.log(max(map(truediv, ly, lx)))
 
     def translate(self, psi: Automorphism) -> "Axis":
-        """The axis of psi^-1 phi psi through base . psi."""
+        """The axis of psi^-1 phi psi through base . psi.
+
+        Its point G_m is this axis's G_m . psi, the same marked graph as
+        base . psi . (psi^-1 phi psi)^m, since both are base . phi^m psi; so
+        building it composes no conjugated power."""
         phi2 = psi.inverse().compose(self.phi).compose(psi)
-        return Axis(self.forward, base=self.base.act(psi), phi=phi2)
+        ax = Axis(self.forward, base=self.base.act(psi), phi=phi2)
+        ax._parent = (self, psi)
+        return ax
 
 
 @dataclass

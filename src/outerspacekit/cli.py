@@ -244,8 +244,8 @@ def _word_text(letters) -> str:
     if not len(letters):
         return "1"
     names = ALPHABET.encode()
-    outside = np.flatnonzero(np.abs(letters) > len(names))
-    if len(outside):
+    if letters.max() > len(names) or letters.min() < -len(names):
+        outside = np.flatnonzero((letters > len(names)) | (letters < -len(names)))
         raise ValueError(f"no name for generator {abs(int(letters[outside[0]]))}")
     # letter i at index i, its inverse -i from the end; index 0 is no letter
     table = np.frombuffer(b"?" + names + names.upper()[::-1], dtype=np.uint8)

@@ -16,7 +16,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class InvalidPointError(ValueError):
 class MetricGraph:
     """Finite graph with an edge metric. Vertices are 0..n_vertices-1."""
 
-    __slots__ = ("n_vertices", "edge_ids", "ends", "lengths", "_out", "_half")
+    __slots__ = ("n_vertices", "edge_ids", "ends", "lengths", "_out", "_half", "_loops")
 
     def __init__(self, n_vertices, edge_ids, ends, lengths):
         self.n_vertices = int(n_vertices)
@@ -62,6 +62,7 @@ class MetricGraph:
             out[u].append(i + 1)
             out[v].append(-(i + 1))
         self._out = tuple(tuple(sorted(hs, key=lambda h: (abs(h), h < 0))) for hs in out)
+        self._loops = []  # [candidate_paths()] once computed, shared by with_lengths copies
 
     def _set_lengths(self, lengths):
         self.lengths = tuple(float(x) for x in lengths)
@@ -102,10 +103,24 @@ class MetricGraph:
     def with_lengths(self, lengths) -> "MetricGraph":
         """The same graph with new edge lengths, sharing its incidence tables."""
         new = MetricGraph.__new__(MetricGraph)
-        new.n_vertices, new.edge_ids, new.ends, new._out = (
-            self.n_vertices, self.edge_ids, self.ends, self._out)
+        new.n_vertices, new.edge_ids, new.ends, new._out, new._loops = (
+            self.n_vertices, self.edge_ids, self.ends, self._out, self._loops)
         new._set_lengths(lengths)
         return new
+
+    def candidate_paths(self):
+        """The candidate loops of the graph as (kind, path) pairs, in graph
+        order: embedded circles, figure eights, barbells, each a tight
+        half-edge cycle, one per cycle up to rotation and inversion, and so
+        one per conjugacy class in any marking (see _candidate_paths).
+
+        Which loops are candidates depends on the graph alone (Francaviglia-
+        Martino), so the list is computed once, kept with the incidence
+        tables, and read by every marking and every with_lengths copy.
+        """
+        if not self._loops:
+            self._loops.append(_candidate_paths(self))
+        return self._loops[0]
 
     def connected(self) -> bool:
         if self.n_vertices == 0:
@@ -222,7 +237,8 @@ class CandidateLoop:
     length: float
 
 
-_PATH = attrgetter("path")
+_PATH = itemgetter(1)  # the path of a (kind, path) pair
+_LOOP_PATH = attrgetter("path")  # the path of a CandidateLoop
 
 
 @dataclass
@@ -239,19 +255,21 @@ class Marking:
     The tables are filled in as the points read them: the spanning tree
     (vertex -> half-edge into it) and the geometric letter of each edge off
     it, the marking map and its certified inverse, the half-edge labels
-    (as a dict and as halfedge_pieces arrays), the tightened generator loops
-    (letter -> piece) and the candidate list of the first point that
-    enumerated it; every point of the marking reads the kind, path and class
-    of each candidate there and keeps only its own lengths of the paths
-    (MarkedMetricGraph.candidate_lengths). `loops` maps another marking
+    (as a dict and as halfedge_pieces arrays) and the tightened generator
+    loops (letter -> piece). The candidate paths belong to the graph
+    (MetricGraph.candidate_paths), in graph order; their conjugacy classes
+    are read here only where a class is printed: `candidates` is the
+    class-sorted list of the first point that enumerated it, and `order`
+    maps a sequence in graph order to that class order (see
+    MarkedMetricGraph.shared_candidates). `loops` maps another marking
     object to the tight cyclic loops, at this marking, of that marking's
-    candidate classes, in candidate order (see MarkedMetricGraph.tight_loops).
+    candidate paths, in graph order (see MarkedMetricGraph.tight_loops).
     Its keys are the marking objects themselves, held weakly: an entry dies
     with its key, so no later marking can read it.
     """
 
     __slots__ = ("tree_parent", "geo_letter", "basis_to_edges", "edges_to_basis", "labels",
-                 "label_pieces", "pieces", "candidates", "loops", "__weakref__")
+                 "label_pieces", "pieces", "candidates", "order", "loops", "__weakref__")
 
     def __init__(self, tree_parent=None, geo_letter=None):
         self.tree_parent = tree_parent  # vertex -> halfedge into it
@@ -262,6 +280,7 @@ class Marking:
         self.label_pieces = None  # the labels as halfedge_pieces
         self.pieces = None  # letter -> tightened loop, see realize_based
         self.candidates = None
+        self.order = None  # graph order -> class order, set with candidates
         self.loops = weakref.WeakKeyDictionary()
 
 
@@ -280,6 +299,7 @@ class MarkedMetricGraph:
         self.marking = Marking() if marking is None else marking
         self._candidates = None  # CandidateLoop objects, built on request
         self._lx = None  # see candidate_lengths
+        self._lx_class = None  # see class_lengths
         self._ly = None  # see loop_lengths
 
     # -- spanning tree and geometric basis -------------------------------
@@ -449,28 +469,33 @@ class MarkedMetricGraph:
         return self.graph.path_length(cyclic_tighten(self.realize_based(letters)))
 
     def tight_loops(self, x: "MarkedMetricGraph"):
-        """The tight cyclic loops at this point of the candidate classes of
-        x, in the order of x.shared_candidates().
+        """The tight cyclic loops at this point of the candidate paths of x,
+        in graph order (x.graph.candidate_paths()).
 
-        They depend on the two markings alone, so the list is realized once
+        Each crosses over through one edge map F, F[h] the based path
+        realize_based(label(h)) of x's label of the half-edge h: the loop of
+        path p is cyclic_tighten(join_pieces(F, p)). The join reads the
+        word path_word(p), a conjugate of p's class, and free reduction is
+        confluent, so this is the tight loop of the class up to rotation.
+        The list depends on the two markings alone, so it is realized once
         per pair of marking objects: it is kept in this point's marking,
         keyed weakly by x's, and every with_lengths copy of either point
         reads the same list. Measured with graph.path_length, loop i has the
-        length loop_length gives for the class of candidate i.
+        length loop_length gives for the class of path i.
         """
         loops = self.marking.loops
         found = loops.get(x.marking)
         if found is None:
             realize = self.realize_based
-            found = loops[x.marking] = [
-                cyclic_tighten(realize(c.conjugacy_class.letters))
-                for c in x.shared_candidates()
-            ]
+            edge_map = {h: realize(w) for h, w in x._label_table().items()}
+            found = loops[x.marking] = [cyclic_tighten(join_pieces(edge_map, path))
+                                        for path in map(_PATH, x.graph.candidate_paths())]
         return found
 
     def loop_lengths(self, x: "MarkedMetricGraph"):
         """The lengths at this point of the candidate classes of x, in
-        candidate order: graph.path_length of each loop of tight_loops(x).
+        class order (x.shared_candidates()): graph.path_length of each loop
+        of tight_loops(x), put in class order once.
 
         They depend on this point's lengths and x's marking alone, so this
         point keeps them, keyed weakly by x's marking object, and sums each
@@ -482,7 +507,9 @@ class MarkedMetricGraph:
             ly = self._ly = weakref.WeakKeyDictionary()
         found = ly.get(x.marking)
         if found is None:
-            found = ly[x.marking] = tuple(map(self.graph.path_length, self.tight_loops(x)))
+            x.shared_candidates()  # sets x.marking.order
+            found = ly[x.marking] = x.marking.order(
+                tuple(map(self.graph.path_length, self.tight_loops(x))))
         return found
 
     # -- action of automorphisms -----------------------------------------
@@ -492,7 +519,8 @@ class MarkedMetricGraph:
 
         The result has a marking object of its own, seeded with this one's
         spanning tree and, where this point has them, its marking maps
-        composed with phi; it shares no candidate list, loop or length cache.
+        composed with phi. It keeps the graph, and with it the candidate
+        paths, but shares no class list, loop or length cache.
         """
         if phi.rank != self.rank:
             raise ValueError("rank mismatch in act")
@@ -519,11 +547,12 @@ class MarkedMetricGraph:
         The copy shares this point's marking object, so everything that
         depends on the marking alone is computed once for all copies: the
         spanning tree, the marking maps, the label and loop tables, the
-        candidate list, and the tight_loops cache, whose entries are keyed
-        weakly by the other point's marking object. What depends on the
-        lengths is the copy's own and starts empty: its candidate lengths
-        (candidate_lengths) and the lengths of the loops it is a target of
-        (loop_lengths), each summed on first use.
+        class list, and the tight_loops cache, whose entries are keyed
+        weakly by the other point's marking object; its graph shares the
+        candidate paths with this one's. What depends on the lengths is the
+        copy's own and starts empty: its candidate lengths
+        (candidate_lengths, class_lengths) and the lengths of the loops it
+        is a target of (loop_lengths), each summed on first use.
         """
         return MarkedMetricGraph(
             self.graph.with_lengths(lengths), self.basepoint, self.gen_loops, self.marking
@@ -532,27 +561,41 @@ class MarkedMetricGraph:
     # -- candidates --------------------------------------------------------
 
     def shared_candidates(self):
-        """The candidate list of this point's marking object, enumerated
-        here if no point of the marking has done so yet.
+        """The candidate list of this point's marking object, in class
+        order, enumerated here if no point of the marking has done so yet;
+        it also sets marking.order, which puts a sequence in graph order
+        (graph.candidate_paths()) in this order.
 
-        The set depends only on the graph and the marking (Francaviglia-
-        Martino), so every point of the marking reads the kind, path and
-        class of each candidate, in order, from this one list. Its lengths
-        are those of the point that enumerated it: a point's own are
-        candidate_lengths().
+        Every point of the marking reads the kind, path and class of each
+        candidate, in order, from this one list. Its lengths are those of
+        the point that enumerated it: a point's own are class_lengths(), and
+        candidate_lengths() in graph order.
         """
         m = self.marking
         if m.candidates is None:
-            self._candidates = m.candidates = enumerate_candidates(self)
+            cands = enumerate_candidates(self)
+            at = {path: i for i, path in enumerate(map(_PATH, self.graph.candidate_paths()))}
+            m.order = _permutation([at[c.path] for c in cands])
+            self._candidates = m.candidates = cands
         return m.candidates
 
     def candidate_lengths(self):
-        """The length at this point of each candidate, in candidate order:
-        graph.path_length over the shared candidate paths, summed once per
-        point."""
+        """The length at this point of each candidate path of its graph, in
+        graph order: graph.path_length over graph.candidate_paths(), summed
+        once per point. No class is read."""
         if self._lx is None:
-            self._lx = tuple(map(self.graph.path_length, map(_PATH, self.shared_candidates())))
+            self._lx = tuple(map(self.graph.path_length, map(_PATH, self.graph.candidate_paths())))
         return self._lx
+
+    def class_lengths(self):
+        """The length at this point of each candidate, in class order:
+        graph.path_length over the shared candidate paths, summed once per
+        point. distance reads these, so that a repeated query permutes
+        nothing."""
+        if self._lx_class is None:
+            self._lx_class = tuple(
+                map(self.graph.path_length, map(_LOOP_PATH, self.shared_candidates())))
+        return self._lx_class
 
     def candidates(self):
         """The candidate loops of this point as CandidateLoop objects: the
@@ -566,9 +609,14 @@ class MarkedMetricGraph:
             if self._candidates is None:  # another point enumerated them
                 self._candidates = [
                     CandidateLoop(c.kind, c.path, c.conjugacy_class, length)
-                    for c, length in zip(shared, self.candidate_lengths())
+                    for c, length in zip(shared, self.class_lengths())
                 ]
         return self._candidates
+
+
+def _permutation(indices):
+    """A function taking a sequence s to the tuple of s[i] for i in indices."""
+    return itemgetter(*indices) if len(indices) > 1 else lambda s: tuple(s[i] for i in indices)
 
 
 def _rotate_cycle_to(path, vertex, graph):
@@ -629,16 +677,24 @@ def _arcs_between(graph, verts1, verts2, forbidden_edges):
     return arcs
 
 
-def enumerate_candidates(point: MarkedMetricGraph):
-    """Candidate loops of a point: embedded circles, figure eights, barbells.
+def _candidate_paths(g: MetricGraph):
+    """The candidate loops of a graph as (kind, path) pairs, in graph order:
+    embedded circles, then figure eights, then barbells, each a tight
+    half-edge cycle.
 
-    Complete up to rotation and inversion; each carries its conjugacy class.
+    Each candidate is found once up to rotation and inversion, so the list
+    needs no deduplication: an embedded circle is found from its least edge
+    crossed forward; a figure eight splits at its one repeated vertex into
+    its pair of circles, and a barbell at its edges crossed twice into its
+    arc and its pair, each pair and arc found once; and of the two cycles
+    made from one pair and arc, neither is a rotation of the other or of
+    its inverse. Two tight loops have the same conjugacy class, up to
+    inversion, exactly when their cycles are equal up to rotation and
+    inversion, in any marking; so these are the candidate classes, one path
+    each, with no class read.
     """
-    g = point.graph
     circles = _embedded_circles(g)
-    raw = []
-    for edges, verts, path in circles:
-        raw.append(("embedded", path))
+    paths = [("embedded", path) for _, _, path in circles]
     for i in range(len(circles)):
         e1, v1, p1 = circles[i]
         for j in range(i + 1, len(circles)):
@@ -650,27 +706,33 @@ def enumerate_candidates(point: MarkedMetricGraph):
                 v = next(iter(common))
                 a = _rotate_cycle_to(p1, v, g)
                 b = _rotate_cycle_to(p2, v, g)
-                raw.append(("figure-eight", a + b))
-                raw.append(("figure-eight", a + reverse_path(b)))
+                paths.append(("figure-eight", a + b))
+                paths.append(("figure-eight", a + reverse_path(b)))
             elif not common:
                 for arc in _arcs_between(g, v1, v2, e1 | e2):
                     u1 = g.init_of(arc[0])
                     u2 = g.term_of(arc[-1])
                     a = _rotate_cycle_to(p1, u1, g)
                     b = _rotate_cycle_to(p2, u2, g)
-                    raw.append(("barbell", a + arc + b + reverse_path(arc)))
-                    raw.append(
+                    paths.append(("barbell", a + arc + b + reverse_path(arc)))
+                    paths.append(
                         ("barbell", a + arc + reverse_path(b) + reverse_path(arc))
                     )
-    kind_order = {"embedded": 0, "figure-eight": 1, "barbell": 2}
-    seen = {}
-    for kind, path in raw:
-        cls = point.path_class(path)
-        key = cls.letters
-        if key not in seen or kind_order[kind] < kind_order[seen[key].kind]:
-            seen[key] = CandidateLoop(kind, tuple(path), cls, g.path_length(path))
+    return tuple(paths)
+
+
+_KIND_ORDER = {"embedded": 0, "figure-eight": 1, "barbell": 2}
+
+
+def enumerate_candidates(point: MarkedMetricGraph):
+    """Candidate loops of a point: the candidate paths of its graph, each
+    with its conjugacy class in the point's marking and its length, in class
+    order (by kind, then by word_key of the class)."""
+    g = point.graph
     return sorted(
-        seen.values(), key=lambda c: (kind_order[c.kind], word_key(c.conjugacy_class.letters))
+        (CandidateLoop(kind, path, point.path_class(path), g.path_length(path))
+         for kind, path in g.candidate_paths()),
+        key=lambda c: (_KIND_ORDER[c.kind], word_key(c.conjugacy_class.letters)),
     )
 
 

@@ -6,22 +6,28 @@ brute-force oracle maximizes over all conjugacy classes up to a length
 bound instead. Explicit linear maps get their Lipschitz constant and green
 subgraph computed edge by edge.
 
-A point's marking object (graphs.Marking) holds what its graph and marking
-fix at any edge lengths, shared by all its with_lengths copies: the
-spanning tree, marking maps, label and loop tables, the candidate list, and
-the tight loops at this marking of other markings' candidate classes, keyed
-weakly by those marking objects. What depends on lengths belongs to the
-point instance, which never changes its lengths (with_lengths and act make
-new instances), and is summed once:
+A point's graph holds its candidate paths (MetricGraph.candidate_paths),
+in graph order, shared by every marking and every with_lengths copy of
+the graph. A point's marking object (graphs.Marking) holds what its graph
+and marking fix at any edge lengths, shared by all its with_lengths
+copies: the spanning tree, marking maps, label and loop tables, the
+candidate classes in class order with the permutation from graph order,
+and the tight loops at this marking of other markings' candidate paths,
+keyed weakly by those marking objects. What depends on lengths belongs to
+the point instance, which never changes its lengths (with_lengths and act
+make new instances), and is summed once:
 
-- lx, x.candidate_lengths(): the lengths of x's shared candidate paths;
-- ly, y.loop_lengths(x): the lengths of y.tight_loops(x), kept by y and
-  keyed weakly by x's marking object, so an entry dies with that marking.
+- lx, x.class_lengths(): the lengths of x's candidate paths, in class
+  order (x.candidate_lengths(), which the axis reads, has them in graph
+  order);
+- ly, y.loop_lengths(x): the lengths of y.tight_loops(x), put in x's
+  class order once, kept by y and keyed weakly by x's marking object, so
+  an entry dies with that marking.
 
-`distance(x, y)` is the log of the largest ratio ly/lx of the two lists, so
-a scan of many points against one target sums no path at the target after
-its first query of each marking. `loop_length`, which `distance_oracle`
-reads, realizes every class anew and is the uncached reference.
+`distance(x, y)` is the log of the largest ratio ly/lx of the two lists,
+so a scan of many points against one target sums no path at the target
+after its first query of each marking. `loop_length`, which `distance_oracle` reads, realizes every
+class anew and is the uncached reference.
 """
 
 from __future__ import annotations
@@ -54,21 +60,22 @@ class DistanceResult:
 def distance(x: MarkedMetricGraph, y: MarkedMetricGraph) -> DistanceResult:
     """Lipschitz distance d(x, y) maximized over the candidates of x.
 
-    The lengths at x are x.candidate_lengths() and those at y are
-    y.loop_lengths(x), both kept by their point instances, so a repeated
-    query sums no path and realizes no loop; the same math.fsum over the
-    same paths gives the floats c.length and y.loop_length would. Among
+    The lengths at x are x.class_lengths() and those at y are
+    y.loop_lengths(x), both in class order and kept by their point
+    instances, so a repeated query sums no path and realizes no loop; the
+    same math.fsum over the same paths gives the floats c.length and
+    y.loop_length would. Among
     the ratios within TIE_TOL of the largest, the witness is the class
     least in word_key order, and it is the one CandidateLoop built here.
     """
     if x.rank != y.rank:
         raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
-    lx = x.candidate_lengths()
+    shared = x.shared_candidates()
+    lx = x.class_lengths()
     ly = y.loop_lengths(x)
     ratios = list(map(truediv, ly, lx))
     best = max(ratios)
     cut = best * (1.0 - TIE_TOL)
-    shared = x.shared_candidates()
     winners = list(compress(count(), map(cut.__le__, ratios)))  # i with ratios[i] >= cut
     i = winners[0] if len(winners) == 1 else min(
         winners, key=lambda i: word_key(shared[i].conjugacy_class.letters))

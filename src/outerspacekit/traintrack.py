@@ -378,8 +378,9 @@ def _turns(graph: MetricGraph):
 @dataclass
 class LeafTile:
     """A tight half-edge path, summarized: its length n, its first and last
-    `window` half-edges (both the whole path when n <= 2 * window), and
-    its counts, exact Python ints: how often it crosses each edge i + 1,
+    `window` half-edges (both the whole path when n <= 2 * window), the
+    window being the one its level is built with (see realized_leaves),
+    and its counts, exact Python ints: how often it crosses each edge i + 1,
     either way, at position i, and then how often it takes each turn
     {-h_i, h_(i+1)} of consecutive half-edges, in the order of the turn
     table (_turns) of its graph."""
@@ -388,7 +389,6 @@ class LeafTile:
     head: tuple
     tail: tuple
     counts: tuple
-    window: int
 
     @classmethod
     def of_path(cls, path, index, size: int, window: int) -> "LeafTile":
@@ -401,13 +401,12 @@ class LeafTile:
         for a, b in zip(path, path[1:]):
             counts[index[-a][b]] += 1
         if len(path) <= 2 * window:
-            return cls(len(path), path, path, tuple(counts), window)
-        return cls(len(path), path[:window], path[-window:], tuple(counts), window)
+            return cls(len(path), path, path, tuple(counts))
+        return cls(len(path), path[:window], path[-window:], tuple(counts))
 
     def reversed(self) -> "LeafTile":
         # a turn is unordered, so reversing keeps the counts
-        return LeafTile(self.n, reverse_path(self.tail), reverse_path(self.head),
-                        self.counts, self.window)
+        return LeafTile(self.n, reverse_path(self.tail), reverse_path(self.head), self.counts)
 
     def slice(self, start: int, stop: int):
         """Half-edges start..stop-1 of the path, when they lie in a window."""
@@ -466,7 +465,7 @@ def _join(pieces, index, window: int) -> LeafTile:
     if n <= 2 * window:
         path = tuple(itertools.chain.from_iterable(
             tile.slice(s, tile.n - t) for tile, s, t in stack))
-        return LeafTile(n, path, path, tuple(counts), window)
+        return LeafTile(n, path, path, tuple(counts))
     head, tail = [], []
     for tile, s, t in stack:
         take = min(window - len(head), tile.n - s - t)
@@ -478,7 +477,7 @@ def _join(pieces, index, window: int) -> LeafTile:
         tail[:0] = tile.slice(tile.n - t - take, tile.n - t)
         if len(tail) == window:
             break
-    return LeafTile(n, tuple(head), tuple(tail), tuple(counts), window)
+    return LeafTile(n, tuple(head), tuple(tail), tuple(counts))
 
 
 def _perron(A: np.ndarray):

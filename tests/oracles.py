@@ -34,6 +34,10 @@ loop did before they shared one index loop. `dist_to_axis_point` and
 warning it logs on a non-contiguous argmin: each level m builds the axis
 point G_m from the word phi^m and takes the candidate distance to it, and
 `length_values` measures phi^m(alpha) at the base the same way.
+`enumerate_candidates` is the library's earlier per-marking enumeration:
+it reads the class of every raw candidate path of every point and keeps
+one path per class, where the library keeps one per half-edge cycle of the
+graph and reads classes only to sort.
 """
 
 import math
@@ -43,6 +47,13 @@ from itertools import chain, combinations
 import numpy as np
 
 from outerspacekit.axes import ProjectionError, ProjectionResult
+from outerspacekit.graphs import (
+    CandidateLoop,
+    _arcs_between,
+    _embedded_circles,
+    _rotate_cycle_to,
+    reverse_path,
+)
 from outerspacekit.metric import distance
 from outerspacekit.traintrack import (
     LEAF_GRAPH_K_CAP,
@@ -64,6 +75,7 @@ from outerspacekit.words import (
     letter_key,
     reduce_letters,
     signed_letters,
+    word_key,
 )
 
 def all_whitehead_moves(rank: int):
@@ -610,3 +622,37 @@ def length_values(alpha, ax, window):
     with phi^m(alpha) applied as a word."""
     lo, hi = window
     return [(m, ax.base.loop_length(apply_cyclic(ax.power(m), alpha))) for m in range(lo, hi + 1)]
+
+
+def enumerate_candidates(point):
+    """Reference for graphs.enumerate_candidates: every raw embedded
+    circle, figure eight and barbell of the graph, each read as a
+    conjugacy class through path_word above, one CandidateLoop kept per
+    class (the least kind, the first found among equals), sorted by kind
+    and then by word_key of the class."""
+    g = point.graph
+    circles = _embedded_circles(g)
+    raw = [("embedded", path) for _, _, path in circles]
+    for i, (e1, v1, p1) in enumerate(circles):
+        for e2, v2, p2 in circles[i + 1:]:
+            if e1 & e2:
+                continue
+            common = v1 & v2
+            if len(common) == 1:
+                v = next(iter(common))
+                a = _rotate_cycle_to(p1, v, g)
+                b = _rotate_cycle_to(p2, v, g)
+                raw += [("figure-eight", a + b), ("figure-eight", a + reverse_path(b))]
+            elif not common:
+                for arc in _arcs_between(g, v1, v2, e1 | e2):
+                    a = _rotate_cycle_to(p1, g.init_of(arc[0]), g)
+                    b = _rotate_cycle_to(p2, g.term_of(arc[-1]), g)
+                    raw += [("barbell", a + arc + b + reverse_path(arc)),
+                            ("barbell", a + arc + reverse_path(b) + reverse_path(arc))]
+    order = {"embedded": 0, "figure-eight": 1, "barbell": 2}
+    seen = {}
+    for kind, path in raw:
+        cls = CyclicWord.make(path_word(point, path).letters)
+        if cls not in seen or order[kind] < order[seen[cls].kind]:
+            seen[cls] = CandidateLoop(kind, tuple(path), cls, path_length(point, path))
+    return sorted(seen.values(), key=lambda c: (order[c.kind], word_key(c.conjugacy_class.letters)))

@@ -7,7 +7,8 @@ import pytest
 
 from outerspacekit import axes
 from outerspacekit.axes import Axis, ball_sample_record, length_profile, project, two_axis_report
-from outerspacekit.graphs import jitter_lengths, random_point, rose
+from outerspacekit.graphs import MarkedMetricGraph, jitter_lengths, random_point, rose
+from outerspacekit.metric import distance
 from outerspacekit.words import random_automorphism
 
 from . import oracles
@@ -91,3 +92,68 @@ def test_off_axis_scans_build_no_power_beyond_one(name, request, monkeypatch):
 def test_rank_mismatch(golden_axis):
     with pytest.raises(ValueError, match=r"^rank mismatch: 3 vs 2$"):
         project(rose(3), golden_axis)
+
+
+@pytest.mark.parametrize("name", AXES)
+def test_axis_distances_are_distances_bit_for_bit(name, request):
+    """dist_to_axis_point(X, m) == distance(X, G_m).value for |m| <= 4, with
+    X of every cell of the axis's rank (2-4): a fresh act point; a
+    with_lengths copy of an axis point G_k; a point on an axis whose base
+    is a scrambled random_point; a point on a translate of the axis."""
+    fixture = request.getfixturevalue(name)
+    rank = fixture.rank
+    rng = random.Random(f"bit-identity-{name}")
+    levels = range(-4, 5)
+    for cell in CELLS:
+        ax = _reference(fixture)
+        moved = Axis(ax.forward, base=random_point(rank, rng.randrange(1 << 20), n_moves=4),
+                     phi=ax.phi)
+        shifted = ax.translate(random_automorphism(rank, rng, 3))
+        X = _cell_point(cell, rank, rng)
+        cases = [(ax, X.act(random_automorphism(rank, rng, 2))),
+                 (ax, jitter_lengths(ax.point(rng.randint(-3, 3)), rng, 0.3)),
+                 (moved, moved.point(rng.randint(-3, 3))),
+                 (moved, X),
+                 (shifted, shifted.point(rng.randint(-3, 3))),
+                 (shifted, jitter_lengths(shifted.point(rng.randint(-3, 3)), rng, 0.3)),
+                 (shifted, X)]
+        for A, P in cases:
+            got = [A.dist_to_axis_point(P, m) for m in levels]
+            assert got == [distance(P, A.point(m)).value for m in levels]
+
+
+def test_axis_scans_read_no_class(golden_axis, rank4_axis, monkeypatch):
+    """The distance-to-axis path reads no conjugacy class: projecting a
+    fresh act point and projecting a translate of the axis finish with
+    path_class raising."""
+    rng = random.Random("no-class")
+    cases = []
+    for fixture in (golden_axis, rank4_axis):
+        ax = _reference(fixture)
+        P = _cell_point("trivalent", ax.rank, rng)
+        cases.append((ax, P, random_automorphism(ax.rank, rng, 3)))
+
+    def refuse(self, path):
+        raise AssertionError("path_class read")
+
+    monkeypatch.setattr(MarkedMetricGraph, "path_class", refuse)
+    for ax, P, psi in cases:
+        project(P.act(psi), ax)
+        two_axis_report(ax, ax.translate(psi), 4)
+
+
+@pytest.mark.parametrize("name", AXES)
+def test_translate_points_compose_no_conjugated_power(name, request, monkeypatch):
+    """A translate's G_m is the parent's G_m . psi: the marked graph
+    base . psi . (psi^-1 phi psi)^m, built without a power of psi^-1 phi psi."""
+    ax = _reference(request.getfixturevalue(name))
+    psi = random_automorphism(ax.rank, random.Random(name), 4)
+    axB = ax.translate(psi)
+
+    def refuse(m):
+        raise AssertionError(f"conjugated power {m} built")
+
+    monkeypatch.setattr(axB, "power", refuse)
+    for m in range(-3, 4):
+        want = ax.base.act(psi).act(oracles.automorphism_power(axB.phi, m))
+        assert axB.point(m).gen_loops == want.gen_loops

@@ -29,6 +29,7 @@ from outerspacekit.words import (
     Automorphism,
     CyclicWord,
     Word,
+    canonical_cyclic,
     random_whitehead_move,
     reduce_letters,
 )
@@ -377,6 +378,27 @@ class TestCandidates:
         for p in (rose(2), rose(3), theta_point, dumbbell_point):
             for c in p.candidates():
                 assert is_primitive(c.conjugacy_class, p.rank), c
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_enumeration_equals_per_marking_oracle(self, cell):
+        """The graph's candidate paths, classed at a marking, are what
+        classing every raw path at that marking keeps: the same kinds,
+        paths, classes, lengths and order. The graph's paths are distinct
+        cycles up to rotation and inversion, and the length and act copies
+        of a point read the one list of its graph."""
+        rng = random.Random(f"per-graph-candidates-{cell}")
+        for rank in range(2, 6):
+            for _ in range(2):
+                X = _cell_point(cell, rank, rng)
+                cycles = [canonical_cyclic(path) for _, path in X.graph.candidate_paths()]
+                assert len(set(cycles)) == len(cycles)
+                points = [X, X.with_lengths(_unit_lengths(rng, X.graph.n_edges))]
+                points += [p.act(random_whitehead_move(rank, rng).automorphism(rank))
+                           for p in points]
+                for p in points:
+                    want = oracles.enumerate_candidates(p)
+                    assert _fields(enumerate_candidates(p)) == _fields(want)
+                    assert p.graph.candidate_paths() is X.graph.candidate_paths()
 
 
 def _unit_lengths(rng, m):

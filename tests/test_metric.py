@@ -203,6 +203,12 @@ class TestMetricAxioms:
                     ratios.append(fwd / bwd)
         assert ratios and all(math.isfinite(r) and r > 0 for r in ratios)
 
+    def test_rank_one_rose_has_one_candidate(self):
+        # one candidate: the class order is a permutation of one element
+        x = rose(1, [1.0])
+        res = distance(x, x.with_lengths([1.0]))
+        assert res.value == 0.0 and [str(c) for c, *_ in res.table] == ["a"]
+
     def test_points_equal(self):
         assert points_equal(rose(2), rose(2))
         assert not points_equal(rose(2), rose(2, [1 / 3, 2 / 3]))
@@ -378,5 +384,10 @@ class TestLengthCache:
                 copy = X.with_lengths(_unit_lengths(rng, X.graph.n_edges))
                 distance(copy, Y)  # the lengths are read before the objects
                 assert copy.candidates() == enumerate_candidates(copy)
-                assert copy.candidate_lengths() == tuple(c.length for c in copy.candidates())
+                # candidate_lengths is in graph order, the objects in class order
+                assert copy.candidate_lengths() == tuple(
+                    copy.graph.path_length(path) for _, path in copy.graph.candidate_paths())
+                want = tuple(c.length for c in copy.candidates())
+                assert copy.marking.order(copy.candidate_lengths()) == want
+                assert copy.class_lengths() == want
             assert X.candidates() == enumerate_candidates(X)

@@ -12,13 +12,14 @@ same with phi^-1. The tight loop of phi^(m+-1)(alpha) is the cyclic
 tightening of the f+- images of the half-edges of the tight loop of
 phi^m(alpha), joined as realize_based joins its pieces; no word phi^m and
 no point G_m is built for it. The classes alpha are X's candidates, taken
-as the graph's candidate paths in graph order: d(X, G_m) is a max of
-length ratios, so no conjugacy class is read. A point in the marking of
-an axis point G_k is read by translation instead: Out(F_n) acts by
-isometries, so d(X, G_m) = d(X . phi^-k, G_(m-k)), and X . phi^-k is the
-base graph with X's lengths, whose candidate paths are the base's in the
-same graph order. A translate of the axis by psi builds its points as the
-parent's points acted on by psi, composing no conjugated power.
+as the graph's candidate paths in graph order, the order distance reads
+them in: d(X, G_m) is a max of length ratios, so no conjugacy class is
+read. A point in the marking of an axis point G_k is read by translation
+instead: Out(F_n) acts by isometries, so d(X, G_m) = d(X . phi^-k,
+G_(m-k)), and X . phi^-k is the base graph with X's lengths, whose
+candidate paths are the base's in the same graph order. A translate of
+the axis by psi builds its points as the parent's points acted on by psi,
+composing no conjugated power.
 
 Projection of a point X scans m -> d(X, G_m) over an expanding window
 until the minimum is interior. Experiments are deterministic in their
@@ -195,20 +196,19 @@ class Axis:
         point G_k is read by translation: X . phi^-k is the base graph with
         X's lengths, so the ratios are the walk of the base's candidates at
         level m - k over X.candidate_lengths(), both in the graph order of
-        the one graph. distance takes the same ratios in class order; the
+        the one graph. distance takes the same ratios in the same order; the
         tight loop of a class is unique up to rotation and path_length is
         an exactly rounded sum, so the ratios are the same floats, and so
         are their max and its log.
         """
         if X.rank != self.rank:
             raise ValueError(f"rank mismatch: {X.rank} vs {self.rank}")
+        lx = X.candidate_lengths()
         k = self._level_of.get(X.marking)
         if k is None:
             ly = self._walk_of(X).lengths_at(m)
-            lx = X.candidate_lengths()
         else:
             ly = self._walk_of(self.base).lengths_at(m - k)
-            lx = X.candidate_lengths()
         return math.log(max(map(truediv, ly, lx)))
 
     def translate(self, psi: Automorphism) -> "Axis":

@@ -16,7 +16,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -238,7 +238,6 @@ class CandidateLoop:
 
 
 _PATH = itemgetter(1)  # the path of a (kind, path) pair
-_LOOP_PATH = attrgetter("path")  # the path of a CandidateLoop
 
 
 @dataclass
@@ -257,19 +256,16 @@ class Marking:
     it, the marking map and its certified inverse, the half-edge labels
     (as a dict and as halfedge_pieces arrays) and the tightened generator
     loops (letter -> piece). The candidate paths belong to the graph
-    (MetricGraph.candidate_paths), in graph order; their conjugacy classes
-    are read here only where a class is printed: `candidates` is the
-    class-sorted list of the first point that enumerated it, and `order`
-    maps a sequence in graph order to that class order (see
-    MarkedMetricGraph.shared_candidates). `loops` maps another marking
-    object to the tight cyclic loops, at this marking, of that marking's
-    candidate paths, in graph order (see MarkedMetricGraph.tight_loops).
+    (MetricGraph.candidate_paths), in graph order, and no class of them is
+    kept. `loops` maps another marking object to the tight cyclic loops, at
+    this marking, of that marking's candidate paths, in graph order (see
+    MarkedMetricGraph.tight_loops).
     Its keys are the marking objects themselves, held weakly: an entry dies
     with its key, so no later marking can read it.
     """
 
     __slots__ = ("tree_parent", "geo_letter", "basis_to_edges", "edges_to_basis", "labels",
-                 "label_pieces", "pieces", "candidates", "order", "loops", "__weakref__")
+                 "label_pieces", "pieces", "loops", "__weakref__")
 
     def __init__(self, tree_parent=None, geo_letter=None):
         self.tree_parent = tree_parent  # vertex -> halfedge into it
@@ -279,8 +275,6 @@ class Marking:
         self.labels = None  # half-edge -> label letters, see path_word
         self.label_pieces = None  # the labels as halfedge_pieces
         self.pieces = None  # letter -> tightened loop, see realize_based
-        self.candidates = None
-        self.order = None  # graph order -> class order, set with candidates
         self.loops = weakref.WeakKeyDictionary()
 
 
@@ -297,9 +291,7 @@ class MarkedMetricGraph:
         self.gen_loops = tuple(tuple(loop) for loop in gen_loops)
         self.rank = len(self.gen_loops)
         self.marking = Marking() if marking is None else marking
-        self._candidates = None  # CandidateLoop objects, built on request
         self._lx = None  # see candidate_lengths
-        self._lx_class = None  # see class_lengths
         self._ly = None  # see loop_lengths
 
     # -- spanning tree and geometric basis -------------------------------
@@ -493,9 +485,8 @@ class MarkedMetricGraph:
         return found
 
     def loop_lengths(self, x: "MarkedMetricGraph"):
-        """The lengths at this point of the candidate classes of x, in
-        class order (x.shared_candidates()): graph.path_length of each loop
-        of tight_loops(x), put in class order once.
+        """The lengths at this point of the candidate classes of x, in x's
+        graph order: graph.path_length of each loop of tight_loops(x).
 
         They depend on this point's lengths and x's marking alone, so this
         point keeps them, keyed weakly by x's marking object, and sums each
@@ -507,9 +498,7 @@ class MarkedMetricGraph:
             ly = self._ly = weakref.WeakKeyDictionary()
         found = ly.get(x.marking)
         if found is None:
-            x.shared_candidates()  # sets x.marking.order
-            found = ly[x.marking] = x.marking.order(
-                tuple(map(self.graph.path_length, self.tight_loops(x))))
+            found = ly[x.marking] = tuple(map(self.graph.path_length, self.tight_loops(x)))
         return found
 
     # -- action of automorphisms -----------------------------------------
@@ -520,7 +509,7 @@ class MarkedMetricGraph:
         The result has a marking object of its own, seeded with this one's
         spanning tree and, where this point has them, its marking maps
         composed with phi. It keeps the graph, and with it the candidate
-        paths, but shares no class list, loop or length cache.
+        paths, but shares no loop or length cache.
         """
         if phi.rank != self.rank:
             raise ValueError("rank mismatch in act")
@@ -546,38 +535,19 @@ class MarkedMetricGraph:
 
         The copy shares this point's marking object, so everything that
         depends on the marking alone is computed once for all copies: the
-        spanning tree, the marking maps, the label and loop tables, the
-        class list, and the tight_loops cache, whose entries are keyed
-        weakly by the other point's marking object; its graph shares the
-        candidate paths with this one's. What depends on the lengths is the
-        copy's own and starts empty: its candidate lengths
-        (candidate_lengths, class_lengths) and the lengths of the loops it
-        is a target of (loop_lengths), each summed on first use.
+        spanning tree, the marking maps, the label and loop tables, and the
+        tight_loops cache, whose entries are keyed weakly by the other
+        point's marking object; its graph shares the candidate paths with
+        this one's. What depends on the lengths is the copy's own and starts
+        empty: its candidate lengths (candidate_lengths) and the lengths of
+        the loops it is a target of (loop_lengths), each summed on first
+        use.
         """
         return MarkedMetricGraph(
             self.graph.with_lengths(lengths), self.basepoint, self.gen_loops, self.marking
         )
 
     # -- candidates --------------------------------------------------------
-
-    def shared_candidates(self):
-        """The candidate list of this point's marking object, in class
-        order, enumerated here if no point of the marking has done so yet;
-        it also sets marking.order, which puts a sequence in graph order
-        (graph.candidate_paths()) in this order.
-
-        Every point of the marking reads the kind, path and class of each
-        candidate, in order, from this one list. Its lengths are those of
-        the point that enumerated it: a point's own are class_lengths(), and
-        candidate_lengths() in graph order.
-        """
-        m = self.marking
-        if m.candidates is None:
-            cands = enumerate_candidates(self)
-            at = {path: i for i, path in enumerate(map(_PATH, self.graph.candidate_paths()))}
-            m.order = _permutation([at[c.path] for c in cands])
-            self._candidates = m.candidates = cands
-        return m.candidates
 
     def candidate_lengths(self):
         """The length at this point of each candidate path of its graph, in
@@ -587,36 +557,12 @@ class MarkedMetricGraph:
             self._lx = tuple(map(self.graph.path_length, map(_PATH, self.graph.candidate_paths())))
         return self._lx
 
-    def class_lengths(self):
-        """The length at this point of each candidate, in class order:
-        graph.path_length over the shared candidate paths, summed once per
-        point. distance reads these, so that a repeated query permutes
-        nothing."""
-        if self._lx_class is None:
-            self._lx_class = tuple(
-                map(self.graph.path_length, map(_LOOP_PATH, self.shared_candidates())))
-        return self._lx_class
-
     def candidates(self):
-        """The candidate loops of this point as CandidateLoop objects: the
-        list enumerate_candidates would give.
-
-        They are the shared candidates with this point's lengths, built
-        only here, once per point, when a caller asks for the objects.
-        """
-        if self._candidates is None:
-            shared = self.shared_candidates()
-            if self._candidates is None:  # another point enumerated them
-                self._candidates = [
-                    CandidateLoop(c.kind, c.path, c.conjugacy_class, length)
-                    for c, length in zip(shared, self.class_lengths())
-                ]
-        return self._candidates
-
-
-def _permutation(indices):
-    """A function taking a sequence s to the tuple of s[i] for i in indices."""
-    return itemgetter(*indices) if len(indices) > 1 else lambda s: tuple(s[i] for i in indices)
+        """The candidate loops of this point as CandidateLoop objects, in
+        class order: enumerate_candidates(self), which reads the class of
+        every candidate path. Only printed lists need it; distance reads
+        candidate_lengths."""
+        return enumerate_candidates(self)
 
 
 def _rotate_cycle_to(path, vertex, graph):

@@ -8,36 +8,35 @@ subgraph computed edge by edge.
 
 A point's graph holds its candidate paths (MetricGraph.candidate_paths),
 in graph order, shared by every marking and every with_lengths copy of
-the graph. A point's marking object (graphs.Marking) holds what its graph
-and marking fix at any edge lengths, shared by all its with_lengths
-copies: the spanning tree, marking maps, label and loop tables, the
-candidate classes in class order with the permutation from graph order,
-and the tight loops at this marking of other markings' candidate paths,
-keyed weakly by those marking objects. What depends on lengths belongs to
-the point instance, which never changes its lengths (with_lengths and act
-make new instances), and is summed once:
+the graph; that is the one order distance reads them in. A point's
+marking object (graphs.Marking) holds what its graph and marking fix at
+any edge lengths, shared by all its with_lengths copies: the spanning
+tree, marking maps, label and loop tables, and the tight loops at this
+marking of other markings' candidate paths, keyed weakly by those marking
+objects. What depends on lengths belongs to the point instance, which
+never changes its lengths (with_lengths and act make new instances), and
+is summed once:
 
-- lx, x.class_lengths(): the lengths of x's candidate paths, in class
-  order (x.candidate_lengths(), which the axis reads, has them in graph
-  order);
-- ly, y.loop_lengths(x): the lengths of y.tight_loops(x), put in x's
-  class order once, kept by y and keyed weakly by x's marking object, so
-  an entry dies with that marking.
+- lx, x.candidate_lengths(): the lengths of x's candidate paths;
+- ly, y.loop_lengths(x): the lengths of y.tight_loops(x), kept by y and
+  keyed weakly by x's marking object, so an entry dies with that marking.
 
 `distance(x, y)` is the log of the largest ratio ly/lx of the two lists,
 so a scan of many points against one target sums no path at the target
-after its first query of each marking. `loop_length`, which `distance_oracle` reads, realizes every
-class anew and is the uncached reference.
+after its first query of each marking, and reads no conjugacy class. The
+witness and table read classes, and only when a caller reads them.
+`loop_length`, which `distance_oracle` reads, realizes every class anew
+and is the uncached reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, count
-from operator import attrgetter, truediv
+from functools import cached_property
+from operator import truediv
 
-from .graphs import CandidateLoop, MarkedMetricGraph, tighten_path
+from .graphs import CandidateLoop, MarkedMetricGraph, enumerate_candidates, tighten_path
 from .words import (
     cyclic_tighten,
     enumerate_cyclic_words,
@@ -47,44 +46,57 @@ from .words import (
 
 TIE_TOL = 1e-12
 
-_CLASS = attrgetter("conjugacy_class")
 
-
-@dataclass
 class DistanceResult:
-    value: float
-    witness: object  # CandidateLoop achieving the max
-    table: list  # (conjugacy class, length at x, length at y, ratio)
+    """d(x, y) from the candidate lengths lx at x and ly at y, in x's graph
+    order. `value` is the log of the largest ratio ly/lx; the witness and
+    table read conjugacy classes and are built on first read."""
+
+    def __init__(self, x: MarkedMetricGraph, lx, ly):
+        self._x, self._lx, self._ly = x, lx, ly
+        self.value = math.log(max(map(truediv, ly, lx)))
+
+    @cached_property
+    def _ratios(self):
+        return list(map(truediv, self._ly, self._lx))
+
+    @cached_property
+    def witness(self) -> CandidateLoop:
+        """The candidate achieving the max: among the ratios within TIE_TOL
+        of the largest, the one whose class is least in word_key order. Only
+        the classes of these tied paths are read."""
+        ratios = self._ratios
+        cut = max(ratios) * (1.0 - TIE_TOL)
+        paths = self._x.graph.candidate_paths()
+        tied = [(self._x.path_class(paths[i][1]), i) for i, r in enumerate(ratios) if r >= cut]
+        cls, i = min(tied, key=lambda t: word_key(t[0].letters))
+        kind, path = paths[i]
+        return CandidateLoop(kind, path, cls, self._lx[i])
+
+    @cached_property
+    def table(self) -> list:
+        """(conjugacy class, length at x, length at y, ratio) for each
+        candidate of x, in the class order of enumerate_candidates(x)."""
+        at = {path: i for i, (_, path) in enumerate(self._x.graph.candidate_paths())}
+        rows = []
+        for c in enumerate_candidates(self._x):
+            i = at[c.path]
+            rows.append((c.conjugacy_class, self._lx[i], self._ly[i], self._ratios[i]))
+        return rows
 
 
 def distance(x: MarkedMetricGraph, y: MarkedMetricGraph) -> DistanceResult:
     """Lipschitz distance d(x, y) maximized over the candidates of x.
 
-    The lengths at x are x.class_lengths() and those at y are
-    y.loop_lengths(x), both in class order and kept by their point
+    The lengths at x are x.candidate_lengths() and those at y are
+    y.loop_lengths(x), both in x's graph order and kept by their point
     instances, so a repeated query sums no path and realizes no loop; the
     same math.fsum over the same paths gives the floats c.length and
-    y.loop_length would. Among
-    the ratios within TIE_TOL of the largest, the witness is the class
-    least in word_key order, and it is the one CandidateLoop built here.
+    y.loop_length would. The value is a max, so it reads no class.
     """
     if x.rank != y.rank:
         raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
-    shared = x.shared_candidates()
-    lx = x.class_lengths()
-    ly = y.loop_lengths(x)
-    ratios = list(map(truediv, ly, lx))
-    best = max(ratios)
-    cut = best * (1.0 - TIE_TOL)
-    winners = list(compress(count(), map(cut.__le__, ratios)))  # i with ratios[i] >= cut
-    i = winners[0] if len(winners) == 1 else min(
-        winners, key=lambda i: word_key(shared[i].conjugacy_class.letters))
-    c = shared[i]
-    return DistanceResult(
-        value=math.log(best),
-        witness=CandidateLoop(c.kind, c.path, c.conjugacy_class, lx[i]),
-        table=list(zip(map(_CLASS, shared), lx, ly, ratios)),
-    )
+    return DistanceResult(x, x.candidate_lengths(), y.loop_lengths(x))
 
 
 def check_oracle_bound(max_len: int):

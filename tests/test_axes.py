@@ -18,14 +18,16 @@ from outerspacekit.axes import (
     two_axis_report,
     write_csv,
 )
-from outerspacekit.graphs import random_point, rose
+from outerspacekit.graphs import jitter_lengths, random_point, rose
 from outerspacekit.metric import distance
 from outerspacekit.traintrack import legality_report
 from outerspacekit.words import Automorphism, CyclicWord, random_automorphism
 
 from .oracles import apply_cyclic
+from .test_graphs import CELLS, _cell_point
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+AXES = ["golden_axis", "silver_axis", "tribo_axis", "rank4_axis"]
 
 
 def C(text):
@@ -59,6 +61,28 @@ class TestAxisPoints:
 
     def test_mu_from_backward(self, golden_axis):
         assert golden_axis.backward.lam == pytest.approx(GOLDEN, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", AXES)
+class TestDisplacement:
+    """phi moves every point at least log(lambda), and the axis points by
+    exactly that much per step."""
+
+    def test_displacement_at_least_log_lambda(self, name, request):
+        ax = request.getfixturevalue(name)
+        rng = random.Random(f"displacement-{name}")
+        for cell in CELLS:
+            for _ in range(3):
+                X = _cell_point(cell, ax.rank, rng)
+                for P in (X, jitter_lengths(X, rng, 0.3)):
+                    assert distance(P, P.act(ax.phi)).value >= ax.step - 1e-12
+
+    def test_axis_steps_add(self, name, request):
+        ax = request.getfixturevalue(name)
+        for m in range(-3, 4):
+            for k in range(4):
+                d = distance(ax.point(m), ax.point(m + k)).value
+                assert abs(d - k * ax.step) <= 1e-12
 
 
 class TestLengthProfile:

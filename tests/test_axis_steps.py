@@ -6,7 +6,14 @@ import random
 import pytest
 
 from outerspacekit import axes
-from outerspacekit.axes import Axis, ball_sample_record, length_profile, project, two_axis_report
+from outerspacekit.axes import (
+    Axis,
+    ball_sample_record,
+    length_profile,
+    project,
+    tree_inequality_probe,
+    two_axis_report,
+)
 from outerspacekit.graphs import MarkedMetricGraph, jitter_lengths, random_point, rose
 from outerspacekit.metric import distance
 from outerspacekit.words import random_automorphism
@@ -123,23 +130,27 @@ def test_axis_distances_are_distances_bit_for_bit(name, request):
 
 
 def test_axis_scans_read_no_class(golden_axis, rank4_axis, monkeypatch):
-    """The distance-to-axis path reads no conjugacy class: projecting a
-    fresh act point and projecting a translate of the axis finish with
-    path_class raising."""
+    """The distance-to-axis path reads no conjugacy class, nor do the
+    experiments that read only distance values: projecting a fresh act
+    point, projecting a translate of the axis, a ball sample and a tree
+    inequality probe finish with path_class raising."""
     rng = random.Random("no-class")
     cases = []
     for fixture in (golden_axis, rank4_axis):
         ax = _reference(fixture)
         P = _cell_point("trivalent", ax.rank, rng)
-        cases.append((ax, P, random_automorphism(ax.rank, rng, 3)))
+        Q = _cell_point("theta", ax.rank, rng)
+        cases.append((ax, P, Q, random_automorphism(ax.rank, rng, 3)))
 
     def refuse(self, path):
         raise AssertionError("path_class read")
 
     monkeypatch.setattr(MarkedMetricGraph, "path_class", refuse)
-    for ax, P, psi in cases:
+    for ax, P, Q, psi in cases:
         project(P.act(psi), ax)
         two_axis_report(ax, ax.translate(psi), 4)
+        assert not ball_sample_record(ax, P.act(psi), seed=1, sample=0).skipped
+        tree_inequality_probe(P.act(psi), Q.act(psi), ax)
 
 
 @pytest.mark.parametrize("name", AXES)

@@ -12,7 +12,8 @@ import importlib.util
 from pathlib import Path
 
 from outerspacekit.axes import ProjectionResult
-from outerspacekit.graphs import ValidationReport
+from outerspacekit.graphs import MarkedMetricGraph, ValidationReport, rose
+from outerspacekit.metric import distance
 from outerspacekit.traintrack import CutVertexSearchResult, LaminationLengthEstimate
 from outerspacekit.whitehead import CutReport, ReductionTrace
 
@@ -33,6 +34,8 @@ def _fields(cls):
 def test_every_traced_name_resolves():
     spans = _spans()
     assert {full.partition(".")[0] for full in spans.NAMES} == set(spans.LAYERS)
+    assert {"graphs.enumerate_candidates", "graphs.MarkedMetricGraph.loop_length",
+            "metric.distance"} <= set(spans.NAMES)
     for full in spans.NAMES:
         layer, _, qual = full.partition(".")
         owner = importlib.import_module(f"outerspacekit.{layer}")
@@ -50,3 +53,7 @@ def test_result_fields_the_benchmark_reads():
     assert {"moves", "combined_graph"} <= _fields(CutVertexSearchResult)
     assert "valid" in _fields(ValidationReport)
     assert "scanned" in _fields(ProjectionResult)
+    # the distances workload reads DistanceResult.value and warms up with
+    # MarkedMetricGraph.candidates
+    assert distance(rose(2), rose(2, [1 / 3, 2 / 3])).value > 0
+    assert callable(MarkedMetricGraph.candidates)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import outerspacekit.graphs as graphs_mod
+import outerspacekit.metric as metric_mod
 import outerspacekit.words as words_mod
 from outerspacekit.graphs import (
     InvalidPointError,
@@ -444,13 +445,8 @@ class TestLengthChange:
     """A point made by with_lengths keeps what depends on the marking alone."""
 
     @pytest.mark.parametrize("cell", CELLS)
-    def test_inherited_candidates_equal_enumeration(self, cell, monkeypatch):
-        real = graphs_mod.enumerate_candidates
-        calls = []
-        monkeypatch.setattr(graphs_mod, "enumerate_candidates",
-                            lambda p: calls.append(p) or real(p))
+    def test_inherited_candidates_equal_enumeration(self, cell):
         rng = random.Random(f"length-change-{cell}")
-        chains = 0
         for rank in range(2, 6):
             for depth in (1, 2, 3):
                 chain = [_cell_point(cell, rank, rng)]
@@ -464,11 +460,12 @@ class TestLengthChange:
                     if when == "after":
                         chain[-2].candidates()
                 for p in chain:
-                    want = real(_fresh(p, p.graph.lengths))
+                    want = enumerate_candidates(_fresh(p, p.graph.lengths))
                     assert _fields(p.candidates()) == _fields(want)
-                chains += 1
-        # the points of a chain share one marking object: one enumeration
-        assert len(calls) == chains
+                    # the points of a chain share their marking object and
+                    # the candidate paths of their graphs
+                    assert p.marking is chain[0].marking
+                    assert p.graph.candidate_paths() is chain[0].graph.candidate_paths()
 
     def test_act_enumerates_its_own_candidates(self):
         rng = random.Random("act-candidates")
@@ -485,6 +482,9 @@ class TestLengthChange:
         assert changed > 0
 
     def test_distance_on_a_copy_enumerates_nothing(self, monkeypatch):
+        """The value of distance on a length copy enumerates no candidate;
+        its witness and table, read afterwards, are those of a point built
+        anew."""
         rng = random.Random("distance-copy")
         cases = []
         for cell in CELLS:
@@ -492,15 +492,17 @@ class TestLengthChange:
             Y = _cell_point(cell, 3, rng)
             lengths = _unit_lengths(rng, X.graph.n_edges)
             cases.append((X, Y, lengths, distance(_fresh(X, lengths), Y)))
-            X.candidates()
+            distance(X, Y)
 
         def refuse(point):
-            raise AssertionError("candidates enumerated again")
+            raise AssertionError("candidates enumerated")
 
-        monkeypatch.setattr(graphs_mod, "enumerate_candidates", refuse)
-        for X, Y, lengths, want in cases:
-            got = distance(X.with_lengths(lengths), Y)
-            assert (got.value, got.witness, got.table) == (want.value, want.witness, want.table)
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs_mod, "enumerate_candidates", refuse)
+            patch.setattr(metric_mod, "enumerate_candidates", refuse)
+            got = [distance(X.with_lengths(lengths), Y) for X, Y, lengths, _ in cases]
+        for res, (*_, want) in zip(got, cases):
+            assert (res.value, res.witness, res.table) == (want.value, want.witness, want.table)
 
     @pytest.mark.parametrize("cell", CELLS)
     def test_realize_and_measure_match_letterwise_reading(self, cell):
@@ -578,6 +580,14 @@ class TestMinimalModel:
             assert distance(p, k).value <= math.log(3 * 2 - 3) + 1e-9
         p = point_from_dict(THETA_DICT)
         assert distance(p, minimal_model(p)).value <= math.log(3) + 1e-9
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_distance_bound_every_cell(self, cell):
+        rng = random.Random(f"minimal-model-{cell}")
+        for rank in range(2, 6):
+            for _ in range(3):
+                p = jitter_lengths(_cell_point(cell, rank, rng), rng, 0.5)
+                assert distance(p, minimal_model(p)).value <= math.log(3 * rank - 3)
 
     def test_dumbbell_loop_longest_collapses_bar(self, dumbbell_point):
         k = minimal_model(dumbbell_point)

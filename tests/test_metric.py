@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+import outerspacekit.graphs as graphs_mod
 from outerspacekit.graphs import (
     MarkedMetricGraph,
     MetricGraph,
@@ -204,10 +205,11 @@ class TestMetricAxioms:
         assert ratios and all(math.isfinite(r) and r > 0 for r in ratios)
 
     def test_rank_one_rose_has_one_candidate(self):
-        # one candidate: the class order is a permutation of one element
+        # one candidate: the witness and the table read its class alone
         x = rose(1, [1.0])
         res = distance(x, x.with_lengths([1.0]))
         assert res.value == 0.0 and [str(c) for c, *_ in res.table] == ["a"]
+        assert str(res.witness.conjugacy_class) == "a"
 
     def test_points_equal(self):
         assert points_equal(rose(2), rose(2))
@@ -257,6 +259,24 @@ class TestLoopCache:
                 a2 = a.with_lengths(a.graph.lengths)
                 b2 = b.with_lengths(b.graph.lengths)
                 assert _fields(distance(a2, b2)) == (value, witness, table)
+
+    def test_equal_length_roses_equal_reference(self):
+        """Equal-length roses and their act copies, where ratios tie: the
+        witness is the least tied class in word_key order, as in the class
+        order of the reference."""
+        rng = random.Random("equal-roses")
+        tied = 0
+        for rank in range(2, 6):
+            R = rose(rank)
+            points = [R] + [R.act(random_whitehead_move(rank, rng).automorphism(rank))
+                            for _ in range(3)]
+            for a in points:
+                for b in points:
+                    want = _reference(a, b)
+                    assert _fields(distance(a, b)) == want
+                    best = math.exp(want[0])
+                    tied += sum(r >= best * (1.0 - TIE_TOL) for *_, r in want[2]) > 1
+        assert tied
 
     def test_copies_realize_nothing(self, monkeypatch):
         real = MarkedMetricGraph.realize_based
@@ -313,6 +333,30 @@ class TestLoopCache:
                 del W
 
 
+class TestValueReadsNoClass:
+    """distance(x, y).value is a max of length ratios: it enumerates no
+    candidate objects and reads no conjugacy class."""
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_value_reads_no_class(self, cell, monkeypatch):
+        rng = random.Random(f"value-no-class-{cell}")
+        pairs = []
+        for rank in range(2, 6):
+            xs = _copies(_cell_point(cell, rank, rng), rng)
+            ys = _copies(_cell_point(rng.choice(CELLS), rank, rng), rng)
+            pairs += [(a, b) for a in xs for b in ys] + [(b, a) for a in xs for b in ys]
+
+        def refuse(*args):
+            raise AssertionError("conjugacy class read")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs_mod, "enumerate_candidates", refuse)
+            patch.setattr(metric, "enumerate_candidates", refuse)
+            patch.setattr(MarkedMetricGraph, "path_class", refuse)
+            got = [distance(a, b).value for a, b in pairs]
+        assert got == [_reference(a, b)[0] for a, b in pairs]
+
+
 class TestLengthCache:
     """distance reads the candidate lengths (lx) kept by the point x and the
     loop lengths (ly) kept by the point y, keyed weakly by x's marking; a
@@ -344,18 +388,18 @@ class TestLengthCache:
             for rank in range(2, 6):
                 X = _cell_point(cell, rank, rng)
                 Y = _cell_point(rng.choice(CELLS), rank, rng)
-                want = _fields(distance(X, Y))
-                n = len(X.shared_candidates())
+                want = distance(X, Y).value
+                n = len(X.graph.candidate_paths())
                 calls.clear()
-                assert _fields(distance(X, Y)) == want
+                assert distance(X, Y).value == want
                 assert not calls  # the same two instances: nothing summed
                 X2 = X.with_lengths(_unit_lengths(rng, X.graph.n_edges))
-                got = _fields(distance(X2, Y))
+                got = distance(X2, Y).value
+                # the copy's candidate lengths alone are summed
                 assert len(calls) == n and all(g is X2.graph for g in calls)
-                assert X2._candidates is None  # no candidate objects built
                 calls.clear()
-                assert _fields(distance(X2, Y)) == got and not calls
-                assert got == _reference(X2, Y)
+                assert distance(X2, Y).value == got and not calls
+                assert _fields(distance(X2, Y)) == _reference(X2, Y)
 
     def test_loop_lengths_die_with_the_marking(self):
         rng = random.Random("loop-lengths-die")
@@ -382,12 +426,12 @@ class TestLengthCache:
             distance(X, Y)
             for _ in range(2):
                 copy = X.with_lengths(_unit_lengths(rng, X.graph.n_edges))
-                distance(copy, Y)  # the lengths are read before the objects
+                res = distance(copy, Y)  # the lengths are read before the objects
                 assert copy.candidates() == enumerate_candidates(copy)
-                # candidate_lengths is in graph order, the objects in class order
+                # candidate_lengths is in graph order, the objects and the
+                # table in class order
                 assert copy.candidate_lengths() == tuple(
                     copy.graph.path_length(path) for _, path in copy.graph.candidate_paths())
-                want = tuple(c.length for c in copy.candidates())
-                assert copy.marking.order(copy.candidate_lengths()) == want
-                assert copy.class_lengths() == want
+                assert [(c.conjugacy_class, c.length) for c in copy.candidates()] == [
+                    (cls, lx) for cls, lx, _, _ in res.table]
             assert X.candidates() == enumerate_candidates(X)

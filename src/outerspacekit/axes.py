@@ -2,28 +2,33 @@
 and the contraction / divergence / two-axis experiment harness.
 
 The axis of phi through a train-track point G is discretized to the orbit
-{G_m = G . phi^m}; consecutive points are log(lambda) apart. Every G_m has
-the base graph with the base lengths, and the tight loop at G_m of a class
-alpha is the tight loop at the base of phi^m(alpha). So distances to the
-axis are read off two step maps of the base graph, f+ and f-: f+(h) is the
-tight based path base.realize_based(phi(label(h))), label(h) the base's
-label of the half-edge h, which is G_1.realize_based(label(h)), and f- the
-same with phi^-1. The tight loop of phi^(m+-1)(alpha) is the cyclic
-tightening of the f+- images of the half-edges of the tight loop of
-phi^m(alpha), joined as realize_based joins its pieces; no word phi^m and
-no point G_m is built for it. The classes alpha are X's candidates, taken
-as the graph's candidate paths in graph order, the order distance reads
-them in: d(X, G_m) is a max of length ratios, so no conjugacy class is
-read. A point in the marking of an axis point G_k is read by translation
-instead: Out(F_n) acts by isometries, so d(X, G_m) = d(X . phi^-k,
-G_(m-k)), and X . phi^-k is the base graph with X's lengths, whose
-candidate paths are the base's in the same graph order. A translate of
-the axis by psi builds its points as the parent's points acted on by psi,
-composing no conjugated power.
+{G_m = G . phi^m}; consecutive points are log(lambda) apart. Out(F_n) acts
+by isometries, so d(Y . phi^s, G_m) = d(Y, G_(m-s)) and the projection
+moves with the action, pi(Y . phi^s) = pi(Y) + s: the axis's one rule.
+Each point the axis builds is recorded as (root Z, shift k), the point
+being Z . phi^k up to its edge lengths: G_m is (base, m), Axis.shift(Y, s)
+is (Y's root, Y's shift + s), and any other point is its own root at
+shift 0. A with_lengths copy shares its point's marking object and record.
 
-Projection of a point X scans m -> d(X, G_m) over an expanding window
-until the minimum is interior. Experiments are deterministic in their
-seeds; per-sample RNG streams derive from (seed, sample index).
+Every G_m has the base graph with the base lengths, and the tight loop at
+G_m of a class alpha is the tight loop at the base of phi^m(alpha). So for
+X recorded as (Z, k), d(X, G_m) is the log of the largest ratio of the
+base lengths of phi^(m-k) of Z's candidate classes to X's candidate
+lengths, in the graph order of their one graph. The base lengths are
+walked one level at a time by two step maps of the base graph: f+(h) is
+the tight based path base.realize_based(phi(label(h))), label(h) the
+base's label of the half-edge h, which is G_1.realize_based(label(h)), and
+f- the same with phi^-1. The tight loop of phi^(j+-1)(alpha) is the cyclic
+tightening of the f+- images of the half-edges of the tight loop of
+phi^j(alpha), joined as realize_based joins its pieces. No word phi^m, no
+point G_m and no conjugacy class is read, and the loops walked are Z's
+whatever k is. A translate of the axis by psi builds its points as the
+parent's points acted on by psi, composing no conjugated power.
+
+Projection of X recorded as (Z, k) scans m -> d(X, G_m) over a window
+expanding from k until the minimum is interior. Experiments are
+deterministic in their seeds; per-sample RNG streams derive from (seed,
+sample index).
 """
 
 from __future__ import annotations
@@ -40,7 +45,14 @@ from operator import truediv
 from .graphs import MarkedMetricGraph, jitter_lengths, join_pieces, random_point
 from .metric import distance
 from .traintrack import TrainTrackMap
-from .words import Automorphism, CyclicWord, RankMismatchError, cyclic_tighten, random_automorphism
+from .words import (
+    Automorphism,
+    CyclicWord,
+    RankMismatchError,
+    cyclic_tighten,
+    random_automorphism,
+    verify_inverse,
+)
 
 log = logging.getLogger(__name__)
 
@@ -95,14 +107,12 @@ class _Walk:
 class Axis:
     """The discrete axis {G_m = base . phi^m} of a fully irreducible phi.
 
-    Distances to the axis are read by dist_to_axis_point, through the step
-    maps f+ and f- of the base graph (see the module docstring), built once
-    from phi and phi^-1. `point` and `power` build G_m and phi^m for the
-    callers that need the points themselves; each point built is recorded
-    with its level, so that a point sharing its marking object (G_k itself
-    or a with_lengths copy of it) is read by translation. Of `backward`, a
-    train-track map or self-map of phi^-1, only its automorphism is read,
-    and it must be the inverse of phi.
+    Points are built by `shift` and `point`, and each is recorded with its
+    root and shift (see the module docstring), kept weakly by its marking
+    object; dist_to_axis_point reads every point through its root, off the
+    step maps f+ and f- of the base graph, built once from phi and phi^-1.
+    Of `backward`, a train-track map or self-map of phi^-1, only its
+    automorphism is read, and it must be the inverse of phi.
     """
 
     def __init__(
@@ -118,15 +128,12 @@ class Axis:
         self.phi = phi if phi is not None else forward.automorphism()
         self.lam = forward.lam
         if backward is not None:
-            from .words import verify_inverse
-
             if not verify_inverse(self.phi, backward.automorphism()):
                 raise ValueError("backward train track does not represent the inverse")
         else:
             self.phi.inverse()
-        self._powers = {0: Automorphism.identity(self.phi.rank), 1: self.phi}
         self._points = {0: self.base}
-        self._level_of = {self.base.marking: 0}  # marking object of G_k -> k
+        self._shifts = weakref.WeakKeyDictionary()  # marking object -> (root, shift)
         self._steps = None  # see _step_maps
         self._parent = None  # (axis, psi) of a translate, see translate
         self._walks = weakref.WeakKeyDictionary()  # marking object -> _Walk
@@ -140,26 +147,38 @@ class Axis:
         """Length of one fundamental domain: log(lambda)."""
         return math.log(self.lam)
 
-    def power(self, m: int) -> Automorphism:
-        if m not in self._powers:
-            if m > 0:
-                self._powers[m] = self.power(m - 1).compose(self.phi)
-            else:
-                self._powers[m] = self.power(m + 1).compose(self.phi.inverse())
-        return self._powers[m]
+    def _root(self, X: MarkedMetricGraph):
+        """(Z, k) with X = Z . phi^k up to X's lengths; (X, 0) for a point
+        the axis did not build."""
+        return self._shifts.get(X.marking, (X, 0))
+
+    def shift(self, Y: MarkedMetricGraph, s: int) -> MarkedMetricGraph:
+        """Y . phi^s, acted on once by phi^s (phi or phi^-1 composed |s|
+        times, kept by no table), and recorded as (Y's root, Y's shift + s)."""
+        if not s:
+            return Y
+        Z, k = self._root(Y)
+        f = g = self.phi if s > 0 else self.phi.inverse()
+        for _ in range(abs(s) - 1):
+            g = g.compose(f)
+        Y = Y.act(g)
+        self._shifts[Y.marking] = (Z, k + s)
+        return Y
 
     def point(self, m: int) -> MarkedMetricGraph:
-        """G_m: base . phi^m, or for a translate (see translate) the
-        parent's G_m . psi."""
-        if m not in self._points:
+        """G_m: shift(G_(m-+1), +-1), or for a translate (see translate) the
+        parent's G_m . psi, recorded as (base, m)."""
+        found = self._points.get(m)
+        if found is None:
             if self._parent is None:
-                p = self.base.act(self.power(m))
+                s = 1 if m > 0 else -1
+                found = self.shift(self.point(m - s), s)
             else:
                 parent, psi = self._parent
-                p = parent.point(m).act(psi)
-            self._points[m] = p
-            self._level_of[p.marking] = m
-        return self._points[m]
+                found = parent.point(m).act(psi)
+                self._shifts[found.marking] = (self.base, m)
+            self._points[m] = found
+        return found
 
     def _step_maps(self):
         """The step maps {+1: f+, -1: f-}: half-edge h of the base graph ->
@@ -190,26 +209,19 @@ class Axis:
     def dist_to_axis_point(self, X: MarkedMetricGraph, m: int) -> float:
         """d(X, G_m), the value of distance(X, self.point(m)), bit for bit.
 
-        The lengths at G_m of X's candidate classes, in X's graph order,
-        are those of the walk of X's candidates at level m, and X's own
-        are X.candidate_lengths(). A point X in the marking of an axis
-        point G_k is read by translation: X . phi^-k is the base graph with
-        X's lengths, so the ratios are the walk of the base's candidates at
-        level m - k over X.candidate_lengths(), both in the graph order of
-        the one graph. distance takes the same ratios in the same order; the
-        tight loop of a class is unique up to rotation and path_length is
-        an exactly rounded sum, so the ratios are the same floats, and so
-        are their max and its log.
+        With X recorded as (Z, k), d(X, G_m) = d(X . phi^-k, G_(m-k)), and
+        X . phi^-k is Z's marking with X's lengths: the ratios are the walk
+        of Z's candidates at level m - k over X.candidate_lengths(), both in
+        the graph order of the one graph. distance takes the same ratios in
+        the same order; the tight loop of a class is unique up to rotation
+        and path_length is an exactly rounded sum, so the ratios are the
+        same floats, and so are their max and its log.
         """
         if X.rank != self.rank:
             raise ValueError(f"rank mismatch: {X.rank} vs {self.rank}")
-        lx = X.candidate_lengths()
-        k = self._level_of.get(X.marking)
-        if k is None:
-            ly = self._walk_of(X).lengths_at(m)
-        else:
-            ly = self._walk_of(self.base).lengths_at(m - k)
-        return math.log(max(map(truediv, ly, lx)))
+        Z, k = self._root(X)
+        ly = self._walk_of(Z).lengths_at(m - k)
+        return math.log(max(map(truediv, ly, X.candidate_lengths())))
 
     def translate(self, psi: Automorphism) -> "Axis":
         """The axis of psi^-1 phi psi through base . psi.
@@ -282,10 +294,19 @@ class ProjectionResult:
 def project(X: MarkedMetricGraph, ax: Axis) -> ProjectionResult:
     """Closest-point projection of X to the axis over an expanding window.
 
-    Each d(X, G_m) is read by ax.dist_to_axis_point: off the step maps, or
-    by translation for a point in the marking of an axis point, so the scan
-    builds no point G_m and no word phi^m."""
-    lo, hi = -PROJECT_MARGIN, PROJECT_MARGIN
+    With X recorded by the axis as (Z, k) (see the module docstring), the
+    window starts at k, and each d(X, G_m) is read by ax.dist_to_axis_point
+    through Z. The values are Z's at m - k, so the argmin of Z . phi^s is
+    Z's shifted by s, and the scan builds no point G_m and no word phi^m.
+
+    The result depends on how X was built: a point equal to Z . phi^s in
+    marking and lengths, but not built by this axis (read from a file, or
+    acted on by phi^s directly), is its own root at shift 0. Its values are
+    the same floats, but its window grows from 0, so `scanned` differs, the
+    scan walks loops about lambda^|s| long, and where the profile has more
+    than one local minimum the argmin may differ."""
+    k = ax._root(X)[1]
+    lo, hi = k - PROJECT_MARGIN, k + PROJECT_MARGIN
     d = {}
 
     def ensure(a, b):
@@ -321,14 +342,14 @@ def project(X: MarkedMetricGraph, ax: Axis) -> ProjectionResult:
 
 
 @dataclass
-class ProbeResult:
-    separation_steps: int
+class ProbeRecord:
+    sep: int  # |pi(X) - pi(Y)| in levels
     delta1: float  # d(Y,X) - [d(Y,pi(Y)) + d(pi(Y),pi(X))]
     delta2: float  # d(Y,X) - d(Y,pi(X))
     delta3: float  # d(X,Y) - d(pi(X),pi(Y))
 
 
-def tree_inequality_probe(X, Y, ax: Axis) -> ProbeResult:
+def tree_inequality_probe(X, Y, ax: Axis) -> ProbeRecord:
     """Defects of the tree-like projection inequalities for a pair (X, Y)."""
     px = project(X, ax)
     py = project(Y, ax)
@@ -340,8 +361,8 @@ def tree_inequality_probe(X, Y, ax: Axis) -> ProbeResult:
     d_piy_pix = ax.dist_to_axis_point(ax.base, tx - ty)
     d_y_pix = ax.dist_to_axis_point(Y, tx)
     d_pix_piy = ax.dist_to_axis_point(ax.base, ty - tx)
-    return ProbeResult(
-        separation_steps=abs(tx - ty),
+    return ProbeRecord(
+        sep=abs(tx - ty),
         delta1=d_yx - (d_y_piy + d_piy_pix),
         delta2=d_yx - d_y_pix,
         delta3=d_xy - d_pix_piy,
@@ -472,14 +493,6 @@ def max_projection_diameter(records) -> float:
     return max(vals) if vals else 0.0
 
 
-@dataclass
-class ProbeRecord:
-    sep: int
-    delta1: float
-    delta2: float
-    delta3: float
-
-
 def probe_experiment(ax: Axis, n_pairs: int, seed: int):
     """Tree-inequality defects over pairs whose projections are separated by
     more than PROBE_MIN_SEPARATION fundamental domains."""
@@ -491,12 +504,11 @@ def probe_experiment(ax: Axis, n_pairs: int, seed: int):
         sx = (104_729 * seed + 7_919 * i) & 0x7FFFFFFF
         sy = (104_729 * seed + 7_919 * i + 1) & 0x7FFFFFFF
         i += 1
-        X = random_point(ax.rank, sx, n_moves=2, jitter=0.35).act(ax.power(-PROBE_SHIFT))
-        Y = random_point(ax.rank, sy, n_moves=2, jitter=0.35).act(ax.power(PROBE_SHIFT))
+        X = ax.shift(random_point(ax.rank, sx, n_moves=2, jitter=0.35), -PROBE_SHIFT)
+        Y = ax.shift(random_point(ax.rank, sy, n_moves=2, jitter=0.35), PROBE_SHIFT)
         probe = tree_inequality_probe(X, Y, ax)
-        if probe.separation_steps <= PROBE_MIN_SEPARATION:
-            continue
-        records.append(ProbeRecord(probe.separation_steps, probe.delta1, probe.delta2, probe.delta3))
+        if probe.sep > PROBE_MIN_SEPARATION:
+            records.append(probe)
     return records
 
 

@@ -33,10 +33,6 @@ from .words import (
 )
 
 LENGTH_TOL = 1e-9
-# path length from which path_word gathers and reduces the labels as arrays;
-# random backtracking walks read faster that way from 1 000-2 000 half-edges
-# on, tight leaf paths from about 300
-PATH_WORD_ARRAY_MIN = 1024
 
 
 class InvalidPointError(ValueError):
@@ -393,18 +389,12 @@ class MarkedMetricGraph:
         """Word in F_n of any half-edge path, closed up at both ends through
         the spanning tree; exact for a closed path at the basepoint.
 
-        Concatenates the half-edge labels and freely reduces once. Reading
-        the geometric word and then mapping it through the marking inverse
-        gives the same word, since both maps are homomorphisms and free
-        reduction is confluent. A path of PATH_WORD_ARRAY_MIN or more
-        half-edges (a tuple or an integer array) is gathered from the
-        label piece table and reduced by reduce_array; a shorter one is
-        read through the label dict and reduce_letters. Either way a
-        half-edge outside +-1..+-n_edges raises ValueError naming the first
-        one.
+        Concatenates the half-edge labels of the label dict and freely
+        reduces once. Reading the geometric word and then mapping it
+        through the marking inverse gives the same word, since both maps
+        are homomorphisms and free reduction is confluent. A half-edge
+        outside +-1..+-n_edges raises ValueError naming the first one.
         """
-        if len(path) >= PATH_WORD_ARRAY_MIN:
-            return Word(tuple(self.path_letters(path).tolist()))
         labels = self._label_table()
         try:
             return Word(reduce_letters(chain.from_iterable(map(labels.__getitem__, path))))
@@ -413,11 +403,9 @@ class MarkedMetricGraph:
         raise self._outside(bad)
 
     def path_letters(self, path) -> np.ndarray:
-        """The letters of path_word(path) as an integer array; an integer
-        array, or a path of PATH_WORD_ARRAY_MIN or more half-edges, is read
-        as arrays throughout."""
-        if len(path) < PATH_WORD_ARRAY_MIN and not isinstance(path, np.ndarray):
-            return np.array(self.path_word(path).letters, dtype=np.intp)
+        """The letters of path_word(path) as an integer array, for a long
+        path such as a leaf: the label piece arrays gathered by
+        gather_pieces and reduced by reduce_array."""
         m = self.graph.n_edges
         path = np.asarray(path, dtype=np.intp)
         outside = np.flatnonzero((path == 0) | (path > m) | (path < -m))
@@ -672,12 +660,12 @@ _KIND_ORDER = {"embedded": 0, "figure-eight": 1, "barbell": 2}
 
 def enumerate_candidates(point: MarkedMetricGraph):
     """Candidate loops of a point: the candidate paths of its graph, each
-    with its conjugacy class in the point's marking and its length, in class
-    order (by kind, then by word_key of the class)."""
-    g = point.graph
+    with its conjugacy class in the point's marking and its length from
+    point.candidate_lengths(), in class order (by kind, then by word_key of
+    the class)."""
     return sorted(
-        (CandidateLoop(kind, path, point.path_class(path), g.path_length(path))
-         for kind, path in g.candidate_paths()),
+        (CandidateLoop(kind, path, point.path_class(path), length)
+         for (kind, path), length in zip(point.graph.candidate_paths(), point.candidate_lengths())),
         key=lambda c: (_KIND_ORDER[c.kind], word_key(c.conjugacy_class.letters)),
     )
 

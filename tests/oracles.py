@@ -582,9 +582,10 @@ def automorphism_power(phi, k):
     return out
 
 
-def project(X, ax, budget=40, margin=2):
-    """Reference for axes.project, scanning dist_to_axis_point above."""
-    lo, hi = -margin, margin
+def project(X, ax, start=0, budget=40, margin=2):
+    """Reference for axes.project, scanning dist_to_axis_point above over a
+    window expanding from the level `start`."""
+    lo, hi = start - margin, start + margin
     d = {}
 
     def ensure(a, b):
@@ -621,7 +622,8 @@ def length_values(alpha, ax, window):
     """Reference for the values of axes.length_profile: l(phi^m(alpha), base)
     with phi^m(alpha) applied as a word."""
     lo, hi = window
-    return [(m, ax.base.loop_length(apply_cyclic(ax.power(m), alpha))) for m in range(lo, hi + 1)]
+    return [(m, ax.base.loop_length(apply_cyclic(automorphism_power(ax.phi, m), alpha)))
+            for m in range(lo, hi + 1)]
 
 
 def enumerate_candidates(point):

@@ -1,5 +1,6 @@
 """The axis scan read off the step maps, against the scan that builds each
-axis point G_m from the word phi^m (tests/oracles.py), bit for bit."""
+axis point G_m and measures distance to it (tests/oracles.py), bit for
+bit."""
 
 import random
 
@@ -23,6 +24,13 @@ from .test_graphs import CELLS, _cell_point
 
 AXES = ["golden_axis", "silver_axis", "tribo_axis", "rank4_axis"]
 LEVELS = range(-6, 7)
+# shifts s of the points X . phi^s compared with distance(X . phi^s, G_m),
+# which realizes paths of about lambda^(2s) half-edges for m near s, so
+# silver (lambda = 1 + sqrt 2) stops at 6
+SHIFTS = {"golden_axis": (-6, 3, 12), "silver_axis": (-6, 3, 6),
+          "tribo_axis": (-6, 3, 12), "rank4_axis": (-6, 3, 12)}
+# the farthest shift projected, where only building the point costs lambda^s
+FAR = {"golden_axis": 25, "silver_axis": 12, "tribo_axis": 30, "rank4_axis": 30}
 
 
 def _reference(ax):
@@ -30,22 +38,52 @@ def _reference(ax):
     return Axis(ax.forward, ax.backward)
 
 
-def _points(ax, rng):
-    """Points of every cell, the axis points G_k for |k| <= 3, and
-    jittered copies of all of them."""
-    points = [_cell_point(cell, ax.rank, rng) for cell in CELLS]
-    points += [ax.point(k) for k in range(-3, 4)]
-    return points + [jitter_lengths(p, rng, 0.3) for p in points]
+def _points(ax, rng, shifts):
+    """(point, shift) pairs: points of every cell at shift 0, the axis
+    points G_k at shift k for |k| <= 3, the points Y . phi^s built by
+    ax.shift for s in shifts, Y the first cell point, and jittered copies
+    of all of them, which keep their point's shift."""
+    points = [(_cell_point(cell, ax.rank, rng), 0) for cell in CELLS]
+    points += [(ax.point(k), k) for k in range(-3, 4)]
+    points += [(ax.shift(points[0][0], s), s) for s in shifts]
+    return points + [(jitter_lengths(p, rng, 0.3), k) for p, k in points]
 
 
 @pytest.mark.parametrize("name", AXES)
 def test_distances_and_projections_match_the_built_points(name, request):
-    ax = request.getfixturevalue(name)
+    ax = _reference(request.getfixturevalue(name))
     ref = _reference(ax)
-    for X in _points(ax, random.Random(name)):
+    for X, k in _points(ax, random.Random(name), SHIFTS[name]):
         got = [ax.dist_to_axis_point(X, m) for m in LEVELS]
         assert got == [oracles.dist_to_axis_point(ref, X, m) for m in LEVELS]
-        assert project(X, ax) == oracles.project(X, ref)
+        assert project(X, ax) == oracles.project(X, ref, start=k)
+
+
+@pytest.mark.parametrize("name", AXES)
+def test_shifted_points_project_through_their_root(name, request, monkeypatch):
+    """project(Y . phi^s) is project(Y) moved by s, with the same value bit
+    for bit, and realizes no tight loop of the point Y . phi^s."""
+    ax = _reference(request.getfixturevalue(name))
+    rng = random.Random(f"shifted-{name}")
+    Y = _cell_point("trivalent", ax.rank, rng)
+    far = {s: ax.shift(Y, s) for s in (*SHIFTS[name], FAR[name])}
+    markings = {P.marking for P in far.values()}
+    real = MarkedMetricGraph.tight_loops
+
+    def tight_loops(self, x):
+        if x.marking in markings:
+            raise AssertionError("tight loop of a shifted point realized")
+        return real(self, x)
+
+    monkeypatch.setattr(MarkedMetricGraph, "tight_loops", tight_loops)
+    want = project(Y, ax)
+    for s, P in far.items():
+        for X in (P, P.with_lengths(Y.graph.lengths)):
+            got = project(X, ax)
+            assert got.argmin == tuple(m + s for m in want.argmin)
+            assert got.scanned == tuple(m + s for m in want.scanned)
+            assert (got.value, got.diam_dist, got.unimodal) == (
+                want.value, want.diam_dist, want.unimodal)
 
 
 @pytest.mark.parametrize("name", AXES)
@@ -78,16 +116,19 @@ def test_two_axis_report_projects_each_point_once(golden_axis, monkeypatch):
 
 @pytest.mark.parametrize("name", AXES)
 def test_off_axis_scans_build_no_power_beyond_one(name, request, monkeypatch):
+    """Projecting, profiling and ball-sampling a point the axis did not
+    build compose no phi^s with |s| >= 2 and build no G_m with |m| >= 2."""
     fixture = request.getfixturevalue(name)
     ax = _reference(fixture)
-    real = Axis.power
+    real = Axis.shift
 
-    def power(self, m):
-        if abs(m) >= 2:
-            raise AssertionError(f"phi^{m} built")
-        return real(self, m)
+    def shift(self, Y, s):
+        k = self._root(Y)[1] + s
+        if abs(s) >= 2 or abs(k) >= 2:
+            raise AssertionError(f"phi^{s} or a point at shift {k} built")
+        return real(self, Y, s)
 
-    monkeypatch.setattr(Axis, "power", power)
+    monkeypatch.setattr(Axis, "shift", shift)
     X = random_point(ax.rank, 5, n_moves=2)
     assert project(X, ax) == project(X, fixture)
     alpha = X.candidates()[0].conjugacy_class
@@ -106,7 +147,9 @@ def test_axis_distances_are_distances_bit_for_bit(name, request):
     """dist_to_axis_point(X, m) == distance(X, G_m).value for |m| <= 4, with
     X of every cell of the axis's rank (2-4): a fresh act point; a
     with_lengths copy of an axis point G_k; a point on an axis whose base
-    is a scrambled random_point; a point on a translate of the axis."""
+    is a scrambled random_point; a point on a translate of the axis; the
+    points X . phi^s that the axis and the translate build by shift, for s
+    in SHIFTS, and jittered copies of them."""
     fixture = request.getfixturevalue(name)
     rank = fixture.rank
     rng = random.Random(f"bit-identity-{name}")
@@ -124,6 +167,10 @@ def test_axis_distances_are_distances_bit_for_bit(name, request):
                  (shifted, shifted.point(rng.randint(-3, 3))),
                  (shifted, jitter_lengths(shifted.point(rng.randint(-3, 3)), rng, 0.3)),
                  (shifted, X)]
+        for A in (ax, shifted):
+            for s in SHIFTS[name]:
+                P = A.shift(X, s)
+                cases += [(A, P), (A, jitter_lengths(P, rng, 0.3))]
         for A, P in cases:
             got = [A.dist_to_axis_point(P, m) for m in levels]
             assert got == [distance(P, A.point(m)).value for m in levels]
@@ -161,10 +208,10 @@ def test_translate_points_compose_no_conjugated_power(name, request, monkeypatch
     psi = random_automorphism(ax.rank, random.Random(name), 4)
     axB = ax.translate(psi)
 
-    def refuse(m):
-        raise AssertionError(f"conjugated power {m} built")
+    def refuse(Y, s):
+        raise AssertionError(f"conjugated power {s} built")
 
-    monkeypatch.setattr(axB, "power", refuse)
+    monkeypatch.setattr(axB, "shift", refuse)
     for m in range(-3, 4):
         want = ax.base.act(psi).act(oracles.automorphism_power(axB.phi, m))
         assert axB.point(m).gen_loops == want.gen_loops

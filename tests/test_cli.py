@@ -71,7 +71,7 @@ def _rose_map(images, marking=None):
 # y -> e1 e2 and y -> e2 e1, whose leaf words cancel (with y -> e2 e1 also
 # where tt leaf joins its pieces, at --iters 2 and from 4 on), and the plastic and
 # rank-4 inverses, whose images hold reversed half-edges; each with odd and
-# even --iters on both sides of PATH_WORD_ARRAY_MIN = 1024 half-edges
+# even --iters, with leaves shorter and longer than 1 024 half-edges
 LEAF_WORD_CASES = [
     ("golden", GOLDEN_MAP, (0, 1, 4, 15, 16, 22)),
     ("golden-marked", _rose_map([(1, 2), (1,)], {"x": ["e1"], "y": ["e1", "e2"]}), (0, 3, 15, 16, 21)),

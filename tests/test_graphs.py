@@ -190,7 +190,7 @@ class TestPathWord:
 
     @pytest.mark.parametrize("cell", CELLS)
     def test_long_walks_match_letterwise_reading(self, cell):
-        # past the default PATH_WORD_ARRAY_MIN, as tuples and as arrays
+        # walks of a few thousand half-edges, read as tuples and as arrays
         rng = random.Random(f"long-walk-{cell}")
         for rank in (2, 4):
             X = _cell_point(cell, rank, rng)
@@ -229,11 +229,13 @@ def _tight_walk(graph, rng, length):
 
 
 class TestPathWordArrayRoute(TestPathWord):
-    """TestPathWord again, with every path read by the array route."""
+    """TestPathWord again, with every path word read through path_letters,
+    the array route."""
 
     @pytest.fixture(autouse=True)
     def array_route(self, monkeypatch):
-        monkeypatch.setattr(graphs_mod, "PATH_WORD_ARRAY_MIN", 0)
+        monkeypatch.setattr(MarkedMetricGraph, "path_word",
+                            lambda self, path: Word(tuple(self.path_letters(path).tolist())))
 
     @pytest.mark.parametrize("cell", CELLS)
     def test_nested_walks_reach_the_finish(self, cell, monkeypatch):

@@ -312,14 +312,14 @@ class TestLeafPath:
         m = tt.graph.n_edges
         for e in range(1, m + 1):
             for h in (e, -e):
-                # every level up to the first leaf longer than
-                # 2 * PATH_WORD_ARRAY_MIN half-edges, so that the small-lambda
-                # maps reach long half-depth pieces too
+                # every level up to the first leaf longer than 2 048
+                # half-edges, so that the small-lambda maps reach long
+                # half-depth pieces too
                 k = 0
                 while True:
                     path = tt.leaf_path(h, k)
                     assert path == oracles.leaf_path(tt, h, k)
-                    if len(path) > 2 * graphs.PATH_WORD_ARRAY_MIN:
+                    if len(path) > 2048:
                         break
                     k += 1
         assert all(type(h) is int for h in tt.leaf_path(1, 12))
@@ -355,15 +355,16 @@ class TestLeafPath:
         tt = pf_metric(LEAF_MAPS[name]())
         for e in range(1, tt.graph.n_edges + 1):
             for h in (e, -e):
-                # every level up to the first one that path_word reads as an array
+                # every level up to the first leaf of 1 024 half-edges or more
                 path, k = (), 0
-                while len(path) < graphs.PATH_WORD_ARRAY_MIN:
+                while len(path) < 1024:
                     a = tt.leaf_array(h, k)
                     assert a.dtype == np.intp and a.ndim == 1
                     path = tt.leaf_path(h, k)
                     assert a.tolist() == list(path)
                     assert all(type(x) is int for x in path[:50])
-                    assert tt.point.path_word(a) == oracles.path_word(tt.point, path)
+                    want = oracles.path_word(tt.point, path).letters
+                    assert tt.point.path_letters(a).tolist() == list(want)
                     k += 1
 
     def test_leaf_array_errors_match_leaf_path(self, golden_tt, monkeypatch):

@@ -22,8 +22,7 @@ f- the same with phi^-1. The tight loop of phi^(j+-1)(alpha) is the cyclic
 tightening of the f+- images of the half-edges of the tight loop of
 phi^j(alpha), joined as realize_based joins its pieces. No word phi^m, no
 point G_m and no conjugacy class is read, and the loops walked are Z's
-whatever k is. A translate of the axis by psi builds its points as the
-parent's points acted on by psi, composing no conjugated power.
+whatever k is.
 
 Projection of X recorded as (Z, k) scans m -> d(X, G_m) over a window
 expanding from k until the minimum is interior. Experiments are
@@ -42,7 +41,7 @@ import weakref
 from dataclasses import dataclass
 from operator import truediv
 
-from .graphs import MarkedMetricGraph, jitter_lengths, join_pieces, random_point
+from .graphs import MarkedMetricGraph, jitter_lengths, random_point
 from .metric import distance
 from .traintrack import TrainTrackMap
 from .words import (
@@ -50,6 +49,7 @@ from .words import (
     CyclicWord,
     RankMismatchError,
     cyclic_tighten,
+    join_pieces,
     random_automorphism,
     verify_inverse,
 )
@@ -111,8 +111,8 @@ class Axis:
     root and shift (see the module docstring), kept weakly by its marking
     object; dist_to_axis_point reads every point through its root, off the
     step maps f+ and f- of the base graph, built once from phi and phi^-1.
-    Of `backward`, a train-track map or self-map of phi^-1, only its
-    automorphism is read, and it must be the inverse of phi.
+    `backward`, a train-track map or self-map of phi^-1, is checked to
+    represent the inverse of phi, which certifies phi, and is not kept.
     """
 
     def __init__(
@@ -123,7 +123,6 @@ class Axis:
         phi: Automorphism = None,
     ):
         self.forward = forward
-        self.backward = backward
         self.base = base if base is not None else forward.point
         self.phi = phi if phi is not None else forward.automorphism()
         self.lam = forward.lam
@@ -135,7 +134,6 @@ class Axis:
         self._points = {0: self.base}
         self._shifts = weakref.WeakKeyDictionary()  # marking object -> (root, shift)
         self._steps = None  # see _step_maps
-        self._parent = None  # (axis, psi) of a translate, see translate
         self._walks = weakref.WeakKeyDictionary()  # marking object -> _Walk
 
     @property
@@ -166,18 +164,11 @@ class Axis:
         return Y
 
     def point(self, m: int) -> MarkedMetricGraph:
-        """G_m: shift(G_(m-+1), +-1), or for a translate (see translate) the
-        parent's G_m . psi, recorded as (base, m)."""
+        """G_m: shift(G_(m-+1), +-1)."""
         found = self._points.get(m)
         if found is None:
-            if self._parent is None:
-                s = 1 if m > 0 else -1
-                found = self.shift(self.point(m - s), s)
-            else:
-                parent, psi = self._parent
-                found = parent.point(m).act(psi)
-                self._shifts[found.marking] = (self.base, m)
-            self._points[m] = found
+            s = 1 if m > 0 else -1
+            found = self._points[m] = self.shift(self.point(m - s), s)
         return found
 
     def _step_maps(self):
@@ -222,17 +213,6 @@ class Axis:
         Z, k = self._root(X)
         ly = self._walk_of(Z).lengths_at(m - k)
         return math.log(max(map(truediv, ly, X.candidate_lengths())))
-
-    def translate(self, psi: Automorphism) -> "Axis":
-        """The axis of psi^-1 phi psi through base . psi.
-
-        Its point G_m is this axis's G_m . psi, the same marked graph as
-        base . psi . (psi^-1 phi psi)^m, since both are base . phi^m psi; so
-        building it composes no conjugated power."""
-        phi2 = psi.inverse().compose(self.phi).compose(psi)
-        ax = Axis(self.forward, base=self.base.act(psi), phi=phi2)
-        ax._parent = (self, psi)
-        return ax
 
 
 @dataclass
@@ -596,21 +576,23 @@ class TwoAxisReport:
     parallel: bool
 
 
-def two_axis_report(axA: Axis, axB: Axis, window: int = 6) -> TwoAxisReport:
-    """Project axis B onto A; detect parallelism by linear growth of the
-    diameter under window doubling; window must be at least 2, so that the
-    half window is smaller. Each point of B is projected once: the half
-    window reads its argmins off the full window's."""
+def two_axis_report(ax: Axis, psi: Automorphism, window: int = 6) -> TwoAxisReport:
+    """Project the translate of the axis by psi, the points G_m . psi
+    (the axis of psi^-1 phi psi through base . psi), onto the axis; detect
+    parallelism by linear growth of the diameter under window doubling;
+    window must be at least 2, so that the half window is smaller. Each
+    translated point is projected once: the half window reads its argmins
+    off the full window's."""
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
     half_window = window // 2
-    by_m = {m: project(axB.point(m), axA).argmin for m in range(-window, window + 1)}
+    by_m = {m: project(ax.point(m).act(psi), ax).argmin for m in range(-window, window + 1)}
     full = [t for ts in by_m.values() for t in ts]
     half = [t for m, ts in by_m.items() if abs(m) <= half_window for t in ts]
-    diam = (max(full) - min(full)) * axA.step
-    diam_half = (max(half) - min(half)) * axA.step
+    diam = (max(full) - min(full)) * ax.step
+    diam_half = (max(half) - min(half)) * ax.step
     growth = diam - diam_half
     # parallel axes grow the diameter at twice the window rate; independent
     # ones stabilize, so half the parallel rate separates the two cases
-    parallel = growth >= (window - half_window) * axA.step
+    parallel = growth >= (window - half_window) * ax.step
     return TwoAxisReport(window=window, diam=diam, diam_half=diam_half, parallel=parallel)

@@ -42,7 +42,14 @@ from .traintrack import (
     verify_train_track,
 )
 from .whitehead import is_primitive, whitehead_minimize
-from .words import ALPHABET, CyclicWord, format_letters, random_automorphism, reduce_array
+from .words import (
+    ALPHABET,
+    CyclicWord,
+    format_letters,
+    parse_letters,
+    random_automorphism,
+    reduce_array,
+)
 
 
 def _f(x: float) -> str:
@@ -65,13 +72,7 @@ def _parse_words(texts, rank=None):
         names = ALPHABET
     else:
         names = "".join(letters)
-    words = []
-    for t in texts:
-        ls = []
-        for ch in t:
-            idx = names.index(ch.lower()) + 1
-            ls.append(idx if ch.islower() else -idx)
-        words.append(tuple(ls))
+    words = [parse_letters(t, names) for t in texts]
     inferred = max((abs(l) for w in words for l in w), default=1)
     if rank is not None and rank < inferred:
         raise ValueError(f"--rank {rank} smaller than the {inferred} generators used")
@@ -301,9 +302,7 @@ def cmd_axis(args):
         rng = random.Random(args.seed)
         rows = []
         for i in range(args.pairs):
-            psi = random_automorphism(ax.rank, rng, 4)
-            axB = ax.translate(psi)
-            rep = two_axis_report(ax, axB, window=args.window)
+            rep = two_axis_report(ax, random_automorphism(ax.rank, rng, 4), window=args.window)
             rows.append((args.window, rep.diam, rep.parallel))
         text = write_csv(PAIR_HEADER, rows, args.out)
         if not args.out:

@@ -5,6 +5,12 @@ edge i forward, -(i+1) backward. A marking fixes a basepoint and one closed
 edge loop per free-group generator; edge labels (words conjugating the
 geometric basis back to F_n) are derived by collapsing a deterministic
 spanning tree and inverting the induced map on fundamental groups.
+
+Paths are mapped and read through words.join_pieces, the one
+substitution, whose pieces must be freely reduced: a half-edge's label (a
+reduced word, empty on the spanning tree) for path_word, a tightened
+generator loop for realize_based, and a tight based path per half-edge for
+tight_loops.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .words import (
     Word,
     cyclic_tighten,
     inverse_letters,
+    join_pieces,
     random_automorphism,
     reduce_array,
     reduce_letters,
@@ -155,44 +162,17 @@ class MetricGraph:
         return True
 
 
-def tighten_path(graph: MetricGraph, path, check_incidence=True):
-    """Remove backtracking from a half-edge path (homotopy rel endpoints)."""
-    if check_incidence:
-        for i in range(len(path) - 1):
-            if graph.term_of(path[i]) != graph.init_of(path[i + 1]):
-                raise ValueError(f"broken incidence at position {i}")
-    out = []
-    for h in path:
-        if out and out[-1] == -h:
-            out.pop()
-        else:
-            out.append(h)
-    return tuple(out)
+def tighten_path(graph: MetricGraph, path):
+    """Remove backtracking from a half-edge path (homotopy rel endpoints);
+    raises ValueError where consecutive half-edges do not meet."""
+    for i in range(len(path) - 1):
+        if graph.term_of(path[i]) != graph.init_of(path[i + 1]):
+            raise ValueError(f"broken incidence at position {i}")
+    return reduce_letters(path)
 
 
 def reverse_path(path):
     return tuple(-h for h in reversed(path))
-
-
-def join_pieces(pieces, keys):
-    """The free reduction of the concatenated pieces[k] for k in keys, each
-    piece a reduced half-edge path: appends piece by piece, cancelling only
-    at the junction, since what is left of a reduced piece after the
-    junction is reduced too. Raises KeyError on a key not in pieces."""
-    out = []
-    pop, extend = out.pop, out.extend
-    for key in keys:
-        piece = pieces[key]
-        if out and piece and out[-1] == -piece[0]:
-            pop()
-            k, n = 1, len(piece)
-            while k < n and out and out[-1] == -piece[k]:
-                pop()
-                k += 1
-            extend(piece[k:])
-        else:
-            extend(piece)
-    return tuple(out)
 
 
 def halfedge_pieces(piece_of, n_edges: int):
@@ -319,17 +299,6 @@ class MarkedMetricGraph:
                 nxt += 1
         self.marking.geo_letter = geo
 
-    def tree_path_from_base(self, v: int):
-        """Half-edge path basepoint -> v inside the spanning tree."""
-        self._ensure_tree()
-        parent = self.marking.tree_parent
-        path = []
-        while v != self.basepoint:
-            h = parent[v]
-            path.append(h)
-            v = self.graph.init_of(h)
-        return tuple(reversed(path))
-
     def geo_word_of_path(self, path):
         """Word over the geometric basis crossed by a half-edge path."""
         self._ensure_tree()
@@ -389,15 +358,16 @@ class MarkedMetricGraph:
         """Word in F_n of any half-edge path, closed up at both ends through
         the spanning tree; exact for a closed path at the basepoint.
 
-        Concatenates the half-edge labels of the label dict and freely
-        reduces once. Reading the geometric word and then mapping it
-        through the marking inverse gives the same word, since both maps
-        are homomorphisms and free reduction is confluent. A half-edge
-        outside +-1..+-n_edges raises ValueError naming the first one.
+        join_pieces of the half-edge labels: each label is a reduced word,
+        empty on the tree, so a path and its detour through the tree from
+        the basepoint read the same word. Reading the geometric word and
+        then mapping it through the marking inverse gives the same word,
+        since both maps are homomorphisms and free reduction is confluent.
+        A half-edge outside +-1..+-n_edges raises ValueError naming the
+        first one.
         """
-        labels = self._label_table()
         try:
-            return Word(reduce_letters(chain.from_iterable(map(labels.__getitem__, path))))
+            return Word(join_pieces(self._label_table(), path))
         except KeyError as e:
             bad = e.args[0]
         raise self._outside(bad)
@@ -428,7 +398,7 @@ class MarkedMetricGraph:
         if m.pieces is None:
             pieces = {}
             for i, loop in enumerate(self.gen_loops):
-                tight = tighten_path(self.graph, loop, check_incidence=False)
+                tight = reduce_letters(loop)
                 pieces[i + 1] = tight
                 pieces[-(i + 1)] = reverse_path(tight)
             m.pieces = pieces
@@ -699,7 +669,7 @@ def validate_point(point: MarkedMetricGraph) -> ValidationReport:
             problems.append(f"marking loop {i + 1} is empty")
             continue
         try:
-            tightened = tighten_path(g, loop)
+            tighten_path(g, loop)  # raises on broken incidence
         except ValueError as e:
             problems.append(f"marking loop {i + 1}: {e}")
             continue
@@ -859,9 +829,9 @@ def point_from_dict(data: dict, validate=True) -> MarkedMetricGraph:
     return point
 
 
-def load_point(path, validate=True) -> MarkedMetricGraph:
+def load_point(path) -> MarkedMetricGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return point_from_dict(json.load(fh), validate=validate)
+        return point_from_dict(json.load(fh))
 
 
 def point_to_dict(point: MarkedMetricGraph) -> dict:

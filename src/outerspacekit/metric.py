@@ -34,9 +34,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import truediv
 
-from .graphs import CandidateLoop, MarkedMetricGraph, enumerate_candidates, tighten_path
+from .graphs import (
+    CandidateLoop,
+    MarkedMetricGraph,
+    enumerate_candidates,
+    reverse_path,
+    tighten_path,
+)
 from .words import (
     cyclic_tighten,
     enumerate_cyclic_words,
@@ -137,13 +144,6 @@ class LipschitzReport:
     green: list  # edge ids attaining the max slope
 
 
-def _image_path(spec: LinearMapSpec, h: int):
-    path = spec.edge_images[abs(h)]
-    if h > 0:
-        return tuple(path)
-    return tuple(-e for e in reversed(path))
-
-
 def _common_conjugator_is_inner(images, rank):
     """True iff x_i -> images[i] is an inner automorphism of F_rank."""
     # cyclically reduce the first image, tracking the conjugator u
@@ -179,6 +179,7 @@ def linear_map_lipschitz(
     conjugation (checked exactly on the fundamental group).
     """
     gx, gy = x.graph, y.graph
+    image = {}  # half-edge of x -> its tightened image path in y
     for e in range(1, gx.n_edges + 1):
         if e not in spec.edge_images:
             raise ValueError(f"edge image missing for edge index {e}")
@@ -190,25 +191,19 @@ def linear_map_lipschitz(
             raise ValueError(f"image of edge {e} does not start at the vertex image")
         if gy.term_of(path[-1]) != spec.vertex_images[v]:
             raise ValueError(f"image of edge {e} does not end at the vertex image")
-        tighten_path(gy, path)  # raises on broken incidence
-    # consistency with the markings, checked on generator loops
-    base_img = spec.vertex_images[x.basepoint]
-    rho = y.tree_path_from_base(base_img)
-    images = []
-    for loop in x.gen_loops:
-        mapped = []
-        for h in loop:
-            mapped.extend(_image_path(spec, h))
-        based = tuple(rho) + tuple(mapped) + tuple(-h for h in reversed(rho))
-        images.append(y.path_word(tighten_path(gy, based, check_incidence=False)).letters)
+        image[e] = tighten_path(gy, path)  # raises on broken incidence
+        image[-e] = reverse_path(image[e])
+    # consistency with the markings, checked on generator loops: path_word
+    # closes each image loop up through y's spanning tree
+    images = [y.path_word(chain.from_iterable(map(image.__getitem__, loop))).letters
+              for loop in x.gen_loops]
     if not _common_conjugator_is_inner(images, x.rank):
         raise ValueError("edge images are inconsistent with the markings")
     slopes = {}
     for e in range(1, gx.n_edges + 1):
         if gx.lengths[e - 1] == 0.0:
             raise ValueError(f"edge {gx.edge_ids[e - 1]} has length 0: its slope is undefined")
-        img = tighten_path(gy, spec.edge_images[e], check_incidence=False)
-        slopes[gx.edge_ids[e - 1]] = gy.path_length(img) / gx.lengths[e - 1]
+        slopes[gx.edge_ids[e - 1]] = gy.path_length(image[e]) / gx.lengths[e - 1]
     lip = max(slopes.values())
     green = [eid for eid, s in sorted(slopes.items()) if s >= lip * (1.0 - 1e-9)]
     return LipschitzReport(slopes=slopes, lip=lip, green=green)

@@ -35,6 +35,7 @@ from .words import (
     Automorphism,
     WhiteheadMove,
     cyclic_tighten,
+    join_pieces,
     verify_inverse,
 )
 
@@ -53,13 +54,17 @@ class NotTrainTrackError(ValueError):
 
 
 class GraphSelfMap:
-    """A self-map of a marked graph: vertex images and tight edge images."""
+    """A self-map of a marked graph: vertex images and tight edge images.
+
+    `halfedge_images` maps each half-edge to its image path, reversed for a
+    reversed edge: the pieces join_pieces substitutes to map a path."""
 
     def __init__(self, point: MarkedMetricGraph, vertex_images, edge_images):
         self.point = point
         g = point.graph
         self.vertex_images = {int(v): int(w) for v, w in vertex_images.items()}
         self.edge_images = {int(e): tuple(p) for e, p in edge_images.items()}
+        self.halfedge_images = {}
         for v in range(g.n_vertices):
             if v not in self.vertex_images:
                 raise ValueError(f"missing vertex image for vertex {v}")
@@ -74,28 +79,15 @@ class GraphSelfMap:
                 raise ValueError(f"image of edge {g.edge_ids[e - 1]} starts at wrong vertex")
             if g.term_of(path[-1]) != self.vertex_images[v]:
                 raise ValueError(f"image of edge {g.edge_ids[e - 1]} ends at wrong vertex")
+            self.halfedge_images[e], self.halfedge_images[-e] = path, reverse_path(path)
 
     @property
     def graph(self) -> MetricGraph:
         return self.point.graph
 
-    def image_of(self, h: int):
-        path = self.edge_images[abs(h)]
-        return path if h > 0 else reverse_path(path)
-
-    def image_of_path(self, path):
-        out = []
-        for h in path:
-            out.extend(self.image_of(h))
-        return tighten_path(self.graph, out, check_incidence=False)
-
     def direction_map(self):
         """First half-edge of each half-edge image."""
-        dmap = {}
-        for e in range(1, self.graph.n_edges + 1):
-            dmap[e] = self.image_of(e)[0]
-            dmap[-e] = self.image_of(-e)[0]
-        return dmap
+        return {h: path[0] for h, path in self.halfedge_images.items()}
 
     def transition_matrix(self) -> np.ndarray:
         """A[j][i] counts crossings of edge i (either way) by the image of edge j."""
@@ -107,14 +99,12 @@ class GraphSelfMap:
         return A
 
     def automorphism(self) -> Automorphism:
-        """Outer class of the induced map on the fundamental group."""
+        """Outer class of the induced map on the fundamental group: each
+        generator loop mapped by join_pieces and read by path_word, which
+        closes the image loop up through the spanning tree."""
         p = self.point
-        rho = p.tree_path_from_base(self.vertex_images[p.basepoint])
-        images = []
-        for loop in p.gen_loops:
-            mapped = tuple(rho) + self.image_of_path(loop) + reverse_path(rho)
-            images.append(p.path_word(tighten_path(self.graph, mapped, check_incidence=False)))
-        return Automorphism(p.rank, images)
+        return Automorphism(p.rank, [p.path_word(join_pieces(self.halfedge_images, loop))
+                                     for loop in p.gen_loops])
 
 
 @dataclass(frozen=True)
@@ -518,35 +508,26 @@ class LegalityReport:
     total_length: float
 
 
-def legality_report(alpha, tt: TrainTrackMap, cyclic=True) -> LegalityReport:
-    """Split a loop (or path) at illegal turns; LEG is the fraction of length
-    carried by legal pieces longer than the threshold kappa. A word is
-    realized at tt.point and cyclically tightened, a path is taken as given."""
+def legality_report(alpha, tt: TrainTrackMap) -> LegalityReport:
+    """Split the tight loop of a class, realized at tt.point, at its illegal
+    turns; LEG is the fraction of length carried by legal pieces longer
+    than the threshold kappa."""
     g = tt.graph
-    if hasattr(alpha, "letters"):
-        path = cyclic_tighten(tt.point.realize_based(alpha.letters))
-    else:
-        path = tuple(alpha)
+    path = cyclic_tighten(tt.point.realize_based(alpha.letters))
     if not path:
         raise ValueError("empty loop")
     total = g.path_length(path)
     n = len(path)
-    illegal_after = []  # positions i where the turn (path[i], path[i+1]) is illegal
-    limit = n if cyclic else n - 1
-    for i in range(limit):
-        h1, h2 = path[i], path[(i + 1) % n]
-        if not tt.structure.is_legal_turn(-h1, h2):
-            illegal_after.append(i)
+    # positions i where the turn (path[i], path[i+1]) is illegal
+    illegal_after = [i for i in range(n)
+                     if not tt.structure.is_legal_turn(-path[i], path[(i + 1) % n])]
     if not illegal_after:
         pieces = [path]
-    elif cyclic:
+    else:
         # a piece runs from after one illegal turn to the next, wrapping once
         doubled = path + path
         bounds = illegal_after + [illegal_after[0] + n]
         pieces = [doubled[a + 1 : b + 1] for a, b in zip(bounds, bounds[1:])]
-    else:
-        bounds = [-1] + illegal_after + [n - 1]
-        pieces = [path[a + 1 : b + 1] for a, b in zip(bounds, bounds[1:]) if b > a]
     kappa = tt.legality_threshold()
     with_lengths = [(p, g.path_length(p)) for p in pieces]
     leg = math.fsum(l for (_, l) in with_lengths if l > kappa) / total
@@ -604,7 +585,7 @@ def lamination_length_ratio(
     on (marking junk decays like 1/lambda^k).
     """
     if target.rank != tt.point.rank:
-        raise ValueError("rank mismatch")
+        raise ValueError(f"rank mismatch: {target.rank} vs {tt.point.rank}")
     if k_cap < 1:
         raise ValueError("k_cap must be >= 1")
     r = tt.tile_frequencies()
@@ -768,8 +749,8 @@ def no_cut_vertex_search(
 # -- file format ----------------------------------------------------------
 
 
-def selfmap_from_dict(data: dict, validate=True) -> GraphSelfMap:
-    point = point_from_dict(data["graph"], validate=validate)
+def selfmap_from_dict(data: dict) -> GraphSelfMap:
+    point = point_from_dict(data["graph"])
     g = point.graph
     eidx = {eid: i + 1 for i, eid in enumerate(g.edge_ids)}
 
@@ -794,6 +775,6 @@ def selfmap_from_dict(data: dict, validate=True) -> GraphSelfMap:
     return GraphSelfMap(point, vertex_images, edge_images)
 
 
-def load_selfmap(path, validate=True) -> GraphSelfMap:
+def load_selfmap(path) -> GraphSelfMap:
     with open(path, "r", encoding="utf-8") as fh:
-        return selfmap_from_dict(json.load(fh), validate=validate)
+        return selfmap_from_dict(json.load(fh))

@@ -43,7 +43,9 @@ from .words import (
     RankMismatchError,
     WhiteheadMove,
     canonical_cyclic,
+    cyclic_tighten,
     inverse_letters,
+    join_pieces,
     letter_key,
     signed_letters,
 )
@@ -230,25 +232,12 @@ def _total(words):
 
 def _apply_move(move: WhiteheadMove, words, rank):
     """Images under the move of cyclically reduced letter tuples: each one
-    rewritten letter by letter on a stack that cancels, then trimmed at both
-    ends to a cyclically reduced tuple (in no canonical rotation)."""
+    substituted by join_pieces and cyclically tightened (in no canonical
+    rotation)."""
     image = {}
     for x, im in enumerate(move.images(rank), 1):
         image[x], image[-x] = im, inverse_letters(im)
-    out = []
-    for w in words:
-        stack = []
-        for l in w:
-            for m in image[l]:
-                if stack and stack[-1] == -m:
-                    stack.pop()
-                else:
-                    stack.append(m)
-        i, j = 0, len(stack) - 1
-        while i < j and stack[i] == -stack[j]:
-            i, j = i + 1, j - 1
-        out.append(tuple(stack[i : j + 1]))
-    return out
+    return [cyclic_tighten(join_pieces(image, w)) for w in words]
 
 
 def _length_change(cap, move: WhiteheadMove) -> int:

@@ -3,6 +3,14 @@
 A letter is a nonzero integer: generator i is +i, its inverse is -i.
 Text form uses lowercase a..z for generators and uppercase for inverses,
 so "abA" is the reduced word a b a^-1.
+
+`join_pieces` is the library's one substitution: it replaces each key by
+its piece and freely reduces, cancelling only at the junctions, so every
+piece must itself be freely reduced. Acting by an automorphism, rewriting
+by a Whitehead move, mapping a path by a graph map, reading a path's word
+through its half-edge labels and realizing a word at a point all go
+through it; free reduction is confluent, so the result is the free
+reduction of the whole concatenation.
 """
 
 from __future__ import annotations
@@ -41,6 +49,27 @@ def reduce_letters(letters) -> tuple:
             out.pop()
         else:
             out.append(l)
+    return tuple(out)
+
+
+def join_pieces(pieces, keys):
+    """The free reduction of the concatenated pieces[k] for k in keys, each
+    piece a freely reduced sequence: appends piece by piece, cancelling only
+    at the junction, since what is left of a reduced piece after the
+    junction is reduced too. Raises KeyError on a key not in pieces."""
+    out = []
+    pop, extend = out.pop, out.extend
+    for key in keys:
+        piece = pieces[key]
+        if out and piece and out[-1] == -piece[0]:
+            pop()
+            k, n = 1, len(piece)
+            while k < n and out and out[-1] == -piece[k]:
+                pop()
+                k += 1
+            extend(piece[k:])
+        else:
+            extend(piece)
     return tuple(out)
 
 
@@ -248,7 +277,7 @@ class Automorphism:
     folded rose read the inverse images, which verify_inverse then checks.
     """
 
-    __slots__ = ("rank", "images", "verified", "_inv")
+    __slots__ = ("rank", "images", "verified", "_inv", "_table")
 
     def __init__(self, rank: int, images, verified: bool = False, _inv=None):
         images = tuple(images)
@@ -263,6 +292,7 @@ class Automorphism:
         self.images = images
         self.verified = verified
         self._inv = _inv
+        self._table = None  # letter +-i -> image of +-i, see _letter_table
 
     @staticmethod
     def identity(rank: int) -> "Automorphism":
@@ -270,19 +300,30 @@ class Automorphism:
         phi._inv = phi
         return phi
 
+    def _letter_table(self) -> dict:
+        """Letter +-i -> the letters of the image of +-i, built on first use."""
+        if self._table is None:
+            table = self._table = {}
+            for i, im in enumerate(self.images, 1):
+                table[i], table[-i] = im.letters, inverse_letters(im.letters)
+        return self._table
+
+    def _outside(self, letter) -> ValueError:
+        return ValueError(f"letter {letter!r} out of rank range (rank {self.rank})")
+
     def image_of(self, letter: int) -> tuple:
-        im = self.images[abs(letter) - 1].letters
-        return im if letter > 0 else inverse_letters(im)
+        try:
+            return self._letter_table()[letter]
+        except KeyError:
+            raise self._outside(letter) from None
 
     def apply_letters(self, letters) -> tuple:
-        out = []
-        for l in letters:
-            for m in self.image_of(l):
-                if out and out[-1] == -m:
-                    out.pop()
-                else:
-                    out.append(m)
-        return tuple(out)
+        """The free reduction of the images of the letters: join_pieces over
+        the letter table. A letter outside +-1..+-rank raises ValueError."""
+        try:
+            return join_pieces(self._letter_table(), letters)
+        except KeyError as e:
+            raise self._outside(e.args[0]) from None
 
     def apply(self, w: Word) -> Word:
         if w.max_index() > self.rank:

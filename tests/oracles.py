@@ -38,6 +38,14 @@ point G_m from the word phi^m and takes the candidate distance to it, and
 it reads the class of every raw candidate path of every point and keeps
 one path per class, where the library keeps one per half-edge cycle of the
 graph and reads classes only to sort.
+`apply_letters`, `apply_move`, `image_of_path` and `selfmap_automorphism`
+are the library's earlier substitutions, each a letter-by-letter stack
+loop, against which the one substitution, words.join_pieces, is checked:
+`selfmap_automorphism` closes each image loop up by the tree path rho
+from the basepoint to its image, rho . f(loop) . rho^-1, and
+`linear_map_images` reads the generator images of a linear map the same
+way, where the library lets path_word close the image loop through the
+tree.
 """
 
 import math
@@ -53,6 +61,7 @@ from outerspacekit.graphs import (
     _embedded_circles,
     _rotate_cycle_to,
     reverse_path,
+    tighten_path,
 )
 from outerspacekit.metric import distance
 from outerspacekit.traintrack import (
@@ -72,6 +81,7 @@ from outerspacekit.words import (
     CyclicWord,
     WhiteheadMove,
     Word,
+    inverse_letters,
     letter_key,
     reduce_letters,
     signed_letters,
@@ -389,21 +399,119 @@ def path_word(point, path):
     the path, reduced, then mapped letter by letter through the marking
     inverse. Half-edges of no edge are skipped."""
     g = point.graph
-    tree = {abs(h) for v in range(g.n_vertices) for h in point.tree_path_from_base(v)}
+    tree = {abs(h) for v in range(g.n_vertices) for h in tree_path_from_base(point, v)}
     geo = dict(zip((e for e in range(1, g.n_edges + 1) if e not in tree), range(1, g.n_edges + 1)))
     letters = []
     for h in path:
         x = geo.get(abs(h))
         if x is not None:
             letters.append(x if h > 0 else -x)
-    return Word(point.marking_inverse().apply_letters(reduce_letters(letters)))
+    return Word(apply_letters(point.marking_inverse(), reduce_letters(letters)))
+
+
+def tree_path_from_base(point, v):
+    """Half-edge path from the basepoint to v inside the point's spanning
+    tree, read off its tree parents."""
+    point._ensure_tree()
+    parent = point.marking.tree_parent
+    path = []
+    while v != point.basepoint:
+        h = parent[v]
+        path.append(h)
+        v = point.graph.init_of(h)
+    return tuple(reversed(path))
+
+
+def apply_letters(phi, letters):
+    """Reference for Automorphism.apply_letters: the image of each letter
+    pushed letter by letter on a stack that cancels."""
+    out = []
+    for l in letters:
+        im = phi.images[abs(l) - 1].letters
+        for m in im if l > 0 else inverse_letters(im):
+            if out and out[-1] == -m:
+                out.pop()
+            else:
+                out.append(m)
+    return tuple(out)
+
+
+def verify_inverse(phi, psi):
+    """Reference for the test verify_inverse makes: phi o psi and psi o phi
+    fix every generator, composed by apply_letters above."""
+    return all(apply_letters(phi, apply_letters(psi, (i,))) == (i,)
+               and apply_letters(psi, apply_letters(phi, (i,))) == (i,)
+               for i in range(1, phi.rank + 1))
+
+
+def apply_move(move, words, rank):
+    """Reference for whitehead._apply_move: each cyclically reduced word
+    rewritten letter by letter on a stack that cancels, then trimmed at
+    both ends."""
+    image = {}
+    for x, im in enumerate(move.images(rank), 1):
+        image[x], image[-x] = im, inverse_letters(im)
+    out = []
+    for w in words:
+        stack = []
+        for l in w:
+            for m in image[l]:
+                if stack and stack[-1] == -m:
+                    stack.pop()
+                else:
+                    stack.append(m)
+        i, j = 0, len(stack) - 1
+        while i < j and stack[i] == -stack[j]:
+            i, j = i + 1, j - 1
+        out.append(tuple(stack[i : j + 1]))
+    return out
+
+
+def image_of_path(f, path):
+    """The tightened image of a half-edge path under a graph self-map: the
+    edge images concatenated, reversed for a reversed edge, then tightened."""
+    out = []
+    for h in path:
+        image = f.edge_images[abs(h)]
+        out.extend(image if h > 0 else reverse_path(image))
+    return tighten_path(f.graph, out)
+
+
+def selfmap_automorphism(f):
+    """Reference for GraphSelfMap.automorphism: each generator loop's image
+    conjugated by the tree path rho from the basepoint to its image,
+    tightened, and read by path_word above."""
+    p = f.point
+    rho = tree_path_from_base(p, f.vertex_images[p.basepoint])
+    images = []
+    for loop in p.gen_loops:
+        mapped = rho + image_of_path(f, loop) + reverse_path(rho)
+        images.append(path_word(p, tighten_path(f.graph, mapped)))
+    return Automorphism(p.rank, images)
+
+
+def linear_map_images(spec, x, y):
+    """The letters at y of the images of x's generator loops under a linear
+    map, each conjugated by y's tree path rho from y's basepoint to the
+    image of x's basepoint and read by path_word above: the words whose
+    common conjugator metric.linear_map_lipschitz checks."""
+    rho = tree_path_from_base(y, spec.vertex_images[x.basepoint])
+    images = []
+    for loop in x.gen_loops:
+        mapped = []
+        for h in loop:
+            image = tuple(spec.edge_images[abs(h)])
+            mapped.extend(image if h > 0 else reverse_path(image))
+        based = tighten_path(y.graph, rho + tuple(mapped) + reverse_path(rho))
+        images.append(path_word(y, based).letters)
+    return images
 
 
 def leaf_path(tt, edge_index, k):
     """Reference for TrainTrackMap.leaf_path: f^k(e) by k rounds of
     substituting each half-edge by its image."""
-    m = tt.graph.n_edges
-    image = {h: tt.selfmap.image_of(h) for h in range(-m, m + 1) if h}
+    image = {s * e: p if s > 0 else reverse_path(p)
+             for e, p in tt.selfmap.edge_images.items() for s in (1, -1)}
     path = (edge_index,)
     for _ in range(k):
         path = tuple(chain.from_iterable(map(image.__getitem__, path)))

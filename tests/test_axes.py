@@ -5,6 +5,7 @@ import pytest
 
 from outerspacekit.axes import (
     BALL_HEADER,
+    Axis,
     MORSE_HEADER,
     ball_sample_record,
     contraction_experiment,
@@ -60,8 +61,8 @@ class TestAxisPoints:
             rhs = golden_axis.base.loop_length(apply_cyclic(phi_m, alpha))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    def test_mu_from_backward(self, golden_axis):
-        assert golden_axis.backward.lam == pytest.approx(GOLDEN, abs=1e-9)
+    def test_mu_from_backward(self, golden_inv_tt):
+        assert golden_inv_tt.lam == pytest.approx(GOLDEN, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", AXES)
@@ -229,27 +230,27 @@ class TestDivergence:
 
 class TestTwoAxis:
     def test_same_axis_parallel(self, golden_axis):
-        rep = two_axis_report(golden_axis, golden_axis, window=4)
+        rep = two_axis_report(golden_axis, Automorphism.identity(2), window=4)
         assert rep.parallel
 
     @pytest.mark.parametrize("window", [0, 1])
     def test_window_below_two_rejected(self, golden_axis, window):
         # the half window would not be smaller, so any pair would read parallel
         with pytest.raises(ValueError, match="window must be >= 2"):
-            two_axis_report(golden_axis, golden_axis, window=window)
+            two_axis_report(golden_axis, golden_axis.phi, window=window)
 
     def test_translate_bounded(self, golden_axis):
         rng = random.Random(3)
         psi = random_automorphism(2, rng, 4)
-        axB = golden_axis.translate(psi)
-        rep = two_axis_report(golden_axis, axB, window=6)
+        rep = two_axis_report(golden_axis, psi, window=6)
         assert not rep.parallel
         assert rep.diam <= rep.diam_half + golden_axis.step + 1e-9
 
     def test_translate_is_axis(self, golden_axis):
         rng = random.Random(1)
         psi = random_automorphism(2, rng, 3)
-        axB = golden_axis.translate(psi)
+        axB = Axis(golden_axis.forward, base=golden_axis.base.act(psi),
+                   phi=psi.inverse().compose(golden_axis.phi).compose(psi))
         d = distance(axB.point(0), axB.point(1)).value
         assert d == pytest.approx(golden_axis.step, abs=1e-9)
 

@@ -103,3 +103,66 @@ def test_names_outside_the_api_are_read_by_the_library():
     api = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
            for a in node.names}
     assert _unread(_loaded_in("src", "benchmarks"), fields=False, exempt=api) == []
+
+
+def _defaulted(tree):
+    """(call name, qualified name, position, parameter) of each parameter
+    with a default of each module-level function and method; position
+    counts the positional parameters a call passes, so it is None for a
+    keyword-only one and leaves out self and cls. A method is called by
+    its name, and __init__ by its class's name."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs = [(item, f"{node.name}.{item.name}",
+                     node.name if item.name == "__init__" else item.name)
+                    for item in node.body if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            defs = [(node, node.name, node.name)]
+        else:
+            continue
+        for fn, qual, called in defs:
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            bound = "." in qual and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+            first = len(positional) - len(a.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield called, qual, i - bound, arg.arg
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield called, qual, None, arg.arg
+
+
+def _passed(folders):
+    """Call name -> (most positional arguments of any call by that name,
+    keyword names passed by any such call); a call with *args or **kwargs
+    passes every parameter."""
+    passed = {}
+    for folder in folders:
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                most, keywords = passed.setdefault(name, [0, set()])
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                passed[name][0] = max(most, float("inf") if starred else len(node.args))
+                keywords.update("**" if k.arg is None else k.arg for k in node.keywords)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Every parameter with a default, of every library function and
+    method, is passed by keyword or by position by some call in src/,
+    tests/ or benchmarks/, matched by the name called: a parameter that no
+    call sets is dead."""
+    passed = _passed(("src", "tests", "benchmarks"))
+    dead = []
+    for path in MODULES:
+        for called, qual, position, param in _defaulted(ast.parse(path.read_text("utf-8"))):
+            most, keywords = passed.get(called, (0, set()))
+            if not (param in keywords or "**" in keywords
+                    or (position is not None and most > position)):
+                dead.append(f"{path.stem}.{qual}({param})")
+    assert dead == []

@@ -541,10 +541,10 @@ class TestLeafMemory:
     def test_golden_junk_target_holds_windows_only(self, golden_tt, monkeypatch):
         tightened, held = [], []
 
-        def recording_tighten(graph, path, check_incidence=True):
+        def recording_tighten(graph, path):
             path = tuple(path)
             tightened.append(len(path))
-            return tighten_path(graph, path, check_incidence)
+            return tighten_path(graph, path)
 
         init = traintrack.LeafTile.__init__
 
@@ -566,6 +566,10 @@ class TestLamination:
     def test_k_cap_zero_rejected(self, golden_tt):
         with pytest.raises(ValueError, match="k_cap must be >= 1"):
             lamination_length_ratio(golden_tt, rose(2), k_cap=0)
+
+    def test_rank_mismatch_names_both_ranks(self, golden_tt):
+        with pytest.raises(ValueError, match=r"^rank mismatch: 3 vs 2$"):
+            lamination_length_ratio(golden_tt, rose(3))
 
     def test_tile_frequencies_golden(self, golden_tt):
         r = golden_tt.tile_frequencies()

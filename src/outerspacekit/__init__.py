@@ -24,7 +24,6 @@ from .graphs import (
     MarkedMetricGraph,
     MetricGraph,
     enumerate_candidates,
-    load_point,
     minimal_model,
     point_from_dict,
     point_to_dict,
@@ -48,7 +47,6 @@ from .traintrack import (
     gates,
     lamination_length_ratio,
     legality_report,
-    load_selfmap,
     no_cut_vertex_search,
     pf_metric,
     selfmap_from_dict,

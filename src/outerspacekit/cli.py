@@ -1,10 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 domain errors (invalid graph, non-train-track
-map), 2 usage and I/O errors. Floats print with 9 significant digits;
-structured output goes to --out as CSV. `osk --log-level LEVEL ...` logs
-the outerspacekit package to stderr at LEVEL; without it the package
-logger is left as it is.
+map), 2 usage and I/O errors. An input file that cannot be read or is not
+JSON is an I/O error; JSON of the wrong shape, such as one with a missing
+key or an unknown vertex, is an invalid graph or self-map file. Floats
+print with 9 significant digits; structured output goes to --out as CSV.
+`osk --log-level LEVEL ...` logs the outerspacekit package to stderr at
+LEVEL; without it the package logger is left as it is.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import json
 import logging
 import random
 import sys
-
-import numpy as np
 
 from .axes import (
     Axis,
@@ -32,13 +32,13 @@ from .axes import (
     two_axis_report,
     write_csv,
 )
-from .graphs import InvalidPointError, load_point, point_from_dict, rose, validate_point
+from .graphs import InvalidPointError, point_from_dict, rose, validate_point
 from .metric import check_oracle_bound, distance, distance_oracle
 from .traintrack import (
     check_train_track,
-    load_selfmap,
     no_cut_vertex_search,
     pf_metric,
+    selfmap_from_dict,
     verify_train_track,
 )
 from .whitehead import is_primitive, whitehead_minimize
@@ -46,9 +46,9 @@ from .words import (
     ALPHABET,
     CyclicWord,
     format_letters,
+    join_pieces,
     parse_letters,
     random_automorphism,
-    reduce_array,
 )
 
 
@@ -79,15 +79,38 @@ def _parse_words(texts, rank=None):
     return words, (rank or inferred), names
 
 
-def _load_point(path):
+def _read(path):
+    """The JSON data of the file at path, opened and parsed once; raises
+    UsageError when it cannot be read or is not JSON."""
     try:
-        return load_point(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror or e}")
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise UsageError(f"cannot parse {path}: {e}")
+
+
+def _parse(path, kind, parse, data):
+    """parse(data), where _read read data from path. The errors parse
+    raises on JSON of the wrong shape, such as a missing key, a number in
+    place of a list or an unknown name, become a DomainError naming path as
+    an invalid `kind` file; an InvalidPointError, which lists what the
+    point breaks, passes as it is."""
+    try:
+        return parse(data)
     except InvalidPointError:
         raise
-    except (KeyError, ValueError) as e:
-        raise DomainError(f"invalid graph file {path}: {e}")
+    except (AttributeError, LookupError, TypeError, ValueError) as e:
+        raise DomainError(f"invalid {kind} file {path}: {e}")
+
+
+def _load_point(path):
+    return _parse(path, "graph", point_from_dict, _read(path))
+
+
+def _load_selfmap(path):
+    return _parse(path, "self-map", selfmap_from_dict, _read(path))
 
 
 def _load_axis(fwd_path, bwd_path):
@@ -99,37 +122,19 @@ def _load_axis(fwd_path, bwd_path):
     return Axis(fwd, bwd)
 
 
-def _load_selfmap(path):
-    try:
-        return load_selfmap(path)
-    except OSError as e:
-        raise UsageError(f"cannot read {path}: {e.strerror or e}")
-    except (KeyError, ValueError) as e:
-        if isinstance(e, InvalidPointError):
-            raise
-        raise DomainError(f"invalid self-map file {path}: {e}")
-
-
 class UsageError(Exception):
     pass
 
 
 def cmd_validate(args):
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise UsageError(f"cannot read {args.file}: {e.strerror or e}")
-    except json.JSONDecodeError as e:
-        raise UsageError(f"cannot parse {args.file}: {e}")
-    if "edge_images" in data:
-        sm = _load_selfmap(args.file)
-        report = verify_train_track(sm)
+    data = _read(args.file)
+    if isinstance(data, dict) and "edge_images" in data:
+        report = verify_train_track(_parse(args.file, "self-map", selfmap_from_dict, data))
         print(f"self-map: train-track={report.is_tt} irreducible={report.irreducible}")
         if not report.is_tt:
             raise DomainError(f"illegal turn {report.illegal_turn}")
         return
-    point = point_from_dict(data, validate=False)
+    point = _parse(args.file, "graph", functools.partial(point_from_dict, validate=False), data)
     report = validate_point(point)
     if report.valid:
         print("valid")
@@ -196,58 +201,28 @@ def cmd_tt(args):
         for eid, l in zip(tt.graph.edge_ids, tt.graph.lengths):
             print(f"length {eid} {_f(l)}")
     elif args.action == "leaf":
-        edge_ids = list(tt.graph.edge_ids)
-        name = args.edge.removeprefix("~")
-        if name not in edge_ids:
-            raise UsageError(f"unknown edge {args.edge}")
-        e = edge_ids.index(name) + 1
+        g = tt.graph
+        try:
+            e = g.halfedge(args.edge)
+        except KeyError:
+            raise UsageError(f"unknown edge {args.edge}") from None
         # both lines are read off the <= 2 n_edges distinct pieces of the
-        # leaf; free reduction is confluent, so reducing the joined piece
-        # words once gives the word of the whole leaf. Each piece word is
+        # leaf; free reduction is confluent, so join_pieces of the piece
+        # words gives the word of the whole leaf. Each piece word is
         # reduced, so when none is empty only a join can cancel: the last
         # letter of one piece against the first of the next
-        pieces, first = tt.leaf_pieces(e if name == args.edge else -e, args.iters)
+        pieces, first = tt.leaf_pieces(e, args.iters)
         order = first.tolist()
-        used = set(order)
-        texts = {h: _path_text(pieces[h], edge_ids) for h in used}
-        letters = {h: tt.point.path_letters(pieces[h]) for h in used}
+        paths = {h: pieces[h].tolist() for h in set(order)}
+        texts = {h: " ".join(map(g.ref, p)) for h, p in paths.items()}
+        words = {h: tt.point.path_word(p).letters for h, p in paths.items()}
         print("path", " ".join([texts[h] for h in order]))
-        word = np.concatenate([letters[h] for h in order])
-        if not all(map(len, letters.values())) or any(
-                letters[a][-1] == -letters[b][0] for a, b in set(zip(order, order[1:]))):
-            word = reduce_array(word)
-        print("word", _word_text(word))
-
-
-def _path_text(path, edge_ids) -> str:
-    """A half-edge array as space-separated refs ("e1", "~e1", ...), read
-    from a per-half-edge table of the refs' bytes, each with its space."""
-    m = len(edge_ids)
-    refs = [b""] * (2 * m + 1)  # half-edge h at index h, negative h from the end
-    for i, eid in enumerate(edge_ids, 1):
-        refs[i] = eid.encode() + b" "
-        refs[-i] = b"~" + refs[i]
-    table = np.zeros((2 * m + 1, max(map(len, refs))), dtype=np.uint8)
-    for i, r in enumerate(refs):
-        table[i, : len(r)] = np.frombuffer(r, dtype=np.uint8)
-    # row h holds the ref of h in its first len(refs[h]) bytes
-    used = np.arange(table.shape[1]) < np.array([len(r) for r in refs])[:, None]
-    text = table.take(path, axis=0)[used.take(path, axis=0)]
-    return text[:-1].tobytes().decode()
-
-
-def _word_text(letters) -> str:
-    """A reduced letter array as its Word prints ("1" when empty), read
-    from a per-letter table of the generator names' bytes."""
-    if not len(letters):
-        return "1"
-    names = ALPHABET.encode()
-    if letters.max() > len(names) or letters.min() < -len(names):
-        outside = np.flatnonzero((letters > len(names)) | (letters < -len(names)))
-        raise ValueError(f"no name for generator {abs(int(letters[outside[0]]))}")
-    # letter i at index i, its inverse -i from the end; index 0 is no letter
-    table = np.frombuffer(b"?" + names + names.upper()[::-1], dtype=np.uint8)
-    return table[letters].tobytes().decode()
+        if all(words.values()) and not any(
+                words[a][-1] == -words[b][0] for a, b in set(zip(order, order[1:]))):
+            letters = {h: format_letters(w) for h, w in words.items()}
+            print("word", "".join([letters[h] for h in order]))
+        else:
+            print("word", format_letters(join_pieces(words, order)) or "1")
 
 
 def cmd_tt_whsearch(args):

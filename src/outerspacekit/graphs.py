@@ -10,21 +10,19 @@ Paths are mapped and read through words.join_pieces, the one
 substitution, whose pieces must be freely reduced: a half-edge's label (a
 reduced word, empty on the spanning tree) for path_word, a tightened
 generator loop for realize_based, and a tight based path per half-edge for
-tight_loops.
+tight_loops. A path is a tuple of half-edges; files and output name a
+half-edge by its edge id, with a "~" in front for the edge reversed
+(MetricGraph.ref writes it and MetricGraph.halfedge reads it).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from operator import itemgetter
-
-import numpy as np
 
 from .words import (
     Automorphism,
@@ -34,7 +32,6 @@ from .words import (
     inverse_letters,
     join_pieces,
     random_automorphism,
-    reduce_array,
     reduce_letters,
     word_key,
 )
@@ -53,7 +50,7 @@ class InvalidPointError(ValueError):
 class MetricGraph:
     """Finite graph with an edge metric. Vertices are 0..n_vertices-1."""
 
-    __slots__ = ("n_vertices", "edge_ids", "ends", "lengths", "_out", "_half", "_loops")
+    __slots__ = ("n_vertices", "edge_ids", "ends", "lengths", "_out", "_inc", "_half", "_loops")
 
     def __init__(self, n_vertices, edge_ids, ends, lengths):
         self.n_vertices = int(n_vertices)
@@ -65,6 +62,8 @@ class MetricGraph:
             out[u].append(i + 1)
             out[v].append(-(i + 1))
         self._out = tuple(tuple(sorted(hs, key=lambda h: (abs(h), h < 0))) for hs in out)
+        # half-edge -> (initial vertex, terminal vertex), for h in +-1..+-n_edges
+        self._inc = {s * (i + 1): e[::s] for i, e in enumerate(self.ends) for s in (1, -1)}
         self._loops = []  # [candidate_paths()] once computed, shared by with_lengths copies
 
     def _set_lengths(self, lengths):
@@ -79,11 +78,30 @@ class MetricGraph:
         return len(self.ends)
 
     def init_of(self, h: int) -> int:
-        u, v = self.ends[abs(h) - 1]
-        return u if h > 0 else v
+        """Initial vertex of a half-edge; KeyError on a half-edge outside
+        +-1..+-n_edges, as for term_of."""
+        return self._inc[h][0]
 
     def term_of(self, h: int) -> int:
-        return self.init_of(-h)
+        return self._inc[h][1]
+
+    def _outside(self, h) -> ValueError:
+        """The error for a half-edge h outside +-1..+-n_edges."""
+        return ValueError(f"half-edge {h!r} is not one of +-1..+-{self.n_edges}")
+
+    def ref(self, h: int) -> str:
+        """The text of a half-edge in files and output: its edge id, with a
+        "~" in front for the edge reversed."""
+        return ("~" if h < 0 else "") + self.edge_ids[abs(h) - 1]
+
+    def halfedge(self, ref: str) -> int:
+        """The half-edge a ref names, read as `ref` writes it; KeyError
+        naming the edge id when no edge has it."""
+        name = ref.removeprefix("~")
+        if name not in self.edge_ids:
+            raise KeyError(name)
+        h = self.edge_ids.index(name) + 1
+        return h if name == ref else -h
 
     def path_length(self, path) -> float:
         """Length of a half-edge path; KeyError on a half-edge outside
@@ -106,8 +124,8 @@ class MetricGraph:
     def with_lengths(self, lengths) -> "MetricGraph":
         """The same graph with new edge lengths, sharing its incidence tables."""
         new = MetricGraph.__new__(MetricGraph)
-        new.n_vertices, new.edge_ids, new.ends, new._out, new._loops = (
-            self.n_vertices, self.edge_ids, self.ends, self._out, self._loops)
+        new.n_vertices, new.edge_ids, new.ends, new._out, new._inc, new._loops = (
+            self.n_vertices, self.edge_ids, self.ends, self._out, self._inc, self._loops)
         new._set_lengths(lengths)
         return new
 
@@ -163,46 +181,27 @@ class MetricGraph:
 
 
 def tighten_path(graph: MetricGraph, path):
-    """Remove backtracking from a half-edge path (homotopy rel endpoints);
-    raises ValueError where consecutive half-edges do not meet."""
-    for i in range(len(path) - 1):
-        if graph.term_of(path[i]) != graph.init_of(path[i + 1]):
-            raise ValueError(f"broken incidence at position {i}")
+    """Remove backtracking from a half-edge path (homotopy rel endpoints).
+
+    The one incidence check: one pass along the path raises ValueError at
+    the first half-edge outside +-1..+-n_edges (graph._outside) or the first
+    pair of consecutive half-edges that do not meet, whichever comes first.
+    """
+    inc = graph._inc
+    at = None
+    for i, h in enumerate(path):
+        try:
+            u, v = inc[h]
+        except KeyError:
+            raise graph._outside(h) from None
+        if u != at and i:
+            raise ValueError(f"broken incidence at position {i - 1}")
+        at = v
     return reduce_letters(path)
 
 
 def reverse_path(path):
     return tuple(-h for h in reversed(path))
-
-
-def halfedge_pieces(piece_of, n_edges: int):
-    """(sizes, offsets, flat) arrays holding the integer sequence
-    piece_of(h) of each half-edge h in +-1..+-n_edges: the piece of h is
-    flat[offsets[h] : offsets[h] + sizes[h]], a negative h indexing from the
-    end as numpy does, and index 0 holds an empty piece."""
-    pieces = [piece_of(h) if h else () for h in (*range(n_edges + 1), *range(-n_edges, 0))]
-    sizes = np.array([len(p) for p in pieces], dtype=np.intp)
-    flat = np.fromiter(chain.from_iterable(pieces), dtype=np.intp, count=int(sizes.sum()))
-    return sizes, np.cumsum(sizes) - sizes, flat
-
-
-def gather_pieces(table, path) -> np.ndarray:
-    """The pieces of the half-edges of `path` (an integer array, half-edges
-    in range) in a halfedge_pieces table, concatenated by one ragged
-    gather. Works in place where it can, so a long path holds one index
-    array of the result's size at a time."""
-    sizes, offsets, flat = table
-    size = sizes[path]
-    starts = offsets[path]
-    ends = np.cumsum(size)
-    # entry i of the result is flat[offsets[h] + i - (start of h's block)]
-    starts -= ends
-    starts += size
-    del ends
-    at = np.repeat(starts, size)
-    del starts, size
-    at += np.arange(len(at))
-    return flat[at]
 
 
 @dataclass(frozen=True)
@@ -230,18 +229,18 @@ class Marking:
     The tables are filled in as the points read them: the spanning tree
     (vertex -> half-edge into it) and the geometric letter of each edge off
     it, the marking map and its certified inverse, the half-edge labels
-    (as a dict and as halfedge_pieces arrays) and the tightened generator
-    loops (letter -> piece). The candidate paths belong to the graph
-    (MetricGraph.candidate_paths), in graph order, and no class of them is
-    kept. `loops` maps another marking object to the tight cyclic loops, at
-    this marking, of that marking's candidate paths, in graph order (see
-    MarkedMetricGraph.tight_loops).
+    (half-edge -> word, the pieces of path_word) and the tightened generator
+    loops (letter -> piece, the pieces of realize_based), all tuples. The
+    candidate paths belong to the graph (MetricGraph.candidate_paths), in
+    graph order, and no class of them is kept. `loops` maps another marking
+    object to the tight cyclic loops, at this marking, of that marking's
+    candidate paths, in graph order (see MarkedMetricGraph.tight_loops).
     Its keys are the marking objects themselves, held weakly: an entry dies
     with its key, so no later marking can read it.
     """
 
     __slots__ = ("tree_parent", "geo_letter", "basis_to_edges", "edges_to_basis", "labels",
-                 "label_pieces", "pieces", "loops", "__weakref__")
+                 "pieces", "loops", "__weakref__")
 
     def __init__(self, tree_parent=None, geo_letter=None):
         self.tree_parent = tree_parent  # vertex -> halfedge into it
@@ -249,7 +248,6 @@ class Marking:
         self.basis_to_edges = None  # Automorphism F_n -> F_geo
         self.edges_to_basis = None
         self.labels = None  # half-edge -> label letters, see path_word
-        self.label_pieces = None  # the labels as halfedge_pieces
         self.pieces = None  # letter -> tightened loop, see realize_based
         self.loops = weakref.WeakKeyDictionary()
 
@@ -347,13 +345,6 @@ class MarkedMetricGraph:
             m.labels = labels
         return m.labels
 
-    def _label_piece_table(self):
-        """The label table as halfedge_pieces arrays."""
-        m = self.marking
-        if m.label_pieces is None:
-            m.label_pieces = halfedge_pieces(self._label_table().__getitem__, self.graph.n_edges)
-        return m.label_pieces
-
     def path_word(self, path) -> Word:
         """Word in F_n of any half-edge path, closed up at both ends through
         the spanning tree; exact for a closed path at the basepoint.
@@ -370,21 +361,7 @@ class MarkedMetricGraph:
             return Word(join_pieces(self._label_table(), path))
         except KeyError as e:
             bad = e.args[0]
-        raise self._outside(bad)
-
-    def path_letters(self, path) -> np.ndarray:
-        """The letters of path_word(path) as an integer array, for a long
-        path such as a leaf: the label piece arrays gathered by
-        gather_pieces and reduced by reduce_array."""
-        m = self.graph.n_edges
-        path = np.asarray(path, dtype=np.intp)
-        outside = np.flatnonzero((path == 0) | (path > m) | (path < -m))
-        if len(outside):
-            raise self._outside(int(path[outside[0]]))
-        return reduce_array(gather_pieces(self._label_piece_table(), path))
-
-    def _outside(self, h) -> ValueError:
-        return ValueError(f"half-edge {h!r} is not one of +-1..+-{self.graph.n_edges}")
+        raise self.graph._outside(bad)
 
     def path_class(self, path) -> CyclicWord:
         """Conjugacy class of a closed path."""
@@ -669,7 +646,7 @@ def validate_point(point: MarkedMetricGraph) -> ValidationReport:
             problems.append(f"marking loop {i + 1} is empty")
             continue
         try:
-            tighten_path(g, loop)  # raises on broken incidence
+            tighten_path(g, loop)  # raises on a bad half-edge or broken incidence
         except ValueError as e:
             problems.append(f"marking loop {i + 1}: {e}")
             continue
@@ -804,23 +781,16 @@ def point_from_dict(data: dict, validate=True) -> MarkedMetricGraph:
         edge_ids.append(str(e["id"]))
         ends.append((vidx[str(e["from"])], vidx[str(e["to"])]))
         lengths.append(_parse_length(e["length"]))
-    eidx = {eid: i for i, eid in enumerate(edge_ids)}
-    if len(eidx) != len(edge_ids):
+    if len(set(edge_ids)) != len(edge_ids):
         raise ValueError("duplicate edge ids")
     graph = MetricGraph(len(vertex_names), edge_ids, ends, lengths)
-
-    def halfedge(ref: str):
-        rev = ref.startswith("~")
-        name = ref[1:] if rev else ref
-        if name not in eidx:
-            raise ValueError(f"unknown edge id {name!r} in marking")
-        h = eidx[name] + 1
-        return -h if rev else h
-
     keys = sorted(marking)
     if len(keys) != rank:
         raise ValueError(f"marking has {len(keys)} generators, rank is {rank}")
-    loops = [tuple(halfedge(r) for r in marking[k]) for k in keys]
+    try:
+        loops = [tuple(map(graph.halfedge, marking[k])) for k in keys]
+    except KeyError as e:
+        raise ValueError(f"unknown edge id {e.args[0]!r} in marking") from None
     point = MarkedMetricGraph(graph, vidx[str(basepoint_name)], loops)
     if validate:
         report = validate_point(point)
@@ -829,17 +799,9 @@ def point_from_dict(data: dict, validate=True) -> MarkedMetricGraph:
     return point
 
 
-def load_point(path) -> MarkedMetricGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return point_from_dict(json.load(fh))
-
-
 def point_to_dict(point: MarkedMetricGraph) -> dict:
     g = point.graph
     from .words import ALPHABET
-
-    def ref(h):
-        return ("~" if h < 0 else "") + g.edge_ids[abs(h) - 1]
 
     return {
         "rank": point.rank,
@@ -850,7 +812,7 @@ def point_to_dict(point: MarkedMetricGraph) -> dict:
             for i in range(g.n_edges)
         ],
         "marking": {
-            ALPHABET[i]: [ref(h) for h in loop] for i, loop in enumerate(point.gen_loops)
+            ALPHABET[i]: list(map(g.ref, loop)) for i, loop in enumerate(point.gen_loops)
         },
         "basepoint": f"v{point.basepoint}",
     }

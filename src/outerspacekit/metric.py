@@ -186,12 +186,12 @@ def linear_map_lipschitz(
         path = spec.edge_images[e]
         if not path:
             raise ValueError(f"edge {e} mapped to a constant; not a linear map spec")
+        image[e] = tighten_path(gy, path)  # raises on a bad half-edge or broken incidence
         u, v = gx.ends[e - 1]
         if gy.init_of(path[0]) != spec.vertex_images[u]:
             raise ValueError(f"image of edge {e} does not start at the vertex image")
         if gy.term_of(path[-1]) != spec.vertex_images[v]:
             raise ValueError(f"image of edge {e} does not end at the vertex image")
-        image[e] = tighten_path(gy, path)  # raises on broken incidence
         image[-e] = reverse_path(image[e])
     # consistency with the markings, checked on generator loops: path_word
     # closes each image loop up through y's spanning tree

@@ -10,7 +10,6 @@ in which the map stretches every edge by the eigenvalue.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import math
 from collections import Counter
@@ -260,7 +259,7 @@ class TrainTrackMap:
         m = self.graph.n_edges
         if not 0 < abs(edge_index) <= m:
             raise ValueError(f"edge index {edge_index} is not one of +-1..+-{m}")
-        ref = ("~" if edge_index < 0 else "") + self.graph.edge_ids[abs(edge_index) - 1]
+        ref = self.graph.ref(edge_index)
         images = [self.selfmap.edge_images[e] for e in range(1, m + 1)]
         # |f^j(e)| never decreases in j, since no edge image is empty
         counts = [1] * m
@@ -658,9 +657,7 @@ class CutVertexSearchResult:
 def _acted_by_edge_move(X: MarkedMetricGraph, move: WhiteheadMove):
     """Act so that realized edge paths transform by the edge-alphabet move."""
     nu = move.automorphism(X.rank)
-    conj = X.marking_inverse().compose(nu).compose(X.marking_map())
-    conj.verified = True
-    return X.act(conj)
+    return X.act(X.marking_inverse().compose(nu).compose(X.marking_map()))
 
 
 def no_cut_vertex_search(
@@ -753,18 +750,13 @@ def selfmap_from_dict(data: dict) -> GraphSelfMap:
     point = point_from_dict(data["graph"])
     g = point.graph
     eidx = {eid: i + 1 for i, eid in enumerate(g.edge_ids)}
-
-    def halfedge(ref: str):
-        rev = ref.startswith("~")
-        name = ref[1:] if rev else ref
-        if name not in eidx:
-            raise ValueError(f"unknown edge id {name!r} in edge image")
-        return -eidx[name] if rev else eidx[name]
-
-    edge_images = {
-        eidx[str(k)]: tuple(halfedge(r) for r in path)
-        for k, path in data["edge_images"].items()
-    }
+    edge_images = {}
+    for k, path in data["edge_images"].items():
+        e = eidx[str(k)]
+        try:
+            edge_images[e] = tuple(map(g.halfedge, path))
+        except KeyError as err:
+            raise ValueError(f"unknown edge id {err.args[0]!r} in edge image") from None
     vertices = {str(name): i for i, name in enumerate(map(str, data["graph"]["vertices"]))}
     if "vertex_images" in data:
         vertex_images = {vertices[str(k)]: vertices[str(v)] for k, v in data["vertex_images"].items()}
@@ -773,8 +765,3 @@ def selfmap_from_dict(data: dict) -> GraphSelfMap:
             g.init_of(e): g.init_of(edge_images[e][0]) for e in edge_images
         } | {g.term_of(e): g.term_of(edge_images[e][-1]) for e in edge_images}
     return GraphSelfMap(point, vertex_images, edge_images)
-
-
-def load_selfmap(path) -> GraphSelfMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return selfmap_from_dict(json.load(fh))

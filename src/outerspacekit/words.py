@@ -10,7 +10,8 @@ piece must itself be freely reduced. Acting by an automorphism, rewriting
 by a Whitehead move, mapping a path by a graph map, reading a path's word
 through its half-edge labels and realizing a word at a point all go
 through it; free reduction is confluent, so the result is the free
-reduction of the whole concatenation.
+reduction of the whole concatenation. Words and paths are tuples of ints,
+and `reduce_letters` and `join_pieces` are the only free reductions.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -71,38 +70,6 @@ def join_pieces(pieces, keys):
         else:
             extend(piece)
     return tuple(out)
-
-
-def reduce_array(a) -> np.ndarray:
-    """Freely reduce a 1-D integer array of letters, in rounds of disjoint
-    cancellations.
-
-    Each round finds the starts i of the pairs a[i + 1] == -a[i], keeps
-    every other start within each run of consecutive starts (so the kept
-    pairs are disjoint) and deletes those pairs. A round that removes under
-    1/8 of the letters hands what is left to reduce_letters, so the numpy
-    work stays under about 8 * len(a) element operations. The result equals
-    reduce_letters(a): free reduction is confluent.
-    """
-    a = np.asarray(a)
-    while len(a) >= 2:
-        starts = np.flatnonzero(a[1:] == -a[:-1])
-        if not len(starts):
-            break
-        # a start right after another one begins no new run; keep the even
-        # positions of each run, counted from its first start
-        j = np.arange(len(starts))
-        first = np.ones(len(starts), dtype=bool)
-        first[1:] = starts[1:] != starts[:-1] + 1
-        starts = starts[(j - np.maximum.accumulate(np.where(first, j, 0))) % 2 == 0]
-        keep = np.ones(len(a), dtype=bool)
-        keep[starts] = False
-        keep[starts + 1] = False
-        n = len(a)
-        a = a[keep]
-        if 16 * len(starts) < n:  # 2 * len(starts) of n letters went
-            return np.array(reduce_letters(a.tolist()), dtype=a.dtype)
-    return a
 
 
 def inverse_letters(letters) -> tuple:

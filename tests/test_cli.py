@@ -2,7 +2,6 @@ import json
 import logging
 import random
 
-import numpy as np
 import pytest
 
 import outerspacekit.cli as cli_mod
@@ -10,12 +9,11 @@ import outerspacekit.graphs as graphs_mod
 import outerspacekit.traintrack as traintrack_mod
 from outerspacekit.cli import main
 from outerspacekit.graphs import MarkedMetricGraph, point_to_dict, random_point, rose
-from outerspacekit.traintrack import load_selfmap, pf_metric
+from outerspacekit.traintrack import pf_metric, selfmap_from_dict
 from outerspacekit.words import (
     ALPHABET,
     Automorphism,
     CyclicWord,
-    Word,
     format_letters,
     random_whitehead_move,
 )
@@ -67,13 +65,17 @@ def _rose_map(images, marking=None):
     }
 
 
-# the golden, plastic and rank-4 maps, the golden one also with the markings
-# y -> e1 e2 and y -> e2 e1, whose leaf words cancel (with y -> e2 e1 also
-# where tt leaf joins its pieces, at --iters 2 and from 4 on), and the plastic and
-# rank-4 inverses, whose images hold reversed half-edges; each with odd and
-# even --iters, with leaves shorter and longer than 1 024 half-edges
+# the golden, silver, x -> xxxy, plastic and rank-4 maps, the golden one also
+# with the markings y -> e1 e2 and y -> e2 e1, whose leaf words cancel (with
+# y -> e2 e1 also where tt leaf joins its pieces, at --iters 2 and from 4 on),
+# and the plastic and rank-4 inverses, whose images hold reversed
+# half-edges; and a golden map on the theta graph, whose tree edge e1 reads
+# the empty word, as do pieces of tt leaf at --iters 0 to 2; each with odd
+# and even --iters, with leaves shorter and longer than 1 024 half-edges
 LEAF_WORD_CASES = [
     ("golden", GOLDEN_MAP, (0, 1, 4, 15, 16, 22)),
+    ("silver", _rose_map([(1, 1, 2), (1,)]), (0, 1, 2, 7, 10)),
+    ("x-xxxy", _rose_map([(1, 1, 1, 2), (1,)]), (0, 1, 3, 6, 7)),
     ("golden-marked", _rose_map([(1, 2), (1,)], {"x": ["e1"], "y": ["e1", "e2"]}), (0, 3, 15, 16, 21)),
     ("golden-marked-yx", _rose_map([(1, 2), (1,)], {"x": ["e1"], "y": ["e2", "e1"]}),
      (0, 1, 3, 14, 15, 21)),
@@ -81,6 +83,9 @@ LEAF_WORD_CASES = [
     ("plastic-inverse", _rose_map([(3, -1), (1,), (2,)]), (0, 3, 8, 17, 20, 23)),
     ("rank-4", _rose_map([(2,), (3,), (4,), (1, 2)]), (0, 3, 17, 41, 50)),
     ("rank-4-inverse", _rose_map([(4, -1), (1,), (2,), (3,)]), (0, 5, 12, 19, 22, 27)),
+    ("theta", {"graph": THETA_DICT, "vertex_images": {"u": "u", "v": "v"},
+               "edge_images": {"e1": ["e2"], "e2": ["e1", "~e3", "e1"], "e3": ["e1"]}},
+     (0, 1, 2, 5, 16, 21)),
 ]
 
 
@@ -123,6 +128,88 @@ class TestValidate:
         p = tmp_path / "bad.graph"
         p.write_text(json.dumps(bad))
         assert main(["validate", str(p)]) == 1
+
+
+# graph files of the wrong shape: each once raised a traceback from some command
+MALFORMED_GRAPHS = {
+    "unknown-vertex": dict(THETA_DICT, edges=[dict(THETA_DICT["edges"][0], to="w"),
+                                              *THETA_DICT["edges"][1:]]),
+    "no-length": dict(THETA_DICT, edges=[{k: v for k, v in e.items() if k != "length"}
+                                         for e in THETA_DICT["edges"]]),
+    "unknown-basepoint": dict(THETA_DICT, basepoint="w"),
+    "edges-a-number": dict(THETA_DICT, edges=5),
+    "top-level-array": [THETA_DICT],
+    "top-level-number": 5,
+}
+MALFORMED_MAPS = {
+    **{f"graph-{name}": dict(GOLDEN_MAP, graph=g) for name, g in MALFORMED_GRAPHS.items()},
+    "top-level-array": [GOLDEN_MAP],
+    "images-a-number": dict(GOLDEN_MAP, edge_images=3),
+    "ref-a-number": dict(GOLDEN_MAP, edge_images={"e1": ["e1", 2], "e2": ["e1"]}),
+    "empty-image": {"graph": GOLDEN_MAP["graph"], "edge_images": {"e1": [], "e2": ["e1"]}},
+}
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("name", MALFORMED_GRAPHS)
+    def test_malformed_graph_file(self, files, tmp_path, capsys, name):
+        p = tmp_path / f"{name}.graph"
+        p.write_text(json.dumps(MALFORMED_GRAPHS[name]))
+        for argv in (["validate", p], ["candidates", p], ["dist", files["rose"], p],
+                     ["axis", "project", files["fwd"], files["bwd"], p]):
+            assert main([str(a) for a in argv]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: invalid graph file {p}: ")
+
+    @pytest.mark.parametrize("name", MALFORMED_MAPS)
+    def test_malformed_selfmap_file(self, files, tmp_path, capsys, name):
+        p = tmp_path / f"{name}.map"
+        p.write_text(json.dumps(MALFORMED_MAPS[name]))
+        argvs = [["tt", "pf", p], ["tt", "leaf", p, "--edge", "e1", "--iters", "1"],
+                 ["axis", "project", p, files["bwd"], files["rose"]]]
+        if name != "top-level-array":  # validate reads a file without edge_images as a graph
+            argvs.append(["validate", p])
+        for argv in argvs:
+            assert main([str(a) for a in argv]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: invalid self-map file {p}: ")
+
+    def test_unknown_refs_keep_their_messages(self, files, tmp_path, capsys):
+        p = tmp_path / "bad.map"
+        p.write_text(json.dumps(dict(GOLDEN_MAP, edge_images={"e1": ["e1", "~e3"], "e2": ["e1"]})))
+        assert main(["tt", "pf", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid self-map file {p}: unknown edge id 'e3' in edge image\n")
+        p.write_text(json.dumps(dict(THETA_DICT, marking={"x": ["e1", "~e9"], "y": ["e2", "~e3"]})))
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid graph file {p}: unknown edge id 'e9' in marking\n")
+
+    def test_unparsable_file_is_an_io_error_in_every_command(self, files, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        for content in (b"{not json", b"\xff\xfe"):
+            p.write_bytes(content)
+            for argv in (["validate", p], ["candidates", p], ["dist", files["rose"], p],
+                         ["tt", "pf", p], ["tt", "leaf", p, "--edge", "e1", "--iters", "1"],
+                         ["axis", "project", p, files["bwd"], files["rose"]]):
+                assert main([str(a) for a in argv]) == 2
+                assert capsys.readouterr().err.startswith(f"error: cannot parse {p}: ")
+
+    def test_validate_opens_a_file_once(self, files, capsys, monkeypatch):
+        opened = []
+        real = open
+
+        def counting(path, *args, **kwargs):
+            opened.append(str(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting)
+        for key in ("fwd", "theta"):
+            assert main(["validate", files[key]]) == 0
+            assert opened.count(files[key]) == 1
+            opened.clear()
 
 
 class TestDist:
@@ -212,7 +299,7 @@ class TestTT:
         # golden f^25(e1) has 196 418 half-edges; once the map is loaded,
         # neither letter-by-letter pass of the old path_word may run, nor
         # the reduce_letters that graphs looks up
-        tt = pf_metric(load_selfmap(files["fwd"]))
+        tt = pf_metric(selfmap_from_dict(GOLDEN_MAP))
         path = oracles.leaf_path(tt, 1, 25)
         word = oracles.path_word(tt.point, path)
 
@@ -245,7 +332,7 @@ class TestTT:
             p.write_text(json.dumps({
                 "graph": graph, "vertex_images": {"v": "v"},
                 "edge_images": {ids[e]: [ids[h] for h in image] for e, image in images.items()}}))
-            tt = pf_metric(load_selfmap(str(p)))
+            tt = pf_metric(selfmap_from_dict(json.loads(p.read_text())))
             for edge, h in (("a", 1), ("edge22", 2)):
                 for k in (0, 1, 2, 9, 17):
                     assert main(["tt", "leaf", str(p), "--edge", edge, "--iters", str(k)]) == 0
@@ -258,19 +345,19 @@ class TestTT:
     def test_leaf_word_line_matches_format_letters(self, tmp_path, capsys, name, data, iters):
         p = tmp_path / f"{name}.map"
         p.write_text(json.dumps(data))
-        tt = pf_metric(load_selfmap(str(p)))
+        tt = pf_metric(selfmap_from_dict(data))
         for k in iters:
             for h in range(1, tt.graph.n_edges + 1):
                 assert main(["tt", "leaf", str(p), "--edge", f"e{h}", "--iters", str(k)]) == 0
                 word = oracles.path_word(tt.point, oracles.leaf_path(tt, h, k))
                 assert capsys.readouterr().out.splitlines()[1] == (
-                    f"word {format_letters(word.letters)}")
+                    f"word {format_letters(word.letters) or 1}")
 
     @pytest.mark.parametrize("name, data, iters", LEAF_WORD_CASES, ids=[c[0] for c in LEAF_WORD_CASES])
     def test_leaf_of_reversed_edge(self, tmp_path, capsys, name, data, iters):
         p = tmp_path / f"{name}.map"
         p.write_text(json.dumps(data))
-        tt = pf_metric(load_selfmap(str(p)))
+        tt = pf_metric(selfmap_from_dict(data))
         for k in iters:
             for h in range(1, tt.graph.n_edges + 1):
                 assert main(["tt", "leaf", str(p), "--edge", f"~e{h}", "--iters", str(k)]) == 0
@@ -281,17 +368,20 @@ class TestTT:
 
     def test_leaf_word_reduced_only_where_a_join_cancels(self, tmp_path, capsys, monkeypatch):
         # of these runs, only those of y -> e2 e1 from --iters 14 on have a
-        # piece join that cancels
+        # piece join that cancels, and only theta's at --iters 0 a piece
+        # with the empty word
         reduced = []
-        real = cli_mod.reduce_array
-        monkeypatch.setattr(cli_mod, "reduce_array", lambda a: reduced.append(len(a)) or real(a))
+        real = cli_mod.join_pieces
+        monkeypatch.setattr(cli_mod, "join_pieces",
+                            lambda pieces, keys: reduced.append(len(keys)) or real(pieces, keys))
         for name, data, iters in LEAF_WORD_CASES:
             p = tmp_path / f"{name}.map"
             p.write_text(json.dumps(data))
             for k in iters:
                 assert main(["tt", "leaf", str(p), "--edge", "e1", "--iters", str(k)]) == 0
                 capsys.readouterr()
-                assert len(reduced) == (name == "golden-marked-yx" and k >= 14)
+                assert len(reduced) == ((name == "golden-marked-yx" and k >= 14)
+                                        or (name == "theta" and k == 0))
                 reduced.clear()
 
     def test_leaf_edge_errors(self, files, capsys):
@@ -302,13 +392,6 @@ class TestTT:
         assert main(["tt", "leaf", files["fwd"], "--edge", "~e2", "--iters", "60"]) == 1
         assert capsys.readouterr().err.startswith(
             "error: leaf f^60(~e2) has more than 10000000 half-edges")
-
-    def test_word_text_of_every_letter(self):
-        letters = [s * i for i in range(1, 27) for s in (1, -1)]
-        assert cli_mod._word_text(np.array(letters)) == format_letters(letters)
-        assert cli_mod._word_text(np.array([], dtype=np.intp)) == "1" == str(Word(()))
-        with pytest.raises(ValueError, match="no name for generator 27"):
-            cli_mod._word_text(np.array([1, -27, 28]))
 
     def test_leaf_too_long_is_a_domain_error(self, files, capsys):
         assert main(["tt", "leaf", files["fwd"], "--edge", "e1", "--iters", "60"]) == 1

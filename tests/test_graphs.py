@@ -7,7 +7,6 @@ import pytest
 
 import outerspacekit.graphs as graphs_mod
 import outerspacekit.metric as metric_mod
-import outerspacekit.words as words_mod
 from outerspacekit.graphs import (
     InvalidPointError,
     MarkedMetricGraph,
@@ -32,7 +31,6 @@ from outerspacekit.words import (
     Word,
     canonical_cyclic,
     random_whitehead_move,
-    reduce_letters,
 )
 
 from . import oracles
@@ -65,6 +63,12 @@ class TestValidate:
         report = validate_point(p)
         assert not report.valid
         assert any("valence" in s for s in report.problems)
+
+    def test_marking_loop_with_halfedge_of_no_edge(self):
+        g = rose(2).graph
+        for bad in (0, 3):
+            report = validate_point(MarkedMetricGraph(g, 0, [(1, bad), (2,)]))
+            assert report.problems == [f"marking loop 1: half-edge {bad} is not one of +-1..+-2"]
 
     def test_bad_marking_not_basis(self):
         g = MetricGraph(1, ["e1", "e2"], [(0, 0), (0, 0)], [0.5, 0.5])
@@ -182,11 +186,8 @@ class TestPathWord:
         for bad in (0, m + 1, -(m + 1)):
             with pytest.raises(ValueError, match=f"half-edge {bad} is not one of"):
                 theta_point.path_word((1, bad))
-            for read in (theta_point.path_word, theta_point.path_letters):
-                with pytest.raises(ValueError, match=f"half-edge {bad} is not one of"):
-                    read((1, -1) * 600 + (bad,))
             with pytest.raises(ValueError, match=f"half-edge {bad} is not one of"):
-                theta_point.path_letters(np.array([1, bad], dtype=np.intp))
+                theta_point.path_word((1, -1) * 600 + (bad,))
 
     @pytest.mark.parametrize("cell", CELLS)
     def test_long_walks_match_letterwise_reading(self, cell):
@@ -199,10 +200,6 @@ class TestPathWord:
                 want = oracles.path_word(X, p)
                 assert X.path_word(p) == want
                 assert X.path_word(np.array(p, dtype=np.intp)) == want
-                assert X.path_letters(p).tolist() == list(want.letters)
-                assert X.path_letters(p[:n // 3]).tolist() == list(X.path_word(p[:n // 3]).letters)
-                short = np.array(p[:n // 3], dtype=np.intp)
-                assert X.path_letters(short).tolist() == list(X.path_word(p[:n // 3]).letters)
 
     def test_empty_path(self, theta_point):
         assert theta_point.path_word(()) == Word(())
@@ -215,49 +212,6 @@ class TestPathWord:
             for n in (1, 7, 600):
                 p = _random_walk(X.graph, rng, n)
                 assert X.path_word(p + reverse_path(p)) == Word(())
-
-
-def _tight_walk(graph, rng, length):
-    """Half-edge path of a random walk that never backtracks."""
-    v = rng.randrange(graph.n_vertices)
-    path = []
-    for _ in range(length):
-        h = rng.choice([h for h in graph.out_halfedges(v) if not path or h != -path[-1]])
-        path.append(h)
-        v = graph.term_of(h)
-    return tuple(path)
-
-
-class TestPathWordArrayRoute(TestPathWord):
-    """TestPathWord again, with every path word read through path_letters,
-    the array route."""
-
-    @pytest.fixture(autouse=True)
-    def array_route(self, monkeypatch):
-        monkeypatch.setattr(MarkedMetricGraph, "path_word",
-                            lambda self, path: Word(tuple(self.path_letters(path).tolist())))
-
-    @pytest.mark.parametrize("cell", CELLS)
-    def test_nested_walks_reach_the_finish(self, cell, monkeypatch):
-        # w w^-1 for a tight walk w cancels about one pair per round at the
-        # middle, so reduce_array hands the rest to reduce_letters
-        finishes = []
-
-        def counted(letters):
-            finishes.append(len(letters))
-            return reduce_letters(letters)
-
-        monkeypatch.setattr(words_mod, "reduce_letters", counted)
-        rng = random.Random(f"nested-{cell}")
-        for rank in (2, 3, 4):
-            X = _cell_point(cell, rank, rng)
-            for n in (50, 400):
-                p = _tight_walk(X.graph, rng, n)
-                q = _tight_walk(X.graph, rng, 3)
-                assert X.path_word(p + reverse_path(p)) == Word(())
-                assert X.path_word(p + q + reverse_path(p)) == oracles.path_word(
-                    X, p + q + reverse_path(p))
-        assert finishes
 
 
 class TestTighten:
@@ -277,6 +231,21 @@ class TestTighten:
         g = theta_point.graph
         with pytest.raises(ValueError):
             tighten_path(g, (1, 2))
+
+    def test_halfedge_of_no_edge(self, theta_point):
+        # 0 once read the last edge and 5 raised IndexError; the first
+        # fault along the path is the one reported
+        g = rose(2).graph
+        for bad in (0, 3, -3, 5):
+            with pytest.raises(ValueError, match=rf"^half-edge {bad} is not one of \+-1\.\.\+-2$"):
+                tighten_path(g, (1, bad, 2))
+            with pytest.raises(KeyError):
+                g.init_of(bad)
+        g = theta_point.graph
+        with pytest.raises(ValueError, match="half-edge 4 is not one of"):
+            tighten_path(g, (1, -2, 4, 2))
+        with pytest.raises(ValueError, match="broken incidence at position 0"):
+            tighten_path(g, (1, 2, 4))
 
 
 class TestLoopLength:
@@ -661,6 +630,17 @@ class TestFileFormat:
 
     def test_unknown_edge_in_marking(self):
         bad = dict(THETA_DICT)
-        bad["marking"] = {"x": ["zzz"], "y": ["e2", "~e3"]}
-        with pytest.raises(ValueError):
-            point_from_dict(bad)
+        for ref in ("zzz", "~~e1"):
+            bad["marking"] = {"x": ["e1", ref], "y": ["e2", "~e3"]}
+            name = ref.removeprefix("~")
+            with pytest.raises(ValueError, match=f"^unknown edge id '{name}' in marking$"):
+                point_from_dict(bad)
+
+    def test_refs_read_back(self, theta_point):
+        g = theta_point.graph
+        for h in (1, -1, 2, -2, 3, -3):
+            assert g.halfedge(g.ref(h)) == h
+        assert [g.ref(h) for h in (2, -3)] == ["e2", "~e3"]
+        for ref, name in (("e4", "e4"), ("~~e1", "~e1"), ("", "")):
+            with pytest.raises(KeyError, match=repr(name)):
+                g.halfedge(ref)

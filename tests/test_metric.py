@@ -153,6 +153,14 @@ class TestLinearMap:
         with pytest.raises(ValueError, match="edge e1 has length 0"):
             linear_map_lipschitz(spec, x, point_from_dict(THETA_DICT))
 
+    def test_halfedge_of_no_edge_rejected(self):
+        # 0 once read the last edge of y, 5 raised IndexError; the image of
+        # e2 is checked before e2's vertex images are read
+        for bad in (0, 5):
+            for images in ({1: (1, bad), 2: (2,)}, {1: (1,), 2: (bad,)}):
+                with pytest.raises(ValueError, match=f"^half-edge {bad} is not one of "):
+                    linear_map_lipschitz(LinearMapSpec({0: 0}, images), rose(2), rose(2))
+
     def test_inconsistent_spec_rejected(self):
         with pytest.raises(ValueError):
             linear_map_lipschitz(

@@ -1,11 +1,9 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-import outerspacekit.words as words_mod
 from outerspacekit.words import (
     Automorphism,
     CyclicWord,
@@ -21,7 +19,6 @@ from outerspacekit.words import (
     inverse_letters,
     is_basis,
     random_whitehead_move,
-    reduce_array,
     reduce_letters,
     signed_letters,
     verify_inverse,
@@ -75,46 +72,6 @@ class TestReduce:
     def test_idempotent(self, letters):
         once = Word.make(letters)
         assert Word.make(once.letters) == once
-
-
-class TestReduceArray:
-    @settings(max_examples=300)
-    @given(st.lists(st.integers(min_value=1, max_value=3).flatmap(
-        lambda i: st.sampled_from([i, -i])), max_size=300))
-    def test_equals_reduce_letters(self, letters):
-        assert tuple(reduce_array(np.array(letters, dtype=np.intp)).tolist()) == reduce_letters(
-            letters)
-
-    def test_overlapping_pairs(self):
-        # a[i+1] == -a[i] holds at i = 0, 1, 2, ...: only disjoint pairs go
-        for letters, want in [((1, -1, 1), (1,)), ((1, -1, 1, -1), ()),
-                              ((1, -1, 1, -1, 1, 2), (1, 2)), ((2, 1, -1, 1, -1, 1), (2, 1))]:
-            assert tuple(reduce_array(letters).tolist()) == want
-
-    def test_empty_and_single(self):
-        assert reduce_array(np.array([], dtype=np.intp)).tolist() == []
-        assert reduce_array(np.array([3], dtype=np.intp)).tolist() == [3]
-
-    def test_nested_word_reaches_the_finish(self, monkeypatch):
-        finishes = []
-
-        def counted(letters):
-            finishes.append(len(letters))
-            return reduce_letters(letters)
-
-        monkeypatch.setattr(words_mod, "reduce_letters", counted)
-        w = (1, 2, 3) * 40
-        a = np.array(w + inverse_letters(w) + (2,) + w + inverse_letters(w))
-        # the first round cancels only the two middles, 4 of 481 letters
-        assert reduce_array(a).tolist() == [2]
-        assert finishes == [477]
-
-    def test_dense_cancellation_needs_no_finish(self, monkeypatch):
-        def refuse(letters):
-            raise AssertionError("letter-by-letter finish")
-
-        monkeypatch.setattr(words_mod, "reduce_letters", refuse)
-        assert reduce_array(np.array([1, 2, -2, -1] * 500 + [3])).tolist() == [3]
 
 
 class TestFormat:

@@ -133,6 +133,7 @@ def cmd_validate(args):
         print(f"self-map: train-track={report.is_tt} irreducible={report.irreducible}")
         if not report.is_tt:
             raise DomainError(f"illegal turn {report.illegal_turn}")
+        report.check()
         return
     point = _parse(args.file, "graph", functools.partial(point_from_dict, validate=False), data)
     report = validate_point(point)

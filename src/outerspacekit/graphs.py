@@ -228,9 +228,10 @@ class Marking:
 
     The tables are filled in as the points read them: the spanning tree
     (vertex -> half-edge into it) and the geometric letter of each edge off
-    it, the marking map and its certified inverse, the half-edge labels
-    (half-edge -> word, the pieces of path_word) and the tightened generator
-    loops (letter -> piece, the pieces of realize_based), all tuples. The
+    it, the marking map, the half-edge labels (half-edge -> word, the
+    pieces of path_word) and the tightened generator loops (letter ->
+    piece, the pieces of realize_based), all tuples. The marking keeps one
+    map: its inverse is the one the marking map knows (marking_inverse). The
     candidate paths belong to the graph (MetricGraph.candidate_paths), in
     graph order, and no class of them is kept. `loops` maps another marking
     object to the tight cyclic loops, at this marking, of that marking's
@@ -239,14 +240,13 @@ class Marking:
     with its key, so no later marking can read it.
     """
 
-    __slots__ = ("tree_parent", "geo_letter", "basis_to_edges", "edges_to_basis", "labels",
-                 "pieces", "loops", "__weakref__")
+    __slots__ = ("tree_parent", "geo_letter", "basis_to_edges", "labels", "pieces", "loops",
+                 "__weakref__")
 
     def __init__(self, tree_parent=None, geo_letter=None):
         self.tree_parent = tree_parent  # vertex -> halfedge into it
         self.geo_letter = geo_letter  # edge index -> geometric letter
         self.basis_to_edges = None  # Automorphism F_n -> F_geo
-        self.edges_to_basis = None
         self.labels = None  # half-edge -> label letters, see path_word
         self.pieces = None  # letter -> tightened loop, see realize_based
         self.loops = weakref.WeakKeyDictionary()
@@ -323,11 +323,9 @@ class MarkedMetricGraph:
         return m.basis_to_edges
 
     def marking_inverse(self) -> Automorphism:
-        """F(geometric basis) -> F_n; certified inverse of marking_map."""
-        m = self.marking
-        if m.edges_to_basis is None:
-            m.edges_to_basis = self.marking_map().inverse()
-        return m.edges_to_basis
+        """F(geometric basis) -> F_n: the inverse the marking map knows, or
+        the fold's, which the marking map then keeps."""
+        return self.marking_map().inverse()
 
     def _label_table(self):
         """Half-edge -> its label: the marking_inverse() image of its
@@ -441,28 +439,21 @@ class MarkedMetricGraph:
     def act(self, phi: Automorphism) -> "MarkedMetricGraph":
         """Right action: same metric graph, marking precomposed with phi.
 
-        The result has a marking object of its own, seeded with this one's
-        spanning tree and, where this point has them, its marking maps
-        composed with phi. It keeps the graph, and with it the candidate
-        paths, but shares no loop or length cache.
+        phi is certified by phi.inverse(), which raises ValueError when its
+        images do not form a basis. The result has a marking object of its
+        own, seeded with this one's spanning tree and, where this point has
+        it, its marking map composed with phi: one map, which knows its
+        inverse when this point's marking map does. It keeps the graph, and
+        with it the candidate paths, but shares no loop or length cache.
         """
         if phi.rank != self.rank:
             raise ValueError("rank mismatch in act")
-        if not phi.verified:
-            raise ValueError("act requires a verified (certified bijective) automorphism")
-        inv = phi.inverse()
+        phi.inverse()
         new_loops = [self.realize_based(phi.images[i].letters) for i in range(self.rank)]
         m = self.marking
         marking = Marking(m.tree_parent, m.geo_letter)
         if m.basis_to_edges is not None:
             marking.basis_to_edges = m.basis_to_edges.compose(phi)
-        if m.edges_to_basis is not None:
-            old = m.edges_to_basis
-            marking.edges_to_basis = Automorphism(
-                self.rank,
-                [inv.apply(w) for w in old.images],
-                verified=old.verified and inv.verified,
-            )
         return MarkedMetricGraph(self.graph, self.basepoint, new_loops, marking)
 
     def with_lengths(self, lengths) -> "MarkedMetricGraph":
@@ -655,7 +646,7 @@ def validate_point(point: MarkedMetricGraph) -> ValidationReport:
     if problems:
         return ValidationReport(False, problems)
     try:
-        point.marking_inverse()  # the basis fold, certified by composition
+        point.marking_inverse()  # the known inverse, or the basis fold, checked by composition
     except InvalidPointError as e:
         return ValidationReport(False, e.problems)
     except ValueError:
@@ -727,9 +718,7 @@ def rose(rank: int, lengths=None) -> MarkedMetricGraph:
         lengths = [1.0 / rank] * rank
     g = MetricGraph(1, [f"e{i + 1}" for i in range(rank)], [(0, 0)] * rank, lengths)
     point = MarkedMetricGraph(g, 0, [(i + 1,) for i in range(rank)])
-    ident = Automorphism.identity(rank)
-    point.marking.basis_to_edges = Automorphism(rank, ident.images, verified=True)
-    point.marking.edges_to_basis = point.marking.basis_to_edges.inverse()
+    point.marking.basis_to_edges = Automorphism.identity(rank)
     return point
 
 

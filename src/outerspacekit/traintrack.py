@@ -149,6 +149,19 @@ class TrainTrackReport:
     is_tt: bool
     irreducible: bool
     illegal_turn: object  # (h1, h2) crossed by some edge image, or None
+    structure: TrainTrackStructure  # the gates of f
+    matrix: np.ndarray  # the transition matrix of f
+
+    def check(self) -> "TrainTrackReport":
+        """This report; raises NotTrainTrackError unless it is of an
+        irreducible train-track map."""
+        if not self.is_tt:
+            raise NotTrainTrackError(
+                f"not a train-track map: edge image crosses illegal turn {self.illegal_turn}"
+            )
+        if not self.irreducible:
+            raise NotTrainTrackError("transition matrix is reducible")
+        return self
 
 
 def _path_turns(path):
@@ -171,40 +184,25 @@ def is_irreducible_matrix(A: np.ndarray) -> bool:
 
 
 def verify_train_track(f: GraphSelfMap) -> TrainTrackReport:
-    """Check edge-image legality for the induced gates, and irreducibility."""
-    return _verify(f, gates(f), f.transition_matrix())
-
-
-def check_train_track(f: GraphSelfMap):
-    """(gates, transition matrix) of f; raises NotTrainTrackError unless f is
-    an irreducible train-track map."""
+    """Check edge-image legality for the induced gates, and irreducibility;
+    the report carries the gates and the transition matrix."""
     structure = gates(f)
     matrix = f.transition_matrix()
-    report = _verify(f, structure, matrix)
-    if not report.is_tt:
-        raise NotTrainTrackError(
-            f"not a train-track map: edge image crosses illegal turn {report.illegal_turn}"
-        )
-    if not report.irreducible:
-        raise NotTrainTrackError("transition matrix is reducible")
-    return structure, matrix
+    illegal = next((turn for e in range(1, f.graph.n_edges + 1)
+                    for turn in _path_turns(f.edge_images[e])
+                    if not structure.is_legal_turn(*turn)), None)
+    return TrainTrackReport(illegal is None, is_irreducible_matrix(matrix), illegal,
+                            structure, matrix)
 
 
-def _verify(f: GraphSelfMap, structure, matrix) -> TrainTrackReport:
-    illegal = None
-    for e in range(1, f.graph.n_edges + 1):
-        for (h1, h2) in _path_turns(f.edge_images[e]):
-            if not structure.is_legal_turn(h1, h2):
-                illegal = (h1, h2)
-                break
-        if illegal:
-            break
-    irreducible = is_irreducible_matrix(matrix)
-    return TrainTrackReport(is_tt=illegal is None, irreducible=irreducible, illegal_turn=illegal)
+def check_train_track(f: GraphSelfMap) -> TrainTrackReport:
+    """The report of verify_train_track(f); raises NotTrainTrackError unless
+    f is an irreducible train-track map."""
+    return verify_train_track(f).check()
 
 
 class TrainTrackMap:
-    """A verified train-track map with its PF eigenvalue and metric."""
+    """A checked train-track map with its PF eigenvalue and metric."""
 
     def __init__(self, selfmap: GraphSelfMap, structure, matrix, lam, pf_point):
         self.selfmap = selfmap
@@ -489,13 +487,13 @@ def pf_metric(f: GraphSelfMap) -> TrainTrackMap:
     One eigen-solve of the transition matrix (see _perron), after
     check_train_track; rejects eigenvalues within 1e-9 of 1.
     """
-    structure, matrix = check_train_track(f)
-    lam, lengths = _perron(matrix.astype(float))
+    report = check_train_track(f)
+    lam, lengths = _perron(report.matrix.astype(float))
     if lam <= 1.0 + 1e-9:
         raise NotTrainTrackError(f"expansion factor {lam} <= 1 (finite order map)")
     pf_point = f.point.with_lengths(list(lengths))
     return TrainTrackMap(GraphSelfMap(pf_point, f.vertex_images, f.edge_images),
-                         structure, matrix, lam, pf_point)
+                         report.structure, report.matrix, lam, pf_point)
 
 
 @dataclass
@@ -760,8 +758,9 @@ def selfmap_from_dict(data: dict) -> GraphSelfMap:
     vertices = {str(name): i for i, name in enumerate(map(str, data["graph"]["vertices"]))}
     if "vertex_images" in data:
         vertex_images = {vertices[str(k)]: vertices[str(v)] for k, v in data["vertex_images"].items()}
-    else:
+    else:  # read off the nonempty images; GraphSelfMap rejects an empty one
+        given = [e for e, path in edge_images.items() if path]
         vertex_images = {
-            g.init_of(e): g.init_of(edge_images[e][0]) for e in edge_images
-        } | {g.term_of(e): g.term_of(edge_images[e][-1]) for e in edge_images}
+            g.init_of(e): g.init_of(edge_images[e][0]) for e in given
+        } | {g.term_of(e): g.term_of(edge_images[e][-1]) for e in given}
     return GraphSelfMap(point, vertex_images, edge_images)

@@ -235,18 +235,22 @@ class CyclicWord:
 class Automorphism:
     """An endomorphism of F_rank given by generator images.
 
-    Bijectivity is not checked on construction; `verified` is set by explicit
-    certification (Whitehead moves, verify_inverse, or .inverse()).
-    .inverse() Stallings-folds the wedge of the image loops; each edge reads
-    a domain word, a closed path at the base reading the word whose image is
-    its label, and folding an edge reading d2 onto one reading d1 changes
-    the gauge at the absorbed vertex by g = d1^-1 d2. The loops of the
-    folded rose read the inverse images, which verify_inverse then checks.
+    It is certified bijective exactly when it knows its inverse, `_inv`,
+    which is None until then: the identity is its own inverse, a Whitehead
+    move's automorphism is born linked to its inverse move's, a composite of
+    two certified automorphisms is born linked to the composite of their
+    inverses, and verify_inverse links a pair it has checked. Bijectivity is
+    not checked on construction. .inverse() returns the known inverse, or
+    Stallings-folds the wedge of the image loops; each edge reads a domain
+    word, a closed path at the base reading the word whose image is its
+    label, and folding an edge reading d2 onto one reading d1 changes the
+    gauge at the absorbed vertex by g = d1^-1 d2. The loops of the folded
+    rose read the inverse images, which verify_inverse then checks.
     """
 
-    __slots__ = ("rank", "images", "verified", "_inv", "_table")
+    __slots__ = ("rank", "images", "_inv", "_table")
 
-    def __init__(self, rank: int, images, verified: bool = False, _inv=None):
+    def __init__(self, rank: int, images):
         images = tuple(images)
         if len(images) != rank:
             raise ValueError(f"need {rank} images, got {len(images)}")
@@ -257,13 +261,12 @@ class Automorphism:
                 raise ValueError("image letter out of rank range")
         self.rank = rank
         self.images = images
-        self.verified = verified
-        self._inv = _inv
+        self._inv = None  # the certified inverse, once known
         self._table = None  # letter +-i -> image of +-i, see _letter_table
 
     @staticmethod
     def identity(rank: int) -> "Automorphism":
-        phi = Automorphism(rank, [Word((i,)) for i in range(1, rank + 1)], verified=True)
+        phi = Automorphism(rank, [Word((i,)) for i in range(1, rank + 1)])
         phi._inv = phi
         return phi
 
@@ -298,27 +301,26 @@ class Automorphism:
         return Word(self.apply_letters(w.letters))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other: (self.compose(other))(w) = self(other(w))."""
+        """self after other: (self.compose(other))(w) = self(other(w)). When
+        both know their inverses, the composite is linked to other^-1 after
+        self^-1."""
         if self.rank != other.rank:
             raise RankMismatchError("rank mismatch in composition")
-        images = [Word(self.apply_letters(im.letters)) for im in other.images]
-        inv = None
+        phi = Automorphism(self.rank, [Word(self.apply_letters(im.letters))
+                                       for im in other.images])
         if self._inv is not None and other._inv is not None:
-            inv = _lazy_compose_inverse(other._inv, self._inv)
-        return Automorphism(self.rank, images, verified=self.verified and other.verified, _inv=inv)
+            apply = other._inv.apply_letters
+            _link(phi, Automorphism(self.rank, [Word(apply(im.letters))
+                                                for im in self._inv.images]))
+        return phi
 
     def inverse(self) -> "Automorphism":
+        """The inverse; when none is known, the fold's, checked by
+        verify_inverse. Raises ValueError on a non-basis."""
         if self._inv is None:
-            inv_images = inverse_images(self.images, self.rank)
-            inv = Automorphism(self.rank, inv_images, verified=True)
+            inv = Automorphism(self.rank, inverse_images(self.images, self.rank))
             if not verify_inverse(self, inv):
                 raise ValueError("failed to certify computed inverse")
-            self.verified = True
-            inv._inv = self
-            self._inv = inv
-        elif callable(self._inv):
-            self._inv = self._inv()
-            self._inv._inv = self
         return self._inv
 
     def __eq__(self, other):
@@ -340,17 +342,14 @@ class Automorphism:
     __repr__ = __str__
 
 
-def _lazy_compose_inverse(inv_other, inv_self):
-    def build():
-        a = inv_other() if callable(inv_other) else inv_other
-        b = inv_self() if callable(inv_self) else inv_self
-        return a.compose(b)
-
-    return build
+def _link(phi: Automorphism, psi: Automorphism):
+    """Record phi and psi as each other's certified inverse."""
+    phi._inv, psi._inv = psi, phi
 
 
 def verify_inverse(phi: Automorphism, psi: Automorphism) -> bool:
-    """True iff phi o psi and psi o phi both fix every generator."""
+    """True iff phi o psi and psi o phi both fix every generator; a pair
+    so checked is linked as each other's certified inverse."""
     if phi.rank != psi.rank:
         raise RankMismatchError("rank mismatch in verify_inverse")
     for i in range(1, phi.rank + 1):
@@ -358,11 +357,7 @@ def verify_inverse(phi: Automorphism, psi: Automorphism) -> bool:
             return False
         if psi.apply_letters(phi.image_of(i)) != (i,):
             return False
-    phi.verified = psi.verified = True
-    if phi._inv is None:
-        phi._inv = psi
-    if psi._inv is None:
-        psi._inv = phi
+    _link(phi, psi)
     return True
 
 
@@ -393,9 +388,9 @@ class WhiteheadMove:
         )
 
     def automorphism(self, rank: int) -> Automorphism:
-        phi = Automorphism(rank, [Word(im) for im in self.images(rank)], verified=True)
-        inv = self.inverse_move()
-        phi._inv = lambda: _move_automorphism_raw(inv, rank, phi)
+        """The automorphism of the move, linked to its inverse move's."""
+        phi = Automorphism(rank, map(Word, self.images(rank)))
+        _link(phi, Automorphism(rank, map(Word, self.inverse_move().images(rank))))
         return phi
 
     def sort_key(self):
@@ -422,12 +417,6 @@ def random_automorphism(rank: int, rng, n_moves: int) -> Automorphism:
     drawn in that order; acting by it acts by m_1, then m_2, and so on."""
     moves = [random_whitehead_move(rank, rng).automorphism(rank) for _ in range(n_moves)]
     return functools.reduce(Automorphism.compose, moves) if moves else Automorphism.identity(rank)
-
-
-def _move_automorphism_raw(move: WhiteheadMove, rank: int, inverse: Automorphism):
-    phi = move.automorphism(rank)
-    phi._inv = inverse
-    return phi
 
 
 def signed_letters(rank: int):

@@ -117,6 +117,18 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "train-track=True" in out
 
+    def test_reducible_selfmap_fails(self, tmp_path, capsys):
+        # x -> x y X, y -> y is a train-track map whose transition matrix is
+        # reducible; validate prints its line and fails as tt verify and pf do
+        p = tmp_path / "reducible.map"
+        p.write_text(json.dumps(_rose_map([(1, 2, -1), (2,)])))
+        assert main(["validate", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "self-map: train-track=True irreducible=False\n"
+        assert captured.err == "error: transition matrix is reducible\n"
+        for action in ("verify", "pf"):
+            assert main(["tt", action, str(p)]) == 1
+
     def test_emitted_files_roundtrip(self, files, capsys):
         # every file the suite emits validates
         for key in ("rose", "uneven", "theta", "fig1"):
@@ -186,6 +198,16 @@ class TestFileErrors:
         assert main(["validate", str(p)]) == 1
         assert capsys.readouterr().err == (
             f"error: invalid graph file {p}: unknown edge id 'e9' in marking\n")
+
+    def test_empty_image_reads_as_missing(self, tmp_path, capsys):
+        # with no vertex_images, the vertex images are read off the edge images
+        for name, images in (("empty", {"e1": [], "e2": ["e1"]}), ("missing", {"e2": ["e1"]})):
+            p = tmp_path / f"{name}.map"
+            p.write_text(json.dumps({"graph": GOLDEN_MAP["graph"], "edge_images": images}))
+            for argv in (["validate", p], ["tt", "pf", p]):
+                assert main([str(a) for a in argv]) == 1
+                assert capsys.readouterr().err == (
+                    f"error: invalid self-map file {p}: edge e1 has empty or missing image\n")
 
     def test_unparsable_file_is_an_io_error_in_every_command(self, files, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ import pytest
 
 import outerspacekit.graphs as graphs_mod
 import outerspacekit.metric as metric_mod
+import outerspacekit.words as words_mod
 from outerspacekit.graphs import (
     InvalidPointError,
     MarkedMetricGraph,
@@ -23,6 +24,7 @@ from outerspacekit.graphs import (
     validate_point,
 )
 from outerspacekit.metric import distance
+from outerspacekit.traintrack import _acted_by_edge_move
 from outerspacekit.whitehead import is_primitive, whitehead_minimize
 from outerspacekit.words import (
     ALPHABET,
@@ -30,6 +32,7 @@ from outerspacekit.words import (
     CyclicWord,
     Word,
     canonical_cyclic,
+    random_automorphism,
     random_whitehead_move,
 )
 
@@ -259,7 +262,6 @@ class TestLoopLength:
         R = rose(2)
         for m in (1, 2, 5):
             psi = Automorphism(2, [Word((1,)), Word(tuple([1] * m + [2]))])
-            psi.inverse()
             assert R.act(psi).loop_length(C("b")) == pytest.approx((m + 1) / 2, abs=1e-12)
 
     def test_conjugation_inversion_invariance(self):
@@ -501,7 +503,6 @@ class TestAct:
         x = random_point(2, 1, 2, 0.3)
         y = random_point(2, 2, 2, 0.3)
         phi = aut(2, "ab", "a")
-        phi.inverse()
         assert distance(x.act(phi), y.act(phi)).value == pytest.approx(
             distance(x, y).value, abs=1e-12
         )
@@ -520,7 +521,6 @@ class TestAct:
     def test_action_identity_on_lengths(self):
         p = rose(2)
         phi = aut(2, "ab", "a")
-        phi.inverse()
         q = p.act(phi)
         for text in ("a", "b", "ab", "aB", "abb"):
             w = C(text)
@@ -528,9 +528,42 @@ class TestAct:
                 p.loop_length(apply_cyclic(phi, w)), abs=1e-12
             )
 
-    def test_unverified_rejected(self):
-        with pytest.raises(ValueError):
-            rose(2).act(aut(2, "ab", "a"))
+    def test_act_certifies_an_automorphism_with_no_known_inverse(self):
+        for r, seed in ((2, 3), (3, 5), (4, 7)):
+            x = random_point(r, seed)
+            images = random_automorphism(r, random.Random(seed), 4).images
+            certified = Automorphism(r, images)
+            certified.inverse()
+            got, want = x.act(Automorphism(r, images)), x.act(certified)
+            assert got.gen_loops == want.gen_loops
+            assert got.marking_inverse().images == want.marking_inverse().images
+
+    def test_non_basis_rejected(self):
+        with pytest.raises(ValueError, match="do not form a basis"):
+            rose(2).act(aut(2, "ab", "ab"))
+
+    def test_points_built_by_action_never_fold(self, monkeypatch, golden_axis, tribo_axis,
+                                               rank4_axis):
+        """The rose, Whitehead moves and composites of certified maps know
+        their inverses, so neither building nor acting on these points folds,
+        and each inverse so known is the one a fresh fold finds."""
+        def no_fold(images, rank):
+            raise AssertionError("inverse_images folded")
+
+        monkeypatch.setattr(words_mod, "inverse_images", no_fold)
+        maps = []
+        for r in range(2, 6):
+            for seed in range(3):
+                x = random_point(r, seed)
+                maps.append(random_automorphism(r, random.Random(seed), 4))
+                y = _acted_by_edge_move(x, random_whitehead_move(r, random.Random(seed)))
+                maps += [x.marking_map(), y.marking_map()]
+        for ax in (golden_axis, tribo_axis, rank4_axis):
+            for s in (5, -5):
+                maps.append(ax.shift(ax.base, s).marking_map())
+        known = [phi.inverse().images for phi in maps]
+        monkeypatch.undo()
+        assert known == [Automorphism(phi.rank, phi.images).inverse().images for phi in maps]
 
 
 class TestMinimalModel:

@@ -38,10 +38,20 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _slots(node):
+    """The string constants of a `__slots__ = (...)` assignment."""
+    if (isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)):
+        for elt in getattr(node.value, "elts", ()):
+            if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
+                yield elt
+
+
 def _defined(tree, fields):
     """(name, qualified name) of each module-level def, class and
     assignment target, and of each method, and with fields of each
-    annotated class attribute (a dataclass field)."""
+    annotated class attribute (a dataclass field) and each __slots__
+    entry."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.name
@@ -51,6 +61,9 @@ def _defined(tree, fields):
                 elif (fields and isinstance(item, ast.AnnAssign)
                       and isinstance(item.target, ast.Name)):
                     yield item.target.id, f"{node.name}.{item.target.id}"
+                elif fields:
+                    for slot in _slots(item):
+                        yield slot.value, f"{node.name}.{slot.value}"
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else (node.target,):
                 for n in ast.walk(target):
@@ -60,8 +73,11 @@ def _defined(tree, fields):
 
 def _loaded(tree):
     """Every name a tree loads, as a variable or an attribute, or spells out
-    in a dotted string constant."""
+    in a dotted string constant other than a __slots__ entry."""
+    slots = {id(slot) for node in ast.walk(tree) for slot in _slots(node)}
     for node in ast.walk(tree):
+        if id(node) in slots:
+            continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -89,8 +105,8 @@ def _unread(loaded, fields, exempt=()):
 
 
 def test_every_library_name_is_loaded():
-    """Every name the library defines, dataclass fields included, is read in
-    src/, tests/ or benchmarks/."""
+    """Every name the library defines, dataclass fields and slots included,
+    is read in src/, tests/ or benchmarks/."""
     assert _unread(_loaded_in("src", "tests", "benchmarks"), fields=True) == []
 
 

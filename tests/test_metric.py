@@ -44,9 +44,7 @@ def C(text):
 
 
 def nielsen_power(m):
-    psi = Automorphism(2, [Word((1,)), Word(tuple([1] * m + [2]))])
-    psi.inverse()
-    return psi
+    return Automorphism(2, [Word((1,)), Word(tuple([1] * m + [2]))])
 
 
 class TestStretch:
@@ -135,7 +133,6 @@ class TestLinearMap:
 
     def test_train_track_map_slopes_constant(self, golden_tt):
         phi = golden_tt.automorphism()
-        phi.inverse()
         rep = linear_map_lipschitz(
             LinearMapSpec({0: 0}, {1: (1, 2), 2: (1,)}),
             golden_tt.point,

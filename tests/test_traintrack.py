@@ -655,9 +655,7 @@ class TestCutVertexSearch:
         assert res.unconverged == 0
 
     def test_tribo_translated_start_moves(self, tribo_tt, tribo_inv_tt):
-        psi = aut(3, "a", "bc", "c")
-        psi.inverse()
-        start = rose(3).act(psi)
+        start = rose(3).act(aut(3, "a", "bc", "c"))
         res = no_cut_vertex_search(tribo_tt, tribo_inv_tt, start)
         assert len(res.moves) >= 1
         assert all(b < a for a, b in zip(res.plus_trace, res.plus_trace[1:]))
@@ -779,7 +777,6 @@ class TestSelfMapFile:
 class TestAxisDistanceGolden:
     def test_translation_length(self, golden_tt):
         phi = golden_tt.automorphism()
-        phi.inverse()
         base = golden_tt.point
         res = distance(base, base.act(phi))
         assert res.value == pytest.approx(math.log(GOLDEN), abs=1e-9)

@@ -5,6 +5,14 @@ A graph self-map carries edge-image paths over a marked graph. When every
 edge image is legal for the induced gate structure and the transition
 matrix is irreducible, the Perron-Frobenius eigenvector yields the metric
 in which the map stretches every edge by the eigenvalue.
+
+The laminations are read off the leaf tiles f^k(e) realized at a point.
+Adjacent tiles cancel only inside bounded end windows (Cooper 1987), so
+the windows of one level fix all later cancellation, and they repeat: one
+finite walk per map and marking (TrainTrackMap.leaf_end) gives the exact
+limit of the lamination length and the turns the leaves take, the finite
+Df-closure of Bestvina-Feighn-Handel (GAFA 1997). There is no tolerance;
+an end state that does not repeat by the level cap is an error.
 """
 
 from __future__ import annotations
@@ -12,9 +20,10 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
-from operator import add
+from operator import add, ge, mul
 
 import numpy as np
 
@@ -40,12 +49,10 @@ from .words import (
 
 log = logging.getLogger(__name__)
 
-LEAF_GRAPH_K_CAP = 20  # deepest leaf level read by lamination_whitehead_graph
+LEAF_K_CAP = 60  # deepest leaf level a walk to the periodic end reads by default
 LEAF_WINDOW = 48  # half-edges a leaf tile keeps at each end, before any widening
 LEAF_PATH_MAX = 10_000_000  # half-edges leaf_path expands at most
-SEARCH_TOLERANCE = 2e-3  # of the cut-vertex search's lamination length estimates
 SEARCH_MAX_STEPS = 200
-SEARCH_DEPTH_BOOSTS = (0, 3, 6, 9)  # leaf levels added when no cut-vertex move helps
 
 
 class NotTrainTrackError(ValueError):
@@ -212,8 +219,7 @@ class TrainTrackMap:
         self.point = pf_point  # marked graph with the PF metric, volume 1
         self._automorphism = None
         self._frequencies = None
-        self._base_levels = None  # realized_leaves(self.point), resumed on demand
-        self._base_sums = []  # level k -> sum_j r_j * length of tile_k(e_j) at self.point
+        self._ends = weakref.WeakKeyDictionary()  # marking object -> LeafEnd, see leaf_end
 
     @property
     def graph(self):
@@ -291,20 +297,62 @@ class TrainTrackMap:
         the same errors."""
         return tuple(self.leaf_array(edge_index, k).tolist())
 
-    def _base_level_sum(self, k: int) -> float:
-        """sum_j r_j * length of the realized tile f^k(e_j) at self.point,
-        with r the tile frequencies; the levels are read once per map."""
-        while len(self._base_sums) <= k:
-            if self._base_levels is None:
-                self._base_levels = self.realized_leaves(self.point)
-            level = next(self._base_levels)
-            r = self.tile_frequencies()
-            lengths = _dyadic(self.graph.lengths)
-            den = 0.0
-            for j, tile in enumerate(level):
-                den += r[j] * _tile_length(tile, *lengths)
-            self._base_sums.append(den)
-        return self._base_sums[k]
+    def leaf_end(self, point: MarkedMetricGraph, k_cap: int = LEAF_K_CAP) -> "LeafEnd":
+        """The periodic end of the leaf tiles at `point` (see LeafEnd),
+        walked once per marking object and kept, keyed weakly by it as
+        Marking.loops is, so every with_lengths copy of `point` reads it.
+
+        realized_leaves(point) is read until the end state of a level k, the
+        (head, tail) windows of its tiles, all longer than twice their
+        window, equals that of an earlier level K whose tiles are nowhere
+        longer. Each later join then reads the windows it read P = k - K
+        levels before, so the cancellations repeat with period P and the
+        tiles only grow. With C_i the integer edge counts of level i, r the
+        tile frequencies and A the matrix, r.A = lam r, so r.C_i / lam^i
+        falls at each level by the cancelled counts r.(A.C_i - C_(i+1)) over
+        lam^(i+1), and the limit functional closes:
+
+            w = r.C_K / lam^K
+                - (1 - lam^-P)^-1 sum_{K <= i < k} r.(A.C_i - C_(i+1)) / lam^(i+1).
+
+        A turn at a level past K was in a tile at level K or made by a join
+        of the levels K+1..k, which repeat; and a turn of a level from K on
+        is taken again at a later level, in a window that repeats or in the
+        middle of a tile, which no join reaches. So the leaf turns, those
+        taken at infinitely many levels, are those of the levels K..k.
+        Raises NotTrainTrackError when the end state does not repeat by
+        k_cap.
+        """
+        end = self._ends.get(point.marking) or self._walk(point, k_cap)
+        if end is None or end.level > k_cap:
+            raise NotTrainTrackError(f"leaf tile ends of the map with lambda {self.lam:.9g} "
+                                     f"do not repeat by level {k_cap}")
+        self._ends[point.marking] = end
+        return end
+
+    def _walk(self, point: MarkedMetricGraph, k_cap: int):
+        """The LeafEnd of leaf_end, or None when no level up to k_cap repeats."""
+        m = point.graph.n_edges
+        counts, seen = [], {}
+        for k, level in enumerate(itertools.islice(self.realized_leaves(point), k_cap + 1)):
+            counts.append([tile.counts for tile in level])
+            if all(tile.n > 2 * len(tile.head) for tile in level):
+                state = tuple((tile.head, tile.tail) for tile in level)
+                lengths = [tile.n for tile in level]
+                K, earlier = seen.get(state, (k, lengths))
+                if K < k and all(map(ge, lengths, earlier)):
+                    break
+                seen[state] = (k, lengths)
+        else:
+            return None
+        C = np.array(counts[K:], dtype=object)  # levels K..k, [level][edge of f][count]
+        A, r, lam = self.matrix.astype(object), self.tile_frequencies(), self.lam
+        cancelled = sum(r @ (A @ C[i, :, :m] - C[i + 1, :, :m]) / lam ** (K + i + 1)
+                        for i in range(k - K))
+        w = r @ C[0, :, :m] / lam ** K - cancelled / (1.0 - lam ** (K - k))
+        taken = C[:, :, m:].any(axis=(0, 1))
+        return LeafEnd(tuple(map(float, w)),
+                       frozenset(t for t, hit in zip(_turns(point.graph), taken) if hit), k)
 
     def realized_leaves(self, point: MarkedMetricGraph):
         """Yield, for k = 0, 1, 2, ..., one LeafTile per edge e: the tight
@@ -320,7 +368,10 @@ class TrainTrackMap:
         cancellation, or a tile short enough to be kept whole, needs a
         half-edge beyond a window, the window doubles and the levels are
         rebuilt from level 0; every yielded level is exact, so memory is
-        O(edges * window) per level instead of lambda^k.
+        O(edges * window) per level instead of lambda^k. Once every tile is
+        longer than twice the window, a level's joins read its windows
+        alone, so the end windows of the levels are eventually periodic;
+        leaf_end reads the levels until they repeat.
         """
         g = point.graph
         m = g.n_edges
@@ -537,105 +588,63 @@ def legality_report(alpha, tt: TrainTrackMap) -> LegalityReport:
     )
 
 
+@dataclass(frozen=True)
+class LeafEnd:
+    """What the leaf tiles of a map at one marking give once their end state
+    repeats at level K + P (see TrainTrackMap.leaf_end)."""
+
+    functional: tuple  # w = lim r.C_k / lam^k: the lamination length at lengths l is <w, l>
+    turns: frozenset  # the (a, b) of the point's turn table (_turns) taken at levels K..K+P
+    level: int  # K + P, the deepest level read
+
+
 @dataclass
 class LaminationLengthEstimate:
     frequencies: np.ndarray
-    sequence: list
     value: float
-    k_used: int
-    converged: bool
-
-
-def _dyadic(lengths):
-    """(numerators, denominator) with lengths[i] == numerators[i] / denominator
-    exactly: floats are dyadic, so one power of two serves them all."""
-    ratios = [x.as_integer_ratio() for x in lengths]
-    den = max(d for _, d in ratios)
-    return [a * (den // d) for a, d in ratios], den
-
-
-def _tile_length(tile, numerators, den) -> float:
-    # zip stops at the edge counts; int / int is correctly rounded, the
-    # same float as math.fsum over the path
-    return sum(c * a for c, a in zip(tile.counts, numerators)) / den
+    k_used: int  # the repeat level read, 0 at the base's own marking
+    converged: bool = True  # every estimate is the exact limit
 
 
 def lamination_length_ratio(
-    tt: TrainTrackMap,
-    target: MarkedMetricGraph,
-    tolerance: float = 1e-6,
-    k_cap: int = 25,
-    k_min: int = 2,
-    consecutive: int = 1,
+    tt: TrainTrackMap, target: MarkedMetricGraph, k_cap: int = LEAF_K_CAP
 ) -> LaminationLengthEstimate:
     """Length of the attracting lamination in `target`, scaled by the
-    train-track base: limit of tile-frequency-weighted length ratios a_k.
+    train-track base: the limit of the tile-frequency-weighted length
+    ratios a_k = r.C_k.l_target / r.C_k^base.l_base.
 
-    Both sides measure the tiles through the same based-path functional,
-    so the estimate is exactly 1 when target is the base point. A tile's
-    length is read from its edge counts as the correctly rounded value of
-    sum(count_e * length_e), the float math.fsum gives over its path; no
-    leaf path is expanded, so memory is O(edges * window) per level. The
-    base side does not depend on target, so every estimate on tt shares
-    its level sums (tt._base_level_sum). Convergence declares after
-    `consecutive` successive differences below tolerance, from depth k_min
-    on (marking junk decays like 1/lambda^k).
+    The numerator's limit over lam^k is <w, l_target>, with w the
+    functional of tt.leaf_end(target, k_cap), which raises
+    NotTrainTrackError when the leaf ends do not repeat by level k_cap.
+    At the base's own marking f is legal, so no join cancels, the counts
+    are the rows of A^k and r.A = lam r: w is r, read with no walk, and
+    the ratio is exactly 1.0. The denominator's limit is <r, l_base>.
     """
     if target.rank != tt.point.rank:
         raise ValueError(f"rank mismatch: {target.rank} vs {tt.point.rank}")
     if k_cap < 1:
         raise ValueError("k_cap must be >= 1")
     r = tt.tile_frequencies()
-    target_lengths = _dyadic(target.graph.lengths)
-    seq = []
-    prev = None
-    streak = 0
-    for k, level in enumerate(itertools.islice(tt.realized_leaves(target), 1, k_cap + 1), 1):
-        num = 0.0
-        for j, tile in enumerate(level):
-            num += r[j] * _tile_length(tile, *target_lengths)
-        den = tt._base_level_sum(k)
-        a_k = num / den
-        seq.append(a_k)
-        if prev is not None and abs(a_k - prev) < tolerance:
-            streak += 1
-            if k >= k_min and streak >= consecutive:
-                return LaminationLengthEstimate(r, seq, a_k, k, True)
-        else:
-            streak = 0
-        prev = a_k
-    log.warning("lamination length ratio did not converge by k=%d", k_cap)
-    return LaminationLengthEstimate(r, seq, seq[-1], k_cap, False)
+    if target.marking is tt.point.marking:
+        w, k = r, 0
+    else:
+        end = tt.leaf_end(target, k_cap)
+        w, k = end.functional, end.level
+    num = math.fsum(map(mul, w, target.graph.lengths))
+    return LaminationLengthEstimate(r, num / math.fsum(map(mul, r, tt.graph.lengths)), k)
 
 
 # -- lamination Whitehead graphs and the cut-vertex-free point search ----
 
 
-def lamination_whitehead_graph(tt: TrainTrackMap, point: MarkedMetricGraph, k_start: int = 3):
-    """Whitehead graph (over the oriented edges of `point`, a rose) of the
-    stabilized leaf segments of tt's lamination realized at `point`.
-
-    A turn is an edge of the graph when some realized leaf tile of the
-    level takes it: its count, read through the turn table of `point`
-    (_turns), is nonzero; the wrap-around turn is not taken. k is
-    increased, up to LEAF_GRAPH_K_CAP, until the graph is unchanged for two
-    consecutive depths; returns (graph, k_used).
-    """
+def lamination_whitehead_graph(tt: TrainTrackMap, point: MarkedMetricGraph):
+    """(graph, level): the Whitehead graph, over the oriented edges of
+    `point`, a rose, of tt's lamination realized at `point`, and the repeat
+    level of tt.leaf_end(point), whose leaf turns are its edges."""
     if point.graph.n_vertices != 1:
         raise ValueError("lamination Whitehead graphs are computed at roses")
-    m = point.graph.n_edges
-    turns = _turns(point.graph)
-    prev = None
-    levels = itertools.islice(tt.realized_leaves(point), k_start, LEAF_GRAPH_K_CAP + 1)
-    for k, level in enumerate(levels, k_start):
-        taken = map(any, zip(*(tile.counts[m:] for tile in level)))
-        graph = WhiteheadGraph.from_counter(
-            point.rank, Counter(turn for turn, t in zip(turns, taken) if t))
-        if prev is not None and graph.same_simple_graph(prev):
-            return graph, k
-        prev = graph
-    log.warning("lamination Whitehead graph did not stabilize by k=%d", LEAF_GRAPH_K_CAP)
-    return prev, LEAF_GRAPH_K_CAP
+    end = tt.leaf_end(point)
+    return WhiteheadGraph.from_counter(point.rank, Counter(end.turns)), end.level
 
 
 @dataclass
@@ -645,11 +654,10 @@ class CutVertexSearchResult:
     plus_trace: list  # lamination length estimates per visited point
     minus_trace: list
     combined_graph: WhiteheadGraph
-    stabilization_k: int
+    stabilization_k: int  # the larger repeat level of the two final leaf walks
     # distance of F to the orbit of the start: the min over m in -3..3 of
     # d(F, start . phi^m) + d(start . phi^m, F)
     axis_distance: float
-    unconverged: int  # lamination length estimates of the search that did not converge
 
 
 def _acted_by_edge_move(X: MarkedMetricGraph, move: WhiteheadMove):
@@ -664,11 +672,12 @@ def no_cut_vertex_search(
     """Find a rose point where the combined Whitehead graph of the attracting
     and repelling laminations is connected with no cut vertex.
 
-    While a cut vertex exists, act by a Whitehead move derived from it that
-    strictly decreases both lamination length functionals. The leaf graphs
-    stabilize empirically; when no cut-vertex move decreases both
-    functionals the leaf depth is boosted to expose missing turns. The
-    result counts the length estimates that did not converge.
+    While a cut vertex exists, act by the Whitehead move derived from it
+    that strictly decreases both lamination length functionals the most.
+    The graphs and the lengths are read off one leaf walk per map and
+    visited point (TrainTrackMap.leaf_end), so both are exact; when no
+    cut-vertex move decreases both lengths the search raises
+    NotTrainTrackError.
 
     The axis distance of the point F found is read off two axis walks:
     Out(F_n) acts by isometries, so d(start . phi^m, F) is
@@ -686,55 +695,37 @@ def no_cut_vertex_search(
         raise ValueError("search starts at a rose point")
     if start.rank != ttF.point.rank:
         raise ValueError(f"rank mismatch: {start.rank} vs {ttF.point.rank}")
-    converged = []
-
-    def plateau(tt, point):
-        est = lamination_length_ratio(
-            tt, point, SEARCH_TOLERANCE, k_cap=20, k_min=8, consecutive=2
-        )
-        converged.append(est.converged)
-        return est.value
-
     X = start
     moves = []
-    plus_trace = [plateau(ttF, X)]
-    minus_trace = [plateau(ttB, X)]
+    plus_trace = [lamination_length_ratio(ttF, X).value]
+    minus_trace = [lamination_length_ratio(ttB, X).value]
     for _ in range(SEARCH_MAX_STEPS):
-        for boost in SEARCH_DEPTH_BOOSTS:
-            gF, kF = lamination_whitehead_graph(ttF, X, k_start=3 + boost)
-            gB, kB = lamination_whitehead_graph(ttB, X, k_start=3 + boost)
-            combined = gF.union(gB)
-            report = cut_analysis(combined)
-            if report.isolated or not report.connected:
-                raise NotTrainTrackError(
-                    "combined lamination Whitehead graph is disconnected "
-                    "(input not fully irreducible)"
-                )
-            if not report.cut_vertices:
-                along, back = Axis(ttF, base=start, phi=phi), Axis(ttF, base=X, phi=phi)
-                prox = min(along.dist_to_axis_point(X, m) + back.dist_to_axis_point(start, -m)
-                           for m in range(-3, 4))
-                return CutVertexSearchResult(
-                    X, moves, plus_trace, minus_trace, combined, max(kF, kB), prox,
-                    converged.count(False),
-                )
-            viable = []
-            for move in moves_from_cut_vertex(combined, report):
-                X2 = _acted_by_edge_move(X, move)
-                p2 = plateau(ttF, X2)
-                m2 = plateau(ttB, X2)
-                if p2 < plus_trace[-1] - 1e-9 and m2 < minus_trace[-1] - 1e-9:
-                    drop = (plus_trace[-1] - p2) + (minus_trace[-1] - m2)
-                    viable.append(((-drop, move.sort_key()), move, X2, p2, m2))
-            if viable:
-                _, move, X, plus, minus = min(viable)
-                break
-        else:
+        gF, kF = lamination_whitehead_graph(ttF, X)
+        gB, kB = lamination_whitehead_graph(ttB, X)
+        combined = gF.union(gB)
+        report = cut_analysis(combined)
+        if report.isolated or not report.connected:
             raise NotTrainTrackError(
-                "no cut-vertex move decreases both lamination lengths "
-                f"(leaf stabilization failed; {converged.count(False)} of "
-                f"{len(converged)} lamination estimates did not converge)"
+                "combined lamination Whitehead graph is disconnected "
+                "(input not fully irreducible)"
             )
+        if not report.cut_vertices:
+            along, back = Axis(ttF, base=start, phi=phi), Axis(ttF, base=X, phi=phi)
+            prox = min(along.dist_to_axis_point(X, m) + back.dist_to_axis_point(start, -m)
+                       for m in range(-3, 4))
+            return CutVertexSearchResult(
+                X, moves, plus_trace, minus_trace, combined, max(kF, kB), prox)
+        viable = []
+        for move in moves_from_cut_vertex(combined, report):
+            X2 = _acted_by_edge_move(X, move)
+            p2 = lamination_length_ratio(ttF, X2).value
+            m2 = lamination_length_ratio(ttB, X2).value
+            if p2 < plus_trace[-1] - 1e-9 and m2 < minus_trace[-1] - 1e-9:
+                drop = (plus_trace[-1] - p2) + (minus_trace[-1] - m2)
+                viable.append(((-drop, move.sort_key()), move, X2, p2, m2))
+        if not viable:
+            raise NotTrainTrackError("no cut-vertex move decreases both lamination lengths")
+        _, move, X, plus, minus = min(viable)
         moves.append(move)
         plus_trace.append(plus)
         minus_trace.append(minus)
@@ -750,9 +741,10 @@ def selfmap_from_dict(data: dict) -> GraphSelfMap:
     eidx = {eid: i + 1 for i, eid in enumerate(g.edge_ids)}
     edge_images = {}
     for k, path in data["edge_images"].items():
-        e = eidx[str(k)]
+        if str(k) not in eidx:
+            raise ValueError(f"unknown edge id {str(k)!r} in edge_images")
         try:
-            edge_images[e] = tuple(map(g.halfedge, path))
+            edge_images[eidx[str(k)]] = tuple(map(g.halfedge, path))
         except KeyError as err:
             raise ValueError(f"unknown edge id {err.args[0]!r} in edge image") from None
     vertices = {str(name): i for i, name in enumerate(map(str, data["graph"]["vertices"]))}

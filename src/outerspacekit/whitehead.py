@@ -85,10 +85,6 @@ class WhiteheadGraph:
         return WhiteheadGraph(
             self.rank, tuple(tuple(map(add, r, s)) for r, s in zip(self.cap, other.cap)))
 
-    def same_simple_graph(self, other: "WhiteheadGraph") -> bool:
-        return self.rank == other.rank and all(
-            bool(a) == bool(b) for r, s in zip(self.cap, other.cap) for a, b in zip(r, s))
-
 
 def whitehead_graph(words, rank=None) -> WhiteheadGraph:
     """Superposition of the Whitehead graphs of the given cyclic words.

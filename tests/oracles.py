@@ -50,7 +50,8 @@ tree.
 
 import math
 from collections import Counter, deque
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
+from operator import mul
 
 import numpy as np
 
@@ -65,9 +66,9 @@ from outerspacekit.graphs import (
 )
 from outerspacekit.metric import distance
 from outerspacekit.traintrack import (
-    LEAF_GRAPH_K_CAP,
     NotTrainTrackError,
     TrainTrackStructure,
+    _turns,
 )
 from outerspacekit.whitehead import (
     CutReport,
@@ -539,18 +540,34 @@ def tile_summary(path, n_edges, window):
     return (n, *ends, counts, turns)
 
 
-def leaf_whitehead_graph(tt, point, k_start):
-    """Reference for lamination_whitehead_graph: the turns of the explicit
-    leaf paths at `point`, read until the graph repeats."""
-    prev = None
-    for k in range(k_start, LEAF_GRAPH_K_CAP + 1):
-        turns = {frozenset((-p[i], p[i + 1]))
-                 for p in leaf_level(tt, point, k) for i in range(len(p) - 1)}
-        graph = WhiteheadGraph.from_counter(point.rank, Counter(turns))
-        if prev is not None and graph.same_simple_graph(prev):
-            return graph, k
-        prev = graph
-    return prev, LEAF_GRAPH_K_CAP
+LEAF_TURN_LEVELS = range(60, 80)  # the levels leaf_turns reads
+
+
+def leaf_turns(tt, point):
+    """Reference for the turns of TrainTrackMap.leaf_end: the turns, as
+    frozensets, that the leaf tiles at `point` take at any of the fixed deep
+    LEAF_TURN_LEVELS, read level by level with no periodicity. The tiles
+    are the windowed summaries of realized_leaves, which the tile tests
+    check against the explicit leaf paths at the levels those can be
+    expanded to."""
+    m = point.graph.n_edges
+    levels = islice(tt.realized_leaves(point), LEAF_TURN_LEVELS.start, LEAF_TURN_LEVELS.stop)
+    return {frozenset(turn) for level in levels for tile in level
+            for turn, c in zip(_turns(point.graph), tile.counts[m:]) if c}
+
+
+def lamination_ratio(tt, target, k):
+    """The ratio a_k of the tile-frequency-weighted lengths of the level-k
+    leaf tiles at `target` and at tt.point, read off the tiles' edge
+    counts."""
+    r = tt.tile_frequencies()
+    weighted = []
+    for point in (target, tt.point):
+        level = next(islice(tt.realized_leaves(point), k, None))
+        lengths = point.graph.lengths
+        weighted.append(math.fsum(rj * math.fsum(map(mul, tile.counts, lengths))
+                                  for rj, tile in zip(r, level)))
+    return weighted[0] / weighted[1]
 
 
 def lamination_sequence(tt, target, k_max):

@@ -3,7 +3,8 @@
 benchmarks/spans.py wraps each function in TRACED by looking it up in its
 owner's __dict__, so a renamed or deleted function would break only traced
 benchmark runs; benchmarks/workloads.py and the span observers read fields
-of the results. Both are checked here, without running a benchmark.
+of the results. Both are checked here, and the lamination estimates the
+laminations workload builds are made, without timing a benchmark run.
 """
 
 import dataclasses
@@ -17,7 +18,8 @@ from outerspacekit.metric import distance
 from outerspacekit.traintrack import CutVertexSearchResult, LaminationLengthEstimate
 from outerspacekit.whitehead import CutReport, ReductionTrace
 
-SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+SPANS = BENCHMARKS / "spans.py"
 
 
 def _spans():
@@ -57,3 +59,24 @@ def test_result_fields_the_benchmark_reads():
     # MarkedMetricGraph.candidates
     assert distance(rose(2), rose(2, [1 / 3, 2 / 3])).value > 0
     assert callable(MarkedMetricGraph.candidates)
+
+
+def test_lamination_estimates_the_benchmark_makes(monkeypatch, tmp_path):
+    """The at-point and target estimates of one laminations cycle, as
+    benchmarks/workloads.py builds them: among them silver at targets with
+    marking junk under its k_cap. Each passes its check, and the span
+    observer's fields read an int level and a converged flag."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))  # workloads imports inputs by name
+    workloads = importlib.import_module("workloads")
+    ops = [op for op in workloads.build_laminations(1, str(tmp_path))
+           if op.kind.partition(".")[0] in ("at-point", "target")]
+    assert {"at-point.silver", "target.silver"} <= {op.kind for op in ops}
+    assert workloads.SILVER_K_CAP == 12
+    for op in ops:
+        est = op.run()
+        assert op.check(est) and op.estimates(est) == [True], op.kind
+        assert isinstance(est.k_used, int) and est.converged is True
+        if op.kind.startswith("at-point."):
+            assert est.value == 1.0 and est.k_used == 0
+        elif op.kind == "target.silver":
+            assert 0 < est.k_used <= workloads.SILVER_K_CAP

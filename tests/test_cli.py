@@ -128,6 +128,20 @@ class TestValidate:
         assert captured.err == "error: transition matrix is reducible\n"
         for action in ("verify", "pf"):
             assert main(["tt", action, str(p)]) == 1
+            assert capsys.readouterr().err == "error: transition matrix is reducible\n"
+
+    def test_illegal_turn_has_one_message(self, tmp_path, capsys):
+        # x -> x y x Y, y -> x crosses the illegal turn (-1, 2); validate and
+        # tt verify print their report lines, then fail as tt pf does
+        p = tmp_path / "illegal.map"
+        p.write_text(json.dumps(_rose_map([(1, 2, 1, -2), (1,)])))
+        message = "error: not a train-track map: edge image crosses illegal turn (-1, 2)\n"
+        for argv, out in ((["validate"], "self-map: train-track=False irreducible=True\n"),
+                          (["tt", "verify"],
+                           "train-track False\nirreducible True\nillegal-turn (-1, 2)\n"),
+                          (["tt", "pf"], "")):
+            assert main(argv + [str(p)]) == 1
+            assert capsys.readouterr() == (out, message)
 
     def test_emitted_files_roundtrip(self, files, capsys):
         # every file the suite emits validates
@@ -198,6 +212,14 @@ class TestFileErrors:
         assert main(["validate", str(p)]) == 1
         assert capsys.readouterr().err == (
             f"error: invalid graph file {p}: unknown edge id 'e9' in marking\n")
+
+    def test_unknown_edge_image_key_is_named(self, tmp_path, capsys):
+        p = tmp_path / "bad.map"
+        p.write_text(json.dumps(dict(GOLDEN_MAP, edge_images={"e1": ["e1", "e2"], "e9": ["e1"]})))
+        for argv in (["tt", "pf"], ["validate"]):
+            assert main(argv + [str(p)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: invalid self-map file {p}: unknown edge id 'e9' in edge_images\n")
 
     def test_empty_image_reads_as_missing(self, tmp_path, capsys):
         # with no vertex_images, the vertex images are read off the edge images
@@ -424,8 +446,9 @@ class TestTT:
     def test_whsearch(self, files, capsys):
         assert main(["tt", "whsearch", files["fwd"], files["bwd"]]) == 0
         out = capsys.readouterr().out
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "moves", "stabilized-k", "lamination-plus", "lamination-minus", "axis-distance"]
         assert "moves 0" in out
-        assert "unconverged 0" in out
 
     def test_whsearch_rank_mismatch(self, files, tmp_path, capsys):
         start = tmp_path / "rose3.graph"

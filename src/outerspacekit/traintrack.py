@@ -7,22 +7,27 @@ matrix is irreducible, the Perron-Frobenius eigenvector yields the metric
 in which the map stretches every edge by the eigenvalue.
 
 The laminations are read off the leaf tiles f^k(e) realized at a point.
-Adjacent tiles cancel only inside bounded end windows (Cooper 1987), so
+Adjacent tiles cancel only inside bounded end windows (Cooper 1987), so a
+tile is held as its two end windows and its exact counts, a join reads
+the windows in place, and once every tile is longer than twice its window
 the windows of one level fix all later cancellation, and they repeat: one
 finite walk per map and marking (TrainTrackMap.leaf_end) gives the exact
-limit of the lamination length and the turns the leaves take, the finite
+limit of the lamination length, summed in plain Python over the edges
+whose images cancel, and the turns the leaves take, the finite
 Df-closure of Bestvina-Feighn-Handel (GAFA 1997). There is no tolerance;
 an end state that does not repeat by the level cap is an error.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import logging
 import math
 import weakref
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from operator import add, ge, mul
 
 import numpy as np
@@ -50,7 +55,15 @@ from .words import (
 log = logging.getLogger(__name__)
 
 LEAF_K_CAP = 60  # deepest leaf level a walk to the periodic end reads by default
-LEAF_WINDOW = 48  # half-edges a leaf tile keeps at each end, before any widening
+# Half-edges a leaf tile keeps at each end, before any widening. A level's
+# end state is compared only once every tile is longer than twice the
+# window, so a narrower window repeats sooner, but below 4 the windows
+# widen and the levels are rebuilt more often. Walking the benchmark's
+# seed-1 lamination targets (12 per map and direction, 96 walks, 2-vCPU VM,
+# best of 5) took 16.3 ms at window 48, 12.9 at 16, 11.5 at 8, 11.2 at 6,
+# 11.6 at 4 and 13.4 at 1; the rank-4 walks repeat at mean level 32.9, 27.1,
+# 23.6, 22.4, 22.2 and 22.2. At 8 only the plastic and rank-4 inverses widen.
+LEAF_WINDOW = 8
 LEAF_PATH_MAX = 10_000_000  # half-edges leaf_path expands at most
 SEARCH_MAX_STEPS = 200
 
@@ -307,13 +320,20 @@ class TrainTrackMap:
         window, equals that of an earlier level K whose tiles are nowhere
         longer. Each later join then reads the windows it read P = k - K
         levels before, so the cancellations repeat with period P and the
-        tiles only grow. With C_i the integer edge counts of level i, r the
+        tiles only grow. The narrower the window, the sooner every tile is
+        longer than twice it, and the sooner a level can repeat (see
+        LEAF_WINDOW). With C_i the integer edge counts of level i, r the
         tile frequencies and A the matrix, r.A = lam r, so r.C_i / lam^i
         falls at each level by the cancelled counts r.(A.C_i - C_(i+1)) over
         lam^(i+1), and the limit functional closes:
 
             w = r.C_K / lam^K
                 - (1 - lam^-P)^-1 sum_{K <= i < k} r.(A.C_i - C_(i+1)) / lam^(i+1).
+
+        Only the edge columns of the counts enter w, and a row of
+        A.C_i - C_(i+1) is zero unless the image of its edge has more than
+        one piece, so w is summed in plain Python over those rows alone, in
+        the order a matrix product sums them (see _closed_form).
 
         A turn at a level past K was in a tile at level K or made by a join
         of the levels K+1..k, which repeat; and a turn of a level from K on
@@ -332,10 +352,9 @@ class TrainTrackMap:
 
     def _walk(self, point: MarkedMetricGraph, k_cap: int):
         """The LeafEnd of leaf_end, or None when no level up to k_cap repeats."""
-        m = point.graph.n_edges
-        counts, seen = [], {}
+        levels, seen = [], {}
         for k, level in enumerate(itertools.islice(self.realized_leaves(point), k_cap + 1)):
-            counts.append([tile.counts for tile in level])
+            levels.append(level)
             if all(tile.n > 2 * len(tile.head) for tile in level):
                 state = tuple((tile.head, tile.tail) for tile in level)
                 lengths = [tile.n for tile in level]
@@ -345,14 +364,42 @@ class TrainTrackMap:
                 seen[state] = (k, lengths)
         else:
             return None
-        C = np.array(counts[K:], dtype=object)  # levels K..k, [level][edge of f][count]
-        A, r, lam = self.matrix.astype(object), self.tile_frequencies(), self.lam
-        cancelled = sum(r @ (A @ C[i, :, :m] - C[i + 1, :, :m]) / lam ** (K + i + 1)
-                        for i in range(k - K))
-        w = r @ C[0, :, :m] / lam ** K - cancelled / (1.0 - lam ** (K - k))
-        taken = C[:, :, m:].any(axis=(0, 1))
-        return LeafEnd(tuple(map(float, w)),
-                       frozenset(t for t, hit in zip(_turns(point.graph), taken) if hit), k)
+        window = len(level[0].head)
+        log.debug("leaf ends repeat at level %d: preperiod %d, period %d, window %d, "
+                  "%d widenings", k, K, k - K, window, (window // LEAF_WINDOW).bit_length() - 1)
+        m = point.graph.n_edges
+        counts = [[tile.counts for tile in level] for level in levels[K:]]
+        # an image of one piece passes a tile on to the next level, and a
+        # reversed tile shares its counts: read each counts tuple once
+        distinct = {id(c): c[m:] for level in counts for c in level}.values()
+        return LeafEnd(self._closed_form(counts, K, m),
+                       frozenset(itertools.compress(_turns(point.graph),
+                                                    map(any, zip(*distinct)))),
+                       k, k - K)
+
+    def _closed_form(self, counts, K: int, m: int):
+        """w of leaf_end from counts[i][j], the counts of the tile of edge j + 1
+        at level K + i, for i = 0..P: only the m edge columns enter, and the
+        rows of A.C_i - C_(i+1) are zero but for the edges whose image has
+        more than one piece. Each sum runs left to right over the edges, as
+        a matrix product does."""
+        lam = self.lam
+        r = self.tile_frequencies().tolist()
+        images = [self.selfmap.edge_images[e] for e in range(1, len(r) + 1)]
+        joined = [(j, [abs(h) - 1 for h in image]) for j, image in enumerate(images)
+                  if len(image) > 1]
+        cancelled = [0] * m
+        for i, (now, after) in enumerate(zip(counts, counts[1:])):
+            total = None
+            for j, parts in joined:
+                row = [r[j] * (sum(column) - c)
+                       for c, *column in zip(after[j][:m], *(now[l] for l in parts))]
+                total = row if total is None else list(map(add, total, row))
+            scale = lam ** (K + i + 1)
+            cancelled = [c + x / scale for c, x in zip(cancelled, total)]
+        P = len(counts) - 1
+        return tuple(reduce(add, map(mul, r, column)) / lam ** K - c / (1.0 - lam ** -P)
+                     for column, c in zip(zip(*counts[0]), cancelled))
 
     def realized_leaves(self, point: MarkedMetricGraph):
         """Yield, for k = 0, 1, 2, ..., one LeafTile per edge e: the tight
@@ -368,10 +415,14 @@ class TrainTrackMap:
         cancellation, or a tile short enough to be kept whole, needs a
         half-edge beyond a window, the window doubles and the levels are
         rebuilt from level 0; every yielded level is exact, so memory is
-        O(edges * window) per level instead of lambda^k. Once every tile is
-        longer than twice the window, a level's joins read its windows
-        alone, so the end windows of the levels are eventually periodic;
-        leaf_end reads the levels until they repeat.
+        O(edges * window) per level instead of lambda^k. A join reads the
+        half-edges it cancels in place in the windows, and a tile's reversed
+        tile is built once, when an image first crosses its edge backwards
+        (LeafTile.reversed). Once every tile is longer than twice the
+        window, a level's joins read its windows alone, so the end windows
+        of the levels are eventually periodic; leaf_end reads the levels
+        until they repeat, and logs at DEBUG where they did and how often
+        the window widened.
         """
         g = point.graph
         m = g.n_edges
@@ -382,7 +433,7 @@ class TrainTrackMap:
             index[a][b] = index[b][a] = i
         size = m + len(turns)
         images = [self.selfmap.edge_images[e] for e in range(1, self.graph.n_edges + 1)]
-        reversed_edges = sorted({-h for img in images for h in img if h < 0})
+        plans = [[(abs(h) - 1, h < 0) for h in img] for img in images]
         roots = [point.realize_based(self.point.path_word((e,)).letters)
                  for e in range(1, len(images) + 1)]
         window = LEAF_WINDOW
@@ -393,10 +444,9 @@ class TrainTrackMap:
                 yield level
                 yielded += 1
             try:
-                reverse = {e: level[e - 1].reversed() for e in reversed_edges}
-                level = [_join([level[h - 1] if h > 0 else reverse[-h] for h in img],
+                level = [_join([level[i].reversed() if back else level[i] for i, back in plan],
                                index, window)
-                         for img in images]
+                         for plan in plans]
                 depth += 1
             except _WindowTooNarrow:
                 window *= 2
@@ -413,7 +463,7 @@ def _turns(graph: MetricGraph):
             for turn in itertools.combinations(graph.out_halfedges(v), 2)]
 
 
-@dataclass
+@dataclass(slots=True)
 class LeafTile:
     """A tight half-edge path, summarized: its length n, its first and last
     `window` half-edges (both the whole path when n <= 2 * window), the
@@ -421,12 +471,14 @@ class LeafTile:
     and its counts, exact Python ints: how often it crosses each edge i + 1,
     either way, at position i, and then how often it takes each turn
     {-h_i, h_(i+1)} of consecutive half-edges, in the order of the turn
-    table (_turns) of its graph."""
+    table (_turns) of its graph. Its other fields never change, so its
+    reversed tile, once built, is kept in `flipped`."""
 
     n: int
     head: tuple
     tail: tuple
     counts: tuple
+    flipped: "LeafTile | None" = field(default=None, repr=False, compare=False)
 
     @classmethod
     def of_path(cls, path, index, size: int, window: int) -> "LeafTile":
@@ -444,7 +496,10 @@ class LeafTile:
 
     def reversed(self) -> "LeafTile":
         # a turn is unordered, so reversing keeps the counts
-        return LeafTile(self.n, reverse_path(self.tail), reverse_path(self.head), self.counts)
+        if self.flipped is None:
+            self.flipped = LeafTile(self.n, reverse_path(self.tail), reverse_path(self.head),
+                                    self.counts, self)
+        return self.flipped
 
     def slice(self, start: int, stop: int):
         """Half-edges start..stop-1 of the path, when they lie in a window."""
@@ -465,57 +520,64 @@ def _join(pieces, index, window: int) -> LeafTile:
     raises _WindowTooNarrow when it needs a half-edge outside a window.
 
     One piece is its own tile. Otherwise the counts are the sum of the
-    pieces' counts, less the half-edges and turns of the cancelled ends,
-    plus the turn taken at each join; index[a][b] is the position of the
-    turn {a, b} in the counts."""
+    surviving pieces' counts, less the half-edges and turns of the
+    cancelled ends, plus the turn taken at each join; index[a][b] is the
+    position of the turn {a, b} in the counts. The cancelled and joining
+    half-edges are read in place: the start of a piece in its head, the
+    end in its tail, both the whole path for a short piece."""
     if len(pieces) == 1:
         return pieces[0]
     # [tile, s, t]: a tile with s half-edges cancelled at its start, t at its end
     stack = []
     for tile in pieces:
-        s = 0
+        head, s = tile.head, 0
         while stack and s < tile.n:
             top = stack[-1]
-            last = top[0].n - top[2] - 1
-            if top[0].slice(last, last + 1)[0] != -tile.slice(s, s + 1)[0]:
+            tail, t = top[0].tail, top[2]
+            if t >= len(tail) or s >= len(head):
+                raise _WindowTooNarrow
+            if tail[-1 - t] != -head[s]:
                 break
             s += 1
-            top[2] += 1
-            if top[1] + top[2] == top[0].n:
+            top[2] = t + 1
+            if top[1] + t + 1 == top[0].n:
                 stack.pop()
         if s < tile.n:
             stack.append([tile, s, 0])
-    counts = [0] * len(pieces[0].counts)
+    counts = None
     n = 0
     before = None  # last half-edge of the surviving path so far
     for tile, s, t in stack:
+        head, tail = tile.head, tile.tail
+        last = len(tail) - 1 - t
+        if s >= len(head) or last < 0:
+            raise _WindowTooNarrow
         n += tile.n - s - t
-        counts = list(map(add, counts, tile.counts))
+        counts = list(tile.counts) if counts is None else list(map(add, counts, tile.counts))
         # drop the cancelled ends and the turns they take, add the join turn
-        cut = tile.slice(0, s + 1) + tile.slice(tile.n - t - 1, tile.n)
-        for h in cut[:s] + cut[s + 2:]:
-            counts[abs(h) - 1] -= 1
-        for a, b in itertools.chain(zip(cut[:s + 1], cut[1:s + 1]), zip(cut[s + 1:], cut[s + 2:])):
-            counts[index[-a][b]] -= 1
+        for i in range(s):
+            counts[abs(head[i]) - 1] -= 1
+            counts[index[-head[i]][head[i + 1]]] -= 1
+        for i in range(last, len(tail) - 1):
+            counts[abs(tail[i + 1]) - 1] -= 1
+            counts[index[-tail[i]][tail[i + 1]]] -= 1
         if before is not None:
-            counts[index[-before][cut[s]]] += 1
-        before = cut[s + 1]
+            counts[index[-before][head[s]]] += 1
+        before = tail[last]
     if n <= 2 * window:
         path = tuple(itertools.chain.from_iterable(
             tile.slice(s, tile.n - t) for tile, s, t in stack))
         return LeafTile(n, path, path, tuple(counts))
-    head, tail = [], []
+    head = tail = ()
     for tile, s, t in stack:
-        take = min(window - len(head), tile.n - s - t)
-        head.extend(tile.slice(s, s + take))
+        head += tile.slice(s, s + min(window - len(head), tile.n - s - t))
         if len(head) == window:
             break
     for tile, s, t in reversed(stack):
-        take = min(window - len(tail), tile.n - s - t)
-        tail[:0] = tile.slice(tile.n - t - take, tile.n - t)
+        tail = tile.slice(tile.n - t - min(window - len(tail), tile.n - s - t), tile.n - t) + tail
         if len(tail) == window:
             break
-    return LeafTile(n, tuple(head), tuple(tail), tuple(counts))
+    return LeafTile(n, head, tail, tuple(counts))
 
 
 def _perron(A: np.ndarray):
@@ -536,15 +598,18 @@ def pf_metric(f: GraphSelfMap) -> TrainTrackMap:
     """PF eigenvalue and metric of an irreducible train-track self-map.
 
     One eigen-solve of the transition matrix (see _perron), after
-    check_train_track; rejects eigenvalues within 1e-9 of 1.
+    check_train_track; rejects eigenvalues within 1e-9 of 1. The map over
+    the PF point is a copy of f that shares its checked image tables.
     """
     report = check_train_track(f)
     lam, lengths = _perron(report.matrix.astype(float))
     if lam <= 1.0 + 1e-9:
         raise NotTrainTrackError(f"expansion factor {lam} <= 1 (finite order map)")
     pf_point = f.point.with_lengths(list(lengths))
-    return TrainTrackMap(GraphSelfMap(pf_point, f.vertex_images, f.edge_images),
-                         report.structure, report.matrix, lam, pf_point)
+    # the images are checked already and do not depend on the lengths
+    selfmap = copy.copy(f)
+    selfmap.point = pf_point
+    return TrainTrackMap(selfmap, report.structure, report.matrix, lam, pf_point)
 
 
 @dataclass
@@ -596,6 +661,7 @@ class LeafEnd:
     functional: tuple  # w = lim r.C_k / lam^k: the lamination length at lengths l is <w, l>
     turns: frozenset  # the (a, b) of the point's turn table (_turns) taken at levels K..K+P
     level: int  # K + P, the deepest level read
+    period: int  # P: the end state of level K + P is that of level K
 
 
 @dataclass

@@ -41,6 +41,16 @@ def rank4_selfmaps():
     return fwd, bwd
 
 
+def swap_golden_selfmaps():
+    """a -> c, b -> d, c -> ab, d -> a on the rank-4 rose, and its inverse
+    a -> d, b -> Dc, c -> a, d -> b. The square is golden on <a, b> times
+    golden on <c, d>, so the map is not fully irreducible: a control whose
+    matrix is irreducible with period 2."""
+    fwd = GraphSelfMap(rose(4), {0: 0}, {1: (3,), 2: (4,), 3: (1, 2), 4: (1,)})
+    bwd = GraphSelfMap(rose(4), {0: 0}, {1: (4,), 2: (-4, 3), 3: (1,), 4: (2,)})
+    return fwd, bwd
+
+
 THETA_DICT = {
     "rank": 2,
     "vertices": ["u", "v"],

@@ -46,6 +46,10 @@ from the basepoint to its image, rho . f(loop) . rho^-1, and
 `linear_map_images` reads the generator images of a linear map the same
 way, where the library lets path_word close the image loop through the
 tree.
+`leaf_end_closed_form` is the library's earlier closed form of the leaf
+end, numpy object-dtype matrix products over the counts of every edge at
+every level K..K+P, against which the plain-Python sums over the edges
+whose images cancel are checked bit for bit.
 """
 
 import math
@@ -554,6 +558,24 @@ def leaf_turns(tt, point):
     levels = islice(tt.realized_leaves(point), LEAF_TURN_LEVELS.start, LEAF_TURN_LEVELS.stop)
     return {frozenset(turn) for level in levels for tile in level
             for turn, c in zip(_turns(point.graph), tile.counts[m:]) if c}
+
+
+def leaf_end_closed_form(tt, point, end):
+    """Reference for the (functional, turns) of a LeafEnd `end` of tt at
+    `point`: numpy object-dtype matrix products over the counts of the
+    tiles of realized_leaves at the levels K..K+P of the end, with
+    K = end.level - end.period, and the turns any of those tiles takes."""
+    m = point.graph.n_edges
+    K, k = end.level - end.period, end.level
+    levels = islice(tt.realized_leaves(point), K, k + 1)
+    C = np.array([[tile.counts for tile in level] for level in levels], dtype=object)
+    A, r, lam = tt.matrix.astype(object), tt.tile_frequencies(), tt.lam
+    cancelled = sum(r @ (A @ C[i, :, :m] - C[i + 1, :, :m]) / lam ** (K + i + 1)
+                    for i in range(k - K))
+    w = r @ C[0, :, :m] / lam ** K - cancelled / (1.0 - lam ** (K - k))
+    taken = C[:, :, m:].any(axis=(0, 1))
+    return (tuple(map(float, w)),
+            frozenset(t for t, hit in zip(_turns(point.graph), taken) if hit))
 
 
 def lamination_ratio(tt, target, k):

@@ -620,7 +620,8 @@ class TestLogLevel:
         assert "leaf window widened" not in capsys.readouterr().err
         assert package_logger.level == level
         assert main(["--log-level", "debug"] + argv) == 0
-        assert "leaf window widened" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "leaf window widened" in err and "leaf ends repeat at level" in err
         assert package_logger.level == logging.DEBUG
 
     def test_repeated_calls_add_one_handler(self, files, capsys, package_logger):

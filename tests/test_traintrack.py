@@ -40,6 +40,7 @@ from .conftest import (
     golden_selfmaps,
     rank4_selfmaps,
     silver_selfmap,
+    swap_golden_selfmaps,
     tribo_selfmaps,
 )
 
@@ -141,6 +142,13 @@ class TestPF:
         assert golden_tt.lam == pytest.approx(GOLDEN, abs=1e-9)
         assert golden_tt.graph.lengths[0] == pytest.approx(0.6180340, abs=1e-6)
         assert golden_tt.graph.lengths[1] == pytest.approx(0.3819660, abs=1e-6)
+
+    def test_pf_map_shares_the_checked_images(self, monkeypatch):
+        f = golden_selfmaps()[0]
+        monkeypatch.setattr(traintrack, "tighten_path", None)  # no image is checked again
+        tt = pf_metric(f)
+        assert tt.selfmap.point is tt.point
+        assert tt.selfmap.halfedge_images is f.halfedge_images
 
     def test_swap_rejected(self):
         with pytest.raises(NotTrainTrackError):
@@ -459,13 +467,18 @@ CELLS = ("rose", "theta", "barbell", "trivalent")
 def cell_cases():
     """(cell, map, target, oracle levels 0..k_max) over seeded targets of
     every cell at ranks 2-4, with jittered edge lengths; the inverse maps
-    have reversed half-edges in their edge images."""
+    have reversed half-edges in their edge images, the swap-golden control
+    has a matrix of period 2, and every edge image of a -> ab, b -> bc,
+    c -> cab has more than one piece, so the closed form sums three rows."""
     rng = random.Random(5)
     cases = []
     for selfmap, k_max in ((golden_selfmaps()[0], 12), (golden_selfmaps()[1], 12),
                            (silver_selfmap(), 8), (tribo_selfmaps()[0], 12),
                            (tribo_selfmaps()[1], 12), (rank4_selfmaps()[0], 12),
-                           (rank4_selfmaps()[1], 12)):
+                           (rank4_selfmaps()[1], 12), (swap_golden_selfmaps()[0], 12),
+                           (swap_golden_selfmaps()[1], 12),
+                           (GraphSelfMap(rose(3), {0: 0}, {1: (1, 2), 2: (2, 3), 3: (3, 1, 2)}),
+                            6)):
         tt = pf_metric(selfmap)
         for cell in CELLS:
             X = _cell_point(cell, tt.point.rank, rng)
@@ -509,6 +522,33 @@ class TestRealizedLeaves:
                 assert graph.edges == WhiteheadGraph.from_counter(X.rank, Counter(ref)).edges
                 assert k == tt.leaf_end(X).level
 
+    def test_closed_form_matches_oracle(self, cell_cases, leaf_window):
+        """The functional of the periodic end equals, bit for bit, the
+        numpy object-dtype closed form over the same levels K..K+P, and its
+        turns are the turns those levels take, on every cell."""
+        for _, tt, X, _ in cell_cases:
+            tt = pf_metric(tt.selfmap)
+            end = tt.leaf_end(X)
+            assert (end.functional, end.turns) == oracles.leaf_end_closed_form(tt, X, end)
+
+    def test_repeat_with_a_shorter_tile_reads_on(self, monkeypatch):
+        """At window 1 the golden leaf ends at this rose repeat from level 0
+        to level 1, where the tile of e2 is shorter (3 half-edges against 5):
+        the walk reads on to a repeat where no tile is shorter, and its end
+        is that of the oracles."""
+        monkeypatch.setattr(traintrack, "LEAF_WINDOW", 1)
+        X = _cell_point("rose", 2, random.Random(9), n_moves=7)
+        tt = pf_metric(golden_selfmaps()[0])
+        level0, level1 = itertools.islice(tt.realized_leaves(X), 2)
+        assert [(t.head, t.tail) for t in level0] == [(t.head, t.tail) for t in level1]
+        assert all(t.n > 2 for t in level0 + level1)
+        assert [t.n for t in level0] == [3, 5] and [t.n for t in level1] == [8, 3]
+        end = tt.leaf_end(X)
+        assert end.level == 2 and end.period == 1
+        assert set(map(frozenset, end.turns)) == oracles.leaf_turns(tt, X)
+        a = lamination_length_ratio(tt, X).value
+        assert abs(oracles.lamination_ratio(tt, X, 60) - a) <= 20 * tt.lam ** -60 + 1e-12 * a
+
     def test_sequence_matches_reference(self, golden_tt, tribo_tt):
         """The ratios a_k of the explicit leaf paths fall to the estimate:
         a_k - a is the cancellation still to come, nonnegative and at most
@@ -549,8 +589,8 @@ JUNK_TARGET = (2, 4, 3)  # random_point(rank, seed, n_moves)
 
 
 class TestLeafMemory:
-    @pytest.mark.parametrize("images, level", [({1: (1, 1, 1, 2), 2: (1,)}, 7),
-                                               ({1: (1, 1, 2), 2: (1,)}, 9)],
+    @pytest.mark.parametrize("images, level", [({1: (1, 1, 1, 2), 2: (1,)}, 6),
+                                               ({1: (1, 1, 2), 2: (1,)}, 6)],
                              ids=["lambda-3.30", "silver"])
     def test_default_k_cap_stays_small(self, images, level):
         tt = pf_metric(GraphSelfMap(rose(2), {0: 0}, images))
@@ -584,7 +624,7 @@ class TestLeafMemory:
         monkeypatch.setattr(graphs, "tighten_path", recording_tighten)
         monkeypatch.setattr(traintrack.LeafTile, "__init__", recording_init)
         est = lamination_length_ratio(pf_metric(golden_tt.selfmap), random_point(*JUNK_TARGET))
-        assert est.converged and est.k_used == 14  # the end state repeats at level 14
+        assert est.converged and est.k_used == 9  # the end state repeats at level 9
         assert max(n for n, _ in held) > 4 * traintrack.LEAF_WINDOW
         assert max(w for _, w in held) <= 2 * traintrack.LEAF_WINDOW
         assert max(tightened, default=0) <= 2 * traintrack.LEAF_WINDOW
@@ -679,9 +719,9 @@ class TestLamination:
         with pytest.raises(NotTrainTrackError, match=r"lambda 1.61803399 .* by level 5$"):
             lamination_length_ratio(pf_metric(golden_tt.selfmap), X, k_cap=5)
         tt = pf_metric(golden_tt.selfmap)
-        assert lamination_length_ratio(tt, X).k_used == 14
-        with pytest.raises(NotTrainTrackError, match="by level 13$"):
-            lamination_length_ratio(tt, X, k_cap=13)
+        assert lamination_length_ratio(tt, X).k_used == 9
+        with pytest.raises(NotTrainTrackError, match="by level 8$"):
+            lamination_length_ratio(tt, X, k_cap=8)
 
 
 # (forward, backward) self-maps of the cut-vertex search checks: golden,
@@ -693,6 +733,39 @@ SEARCH_MAPS = {
     "plastic": tribo_selfmaps,
     "rank4": rank4_selfmaps,
 }
+
+
+# (sum, max) of the repeat levels of the leaf ends at random_point(rank, s,
+# n_moves=4) for s = 1..20, and the leaf windows widened on the way, per
+# map of SEARCH_MAPS, forward then backward, at LEAF_WINDOW 8
+WALK_DEPTHS = {
+    "golden": ((163, 10, 0), (167, 10, 0)),
+    "silver": ((119, 7, 0), (120, 8, 0)),
+    "plastic": ((299, 17, 0), (201, 13, 2)),
+    "rank4": ((461, 26, 0), (243, 15, 4)),
+}
+
+
+@pytest.mark.parametrize("name", SEARCH_MAPS)
+def test_walk_depth_stays_bounded(name, caplog):
+    """The leaf walks of the benchmark maps repeat no deeper, and widen no
+    more windows, than WALK_DEPTHS, counted with no timing. Each walk logs
+    one DEBUG line with its repeat level, preperiod K, period P, window and
+    widenings."""
+    caplog.set_level(logging.DEBUG, logger="outerspacekit.traintrack")
+    for selfmap, (total, deepest, widened) in zip(SEARCH_MAPS[name](), WALK_DEPTHS[name]):
+        tt = pf_metric(selfmap)
+        caplog.clear()
+        levels = [tt.leaf_end(random_point(tt.point.rank, s, n_moves=4)).level
+                  for s in range(1, 21)]
+        assert sum(levels) <= total and max(levels) <= deepest
+        messages = [r.getMessage() for r in caplog.records]
+        widenings = sum("leaf window widened" in text for text in messages)
+        assert widenings <= widened
+        walks = [r.args for r in caplog.records if r.getMessage().startswith("leaf ends repeat")]
+        assert [k for k, *_ in walks] == levels
+        assert all(k - K == P for k, K, P, *_ in walks)
+        assert sum(w for *_, w in walks) == widenings
 
 
 class TestCutVertexSearch:

@@ -4,7 +4,9 @@ A metric graph is stored with indexed edges; the half-edge +(i+1) traverses
 edge i forward, -(i+1) backward. A marking fixes a basepoint and one closed
 edge loop per free-group generator; edge labels (words conjugating the
 geometric basis back to F_n) are derived by collapsing a deterministic
-spanning tree and inverting the induced map on fundamental groups.
+spanning tree and inverting the induced map on fundamental groups. The
+labels invert the marking lazily: validation certifies the marking map by
+the basis fold alone, and its inverse images are read when a label is.
 
 Paths are mapped and read through words.join_pieces, the one
 substitution, whose pieces must be freely reduced: a half-edge's label (a
@@ -231,7 +233,9 @@ class Marking:
     it, the marking map, the half-edge labels (half-edge -> word, the
     pieces of path_word) and the tightened generator loops (letter ->
     piece, the pieces of realize_based), all tuples. The marking keeps one
-    map: its inverse is the one the marking map knows (marking_inverse). The
+    map: its inverse is the one the marking map knows, composed or, on the
+    first marking_inverse() of a marking read from a file, read off the
+    basis fold and checked; validation reads none (validate_point). The
     candidate paths belong to the graph (MetricGraph.candidate_paths), in
     graph order, and no class of them is kept. `loops` maps another marking
     object to the tight cyclic loops, at this marking, of that marking's
@@ -609,7 +613,10 @@ def enumerate_candidates(point: MarkedMetricGraph):
 
 
 def validate_point(point: MarkedMetricGraph) -> ValidationReport:
-    """Check all Outer Space invariants of a marked metric graph."""
+    """Check all Outer Space invariants of a marked metric graph. The
+    marking is certified by the inverse its map knows, or else by the basis
+    fold alone (Automorphism.is_bijective), which reads no inverse image:
+    marking_inverse() reads the words on its first call."""
     problems = []
     g = point.graph
     for v in range(g.n_vertices):
@@ -646,10 +653,10 @@ def validate_point(point: MarkedMetricGraph) -> ValidationReport:
     if problems:
         return ValidationReport(False, problems)
     try:
-        point.marking_inverse()  # the known inverse, or the basis fold, checked by composition
+        phi = point.marking_map()
     except InvalidPointError as e:
         return ValidationReport(False, e.problems)
-    except ValueError:
+    if not phi.is_bijective():
         return ValidationReport(False, ["marking loops do not define a basis of the free group"])
     return ValidationReport(True, [])
 

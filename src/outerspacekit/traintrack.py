@@ -28,7 +28,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add, ge, mul
+from operator import add, mul
 
 import numpy as np
 
@@ -317,10 +317,14 @@ class TrainTrackMap:
 
         realized_leaves(point) is read until the end state of a level k, the
         (head, tail) windows of its tiles, all longer than twice their
-        window, equals that of an earlier level K whose tiles are nowhere
-        longer. Each later join then reads the windows it read P = k - K
-        levels before, so the cancellations repeat with period P and the
-        tiles only grow. The narrower the window, the sooner every tile is
+        window, equals that of an earlier level K whose tiles are too. The
+        windows of such a level fix those of the next, whatever the tile
+        lengths: a join that does not widen the window keeps the head of
+        its first piece and the tail of its last, and cancels inside their
+        windows, so it gives a tile longer than twice the window again. So
+        each later join reads the windows it read P = k - K levels before,
+        the cancellations repeat with period P, and the end state repeats
+        with it. The narrower the window, the sooner every tile is
         longer than twice it, and the sooner a level can repeat (see
         LEAF_WINDOW). With C_i the integer edge counts of level i, r the
         tile frequencies and A the matrix, r.A = lam r, so r.C_i / lam^i
@@ -356,12 +360,9 @@ class TrainTrackMap:
         for k, level in enumerate(itertools.islice(self.realized_leaves(point), k_cap + 1)):
             levels.append(level)
             if all(tile.n > 2 * len(tile.head) for tile in level):
-                state = tuple((tile.head, tile.tail) for tile in level)
-                lengths = [tile.n for tile in level]
-                K, earlier = seen.get(state, (k, lengths))
-                if K < k and all(map(ge, lengths, earlier)):
+                K = seen.setdefault(tuple((tile.head, tile.tail) for tile in level), k)
+                if K < k:
                     break
-                seen[state] = (k, lengths)
         else:
             return None
         window = len(level[0].head)

@@ -240,12 +240,11 @@ class Automorphism:
     move's automorphism is born linked to its inverse move's, a composite of
     two certified automorphisms is born linked to the composite of their
     inverses, and verify_inverse links a pair it has checked. Bijectivity is
-    not checked on construction. .inverse() returns the known inverse, or
-    Stallings-folds the wedge of the image loops; each edge reads a domain
-    word, a closed path at the base reading the word whose image is its
-    label, and folding an edge reading d2 onto one reading d1 changes the
-    gauge at the absorbed vertex by g = d1^-1 d2. The loops of the folded
-    rose read the inverse images, which verify_inverse then checks.
+    not checked on construction. is_bijective() decides it without reading
+    a word: by the known inverse, or else by is_basis, one gauge-free
+    Stallings fold of the wedge of the image loops. .inverse() returns the
+    known inverse, or the words inverse_images reads by replaying that fold
+    with gauge words, which verify_inverse then checks.
     """
 
     __slots__ = ("rank", "images", "_inv", "_table")
@@ -313,6 +312,11 @@ class Automorphism:
             _link(phi, Automorphism(self.rank, [Word(apply(im.letters))
                                                 for im in self._inv.images]))
         return phi
+
+    def is_bijective(self) -> bool:
+        """True iff an automorphism: the inverse is known, or the images
+        form a basis (is_basis, which reads no inverse)."""
+        return self._inv is not None or is_basis(self.images, self.rank)
 
     def inverse(self) -> "Automorphism":
         """The inverse; when none is known, the fold's, checked by
@@ -425,40 +429,116 @@ def signed_letters(rank: int):
         yield -i
 
 
-# Basis certification and inversion: one Stallings fold (Stallings, "Topology
-# of finite graphs", 1983; Kapovich-Myasnikov, "Stallings foldings and
-# subgroups of free groups", 2002) of the wedge of the image loops at a base
-# vertex. Each edge carries its label, a letter a_j of an image, and the
-# domain word, in x_1..x_n, that it reads. Invariant: a closed path at the
-# base reads the domain word whose image is the path's label. Folding two
-# edges with one label out of a vertex, the kept one reading d1 and the
-# folded one d2, first changes the gauge at the absorbed end vertex by
-# g = d1^-1 d2 (its out-edges then read g d, its in-edges d g^-1), then
-# identifies the two ends. If the ends are already one vertex and g != 1,
-# a nontrivial word maps to 1 and the tuple is not a basis. The tuple is a
-# basis iff the fold ends at the base vertex alone, carrying n loops
-# labelled a_1..a_n, that is iff the base carries a loop labelled a_j for
-# every j; the loop labelled a_j then reads phi^-1(a_j).
+# Basis certification and inversion (Stallings, "Topology of finite graphs",
+# 1983; Kapovich-Myasnikov, "Stallings foldings and subgroups of free
+# groups", 2002): the wedge of the image loops at a base vertex, each edge
+# labelled by a letter a_j of an image, is folded once, and the words are
+# read off that fold only when asked for.
+#
+# _fold is gauge-free (Touikan, "A fast algorithm for Stallings' folding
+# process", 2006): vertices and edge classes live in a union-find, and each
+# vertex class keeps its out-edges, label -> half-edge, merged smaller into
+# larger, where two half-edges with one label make a pending fold. A fold of
+# two distinct edge classes whose heads already coincide (type II) kills a
+# loop, so a nontrivial word maps to 1 and the tuple is not a basis; a fold
+# of distinct heads (type I) is a homotopy equivalence and is recorded. The
+# tuple is a basis iff the fold ends with one vertex: the rose with n loops
+# labelled a_1..a_n.
+#
+# inverse_images replays the recorded type-I folds with gauge words. Each
+# edge reads a domain word in x_1..x_n, and a closed path at the base reads
+# the domain word whose image is its label. Folding an edge reading d2 onto
+# one reading d1 changes the gauge at the absorbed head by g = d1^-1 d2 (its
+# out-edges then read g d, its in-edges d g^-1) and identifies the heads, so
+# in the end the loop labelled a_j reads phi^-1(a_j). The replay searches no
+# adjacency, but its gauge words make it quadratic in the images' length.
+
+
+def _wedge(words):
+    """The wedge of the loops of the words at the base vertex 0: the tail,
+    label and head of each half-edge, half-edge 2e running along edge e and
+    2e + 1 back, and the number of vertices."""
+    tails, labels, heads = [], [], []
+    n = 1
+    for w in words:
+        path = [0, *range(n, n + len(w) - 1), 0]
+        n += len(w) - 1
+        for t, l, h in zip(path, w, path[1:]):
+            tails += (t, h)
+            labels += (l, -l)
+            heads += (h, t)
+    return tails, labels, heads, n
 
 
 def _fold(images, rank: int):
-    """Inverse images of the basis x_i -> images[i], or None if not a basis."""
-    images = [w.letters for w in images]
-    if len(images) != rank or not all(images):
+    """The type-I folds (kept, folded half-edge), in order, that fold the
+    wedge of the image loops to the rank-n rose, or None if the images are
+    not a basis of F_rank."""
+    words = [w.letters for w in images]
+    if len(words) != rank or not all(words):
         return None
-    # vertex v: union-find parent and gauge word; the half-edge (a, l, b, d)
-    # from a to b labelled l reads G(a) d G(b)^-1, G(v) = G(parent) gauge[v]
-    parent, gauge, halves = [0], [()], []
-    for i, w in enumerate(images, 1):
-        tail = 0
-        for pos, l in enumerate(w, 1):
-            head = len(parent) if pos < len(w) else 0
-            if head:
-                parent.append(head)
-                gauge.append(())
-            d = (i,) if pos == 1 else ()
-            halves += [(tail, l, head, d), (head, -l, tail, inverse_letters(d))]
-            tail = head
+    tails, labels, heads, n = _wedge(words)
+    vertex = list(range(n))  # union-find parents of the vertices
+    edge = list(range(len(labels) // 2))  # and of the edge classes
+    out = [{} for _ in range(n)]  # vertex root -> {label: half-edge out of it}
+    todo = []  # (kept, folded): half-edges with one tail and one label
+    for h, (t, l) in enumerate(zip(tails, labels)):
+        kept = out[t].setdefault(l, h)
+        if kept != h:
+            todo.append((kept, h))
+
+    def find(parent, v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    folds = []
+    while todo:
+        h1, h2 = todo.pop()
+        v1, v2 = find(vertex, heads[h1]), find(vertex, heads[h2])
+        e1, e2 = find(edge, h1 >> 1), find(edge, h2 >> 1)
+        if v1 == v2:
+            if e1 != e2:
+                return None
+            continue
+        folds.append((h1, h2))
+        edge[e2] = e1
+        if len(out[v1]) < len(out[v2]):
+            v1, v2 = v2, v1
+        vertex[v2] = v1
+        n -= 1
+        big = out[v1]
+        for l, h in out[v2].items():
+            kept = big.setdefault(l, h)
+            if kept != h:
+                todo.append((kept, h))
+        out[v2] = None
+    return folds if n == 1 else None
+
+
+def is_basis(words, rank: int) -> bool:
+    """True iff the given Words form a free basis of F_rank."""
+    return _fold(words, rank) is not None
+
+
+def inverse_images(images, rank: int):
+    """Images of the inverse automorphism of x_i -> images[i]: the words
+    the rose's loops read once _fold's folds are replayed with gauge words.
+    Raises ValueError when the images do not form a basis."""
+    images = tuple(images)
+    folds = _fold(images, rank)
+    if folds is None:
+        raise ValueError("generator images do not form a basis")
+    words = [w.letters for w in images]
+    tails, labels, heads, n = _wedge(words)
+    domain = {}  # the first edge of loop i reads x_i, every other edge 1
+    first = 0
+    for i, w in enumerate(words, 1):
+        domain[first], domain[first + 1] = (i,), (-i,)
+        first += 2 * len(w)
+    # vertex v: union-find parent and gauge word; half-edge h reads
+    # G(tails[h]) domain[h] G(heads[h])^-1, G(v) = G(parent) gauge[v]
+    parent, gauge = list(range(n)), [()] * n
 
     def find(v):
         path = []
@@ -473,53 +553,17 @@ def _fold(images, rank: int):
 
     def read(h):
         """Head of half-edge h and the domain word it reads."""
-        a, _, b, d = halves[h]
-        (_, ga), (b, gb) = find(a), find(b)
-        return b, reduce_letters(ga + d + inverse_letters(gb))
+        (_, ga), (b, gb) = find(tails[h]), find(heads[h])
+        return b, reduce_letters(ga + domain.get(h, ()) + inverse_letters(gb))
 
-    adj = [{} for _ in parent]  # root -> {label: half-edge out of it}
-    todo = []  # (kept, folded): half-edges with one tail and one label
-
-    def place(h):
-        a, l = halves[h][:2]
-        kept = adj[find(a)[0]].setdefault(l, h)
-        if kept != h:
-            todo.append((kept, h))
-
-    for h in range(len(halves)):
-        place(h)
-    while todo:
-        h1, h2 = todo.pop()
+    for h1, h2 in folds:
         w1, d1 = read(h1)
         w2, d2 = read(h2)
         g = reduce_letters(inverse_letters(d1) + d2)
-        if w1 == w2:
-            if g:
-                return None
-            continue
         if w2 == 0:
             w1, w2, g = w2, w1, inverse_letters(g)
         parent[w2], gauge[w2] = w1, g
-        for h in adj[w2].values():
-            place(h)
-    loops = [adj[0].get(j) for j in range(1, rank + 1)]
-    if None in loops or any(read(h)[0] != 0 for h in loops):
-        return None
-    return [Word(read(h)[1]) for h in loops]
-
-
-def is_basis(words, rank: int) -> bool:
-    """True iff the given Words form a free basis of F_rank."""
-    return _fold(words, rank) is not None
-
-
-def inverse_images(images, rank: int):
-    """Images of the inverse automorphism of x_i -> images[i]; raises
-    ValueError when the images do not form a basis."""
-    inverse = _fold(images, rank)
-    if inverse is None:
-        raise ValueError("generator images do not form a basis")
-    return inverse
+    return [Word(read(labels.index(j))[1]) for j in range(1, rank + 1)]
 
 
 def enumerate_cyclic_words(rank: int, max_len: int):

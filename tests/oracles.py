@@ -14,7 +14,9 @@ decided letters tied to a or a^-1 by edges of infinite capacity: both are
 the library's earlier versions, kept as they were, against its single
 depth-first search and its residual-graph reading.
 The basis oracle folds by restarting its whole edge scan after every
-single fold, and reads no inverse. The leaf oracles expand each tile
+single fold, and reads no inverse. `gauge_fold` is the library's earlier
+basis fold, a gauge word per vertex carried through every fold, against
+which the union-find fold's verdict and its replayed inverse are checked. The leaf oracles expand each tile
 f^k(e) on the train-track graph, read it as a word of F_n and realize
 that word at the target, one depth at a time; tiles and Whitehead graphs
 are then read off these explicit paths. Paths are expanded and read by
@@ -396,6 +398,76 @@ def scan_is_basis(words, rank: int) -> bool:
         and labels == set(range(1, rank + 1))
         and all(u == b and v == b for (_, u, v) in edges)
     )
+
+
+def gauge_fold(images, rank: int):
+    """Reference for words.inverse_images and words.is_basis: the inverse
+    images of the basis x_i -> images[i], or None if not a basis. The
+    library's earlier fold, which carries a gauge word per vertex through
+    every fold and finds each pending fold by an adjacency search."""
+    images = [w.letters for w in images]
+    if len(images) != rank or not all(images):
+        return None
+    # vertex v: union-find parent and gauge word; the half-edge (a, l, b, d)
+    # from a to b labelled l reads G(a) d G(b)^-1, G(v) = G(parent) gauge[v]
+    parent, gauge, halves = [0], [()], []
+    for i, w in enumerate(images, 1):
+        tail = 0
+        for pos, l in enumerate(w, 1):
+            head = len(parent) if pos < len(w) else 0
+            if head:
+                parent.append(head)
+                gauge.append(())
+            d = (i,) if pos == 1 else ()
+            halves += [(tail, l, head, d), (head, -l, tail, inverse_letters(d))]
+            tail = head
+
+    def find(v):
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        g = ()
+        for u in reversed(path):
+            g = reduce_letters(g + gauge[u])
+            parent[u], gauge[u] = v, g
+        return v, g
+
+    def read(h):
+        """Head of half-edge h and the domain word it reads."""
+        a, _, b, d = halves[h]
+        (_, ga), (b, gb) = find(a), find(b)
+        return b, reduce_letters(ga + d + inverse_letters(gb))
+
+    adj = [{} for _ in parent]  # root -> {label: half-edge out of it}
+    todo = []  # (kept, folded): half-edges with one tail and one label
+
+    def place(h):
+        a, l = halves[h][:2]
+        kept = adj[find(a)[0]].setdefault(l, h)
+        if kept != h:
+            todo.append((kept, h))
+
+    for h in range(len(halves)):
+        place(h)
+    while todo:
+        h1, h2 = todo.pop()
+        w1, d1 = read(h1)
+        w2, d2 = read(h2)
+        g = reduce_letters(inverse_letters(d1) + d2)
+        if w1 == w2:
+            if g:
+                return None
+            continue
+        if w2 == 0:
+            w1, w2, g = w2, w1, inverse_letters(g)
+        parent[w2], gauge[w2] = w1, g
+        for h in adj[w2].values():
+            place(h)
+    loops = [adj[0].get(j) for j in range(1, rank + 1)]
+    if None in loops or any(read(h)[0] != 0 for h in loops):
+        return None
+    return [Word(read(h)[1]) for h in loops]
 
 
 def path_word(point, path):

@@ -148,6 +148,22 @@ class TestValidate:
         for key in ("rose", "uneven", "theta", "fig1"):
             assert main(["validate", files[key]]) == 0
 
+    def test_far_axis_point(self, tmp_path, capsys, golden_axis):
+        # the golden axis point at s = 16 has 4 181 marking letters; a copy
+        # with one letter of a marking loop changed is no basis
+        d = point_to_dict(golden_axis.shift(golden_axis.base, 16))
+        p = tmp_path / "far.graph"
+        p.write_text(json.dumps(d))
+        assert main(["validate", str(p)]) == 0
+        assert capsys.readouterr().out == "valid\n"
+        loop = list(d["marking"]["a"])
+        loop[1000] = "e2" if loop[1000] == "e1" else "e1"
+        p.write_text(json.dumps(dict(d, marking=dict(d["marking"], a=loop))))
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr() == (
+            "invalid: marking loops do not define a basis of the free group\n",
+            "error: point fails validation\n")
+
     def test_invalid_graph(self, files, tmp_path, capsys):
         bad = dict(THETA_DICT)
         bad["edges"] = [dict(e, length="1/2") for e in THETA_DICT["edges"]]
@@ -340,9 +356,10 @@ class TestTT:
         assert "word abaababa" in out
 
     def test_leaf_word_read_through_label_table(self, files, capsys, monkeypatch):
-        # golden f^25(e1) has 196 418 half-edges; once the map is loaded,
-        # neither letter-by-letter pass of the old path_word may run, nor
-        # the reduce_letters that graphs looks up
+        # golden f^25(e1) has 196 418 half-edges; once the map is loaded
+        # and its marking inverse read (on first use, since validation
+        # reads none), neither letter-by-letter pass of the old path_word
+        # may run, nor the reduce_letters that graphs looks up
         tt = pf_metric(selfmap_from_dict(GOLDEN_MAP))
         path = oracles.leaf_path(tt, 1, 25)
         word = oracles.path_word(tt.point, path)
@@ -352,6 +369,7 @@ class TestTT:
 
         def pf_then_refuse(sm):
             tt = pf_metric(sm)
+            tt.point.marking_inverse()
             monkeypatch.setattr(Automorphism, "apply_letters", refuse)
             monkeypatch.setattr(MarkedMetricGraph, "geo_word_of_path", refuse)
             monkeypatch.setattr(graphs_mod, "reduce_letters", refuse)

@@ -138,8 +138,9 @@ def _cell_point(cell, rank, rng, n_moves=3):
 class TestBasisCertificate:
     @pytest.mark.parametrize("cell", ["rose", "theta", "barbell", "trivalent"])
     def test_label_classes_minimize_to_basis(self, cell):
-        # validate_point certifies a marking by its folded and verified
-        # inverse alone; the edge labels must then reduce to single letters
+        # validate_point certifies a marking by the basis fold alone; the
+        # edge labels, read from the inverse on first use, must then reduce
+        # to single letters
         rng = random.Random(cell)
         for rank in range(2, 6):
             for _ in range(3):
@@ -147,6 +148,34 @@ class TestBasisCertificate:
                 assert validate_point(point).valid
                 labels = [CyclicWord.make(w.letters) for w in point.marking_inverse().images]
                 assert whitehead_minimize(labels, rank).terminal_state == "basis-reached"
+
+    def test_validation_reads_no_inverse(self, monkeypatch, golden_axis):
+        """point_from_dict certifies a marking by the basis fold alone, and
+        neither reads nor checks an inverse: at a random point read back
+        from its dict, and at the golden axis point at s = 16 (4 181
+        letters). Each inverse is then read on first use. It is the gauge
+        fold's at the random point, and at the axis point the inverse its
+        composed map knows (the gauge fold takes seconds there). A
+        one-letter corruption of the long marking is rejected."""
+        near, far = random_point(4, 11), golden_axis.shift(golden_axis.base, 16)
+        dicts = [point_to_dict(near), point_to_dict(far)]
+
+        def refuse(*args):
+            raise AssertionError("validation read an inverse")
+
+        monkeypatch.setattr(words_mod, "inverse_images", refuse)
+        monkeypatch.setattr(words_mod, "verify_inverse", refuse)
+        got_near, got_far = map(point_from_dict, dicts)
+        monkeypatch.undo()
+        images = got_near.marking_map().images
+        assert got_near.marking_inverse().images == tuple(oracles.gauge_fold(images, 4))
+        assert got_far.marking_inverse().images == far.marking_inverse().images
+        loop = list(dicts[1]["marking"]["a"])
+        loop[1000] = "e2" if loop[1000] == "e1" else "e1"
+        bad = dict(dicts[1], marking=dict(dicts[1]["marking"], a=loop))
+        with pytest.raises(InvalidPointError) as e:
+            point_from_dict(bad)
+        assert e.value.problems == ["marking loops do not define a basis of the free group"]
 
 
 CELLS = ["rose", "theta", "barbell", "trivalent"]

@@ -531,11 +531,12 @@ class TestRealizedLeaves:
             end = tt.leaf_end(X)
             assert (end.functional, end.turns) == oracles.leaf_end_closed_form(tt, X, end)
 
-    def test_repeat_with_a_shorter_tile_reads_on(self, monkeypatch):
+    def test_repeat_with_a_shorter_tile_stops(self, monkeypatch):
         """At window 1 the golden leaf ends at this rose repeat from level 0
-        to level 1, where the tile of e2 is shorter (3 half-edges against 5):
-        the walk reads on to a repeat where no tile is shorter, and its end
-        is that of the oracles."""
+        to level 1, where the tile of e2 is shorter (3 half-edges against 5).
+        Every tile is longer than twice the window, so the windows of level 0
+        fix those of every later level: the walk stops at level 1 with
+        period 1, and its end is that of the oracles."""
         monkeypatch.setattr(traintrack, "LEAF_WINDOW", 1)
         X = _cell_point("rose", 2, random.Random(9), n_moves=7)
         tt = pf_metric(golden_selfmaps()[0])
@@ -544,7 +545,7 @@ class TestRealizedLeaves:
         assert all(t.n > 2 for t in level0 + level1)
         assert [t.n for t in level0] == [3, 5] and [t.n for t in level1] == [8, 3]
         end = tt.leaf_end(X)
-        assert end.level == 2 and end.period == 1
+        assert end.level == 1 and end.period == 1
         assert set(map(frozenset, end.turns)) == oracles.leaf_turns(tt, X)
         a = lamination_length_ratio(tt, X).value
         assert abs(oracles.lamination_ratio(tt, X, 60) - a) <= 20 * tt.lam ** -60 + 1e-12 * a

@@ -18,6 +18,7 @@ from outerspacekit.words import (
     inverse_images,
     inverse_letters,
     is_basis,
+    random_automorphism,
     random_whitehead_move,
     reduce_letters,
     signed_letters,
@@ -25,7 +26,13 @@ from outerspacekit.words import (
 )
 
 from .conftest import aut
-from .oracles import all_whitehead_moves, apply_cyclic, scan_is_basis, strip_inverse_ends
+from .oracles import (
+    all_whitehead_moves,
+    apply_cyclic,
+    gauge_fold,
+    scan_is_basis,
+    strip_inverse_ends,
+)
 
 
 def random_reduced_letters(rng, rank, length):
@@ -346,3 +353,62 @@ class TestBasisFold:
             phi = phi.compose(random_whitehead_move(5, rng).automorphism(5))
         images = Automorphism(5, phi.images)
         assert verify_inverse(images, Automorphism(5, inverse_images(phi.images, 5)))
+
+
+def _assert_fold_matches_oracles(images, rank):
+    """The union-find fold's verdict is the scan oracle's and the gauge
+    fold's, and the inverse it replays is the gauge fold's."""
+    expected = gauge_fold(images, rank)
+    assert is_basis(images, rank) == scan_is_basis(images, rank) == (expected is not None)
+    if expected is None:
+        with pytest.raises(ValueError, match="do not form a basis"):
+            inverse_images(images, rank)
+    else:
+        assert inverse_images(images, rank) == expected
+
+
+def _near_bases(images, rng):
+    """Tuples next to a basis: one letter of one image substituted, inserted
+    or deleted; one image raised to a proper power; the next image repeated
+    in its place; one image emptied."""
+    rank = len(images)
+    words = [list(w.letters) for w in images]
+    j = rng.randrange(rank)
+    edited = list(words[j])
+    p = rng.randrange(len(edited) + 1)
+    letter = rng.choice(list(signed_letters(rank)))
+    kind = rng.randrange(3)
+    if kind == 0 and edited:
+        edited[p % len(edited)] = letter
+    elif kind == 1:
+        edited.insert(p, letter)
+    elif edited:
+        del edited[p % len(edited)]
+    out = []
+    for new_j in (edited, words[j] * rng.randint(2, 3), words[(j + 1) % rank], []):
+        near = list(images)
+        near[j] = Word(reduce_letters(new_j))
+        out.append(near)
+    return out
+
+
+class TestFoldAgainstOracles:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
+    def test_random_bases_and_their_neighbours(self, rank):
+        rng = random.Random(2800 + rank)
+        for _ in range(40):
+            images = list(random_automorphism(rank, rng, rng.randint(0, 10)).images)
+            _assert_fold_matches_oracles(images, rank)
+            for near in _near_bases(images, rng):
+                _assert_fold_matches_oracles(near, rank)
+
+    def test_axis_markings(self, golden_axis, tribo_axis):
+        """Golden and plastic axis markings, lambda^s long, and their
+        neighbours."""
+        rng = random.Random(28)
+        for ax in (golden_axis, tribo_axis):
+            for s in (-12, -7, -2, 0, 3, 8, 12):
+                images = list(ax.shift(ax.base, s).marking_map().images)
+                _assert_fold_matches_oracles(images, ax.base.rank)
+                for near in _near_bases(images, rng):
+                    _assert_fold_matches_oracles(near, ax.base.rank)

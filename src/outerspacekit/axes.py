@@ -452,7 +452,14 @@ def morse_sample_record(ax: Axis, seed: int, sample: int) -> MorseRecord:
 
 
 def contraction_experiment(ax: Axis, n_samples: int, seed: int, mode: str = "balls"):
-    """Monte-Carlo contraction probes; deterministic in (seed, sample)."""
+    """Monte-Carlo contraction probes; deterministic in (seed, sample).
+
+    Neither sampler, balls or morse, has been shown to detect an axis that
+    is not strongly contracting: on the swap-golden control, whose axis
+    lies in a flat, they report numbers of the size they report on the
+    rank-4 axis. The flat scan of TestFlat in tests/test_axes.py does
+    detect it: its projection spread grows linearly on the control and
+    stays within 2 levels on the rank-4 axis."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     records = []

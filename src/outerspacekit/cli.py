@@ -363,7 +363,11 @@ def build_parser():
     q.add_argument("--word", required=True)
     q.add_argument("--window", type=int, default=6)
     q.set_defaults(func=cmd_axis, action="profile")
-    q = axsub.add_parser("contract")
+    q = axsub.add_parser(
+        "contract", help="ball or Morse contraction samples along the axis",
+        description="Ball or Morse contraction samples along the axis. Neither "
+        "sampler has been shown to detect an axis that is not strongly contracting; "
+        "the flat test (TestFlat in tests/test_axes.py) does.")
     common(q)
     q.add_argument("--samples", type=int, default=20)
     q.add_argument("--seed", type=int, default=0)

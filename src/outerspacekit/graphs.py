@@ -31,8 +31,11 @@ from .words import (
     CyclicWord,
     Word,
     cyclic_tighten,
+    find,
     inverse_letters,
     join_pieces,
+    letter_key,
+    piece_table,
     random_automorphism,
     reduce_letters,
     word_key,
@@ -63,7 +66,7 @@ class MetricGraph:
         for i, (u, v) in enumerate(self.ends):
             out[u].append(i + 1)
             out[v].append(-(i + 1))
-        self._out = tuple(tuple(sorted(hs, key=lambda h: (abs(h), h < 0))) for hs in out)
+        self._out = tuple(tuple(sorted(hs, key=letter_key)) for hs in out)
         # half-edge -> (initial vertex, terminal vertex), for h in +-1..+-n_edges
         self._inc = {s * (i + 1): e[::s] for i, e in enumerate(self.ends) for s in (1, -1)}
         self._loops = []  # [candidate_paths()] once computed, shared by with_lengths copies
@@ -145,41 +148,8 @@ class MetricGraph:
             self._loops.append(_candidate_paths(self))
         return self._loops[0]
 
-    def connected(self) -> bool:
-        if self.n_vertices == 0:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for h in self._out[v]:
-                w = self.term_of(h)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n_vertices
-
     def betti(self) -> int:
         return self.n_edges - self.n_vertices + 1
-
-    def subgraph_is_forest(self, edge_indices) -> bool:
-        parent = {}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for i in edge_indices:
-            u, v = self.ends[i]
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
 
 
 def tighten_path(graph: MetricGraph, path):
@@ -202,8 +172,33 @@ def tighten_path(graph: MetricGraph, path):
     return reduce_letters(path)
 
 
-def reverse_path(path):
-    return tuple(-h for h in reversed(path))
+def edge_map_pieces(source: MetricGraph, target: MetricGraph, vertex_images, edge_images):
+    """The half-edge table of a graph map from source to target: each
+    half-edge h of source -> its image path in target, reversed for a
+    reversed edge, the pieces join_pieces substitutes to map a path.
+
+    The one edge-map check: every vertex of source has an image, and each
+    edge e (1-based) a nonempty tight image path edge_images[e] in target,
+    from the image of its initial vertex to that of its terminal vertex.
+    Raises ValueError naming the first vertex or edge id that fails.
+    """
+    for v in range(source.n_vertices):
+        if v not in vertex_images:
+            raise ValueError(f"missing vertex image for vertex {v}")
+    paths = []
+    for e, (u, v) in enumerate(source.ends, 1):
+        name = source.edge_ids[e - 1]
+        path = tuple(edge_images.get(e) or ())
+        if not path:
+            raise ValueError(f"edge {name} has empty or missing image")
+        if tighten_path(target, path) != path:
+            raise ValueError(f"image of edge {name} is not tight")
+        if target.init_of(path[0]) != vertex_images[u]:
+            raise ValueError(f"image of edge {name} starts at wrong vertex")
+        if target.term_of(path[-1]) != vertex_images[v]:
+            raise ValueError(f"image of edge {name} ends at wrong vertex")
+        paths.append(path)
+    return piece_table(paths)
 
 
 @dataclass(frozen=True)
@@ -338,13 +333,8 @@ class MarkedMetricGraph:
         if m.labels is None:
             self._ensure_tree()
             images = self.marking_inverse().images
-            labels = {}
-            for i in range(self.graph.n_edges):
-                g = m.geo_letter.get(i)
-                w = () if g is None else images[g - 1].letters
-                labels[i + 1] = w
-                labels[-(i + 1)] = inverse_letters(w)
-            m.labels = labels
+            m.labels = piece_table(() if g is None else images[g - 1].letters
+                                   for g in map(m.geo_letter.get, range(self.graph.n_edges)))
         return m.labels
 
     def path_word(self, path) -> Word:
@@ -375,12 +365,7 @@ class MarkedMetricGraph:
         """Letter +-i -> generator loop i tightened, reversed for -i."""
         m = self.marking
         if m.pieces is None:
-            pieces = {}
-            for i, loop in enumerate(self.gen_loops):
-                tight = reduce_letters(loop)
-                pieces[i + 1] = tight
-                pieces[-(i + 1)] = reverse_path(tight)
-            m.pieces = pieces
+            m.pieces = piece_table(map(reduce_letters, self.gen_loops))
         return m.pieces
 
     def realize_based(self, letters):
@@ -583,16 +568,16 @@ def _candidate_paths(g: MetricGraph):
                 a = _rotate_cycle_to(p1, v, g)
                 b = _rotate_cycle_to(p2, v, g)
                 paths.append(("figure-eight", a + b))
-                paths.append(("figure-eight", a + reverse_path(b)))
+                paths.append(("figure-eight", a + inverse_letters(b)))
             elif not common:
                 for arc in _arcs_between(g, v1, v2, e1 | e2):
                     u1 = g.init_of(arc[0])
                     u2 = g.term_of(arc[-1])
                     a = _rotate_cycle_to(p1, u1, g)
                     b = _rotate_cycle_to(p2, u2, g)
-                    paths.append(("barbell", a + arc + b + reverse_path(arc)))
+                    paths.append(("barbell", a + arc + b + inverse_letters(arc)))
                     paths.append(
-                        ("barbell", a + arc + reverse_path(b) + reverse_path(arc))
+                        ("barbell", a + arc + inverse_letters(b) + inverse_letters(arc))
                     )
     return tuple(paths)
 
@@ -622,16 +607,28 @@ def validate_point(point: MarkedMetricGraph) -> ValidationReport:
     for v in range(g.n_vertices):
         if g.valence(v) < 3:
             problems.append(f"vertex {v} has valence {g.valence(v)} < 3")
+    # written so that a NaN, which fails every comparison, is reported
     vol = g.volume()
-    if abs(vol - 1.0) > LENGTH_TOL:
+    if not abs(vol - 1.0) <= LENGTH_TOL:
         problems.append(f"volume {vol!r} != 1")
     for i, l in enumerate(g.lengths):
-        if l < 0.0 or l > 1.0:
+        if not 0.0 <= l <= 1.0:
             problems.append(f"edge {g.edge_ids[i]} length {l} outside [0, 1]")
-    zero = [i for i, l in enumerate(g.lengths) if l == 0.0]
-    if zero and not g.subgraph_is_forest(zero):
+    # one union-find pass over the edges, the zero-length ones first: one
+    # whose ends are joined already closes a circle of zero-length edges
+    parent = list(range(g.n_vertices))
+    parts, circle = g.n_vertices, False
+    for i in sorted(range(g.n_edges), key=lambda i: g.lengths[i] != 0.0):
+        a, b = g.ends[i]
+        u, v = find(parent, a), find(parent, b)
+        if u != v:
+            parent[u] = v
+            parts -= 1
+        elif g.lengths[i] == 0.0:
+            circle = True
+    if circle:
         problems.append("zero-length subgraph contains a circle")
-    if not g.connected():
+    if parts != 1:
         problems.append("graph is not connected")
         return ValidationReport(False, problems)
     if g.betti() != point.rank:
@@ -669,54 +666,30 @@ def minimal_model(point: MarkedMetricGraph) -> MarkedMetricGraph:
     """
     g = point.graph
     longest = max(range(g.n_edges), key=lambda i: (g.lengths[i], -i))
-    # spanning structure avoiding `longest` where possible
-    parent = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for v in range(g.n_vertices):
-        parent[v] = v
-    forest = []
-    order = sorted(range(g.n_edges), key=lambda i: (i == longest, i))
-    for i in order:
-        u, v = g.ends[i]
-        if find(u) != find(v):
-            parent[find(u)] = find(v)
-            forest.append(i)
-    if longest in forest:
-        forest.remove(longest)  # separating edge: collapse the rest of the tree
-    # rebuild union-find over the collapsed forest only
-    parent = {v: v for v in range(g.n_vertices)}
-    for i in forest:
-        u, v = g.ends[i]
-        if find(u) != find(v):
-            parent[find(u)] = find(v)
-    classes = sorted({find(v) for v in range(g.n_vertices)})
-    new_index = {c: k for k, c in enumerate(classes)}
+    # one union-find pass over the edges other than the longest, in index
+    # order: those that join two classes make the forest collapsed, so the
+    # longest edge is kept even where it separates the graph
+    parent = list(range(g.n_vertices))
+    forest = set()
+    for i, (a, b) in enumerate(g.ends):
+        u, v = find(parent, a), find(parent, b)
+        if u != v and i != longest:
+            parent[u] = v
+            forest.add(i)
+    root = [find(parent, v) for v in range(g.n_vertices)]
+    new_index = {c: k for k, c in enumerate(sorted(set(root)))}
     kept = [i for i in range(g.n_edges) if i not in forest]
     vol = math.fsum(g.lengths[i] for i in kept)
     new_graph = MetricGraph(
-        len(classes),
+        len(new_index),
         [g.edge_ids[i] for i in kept],
-        [(new_index[find(g.ends[i][0])], new_index[find(g.ends[i][1])]) for i in kept],
+        [(new_index[root[u]], new_index[root[v]]) for u, v in (g.ends[i] for i in kept)],
         [g.lengths[i] / vol for i in kept],
     )
-    old_to_new = {}
-    kept_set = set(kept)
-    for k, i in enumerate(kept):
-        old_to_new[i + 1] = k + 1
-        old_to_new[-(i + 1)] = -(k + 1)
-    new_loops = []
-    for loop in point.gen_loops:
-        mapped = [old_to_new[h] for h in loop if abs(h) - 1 in kept_set]
-        new_loops.append(tighten_path(new_graph, mapped))
-    return MarkedMetricGraph(
-        new_graph, new_index[find(point.basepoint)], new_loops
-    )
+    old_to_new = {s * (i + 1): s * k for k, i in enumerate(kept, 1) for s in (1, -1)}
+    new_loops = [tighten_path(new_graph, [old_to_new[h] for h in loop if h in old_to_new])
+                 for loop in point.gen_loops]
+    return MarkedMetricGraph(new_graph, new_index[root[point.basepoint]], new_loops)
 
 
 def rose(rank: int, lengths=None) -> MarkedMetricGraph:
@@ -756,7 +729,10 @@ def random_point(rank: int, seed: int, n_moves: int = 3, jitter: float = 0.3):
 
 def _parse_length(x):
     if isinstance(x, str):
-        return float(Fraction(x))
+        try:
+            return float(Fraction(x))
+        except ZeroDivisionError:
+            raise ValueError(f"length {x!r} divides by zero") from None
     return float(x)
 
 

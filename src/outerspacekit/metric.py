@@ -34,19 +34,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import truediv
 
 from .graphs import (
     CandidateLoop,
     MarkedMetricGraph,
+    edge_map_pieces,
     enumerate_candidates,
-    reverse_path,
-    tighten_path,
 )
 from .words import (
     cyclic_tighten,
     enumerate_cyclic_words,
+    inverse_letters,
+    join_pieces,
     reduce_letters,
     word_key,
 )
@@ -150,7 +150,7 @@ def _common_conjugator_is_inner(images, rank):
     if cyclic_tighten(images[0]) != (1,):
         return False
     u = tuple(images[0][: (len(images[0]) - 1) // 2])  # images[0] = u x_1 u^-1
-    inv_u = tuple(-l for l in reversed(u))
+    inv_u = inverse_letters(u)
     stripped = [reduce_letters(inv_u + tuple(im) + u) for im in images]
     if rank == 1:
         return stripped[0] == (1,)
@@ -162,7 +162,7 @@ def _common_conjugator_is_inner(images, rank):
         k += 1 if second[i] > 0 else -1
         i += 1
     conj = tuple([1] * k) if k >= 0 else tuple([-1] * (-k))
-    inv_conj = tuple(-l for l in reversed(conj))
+    inv_conj = inverse_letters(conj)
     for idx, im in enumerate(stripped):
         if im != reduce_letters(conj + (idx + 1,) + inv_conj):
             return False
@@ -174,29 +174,17 @@ def linear_map_lipschitz(
 ) -> LipschitzReport:
     """Per-edge slopes, Lipschitz constant and green subgraph of a linear map.
 
-    The map must be a difference of markings: its images of the generator
+    The vertex and edge images are checked as a self-map's are
+    (graphs.edge_map_pieces: every edge image tight and nonempty), and the
+    map must be a difference of markings: its images of the generator
     loops of x must agree with the marking of y up to a single common
     conjugation (checked exactly on the fundamental group).
     """
     gx, gy = x.graph, y.graph
-    image = {}  # half-edge of x -> its tightened image path in y
-    for e in range(1, gx.n_edges + 1):
-        if e not in spec.edge_images:
-            raise ValueError(f"edge image missing for edge index {e}")
-        path = spec.edge_images[e]
-        if not path:
-            raise ValueError(f"edge {e} mapped to a constant; not a linear map spec")
-        image[e] = tighten_path(gy, path)  # raises on a bad half-edge or broken incidence
-        u, v = gx.ends[e - 1]
-        if gy.init_of(path[0]) != spec.vertex_images[u]:
-            raise ValueError(f"image of edge {e} does not start at the vertex image")
-        if gy.term_of(path[-1]) != spec.vertex_images[v]:
-            raise ValueError(f"image of edge {e} does not end at the vertex image")
-        image[-e] = reverse_path(image[e])
+    image = edge_map_pieces(gx, gy, spec.vertex_images, spec.edge_images)
     # consistency with the markings, checked on generator loops: path_word
     # closes each image loop up through y's spanning tree
-    images = [y.path_word(chain.from_iterable(map(image.__getitem__, loop))).letters
-              for loop in x.gen_loops]
+    images = [y.path_word(join_pieces(image, loop)).letters for loop in x.gen_loops]
     if not _common_conjugator_is_inner(images, x.rank):
         raise ValueError("edge images are inconsistent with the markings")
     slopes = {}

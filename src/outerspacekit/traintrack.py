@@ -35,9 +35,8 @@ import numpy as np
 from .graphs import (
     MarkedMetricGraph,
     MetricGraph,
+    edge_map_pieces,
     point_from_dict,
-    reverse_path,
-    tighten_path,
 )
 from .whitehead import (
     WhiteheadGraph,
@@ -48,7 +47,9 @@ from .words import (
     Automorphism,
     WhiteheadMove,
     cyclic_tighten,
+    inverse_letters,
     join_pieces,
+    letter_key,
     verify_inverse,
 )
 
@@ -73,32 +74,18 @@ class NotTrainTrackError(ValueError):
 
 
 class GraphSelfMap:
-    """A self-map of a marked graph: vertex images and tight edge images.
+    """A self-map of a marked graph: vertex images and tight edge images,
+    checked by graphs.edge_map_pieces.
 
     `halfedge_images` maps each half-edge to its image path, reversed for a
     reversed edge: the pieces join_pieces substitutes to map a path."""
 
     def __init__(self, point: MarkedMetricGraph, vertex_images, edge_images):
         self.point = point
-        g = point.graph
         self.vertex_images = {int(v): int(w) for v, w in vertex_images.items()}
         self.edge_images = {int(e): tuple(p) for e, p in edge_images.items()}
-        self.halfedge_images = {}
-        for v in range(g.n_vertices):
-            if v not in self.vertex_images:
-                raise ValueError(f"missing vertex image for vertex {v}")
-        for e in range(1, g.n_edges + 1):
-            path = self.edge_images.get(e)
-            if not path:
-                raise ValueError(f"edge {g.edge_ids[e - 1]} has empty or missing image")
-            if tighten_path(g, path) != path:
-                raise ValueError(f"image of edge {g.edge_ids[e - 1]} is not tight")
-            u, v = g.ends[e - 1]
-            if g.init_of(path[0]) != self.vertex_images[u]:
-                raise ValueError(f"image of edge {g.edge_ids[e - 1]} starts at wrong vertex")
-            if g.term_of(path[-1]) != self.vertex_images[v]:
-                raise ValueError(f"image of edge {g.edge_ids[e - 1]} ends at wrong vertex")
-            self.halfedge_images[e], self.halfedge_images[-e] = path, reverse_path(path)
+        self.halfedge_images = edge_map_pieces(point.graph, point.graph, self.vertex_images,
+                                               self.edge_images)
 
     @property
     def graph(self) -> MetricGraph:
@@ -152,7 +139,7 @@ def gates(f: GraphSelfMap) -> TrainTrackStructure:
     """
     g = f.graph
     dmap = f.direction_map()
-    dirs = sorted(dmap, key=lambda h: (abs(h), h < 0))
+    dirs = sorted(dmap, key=letter_key)
     groups = {}
     for h in dirs:
         image = h
@@ -294,21 +281,13 @@ class TrainTrackMap:
                 first = pieces[edge_index]
         return pieces, first
 
-    def leaf_array(self, edge_index: int, k: int) -> np.ndarray:
-        """f^k(e) for the half-edge e = edge_index, as a 1-D np.intp array
-        of half-edges, with the errors of leaf_pieces.
-
-        Split at half depth: one concatenate of the f^(k - k // 2) pieces
-        of the half-edges of f^(k // 2)(e), each about sqrt(len) long, so
-        the result is the one allocation of its size.
-        """
-        pieces, first = self.leaf_pieces(edge_index, k)
-        return np.concatenate([pieces[h] for h in first.tolist()])
-
     def leaf_path(self, edge_index: int, k: int):
-        """f^k(e) as a tuple of Python ints: leaf_array(edge_index, k), with
-        the same errors."""
-        return tuple(self.leaf_array(edge_index, k).tolist())
+        """f^k(e) for the half-edge e = edge_index, as a tuple of Python
+        ints, with the errors of leaf_pieces: one concatenate of the
+        f^(k - k // 2) pieces of the half-edges of f^(k // 2)(e), each about
+        sqrt(len) long."""
+        pieces, first = self.leaf_pieces(edge_index, k)
+        return tuple(np.concatenate([pieces[h] for h in first.tolist()]).tolist())
 
     def leaf_end(self, point: MarkedMetricGraph, k_cap: int = LEAF_K_CAP) -> "LeafEnd":
         """The periodic end of the leaf tiles at `point` (see LeafEnd),
@@ -498,7 +477,7 @@ class LeafTile:
     def reversed(self) -> "LeafTile":
         # a turn is unordered, so reversing keeps the counts
         if self.flipped is None:
-            self.flipped = LeafTile(self.n, reverse_path(self.tail), reverse_path(self.head),
+            self.flipped = LeafTile(self.n, inverse_letters(self.tail), inverse_letters(self.head),
                                     self.counts, self)
         return self.flipped
 

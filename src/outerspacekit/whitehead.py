@@ -44,9 +44,9 @@ from .words import (
     WhiteheadMove,
     canonical_cyclic,
     cyclic_tighten,
-    inverse_letters,
     join_pieces,
     letter_key,
+    piece_table,
     signed_letters,
 )
 
@@ -230,9 +230,7 @@ def _apply_move(move: WhiteheadMove, words, rank):
     """Images under the move of cyclically reduced letter tuples: each one
     substituted by join_pieces and cyclically tightened (in no canonical
     rotation)."""
-    image = {}
-    for x, im in enumerate(move.images(rank), 1):
-        image[x], image[-x] = im, inverse_letters(im)
+    image = piece_table(move.images(rank))
     return [cyclic_tighten(join_pieces(image, w)) for w in words]
 
 

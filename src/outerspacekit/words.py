@@ -76,6 +76,15 @@ def inverse_letters(letters) -> tuple:
     return tuple(-l for l in reversed(letters))
 
 
+def piece_table(words) -> dict:
+    """The join_pieces table of a map given on the generators or edges
+    1..n: +i -> the i-th of the words, -i -> its inverse."""
+    table = {}
+    for i, w in enumerate(words, 1):
+        table[i], table[-i] = w, inverse_letters(w)
+    return table
+
+
 def _check_letters(letters, rank=None):
     for l in letters:
         if not isinstance(l, int) or l == 0:
@@ -272,9 +281,7 @@ class Automorphism:
     def _letter_table(self) -> dict:
         """Letter +-i -> the letters of the image of +-i, built on first use."""
         if self._table is None:
-            table = self._table = {}
-            for i, im in enumerate(self.images, 1):
-                table[i], table[-i] = im.letters, inverse_letters(im.letters)
+            self._table = piece_table(im.letters for im in self.images)
         return self._table
 
     def _outside(self, letter) -> ValueError:
@@ -429,6 +436,14 @@ def signed_letters(rank: int):
         yield -i
 
 
+def find(parent, v):
+    """The root of v in the union-find forest `parent`, a list or dict of
+    parents in which a root is its own, halving the path to it."""
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
+
+
 # Basis certification and inversion (Stallings, "Topology of finite graphs",
 # 1983; Kapovich-Myasnikov, "Stallings foldings and subgroups of free
 # groups", 2002): the wedge of the image loops at a base vertex, each edge
@@ -486,12 +501,6 @@ def _fold(images, rank: int):
         kept = out[t].setdefault(l, h)
         if kept != h:
             todo.append((kept, h))
-
-    def find(parent, v):
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
     folds = []
     while todo:
         h1, h2 = todo.pop()

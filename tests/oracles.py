@@ -67,7 +67,6 @@ from outerspacekit.graphs import (
     _arcs_between,
     _embedded_circles,
     _rotate_cycle_to,
-    reverse_path,
     tighten_path,
 )
 from outerspacekit.metric import distance
@@ -94,6 +93,12 @@ from outerspacekit.words import (
     signed_letters,
     word_key,
 )
+
+
+def reverse_path(path):
+    """A half-edge path walked backwards."""
+    return tuple(-h for h in reversed(path))
+
 
 def all_whitehead_moves(rank: int):
     """All (A, a) moves, identity-like ones included, in deterministic order."""

@@ -21,9 +21,10 @@ from outerspacekit.axes import (
 )
 from outerspacekit.graphs import jitter_lengths, random_point, rose
 from outerspacekit.metric import distance
-from outerspacekit.traintrack import legality_report
+from outerspacekit.traintrack import legality_report, pf_metric
 from outerspacekit.words import Automorphism, CyclicWord, random_automorphism
 
+from .conftest import aut, swap_golden_selfmaps
 from .oracles import apply_cyclic, automorphism_power
 from .test_graphs import CELLS, _cell_point
 
@@ -195,6 +196,46 @@ class TestContraction:
     def test_bad_mode(self, golden_axis):
         with pytest.raises(ValueError):
             contraction_experiment(golden_axis, 1, 0, mode="nope")
+
+
+def flat_spread(ax, t):
+    """(ball size, spread): the ball {Z = G_0 . psi1^i psi2^j : d(Y, Z) <
+    d(Y, axis)} around Y = G_0 . psi1^t, for i in [-t, 2t] and j in
+    [-t, t], with psi1 golden on <a, b> and psi2 golden on <c, d>, and the
+    levels its projections to the axis spread over."""
+    psi1, psi2 = aut(4, "ab", "a", "c", "d"), aut(4, "a", "b", "cd", "c")
+    G0 = ax.point(0)
+    Y = G0.act(automorphism_power(psi1, t))
+    radius = project(Y, ax).value
+    argmins = []
+    for i in range(-t, 2 * t + 1):
+        for j in range(-t, t + 1):
+            Z = G0.act(automorphism_power(psi1, i).compose(automorphism_power(psi2, j)))
+            if distance(Y, Z).value < radius:
+                argmins.append(project(Z, ax).argmin)
+    return len(argmins), max(a[-1] for a in argmins) - min(a[0] for a in argmins)
+
+
+class TestFlat:
+    """The ball scan of ROADMAP item 2. On the swap-golden control, phi^2 =
+    psi1 psi2, so the ball lies in a flat and its projections spread over
+    4, 6, 10 and 14 levels at t = 2, 4, 6 and 8: the control's axis is not
+    strongly contracting. On the rank-4 axis, where psi1 does not commute
+    with phi, the same scan spreads over 0, 1, 2 and 2 levels while the
+    ball grows from 9 to 225 points."""
+
+    def test_control_spread_grows_linearly(self):
+        ax = Axis(*map(pf_metric, swap_golden_selfmaps()))
+        for t in (2, 4, 6, 8):
+            assert flat_spread(ax, t)[1] >= t + 2
+
+    def test_rank4_spread_stays_bounded(self, rank4_axis):
+        sizes = []
+        for t in (2, 4, 6, 8):
+            size, spread = flat_spread(rank4_axis, t)
+            assert spread <= 2
+            sizes.append(size)
+        assert sizes == [9, 49, 121, 225]
 
 
 class TestDivergence:

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import random
 
 import pytest
@@ -164,6 +165,19 @@ class TestValidate:
             "invalid: marking loops do not define a basis of the free group\n",
             "error: point fails validation\n")
 
+    def test_nan_length_is_invalid(self, files, tmp_path, capsys):
+        # NaN fails every comparison: the point once validated, and dist
+        # printed "value nan" before failing on an empty min()
+        p = tmp_path / "nan.graph"
+        edges = [dict(THETA_DICT["edges"][0], length=math.nan), *THETA_DICT["edges"][1:]]
+        p.write_text(json.dumps(dict(THETA_DICT, edges=edges)))
+        problems = ["volume nan != 1", "edge e1 length nan outside [0, 1]"]
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr() == ("".join(f"invalid: {s}\n" for s in problems),
+                                       "error: point fails validation\n")
+        assert main(["dist", str(p), files["theta"]]) == 1
+        assert capsys.readouterr() == ("", f"error: {'; '.join(problems)}\n")
+
     def test_invalid_graph(self, files, tmp_path, capsys):
         bad = dict(THETA_DICT)
         bad["edges"] = [dict(e, length="1/2") for e in THETA_DICT["edges"]]
@@ -179,6 +193,8 @@ MALFORMED_GRAPHS = {
     "no-length": dict(THETA_DICT, edges=[{k: v for k, v in e.items() if k != "length"}
                                          for e in THETA_DICT["edges"]]),
     "unknown-basepoint": dict(THETA_DICT, basepoint="w"),
+    "zero-denominator": dict(THETA_DICT, edges=[dict(THETA_DICT["edges"][0], length="1/0"),
+                                                *THETA_DICT["edges"][1:]]),
     "edges-a-number": dict(THETA_DICT, edges=5),
     "top-level-array": [THETA_DICT],
     "top-level-number": 5,
@@ -217,6 +233,13 @@ class TestFileErrors:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"error: invalid self-map file {p}: ")
+
+    def test_zero_denominator_is_named(self, tmp_path, capsys):
+        p = tmp_path / "bad.graph"
+        p.write_text(json.dumps(MALFORMED_GRAPHS["zero-denominator"]))
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: invalid graph file {p}: length '1/0' divides by zero\n")
 
     def test_unknown_refs_keep_their_messages(self, files, tmp_path, capsys):
         p = tmp_path / "bad.map"

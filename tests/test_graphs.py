@@ -18,7 +18,6 @@ from outerspacekit.graphs import (
     point_from_dict,
     point_to_dict,
     random_point,
-    reverse_path,
     rose,
     tighten_path,
     validate_point,
@@ -32,6 +31,7 @@ from outerspacekit.words import (
     CyclicWord,
     Word,
     canonical_cyclic,
+    inverse_letters,
     random_automorphism,
     random_whitehead_move,
 )
@@ -57,6 +57,32 @@ class TestValidate:
 
     def test_theta(self, theta_point):
         assert validate_point(theta_point).valid
+
+    def test_nan_length_reported(self):
+        # NaN fails every comparison, so it once passed both checks
+        for lengths in ([math.nan, 0.5], [math.nan, math.nan]):
+            assert validate_point(rose(2, lengths)).problems == [
+                "volume nan != 1",
+                *(f"edge e{i} length nan outside [0, 1]"
+                  for i, l in enumerate(lengths, 1) if math.isnan(l))]
+
+    def test_zero_length_circle(self, theta_point):
+        # one union-find pass reads the zero-length edges first
+        assert validate_point(rose(2, [0.0, 1.0])).problems == [
+            "zero-length subgraph contains a circle"]
+        for lengths, problems in (((0.0, 0.0, 1.0), ["zero-length subgraph contains a circle"]),
+                                  ((0.0, 1.0, 0.0), ["zero-length subgraph contains a circle"]),
+                                  ((0.0, 0.5, 0.5), []), ((0.5, 0.5, 0.0), [])):
+            assert validate_point(theta_point.with_lengths(lengths)).problems == problems
+
+    def test_disconnected(self):
+        two_roses = MetricGraph(2, ["e1", "e2", "e3", "e4"], [(0, 0), (0, 0), (1, 1), (1, 1)],
+                                [0.25] * 4)
+        assert validate_point(MarkedMetricGraph(two_roses, 0, [(1,), (2,), (3,)])).problems == [
+            "graph is not connected"]
+        circle = two_roses.with_lengths([0.0, 0.5, 0.25, 0.25])
+        assert validate_point(MarkedMetricGraph(circle, 0, [(1,), (2,), (3,)])).problems == [
+            "zero-length subgraph contains a circle", "graph is not connected"]
 
     def test_valence_two_rejected(self):
         # subdivide one rose petal: middle vertex has valence 2
@@ -243,7 +269,7 @@ class TestPathWord:
             X = _cell_point(cell, rank, rng)
             for n in (1, 7, 600):
                 p = _random_walk(X.graph, rng, n)
-                assert X.path_word(p + reverse_path(p)) == Word(())
+                assert X.path_word(p + inverse_letters(p)) == Word(())
 
 
 class TestTighten:

@@ -22,6 +22,7 @@ from outerspacekit.metric import (
     distance_oracle,
     linear_map_lipschitz,
 )
+from outerspacekit.traintrack import GraphSelfMap
 from outerspacekit.words import (
     Automorphism,
     CyclicWord,
@@ -157,6 +158,27 @@ class TestLinearMap:
             for images in ({1: (1, bad), 2: (2,)}, {1: (1,), 2: (bad,)}):
                 with pytest.raises(ValueError, match=f"^half-edge {bad} is not one of "):
                     linear_map_lipschitz(LinearMapSpec({0: 0}, images), rose(2), rose(2))
+
+    @pytest.mark.parametrize("vertex_images, edge_images, message", [
+        ({0: 0}, {1: (1, 2, -2), 2: (2,)}, "image of edge e1 is not tight"),
+        ({}, {1: (1,), 2: (2,)}, "missing vertex image for vertex 0"),
+        ({0: 0}, {1: (1,)}, "edge e2 has empty or missing image"),
+        ({0: 0}, {1: (), 2: (2,)}, "edge e1 has empty or missing image"),
+        ({0: 1}, {1: (1,), 2: (2,)}, "image of edge e1 starts at wrong vertex"),
+    ])
+    def test_edge_map_checked_as_a_selfmap_is(self, vertex_images, edge_images, message):
+        # one check for both kinds of map: a non-tight image was once
+        # tightened here, and a missing vertex image raised KeyError
+        for build in (lambda: GraphSelfMap(rose(2), vertex_images, edge_images),
+                      lambda: linear_map_lipschitz(LinearMapSpec(vertex_images, edge_images),
+                                                   rose(2), rose(2))):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+
+    def test_image_ends_at_wrong_vertex(self, theta_point):
+        images = {1: (1,), 2: (2, -1), 3: (3,)}
+        with pytest.raises(ValueError, match="^image of edge e2 ends at wrong vertex$"):
+            linear_map_lipschitz(LinearMapSpec({0: 0, 1: 1}, images), theta_point, theta_point)
 
     def test_inconsistent_spec_rejected(self):
         with pytest.raises(ValueError):

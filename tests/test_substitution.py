@@ -11,13 +11,14 @@ import random
 import pytest
 
 from outerspacekit import metric
-from outerspacekit.graphs import jitter_lengths, reverse_path, tighten_path
+from outerspacekit.graphs import jitter_lengths, tighten_path
 from outerspacekit.metric import LinearMapSpec, linear_map_lipschitz
 from outerspacekit.traintrack import GraphSelfMap
 from outerspacekit.whitehead import _apply_move
 from outerspacekit.words import (
     Automorphism,
     Word,
+    inverse_letters,
     join_pieces,
     random_automorphism,
     verify_inverse,
@@ -114,8 +115,8 @@ def _path_between(point, rng, a, b):
     while True:
         walk = _random_walk(g, rng, rng.randint(0, 4))
         s, t = (g.init_of(walk[0]), g.term_of(walk[-1])) if walk else (a, a)
-        path = tighten_path(g, reverse_path(tree(point, a)) + tree(point, s) + walk
-                            + reverse_path(tree(point, t)) + tree(point, b))
+        path = tighten_path(g, inverse_letters(tree(point, a)) + tree(point, s) + walk
+                            + inverse_letters(tree(point, t)) + tree(point, b))
         if path:
             return path
 

@@ -2,6 +2,7 @@ import itertools
 import logging
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -145,7 +146,7 @@ class TestPF:
 
     def test_pf_map_shares_the_checked_images(self, monkeypatch):
         f = golden_selfmaps()[0]
-        monkeypatch.setattr(traintrack, "tighten_path", None)  # no image is checked again
+        monkeypatch.setattr(traintrack, "edge_map_pieces", None)  # no image is checked again
         tt = pf_metric(f)
         assert tt.selfmap.point is tt.point
         assert tt.selfmap.halfedge_images is f.halfedge_images
@@ -292,7 +293,7 @@ class TestLegality:
 class TestLeaves:
     def test_fibonacci_words(self, golden_tt):
         def word(k):
-            return golden_tt.point.path_word(golden_tt.leaf_array(1, k))
+            return golden_tt.point.path_word(golden_tt.leaf_path(1, k))
 
         assert str(word(1)) == "ab"
         assert str(word(2)) == "aba"
@@ -373,34 +374,36 @@ class TestLeafPath:
                 # every level up to the first leaf of 1 024 half-edges or more
                 path, k = (), 0
                 while len(path) < 1024:
-                    a = tt.leaf_array(h, k)
-                    assert a.dtype == np.intp and a.ndim == 1
+                    pieces, first = tt.leaf_pieces(h, k)
                     path = tt.leaf_path(h, k)
-                    assert a.tolist() == list(path)
+                    assert [x for p in first.tolist() for x in pieces[p].tolist()] == list(path)
                     assert all(type(x) is int for x in path[:50])
                     k += 1
 
-    def test_leaf_array_errors_match_leaf_path(self, golden_tt, monkeypatch):
+    def test_leaf_pieces_errors_match_leaf_path(self, golden_tt, monkeypatch):
         for bad in (0, 3, -3):
             with pytest.raises(ValueError, match=f"edge index {bad} is not one of"):
-                golden_tt.leaf_array(bad, 4)
+                golden_tt.leaf_pieces(bad, 4)
         with pytest.raises(ValueError, match="k must be >= 0"):
-            golden_tt.leaf_array(1, -1)
+            golden_tt.leaf_pieces(1, -1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            golden_tt.leaf_path(1, -1)
         monkeypatch.setattr(traintrack, "LEAF_PATH_MAX", 8)
         with pytest.raises(ValueError, match=r"f\^5\(e1\) has more than 8 half-edges"):
-            golden_tt.leaf_array(1, 5)
+            golden_tt.leaf_pieces(1, 5)
 
-    def test_leaf_array_allocates_about_its_result(self, golden_tt):
-        # golden f^30(e1) has 2 178 309 half-edges; a gather per level held
-        # about 2.85 times the result at its peak
+    def test_leaf_path_allocates_about_its_result(self, golden_tt):
+        # golden f^30(e1) has 2 178 309 half-edges; the concatenated array
+        # and its list of ints are freed as the tuple is built, and a gather
+        # per level held about 2.85 times the array at its peak
         tracemalloc.start()
         try:
-            path = golden_tt.leaf_array(1, 30)
+            path = golden_tt.leaf_path(1, 30)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(path) == 2_178_309
-        assert peak <= 1.25 * path.nbytes
+        assert peak <= 2.25 * sys.getsizeof(path)
 
     def test_too_long_leaf_fails_in_small_memory(self, golden_tt):
         tracemalloc.start()
@@ -621,7 +624,6 @@ class TestLeafMemory:
             held.append((n, max(len(head), len(tail))))
             init(self, n, head, tail, *rest)
 
-        monkeypatch.setattr(traintrack, "tighten_path", recording_tighten)
         monkeypatch.setattr(graphs, "tighten_path", recording_tighten)
         monkeypatch.setattr(traintrack.LeafTile, "__init__", recording_init)
         est = lamination_length_ratio(pf_metric(golden_tt.selfmap), random_point(*JUNK_TARGET))

@@ -69,7 +69,9 @@ class MetricGraph:
         self._out = tuple(tuple(sorted(hs, key=letter_key)) for hs in out)
         # half-edge -> (initial vertex, terminal vertex), for h in +-1..+-n_edges
         self._inc = {s * (i + 1): e[::s] for i, e in enumerate(self.ends) for s in (1, -1)}
-        self._loops = []  # [candidate_paths()] once computed, shared by with_lengths copies
+        # [(candidate paths, gathers, gather index)] once computed, shared by
+        # with_lengths copies; see candidate_paths and _gather_plan
+        self._loops = []
 
     def _set_lengths(self, lengths):
         self.lengths = tuple(float(x) for x in lengths)
@@ -142,10 +144,18 @@ class MetricGraph:
 
         Which loops are candidates depends on the graph alone (Francaviglia-
         Martino), so the list is computed once, kept with the incidence
-        tables, and read by every marking and every with_lengths copy.
+        tables, and read by every marking and every with_lengths copy. The
+        gather plan that MarkedMetricGraph.candidate_lengths sums from is
+        built with it and shared the same way (see _gather_plan).
         """
+        return self._candidates()[0]
+
+    def _candidates(self):
+        """(candidate_paths(), gathers, index), as _gather_plan gives the
+        last two, computed on first use."""
         if not self._loops:
-            self._loops.append(_candidate_paths(self))
+            paths = _candidate_paths(self)
+            self._loops.append((paths, *_gather_plan(paths, self.n_edges)))
         return self._loops[0]
 
     def betti(self) -> int:
@@ -452,9 +462,11 @@ class MarkedMetricGraph:
         depends on the marking alone is computed once for all copies: the
         spanning tree, the marking maps, the label and loop tables, and the
         tight_loops cache, whose entries are keyed weakly by the other
-        point's marking object; its graph shares the candidate paths with
-        this one's. What depends on the lengths is the copy's own and starts
-        empty: its candidate lengths (candidate_lengths) and the lengths of
+        point's marking object; its graph shares the candidate paths and
+        their gather plan with this one's. What depends on the lengths is
+        the copy's own and starts empty: its candidate lengths
+        (candidate_lengths, one fsum per distinct edge multiset of the
+        candidates, bit for bit the sum over each path) and the lengths of
         the loops it is a target of (loop_lengths), each summed on first
         use.
         """
@@ -466,10 +478,22 @@ class MarkedMetricGraph:
 
     def candidate_lengths(self):
         """The length at this point of each candidate path of its graph, in
-        graph order: graph.path_length over graph.candidate_paths(), summed
-        once per point. No class is read."""
+        graph order, summed once per point. No class is read.
+
+        The graph's gather plan (_gather_plan) picks the edge lengths of
+        each distinct edge multiset of its candidates out of the length
+        tuple, padded with one 0.0; each multiset is summed once with
+        math.fsum and each candidate reads the sum of its multiset. fsum is
+        correctly rounded, so every value is the float graph.path_length
+        gives for the path, whatever the order, the pad or the direction of
+        the edges; the twin figure eights a.b and a.b^-1 and the twin
+        barbells of one pair and arc share one multiset and one sum.
+        """
         if self._lx is None:
-            self._lx = tuple(map(self.graph.path_length, map(_PATH, self.graph.candidate_paths())))
+            _, gathers, index = self.graph._candidates()
+            lengths = self.graph.lengths + (0.0,)
+            sums = [math.fsum(gather(lengths)) for gather in gathers]
+            self._lx = tuple(map(sums.__getitem__, index))
         return self._lx
 
     def candidates(self):
@@ -580,6 +604,23 @@ def _candidate_paths(g: MetricGraph):
                         ("barbell", a + arc + inverse_letters(b) + inverse_letters(arc))
                     )
     return tuple(paths)
+
+
+def _gather_plan(paths, n_edges):
+    """How candidate_lengths sums the (kind, path) pairs `paths` of a graph
+    with n_edges edges: (gathers, index). gathers holds one itemgetter per
+    distinct edge multiset of the paths, in order of first use, that picks
+    the multiset's edge lengths out of the length tuple with one 0.0
+    appended at n_edges (so a one-edge multiset still gathers a tuple);
+    path k is summed by gathers[index[k]]."""
+    slots = {}
+    index = tuple(
+        slots.setdefault(tuple(sorted(abs(h) - 1 for h in path)), len(slots))
+        for _, path in paths
+    )
+    gathers = tuple(itemgetter(*edges, n_edges) if len(edges) == 1 else itemgetter(*edges)
+                    for edges in slots)
+    return gathers, index
 
 
 _KIND_ORDER = {"embedded": 0, "figure-eight": 1, "barbell": 2}
@@ -728,12 +769,29 @@ def random_point(rank: int, seed: int, n_moves: int = 3, jitter: float = 0.3):
 
 
 def _parse_length(x):
-    if isinstance(x, str):
-        try:
+    """An edge length as a file gives it: an int, a float or a fraction
+    string such as "1/3"; ValueError naming anything else, a boolean
+    included."""
+    try:
+        if isinstance(x, str):
             return float(Fraction(x))
-        except ZeroDivisionError:
-            raise ValueError(f"length {x!r} divides by zero") from None
-    return float(x)
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
+            return float(x)
+    except ZeroDivisionError:
+        raise ValueError(f"length {x!r} divides by zero") from None
+    except OverflowError:
+        raise ValueError(f"length {x!r} is too large for a float") from None
+    raise ValueError(f"length {x!r} is not a number or a fraction string")
+
+
+def vertex_index(vertices, name, where):
+    """The index of the vertex a file names `name`, from `vertices` (name ->
+    index); ValueError naming the vertex and `where` the file names it when
+    no vertex has that name."""
+    try:
+        return vertices[str(name)]
+    except KeyError:
+        raise ValueError(f"unknown vertex {str(name)!r} in {where}") from None
 
 
 def point_from_dict(data: dict, validate=True) -> MarkedMetricGraph:
@@ -751,7 +809,8 @@ def point_from_dict(data: dict, validate=True) -> MarkedMetricGraph:
     lengths = []
     for e in edges:
         edge_ids.append(str(e["id"]))
-        ends.append((vidx[str(e["from"])], vidx[str(e["to"])]))
+        where = f"edge {edge_ids[-1]}"
+        ends.append((vertex_index(vidx, e["from"], where), vertex_index(vidx, e["to"], where)))
         lengths.append(_parse_length(e["length"]))
     if len(set(edge_ids)) != len(edge_ids):
         raise ValueError("duplicate edge ids")
@@ -763,7 +822,7 @@ def point_from_dict(data: dict, validate=True) -> MarkedMetricGraph:
         loops = [tuple(map(graph.halfedge, marking[k])) for k in keys]
     except KeyError as e:
         raise ValueError(f"unknown edge id {e.args[0]!r} in marking") from None
-    point = MarkedMetricGraph(graph, vidx[str(basepoint_name)], loops)
+    point = MarkedMetricGraph(graph, vertex_index(vidx, basepoint_name, "basepoint"), loops)
     if validate:
         report = validate_point(point)
         if not report.valid:

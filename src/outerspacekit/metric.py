@@ -17,7 +17,11 @@ objects. What depends on lengths belongs to the point instance, which
 never changes its lengths (with_lengths and act make new instances), and
 is summed once:
 
-- lx, x.candidate_lengths(): the lengths of x's candidate paths;
+- lx, x.candidate_lengths(): the lengths of x's candidate paths, one
+  math.fsum per distinct edge multiset of them, gathered by a plan the
+  graph keeps with its candidate paths; twin figure eights and twin
+  barbells share a multiset, and fsum is correctly rounded, so each value
+  is the float graph.path_length gives for its path;
 - ly, y.loop_lengths(x): the lengths of y.tight_loops(x), kept by y and
   keyed weakly by x's marking object, so an entry dies with that marking.
 

@@ -37,6 +37,7 @@ from .graphs import (
     MetricGraph,
     edge_map_pieces,
     point_from_dict,
+    vertex_index,
 )
 from .whitehead import (
     WhiteheadGraph,
@@ -795,7 +796,9 @@ def selfmap_from_dict(data: dict) -> GraphSelfMap:
             raise ValueError(f"unknown edge id {err.args[0]!r} in edge image") from None
     vertices = {str(name): i for i, name in enumerate(map(str, data["graph"]["vertices"]))}
     if "vertex_images" in data:
-        vertex_images = {vertices[str(k)]: vertices[str(v)] for k, v in data["vertex_images"].items()}
+        vertex_images = {vertex_index(vertices, k, "vertex_images"):
+                         vertex_index(vertices, v, "vertex_images")
+                         for k, v in data["vertex_images"].items()}
     else:  # read off the nonempty images; GraphSelfMap rejects an empty one
         given = [e for e, path in edge_images.items() if path]
         vertex_images = {

@@ -241,6 +241,43 @@ class TestFileErrors:
         assert capsys.readouterr() == (
             "", f"error: invalid graph file {p}: length '1/0' divides by zero\n")
 
+    @pytest.mark.parametrize("length, message", [
+        (True, "length True is not a number or a fraction string"),
+        (None, "length None is not a number or a fraction string"),
+        ([1], "length [1] is not a number or a fraction string"),
+        ("one", "Invalid literal for Fraction: 'one'"),
+        (10 ** 400, f"length {10 ** 400!r} is too large for a float"),
+    ], ids=["true", "null", "list", "word", "huge"])
+    def test_length_must_be_a_number(self, tmp_path, capsys, length, message):
+        # a length of true once loaded as 1.0, and the theta of lengths
+        # true, 0, 0 was judged as a point with a zero-length circle
+        p = tmp_path / "bad.graph"
+        edges = [dict(THETA_DICT["edges"][0], length=length),
+                 *(dict(e, length=0) for e in THETA_DICT["edges"][1:])]
+        p.write_text(json.dumps(dict(THETA_DICT, edges=edges)))
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr() == ("", f"error: invalid graph file {p}: {message}\n")
+
+    @pytest.mark.parametrize("kind, data, message", [
+        ("graph", dict(THETA_DICT, edges=[dict(THETA_DICT["edges"][0], **{"from": "w"}),
+                                          *THETA_DICT["edges"][1:]]),
+         "unknown vertex 'w' in edge e1"),
+        ("graph", dict(THETA_DICT, edges=[*THETA_DICT["edges"][:2],
+                                          dict(THETA_DICT["edges"][2], to="w")]),
+         "unknown vertex 'w' in edge e3"),
+        ("graph", dict(THETA_DICT, basepoint="w"), "unknown vertex 'w' in basepoint"),
+        ("self-map", dict(GOLDEN_MAP, vertex_images={"v": "v", "u": "v"}),
+         "unknown vertex 'u' in vertex_images"),
+        ("self-map", dict(GOLDEN_MAP, vertex_images={"v": "w"}),
+         "unknown vertex 'w' in vertex_images"),
+    ], ids=["edge-from", "edge-to", "basepoint", "image-key", "image-value"])
+    def test_unknown_vertex_is_named(self, tmp_path, capsys, kind, data, message):
+        # each once printed the bare name as the whole reason
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr() == ("", f"error: invalid {kind} file {p}: {message}\n")
+
     def test_unknown_refs_keep_their_messages(self, files, tmp_path, capsys):
         p = tmp_path / "bad.map"
         p.write_text(json.dumps(dict(GOLDEN_MAP, edge_images={"e1": ["e1", "~e3"], "e2": ["e1"]})))

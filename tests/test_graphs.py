@@ -429,6 +429,26 @@ class TestCandidates:
                     assert _fields(enumerate_candidates(p)) == _fields(want)
                     assert p.graph.candidate_paths() is X.graph.candidate_paths()
 
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_candidate_lengths_equal_path_sums_bit_for_bit(self, cell):
+        """candidate_lengths sums each distinct edge multiset of the
+        candidates once; every value is the float the oracle's fsum over
+        the path gives, on lengths random, spread over many binades, zero,
+        signed zero, tiny, subnormal and inexact, and the candidate objects
+        carry the same floats."""
+        rng = random.Random(f"gathered-lengths-{cell}")
+        for rank in range(2, 8):
+            X = _cell_point(cell, rank, rng)
+            m = X.graph.n_edges
+            for lengths in (_unit_lengths(rng, m), [rng.random() ** 21 for _ in range(m)],
+                            [0.0] * m, [-0.0] * m, [1e-300] * m, [5e-324] * m, [1 / 3] * m):
+                p = X.with_lengths(lengths)
+                want = [oracles.path_length(p, path) for _, path in p.graph.candidate_paths()]
+                assert list(map(float.hex, p.candidate_lengths())) == list(map(float.hex, want))
+            p = X.with_lengths(_unit_lengths(rng, m))
+            assert [(c.path, c.length.hex()) for c in enumerate_candidates(p)] == [
+                (c.path, c.length.hex()) for c in oracles.enumerate_candidates(p)]
+
 
 def _unit_lengths(rng, m):
     raw = [rng.uniform(0.2, 1.0) for _ in range(m)]

@@ -406,28 +406,54 @@ class TestLengthCache:
                     assert _fields(distance(a, b)) == _reference(a, b)
 
     def test_repeated_query_sums_no_path_at_y(self, monkeypatch):
-        real = MetricGraph.path_length
-        calls = []
-        monkeypatch.setattr(MetricGraph, "path_length",
-                            lambda self, path: calls.append(self) or real(self, path))
+        """Every length is an fsum; a copy sums one per distinct edge
+        multiset of its candidates, over its own lengths, and a repeated
+        query, the loops at y and the table sum none."""
+        real = math.fsum
+        sums = []
+
+        def counting(values):
+            sums.append(tuple(values))
+            return real(sums[-1])
+
+        monkeypatch.setattr(math, "fsum", counting)
         rng = random.Random("repeated-query")
         for cell in CELLS:
             for rank in range(2, 6):
                 X = _cell_point(cell, rank, rng)
                 Y = _cell_point(rng.choice(CELLS), rank, rng)
                 want = distance(X, Y).value
-                n = len(X.graph.candidate_paths())
-                calls.clear()
-                assert distance(X, Y).value == want
-                assert not calls  # the same two instances: nothing summed
+                paths = X.graph.candidate_paths()
+                # each twin pair of figure eights or barbells shares one
+                # multiset, and no other two candidates do
+                embedded = sum(kind == "embedded" for kind, _ in paths)
+                n = len({tuple(sorted(abs(h) for h in path)) for _, path in paths})
+                assert n == embedded + (len(paths) - embedded) // 2
                 X2 = X.with_lengths(_unit_lengths(rng, X.graph.n_edges))
+                sums.clear()
+                assert distance(X, Y).value == want
+                assert not sums  # the same two instances: nothing summed
                 got = distance(X2, Y).value
                 # the copy's candidate lengths alone are summed
-                assert len(calls) == n and all(g is X2.graph for g in calls)
-                calls.clear()
+                assert len(sums) == n
+                assert set().union(*sums) <= {*X2.graph.lengths, 0.0}
+                sums.clear()
                 res = distance(X2, Y)
-                assert res.value == got and res.table and not calls  # nor does the table
+                assert res.value == got and res.table and not sums  # nor does the table
                 assert _fields(distance(X2, Y)) == _reference(X2, Y)
+
+    def test_rank_six_trivalent_sums_once_per_twin_pair(self, monkeypatch):
+        """The rank-6 trivalent point below has 213 candidate paths: 41
+        embedded circles and 86 twin pairs, so its copy sums 127 times."""
+        X = _cell_point("trivalent", 6, random.Random("twin-sums"))
+        paths = X.graph.candidate_paths()
+        assert (len(paths), sum(kind == "embedded" for kind, _ in paths)) == (213, 41)
+        copy = X.with_lengths(_unit_lengths(random.Random(1), X.graph.n_edges))
+        calls = []
+        real = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or real(values))
+        copy.candidate_lengths()
+        assert len(calls) == 127
 
     def test_loop_lengths_die_with_the_marking(self):
         rng = random.Random("loop-lengths-die")

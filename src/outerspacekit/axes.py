@@ -236,13 +236,17 @@ def _fit_slope(points):
 
 
 def length_profile(alpha: CyclicWord, ax: Axis, window) -> LengthProfile:
-    """Lengths l(phi^m(alpha), base) over an integer window, with min-set and
-    tail growth rates; the loops are walked by the axis's step maps."""
+    """Lengths l(phi^m(alpha), base) over an integer window (lo, hi) of at
+    least two levels, with min-set and tail growth rates; the loops are
+    walked by the axis's step maps. A window of fewer levels raises
+    ValueError."""
     if not alpha:
         raise ValueError("empty conjugacy class")
     if alpha.max_index() > ax.rank:
         raise RankMismatchError("word rank exceeds automorphism rank")
     lo, hi = int(window[0]), int(window[1])
+    if hi - lo < 1:
+        raise ValueError(f"window ({lo}, {hi}) holds fewer than two levels")
     walk = ax._walk_from([cyclic_tighten(ax.base.realize_based(alpha.letters))])
     values = [(m, walk.lengths_at(m)[0]) for m in range(lo, hi + 1)]
     mn = min(v for (_, v) in values)

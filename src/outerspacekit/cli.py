@@ -36,6 +36,7 @@ from .axes import (
 from .graphs import InvalidPointError, point_from_dict, rose, validate_point
 from .metric import check_oracle_bound, distance, distance_oracle
 from .traintrack import (
+    LEAF_PATH_MAX,
     check_train_track,
     no_cut_vertex_search,
     pf_metric,
@@ -206,22 +207,22 @@ def cmd_tt(args):
         except KeyError:
             raise UsageError(f"unknown edge {args.edge}") from None
         # both lines are read off the <= 2 n_edges distinct pieces of the
-        # leaf; free reduction is confluent, so join_pieces of the piece
-        # words gives the word of the whole leaf. Each piece word is
-        # reduced, so when none is empty only a join can cancel: the last
-        # letter of one piece against the first of the next
-        pieces, first = tt.leaf_pieces(e, args.iters)
-        order = first.tolist()
-        paths = {h: pieces[h].tolist() for h in set(order)}
-        texts = {h: " ".join(map(g.ref, p)) for h, p in paths.items()}
-        words = {h: tt.point.path_word(p).letters for h, p in paths.items()}
-        print("path", " ".join([texts[h] for h in order]))
-        if all(words.values()) and not any(
-                words[a][-1] == -words[b][0] for a, b in set(zip(order, order[1:]))):
-            letters = {h: format_letters(w) for h, w in words.items()}
-            print("word", "".join([letters[h] for h in order]))
+        # leaf and their words, which leaf_pieces carries level by level;
+        # free reduction is confluent, so join_pieces of the piece words
+        # gives the word of the whole leaf. Each piece word is reduced, so
+        # when none is empty only a join can cancel: the last letter of one
+        # piece against the first of the next
+        pieces, words, first = tt.leaf_pieces(e, args.iters)
+        used = set(first)
+        refs = {h: g.ref(h) for h in (*range(1, g.n_edges + 1), *range(-g.n_edges, 0))}
+        texts = {h: " ".join(map(refs.__getitem__, pieces[h])) for h in used}
+        print("path", " ".join([texts[h] for h in first]))
+        if all(words[h] for h in used) and not any(
+                words[a][-1] == -words[b][0] for a, b in set(zip(first, first[1:]))):
+            letters = {h: format_letters(words[h]) for h in used}
+            print("word", "".join([letters[h] for h in first]))
         else:
-            print("word", format_letters(join_pieces(words, order)) or "1")
+            print("word", format_letters(join_pieces(words, first)) or "1")
 
 
 def cmd_tt_whsearch(args):
@@ -328,11 +329,15 @@ def build_parser():
         q = ttsub.add_parser(name)
         q.add_argument("map")
         q.set_defaults(func=cmd_tt, action=name)
-    q = ttsub.add_parser("leaf")
+    q = ttsub.add_parser(
+        "leaf", help="expand a leaf f^k(e) of the attracting lamination",
+        description="Prints: path, the refs of f^k(e); word, its word in the marking.")
     q.add_argument("map")
     q.add_argument("--edge", required=True,
                    help="edge id, or ~id for the edge reversed, as in map files")
-    q.add_argument("--iters", type=int, required=True)
+    q.add_argument("--iters", type=int, required=True, metavar="K",
+                   help=f"the k of f^k(e), >= 0; a leaf of more than LEAF_PATH_MAX "
+                   f"({LEAF_PATH_MAX}) half-edges is an error")
     q.set_defaults(func=cmd_tt, action="leaf")
     q = ttsub.add_parser(
         "whsearch", help="search for a rose point whose combined lamination Whitehead "
@@ -413,9 +418,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
-    # two_axis_report needs a half window smaller than the window
+    # two_axis_report needs a half window smaller than the window, and
+    # length_profile two levels, where window 0 reads one
     pair = args.cmd == "axis" and args.action == "pair"
-    for name, low in (("seed", 0), ("samples", 1), ("window", 2 if pair else 0), ("iters", 0),
+    for name, low in (("seed", 0), ("samples", 1), ("window", 2 if pair else 1), ("iters", 0),
                       ("oracle", 0), ("radius", 0), ("pairs", 0)):
         v = getattr(args, name, None)
         if v is not None and v < low:

@@ -28,7 +28,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 import numpy as np
 
@@ -66,7 +66,9 @@ LEAF_K_CAP = 60  # deepest leaf level a walk to the periodic end reads by defaul
 # 11.6 at 4 and 13.4 at 1; the rank-4 walks repeat at mean level 32.9, 27.1,
 # 23.6, 22.4, 22.2 and 22.2. At 8 only the plastic and rank-4 inverses widen.
 LEAF_WINDOW = 8
-LEAF_PATH_MAX = 10_000_000  # half-edges leaf_path expands at most
+# half-edges of the longest leaf f^k(e) that leaf_pieces, and so leaf_path and
+# `osk tt leaf`, expands; checked before any allocation
+LEAF_PATH_MAX = 10_000_000
 SEARCH_MAX_STEPS = 200
 
 
@@ -245,19 +247,25 @@ class TrainTrackMap:
         return self._frequencies
 
     def leaf_pieces(self, edge_index: int, k: int):
-        """(pieces, first): f^k(e) for the half-edge e = edge_index is the
-        concatenation of pieces[h] over the half-edges h of first.
+        """(pieces, words, first): f^k(e) for the half-edge e = edge_index
+        is the concatenation of pieces[h] over the half-edges h of first,
+        and its word in the marking of self.point is join_pieces(words,
+        first).
 
-        With a = k // 2 and b = k - a, first is f^a(e) and pieces[h] is
-        f^b(h), as 1-D np.intp arrays of half-edges, for h in
-        +-1..+-n_edges (a negative h indexes from the end; index 0 is
-        unused). The map is legal, so f^j(h) is the concatenation of the
-        f^(j-1) arrays of the half-edges of f(h), with no cancellation:
-        each level is one concatenate per edge, and a reversed edge takes
-        the reversed, negated array. Before anything is allocated, the
-        length of f^k(e) is counted with Python ints, and a leaf longer
-        than LEAF_PATH_MAX half-edges raises ValueError, as do a negative
-        k and an edge_index outside +-1..+-n_edges.
+        With a = k // 2 and b = k - a, first is f^a(e), pieces[h] is f^b(h)
+        and words[h] the letters of path_word(f^b(h)), all tuples of ints,
+        for h in +-1..+-n_edges (lists indexed by h, a negative h from the
+        end; index 0 is unused). The map is legal, so f^j(h) is the
+        concatenation of the f^(j-1) pieces of the half-edges of f(h), with
+        no cancellation: a half-edge whose image is one half-edge takes
+        that piece as it is, and a longer image chains its pieces. A
+        reversed half-edge reads its own reversed image, so no level
+        reverses or negates anything. Free reduction is confluent, so the
+        word of f^j(h) is join_pieces of the f^(j-1) words over f(h).
+        Before anything is allocated, the length of f^k(e) is counted with
+        Python ints, and a leaf longer than LEAF_PATH_MAX half-edges raises
+        ValueError, as do a negative k and an edge_index outside
+        +-1..+-n_edges.
         """
         if k < 0:
             raise ValueError("k must be >= 0")
@@ -265,30 +273,36 @@ class TrainTrackMap:
         if not 0 < abs(edge_index) <= m:
             raise ValueError(f"edge index {edge_index} is not one of +-1..+-{m}")
         ref = self.graph.ref(edge_index)
-        images = [self.selfmap.edge_images[e] for e in range(1, m + 1)]
+        halves = (*range(1, m + 1), *range(-m, 0))
+        images = [self.selfmap.halfedge_images[h] for h in halves]
+        # a level holds the value of f^j(h) at index h: one itemgetter
+        # carries over the value of each one-half-edge image, and only the
+        # longer images join
+        plan = (itemgetter(0, *(image[0] for image in images)),
+                [(i, image) for i, image in enumerate(images, 1) if len(image) > 1])
         # |f^j(e)| never decreases in j, since no edge image is empty
-        counts = [1] * m
+        counts = [1] * (2 * m + 1)
         for j in range(1, k + 1):
-            counts = [sum(counts[abs(h) - 1] for h in image) for image in images]
-            if counts[abs(edge_index) - 1] > LEAF_PATH_MAX:
+            counts = _next_level(counts, plan, _sum_counts)
+            if counts[edge_index] > LEAF_PATH_MAX:
                 raise ValueError(f"leaf f^{k}({ref}) has more than {LEAF_PATH_MAX} half-edges "
-                                 f"(f^{j}({ref}) has {counts[abs(edge_index) - 1]})")
-        pieces = [np.array([h], dtype=np.intp) for h in (*range(m + 1), *range(-m, 0))]
+                                 f"(f^{j}({ref}) has {counts[edge_index]})")
+        pieces = [(), *((h,) for h in halves)]
+        words = [(), *(self.point.path_word((h,)).letters for h in halves)]
         first = pieces[edge_index]
         for j in range(1, k - k // 2 + 1):
-            forward = [np.concatenate([pieces[h] for h in image]) for image in images]
-            pieces = [pieces[0], *forward, *(-p[::-1] for p in reversed(forward))]
+            pieces = _next_level(pieces, plan, _chain_pieces)
+            words = _next_level(words, plan, join_pieces)
             if j == k // 2:
                 first = pieces[edge_index]
-        return pieces, first
+        return pieces, words, first
 
     def leaf_path(self, edge_index: int, k: int):
-        """f^k(e) for the half-edge e = edge_index, as a tuple of Python
-        ints, with the errors of leaf_pieces: one concatenate of the
-        f^(k - k // 2) pieces of the half-edges of f^(k // 2)(e), each about
-        sqrt(len) long."""
-        pieces, first = self.leaf_pieces(edge_index, k)
-        return tuple(np.concatenate([pieces[h] for h in first.tolist()]).tolist())
+        """f^k(e) for the half-edge e = edge_index, as a tuple of ints, with
+        the errors of leaf_pieces: one chain of the f^(k - k // 2) pieces
+        of the half-edges of f^(k // 2)(e), each about sqrt(len) long."""
+        pieces, _, first = self.leaf_pieces(edge_index, k)
+        return _chain_pieces(pieces, first)
 
     def leaf_end(self, point: MarkedMetricGraph, k_cap: int = LEAF_K_CAP) -> "LeafEnd":
         """The periodic end of the leaf tiles at `point` (see LeafEnd),
@@ -561,6 +575,26 @@ def _join(pieces, index, window: int) -> LeafTile:
     return LeafTile(n, head, tail, tuple(counts))
 
 
+def _chain_pieces(pieces, keys) -> tuple:
+    """The concatenation of pieces[h] for h in keys, as one tuple."""
+    return tuple(itertools.chain.from_iterable(map(pieces.__getitem__, keys)))
+
+
+def _sum_counts(counts, keys) -> int:
+    return sum(map(counts.__getitem__, keys))
+
+
+def _next_level(level, plan, join) -> list:
+    """The leaf_pieces level after `level`, by plan = (gather, joins):
+    gather carries over level[h] for each image that is the one half-edge
+    h, and join(level, image) fills index i for each (i, image) of joins."""
+    gather, joins = plan
+    out = list(gather(level))
+    for i, image in joins:
+        out[i] = join(level, image)
+    return out
+
+
 def _perron(A: np.ndarray):
     """(eigenvalue, eigenvector normalized to sum 1) of a nonnegative
     irreducible matrix: the eigenvalue of largest real part, which for such a
@@ -783,18 +817,22 @@ def no_cut_vertex_search(
 
 
 def selfmap_from_dict(data: dict) -> GraphSelfMap:
-    point = point_from_dict(data["graph"])
+    try:
+        graph, images = data["graph"], data["edge_images"]
+    except KeyError as e:
+        raise ValueError(f"self-map file missing key {e}") from None
+    point = point_from_dict(graph)
     g = point.graph
     eidx = {eid: i + 1 for i, eid in enumerate(g.edge_ids)}
     edge_images = {}
-    for k, path in data["edge_images"].items():
+    for k, path in images.items():
         if str(k) not in eidx:
             raise ValueError(f"unknown edge id {str(k)!r} in edge_images")
         try:
             edge_images[eidx[str(k)]] = tuple(map(g.halfedge, path))
         except KeyError as err:
             raise ValueError(f"unknown edge id {err.args[0]!r} in edge image") from None
-    vertices = {str(name): i for i, name in enumerate(map(str, data["graph"]["vertices"]))}
+    vertices = {str(name): i for i, name in enumerate(map(str, graph["vertices"]))}
     if "vertex_images" in data:
         vertex_images = {vertex_index(vertices, k, "vertex_images"):
                          vertex_index(vertices, v, "vertex_images")

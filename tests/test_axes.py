@@ -123,6 +123,14 @@ class TestLengthProfile:
         prof = length_profile(C("a"), golden_axis, (-1, 3))
         assert prof.min_at_boundary
 
+    @pytest.mark.parametrize("window", [(0, 0), (3, 3), (1, 0), (2, -2)])
+    def test_window_of_fewer_than_two_levels(self, golden_axis, window):
+        # (0, 0) once gave slopes of 0 fitted to one level, and (1, 0) died
+        # in min() of no values
+        with pytest.raises(ValueError, match=rf"window \({window[0]}, {window[1]}\) holds "
+                                             "fewer than two levels"):
+            length_profile(C("ab"), golden_axis, window)
+
 
 class TestProjection:
     def test_axis_point_projects_to_itself(self, golden_axis):

@@ -297,6 +297,24 @@ class TestFileErrors:
             assert capsys.readouterr().err == (
                 f"error: invalid self-map file {p}: unknown edge id 'e9' in edge_images\n")
 
+    def test_missing_top_level_key_is_named(self, files, tmp_path, capsys):
+        # each once printed the bare key as the whole reason
+        assert main(["tt", "pf", files["rose"]]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: invalid self-map file {files['rose']}: "
+            "self-map file missing key 'graph'\n")
+        p = tmp_path / "bad.map"
+        no_graph = {"edge_images": GOLDEN_MAP["edge_images"]}
+        no_images = {"graph": GOLDEN_MAP["graph"], "vertex_images": {"v": "v"}}
+        # validate reads a file without edge_images as a graph
+        for data, key, commands in ((no_graph, "graph", (["tt", "pf"], ["validate"])),
+                                    (no_images, "edge_images", (["tt", "pf"],))):
+            p.write_text(json.dumps(data))
+            for argv in commands:
+                assert main(argv + [str(p)]) == 1
+                assert capsys.readouterr() == (
+                    "", f"error: invalid self-map file {p}: self-map file missing key '{key}'\n")
+
     def test_empty_image_reads_as_missing(self, tmp_path, capsys):
         # with no vertex_images, the vertex images are read off the edge images
         for name, images in (("empty", {"e1": [], "e2": ["e1"]}), ("missing", {"e2": ["e1"]})):
@@ -565,6 +583,12 @@ class TestAxis:
         out = capsys.readouterr().out
         assert out.startswith("l(-1) 1\nl(0) 0.381966011\nl(1) 0.618033989\n")
 
+    def test_profile_window_below_one(self, files, capsys):
+        # window 0 once printed slopes fitted to the single level 0
+        assert main(["axis", "profile", files["fwd"], files["bwd"],
+                     "--word", "ab", "--window", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: --window must be >= 1\n")
+
     def test_profile_letter_beyond_rank(self, files, capsys):
         assert main(["axis", "profile", files["fwd"], files["bwd"], "--word", "c"]) == 1
         captured = capsys.readouterr()
@@ -653,6 +677,12 @@ class TestUsage:
         out = capsys.readouterr().out
         for name in ("validate", "dist", "candidates", "whitehead", "tt", "axis"):
             assert name in out
+
+    def test_leaf_help_says_what_it_prints_and_bounds(self, capsys):
+        assert main(["tt", "leaf", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "Prints: path, the refs of f^k(e); word, its word in the marking." in out
+        assert f"LEAF_PATH_MAX ({traintrack_mod.LEAF_PATH_MAX}) half-edges" in out
 
     def test_negative_flag_rejected(self, files, capsys):
         assert main(["axis", "contract", files["fwd"], files["bwd"],

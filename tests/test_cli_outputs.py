@@ -3,10 +3,13 @@ stderr and every --out file of about twenty commands on the conftest maps
 and seeded points. A change that moves any of them must say why.
 
 The expected texts live in cli_outputs.json next to this file;
-`python -m tests.test_cli_outputs` rewrites it from the current code.
+`python -m tests.test_cli_outputs` rewrites it from the current code. The
+benchmark-sized `tt leaf` outputs are pinned by their SHA-256 digests
+(LEAF_DIGESTS), which that command does not rewrite.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -98,15 +101,34 @@ COMMANDS = {
 }
 
 
-def run(name, folder):
-    """The exit code, stdout, stderr and --out files of command `name`, run
-    in-process with its inputs written to `folder`, the folder's path
-    written as <tmp> in the texts. The package logger is restored after."""
+# "<map file> <edge> <iters>" -> SHA-256 of the stdout of `tt leaf` there:
+# every edge of the leaves of the benchmark's laminations workload, about
+# 10^5 half-edges each
+LEAF_DIGESTS = {
+    "golden.map e1 25": "8d9c80e7d1650d8ca1cd64cc5b72fb2585a50b60b963e3d92ecdbbb8e34de4e1",
+    "golden.map e2 25": "2701b82cb133d8d9bde514071802d6cbee02af39a100bd9229a44fbe652321da",
+    "silver.map e1 13": "1774f151c8c16bcda942eb074e2375ed76c59bfec946aa69b334db47cc288ba5",
+    "silver.map e2 13": "67d94e1bc3e39f6270c40b99e0b349d956fe06bfac9c5361238ecc8c0122ad78",
+    "tribo.map e1 42": "20db01809b08f3a9882ac14afa094cf091bbb3812b1eab608ff3954b35ff8cd5",
+    "tribo.map e2 42": "0b4a4a4c09c49c7c97d3a52a9248d5c1499d51011cfb8ba0c1fdf124579f6859",
+    "tribo.map e3 42": "a00c481822b4f5a379f5904dd52a595ce8dfd93dbf7fa954e2527c40e3f3c437",
+    "rank4.map e1 58": "859dd92bf2e3a3723fec4b668c497e90db693fe292325ea6d70df49b67810075",
+    "rank4.map e2 58": "2f5710635d21c08e36132dd3206d0f8f3ac1294c106e4fc27ab2e6a2c8410b04",
+    "rank4.map e3 58": "007affb66dd7d3e875e88576e51da17a0be729ec6c2884a6b7bb114bb50eba5d",
+    "rank4.map e4 58": "9dc77b1c6cda69a07f36398506e8f25b9496625a04cde8d0eb9ae4aa85564cef",
+}
+
+
+def run(command, folder):
+    """The exit code, stdout, stderr and --out files of `command`, an argv
+    of COMMANDS, run in-process with its inputs written to `folder`, the
+    folder's path written as <tmp> in the texts. The package logger is
+    restored after."""
     paths = {}
     for file, data in _inputs().items():
         paths[file] = folder / file
         paths[file].write_text(json.dumps(data))
-    words = COMMANDS[name].split()
+    words = command.split()
     outs = [w[1:-1] for w in words if w.endswith(".csv}")]
     paths.update((out, folder / out) for out in outs)
     argv = [re.sub(r"\{(.*)\}", lambda m: str(paths[m[1]]), w) for w in words]
@@ -132,7 +154,15 @@ def run(name, folder):
 @pytest.mark.parametrize("name", COMMANDS)
 def test_output_is_pinned(name, tmp_path):
     expected = json.loads(EXPECTED.read_text())[name]
-    assert run(name, tmp_path) == expected
+    assert run(COMMANDS[name], tmp_path) == expected
+
+
+@pytest.mark.parametrize("leaf", LEAF_DIGESTS)
+def test_benchmark_leaf_is_pinned(leaf, tmp_path):
+    file, edge, iters = leaf.split()
+    result = run(f"tt leaf {{{file}}} --edge {edge} --iters {iters}", tmp_path)
+    assert (result["exit"], result["stderr"], result["files"]) == (0, "", {})
+    assert hashlib.sha256(result["stdout"].encode()).hexdigest() == LEAF_DIGESTS[leaf]
 
 
 def test_every_command_is_pinned():
@@ -144,6 +174,6 @@ if __name__ == "__main__":
     recorded = {}
     for name in COMMANDS:
         with tempfile.TemporaryDirectory() as d:
-            recorded[name] = run(name, pathlib.Path(d))
+            recorded[name] = run(COMMANDS[name], pathlib.Path(d))
     EXPECTED.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(recorded)} commands to {EXPECTED}")

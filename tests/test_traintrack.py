@@ -33,6 +33,7 @@ from outerspacekit.words import CyclicWord, verify_inverse
 
 from . import oracles
 from .oracles import apply_cyclic
+from .test_cli import LEAF_WORD_CASES
 from .test_graphs import CELLS, _cell_point
 from .conftest import (
     DUMBBELL_DICT,
@@ -321,6 +322,12 @@ class TestLeaves:
             assert pairs8 <= pairs
 
 
+def _int_tuple(value):
+    """value, asserted to be a tuple of Python ints."""
+    assert type(value) is tuple and all(type(x) is int for x in value)
+    return value
+
+
 class TestLeafPath:
     @pytest.mark.parametrize("name", LEAF_MAPS)
     def test_matches_substitution(self, name):
@@ -346,11 +353,27 @@ class TestLeafPath:
         m = tt.graph.n_edges
         for k in (0, 1, 2, 7, 10):
             for e in (1, -m):
-                pieces, first = tt.leaf_pieces(e, k)
-                assert first.tolist() == list(oracles.leaf_path(tt, e, k // 2))
+                pieces, _, first = tt.leaf_pieces(e, k)
+                assert _int_tuple(first) == oracles.leaf_path(tt, e, k // 2)
                 for h in (*range(1, m + 1), *range(-m, 0)):
-                    assert pieces[h].dtype == np.intp
-                    assert pieces[h].tolist() == list(oracles.leaf_path(tt, h, k - k // 2))
+                    assert _int_tuple(pieces[h]) == oracles.leaf_path(tt, h, k - k // 2)
+
+    @pytest.mark.parametrize("selfmap", [
+        *(pytest.param(f, id=name) for name, f in LEAF_MAPS.items()),
+        *(pytest.param(lambda d=data: selfmap_from_dict(d), id=f"cli-{name}")
+          for name, data, _ in LEAF_WORD_CASES)])
+    def test_piece_words_are_path_words(self, selfmap):
+        # the LEAF_WORD_CASES maps add markings whose piece words cancel
+        # where join_pieces joins them, and the theta graph's tree edge,
+        # whose word is empty
+        tt = pf_metric(selfmap())
+        m = tt.graph.n_edges
+        for k in range(13):
+            pieces, words, _ = tt.leaf_pieces(1, k)
+            for h in (*range(1, m + 1), *range(-m, 0)):
+                path = oracles.leaf_path(tt, h, k - k // 2)
+                assert pieces[h] == path
+                assert _int_tuple(words[h]) == oracles.path_word(tt.point, path).letters
 
     def test_edge_index_outside_range(self, golden_tt):
         for k in (0, 1, 5):
@@ -374,10 +397,10 @@ class TestLeafPath:
                 # every level up to the first leaf of 1 024 half-edges or more
                 path, k = (), 0
                 while len(path) < 1024:
-                    pieces, first = tt.leaf_pieces(h, k)
-                    path = tt.leaf_path(h, k)
-                    assert [x for p in first.tolist() for x in pieces[p].tolist()] == list(path)
-                    assert all(type(x) is int for x in path[:50])
+                    pieces, _, first = tt.leaf_pieces(h, k)
+                    path = _int_tuple(tt.leaf_path(h, k))
+                    assert tuple(x for p in first for x in pieces[p]) == path
+                    assert path == oracles.leaf_path(tt, h, k)
                     k += 1
 
     def test_leaf_pieces_errors_match_leaf_path(self, golden_tt, monkeypatch):
@@ -393,9 +416,9 @@ class TestLeafPath:
             golden_tt.leaf_pieces(1, 5)
 
     def test_leaf_path_allocates_about_its_result(self, golden_tt):
-        # golden f^30(e1) has 2 178 309 half-edges; the concatenated array
-        # and its list of ints are freed as the tuple is built, and a gather
-        # per level held about 2.85 times the array at its peak
+        # golden f^30(e1) has 2 178 309 half-edges, chained into one tuple
+        # from its f^15 pieces of 1 597 and 987 half-edges; a gather per
+        # level held about 2.85 times the result at its peak
         tracemalloc.start()
         try:
             path = golden_tt.leaf_path(1, 30)

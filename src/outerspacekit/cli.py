@@ -325,8 +325,16 @@ def build_parser():
 
     sp = sub.add_parser("tt", help="train-track operations")
     ttsub = sp.add_subparsers(dest="action", required=True)
-    for name in ("verify", "pf"):
-        q = ttsub.add_parser(name)
+    for name, help_text, prints in (
+            ("verify", "check that a self-map is an irreducible train-track map",
+             "train-track, whether every edge image is legal for the gates of the map; "
+             "irreducible, whether its transition matrix is; illegal-turn, a turn an edge "
+             "image crosses, when one does. Exits 1 unless both hold."),
+            ("pf", "the Perron-Frobenius stretch factor and metric of a train-track map",
+             "lambda, the float nearest the Perron-Frobenius root of the transition matrix; "
+             "one `length` line per edge, its PF length, the lengths summing to 1. Each to 9 "
+             "significant digits.")):
+        q = ttsub.add_parser(name, help=help_text, description=f"Prints: {prints}")
         q.add_argument("map")
         q.set_defaults(func=cmd_tt, action=name)
     q = ttsub.add_parser(

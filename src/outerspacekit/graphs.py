@@ -103,7 +103,10 @@ class MetricGraph:
 
     def halfedge(self, ref: str) -> int:
         """The half-edge a ref names, read as `ref` writes it; KeyError
-        naming the edge id when no edge has it."""
+        naming the edge id when no edge has it, or the ref when it is not
+        a string."""
+        if not isinstance(ref, str):
+            raise KeyError(ref)
         name = ref.removeprefix("~")
         if name not in self.edge_ids:
             raise KeyError(name)
@@ -794,12 +797,29 @@ def vertex_index(vertices, name, where):
         raise ValueError(f"unknown vertex {str(name)!r} in {where}") from None
 
 
+# the JSON name of each type json.load returns, and of int as an expected type
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
+def json_value(value, kind: type, where: str):
+    """`value` when it is of type `kind`, as json.load returns a JSON
+    object (dict), array (list) or integer (int, not bool); ValueError
+    naming `where` and both JSON types otherwise. A string is never read
+    as the sequence of its characters."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{where} must be a JSON {_JSON_TYPES[kind]}, "
+                     f"not {_JSON_TYPES.get(type(value), type(value).__name__)}")
+
+
 def point_from_dict(data: dict, validate=True) -> MarkedMetricGraph:
+    data = json_value(data, dict, "a graph")
     try:
-        rank = int(data["rank"])
-        vertex_names = list(data["vertices"])
-        edges = data["edges"]
-        marking = data["marking"]
+        rank = json_value(data["rank"], int, "key 'rank'")
+        vertex_names = json_value(data["vertices"], list, "key 'vertices'")
+        edges = json_value(data["edges"], list, "key 'edges'")
+        marking = json_value(data["marking"], dict, "key 'marking'")
         basepoint_name = data["basepoint"]
     except KeyError as e:
         raise ValueError(f"graph file missing key {e}")
@@ -807,11 +827,15 @@ def point_from_dict(data: dict, validate=True) -> MarkedMetricGraph:
     edge_ids = []
     ends = []
     lengths = []
-    for e in edges:
-        edge_ids.append(str(e["id"]))
-        where = f"edge {edge_ids[-1]}"
-        ends.append((vertex_index(vidx, e["from"], where), vertex_index(vidx, e["to"], where)))
-        lengths.append(_parse_length(e["length"]))
+    for i, e in enumerate(edges):
+        e = json_value(e, dict, f"entry {i} of 'edges'")
+        try:
+            edge_ids.append(str(e["id"]))
+            where = f"edge {edge_ids[-1]}"
+            ends.append((vertex_index(vidx, e["from"], where), vertex_index(vidx, e["to"], where)))
+            lengths.append(_parse_length(e["length"]))
+        except KeyError as err:
+            raise ValueError(f"entry {i} of 'edges' missing key {err}") from None
     if len(set(edge_ids)) != len(edge_ids):
         raise ValueError("duplicate edge ids")
     graph = MetricGraph(len(vertex_names), edge_ids, ends, lengths)
@@ -819,7 +843,8 @@ def point_from_dict(data: dict, validate=True) -> MarkedMetricGraph:
     if len(keys) != rank:
         raise ValueError(f"marking has {len(keys)} generators, rank is {rank}")
     try:
-        loops = [tuple(map(graph.halfedge, marking[k])) for k in keys]
+        loops = [tuple(map(graph.halfedge, json_value(marking[k], list, f"marking loop {k!r}")))
+                 for k in keys]
     except KeyError as e:
         raise ValueError(f"unknown edge id {e.args[0]!r} in marking") from None
     point = MarkedMetricGraph(graph, vertex_index(vidx, basepoint_name, "basepoint"), loops)

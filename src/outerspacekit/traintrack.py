@@ -3,8 +3,11 @@ lamination leaves and the cut-vertex-free point search.
 
 A graph self-map carries edge-image paths over a marked graph. When every
 edge image is legal for the induced gate structure and the transition
-matrix is irreducible, the Perron-Frobenius eigenvector yields the metric
-in which the map stretches every edge by the eigenvalue.
+matrix is irreducible, its Perron-Frobenius (PF) data give the metric in
+which the map stretches every edge by the PF root lambda, and the
+frequencies of the edges in the leaves. Both come from one solve in Python
+ints (_perron): lambda is the float nearest the root, and nothing depends
+on a floating-point eigen-solver.
 
 The laminations are read off the leaf tiles f^k(e) realized at a point.
 Adjacent tiles cancel only inside bounded end windows (Cooper 1987), so a
@@ -30,12 +33,11 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, itemgetter, mul
 
-import numpy as np
-
 from .graphs import (
     MarkedMetricGraph,
     MetricGraph,
     edge_map_pieces,
+    json_value,
     point_from_dict,
     vertex_index,
 )
@@ -98,14 +100,12 @@ class GraphSelfMap:
         """First half-edge of each half-edge image."""
         return {h: path[0] for h, path in self.halfedge_images.items()}
 
-    def transition_matrix(self) -> np.ndarray:
-        """A[j][i] counts crossings of edge i (either way) by the image of edge j."""
+    def transition_matrix(self) -> tuple:
+        """A[j][i] counts crossings of edge i + 1 (either way) by the image
+        of edge j + 1: a tuple of rows, tuples of ints."""
         m = self.graph.n_edges
-        A = np.zeros((m, m), dtype=np.int64)
-        for e in range(1, m + 1):
-            for h in self.edge_images[e]:
-                A[e - 1][abs(h) - 1] += 1
-        return A
+        crossings = [Counter(map(abs, self.edge_images[e])) for e in range(1, m + 1)]
+        return tuple(tuple(c[i] for i in range(1, m + 1)) for c in crossings)
 
     def automorphism(self) -> Automorphism:
         """Outer class of the induced map on the fundamental group: each
@@ -160,7 +160,7 @@ class TrainTrackReport:
     irreducible: bool
     illegal_turn: object  # (h1, h2) crossed by some edge image, or None
     structure: TrainTrackStructure  # the gates of f
-    matrix: np.ndarray  # the transition matrix of f
+    matrix: tuple  # the transition matrix of f, rows of ints
 
     def check(self) -> "TrainTrackReport":
         """This report; raises NotTrainTrackError unless it is of an
@@ -178,19 +178,19 @@ def _path_turns(path):
     return [(-path[i], path[i + 1]) for i in range(len(path) - 1)]
 
 
-def is_irreducible_matrix(A: np.ndarray) -> bool:
-    """True iff every index reaches every other along positive entries.
-
-    Boolean reachability by repeated squaring of I + (A > 0), so large
-    entries cannot overflow into inf * 0 = NaN as float powers would.
-    """
-    m = A.shape[0]
-    reach = (np.asarray(A) > 0) | np.eye(m, dtype=bool)
-    span = 1
-    while span < m:
-        reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
-        span *= 2
-    return bool(reach.all())
+def is_irreducible_matrix(A) -> bool:
+    """True iff every index reaches every other along positive entries of
+    the square matrix A, rows of numbers: by two breadth-first searches,
+    index 0 reaches every index along A, and along its transpose. Only the
+    signs of the entries are read, so no entry can overflow."""
+    n = len(A)
+    for M in (A, tuple(zip(*A))):
+        reached = [0]
+        for i in reached:
+            reached += [j for j in range(n) if M[i][j] > 0 and j not in reached]
+        if len(reached) < n:
+            return False
+    return True
 
 
 def verify_train_track(f: GraphSelfMap) -> TrainTrackReport:
@@ -212,16 +212,19 @@ def check_train_track(f: GraphSelfMap) -> TrainTrackReport:
 
 
 class TrainTrackMap:
-    """A checked train-track map with its PF eigenvalue and metric."""
+    """A checked train-track map with its PF data (see pf_metric): lam, the
+    float nearest the PF root of the transition matrix; point, the marked
+    graph with the PF lengths, volume 1; and frequencies, the PF
+    occurrence frequencies of the edges in the leaves, summing to 1."""
 
-    def __init__(self, selfmap: GraphSelfMap, structure, matrix, lam, pf_point):
+    def __init__(self, selfmap: GraphSelfMap, structure, matrix, lam, pf_point, frequencies):
         self.selfmap = selfmap
         self.structure = structure
         self.matrix = matrix
         self.lam = lam
-        self.point = pf_point  # marked graph with the PF metric, volume 1
+        self.point = pf_point
+        self.frequencies = frequencies
         self._automorphism = None
-        self._frequencies = None
         self._ends = weakref.WeakKeyDictionary()  # marking object -> LeafEnd, see leaf_end
 
     @property
@@ -239,12 +242,6 @@ class TrainTrackMap:
 
     def legality_threshold(self) -> float:
         return 4.0 * self.bcc_bound() / (self.lam - 1.0)
-
-    def tile_frequencies(self) -> np.ndarray:
-        """PF occurrence frequencies of edges in the leaf, normalized to sum 1."""
-        if self._frequencies is None:
-            self._frequencies = _perron(self.matrix.astype(float).T)[1]
-        return self._frequencies
 
     def leaf_pieces(self, edge_index: int, k: int):
         """(pieces, words, first): f^k(e) for the half-edge e = edge_index
@@ -378,8 +375,7 @@ class TrainTrackMap:
         rows of A.C_i - C_(i+1) are zero but for the edges whose image has
         more than one piece. Each sum runs left to right over the edges, as
         a matrix product does."""
-        lam = self.lam
-        r = self.tile_frequencies().tolist()
+        lam, r = self.lam, self.frequencies
         images = [self.selfmap.edge_images[e] for e in range(1, len(r) + 1)]
         joined = [(j, [abs(h) - 1 for h in image]) for j, image in enumerate(images)
                   if len(image) > 1]
@@ -595,36 +591,108 @@ def _next_level(level, plan, join) -> list:
     return out
 
 
-def _perron(A: np.ndarray):
-    """(eigenvalue, eigenvector normalized to sum 1) of a nonnegative
-    irreducible matrix: the eigenvalue of largest real part, which for such a
-    matrix is the Perron-Frobenius root, and its eigenvector, which is
-    positive; raises NotTrainTrackError when it is not."""
-    vals, vecs = np.linalg.eig(A)
-    i = int(np.argmax(vals.real))
-    v = vecs[:, i].real
-    v = v / v.sum()
-    if not (v > 0).all():
-        raise NotTrainTrackError(f"Perron eigenvector {v.tolist()} is not positive")
-    return float(vals[i].real), v
+def _perron(A):
+    """(lam, lengths, frequencies) of an irreducible nonnegative integer
+    matrix A, rows of ints: lam the float nearest its PF root, and its
+    right and left PF vectors (A.lengths = lam lengths, frequencies.A =
+    lam frequencies), positive and normalized to sum 1.
+
+    One solve in Python ints. The Faddeev-LeVerrier recurrence, B_1 = I,
+    c_(n-k) = -tr(A.B_k) / k and B_(k+1) = A.B_k + c_(n-k) I, gives the
+    characteristic polynomial p(x) = sum c_i x^i and adj(xI - A) =
+    sum_k B_k x^(n-k); A.B_k is summed row by row over the nonzero entries
+    of A. Every eigenvalue has real part at most lam, so by Gauss-Lucas p,
+    p' and p'' are positive on (lam, inf), and Newton's method from the
+    largest row sum, which is at least lam, falls monotonically to lam; p
+    and p' are evaluated exactly at each float. Exact sign tests of p at
+    the midpoints to the neighbouring floats then fix the nearest one. lam
+    is a simple root and adj(lam I - A) a positive multiple of v.w^T, for
+    the right and left PF vectors v and w, so its first column and first
+    row, evaluated exactly at that float, give the lengths and the
+    frequencies, each rounded once by an int / int division.
+    """
+    n = len(A)
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in A]
+    p, adj = [1], []  # p highest degree first; adj[k - 1] = B_k
+    B = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        adj.append(B)
+        product = []
+        for row in rows:
+            out = [0] * n
+            for j, a in row:
+                out = list(map(add, out, map(a.__mul__, B[j])))
+            product.append(out)
+        c = -sum(product[i][i] for i in range(n)) // k
+        p.append(c)
+        for i in range(n):
+            product[i][i] += c
+        B = product
+    derivative = [c * (n - i) for i, c in enumerate(p[:-1])]
+    x = float(max(map(sum, A)))
+    while True:
+        num, den = x.as_integer_ratio()
+        value = _scaled(p, num, den)
+        if value <= 0:
+            break
+        after = x - value / (_scaled(derivative, num, den) * den)
+        if after >= x:
+            break
+        x = after
+
+    def above(y, z):
+        """p > 0 at the midpoint of the floats y and z."""
+        (a, b), (c, d) = y.as_integer_ratio(), z.as_integer_ratio()
+        return _scaled(p, a * d + c * b, 2 * b * d) > 0
+
+    while not above(x, up := math.nextafter(x, math.inf)):
+        x = up
+    while above(down := math.nextafter(x, -math.inf), x):
+        x = down
+    num, den = x.as_integer_ratio()
+    column = [_scaled([Bk[i][0] for Bk in adj], num, den) for i in range(n)]
+    row = [_scaled([Bk[0][j] for Bk in adj], num, den) for j in range(n)]
+    return x, _normalized(column), _normalized(row)
+
+
+def _normalized(vector) -> tuple:
+    """vector / sum(vector), each entry one int / int division."""
+    total = sum(vector)
+    return tuple(v / total for v in vector)
+
+
+def _scaled(coeffs, num: int, den: int) -> int:
+    """den^d q(num / den), exactly, for the polynomial q of degree d with
+    int coefficients `coeffs`, highest degree first, and den > 0: an int
+    with the sign of q(num / den)."""
+    value, scale = coeffs[0], 1
+    for c in coeffs[1:]:
+        scale *= den
+        value = value * num + c * scale
+    return value
 
 
 def pf_metric(f: GraphSelfMap) -> TrainTrackMap:
-    """PF eigenvalue and metric of an irreducible train-track self-map.
+    """The PF data of an irreducible train-track self-map, from one
+    _perron solve of its transition matrix after check_train_track: lam,
+    the PF lengths as the metric of the map's point and the frequencies.
 
-    One eigen-solve of the transition matrix (see _perron), after
-    check_train_track; rejects eigenvalues within 1e-9 of 1. The map over
-    the PF point is a copy of f that shares its checked image tables.
+    The least row sum of the matrix is at least 1, since no edge image is
+    empty, and lam of an irreducible matrix exceeds its least row sum
+    unless all row sums are equal: so lam = 1 exactly when every row sum
+    is 1, and such a map, of finite order, is rejected. The map over the
+    PF point is a copy of f that shares its checked image tables.
     """
     report = check_train_track(f)
-    lam, lengths = _perron(report.matrix.astype(float))
-    if lam <= 1.0 + 1e-9:
-        raise NotTrainTrackError(f"expansion factor {lam} <= 1 (finite order map)")
+    if all(sum(row) == 1 for row in report.matrix):
+        raise NotTrainTrackError("expansion factor 1: the transition matrix is a permutation "
+                                 "matrix (finite order map)")
+    lam, lengths, frequencies = _perron(report.matrix)
     pf_point = f.point.with_lengths(list(lengths))
     # the images are checked already and do not depend on the lengths
     selfmap = copy.copy(f)
     selfmap.point = pf_point
-    return TrainTrackMap(selfmap, report.structure, report.matrix, lam, pf_point)
+    return TrainTrackMap(selfmap, report.structure, report.matrix, lam, pf_point, frequencies)
 
 
 @dataclass
@@ -681,7 +749,7 @@ class LeafEnd:
 
 @dataclass
 class LaminationLengthEstimate:
-    frequencies: np.ndarray
+    frequencies: tuple  # the tile frequencies of the map, TrainTrackMap.frequencies
     value: float
     k_used: int  # the repeat level read, 0 at the base's own marking
     converged: bool = True  # every estimate is the exact limit
@@ -705,7 +773,7 @@ def lamination_length_ratio(
         raise ValueError(f"rank mismatch: {target.rank} vs {tt.point.rank}")
     if k_cap < 1:
         raise ValueError("k_cap must be >= 1")
-    r = tt.tile_frequencies()
+    r = tt.frequencies
     if target.marking is tt.point.marking:
         w, k = r, 0
     else:
@@ -817,17 +885,23 @@ def no_cut_vertex_search(
 
 
 def selfmap_from_dict(data: dict) -> GraphSelfMap:
+    """The self-map a file gives: its "graph", read by point_from_dict,
+    its "edge_images", edge id -> list of refs, and optionally its
+    "vertex_images", vertex name -> vertex name; ValueError naming the key
+    of any part missing, unknown or of the wrong JSON type."""
+    data = json_value(data, dict, "a self-map")
     try:
         graph, images = data["graph"], data["edge_images"]
     except KeyError as e:
         raise ValueError(f"self-map file missing key {e}") from None
-    point = point_from_dict(graph)
+    point = point_from_dict(json_value(graph, dict, "key 'graph'"))
     g = point.graph
     eidx = {eid: i + 1 for i, eid in enumerate(g.edge_ids)}
     edge_images = {}
-    for k, path in images.items():
+    for k, path in json_value(images, dict, "key 'edge_images'").items():
         if str(k) not in eidx:
             raise ValueError(f"unknown edge id {str(k)!r} in edge_images")
+        path = json_value(path, list, f"edge image {str(k)!r}")
         try:
             edge_images[eidx[str(k)]] = tuple(map(g.halfedge, path))
         except KeyError as err:
@@ -836,7 +910,8 @@ def selfmap_from_dict(data: dict) -> GraphSelfMap:
     if "vertex_images" in data:
         vertex_images = {vertex_index(vertices, k, "vertex_images"):
                          vertex_index(vertices, v, "vertex_images")
-                         for k, v in data["vertex_images"].items()}
+                         for k, v in json_value(data["vertex_images"], dict,
+                                                "key 'vertex_images'").items()}
     else:  # read off the nonempty images; GraphSelfMap rejects an empty one
         given = [e for e, path in edge_images.items() if path]
         vertex_images = {

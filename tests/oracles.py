@@ -646,7 +646,7 @@ def leaf_end_closed_form(tt, point, end):
     K, k = end.level - end.period, end.level
     levels = islice(tt.realized_leaves(point), K, k + 1)
     C = np.array([[tile.counts for tile in level] for level in levels], dtype=object)
-    A, r, lam = tt.matrix.astype(object), tt.tile_frequencies(), tt.lam
+    A, r, lam = np.array(tt.matrix, dtype=object), np.array(tt.frequencies), tt.lam
     cancelled = sum(r @ (A @ C[i, :, :m] - C[i + 1, :, :m]) / lam ** (K + i + 1)
                     for i in range(k - K))
     w = r @ C[0, :, :m] / lam ** K - cancelled / (1.0 - lam ** (K - k))
@@ -659,7 +659,7 @@ def lamination_ratio(tt, target, k):
     """The ratio a_k of the tile-frequency-weighted lengths of the level-k
     leaf tiles at `target` and at tt.point, read off the tiles' edge
     counts."""
-    r = tt.tile_frequencies()
+    r = tt.frequencies
     weighted = []
     for point in (target, tt.point):
         level = next(islice(tt.realized_leaves(point), k, None))
@@ -671,7 +671,7 @@ def lamination_ratio(tt, target, k):
 
 def lamination_sequence(tt, target, k_max):
     """Reference for the ratios a_1..a_k_max of lamination_length_ratio."""
-    r = tt.tile_frequencies()
+    r = tt.frequencies
     seq = []
     for k in range(1, k_max + 1):
         num = 0.0

@@ -315,6 +315,48 @@ class TestFileErrors:
                 assert capsys.readouterr() == (
                     "", f"error: invalid self-map file {p}: self-map file missing key '{key}'\n")
 
+    @pytest.mark.parametrize("kind, argv, data, message", [
+        # a string was read one character at a time: this file loaded as
+        # the golden map on the edges a and b, and tt pf printed its lambda
+        ("self-map", ["tt", "pf"],
+         {"graph": dict(GOLDEN_MAP["graph"], edges=[dict(e, id=n) for e, n in zip(
+             GOLDEN_MAP["graph"]["edges"], "ab")], marking={"x": ["a"], "y": ["b"]}),
+          "edge_images": {"a": "ab", "b": "a"}},
+         "edge image 'a' must be a JSON array, not string"),
+        # and this graph file was valid
+        ("graph", ["validate"],
+         dict(GOLDEN_MAP["graph"], edges=[dict(e, id=n) for e, n in zip(
+             GOLDEN_MAP["graph"]["edges"], "ab")], marking={"x": "a", "y": ["b"]}),
+         "marking loop 'x' must be a JSON array, not string"),
+        ("self-map", ["tt", "pf"], dict(GOLDEN_MAP, graph=None),
+         "key 'graph' must be a JSON object, not null"),
+        ("self-map", ["tt", "pf"], dict(GOLDEN_MAP, edge_images=[["e1", "e2"], ["e1"]]),
+         "key 'edge_images' must be a JSON object, not array"),
+        ("self-map", ["tt", "pf"], dict(GOLDEN_MAP, vertex_images=["v"]),
+         "key 'vertex_images' must be a JSON object, not array"),
+        ("graph", ["validate"], dict(THETA_DICT, edges=None),
+         "key 'edges' must be a JSON array, not null"),
+        ("graph", ["validate"], dict(THETA_DICT, rank="2"),
+         "key 'rank' must be a JSON integer, not string"),
+        ("graph", ["validate"], dict(THETA_DICT, edges=[5, *THETA_DICT["edges"][1:]]),
+         "entry 0 of 'edges' must be a JSON object, not integer"),
+        ("graph", ["validate"], dict(THETA_DICT, edges=[
+            {k: v for k, v in e.items() if k != "length"} for e in THETA_DICT["edges"]]),
+         "entry 0 of 'edges' missing key 'length'"),
+        ("graph", ["validate"], [THETA_DICT], "a graph must be a JSON object, not array"),
+        ("self-map", ["tt", "pf"], [GOLDEN_MAP], "a self-map must be a JSON object, not array"),
+        ("self-map", ["tt", "pf"], dict(GOLDEN_MAP, edge_images={"e1": ["e1", 2], "e2": ["e1"]}),
+         "unknown edge id 2 in edge image"),
+    ], ids=["image-a-string", "loop-a-string", "graph-null", "images-a-list",
+            "vertex-images-a-list", "edges-null", "rank-a-string", "edge-a-number",
+            "edge-without-length", "graph-a-list", "self-map-a-list", "ref-a-number"])
+    def test_wrong_json_type_is_named(self, tmp_path, capsys, kind, argv, data, message):
+        # each once printed Python's own message, or loaded
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        assert main(argv + [str(p)]) == 1
+        assert capsys.readouterr() == ("", f"error: invalid {kind} file {p}: {message}\n")
+
     def test_empty_image_reads_as_missing(self, tmp_path, capsys):
         # with no vertex_images, the vertex images are read off the edge images
         for name, images in (("empty", {"e1": [], "e2": ["e1"]}), ("missing", {"e2": ["e1"]})):
@@ -683,6 +725,15 @@ class TestUsage:
         out = " ".join(capsys.readouterr().out.split())
         assert "Prints: path, the refs of f^k(e); word, its word in the marking." in out
         assert f"LEAF_PATH_MAX ({traintrack_mod.LEAF_PATH_MAX}) half-edges" in out
+
+    @pytest.mark.parametrize("command, prints", [
+        ("verify", "Prints: train-track, whether every edge image is legal"),
+        ("pf", "Prints: lambda, the float nearest the Perron-Frobenius root of the "
+         "transition matrix; one `length` line per edge"),
+    ])
+    def test_tt_help_says_what_it_prints(self, capsys, command, prints):
+        assert main(["tt", command, "--help"]) == 0
+        assert prints in " ".join(capsys.readouterr().out.split())
 
     def test_negative_flag_rejected(self, files, capsys):
         assert main(["axis", "contract", files["fwd"], files["bwd"],

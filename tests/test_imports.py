@@ -184,54 +184,17 @@ def test_every_defaulted_parameter_is_passed():
     assert dead == []
 
 
-# The library functions that may reference numpy: the transition matrix, its
-# irreducibility test, and the PF eigen-solve _perron with its callers. An
-# annotation may name it anywhere. The list only shrinks: no other code,
-# leaf expansion included, takes numpy back.
-NUMPY_FUNCTIONS = {
-    "traintrack.GraphSelfMap.transition_matrix",
-    "traintrack.is_irreducible_matrix",
-    "traintrack._perron",
-    "traintrack.TrainTrackMap.tile_frequencies",
-    "traintrack.pf_metric",
-}
-
-
-def _numpy_users(tree, module):
-    """Qualified name of the innermost def or class around each load of a
-    name numpy is imported as, outside annotations; `module` for one at
-    the top level."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names.update(a.asname or "numpy" for a in node.names
-                         if a.name.split(".")[0] == "numpy")
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
-            names.update(a.asname or a.name for a in node.names)
-    users = set()
-
-    def visit(node, qual):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            qual = f"{qual}.{node.name}"
-        skip = {id(getattr(node, attr, None)) for attr in ("annotation", "returns")}
-        for child in ast.iter_child_nodes(node):
-            if id(child) in skip:
+def test_no_module_imports_numpy():
+    """The library runs on the standard library alone: no module imports
+    numpy, which only the tests and the benchmark use."""
+    importing = []
+    for path in sorted(pathlib.Path(outerspacekit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
                 continue
-            if isinstance(child, ast.Name) and child.id in names:
-                users.add(qual)
-            visit(child, qual)
-
-    visit(tree, module)
-    return users
-
-
-def test_numpy_stays_in_its_functions():
-    """Only the functions of NUMPY_FUNCTIONS reference numpy, and each of
-    them is a function the library defines."""
-    users, defined = set(), set()
-    for path in pathlib.Path(outerspacekit.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        users |= _numpy_users(tree, path.stem)
-        defined.update(f"{path.stem}.{qual}" for _, qual in _defined(tree, fields=False))
-    assert sorted(users - NUMPY_FUNCTIONS) == []
-    assert sorted(NUMPY_FUNCTIONS - defined) == []
+            importing += [path.name for m in modules if m.split(".")[0] == "numpy"]
+    assert importing == []

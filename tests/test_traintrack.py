@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -131,12 +132,10 @@ class TestVerify:
                 GraphSelfMap(rose(2), {0: 0}, {1: (1, bad), 2: (1,)})
 
     def test_irreducible_huge_entries(self):
-        # float powers of I + A overflow here and inf * 0 gives NaN
-        B = 1e200
-        A = np.array([[0, B, 0], [0, 0, B], [B, 0, 0]])
-        assert is_irreducible_matrix(A)
-        A[2, 0] = 0.0
-        assert not is_irreducible_matrix(A)
+        # float powers of I + A overflowed here, and inf * 0 gave NaN
+        B = 10**200
+        assert is_irreducible_matrix(((0, B, 0), (0, 0, B), (B, 0, 0)))
+        assert not is_irreducible_matrix(((0, B, 0), (0, 0, B), (0, 0, 0)))
 
 
 class TestPF:
@@ -155,6 +154,23 @@ class TestPF:
     def test_swap_rejected(self):
         with pytest.raises(NotTrainTrackError):
             pf_metric(GraphSelfMap(rose(2), {0: 0}, {1: (2,), 2: (1,)}))
+
+    def test_three_cycle_rejected_as_finite_order(self):
+        # every row sum is 1, so lambda is exactly 1
+        with pytest.raises(NotTrainTrackError, match=r"^expansion factor 1: the transition "
+                           r"matrix is a permutation matrix \(finite order map\)$"):
+            pf_metric(GraphSelfMap(rose(3), {0: 0}, {1: (2,), 2: (3,), 3: (1,)}))
+
+    def test_one_solve_per_map(self, monkeypatch):
+        """pf_metric solves once for lambda, the lengths and the
+        frequencies, and a lamination estimate reads them with no solve."""
+        calls = []
+        solve = traintrack._perron
+        monkeypatch.setattr(traintrack, "_perron", lambda A: calls.append(A) or solve(A))
+        tt = pf_metric(golden_selfmaps()[0])
+        lamination_length_ratio(tt, rose(2, [1 / 3, 2 / 3]))
+        lamination_length_ratio(tt, tt.point)
+        assert calls == [tt.matrix]
 
     def test_matrix_1112(self):
         tt = pf_metric(GraphSelfMap(rose(2), {0: 0}, {1: (1, 2), 2: (2, 1, 2)}))
@@ -184,7 +200,7 @@ class TestPF:
     )
     def test_matches_numpy_eig(self, selfmap):
         tt = pf_metric(selfmap)
-        A = tt.matrix.astype(float)
+        A = np.array(tt.matrix, dtype=float)
         vals, vecs = np.linalg.eig(A)
         i = int(np.argmax(vals.real))
         lengths = np.abs(vecs[:, i].real) / np.abs(vecs[:, i].real).sum()
@@ -193,14 +209,14 @@ class TestPF:
         vals, vecs = np.linalg.eig(A.T)
         i = int(np.argmax(vals.real))
         freqs = np.abs(vecs[:, i].real) / np.abs(vecs[:, i].real).sum()
-        assert np.max(np.abs(tt.tile_frequencies() - freqs)) <= 1e-9
+        assert np.max(np.abs(np.array(tt.frequencies) - freqs)) <= 1e-9
 
 
 def _random_irreducible(rng, m):
     while True:
         A = rng.integers(0, 3, size=(m, m)) * (rng.random((m, m)) < 0.5)
         if is_irreducible_matrix(A):
-            return A.astype(float)
+            return tuple(map(tuple, A.tolist()))
 
 
 @pytest.mark.parametrize("name", LEAF_MAPS)
@@ -209,32 +225,32 @@ def test_pf_data_exact(name):
     1e-14, and the PF lengths and tile frequencies are positive, sum to 1
     and are eigenvectors to a residual of 1e-13."""
     tt = pf_metric(LEAF_MAPS[name]())
-    roots = sympy.Matrix(tt.matrix.tolist()).charpoly().nroots(n=40)
+    roots = sympy.Matrix(tt.matrix).charpoly().nroots(n=40)
     rho = float(max(r for r in roots if r.is_real))
     assert abs(tt.lam - rho) <= 1e-14 * rho
-    A = tt.matrix.astype(float)
-    for M, v in ((A, np.array(tt.graph.lengths)), (A.T, tt.tile_frequencies())):
+    A = np.array(tt.matrix, dtype=float)
+    for M, v in ((A, np.array(tt.graph.lengths)), (A.T, np.array(tt.frequencies))):
         assert (v > 0).all()
         assert abs(v.sum() - 1.0) <= 1e-15
         assert np.abs(M @ v - tt.lam * v).max() <= 1e-13
 
 
 class TestPerron:
-    """The eigen-solve against the power iteration it replaced, which
-    stops at a residual of 1e-12, so the two agree to within 1e-11."""
+    """The solve against a power iteration on A and on A^T, which stops at
+    a residual of 1e-12, so the two agree to within 1e-11."""
 
     @staticmethod
     def _close_to_reference(A):
-        lam, v = traintrack._perron(A)
-        ref_lam, ref_v = oracles.perron(A)
-        assert abs(lam - ref_lam) <= 1e-11
-        assert np.abs(v - ref_v).max() <= 1e-11
+        lam, lengths, frequencies = traintrack._perron(A)
+        M = np.array(A, dtype=float)
+        for v, (ref_lam, ref_v) in ((lengths, oracles.perron(M)),
+                                    (frequencies, oracles.perron(M.T))):
+            assert abs(lam - ref_lam) <= 1e-11
+            assert np.abs(np.array(v) - ref_v).max() <= 1e-11
 
     @pytest.mark.parametrize("name", LEAF_MAPS)
     def test_equals_reference_on_leaf_maps(self, name):
-        A = LEAF_MAPS[name]().transition_matrix().astype(float)
-        for M in (A, A.T):
-            self._close_to_reference(M)
+        self._close_to_reference(LEAF_MAPS[name]().transition_matrix())
 
     def test_equals_reference_on_random_irreducible(self):
         rng = np.random.default_rng(20)
@@ -243,11 +259,63 @@ class TestPerron:
 
     def test_imprimitive_takes_the_positive_root(self):
         # eigenvalues +-sqrt(6): the root is the one of largest real part
-        A = np.array([[0.0, 2.0], [3.0, 0.0]])
-        lam, v = traintrack._perron(A)
-        assert abs(lam - math.sqrt(6)) <= 1e-14 * math.sqrt(6)
-        assert (v > 0).all()
+        A = ((0, 2), (3, 0))
+        lam, lengths, frequencies = traintrack._perron(A)
+        assert lam == math.sqrt(6)
+        assert min(lengths) > 0 and min(frequencies) > 0
         self._close_to_reference(A)
+
+
+def _pf_exact(A):
+    """The PF root of A, and its right and left PF vectors normalized to
+    sum 1, to 60 digits: the largest of sympy's exact real roots of the
+    characteristic polynomial (nroots fails to converge on some random
+    matrices), and mpmath LU solves of (root I - M) v = 0 with v[0] = 1
+    for M = A and A^T."""
+    x = sympy.Symbol("x")
+    root = sympy.Poly(sympy.Matrix(A).charpoly(x).as_expr(), x).real_roots()[-1]
+    with mpmath.workdps(60):
+        lam = mpmath.mpf(str(root.evalf(60)))
+        vectors = []
+        for M in (A, tuple(zip(*A))):
+            L = mpmath.matrix([[lam * (i == j) - a for j, a in enumerate(row)]
+                               for i, row in enumerate(M)])
+            n = len(M)
+            rest = mpmath.lu_solve(L[1:, 1:], -L[1:, 0]) if n > 1 else []
+            v = [mpmath.mpf(1), *(rest[i] for i in range(n - 1))]
+            vectors.append([float(c / sum(v)) for c in v])
+        return float(lam), *vectors
+
+
+class TestNearestFloat:
+    """lambda is the float nearest the PF root, bit for bit, and the PF
+    lengths and frequencies are within 1e-15 of the exact vectors (the
+    solve evaluates them at that float, not at the root)."""
+
+    @staticmethod
+    def _exact(A, lam, lengths, frequencies):
+        ref_lam, ref_lengths, ref_frequencies = _pf_exact(A)
+        assert lam == ref_lam
+        for v, ref in ((lengths, ref_lengths), (frequencies, ref_frequencies)):
+            assert max(map(abs, map(float.__sub__, v, ref))) <= 1e-15
+
+    @pytest.mark.parametrize("name", [*LEAF_MAPS, "swap-golden"])
+    def test_maps(self, name):
+        # swap-golden's matrix is irreducible with period 2
+        f = swap_golden_selfmaps()[0] if name == "swap-golden" else LEAF_MAPS[name]()
+        tt = pf_metric(f)
+        self._exact(tt.matrix, tt.lam, tt.graph.lengths, tt.frequencies)
+
+    def test_random_irreducible(self):
+        rng = random.Random("perron")
+        for n in range(1, 9):
+            done = 0
+            while done < 25:
+                A = tuple(tuple(rng.randrange(3) if rng.random() < 0.5 else 0
+                                for _ in range(n)) for _ in range(n))
+                if is_irreducible_matrix(A):
+                    self._exact(A, *traintrack._perron(A))
+                    done += 1
 
 
 class TestLegality:
@@ -666,7 +734,7 @@ class TestLamination:
             lamination_length_ratio(golden_tt, rose(3))
 
     def test_tile_frequencies_golden(self, golden_tt):
-        r = golden_tt.tile_frequencies()
+        r = golden_tt.frequencies
         assert r[0] == pytest.approx(GOLDEN / (1 + GOLDEN), abs=1e-9)
         assert r[1] == pytest.approx(1 / (1 + GOLDEN), abs=1e-9)
 
@@ -679,7 +747,7 @@ class TestLamination:
         """At tt.point no join cancels, so the edge counts of level k are the
         rows of A^k, here in Python ints for silver at k = 60 (about 1e23)."""
         tt = pf_metric(silver_selfmap())
-        A = tt.matrix.tolist()
+        A = tt.matrix
         power = [[int(i == j) for j in range(len(A))] for i in range(len(A))]
         for _ in range(60):
             power = [[sum(row[l] * A[l][j] for l in range(len(A))) for j in range(len(A))]

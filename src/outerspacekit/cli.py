@@ -317,10 +317,19 @@ def build_parser():
     sp.add_argument("x")
     sp.set_defaults(func=cmd_candidates)
 
-    sp = sub.add_parser("whitehead", help="Whitehead minimization / primitivity")
+    sp = sub.add_parser(
+        "whitehead", help="Whitehead minimization / primitivity",
+        description="Prints: for minimize, one `step k: move (A, a), length b->a` line per "
+        "Whitehead move made, with the letters of A, the letter a and the total lengths "
+        "before and after the move; then `final <words> (<terminal state>)`, the minimized "
+        "cyclic words and basis-reached, disconnected-min or no-cut-vertex. For primitive, "
+        "`primitive` or `not primitive`.")
     sp.add_argument("action", choices=["minimize", "primitive"])
-    sp.add_argument("words", nargs="+")
-    sp.add_argument("--rank", type=int)
+    sp.add_argument("words", nargs="+",
+                    help="cyclic words in letters a-z, upper case for inverses")
+    sp.add_argument("--rank", type=int,
+                    help="the rank of the free group, at least the number of distinct "
+                    "letters used (the default)")
     sp.set_defaults(func=cmd_whitehead)
 
     sp = sub.add_parser("tt", help="train-track operations")

@@ -2,9 +2,10 @@
 
 The Whitehead graph of a set of cyclic words has the 2n signed letters as
 vertices and one edge {u^-1, v} per cyclic two-letter subword uv, with
-multiplicity. It is stored once, as the symmetric 2n x 2n matrix of edge
-multiplicities with rows and columns in letter_key order 1, -1, 2, -2, ...;
-its edge list, isolated vertices and unions are read off that matrix.
+multiplicity. It is stored once, as the map from neighbours to edge
+multiplicities of each vertex, the vertices in letter_key order 1, -1, 2,
+-2, ...; its edge list, isolated vertices and unions are read off those
+maps, and every walk of the graph reads only the edges that exist.
 Connectivity and cut vertices drive Whitehead's reduction algorithm: a
 basis element minimizes to a single letter, while a connected
 cut-vertex-free graph certifies a non-basis element. Cut vertices are the
@@ -24,7 +25,9 @@ So the moves derived from cut vertices are scored on the graph, and the
 largest decrease over all moves for a given a is deg(a) minus the minimum
 a / a^-1 cut: a step costs n max-flows on 2n vertices and is polynomial
 (Roig-Ventura-Weil, "On the complexity of the Whitehead minimization
-problem", IJAC 2007). The source sides of the minimum cuts are the sets
+problem", IJAC 2007). Each max-flow is Edmonds-Karp over residual
+neighbour maps, so a step costs O(n flow (V + E)) for V = 2n vertices and E
+distinct edges. The source sides of the minimum cuts are the sets
 closed under the arcs of the residual graph of one maximum flow that hold a
 and not a^-1 (Picard-Queyranne, Math. Programming Study 13, 1980), so the
 least A among them is read off that residual graph. The words are rewritten
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add
 
 from .words import (
     CyclicWord,
@@ -45,7 +47,6 @@ from .words import (
     canonical_cyclic,
     cyclic_tighten,
     join_pieces,
-    letter_key,
     piece_table,
     signed_letters,
 )
@@ -59,31 +60,35 @@ def _letter_index(x: int) -> int:
 @dataclass(frozen=True)
 class WhiteheadGraph:
     rank: int
-    cap: tuple  # symmetric matrix of edge multiplicities, rows in letter_key order
+    # per vertex in letter_key order, its neighbours -> edge multiplicities;
+    # symmetric, with no zero entries, and never changed once built
+    neighbours: tuple
 
     @staticmethod
     def from_counter(rank: int, counter: Counter) -> "WhiteheadGraph":
         """Graph of a counter of edges {u, v} (two-letter sets) to multiplicities."""
-        cap = [[0] * (2 * rank) for _ in range(2 * rank)]
+        nbrs = [{} for _ in range(2 * rank)]
         for e, m in counter.items():
-            i, j = map(_letter_index, e)
-            cap[i][j] += m
-            cap[j][i] += m
-        return WhiteheadGraph(rank, tuple(map(tuple, cap)))
+            if m:
+                i, j = map(_letter_index, e)
+                nbrs[i][j] = nbrs[i].get(j, 0) + m
+                nbrs[j][i] = nbrs[j].get(i, 0) + m
+        return WhiteheadGraph(rank, tuple(nbrs))
 
     @property
     def edges(self) -> tuple:
         """Sorted ((u, v), multiplicity) pairs, u before v in letter_key order."""
         letters = tuple(signed_letters(self.rank))
-        return tuple(((letters[i], letters[j]), m)
-                     for i, row in enumerate(self.cap) for j, m in enumerate(row) if j > i and m)
+        return tuple(((letters[i], letters[j]), m) for i, row in enumerate(self.neighbours)
+                     for j, m in sorted(row.items()) if j > i)
 
     def isolated_vertices(self):
-        return [x for x, row in zip(signed_letters(self.rank), self.cap) if not any(row)]
+        return [x for x, row in zip(signed_letters(self.rank), self.neighbours) if not row]
 
     def union(self, other: "WhiteheadGraph") -> "WhiteheadGraph":
-        return WhiteheadGraph(
-            self.rank, tuple(tuple(map(add, r, s)) for r, s in zip(self.cap, other.cap)))
+        return WhiteheadGraph(self.rank, tuple(
+            {**r, **{j: r.get(j, 0) + m for j, m in s.items()}}
+            for r, s in zip(self.neighbours, other.neighbours)))
 
 
 def whitehead_graph(words, rank=None) -> WhiteheadGraph:
@@ -108,18 +113,18 @@ def whitehead_graph(words, rank=None) -> WhiteheadGraph:
 
 def _turn_graph(words, rank: int) -> WhiteheadGraph:
     """Whitehead graph of nonempty cyclically reduced letter tuples."""
-    cap = [[0] * (2 * rank) for _ in range(2 * rank)]
+    turns = Counter()
     for ls in words:
-        u = ls[-1]
-        for v in ls:
-            i, j = _letter_index(-u), _letter_index(v)
-            # -u == v cannot occur in a cyclically reduced word, keep guard simple
-            if i == j:
-                raise ValueError("self-loop in Whitehead graph: word not cyclically reduced")
-            cap[i][j] += 1
-            cap[j][i] += 1
-            u = v
-    return WhiteheadGraph(rank, tuple(map(tuple, cap)))
+        turns.update(zip(ls[-1:] + ls[:-1], ls))
+    nbrs = [{} for _ in range(2 * rank)]
+    for (u, v), m in turns.items():
+        i, j = _letter_index(-u), _letter_index(v)
+        # -u == v cannot occur in a cyclically reduced word, keep guard simple
+        if i == j:
+            raise ValueError("self-loop in Whitehead graph: word not cyclically reduced")
+        nbrs[i][j] = nbrs[i].get(j, 0) + m
+        nbrs[j][i] = nbrs[j].get(i, 0) + m
+    return WhiteheadGraph(rank, tuple(nbrs))
 
 
 @dataclass(frozen=True)
@@ -132,30 +137,29 @@ class CutReport:
 
 def cut_analysis(graph: WhiteheadGraph) -> CutReport:
     """Connectivity (over used vertices), cut vertices and the components
-    each cut vertex splits off, from one walk of the graph's matrix rows.
+    each cut vertex splits off, from one walk of the graph's edges.
 
-    One iterative depth-first search from each least unvisited vertex finds
-    the components; in a connected graph the cut vertices are the root if it
-    has two or more tree children, and every other vertex with a tree child
-    c whose lowpoint low[c] (least depth reachable from c's subtree by one
-    back edge) is at least its own depth. The subtree of each such c is a
+    One iterative depth-first search from the least used vertex walks its
+    component, and the graph is connected iff it reaches every used vertex.
+    In a connected graph the cut vertices are the root if it has two or
+    more tree children, and every other vertex with a tree child c whose
+    lowpoint low[c] (least depth reachable from c's subtree by one back
+    edge) is at least its own depth. The subtree of each such c is a
     component of the graph minus the cut vertex a, the slice of the preorder
     from c on when c is finished; what is left besides a is one more.
     splits lists the cut vertices in letter_key order, each with its
     components as sorted tuples ordered by their least letter.
     """
     letters = tuple(signed_letters(graph.rank))
-    adj = [[j for j, m in enumerate(row) if m] for row in graph.cap]
+    adj = graph.neighbours
     n = len(adj)
+    used = [v for v in range(n) if adj[v]]
     depth, low, pre = [-1] * n, [0] * n, [0] * n
-    order = []
-    n_components = 0
+    order = used[:1]
     below = {}  # vertex -> subtrees of its tree children c with low[c] >= its depth
-    for root in range(n):
-        if depth[root] >= 0 or not adj[root]:
-            continue
+    if used:
+        root = used[0]
         depth[root] = 0
-        order.append(root)
         stack = [(root, -1, iter(adj[root]))]  # -1 is no vertex: the root's parent
         while stack:
             v, parent, it = stack[-1]
@@ -175,8 +179,7 @@ def cut_analysis(graph: WhiteheadGraph) -> CutReport:
                         low[parent] = low[v]
                     if low[v] >= depth[parent]:
                         below.setdefault(parent, []).append(order[pre[v]:])
-        n_components += 1
-    connected = n_components <= 1
+    connected = len(order) == len(used)
     splits = []
     if connected:
         for a in sorted(below):
@@ -234,31 +237,31 @@ def _apply_move(move: WhiteheadMove, words, rank):
     return [cyclic_tighten(join_pieces(image, w)) for w in words]
 
 
-def _length_change(cap, move: WhiteheadMove) -> int:
-    """cap(S) - deg(a): the change of total length the move makes."""
+def _length_change(nbrs, move: WhiteheadMove) -> int:
+    """cap(S) - deg(a): the change of total length the move makes, from the
+    neighbour maps of a Whitehead graph."""
     S = {_letter_index(move.a)} | {_letter_index(-x) for x in move.A if x != move.a}
-    cut = sum(cap[i][j] for i in S for j in range(len(cap)) if j not in S)
-    return cut - sum(cap[_letter_index(move.a)])
+    cut = sum(m for i in S for j, m in nbrs[i].items() if j not in S)
+    return cut - sum(nbrs[_letter_index(move.a)].values())
 
 
-def _min_cut(cap, s: int, t: int):
-    """Value of a minimum s-t cut and the residual matrix of a maximum flow:
-    Edmonds-Karp on a capacity matrix."""
-    n = len(cap)
-    res = [list(row) for row in cap]
+def _min_cut(nbrs, s: int, t: int):
+    """Value of a minimum s-t cut and the residual neighbour maps of a
+    maximum flow: Edmonds-Karp on the neighbour maps of a symmetric graph,
+    whose edges are arcs both ways."""
+    res = [dict(row) for row in nbrs]
     flow = 0
     while True:
-        parent = [-1] * n
-        parent[s] = s
+        parent = {s: s}
         queue = [s]
         for u in queue:
-            for v in range(n):
-                if parent[v] < 0 and res[u][v] > 0:
+            for v, c in res[u].items():
+                if c > 0 and v not in parent:
                     parent[v] = u
                     queue.append(v)
-            if parent[t] >= 0:
+            if t in parent:
                 break
-        if parent[t] < 0:
+        if t not in parent:
             return flow, res
         path = [t]
         while path[-1] != s:
@@ -271,9 +274,9 @@ def _min_cut(cap, s: int, t: int):
         flow += push
 
 
-def _min_cut_move(cap):
+def _min_cut_move(nbrs):
     """Most length-decreasing move (A, a) and its decrease, or None, from
-    the capacity matrix of a Whitehead graph.
+    the neighbour maps of a Whitehead graph.
 
     Ties go to the least a in letter_key order and then to the least A as a
     letter_key-sorted tuple, as if every move were tried in that order.
@@ -281,11 +284,14 @@ def _min_cut_move(cap):
     best_a, best_res, best_decrease = None, None, 0
     # a^-1 has the same degree and cut value as a and comes after it in
     # letter_key order, so only the generators can win
-    for a in range(1, len(cap) // 2 + 1):
+    for a in range(1, len(nbrs) // 2 + 1):
         i = _letter_index(a)
-        cut, res = _min_cut(cap, i, i + 1)
-        if sum(cap[i]) - cut > best_decrease:
-            best_a, best_res, best_decrease = a, res, sum(cap[i]) - cut
+        degree = sum(nbrs[i].values())
+        if degree <= best_decrease:
+            continue  # the decrease degree - cut cannot beat the best
+        cut, res = _min_cut(nbrs, i, i + 1)
+        if degree - cut > best_decrease:
+            best_a, best_res, best_decrease = a, res, degree - cut
     if best_a is None:
         return None
     return WhiteheadMove(_least_min_cut_side(best_res, best_a), best_a), best_decrease
@@ -293,7 +299,8 @@ def _min_cut_move(cap):
 
 def _least_min_cut_side(res, a: int) -> frozenset:
     """The least A (as a letter_key-sorted tuple) whose S is the source side
-    of a minimum a / a^-1 cut, given the residual matrix of a maximum flow.
+    of a minimum a / a^-1 cut, given the residual neighbour maps of a
+    maximum flow.
 
     The source sides of minimum cuts are the residual-closed sets that hold
     a and not a^-1. Letters x are decided greedily in letter_key order,
@@ -301,39 +308,36 @@ def _least_min_cut_side(res, a: int) -> frozenset:
     keeping x is possible iff the closure of S and x^-1 avoids a^-1 and
     y^-1 for every y dropped so far.
     """
-    n = len(res)
 
     def closure(v, S):
         """Vertices outside S reachable from v by residual arcs."""
         new = set() if v in S else {v}
         stack = list(new)
         while stack:
-            u = stack.pop()
-            for w in range(n):
-                if res[u][w] > 0 and w not in S and w not in new:
+            for w, c in res[stack.pop()].items():
+                if c > 0 and w not in S and w not in new:
                     new.add(w)
                     stack.append(w)
         return new
 
-    S = closure(_letter_index(a), set())
-    banned = {_letter_index(-a)}
-    letters = [x for x in sorted(signed_letters(n // 2), key=letter_key) if x != -a]
+    letters = tuple(signed_letters(len(res) // 2))  # vertex i is letters[i], i ^ 1 its inverse
+    s = _letter_index(a)
+    S = closure(s, set())
+    banned = {s ^ 1}
     A = {a}
-    for k, x in enumerate(letters):
-        if x == a:
-            continue
+    for i in range(len(res)):
+        if i >> 1 == s >> 1:
+            continue  # a, or a^-1
         # past a, the letters taken so far are the least A if they suffice,
         # that is if S holds y^-1 for no letter y still undecided
-        if letter_key(x) > letter_key(a) and S.isdisjoint(
-            _letter_index(-y) for y in letters[k:]
-        ):
+        if i > s and S.isdisjoint(j ^ 1 for j in range(i, len(res))):
             break
-        new = closure(_letter_index(-x), S)
+        new = closure(i ^ 1, S)
         if new.isdisjoint(banned):
-            A.add(x)
+            A.add(letters[i])
             S |= new
         else:
-            banned.add(_letter_index(-x))
+            banned.add(i ^ 1)
     return frozenset(A)
 
 
@@ -345,10 +349,14 @@ def whitehead_minimize(words, rank=None) -> ReductionTrace:
     module docstring). When the graph (over its used vertices) is connected
     and has a cut vertex, the moves of moves_from_cut_vertex (read off the
     step's cut_analysis) are scored by cap(S) - deg(a) on the graph's
-    matrix. Otherwise the best move over all
-    (A, a) comes from n minimum cuts, and its A from the residual graph of
-    the winning maximum flow: each step is polynomial in the rank and the
-    word lengths. Tie-break in both cases: largest decrease, then least a in
+    neighbour maps. Otherwise the best move over all (A, a) comes from at
+    most n minimum cuts, and its A from the residual graph of the winning
+    maximum flow: a step reads only the edges that exist and costs
+    O(n flow (V + E)) on V = 2n vertices and E distinct edges. Two exact
+    shortcuts skip max-flows that cannot win: none runs for a generator
+    whose degree is at most the best decrease found so far, and no minimum
+    cut is searched when every word is a single letter, which no move can
+    shorten. Tie-break in both cases: largest decrease, then least a in
     letter_key order (1 < -1 < 2 < ...), then least A as a letter_key-sorted
     tuple, so the result equals trying every move in that order. The words
     are rewritten once per step, by the chosen move, and the rewritten total
@@ -373,7 +381,7 @@ def whitehead_minimize(words, rank=None) -> ReductionTrace:
         report = cut_analysis(graph)
         before = _total(words)
         if report.connected and report.cut_vertices:
-            scored = [(_length_change(graph.cap, m), m)
+            scored = [(_length_change(graph.neighbours, m), m)
                       for m in moves_from_cut_vertex(graph, report)]
             change, move = min(scored, key=lambda it: (it[0], it[1].sort_key()))
             after = before + change
@@ -383,8 +391,9 @@ def whitehead_minimize(words, rank=None) -> ReductionTrace:
                     f"({before} -> {after})"
                 )
         else:
-            found = _min_cut_move(graph.cap)
-            if found is None:
+            # no move shortens words that are all single letters
+            found = before > len(words) and _min_cut_move(graph.neighbours)
+            if not found:
                 break
             move, decrease = found
             after = before - decrease

@@ -735,6 +735,16 @@ class TestUsage:
         assert main(["tt", command, "--help"]) == 0
         assert prints in " ".join(capsys.readouterr().out.split())
 
+    def test_whitehead_help_says_what_it_prints(self, capsys):
+        assert main(["whitehead", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "Prints: for minimize, one `step k: move (A, a), length b->a` line" in out
+        assert "`final <words> (<terminal state>)`" in out
+        assert "basis-reached, disconnected-min or no-cut-vertex" in out
+        assert "For primitive, `primitive` or `not primitive`." in out
+        assert "--rank RANK the rank of the free group, at least the number of " \
+               "distinct letters used (the default)" in out
+
     def test_negative_flag_rejected(self, files, capsys):
         assert main(["axis", "contract", files["fwd"], files["bwd"],
                      "--samples", "-3"]) == 2

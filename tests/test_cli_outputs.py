@@ -98,6 +98,26 @@ COMMANDS = {
     "axis-morse": "axis contract {rank4.map} {rank4_inv.map} --mode morse --samples 2 "
                   "--seed 2 --out {morse.csv}",
     "axis-pair": "axis pair {tribo.map} {tribo_inv.map} --pairs 2 --seed 1 --out {pair.csv}",
+    # ranks 2-8, each terminal state, cut-vertex and min-cut steps, word sets
+    "wh-min-r2": "whitehead minimize ababb",
+    "wh-min-r2-power": "whitehead minimize aaBaaB",
+    "wh-min-r3-set": "whitehead minimize b accbcb",
+    "wh-min-r4-set": "whitehead minimize aBc acddcd",
+    "wh-min-r5-powers": "whitehead minimize aCbcaCbcaCbc bdECedEbdECedE",
+    "wh-min-r5-no-cut": "whitehead minimize aebEABEcEdeCDeee",
+    "wh-min-r6": "whitehead minimize aBFcBecBdBBFcBCfbbDCfb",
+    "wh-min-r6-no-cut": "whitehead minimize acdceBeCAcedceCfceCFcECDEdcedcDECCDEbECDEC",
+    "wh-min-r7": "whitehead minimize aDfeFdbdgDFdFcD",
+    "wh-min-r7-no-cut": "whitehead minimize abDcADCdBcdCDCedfEcFDCgDCg",
+    "wh-min-r8-set": "whitehead minimize afDFd agHCGbgHChGEgh",
+    "wh-min-r8-no-cut": "whitehead minimize abAcBcdCDCefCEcFcgChcGCH",
+    "wh-min-rank": "whitehead minimize abAB --rank 3",
+    "wh-min-letters": "whitehead minimize a b --rank 3",
+    "wh-min-letter-inverse": "whitehead minimize a A",
+    "wh-primitive-r7": "whitehead primitive aDfeFdbdgDFdFcD",
+    "wh-primitive-r8-no": "whitehead primitive abAcBcdCDCefCEcFcgChcGCH",
+    "wh-primitive-r2-no": "whitehead primitive aaBaaB",
+    "wh-primitive-two-words": "whitehead primitive ab cd",
 }
 
 

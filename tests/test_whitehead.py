@@ -109,7 +109,7 @@ class TestCutAnalysis:
         rng = random.Random(7)
         seen = Counter()
         for i in range(10_000):
-            rank = 2 + i % 5
+            rank = 2 + i % 7
             letters = list(signed_letters(rank))
             counter = Counter()
             for _ in range(rng.choice([0, 1, 2, 3, rank, 2 * rank, 3 * rank])):
@@ -202,11 +202,12 @@ class TestMinimize:
             whitehead_minimize([C("abc")], rank)
 
     def test_least_side_from_residual_matches_max_flow_scan(self):
-        # symmetric capacity matrices, sparse enough to have many minimum cuts
+        # symmetric capacity matrices, sparse enough to have many minimum
+        # cuts, on 4-16 vertices; the library reads them as neighbour maps
         rng = random.Random(13)
         checked = 0
         for i in range(400):
-            n = 2 * (2 + i % 4)
+            n = 2 * (2 + i % 7)
             cap = [[0] * n for _ in range(n)]
             density = rng.choice([0.2, 0.4, 0.7])
             for u in range(n):
@@ -215,11 +216,17 @@ class TestMinimize:
                         cap[u][v] = cap[v][u] = rng.choice([1, 1, 2, 3])
             for a in range(1, n // 2 + 1):
                 i_a = _letter_index(a)
-                cut, res = _min_cut(cap, i_a, i_a + 1)
+                cut, res = _min_cut(_neighbours(cap), i_a, i_a + 1)
                 assert cut == min_cut(cap, i_a, i_a + 1)
                 assert _least_min_cut_side(res, a) == least_min_cut_side(cap, a, cut), (cap, a)
                 checked += 1
-        assert checked == 1400
+        assert checked == 1997
+
+
+def _neighbours(cap):
+    """The neighbour maps of a symmetric capacity matrix, as a
+    WhiteheadGraph holds them."""
+    return tuple({j: m for j, m in enumerate(row) if m} for row in cap)
 
 
 def _random_word_set(rng, rank):
@@ -301,6 +308,56 @@ class TestStepWork:
             assert all(k <= rank for k in per_step[start:])
             n_steps += len(trace.steps)
         assert per_step and n_steps > 40
+
+    def test_no_max_flow_on_single_letters(self, monkeypatch):
+        # no move shortens one-letter words, so such a step, which can only be
+        # the last, seeks no minimum cut
+        events = []
+        _counting(monkeypatch, "_min_cut", lambda out: events.append("flow"))
+        _counting(monkeypatch, "_apply_move", lambda out: events.append("rewrite"))
+        letters = [([C("a")], 2), ([C("a"), C("A")], None), ([C("b"), C("b")], 2),
+                   ([C("a"), C("c"), C("h")], 8), ([C(x) for x in "abcdefg"], 7)]
+        states, n_letter_steps = Counter(), 0
+        for words, rank in [*letters, *self._word_sets()]:
+            del events[:]
+            trace = whitehead_minimize(words, rank)
+            if all(len(w) == 1 for w in trace.final_words):
+                last_step = events[::-1].index("rewrite") if trace.steps else len(events)
+                assert last_step == 0, (words, events)
+                states[trace.terminal_state] += 1
+                n_letter_steps += 1
+        assert n_letter_steps > 20 and len(states) == 3, states
+
+    def test_no_max_flow_for_a_generator_that_cannot_win(self, monkeypatch):
+        # a generator's decrease is its degree less a cut value, so one whose
+        # degree is at most the best decrease found so far gets no max-flow
+        flows, per_step = [], []
+        _counting(monkeypatch, "_min_cut", flows.append)
+        real_move = whitehead_mod._min_cut_move
+
+        def min_cut_move(nbrs):
+            before = len(flows)
+            out = real_move(nbrs)
+            per_step.append((nbrs, len(flows) - before))
+            return out
+
+        monkeypatch.setattr(whitehead_mod, "_min_cut_move", min_cut_move)
+        skipped = Counter()
+        for words, rank in self._word_sets():
+            del per_step[:]
+            whitehead_minimize(words, rank)
+            for nbrs, n_flows in per_step:
+                cap = [[row.get(j, 0) for j in range(2 * rank)] for row in nbrs]
+                best = want = 0
+                for i in range(0, 2 * rank, 2):
+                    degree = sum(cap[i])
+                    if degree > best:
+                        want += 1
+                        best = max(best, degree - min_cut(cap, i, i + 1))
+                    else:
+                        skipped["unused" if degree == 0 else "beaten"] += 1
+                assert n_flows == want, (words, nbrs)
+        assert skipped["unused"] > 0 and skipped["beaten"] > 0, skipped
 
     def test_no_automorphism_objects(self, monkeypatch):
         branches = Counter()

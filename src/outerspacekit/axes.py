@@ -41,7 +41,7 @@ import weakref
 from dataclasses import dataclass
 from operator import truediv
 
-from .graphs import MarkedMetricGraph, jitter_lengths, random_point
+from .graphs import MarkedMetricGraph, check_path_size, jitter_lengths, random_point
 from .metric import distance
 from .traintrack import TrainTrackMap
 from .words import (
@@ -50,6 +50,7 @@ from .words import (
     RankMismatchError,
     cyclic_tighten,
     join_pieces,
+    piece_table,
     random_automorphism,
     verify_inverse,
 )
@@ -77,7 +78,9 @@ class _Walk:
     at a time by the step maps {+1: f+, -1: f-}.
 
     Keeps the lengths of every level reached, and the loops of the lowest
-    and the highest level only, since the walk goes on from those.
+    and the highest level only, since the walk goes on from those. A level
+    whose loops have more than LEAF_PATH_MAX half-edges in all raises
+    ValueError (graphs.check_path_size).
     """
 
     __slots__ = ("steps", "path_length", "lengths", "ends")
@@ -98,6 +101,7 @@ class _Walk:
             while k != m:
                 loops = [cyclic_tighten(join_pieces(f, loop)) for loop in loops]
                 k += s
+                check_path_size(sum(map(len, loops)), f"the axis walk at level {k} has")
                 self.lengths[k] = tuple(map(self.path_length, loops))
             self.ends[s] = (k, loops)
             found = self.lengths[m]
@@ -152,13 +156,17 @@ class Axis:
 
     def shift(self, Y: MarkedMetricGraph, s: int) -> MarkedMetricGraph:
         """Y . phi^s, acted on once by phi^s (phi or phi^-1 composed |s|
-        times, kept by no table), and recorded as (Y's root, Y's shift + s)."""
+        times, kept by no table), and recorded as (Y's root, Y's shift + s).
+        ValueError, before the act, when its marking loops would join more
+        than LEAF_PATH_MAX half-edges (check_realize_size)."""
         if not s:
             return Y
         Z, k = self._root(Y)
         f = g = self.phi if s > 0 else self.phi.inverse()
         for _ in range(abs(s) - 1):
             g = g.compose(f)
+        Y.check_realize_size([w.letters for w in g.images],
+                             f"the marking loops of the axis point at shift {k + s} join")
         Y = Y.act(g)
         self._shifts[Y.marking] = (Z, k + s)
         return Y
@@ -179,9 +187,9 @@ class Axis:
         no point."""
         if self._steps is None:
             base = self.base
-            n = base.graph.n_edges
-            labels = [(h, base.path_word((h,)).letters) for h in (*range(1, n + 1), *range(-n, 0))]
-            self._steps = {s: {h: base.realize_based(f.apply_letters(w)) for h, w in labels}
+            labels = base._label_table()
+            words = [labels[h] for h in range(1, base.graph.n_edges + 1)]
+            self._steps = {s: piece_table(base.realize_based(f.apply_letters(w)) for w in words)
                            for s, f in ((1, self.phi), (-1, self.phi.inverse()))}
         return self._steps
 

@@ -1,13 +1,14 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 domain errors (invalid graph, non-train-track
-map, leaf tiles whose end state does not repeat by the level cap), 2 usage
-and I/O errors. An input file that cannot be read or is not JSON is an I/O
-error; JSON of the wrong shape, such as one with a missing key or an
-unknown vertex, is an invalid graph or self-map file. Floats print with 9
-significant digits; structured output goes to --out as CSV.
-`osk --log-level LEVEL ...` logs the outerspacekit package to stderr at
-LEVEL; without it the package logger is left as it is.
+map, leaf tiles whose end state does not repeat by the level cap, a path
+longer than LEAF_PATH_MAX half-edges), 2 usage and I/O errors. An input
+file that cannot be read or is not JSON is an I/O error; JSON of the wrong
+shape, such as one with a missing key or an unknown vertex, is an invalid
+graph or self-map file. Floats print with 9 significant digits;
+structured output goes to --out as CSV. `osk --log-level LEVEL ...` logs
+the outerspacekit package to stderr at LEVEL; without it the package
+logger is left as it is.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ from .axes import (
     two_axis_report,
     write_csv,
 )
-from .graphs import InvalidPointError, point_from_dict, rose, validate_point
+from .graphs import LEAF_PATH_MAX, InvalidPointError, point_from_dict, rose, validate_point
 from .metric import check_oracle_bound, distance, distance_oracle
 from .traintrack import (
-    LEAF_PATH_MAX,
     check_train_track,
     no_cut_vertex_search,
     pf_metric,
@@ -376,14 +376,28 @@ def build_parser():
         q.add_argument("forward", help="train-track self-map file for phi")
         q.add_argument("backward", help="train-track self-map file for phi^-1")
 
-    q = axsub.add_parser("project")
+    q = axsub.add_parser(
+        "project", help="project a point onto the axis",
+        description="Prints: argmin, the levels m of the axis points G_m nearest the point "
+        "(within 1e-9); value, the least distance d(point, G_m); diam, the distance the "
+        "argmin levels span, their spread times log(lambda). Each float to 9 significant "
+        "digits.")
     common(q)
-    q.add_argument("point")
+    q.add_argument("point", help="graph file of the point projected")
     q.set_defaults(func=cmd_axis, action="project")
-    q = axsub.add_parser("profile")
+    q = axsub.add_parser(
+        "profile", help="lengths of phi^m(word) along the axis",
+        description="Prints: one `l(m)` line per level m of the window, the length at the "
+        "base point of the tight loop of phi^m(word); min-set, the levels of the least "
+        "length; `slopes right R left L`, the log-slopes fitted to the two tails of the "
+        "window; and a warning when the least length is at an end of the window.")
     common(q)
-    q.add_argument("--word", required=True)
-    q.add_argument("--window", type=int, default=6)
+    q.add_argument("--word", required=True,
+                   help="cyclic word in the generators a, b, ... of the axis rank, upper "
+                   "case for inverses")
+    q.add_argument("--window", type=int, default=6, metavar="W",
+                   help=f"profile the levels -W..W, W >= 1 (default 6); a level whose loops "
+                   f"pass LEAF_PATH_MAX ({LEAF_PATH_MAX}) half-edges is an error")
     q.set_defaults(func=cmd_axis, action="profile")
     q = axsub.add_parser(
         "contract", help="ball or Morse contraction samples along the axis",
@@ -396,19 +410,37 @@ def build_parser():
     q.add_argument("--mode", choices=["balls", "morse"], default="balls")
     q.add_argument("--out")
     q.set_defaults(func=cmd_axis, action="contract")
-    q = axsub.add_parser("diverge")
+    q = axsub.add_parser(
+        "diverge", help="check the quadratic divergence bound on a detour path",
+        description="Samples a path between axis points whose projections are 2R apart, "
+        "detouring around the R-ball at the axis midpoint. Prints: avoids-ball, whether "
+        "every point of the path is at least R from the midpoint; length, the sum of the "
+        "distances along the path, nan when it does not avoid the ball; `bound B "
+        "(b'=b)`, B = R^2/(2b') - R/2 with b' = d_emp + 4 c_emp + 3; satisfied, whether "
+        "the length is at least B, marked (vacuous) when B <= 0.")
     common(q)
-    q.add_argument("--radius", type=float, required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--d-emp", type=float, default=0.5)
-    q.add_argument("--c-emp", type=float, default=0.1)
+    q.add_argument("--radius", type=float, required=True, metavar="R",
+                   help=f"the radius R of the ball, more than 2 d_emp; a large R is an error "
+                   f"once a path it realizes passes LEAF_PATH_MAX ({LEAF_PATH_MAX}) half-edges")
+    q.add_argument("--seed", type=int, default=0, help="seed of the detour path (default 0)")
+    q.add_argument("--d-emp", type=float, default=0.5,
+                   help="empirical contraction bound of the axis, >= 0 (default 0.5)")
+    q.add_argument("--c-emp", type=float, default=0.1,
+                   help="empirical constant c of the bound's b', >= 0 (default 0.1)")
     q.set_defaults(func=cmd_axis, action="diverge")
-    q = axsub.add_parser("pair")
+    q = axsub.add_parser(
+        "pair", help="project translates of the axis onto it",
+        description="For each random automorphism psi, projects the points G_m . psi, for "
+        "m in -W..W, onto the axis. Prints CSV, header windows,diam,parallel, one row per "
+        "psi: W; the distance the projections span; and whether that span grows from the "
+        "half window to W as fast as a parallel axis's does.")
     common(q)
-    q.add_argument("--pairs", type=int, default=3)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--window", type=int, default=6)
-    q.add_argument("--out")
+    q.add_argument("--pairs", type=int, default=3,
+                   help="the number of random automorphisms psi, one row each (default 3)")
+    q.add_argument("--seed", type=int, default=0, help="seed of the automorphisms (default 0)")
+    q.add_argument("--window", type=int, default=6, metavar="W",
+                   help="project the levels -W..W, W >= 2 (default 6)")
+    q.add_argument("--out", help="write the rows as CSV to this file")
     q.set_defaults(func=cmd_axis, action="pair")
 
     return p

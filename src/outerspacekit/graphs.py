@@ -11,14 +11,15 @@ the basis fold alone, and its inverse images are read when a label is.
 Paths are mapped and read through words.join_pieces, the one
 substitution, whose pieces must be freely reduced: a half-edge's label (a
 reduced word, empty on the spanning tree) for path_word, a tightened
-generator loop for realize_based, and a tight based path per half-edge for
-tight_loops. A path is a tuple of half-edges; files and output name a
-half-edge by its edge id, with a "~" in front for the edge reversed
-(MetricGraph.ref writes it and MetricGraph.halfedge reads it).
+generator loop for realize_based, and a tight based path per half-edge
+(realization) for tight_loops. A path is a tuple of half-edges; files and
+output name a half-edge by its edge id, with a "~" in front for the edge
+reversed (MetricGraph.ref writes it and MetricGraph.halfedge reads it).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import weakref
@@ -42,6 +43,18 @@ from .words import (
 )
 
 LENGTH_TOL = 1e-9
+# half-edges of the longest path a computation may build: a leaf f^k(e)
+# (traintrack.leaf_pieces, `osk tt leaf`), the realization of one marking at
+# another point, a level of an axis walk or the marking loops of an axis
+# point; see check_path_size
+LEAF_PATH_MAX = 10_000_000
+
+
+def check_path_size(size: int, what: str):
+    """Raise ValueError naming LEAF_PATH_MAX when size, the half-edges
+    `what` counts, is more than it."""
+    if size > LEAF_PATH_MAX:
+        raise ValueError(f"{what} {size} half-edges, more than LEAF_PATH_MAX ({LEAF_PATH_MAX})")
 
 
 class InvalidPointError(ValueError):
@@ -245,14 +258,11 @@ class Marking:
     first marking_inverse() of a marking read from a file, read off the
     basis fold and checked; validation reads none (validate_point). The
     candidate paths belong to the graph (MetricGraph.candidate_paths), in
-    graph order, and no class of them is kept. `loops` maps another marking
-    object to the tight cyclic loops, at this marking, of that marking's
-    candidate paths, in graph order (see MarkedMetricGraph.tight_loops).
-    Its keys are the marking objects themselves, held weakly: an entry dies
-    with its key, so no later marking can read it.
+    graph order, and no class of them is kept, nor any loop of another
+    marking (see MarkedMetricGraph.loop_lengths).
     """
 
-    __slots__ = ("tree_parent", "geo_letter", "basis_to_edges", "labels", "pieces", "loops",
+    __slots__ = ("tree_parent", "geo_letter", "basis_to_edges", "labels", "pieces",
                  "__weakref__")
 
     def __init__(self, tree_parent=None, geo_letter=None):
@@ -261,7 +271,6 @@ class Marking:
         self.basis_to_edges = None  # Automorphism F_n -> F_geo
         self.labels = None  # half-edge -> label letters, see path_word
         self.pieces = None  # letter -> tightened loop, see realize_based
-        self.loops = weakref.WeakKeyDictionary()
 
 
 class MarkedMetricGraph:
@@ -387,47 +396,62 @@ class MarkedMetricGraph:
         +-1..+-rank."""
         return join_pieces(self._piece_table(), letters)
 
+    def check_realize_size(self, words, what: str):
+        """check_path_size of the half-edges realize_based would concatenate
+        for each of the words, before any join runs: an upper bound on the
+        paths, linear in the letters of the words."""
+        letters = itertools.chain.from_iterable(words)
+        check_path_size(sum(map(len, map(self._piece_table().__getitem__, letters))), what)
+
     def loop_length(self, alpha) -> float:
         """Length of the immersed loop freely homotopic to alpha, realized
-        anew on every call: the uncached reference for tight_loops."""
+        anew on every call, class by class: the reference for tight_loops."""
         letters = alpha.letters if hasattr(alpha, "letters") else tuple(alpha)
         if not letters:
             raise ValueError("loop_length of empty class")
         return self.graph.path_length(cyclic_tighten(self.realize_based(letters)))
 
+    def realization(self, x: "MarkedMetricGraph"):
+        """x's marking realized at this point, kept nowhere: the piece_table
+        of realize_based(label(h)), label(h) x's label of the half-edge h,
+        for h = 1..n; -h reads the inverse path, the inverse label's.
+        ValueError, before any join runs, when the joins would concatenate
+        more than LEAF_PATH_MAX half-edges (check_realize_size)."""
+        labels = x._label_table()
+        words = [labels[h] for h in range(1, x.graph.n_edges + 1)]
+        self.check_realize_size(words, "realizing a marking at another point joins")
+        return piece_table(map(self.realize_based, words))
+
     def tight_loops(self, x: "MarkedMetricGraph"):
         """The tight cyclic loops at this point of the candidate paths of x,
-        in graph order (x.graph.candidate_paths()).
+        in graph order (x.graph.candidate_paths()), realized anew on every
+        call.
 
-        Each crosses over through one edge map F, F[h] the based path
-        realize_based(label(h)) of x's label of the half-edge h: the loop of
-        path p is cyclic_tighten(join_pieces(F, p)). The join reads the
+        Each crosses over through one edge map F = realization(x): the loop
+        of path p is cyclic_tighten(join_pieces(F, p)). The join reads the
         word path_word(p), a conjugate of p's class, and free reduction is
         confluent, so this is the tight loop of the class up to rotation.
-        The list depends on the two markings alone, so it is realized once
-        per pair of marking objects: it is kept in this point's marking,
-        keyed weakly by x's, and every with_lengths copy of either point
-        reads the same list. Measured with graph.path_length, loop i has the
-        length loop_length gives for the class of path i.
+        Measured with graph.path_length, loop i has the length loop_length
+        gives for the class of path i.
         """
-        loops = self.marking.loops
-        found = loops.get(x.marking)
-        if found is None:
-            realize = self.realize_based
-            edge_map = {h: realize(w) for h, w in x._label_table().items()}
-            found = loops[x.marking] = [cyclic_tighten(join_pieces(edge_map, path))
-                                        for path in map(_PATH, x.graph.candidate_paths())]
-        return found
+        edge_map = self.realization(x)
+        return [cyclic_tighten(join_pieces(edge_map, path))
+                for path in map(_PATH, x.graph.candidate_paths())]
 
     def loop_lengths(self, x: "MarkedMetricGraph"):
         """The lengths at this point of the candidate classes of x, in x's
         graph order: graph.path_length of each loop of tight_loops(x).
 
         They depend on this point's lengths and x's marking alone, so this
-        point keeps them, keyed weakly by x's marking object, and sums each
-        loop once per pair; an entry dies with x's marking, and a
-        with_lengths or act copy of this point starts with none.
+        point keeps them, not the loops, keyed weakly by x's marking object,
+        and sums each loop once per pair; an entry dies with x's marking,
+        and a with_lengths or act copy of this point starts with none. At
+        x's own marking the candidate paths are the tight loops, so the
+        lengths are candidate_lengths(), the same floats, since fsum is
+        correctly rounded.
         """
+        if x.marking is self.marking:
+            return self.candidate_lengths()
         ly = self._ly
         if ly is None:
             ly = self._ly = weakref.WeakKeyDictionary()
@@ -446,7 +470,7 @@ class MarkedMetricGraph:
         own, seeded with this one's spanning tree and, where this point has
         it, its marking map composed with phi: one map, which knows its
         inverse when this point's marking map does. It keeps the graph, and
-        with it the candidate paths, but shares no loop or length cache.
+        with it the candidate paths, but shares no length cache.
         """
         if phi.rank != self.rank:
             raise ValueError("rank mismatch in act")
@@ -463,15 +487,13 @@ class MarkedMetricGraph:
 
         The copy shares this point's marking object, so everything that
         depends on the marking alone is computed once for all copies: the
-        spanning tree, the marking maps, the label and loop tables, and the
-        tight_loops cache, whose entries are keyed weakly by the other
-        point's marking object; its graph shares the candidate paths and
-        their gather plan with this one's. What depends on the lengths is
-        the copy's own and starts empty: its candidate lengths
-        (candidate_lengths, one fsum per distinct edge multiset of the
-        candidates, bit for bit the sum over each path) and the lengths of
-        the loops it is a target of (loop_lengths), each summed on first
-        use.
+        spanning tree, the marking maps and the label and loop tables; its
+        graph shares the candidate paths and their gather plan with this
+        one's. What depends on the lengths is the copy's own and starts
+        empty: its candidate lengths (candidate_lengths, one fsum per
+        distinct edge multiset of the candidates, bit for bit the sum over
+        each path) and the lengths of the loops it is a target of
+        (loop_lengths), each summed on first use.
         """
         return MarkedMetricGraph(
             self.graph.with_lengths(lengths), self.basepoint, self.gen_loops, self.marking
@@ -823,7 +845,11 @@ def point_from_dict(data: dict, validate=True) -> MarkedMetricGraph:
         basepoint_name = data["basepoint"]
     except KeyError as e:
         raise ValueError(f"graph file missing key {e}")
-    vidx = {str(name): i for i, name in enumerate(map(str, vertex_names))}
+    names = list(map(str, vertex_names))
+    vidx = {name: i for i, name in enumerate(names)}
+    if len(vidx) != len(names):
+        dup = next(name for i, name in enumerate(names) if vidx[name] != i)
+        raise ValueError(f"duplicate vertex name {dup!r}")
     edge_ids = []
     ends = []
     lengths = []
@@ -838,6 +864,9 @@ def point_from_dict(data: dict, validate=True) -> MarkedMetricGraph:
             raise ValueError(f"entry {i} of 'edges' missing key {err}") from None
     if len(set(edge_ids)) != len(edge_ids):
         raise ValueError("duplicate edge ids")
+    for eid in edge_ids:
+        if eid.startswith("~"):
+            raise ValueError(f"edge id {eid!r} starts with '~', which marks an edge reversed")
     graph = MetricGraph(len(vertex_names), edge_ids, ends, lengths)
     keys = sorted(marking)
     if len(keys) != rank:

@@ -11,11 +11,10 @@ in graph order, shared by every marking and every with_lengths copy of
 the graph; that is the one order distance reads them in. A point's
 marking object (graphs.Marking) holds what its graph and marking fix at
 any edge lengths, shared by all its with_lengths copies: the spanning
-tree, marking maps, label and loop tables, and the tight loops at this
-marking of other markings' candidate paths, keyed weakly by those marking
-objects. What depends on lengths belongs to the point instance, which
-never changes its lengths (with_lengths and act make new instances), and
-is summed once:
+tree, marking maps, label and loop tables, and nothing of other markings.
+What depends on lengths belongs to the point instance, which never
+changes its lengths (with_lengths and act make new instances), and is
+summed once:
 
 - lx, x.candidate_lengths(): the lengths of x's candidate paths, one
   math.fsum per distinct edge multiset of them, gathered by a plan the
@@ -23,7 +22,8 @@ is summed once:
   barbells share a multiset, and fsum is correctly rounded, so each value
   is the float graph.path_length gives for its path;
 - ly, y.loop_lengths(x): the lengths of y.tight_loops(x), kept by y and
-  keyed weakly by x's marking object, so an entry dies with that marking.
+  keyed weakly by x's marking object, so an entry dies with that marking;
+  the loops, which grow with how far apart the markings are, are not.
 
 `distance(x, y)` is the log of the largest ratio ly/lx of the two lists,
 so a scan of many points against one target sums no path at the target

@@ -34,6 +34,7 @@ from functools import reduce
 from operator import add, itemgetter, mul
 
 from .graphs import (
+    LEAF_PATH_MAX,
     MarkedMetricGraph,
     MetricGraph,
     edge_map_pieces,
@@ -68,9 +69,6 @@ LEAF_K_CAP = 60  # deepest leaf level a walk to the periodic end reads by defaul
 # 11.6 at 4 and 13.4 at 1; the rank-4 walks repeat at mean level 32.9, 27.1,
 # 23.6, 22.4, 22.2 and 22.2. At 8 only the plastic and rank-4 inverses widen.
 LEAF_WINDOW = 8
-# half-edges of the longest leaf f^k(e) that leaf_pieces, and so leaf_path and
-# `osk tt leaf`, expands; checked before any allocation
-LEAF_PATH_MAX = 10_000_000
 SEARCH_MAX_STEPS = 200
 
 
@@ -224,7 +222,6 @@ class TrainTrackMap:
         self.lam = lam
         self.point = pf_point
         self.frequencies = frequencies
-        self._automorphism = None
         self._ends = weakref.WeakKeyDictionary()  # marking object -> LeafEnd, see leaf_end
 
     @property
@@ -232,9 +229,8 @@ class TrainTrackMap:
         return self.point.graph
 
     def automorphism(self) -> Automorphism:
-        if self._automorphism is None:
-            self._automorphism = self.selfmap.automorphism()
-        return self._automorphism
+        """The selfmap's automorphism, read anew on every call."""
+        return self.selfmap.automorphism()
 
     def bcc_bound(self) -> float:
         # BCC(f) <= Lip(f) * vol = lam on the volume-1 PF metric
@@ -303,8 +299,8 @@ class TrainTrackMap:
 
     def leaf_end(self, point: MarkedMetricGraph, k_cap: int = LEAF_K_CAP) -> "LeafEnd":
         """The periodic end of the leaf tiles at `point` (see LeafEnd),
-        walked once per marking object and kept, keyed weakly by it as
-        Marking.loops is, so every with_lengths copy of `point` reads it.
+        walked once per marking object and kept, keyed weakly by it, so
+        every with_lengths copy of `point` reads it.
 
         realized_leaves(point) is read until the end state of a level k, the
         (head, tail) windows of its tiles, all longer than twice their
@@ -425,8 +421,8 @@ class TrainTrackMap:
         size = m + len(turns)
         images = [self.selfmap.edge_images[e] for e in range(1, self.graph.n_edges + 1)]
         plans = [[(abs(h) - 1, h < 0) for h in img] for img in images]
-        roots = [point.realize_based(self.point.path_word((e,)).letters)
-                 for e in range(1, len(images) + 1)]
+        realized = point.realization(self.point)
+        roots = [realized[e] for e in range(1, len(images) + 1)]
         window = LEAF_WINDOW
         level = [LeafTile.of_path(p, index, size, window) for p in roots]
         depth = yielded = 0

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from outerspacekit import graphs
 from outerspacekit.axes import (
     BALL_HEADER,
     Axis,
@@ -61,6 +62,18 @@ class TestAxisPoints:
             phi_m = automorphism_power(golden_axis.phi, m)
             rhs = golden_axis.base.loop_length(apply_cyclic(phi_m, alpha))
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    def test_shift_is_bounded(self, golden_axis, monkeypatch):
+        # the bound is checked before the act builds the point's loops
+        monkeypatch.setattr(graphs, "LEAF_PATH_MAX", 100)
+        assert sum(map(len, golden_axis.shift(golden_axis.base, 8).gen_loops)) == 89
+        # the point at shift -12 is reached from the one at -8 by phi^-4
+        for Y, s, k in ((golden_axis.base, 12, 12),
+                        (golden_axis.shift(golden_axis.base, -8), -4, -12)):
+            with pytest.raises(ValueError, match=rf"^the marking loops of the axis point at "
+                               rf"shift {k} join 610 half-edges, more than "
+                               rf"LEAF_PATH_MAX \(100\)$"):
+                golden_axis.shift(Y, s)
 
     def test_mu_from_backward(self, golden_inv_tt):
         assert golden_inv_tt.lam == pytest.approx(GOLDEN, abs=1e-9)

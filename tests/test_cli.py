@@ -178,6 +178,24 @@ class TestValidate:
         assert main(["dist", str(p), files["theta"]]) == 1
         assert capsys.readouterr() == ("", f"error: {'; '.join(problems)}\n")
 
+    @pytest.mark.parametrize("kind", ["graph", "self-map"])
+    @pytest.mark.parametrize("graph, message", [
+        (dict(GOLDEN_MAP["graph"], edges=[dict(GOLDEN_MAP["graph"]["edges"][0], id="~e1"),
+                                          GOLDEN_MAP["graph"]["edges"][1]],
+              marking={"x": ["~e1"], "y": ["e2"]}),
+         "edge id '~e1' starts with '~', which marks an edge reversed"),
+        (dict(GOLDEN_MAP["graph"], vertices=["v", "v"]), "duplicate vertex name 'v'"),
+        (dict(GOLDEN_MAP["graph"], vertices=["v", 1, "1"]), "duplicate vertex name '1'"),
+    ], ids=["tilde-edge-id", "duplicate-vertex", "duplicate-after-str"])
+    def test_ambiguous_names(self, tmp_path, capsys, kind, graph, message):
+        # "~e1" once read as e1 reversed ("unknown edge id 'e1' in marking"),
+        # and duplicate vertex names collapsed into one ("vertex 0 has
+        # valence 0 < 3; graph is not connected")
+        p = tmp_path / "ambiguous.json"
+        p.write_text(json.dumps(graph if kind == "graph" else dict(GOLDEN_MAP, graph=graph)))
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr() == ("", f"error: invalid {kind} file {p}: {message}\n")
+
     def test_invalid_graph(self, files, tmp_path, capsys):
         bad = dict(THETA_DICT)
         bad["edges"] = [dict(e, length="1/2") for e in THETA_DICT["edges"]]
@@ -688,6 +706,23 @@ class TestAxis:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [["diverge", "--radius", "6"],
+                                      ["profile", "--word", "a", "--window", "25"]],
+                             ids=["diverge", "profile"])
+    def test_far_levels_are_bounded(self, files, capsys, monkeypatch, argv):
+        # both pass at the bound LEAF_PATH_MAX; at 10^4 the paths of their
+        # far levels pass it, and both fail naming it: diverge before it
+        # realizes a detour point at the next, profile at a walk level
+        args = ["axis", argv[0], files["fwd"], files["bwd"], *argv[1:]]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(graphs_mod, "LEAF_PATH_MAX", 10_000)
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith(" half-edges, more than LEAF_PATH_MAX (10000)\n")
+
     def test_diverge_negative_d_emp(self, files, capsys):
         assert main(["axis", "diverge", files["fwd"], files["bwd"],
                      "--radius", "3", "--d-emp", "-1"]) == 1
@@ -734,6 +769,23 @@ class TestUsage:
     def test_tt_help_says_what_it_prints(self, capsys, command, prints):
         assert main(["tt", command, "--help"]) == 0
         assert prints in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("command, prints, options", [
+        ("project", "Prints: argmin, the levels m of the axis points G_m nearest the point",
+         ["graph file of the point projected"]),
+        ("profile", "Prints: one `l(m)` line per level m of the window",
+         ["cyclic word in the generators", f"LEAF_PATH_MAX ({graphs_mod.LEAF_PATH_MAX})"]),
+        ("diverge", "Prints: avoids-ball, whether every point of the path",
+         ["the radius R of the ball", "seed of the detour path", "empirical contraction "
+          "bound", "empirical constant c", f"LEAF_PATH_MAX ({graphs_mod.LEAF_PATH_MAX})"]),
+        ("pair", "Prints CSV, header windows,diam,parallel",
+         ["the number of random automorphisms psi", "project the levels -W..W, W >= 2"]),
+    ])
+    def test_axis_help_says_what_it_prints(self, capsys, command, prints, options):
+        assert main(["axis", command, "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for text in (prints, *options):
+            assert text in out
 
     def test_whitehead_help_says_what_it_prints(self, capsys):
         assert main(["whitehead", "--help"]) == 0

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -266,9 +267,9 @@ def _copies(P, rng):
 
 
 class TestLoopCache:
-    """distance reads the tight loops of a pair of markings from a cache in
-    the target's marking object; it must give what realizing every loop
-    anew gives, bit for bit."""
+    """distance reads the loop lengths of a pair of markings from a cache in
+    the target point, keyed weakly by the other marking object; it must
+    give what realizing every loop anew gives, bit for bit."""
 
     @pytest.mark.parametrize("cell", CELLS)
     def test_cached_distance_equals_reference(self, cell):
@@ -306,6 +307,8 @@ class TestLoopCache:
         assert tied
 
     def test_copies_realize_nothing(self, monkeypatch):
+        """Length copies of x and repeated queries read the loop lengths y
+        keeps, and realize nothing."""
         real = MarkedMetricGraph.realize_based
         calls = []
         monkeypatch.setattr(MarkedMetricGraph, "realize_based",
@@ -320,8 +323,7 @@ class TestLoopCache:
                 calls.clear()
                 for _ in range(3):
                     X2 = X.with_lengths(_unit_lengths(rng, X.graph.n_edges))
-                    Y2 = Y.with_lengths(_unit_lengths(rng, Y.graph.n_edges))
-                    for a, b in ((X2, Y), (X, Y2), (X2, Y2)):
+                    for a, b in ((X2, Y), (X, Y)):
                         got = _fields(distance(a, b))
                         assert not calls
                         assert got == _reference(a, b)
@@ -332,13 +334,29 @@ class TestLoopCache:
             for rank in (2, 3, 4):
                 X = _cell_point(cell, rank, rng)
                 Y = _cell_point(cell, rank, rng)
-                parent = Y.tight_loops(X)
+                distance(X, Y)
                 Z = Y.act(random_whitehead_move(rank, rng).automorphism(rank))
-                assert Z.marking is not Y.marking and not len(Z.marking.loops)
+                assert Z.marking is not Y.marking and Z._ly is None
                 assert Z.marking.tree_parent is Y.marking.tree_parent
                 assert _fields(distance(X, Z)) == _reference(X, Z)
-                assert Z.tight_loops(X) is not parent and Y.tight_loops(X) is parent
                 assert Y.with_lengths(Y.graph.lengths).marking is Y.marking
+
+    def test_realization_realizes_every_label(self):
+        """realization(x) realizes x's n positive labels; the entry of each
+        negative half-edge, the inverse path, is the realization of its own
+        label. At x's own marking, loop_lengths reads candidate_lengths,
+        the lengths of the loops realized, bit for bit."""
+        rng = random.Random("realization")
+        for cell in CELLS:
+            for rank in (2, 3, 4):
+                X = _cell_point(cell, rank, rng)
+                Y = _cell_point(rng.choice(CELLS), rank, rng)
+                n = X.graph.n_edges
+                assert Y.realization(X) == {
+                    h: Y.realize_based(X.path_word((h,)).letters)
+                    for h in (*range(1, n + 1), *range(-n, 0))}
+                for Z in (X, X.with_lengths(_unit_lengths(rng, n))):
+                    assert Z.loop_lengths(X) == tuple(map(Z.graph.path_length, Z.tight_loops(X)))
 
     def test_entries_die_with_their_marking(self):
         # a deleted marking object's address is reused by later ones: an
@@ -350,14 +368,41 @@ class TestLoopCache:
                 X = _cell_point(cell, 3, rng)
                 copy = X.with_lengths(_unit_lengths(rng, X.graph.n_edges))
                 distance(X, Y)
-                assert len(Y.marking.loops) == 1
+                assert len(Y._ly) == 1
                 del X, copy
                 gc.collect()
-                assert not len(Y.marking.loops)
+                assert not len(Y._ly)
                 W = _cell_point(cell, 3, rng).act(
                     random_whitehead_move(3, rng).automorphism(3))
                 assert _fields(distance(W, Y)) == _reference(W, Y)
                 del W
+
+
+class TestRetainedBytes:
+    def test_far_point_keeps_lengths_not_loops(self, golden_axis):
+        """After distance(X, Y), the point Y . phi^s keeps the lengths of X's
+        candidate classes, not their loops, which grow like lambda^s: under
+        512 bytes per candidate of X, and no more at s = 14 than at s = 10.
+        Each point's own marking tables, which any query fills, are warmed
+        first: Y's generator loops and X's labels and candidate lengths."""
+        kept = {}
+        for s in (10, 14):
+            Y = golden_axis.shift(golden_axis.base, s)
+            X = random_point(2, 1)
+            Y._piece_table()
+            X._label_table()
+            X.candidate_lengths()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                distance(X, Y)
+                gc.collect()
+                kept[s] = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert kept[s] <= 512 * len(X.graph.candidate_paths()), kept
+        assert kept[14] <= kept[10], kept
 
 
 class TestValueReadsNoClass:
@@ -465,11 +510,11 @@ class TestLengthCache:
                 distance(X, Y)
                 distance(copy, Y)
                 key = weakref.ref(X.marking)
-                assert len(Y._ly) == 1 and len(Y.marking.loops) == 1
+                assert len(Y._ly) == 1
                 del X, copy
                 gc.collect()
                 assert key() is None
-                assert not len(Y._ly) and not len(Y.marking.loops)
+                assert not len(Y._ly)
 
     @pytest.mark.parametrize("cell", CELLS)
     def test_copy_candidates_equal_enumeration(self, cell):

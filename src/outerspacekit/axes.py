@@ -155,19 +155,19 @@ class Axis:
         return self._shifts.get(X.marking, (X, 0))
 
     def shift(self, Y: MarkedMetricGraph, s: int) -> MarkedMetricGraph:
-        """Y . phi^s, acted on once by phi^s (phi or phi^-1 composed |s|
-        times, kept by no table), and recorded as (Y's root, Y's shift + s).
-        ValueError, before the act, when its marking loops would join more
-        than LEAF_PATH_MAX half-edges (check_realize_size)."""
+        """Y . phi^s, acted on by phi or phi^-1 one level at a time, and
+        recorded as (Y's root, Y's shift + s); the levels between are kept
+        nowhere. ValueError, before the act of a level, when its marking
+        loops would join more than LEAF_PATH_MAX half-edges
+        (check_realize_size)."""
         if not s:
             return Y
         Z, k = self._root(Y)
-        f = g = self.phi if s > 0 else self.phi.inverse()
-        for _ in range(abs(s) - 1):
-            g = g.compose(f)
-        Y.check_realize_size([w.letters for w in g.images],
-                             f"the marking loops of the axis point at shift {k + s} join")
-        Y = Y.act(g)
+        f, step = (self.phi, 1) if s > 0 else (self.phi.inverse(), -1)
+        images = [w.letters for w in f.images]
+        for level in range(k + step, k + s + step, step):
+            Y.check_realize_size(images, f"the marking loops of the axis point at shift {level} join")
+            Y = Y.act(f)
         self._shifts[Y.marking] = (Z, k + s)
         return Y
 

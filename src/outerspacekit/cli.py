@@ -37,7 +37,6 @@ from .axes import (
 from .graphs import LEAF_PATH_MAX, InvalidPointError, point_from_dict, rose, validate_point
 from .metric import check_oracle_bound, distance, distance_oracle
 from .traintrack import (
-    check_train_track,
     no_cut_vertex_search,
     pf_metric,
     selfmap_from_dict,
@@ -120,7 +119,7 @@ def _load_axis(fwd_path, bwd_path):
     automorphism read; no output reads its PF data, so none is built."""
     fwd = pf_metric(_load_selfmap(fwd_path))
     bwd = _load_selfmap(bwd_path)
-    check_train_track(bwd)
+    verify_train_track(bwd).check()
     return Axis(fwd, bwd)
 
 

@@ -9,10 +9,12 @@ labels invert the marking lazily: validation certifies the marking map by
 the basis fold alone, and its inverse images are read when a label is.
 
 Paths are mapped and read through words.join_pieces, the one
-substitution, whose pieces must be freely reduced: a half-edge's label (a
-reduced word, empty on the spanning tree) for path_word, a tightened
-generator loop for realize_based, and a tight based path per half-edge
-(realization) for tight_loops. A path is a tuple of half-edges; files and
+substitution, whose pieces must be freely reduced: a half-edge's
+geometric letter (empty on the spanning tree) for marking_map, its label
+(a reduced word, empty on the tree) for path_word, its new edge (empty on
+the forest) for minimal_model, a tightened generator loop for
+realize_based, and a tight based path per half-edge (realization) for
+tight_loops. A path is a tuple of half-edges; files and
 output name a half-edge by its edge id, with a "~" in front for the edge
 reversed (MetricGraph.ref writes it and MetricGraph.halfedge reads it).
 """
@@ -244,16 +246,24 @@ class ValidationReport:
     problems: list
 
 
+def _collapse_table(n_edges: int, collapsed) -> dict:
+    """The join_pieces table that collapses the edges of the index set
+    `collapsed`: their half-edges -> (), the rest renumbered from 1."""
+    kept = itertools.count(1)
+    return piece_table(() if i in collapsed else (next(kept),) for i in range(n_edges))
+
+
 class Marking:
     """What a point's graph, basepoint and generator loops fix, whatever its
     edge lengths. Every with_lengths copy of a point shares its marking
     object; act starts a new one.
 
     The tables are filled in as the points read them: the spanning tree
-    (vertex -> half-edge into it) and the geometric letter of each edge off
-    it, the marking map, the half-edge labels (half-edge -> word, the
-    pieces of path_word) and the tightened generator loops (letter ->
-    piece, the pieces of realize_based), all tuples. The marking keeps one
+    (vertex -> half-edge into it), the geometric table (half-edge -> (),
+    on the tree, or its geometric letter, the pieces of the marking map),
+    the marking map, the half-edge labels (half-edge -> word, the pieces of
+    path_word) and the tightened generator loops (letter -> piece, the
+    pieces of realize_based), all tuples. The marking keeps one
     map: its inverse is the one the marking map knows, composed or, on the
     first marking_inverse() of a marking read from a file, read off the
     basis fold and checked; validation reads none (validate_point). The
@@ -262,12 +272,11 @@ class Marking:
     marking (see MarkedMetricGraph.loop_lengths).
     """
 
-    __slots__ = ("tree_parent", "geo_letter", "basis_to_edges", "labels", "pieces",
-                 "__weakref__")
+    __slots__ = ("tree_parent", "geo", "basis_to_edges", "labels", "pieces", "__weakref__")
 
-    def __init__(self, tree_parent=None, geo_letter=None):
+    def __init__(self, tree_parent=None, geo=None):
         self.tree_parent = tree_parent  # vertex -> halfedge into it
-        self.geo_letter = geo_letter  # edge index -> geometric letter
+        self.geo = geo  # half-edge -> geometric word, see _ensure_tree
         self.basis_to_edges = None  # Automorphism F_n -> F_geo
         self.labels = None  # half-edge -> label letters, see path_word
         self.pieces = None  # letter -> tightened loop, see realize_based
@@ -292,15 +301,14 @@ class MarkedMetricGraph:
     # -- spanning tree and geometric basis -------------------------------
 
     def _ensure_tree(self):
+        """The spanning tree, breadth first from the basepoint, and the
+        geometric table, its _collapse_table: each edge off it a letter."""
         if self.marking.tree_parent is not None:
             return
         g = self.graph
         parent = {self.basepoint: 0}
         order = [self.basepoint]
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
+        for v in order:
             for h in g.out_halfedges(v):
                 w = g.term_of(h)
                 if w not in parent:
@@ -310,37 +318,18 @@ class MarkedMetricGraph:
             raise InvalidPointError(["graph is not connected"])
         self.marking.tree_parent = parent
         tree_edges = {abs(h) - 1 for v, h in parent.items() if v != self.basepoint}
-        geo = {}
-        nxt = 1
-        for i in range(g.n_edges):
-            if i not in tree_edges:
-                geo[i] = nxt
-                nxt += 1
-        self.marking.geo_letter = geo
-
-    def geo_word_of_path(self, path):
-        """Word over the geometric basis crossed by a half-edge path."""
-        self._ensure_tree()
-        geo = self.marking.geo_letter
-        letters = []
-        for h in path:
-            g = geo.get(abs(h) - 1)
-            if g is not None:
-                letters.append(g if h > 0 else -g)
-        return reduce_letters(letters)
+        self.marking.geo = _collapse_table(g.n_edges, tree_edges)
 
     def marking_map(self) -> Automorphism:
         """F_n -> F(geometric basis), generator -> geometric word of its loop."""
         m = self.marking
         if m.basis_to_edges is None:
             self._ensure_tree()
-            n_geo = len(m.geo_letter)
-            if n_geo != self.rank:
+            if self.graph.betti() != self.rank:
                 raise InvalidPointError(
-                    [f"first Betti number {n_geo} does not match rank {self.rank}"]
-                )
-            images = [Word(self.geo_word_of_path(loop)) for loop in self.gen_loops]
-            m.basis_to_edges = Automorphism(self.rank, images)
+                    [f"first Betti number {self.graph.betti()} does not match rank {self.rank}"])
+            m.basis_to_edges = Automorphism(
+                self.rank, [Word(join_pieces(m.geo, loop)) for loop in self.gen_loops])
         return m.basis_to_edges
 
     def marking_inverse(self) -> Automorphism:
@@ -350,13 +339,12 @@ class MarkedMetricGraph:
 
     def _label_table(self):
         """Half-edge -> its label: the marking_inverse() image of its
-        geometric letter, () on the spanning tree."""
+        geometric half-edge word, () on the spanning tree."""
         m = self.marking
         if m.labels is None:
             self._ensure_tree()
-            images = self.marking_inverse().images
-            m.labels = piece_table(() if g is None else images[g - 1].letters
-                                   for g in map(m.geo_letter.get, range(self.graph.n_edges)))
+            inverse = piece_table(w.letters for w in self.marking_inverse().images)
+            m.labels = {h: join_pieces(inverse, piece) for h, piece in m.geo.items()}
         return m.labels
 
     def path_word(self, path) -> Word:
@@ -477,7 +465,7 @@ class MarkedMetricGraph:
         phi.inverse()
         new_loops = [self.realize_based(phi.images[i].letters) for i in range(self.rank)]
         m = self.marking
-        marking = Marking(m.tree_parent, m.geo_letter)
+        marking = Marking(m.tree_parent, m.geo)
         if m.basis_to_edges is not None:
             marking.basis_to_edges = m.basis_to_edges.compose(phi)
         return MarkedMetricGraph(self.graph, self.basepoint, new_loops, marking)
@@ -752,9 +740,8 @@ def minimal_model(point: MarkedMetricGraph) -> MarkedMetricGraph:
         [(new_index[root[u]], new_index[root[v]]) for u, v in (g.ends[i] for i in kept)],
         [g.lengths[i] / vol for i in kept],
     )
-    old_to_new = {s * (i + 1): s * k for k, i in enumerate(kept, 1) for s in (1, -1)}
-    new_loops = [tighten_path(new_graph, [old_to_new[h] for h in loop if h in old_to_new])
-                 for loop in point.gen_loops]
+    collapse = _collapse_table(g.n_edges, forest)
+    new_loops = [join_pieces(collapse, loop) for loop in point.gen_loops]
     return MarkedMetricGraph(new_graph, new_index[root[point.basepoint]], new_loops)
 
 

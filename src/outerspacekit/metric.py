@@ -47,7 +47,6 @@ from .graphs import (
     enumerate_candidates,
 )
 from .words import (
-    cyclic_tighten,
     enumerate_cyclic_words,
     inverse_letters,
     join_pieces,
@@ -149,28 +148,16 @@ class LipschitzReport:
 
 
 def _common_conjugator_is_inner(images, rank):
-    """True iff x_i -> images[i] is an inner automorphism of F_rank."""
-    # cyclically reduce the first image, tracking the conjugator u
-    if cyclic_tighten(images[0]) != (1,):
-        return False
-    u = tuple(images[0][: (len(images[0]) - 1) // 2])  # images[0] = u x_1 u^-1
-    inv_u = inverse_letters(u)
-    stripped = [reduce_letters(inv_u + tuple(im) + u) for im in images]
-    if rank == 1:
-        return stripped[0] == (1,)
-    # the residual conjugator is a power x_1^k; read k off the second image
-    second = stripped[1]
-    k = 0
-    i = 0
-    while i < len(second) and second[i] == second[0] and abs(second[i]) == 1:
-        k += 1 if second[i] > 0 else -1
-        i += 1
-    conj = tuple([1] * k) if k >= 0 else tuple([-1] * (-k))
-    inv_conj = inverse_letters(conj)
-    for idx, im in enumerate(stripped):
-        if im != reduce_letters(conj + (idx + 1,) + inv_conj):
-            return False
-    return True
+    """True iff x_i -> images[i] is an inner automorphism of F_rank. The
+    reduced u x_i u^-1 is u' x_i u'^-1, u' = u without its trailing x_i-powers,
+    and u cannot end in both an x_1- and an x_2-power: so u is the first half
+    of the first image or of the second, and each is checked on every image."""
+    for im in images[:2]:
+        u = tuple(im[:(len(im) - 1) // 2])
+        inv_u = inverse_letters(u)
+        if all(tuple(w) == reduce_letters(u + (i,) + inv_u) for i, w in enumerate(images, 1)):
+            return True
+    return False
 
 
 def linear_map_lipschitz(

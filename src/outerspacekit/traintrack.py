@@ -203,12 +203,6 @@ def verify_train_track(f: GraphSelfMap) -> TrainTrackReport:
                             structure, matrix)
 
 
-def check_train_track(f: GraphSelfMap) -> TrainTrackReport:
-    """The report of verify_train_track(f); raises NotTrainTrackError unless
-    f is an irreducible train-track map."""
-    return verify_train_track(f).check()
-
-
 class TrainTrackMap:
     """A checked train-track map with its PF data (see pf_metric): lam, the
     float nearest the PF root of the transition matrix; point, the marked
@@ -669,9 +663,9 @@ def _scaled(coeffs, num: int, den: int) -> int:
 
 
 def pf_metric(f: GraphSelfMap) -> TrainTrackMap:
-    """The PF data of an irreducible train-track self-map, from one
-    _perron solve of its transition matrix after check_train_track: lam,
-    the PF lengths as the metric of the map's point and the frequencies.
+    """The PF data of an irreducible train-track self-map, from one _perron
+    solve of its transition matrix once verify_train_track(f).check() passes:
+    lam, the PF lengths as the metric of the map's point and the frequencies.
 
     The least row sum of the matrix is at least 1, since no edge image is
     empty, and lam of an irreducible matrix exceeds its least row sum
@@ -679,7 +673,7 @@ def pf_metric(f: GraphSelfMap) -> TrainTrackMap:
     is 1, and such a map, of finite order, is rejected. The map over the
     PF point is a copy of f that shares its checked image tables.
     """
-    report = check_train_track(f)
+    report = verify_train_track(f).check()
     if all(sum(row) == 1 for row in report.matrix):
         raise NotTrainTrackError("expansion factor 1: the transition matrix is a permutation "
                                  "matrix (finite order map)")
@@ -861,7 +855,7 @@ def no_cut_vertex_search(
             return CutVertexSearchResult(
                 X, moves, plus_trace, minus_trace, combined, max(kF, kB), prox)
         viable = []
-        for move in moves_from_cut_vertex(combined, report):
+        for move in moves_from_cut_vertex(report):
             X2 = _acted_by_edge_move(X, move)
             p2 = lamination_length_ratio(ttF, X2).value
             m2 = lamination_length_ratio(ttB, X2).value

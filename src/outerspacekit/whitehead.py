@@ -4,8 +4,9 @@ The Whitehead graph of a set of cyclic words has the 2n signed letters as
 vertices and one edge {u^-1, v} per cyclic two-letter subword uv, with
 multiplicity. It is stored once, as the map from neighbours to edge
 multiplicities of each vertex, the vertices in letter_key order 1, -1, 2,
--2, ...; its edge list, isolated vertices and unions are read off those
-maps, and every walk of the graph reads only the edges that exist.
+-2, ...; every graph is built by WhiteheadGraph.from_counter from a count
+of its edges, its edge list, isolated vertices and unions are read off
+those maps, and every walk of the graph reads only the edges that exist.
 Connectivity and cut vertices drive Whitehead's reduction algorithm: a
 basis element minimizes to a single letter, while a connected
 cut-vertex-free graph certifies a non-basis element. Cut vertices are the
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import neg
 
 from .words import (
     CyclicWord,
@@ -66,11 +68,14 @@ class WhiteheadGraph:
 
     @staticmethod
     def from_counter(rank: int, counter: Counter) -> "WhiteheadGraph":
-        """Graph of a counter of edges {u, v} (two-letter sets) to multiplicities."""
+        """Graph of a counter of edges {u, v} (two-letter sets or pairs) to
+        multiplicities; ValueError on a self-loop (u, u)."""
         nbrs = [{} for _ in range(2 * rank)]
-        for e, m in counter.items():
+        for (u, v), m in counter.items():
+            i, j = _letter_index(u), _letter_index(v)
+            if i == j:
+                raise ValueError("self-loop in Whitehead graph: word not cyclically reduced")
             if m:
-                i, j = map(_letter_index, e)
                 nbrs[i][j] = nbrs[i].get(j, 0) + m
                 nbrs[j][i] = nbrs[j].get(i, 0) + m
         return WhiteheadGraph(rank, tuple(nbrs))
@@ -112,19 +117,11 @@ def whitehead_graph(words, rank=None) -> WhiteheadGraph:
 
 
 def _turn_graph(words, rank: int) -> WhiteheadGraph:
-    """Whitehead graph of nonempty cyclically reduced letter tuples."""
+    """Whitehead graph of the turns {u^-1, v} of cyclically reduced letter tuples."""
     turns = Counter()
     for ls in words:
-        turns.update(zip(ls[-1:] + ls[:-1], ls))
-    nbrs = [{} for _ in range(2 * rank)]
-    for (u, v), m in turns.items():
-        i, j = _letter_index(-u), _letter_index(v)
-        # -u == v cannot occur in a cyclically reduced word, keep guard simple
-        if i == j:
-            raise ValueError("self-loop in Whitehead graph: word not cyclically reduced")
-        nbrs[i][j] = nbrs[i].get(j, 0) + m
-        nbrs[j][i] = nbrs[j].get(i, 0) + m
-    return WhiteheadGraph(rank, tuple(nbrs))
+        turns.update(zip(map(neg, ls[-1:] + ls[:-1]), ls))
+    return WhiteheadGraph.from_counter(rank, turns)
 
 
 @dataclass(frozen=True)
@@ -197,18 +194,15 @@ def cut_analysis(graph: WhiteheadGraph) -> CutReport:
     )
 
 
-def moves_from_cut_vertex(graph: WhiteheadGraph, report: CutReport = None):
-    """Length-reducing move candidates derived from cut vertices.
+def moves_from_cut_vertex(report: CutReport):
+    """Length-reducing move candidates derived from a cut_analysis report.
 
     For a cut vertex a and a component W'' of the used graph minus a that
     does not contain a^-1, the word-level reducing move is
     (A, a) with A = (W'')^-1 union {a}: its length change equals
     -(number of edges joining a to W'') < 0 on a connected graph. The
-    components are read off report.splits; the graph is analysed only when
-    no report is given.
+    components are read off report.splits.
     """
-    if report is None:
-        report = cut_analysis(graph)
     return [WhiteheadMove(frozenset(-x for x in comp) | {a}, a)
             for a, comps in report.splits for comp in comps if -a not in comp]
 
@@ -382,7 +376,7 @@ def whitehead_minimize(words, rank=None) -> ReductionTrace:
         before = _total(words)
         if report.connected and report.cut_vertices:
             scored = [(_length_change(graph.neighbours, m), m)
-                      for m in moves_from_cut_vertex(graph, report)]
+                      for m in moves_from_cut_vertex(report)]
             change, move = min(scored, key=lambda it: (it[0], it[1].sort_key()))
             after = before + change
             if after >= before:

@@ -7,8 +7,9 @@ so "abA" is the reduced word a b a^-1.
 `join_pieces` is the library's one substitution: it replaces each key by
 its piece and freely reduces, cancelling only at the junctions, so every
 piece must itself be freely reduced. Acting by an automorphism, rewriting
-by a Whitehead move, mapping a path by a graph map, reading a path's word
-through its half-edge labels and realizing a word at a point all go
+by a Whitehead move, mapping a path by a graph map, reading a path's
+geometric word (the marking map) or its word through its half-edge labels,
+collapsing a forest (minimal_model) and realizing a word at a point all go
 through it; free reduction is confluent, so the result is the free
 reduction of the whole concatenation. Words and paths are tuples of ints,
 and `reduce_letters` and `join_pieces` are the only free reductions.

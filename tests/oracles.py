@@ -47,7 +47,9 @@ loop, against which the one substitution, words.join_pieces, is checked:
 from the basepoint to its image, rho . f(loop) . rho^-1, and
 `linear_map_images` reads the generator images of a linear map the same
 way, where the library lets path_word close the image loop through the
-tree.
+tree. `is_inner` finds the common conjugator of an inner automorphism by
+peeling the first image and trying every power of x_1 after it, where the
+library tries the first halves of the first two images.
 `leaf_end_closed_form` is the library's earlier closed form of the leaf
 end, numpy object-dtype matrix products over the counts of every edge at
 every level K..K+P, against which the plain-Python sums over the edges
@@ -172,7 +174,7 @@ def exhaustive_minimize(words, rank) -> ReductionTrace:
         report = scan_cut_analysis(graph)
         before = sum(len(w) for w in words)
         if report.connected and report.cut_vertices:
-            candidates = [(m, m.automorphism(rank)) for m in moves_from_cut_vertex(graph, report)]
+            candidates = [(m, m.automorphism(rank)) for m in moves_from_cut_vertex(report)]
         else:
             candidates = _all_moves(rank)
         best = None
@@ -587,6 +589,28 @@ def linear_map_images(spec, x, y):
         based = tighten_path(y.graph, rho + tuple(mapped) + reverse_path(rho))
         images.append(path_word(y, based).letters)
     return images
+
+
+def is_inner(images):
+    """Reference for metric._common_conjugator_is_inner, read off the first
+    image alone: inverse end pairs are peeled off it down to its core,
+    which must be x_1, and the words u with u x_1 u^-1 equal to it are the
+    peeled prefix times a power x_1^k (the centralizer of x_1 is <x_1>).
+    An image u x_i u^-1 has at least 2|k| + 1 letters, so every k up to the
+    longest image is tried on every image."""
+    first = tuple(images[0])
+    n = 0
+    while n < len(first) - 1 - n and first[n] == -first[-1 - n]:
+        n += 1
+    if first[n:len(first) - n] != (1,):
+        return False
+    longest = max(map(len, images))
+    for k in range(-longest, longest + 1):
+        u = first[:n] + (1 if k > 0 else -1,) * abs(k)
+        if all(reduce_letters(u + (i,) + inverse_letters(u)) == tuple(im)
+               for i, im in enumerate(images, 1)):
+            return True
+    return False
 
 
 def leaf_path(tt, edge_index, k):

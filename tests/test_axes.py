@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -64,16 +65,40 @@ class TestAxisPoints:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_shift_is_bounded(self, golden_axis, monkeypatch):
-        # the bound is checked before the act builds the point's loops
+        # the bound is checked before the act of each level builds its loops,
+        # so a shift stops at its first level past the bound
         monkeypatch.setattr(graphs, "LEAF_PATH_MAX", 100)
         assert sum(map(len, golden_axis.shift(golden_axis.base, 8).gen_loops)) == 89
         # the point at shift -12 is reached from the one at -8 by phi^-4
-        for Y, s, k in ((golden_axis.base, 12, 12),
-                        (golden_axis.shift(golden_axis.base, -8), -4, -12)):
+        for Y, s, k in ((golden_axis.base, 12, 9),
+                        (golden_axis.shift(golden_axis.base, -8), -4, -9)):
             with pytest.raises(ValueError, match=rf"^the marking loops of the axis point at "
-                               rf"shift {k} join 610 half-edges, more than "
+                               rf"shift {k} join 144 half-edges, more than "
                                rf"LEAF_PATH_MAX \(100\)$"):
                 golden_axis.shift(Y, s)
+
+    def test_far_shift_builds_no_far_level(self, golden_axis, monkeypatch):
+        # the images of phi^30 hold about 2.2 million letters: the shift must
+        # stop at level 9 before it composes or realizes anything that long
+        monkeypatch.setattr(graphs, "LEAF_PATH_MAX", 100)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"at shift 9 join 144 half-edges"):
+                golden_axis.shift(golden_axis.base, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("name", AXES)
+    def test_shift_is_one_act(self, name, request):
+        # acting one level at a time gives the point one act by phi^s gives
+        ax = request.getfixturevalue(name)
+        Y = random_point(ax.rank, 7, n_moves=2)
+        for Z, s in ((Y, 3), (Y, -2), (ax.shift(Y, 2), -5)):
+            W, want = ax.shift(Z, s), Z.act(automorphism_power(ax.phi, s))
+            assert W.gen_loops == want.gen_loops
+            assert W.marking_map().images == want.marking_map().images
 
     def test_mu_from_backward(self, golden_inv_tt):
         assert golden_inv_tt.lam == pytest.approx(GOLDEN, abs=1e-9)
@@ -219,14 +244,17 @@ class TestContraction:
             contraction_experiment(golden_axis, 1, 0, mode="nope")
 
 
-def flat_spread(ax, t):
+# psi1 golden on <a, b> and psi2 golden on <c, d>, which commute
+RANK4_PSIS = (aut(4, "ab", "a", "c", "d"), aut(4, "a", "b", "cd", "c"))
+
+
+def flat_spread(ax, t, psi1, psi2):
     """(ball size, spread): the ball {Z = G_0 . psi1^i psi2^j : d(Y, Z) <
     d(Y, axis) - 1e-9} around Y = G_0 . psi1^t, for i in [-t, 2t] and j in
-    [-t, t], with psi1 golden on <a, b> and psi2 golden on <c, d>, and the
-    levels its projections to the axis spread over. Points within 1e-9 of
-    the radius are left out: on the rank-4 axis some tie with it in exact
-    arithmetic, and the last bit of lambda decides which side they fall."""
-    psi1, psi2 = aut(4, "ab", "a", "c", "d"), aut(4, "a", "b", "cd", "c")
+    [-t, t], and the levels its projections to the axis spread over. Points
+    within 1e-9 of the radius are left out: on the rank-4 axis some tie with
+    it in exact arithmetic, and the last bit of lambda decides which side
+    they fall."""
     G0 = ax.point(0)
     Y = G0.act(automorphism_power(psi1, t))
     radius = project(Y, ax).value
@@ -240,25 +268,38 @@ def flat_spread(ax, t):
 
 
 class TestFlat:
-    """The ball scan of ROADMAP item 2. On the swap-golden control, phi^2 =
-    psi1 psi2, so the ball lies in a flat and its projections spread over
-    4, 6, 10 and 14 levels at t = 2, 4, 6 and 8: the control's axis is not
-    strongly contracting. On the rank-4 axis, where psi1 does not commute
-    with phi, the same scan spreads over 0, 1, 2 and 2 levels while the
-    ball grows from 9 to 225 points."""
+    """The ball scan of ROADMAP items 1 and 2. On the swap-golden control,
+    phi^2 = psi1 psi2, so the ball lies in a flat and its projections spread
+    over 4, 6, 10 and 14 levels at t = 2, 4, 6 and 8: the control's axis is
+    not strongly contracting. On the rank-4 axis, where psi1 does not
+    commute with phi, the same scan spreads over 0, 1, 2 and 2 levels while
+    the ball grows from 9 to 225 points. On the golden, silver and plastic
+    (tribo) axes, with transvections that do not commute with phi (a -> ab
+    and b -> ba at rank 2, a -> ab and c -> ca at rank 3), the spread stays
+    at most 2 while the ball grows: from 1 to 15, 3 to 15 and 7 to 65
+    points."""
 
     def test_control_spread_grows_linearly(self):
         ax = Axis(*map(pf_metric, swap_golden_selfmaps()))
         for t in (2, 4, 6, 8):
-            assert flat_spread(ax, t)[1] >= t + 2
+            assert flat_spread(ax, t, *RANK4_PSIS)[1] >= t + 2
 
     def test_rank4_spread_stays_bounded(self, rank4_axis):
         sizes = []
         for t in (2, 4, 6, 8):
-            size, spread = flat_spread(rank4_axis, t)
+            size, spread = flat_spread(rank4_axis, t, *RANK4_PSIS)
             assert spread <= 2
             sizes.append(size)
         assert sizes == [9, 49, 121, 225]
+
+    @pytest.mark.parametrize("name", ["golden_axis", "silver_axis", "tribo_axis"])
+    def test_low_rank_spread_stays_bounded(self, name, request):
+        ax = request.getfixturevalue(name)
+        psis = {2: (aut(2, "ab", "b"), aut(2, "a", "ba")),
+                3: (aut(3, "ab", "b", "c"), aut(3, "a", "b", "ca"))}[ax.rank]
+        scans = [flat_spread(ax, t, *psis) for t in (2, 4, 6, 8)]
+        assert all(spread <= 2 for _, spread in scans)
+        assert all(a < b for (a, _), (b, _) in zip(scans, scans[1:]))
 
 
 class TestDivergence:

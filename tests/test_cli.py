@@ -9,7 +9,7 @@ import outerspacekit.cli as cli_mod
 import outerspacekit.graphs as graphs_mod
 import outerspacekit.traintrack as traintrack_mod
 from outerspacekit.cli import main
-from outerspacekit.graphs import MarkedMetricGraph, point_to_dict, random_point, rose
+from outerspacekit.graphs import point_to_dict, random_point, rose
 from outerspacekit.traintrack import pf_metric, selfmap_from_dict
 from outerspacekit.words import (
     ALPHABET,
@@ -509,7 +509,6 @@ class TestTT:
             tt = pf_metric(sm)
             tt.point.marking_inverse()
             monkeypatch.setattr(Automorphism, "apply_letters", refuse)
-            monkeypatch.setattr(MarkedMetricGraph, "geo_word_of_path", refuse)
             monkeypatch.setattr(graphs_mod, "reduce_letters", refuse)
             return tt
 

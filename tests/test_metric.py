@@ -117,6 +117,38 @@ class TestLinearMap:
         images[1] = reduce_letters(u + (-2,) + inverse_letters(u))
         assert not metric._common_conjugator_is_inner(images, 3)
 
+    def test_inner_rule_matches_reference(self):
+        """Seeded u at ranks 1-4, a third ending in an x_1-power and a third
+        in an x_2-power, where the first image alone gives the wrong u; each
+        conjugates the identity, x_1 -> x_1^-1, the transvection x_1 ->
+        x_1 x_2, and the identity with one image conjugated by another
+        word."""
+        rng = random.Random("inner-rule")
+        verdicts, first_half_wrong = [], 0
+        for rank in (1, 2, 3, 4):
+            for trial in range(40):
+                u = random_reduced_letters(rng, rank, rng.randint(0, 10))
+                tail = 1 + (trial % 3 == 2 and rank > 1)
+                if trial % 3:
+                    u = reduce_letters(u + (rng.choice((tail, -tail)),) * rng.randint(1, 3))
+                gens = [(i,) for i in range(1, rank + 1)]
+                autos = [gens, [(-1,)] + gens[1:]]
+                if rank > 1:
+                    autos.append([(1, 2)] + gens[1:])
+                j = rng.randrange(rank)
+                v = random_reduced_letters(rng, rank, rng.randint(1, 4))
+                autos.append(gens[:j] + [reduce_letters(v + (j + 1,) + inverse_letters(v))]
+                             + gens[j + 1:])
+                for auto in autos:
+                    images = [reduce_letters(u + w + inverse_letters(u)) for w in auto]
+                    verdict = metric._common_conjugator_is_inner(images, rank)
+                    assert verdict == oracles.is_inner(images), (u, auto)
+                    verdicts.append(verdict)
+                first = reduce_letters(u + (1,) + inverse_letters(u))
+                first_half_wrong += rank > 1 and first[:len(first) // 2] != u
+        assert verdicts.count(True) > 200 and verdicts.count(False) > 300
+        assert first_half_wrong > 40
+
     def test_figure_one_slopes(self):
         x = rose(2)
         y = point_from_dict(FIG1_TARGET_DICT)

@@ -67,6 +67,13 @@ class TestWhiteheadGraph:
         with pytest.raises(ValueError):
             whitehead_graph([CyclicWord(())], 2)
 
+    def test_word_not_cyclically_reduced_rejected(self):
+        # the turn a^-1 a of "aA" is the self-loop (a, a)
+        with pytest.raises(ValueError, match="self-loop in Whitehead graph"):
+            whitehead_mod._turn_graph([(1, -1)], 1)
+        with pytest.raises(ValueError, match="self-loop in Whitehead graph"):
+            WhiteheadGraph.from_counter(2, Counter({(2, 2): 1}))
+
     def test_rank_below_a_letter_rejected(self):
         with pytest.raises(RankMismatchError, match=r"letter 3 out of rank range \(rank 2\)"):
             whitehead_graph([C("abc")], 2)
@@ -178,7 +185,7 @@ class TestMinimize:
             rep = cut_analysis(g)
             if not (rep.connected and rep.cut_vertices):
                 continue
-            for move in moves_from_cut_vertex(g, rep):
+            for move in moves_from_cut_vertex(rep):
                 image = apply_cyclic(move.automorphism(2), w)
                 assert len(image) < len(w), (w, move)
                 checked += 1
@@ -398,7 +405,7 @@ class TestStepWork:
             g = whitehead_graph(words, rank)
             rep = cut_analysis(g)
             if rep.cut_vertices:
-                cases.append((rep, moves_from_cut_vertex(g)))
+                cases.append((rep, moves_from_cut_vertex(cut_analysis(g))))
 
         def no_analysis(graph):
             raise AssertionError("cut_analysis called")
@@ -406,7 +413,7 @@ class TestStepWork:
         monkeypatch.setattr(whitehead_mod, "cut_analysis", no_analysis)
         assert len(cases) > 10
         for rep, want in cases:
-            assert moves_from_cut_vertex(None, rep) == want
+            assert moves_from_cut_vertex(rep) == want
 
 
 class TestPrimitive:

@@ -27,19 +27,19 @@ whatever k is.
 Projection of X recorded as (Z, k) scans m -> d(X, G_m) over a window
 expanding from k until the minimum is interior. Experiments are
 deterministic in their seeds; per-sample RNG streams derive from (seed,
-sample index).
+sample index). They return records, named tuples that are their own CSV
+rows under the headers here; the CLI formats and writes them.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import math
 import random
 import weakref
 from dataclasses import dataclass
 from operator import truediv
+from typing import NamedTuple
 
 from .graphs import MarkedMetricGraph, check_path_size, jitter_lengths, random_point
 from .metric import distance
@@ -50,7 +50,6 @@ from .words import (
     RankMismatchError,
     cyclic_tighten,
     join_pieces,
-    piece_table,
     random_automorphism,
     verify_inverse,
 )
@@ -68,7 +67,7 @@ PROBE_MIN_SEPARATION = 3  # levels a probe pair's projections must be more than 
 DETOUR_TRIES = 8  # shrinking edges tried per detour point
 
 
-class ProjectionError(RuntimeError):
+class ProjectionError(ValueError):
     """Projection scan could not bracket an interior minimum."""
 
 
@@ -172,11 +171,17 @@ class Axis:
         return Y
 
     def point(self, m: int) -> MarkedMetricGraph:
-        """G_m: shift(G_(m-+1), +-1)."""
+        """G_m: shift(G_(m-+1), +-1), each level from the nearest one kept
+        towards m built in turn and kept."""
         found = self._points.get(m)
         if found is None:
             s = 1 if m > 0 else -1
-            found = self._points[m] = self.shift(self.point(m - s), s)
+            k = m - s
+            while k not in self._points:
+                k -= s
+            found = self._points[k]
+            for level in range(k + s, m + s, s):
+                found = self._points[level] = self.shift(found, s)
         return found
 
     def _step_maps(self):
@@ -184,12 +189,14 @@ class Axis:
         base.realize_based(phi^(+-1)(label(h))), label(h) the base's label
         of h. This is G_(+-1).realize_based(label(h)), since G_(+-1) realizes
         a generator as the base realizes its phi^(+-1) image, but it builds
-        no point."""
+        no point. ValueError, before the joins of a map, when they would
+        pass LEAF_PATH_MAX half-edges (realize_table)."""
         if self._steps is None:
             base = self.base
             labels = base._label_table()
             words = [labels[h] for h in range(1, base.graph.n_edges + 1)]
-            self._steps = {s: piece_table(base.realize_based(f.apply_letters(w)) for w in words)
+            self._steps = {s: base.realize_table([f.apply_letters(w) for w in words],
+                                                 f"the axis step map {s:+d} joins")
                            for s, f in ((1, self.phi), (-1, self.phi.inverse()))}
         return self._steps
 
@@ -333,8 +340,7 @@ def project(X: MarkedMetricGraph, ax: Axis) -> ProjectionResult:
     )
 
 
-@dataclass
-class ProbeRecord:
+class ProbeRecord(NamedTuple):
     sep: int  # |pi(X) - pi(Y)| in levels
     delta1: float  # d(Y,X) - [d(Y,pi(Y)) + d(pi(Y),pi(X))]
     delta2: float  # d(Y,X) - d(Y,pi(X))
@@ -361,46 +367,31 @@ def tree_inequality_probe(X, Y, ax: Axis) -> ProbeRecord:
     )
 
 
-# -- experiment records and CSV emission ---------------------------------
+# -- experiment records -----------------------------------------------------
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return f"{x:.9g}"
-    return str(x)
-
-
-def write_csv(header, rows, out=None) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(x) for x in row])
-    text = buf.getvalue()
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
-
-
-@dataclass
-class BallRecord:
+class BallRecord(NamedTuple):
     seed: int
     sample: int
     r: float
     n_ball_points: int
-    proj_diam_m: object  # int, or "" when skipped
+    proj_diam_m: object  # int, or "" when Y lies on the axis
     proj_diam_dist: object
-    skipped: bool = False
-    reason: str = ""
 
-    def row(self):
-        return [self.seed, self.sample, self.r, self.n_ball_points,
-                self.proj_diam_m, self.proj_diam_dist]
+    @property
+    def skipped(self):
+        return self.proj_diam_m == ""
 
 
-BALL_HEADER = ["seed", "sample", "r", "n_ball_points", "proj_diam_m", "proj_diam_dist"]
-MORSE_HEADER = ["seed", "sample", "n_points", "max_off_axis"]
+class MorseRecord(NamedTuple):
+    seed: int
+    sample: int
+    n_points: int
+    max_off_axis: float
+
+
+BALL_HEADER = list(BallRecord._fields)
+MORSE_HEADER = list(MorseRecord._fields)
 PAIR_HEADER = ["windows", "diam", "parallel"]
 
 
@@ -419,7 +410,7 @@ def ball_sample_record(ax: Axis, Y: MarkedMetricGraph, seed: int, sample: int) -
     r = py.value
     if r < 1e-9:
         log.info("sample %d skipped: Y lies on the axis (r=0)", sample)
-        return BallRecord(seed, sample, r, 0, "", "", skipped=True, reason="r=0")
+        return BallRecord(seed, sample, r, 0, "", "")
     params = set(py.argmin)
     accepted = 1  # Y itself lies in the open ball
     attempts = 0
@@ -437,15 +428,11 @@ def ball_sample_record(ax: Axis, Y: MarkedMetricGraph, seed: int, sample: int) -
     return BallRecord(seed, sample, r, accepted, diam_m, diam_m * ax.step)
 
 
-@dataclass
-class MorseRecord:
-    seed: int
-    sample: int
-    n_points: int
-    max_off_axis: float
-
-    def row(self):
-        return [self.seed, self.sample, self.n_points, self.max_off_axis]
+def _ball_sample(ax: Axis, seed: int, sample: int) -> BallRecord:
+    """ball_sample_record around a centre Y drawn from (seed, sample)."""
+    y_seed = (7_919 * seed + 104_729 * sample + 13) & 0x7FFFFFFF
+    Y = random_point(ax.rank, y_seed, n_moves=OFFSET_MOVES, jitter=OFFSET_JITTER)
+    return ball_sample_record(ax, Y, seed, sample)
 
 
 def morse_sample_record(ax: Axis, seed: int, sample: int) -> MorseRecord:
@@ -463,8 +450,23 @@ def morse_sample_record(ax: Axis, seed: int, sample: int) -> MorseRecord:
     return MorseRecord(seed, sample, len(pts), max(offs))
 
 
+def max_projection_diameter(records) -> float:
+    vals = [r.proj_diam_dist for r in records if not r.skipped]
+    return max(vals) if vals else 0.0
+
+
+# mode -> (CSV header, sampler (ax, seed, sample) -> record, (name, summary of the records))
+CONTRACTION_MODES = {
+    "balls": (BALL_HEADER, _ball_sample, ("max-diam", max_projection_diameter)),
+    "morse": (MORSE_HEADER, morse_sample_record,
+              ("max-off-axis", lambda records: max(r.max_off_axis for r in records))),
+}
+
+
 def contraction_experiment(ax: Axis, n_samples: int, seed: int, mode: str = "balls"):
-    """Monte-Carlo contraction probes; deterministic in (seed, sample).
+    """Monte-Carlo contraction probes: the records of samples 0..n_samples-1
+    of the sampler CONTRACTION_MODES gives `mode`, deterministic in (seed,
+    sample). The records are CSV rows under the mode's header.
 
     Neither sampler, balls or morse, has been shown to detect an axis that
     is not strongly contracting: on the swap-golden control, whose axis
@@ -474,22 +476,10 @@ def contraction_experiment(ax: Axis, n_samples: int, seed: int, mode: str = "bal
     stays within 2 levels on the rank-4 axis."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    records = []
-    for i in range(n_samples):
-        if mode == "balls":
-            y_seed = (7_919 * seed + 104_729 * i + 13) & 0x7FFFFFFF
-            Y = random_point(ax.rank, y_seed, n_moves=OFFSET_MOVES, jitter=OFFSET_JITTER)
-            records.append(ball_sample_record(ax, Y, seed, i))
-        elif mode == "morse":
-            records.append(morse_sample_record(ax, seed, i))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    return records
-
-
-def max_projection_diameter(records) -> float:
-    vals = [r.proj_diam_dist for r in records if not r.skipped]
-    return max(vals) if vals else 0.0
+    if mode not in CONTRACTION_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    sample = CONTRACTION_MODES[mode][1]
+    return [sample(ax, seed, i) for i in range(n_samples)]
 
 
 def probe_experiment(ax: Axis, n_pairs: int, seed: int):
@@ -579,7 +569,7 @@ def detour_path(ax: Axis, R: float, seed: int):
                 points.append(cand)
                 break
         else:
-            raise RuntimeError("could not sample a ball-avoiding detour point")
+            raise ValueError("could not sample a ball-avoiding detour point")
     points.append(ax.point(k))
     return points
 

@@ -3,18 +3,20 @@
 Exit codes: 0 success, 1 domain errors (invalid graph, non-train-track
 map, leaf tiles whose end state does not repeat by the level cap, a path
 longer than LEAF_PATH_MAX half-edges), 2 usage and I/O errors. An input
-file that cannot be read or is not JSON is an I/O error; JSON of the wrong
-shape, such as one with a missing key or an unknown vertex, is an invalid
-graph or self-map file. Floats print with 9 significant digits;
-structured output goes to --out as CSV. `osk --log-level LEVEL ...` logs
-the outerspacekit package to stderr at LEVEL; without it the package
-logger is left as it is.
+file that cannot be read or is not JSON, and an --out file that cannot be
+written, are I/O errors; JSON of the wrong shape, such as one with a
+missing key or an unknown vertex, is an invalid graph or self-map file.
+Floats print with 9 significant digits; structured output goes to --out
+as CSV. `osk --log-level LEVEL ...` logs the outerspacekit package to
+stderr at LEVEL; without it the package logger is left as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import logging
 import random
@@ -22,17 +24,14 @@ import sys
 
 from .axes import (
     Axis,
-    BALL_HEADER,
-    MORSE_HEADER,
+    CONTRACTION_MODES,
     PAIR_HEADER,
     contraction_experiment,
     detour_path,
     divergence_check,
     length_profile,
-    max_projection_diameter,
     project,
     two_axis_report,
-    write_csv,
 )
 from .graphs import LEAF_PATH_MAX, InvalidPointError, point_from_dict, rose, validate_point
 from .metric import check_oracle_bound, distance, distance_oracle
@@ -55,6 +54,30 @@ from .words import (
 
 def _f(x: float) -> str:
     return f"{x:.9g}"
+
+
+def write_csv(header, rows) -> str:
+    """The CSV text of the header and the rows: float cells with _f, every
+    other cell with str, so a bool reads True or False."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([_f(x) if isinstance(x, float) else str(x) for x in row] for row in rows)
+    return buf.getvalue()
+
+
+def _emit_csv(header, rows, out):
+    """write_csv(header, rows) to the file out, or to stdout without one;
+    UsageError when out cannot be written. The one place a CSV is written."""
+    text = write_csv(header, rows)
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {out}: {e.strerror or e}")
 
 
 class DomainError(Exception):
@@ -152,10 +175,7 @@ def cmd_dist(args):
     res = distance(x, y)
     print(f"value {_f(res.value)}")
     print(f"witness {res.witness.conjugacy_class} ({res.witness.kind})")
-    rows = [(str(c), _f(lx), _f(ly), _f(r)) for (c, lx, ly, r) in res.table]
-    table = write_csv(["class", "len_x", "len_y", "stretch"], rows, args.out)
-    if not args.out:
-        sys.stdout.write(table)
+    _emit_csv(["class", "len_x", "len_y", "stretch"], res.table, args.out)
     if args.oracle is not None:
         o = distance_oracle(x, y, args.oracle)
         print(f"oracle(L={args.oracle}) {_f(o)}")
@@ -256,14 +276,10 @@ def cmd_axis(args):
         if prof.min_at_boundary:
             print("warning: minimum at window boundary; widen the window")
     elif args.action == "contract":
+        header, _, (name, summary) = CONTRACTION_MODES[args.mode]
         records = contraction_experiment(ax, args.samples, args.seed, args.mode)
-        header = BALL_HEADER if args.mode == "balls" else MORSE_HEADER
-        text = write_csv(header, [r.row() for r in records], args.out)
-        if not args.out:
-            sys.stdout.write(text)
-        print(f"max-diam {_f(max_projection_diameter(records))}"
-              if args.mode == "balls" else f"max-off-axis "
-              f"{_f(max(r.max_off_axis for r in records))}")
+        _emit_csv(header, records, args.out)
+        print(f"{name} {_f(summary(records))}")
     elif args.action == "diverge":
         path = detour_path(ax, args.radius, args.seed)
         rep = divergence_check(path, ax, args.radius, args.d_emp, args.c_emp)
@@ -277,9 +293,7 @@ def cmd_axis(args):
         for i in range(args.pairs):
             rep = two_axis_report(ax, random_automorphism(ax.rank, rng, 4), window=args.window)
             rows.append((args.window, rep.diam, rep.parallel))
-        text = write_csv(PAIR_HEADER, rows, args.out)
-        if not args.out:
-            sys.stdout.write(text)
+        _emit_csv(PAIR_HEADER, rows, args.out)
 
 
 @functools.cache

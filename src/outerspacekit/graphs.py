@@ -399,16 +399,21 @@ class MarkedMetricGraph:
             raise ValueError("loop_length of empty class")
         return self.graph.path_length(cyclic_tighten(self.realize_based(letters)))
 
+    def realize_table(self, words, what: str):
+        """The piece_table of realize_based(w) for the words w, a list:
+        +i -> the i-th path, -i -> its inverse. ValueError, before any join
+        runs, when the joins would concatenate more than LEAF_PATH_MAX
+        half-edges (check_realize_size, its message starting with what)."""
+        self.check_realize_size(words, what)
+        return piece_table(map(self.realize_based, words))
+
     def realization(self, x: "MarkedMetricGraph"):
-        """x's marking realized at this point, kept nowhere: the piece_table
-        of realize_based(label(h)), label(h) x's label of the half-edge h,
-        for h = 1..n; -h reads the inverse path, the inverse label's.
-        ValueError, before any join runs, when the joins would concatenate
-        more than LEAF_PATH_MAX half-edges (check_realize_size)."""
+        """x's marking realized at this point, kept nowhere: the
+        realize_table of label(h), x's label of the half-edge h, for
+        h = 1..n; -h reads the inverse path, the inverse label's."""
         labels = x._label_table()
         words = [labels[h] for h in range(1, x.graph.n_edges + 1)]
-        self.check_realize_size(words, "realizing a marking at another point joins")
-        return piece_table(map(self.realize_based, words))
+        return self.realize_table(words, "realizing a marking at another point joins")
 
     def tight_loops(self, x: "MarkedMetricGraph"):
         """The tight cyclic loops at this point of the candidate paths of x,

@@ -147,11 +147,12 @@ class LipschitzReport:
     green: list  # edge ids attaining the max slope
 
 
-def _common_conjugator_is_inner(images, rank):
-    """True iff x_i -> images[i] is an inner automorphism of F_rank. The
-    reduced u x_i u^-1 is u' x_i u'^-1, u' = u without its trailing x_i-powers,
-    and u cannot end in both an x_1- and an x_2-power: so u is the first half
-    of the first image or of the second, and each is checked on every image."""
+def _common_conjugator_is_inner(images):
+    """True iff x_i -> images[i] is an inner automorphism of F_n, n the
+    number of images. The reduced u x_i u^-1 is u' x_i u'^-1, u' = u without
+    its trailing x_i-powers, and u cannot end in both an x_1- and an
+    x_2-power: so u is the first half of the first image or of the second,
+    and each is checked on every image."""
     for im in images[:2]:
         u = tuple(im[:(len(im) - 1) // 2])
         inv_u = inverse_letters(u)
@@ -176,7 +177,7 @@ def linear_map_lipschitz(
     # consistency with the markings, checked on generator loops: path_word
     # closes each image loop up through y's spanning tree
     images = [y.path_word(join_pieces(image, loop)).letters for loop in x.gen_loops]
-    if not _common_conjugator_is_inner(images, x.rank):
+    if not _common_conjugator_is_inner(images):
         raise ValueError("edge images are inconsistent with the markings")
     slopes = {}
     for e in range(1, gx.n_edges + 1):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import neg
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -74,7 +75,7 @@ def join_pieces(pieces, keys):
 
 
 def inverse_letters(letters) -> tuple:
-    return tuple(-l for l in reversed(letters))
+    return tuple(map(neg, reversed(letters)))
 
 
 def piece_table(words) -> dict:

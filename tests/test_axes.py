@@ -8,20 +8,20 @@ from outerspacekit import graphs
 from outerspacekit.axes import (
     BALL_HEADER,
     Axis,
+    MORSE_HALF_SPAN,
     MORSE_HEADER,
     ball_sample_record,
     contraction_experiment,
     detour_path,
     divergence_check,
     length_profile,
-    max_projection_diameter,
     probe_experiment,
     project,
     tree_inequality_probe,
     two_axis_report,
-    write_csv,
 )
-from outerspacekit.graphs import jitter_lengths, random_point, rose
+from outerspacekit.cli import write_csv
+from outerspacekit.graphs import MarkedMetricGraph, jitter_lengths, random_point, rose
 from outerspacekit.metric import distance
 from outerspacekit.traintrack import legality_report, pf_metric
 from outerspacekit.words import Automorphism, CyclicWord, random_automorphism
@@ -89,6 +89,31 @@ class TestAxisPoints:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_far_point_is_built_level_by_level(self, golden_axis, monkeypatch):
+        # G_-1500 is built by a loop from G_0, each level kept, until the
+        # bound stops level -18; one stack frame per level once overflowed
+        ax = Axis(golden_axis.forward, base=golden_axis.base, phi=golden_axis.phi)
+        monkeypatch.setattr(graphs, "LEAF_PATH_MAX", 10_000)
+        with pytest.raises(ValueError, match=r"at shift -18 join 10946 half-edges"):
+            ax.point(-1500)
+        assert sorted(ax._points) == list(range(-17, 1))
+        assert ax.point(-17) is ax._points[-17]
+        assert ax.point(-17).gen_loops == golden_axis.point(-17).gen_loops
+
+    def test_step_maps_are_bounded(self, golden_axis, monkeypatch):
+        # the step maps check their joins against the bound before building
+        # any path, as a marking realized at another point does
+        ax = Axis(golden_axis.forward, base=random_point(2, 7, n_moves=8), phi=golden_axis.phi)
+        realized = []
+        real = MarkedMetricGraph.realize_based
+        monkeypatch.setattr(MarkedMetricGraph, "realize_based",
+                            lambda self, letters: realized.append(letters) or real(self, letters))
+        monkeypatch.setattr(graphs, "LEAF_PATH_MAX", 20)
+        with pytest.raises(ValueError, match=r"step map \+1 joins 31 half-edges, more than "
+                                             r"LEAF_PATH_MAX \(20\)"):
+            ax._step_maps()
+        assert realized == [] and ax._steps is None
 
     @pytest.mark.parametrize("name", AXES)
     def test_shift_is_one_act(self, name, request):
@@ -223,20 +248,19 @@ class TestContraction:
     def test_deterministic_csv(self, golden_axis):
         r1 = contraction_experiment(golden_axis, 8, seed=7)
         r2 = contraction_experiment(golden_axis, 8, seed=7)
-        assert write_csv(BALL_HEADER, [r.row() for r in r1]) == write_csv(
-            BALL_HEADER, [r.row() for r in r2]
-        )
+        assert write_csv(BALL_HEADER, r1) == write_csv(BALL_HEADER, r2)
 
     def test_on_axis_sample_skipped(self, golden_axis):
         rec = ball_sample_record(golden_axis, golden_axis.point(3), seed=0, sample=0)
-        assert rec.skipped and rec.reason == "r=0"
+        assert rec.skipped
         assert rec.n_ball_points == 0
 
     def test_morse_mode(self, golden_axis):
         recs = contraction_experiment(golden_axis, 3, seed=2, mode="morse")
         assert len(recs) == 3
         assert all(r.max_off_axis >= 0 for r in recs)
-        text = write_csv(MORSE_HEADER, [r.row() for r in recs])
+        assert all(r.n_points == 2 * MORSE_HALF_SPAN + 1 == 7 for r in recs)
+        text = write_csv(MORSE_HEADER, recs)
         assert text.splitlines()[0] == ",".join(MORSE_HEADER)
 
     def test_bad_mode(self, golden_axis):

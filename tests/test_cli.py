@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import outerspacekit.axes as axes_mod
 import outerspacekit.cli as cli_mod
 import outerspacekit.graphs as graphs_mod
 import outerspacekit.traintrack as traintrack_mod
@@ -439,6 +440,21 @@ class TestDist:
         assert main(["dist", files["rose"], files["uneven"], "--out", str(out)]) == 0
         assert out.read_text().startswith("class,len_x,len_y,stretch")
 
+    @pytest.mark.parametrize("argv", [
+        ["dist", "rose", "uneven"],
+        ["axis", "contract", "fwd", "bwd", "--samples", "1"],
+        ["axis", "pair", "fwd", "bwd", "--pairs", "1", "--window", "2"],
+    ], ids=["dist", "contract", "pair"])
+    def test_unwritable_out(self, files, tmp_path, capsys, argv):
+        # once a FileNotFoundError traceback; now an I/O error, and no CSV
+        # reaches stdout in its place
+        out = tmp_path / "missing" / "t.csv"
+        args = [files.get(a, a) for a in argv] + ["--out", str(out)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+        assert "," not in captured.out
+
 
 class TestWhitehead:
     def test_minimize_trace_format(self, capsys):
@@ -721,6 +737,36 @@ class TestAxis:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.endswith(" half-edges, more than LEAF_PATH_MAX (10000)\n")
+
+    @pytest.mark.parametrize("argv", [["diverge", "--radius", "600"],
+                                      ["pair", "--pairs", "1", "--window", "1500"]],
+                             ids=["diverge", "pair"])
+    def test_far_points_are_bounded(self, files, capsys, monkeypatch, argv):
+        # G_-1247 and G_-1500 once overflowed the stack, one frame a level;
+        # built by a loop, both stop at the bound
+        monkeypatch.setattr(graphs_mod, "LEAF_PATH_MAX", 10_000)
+        assert main(["axis", argv[0], files["fwd"], files["bwd"], *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the marking loops of the axis point at shift -18 join "
+                                "10946 half-edges, more than LEAF_PATH_MAX (10000)\n")
+
+    def test_projection_budget_is_a_domain_error(self, files, tmp_path, capsys, monkeypatch):
+        # G_12 read from a file is its own root: its scan widens from level 0
+        # and passes a budget of 3 before it brackets 12
+        point = tmp_path / "g12.graph"
+        point.write_text(json.dumps(point_to_dict(cli_mod._load_axis(files["fwd"], files["bwd"])
+                                                  .point(12))))
+        monkeypatch.setattr(axes_mod, "PROJECT_BUDGET", 3)
+        assert main(["axis", "project", files["fwd"], files["bwd"], str(point)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: no interior minimum within the widest window [-2, 6]\n")
+
+    def test_detour_without_tries_is_a_domain_error(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(axes_mod, "DETOUR_TRIES", 0)
+        assert main(["axis", "diverge", files["fwd"], files["bwd"], "--radius", "2"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: could not sample a ball-avoiding detour point\n")
 
     def test_diverge_negative_d_emp(self, files, capsys):
         assert main(["axis", "diverge", files["fwd"], files["bwd"],

@@ -113,9 +113,9 @@ class TestLinearMap:
     def test_inner_with_long_conjugator(self):
         u = random_reduced_letters(random.Random(5), 3, 5_000)
         images = [reduce_letters(u + (i,) + inverse_letters(u)) for i in (1, 2, 3)]
-        assert metric._common_conjugator_is_inner(images, 3)
+        assert metric._common_conjugator_is_inner(images)
         images[1] = reduce_letters(u + (-2,) + inverse_letters(u))
-        assert not metric._common_conjugator_is_inner(images, 3)
+        assert not metric._common_conjugator_is_inner(images)
 
     def test_inner_rule_matches_reference(self):
         """Seeded u at ranks 1-4, a third ending in an x_1-power and a third
@@ -141,7 +141,7 @@ class TestLinearMap:
                              + gens[j + 1:])
                 for auto in autos:
                     images = [reduce_letters(u + w + inverse_letters(u)) for w in auto]
-                    verdict = metric._common_conjugator_is_inner(images, rank)
+                    verdict = metric._common_conjugator_is_inner(images)
                     assert verdict == oracles.is_inner(images), (u, auto)
                     verdicts.append(verdict)
                 first = reduce_letters(u + (1,) + inverse_letters(u))

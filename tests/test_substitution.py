@@ -161,7 +161,7 @@ def test_theta_swap_linear_map_reads_the_detoured_images(rank, monkeypatch):
     read = []
     inner = metric._common_conjugator_is_inner
     monkeypatch.setattr(metric, "_common_conjugator_is_inner",
-                        lambda images, r: read.append(images) or inner(images, r))
+                        lambda images: read.append(images) or inner(images))
     swap = {0: 1, 1: 0}
     for k in range(4):
         x = jitter_lengths(_cell_point("theta", rank, rng), rng, 0.3)

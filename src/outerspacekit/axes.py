@@ -67,10 +67,6 @@ PROBE_MIN_SEPARATION = 3  # levels a probe pair's projections must be more than 
 DETOUR_TRIES = 8  # shrinking edges tried per detour point
 
 
-class ProjectionError(ValueError):
-    """Projection scan could not bracket an interior minimum."""
-
-
 class _Walk:
     """The tight loops at the base graph of phi^m(alpha), for a list of
     classes alpha given by their tight loops at level 0, walked one level
@@ -156,17 +152,15 @@ class Axis:
     def shift(self, Y: MarkedMetricGraph, s: int) -> MarkedMetricGraph:
         """Y . phi^s, acted on by phi or phi^-1 one level at a time, and
         recorded as (Y's root, Y's shift + s); the levels between are kept
-        nowhere. ValueError, before the act of a level, when its marking
-        loops would join more than LEAF_PATH_MAX half-edges
-        (check_realize_size)."""
+        nowhere. ValueError, before the joins of a level, when its marking
+        loops would join more than LEAF_PATH_MAX half-edges (act, naming
+        the level)."""
         if not s:
             return Y
         Z, k = self._root(Y)
         f, step = (self.phi, 1) if s > 0 else (self.phi.inverse(), -1)
-        images = [w.letters for w in f.images]
         for level in range(k + step, k + s + step, step):
-            Y.check_realize_size(images, f"the marking loops of the axis point at shift {level} join")
-            Y = Y.act(f)
+            Y = Y.act(f, f"the marking loops of the axis point at shift {level} join")
         self._shifts[Y.marking] = (Z, k + s)
         return Y
 
@@ -224,7 +218,7 @@ class Axis:
         same floats, and so are their max and its log.
         """
         if X.rank != self.rank:
-            raise ValueError(f"rank mismatch: {X.rank} vs {self.rank}")
+            raise RankMismatchError.between(X.rank, self.rank)
         Z, k = self._root(X)
         ly = self._walk_of(Z).lengths_at(m - k)
         return math.log(max(map(truediv, ly, X.candidate_lengths())))
@@ -324,7 +318,7 @@ def project(X: MarkedMetricGraph, ax: Axis) -> ProjectionResult:
         if argmin[-1] > hi - PROJECT_MARGIN:
             hi += PROJECT_MARGIN
         if hi - lo > 2 * PROJECT_BUDGET:
-            raise ProjectionError(
+            raise ValueError(
                 f"no interior minimum within the widest window [{lo}, {hi}]"
             )
         ensure(lo, hi)

@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 domain errors (invalid graph, non-train-track
 map, leaf tiles whose end state does not repeat by the level cap, a path
-longer than LEAF_PATH_MAX half-edges), 2 usage and I/O errors. An input
-file that cannot be read or is not JSON, and an --out file that cannot be
-written, are I/O errors; JSON of the wrong shape, such as one with a
-missing key or an unknown vertex, is an invalid graph or self-map file.
+longer than LEAF_PATH_MAX half-edges), 2 usage and I/O errors. Every
+bound on an option's value, such as --oracle >= 1, is a usage error. An
+input file that cannot be read or is not JSON, and an --out file that
+cannot be written, are I/O errors; --out is checked before the command
+computes anything. JSON of the wrong shape, such as one with a missing
+key or an unknown vertex, is an invalid graph or self-map file.
 Floats print with 9 significant digits; structured output goes to --out
 as CSV. `osk --log-level LEVEL ...` logs the outerspacekit package to
 stderr at LEVEL; without it the package logger is left as it is.
@@ -34,7 +36,7 @@ from .axes import (
     two_axis_report,
 )
 from .graphs import LEAF_PATH_MAX, InvalidPointError, point_from_dict, rose, validate_point
-from .metric import check_oracle_bound, distance, distance_oracle
+from .metric import distance, distance_oracle
 from .traintrack import (
     no_cut_vertex_search,
     pf_metric,
@@ -66,22 +68,24 @@ def write_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _emit_csv(header, rows, out):
-    """write_csv(header, rows) to the file out, or to stdout without one;
-    UsageError when out cannot be written. The one place a CSV is written."""
-    text = write_csv(header, rows)
-    if not out:
-        sys.stdout.write(text)
-        return
+def _write_out(out, text, mode="w"):
+    """Write text to the --out file, opened in mode; UsageError when it
+    cannot be written."""
     try:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
         raise UsageError(f"cannot write {out}: {e.strerror or e}")
 
 
-class DomainError(Exception):
-    pass
+def _emit_csv(header, rows, out):
+    """write_csv(header, rows) to the file out, or to stdout without one.
+    The one place a CSV is written; main has checked out already."""
+    text = write_csv(header, rows)
+    if out:
+        _write_out(out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _parse_words(texts, rank=None):
@@ -116,17 +120,17 @@ def _read(path):
 
 
 def _parse(path, kind, parse, data):
-    """parse(data), where _read read data from path. The errors parse
-    raises on JSON of the wrong shape, such as a missing key, a number in
-    place of a list or an unknown name, become a DomainError naming path as
-    an invalid `kind` file; an InvalidPointError, which lists what the
-    point breaks, passes as it is."""
+    """parse(data), where _read read data from path. The readers raise
+    ValueError, and only that, on JSON of the wrong shape, such as a
+    missing key, a number in place of a list or an unknown name; it
+    becomes a ValueError naming path as an invalid `kind` file. An
+    InvalidPointError, which lists what the point breaks, passes as it is."""
     try:
         return parse(data)
     except InvalidPointError:
         raise
-    except (AttributeError, LookupError, TypeError, ValueError) as e:
-        raise DomainError(f"invalid {kind} file {path}: {e}")
+    except ValueError as e:
+        raise ValueError(f"invalid {kind} file {path}: {e}")
 
 
 def _load_point(path):
@@ -164,12 +168,10 @@ def cmd_validate(args):
     else:
         for p in report.problems:
             print(f"invalid: {p}")
-        raise DomainError("point fails validation")
+        raise ValueError("point fails validation")
 
 
 def cmd_dist(args):
-    if args.oracle is not None:
-        check_oracle_bound(args.oracle)
     x = _load_point(args.x)
     y = _load_point(args.y)
     res = distance(x, y)
@@ -484,7 +486,7 @@ def main(argv=None) -> int:
     # length_profile two levels, where window 0 reads one
     pair = args.cmd == "axis" and args.action == "pair"
     for name, low in (("seed", 0), ("samples", 1), ("window", 2 if pair else 1), ("iters", 0),
-                      ("oracle", 0), ("radius", 0), ("pairs", 0)):
+                      ("oracle", 1), ("radius", 0), ("pairs", 0)):
         v = getattr(args, name, None)
         if v is not None and v < low:
             print(f"error: --{name} must be >= {low}", file=sys.stderr)
@@ -492,11 +494,14 @@ def main(argv=None) -> int:
     if args.log_level:
         _log_to_stderr(args.log_level)
     try:
+        if getattr(args, "out", None):
+            # fail before any work; appending nothing leaves a file as it is
+            _write_out(args.out, "", "a")
         args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (DomainError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -32,6 +32,7 @@ from operator import itemgetter
 from .words import (
     Automorphism,
     CyclicWord,
+    RankMismatchError,
     Word,
     cyclic_tighten,
     find,
@@ -258,24 +259,23 @@ class Marking:
     edge lengths. Every with_lengths copy of a point shares its marking
     object; act starts a new one.
 
-    The tables are filled in as the points read them: the spanning tree
-    (vertex -> half-edge into it), the geometric table (half-edge -> (),
-    on the tree, or its geometric letter, the pieces of the marking map),
-    the marking map, the half-edge labels (half-edge -> word, the pieces of
-    path_word) and the tightened generator loops (letter -> piece, the
-    pieces of realize_based), all tuples. The marking keeps one
-    map: its inverse is the one the marking map knows, composed or, on the
-    first marking_inverse() of a marking read from a file, read off the
-    basis fold and checked; validation reads none (validate_point). The
+    The tables are filled in as the points read them: the geometric table
+    (half-edge -> (), on the spanning tree, or its geometric letter, the
+    pieces of the marking map), the marking map, the half-edge labels
+    (half-edge -> word, the pieces of path_word) and the tightened
+    generator loops (letter -> piece, the pieces of realize_based), all
+    tuples. The marking keeps one map: its inverse is the one the marking
+    map knows, composed or, on the first marking_inverse() of a marking
+    read from a file, read off the basis fold and checked; validation
+    reads none (validate_point). The
     candidate paths belong to the graph (MetricGraph.candidate_paths), in
     graph order, and no class of them is kept, nor any loop of another
     marking (see MarkedMetricGraph.loop_lengths).
     """
 
-    __slots__ = ("tree_parent", "geo", "basis_to_edges", "labels", "pieces", "__weakref__")
+    __slots__ = ("geo", "basis_to_edges", "labels", "pieces", "__weakref__")
 
-    def __init__(self, tree_parent=None, geo=None):
-        self.tree_parent = tree_parent  # vertex -> halfedge into it
+    def __init__(self, geo=None):
         self.geo = geo  # half-edge -> geometric word, see _ensure_tree
         self.basis_to_edges = None  # Automorphism F_n -> F_geo
         self.labels = None  # half-edge -> label letters, see path_word
@@ -301,9 +301,9 @@ class MarkedMetricGraph:
     # -- spanning tree and geometric basis -------------------------------
 
     def _ensure_tree(self):
-        """The spanning tree, breadth first from the basepoint, and the
-        geometric table, its _collapse_table: each edge off it a letter."""
-        if self.marking.tree_parent is not None:
+        """The geometric table of the spanning tree grown breadth first from
+        the basepoint, its _collapse_table: each edge off the tree a letter."""
+        if self.marking.geo is not None:
             return
         g = self.graph
         parent = {self.basepoint: 0}
@@ -316,7 +316,6 @@ class MarkedMetricGraph:
                     order.append(w)
         if len(parent) != g.n_vertices:
             raise InvalidPointError(["graph is not connected"])
-        self.marking.tree_parent = parent
         tree_edges = {abs(h) - 1 for v, h in parent.items() if v != self.basepoint}
         self.marking.geo = _collapse_table(g.n_edges, tree_edges)
 
@@ -455,22 +454,27 @@ class MarkedMetricGraph:
 
     # -- action of automorphisms -----------------------------------------
 
-    def act(self, phi: Automorphism) -> "MarkedMetricGraph":
+    def act(self, phi: Automorphism,
+            what: str = "the marking loops of the acted point join") -> "MarkedMetricGraph":
         """Right action: same metric graph, marking precomposed with phi.
 
-        phi is certified by phi.inverse(), which raises ValueError when its
-        images do not form a basis. The result has a marking object of its
-        own, seeded with this one's spanning tree and, where this point has
-        it, its marking map composed with phi: one map, which knows its
-        inverse when this point's marking map does. It keeps the graph, and
-        with it the candidate paths, but shares no length cache.
+        ValueError, before any join, when the new marking loops would join
+        more than LEAF_PATH_MAX half-edges (check_realize_size, its message
+        starting with what). phi is certified by phi.inverse(), which
+        raises ValueError when its images do not form a basis. The result
+        has a marking object of its own, seeded with this one's geometric
+        table and, where this point has it, its marking map composed with
+        phi: one map, which knows its inverse when this point's marking map
+        does. It keeps the graph, and with it the candidate paths, but
+        shares no length cache.
         """
         if phi.rank != self.rank:
-            raise ValueError("rank mismatch in act")
+            raise RankMismatchError.between(phi.rank, self.rank)
+        self.check_realize_size((w.letters for w in phi.images), what)
         phi.inverse()
         new_loops = [self.realize_based(phi.images[i].letters) for i in range(self.rank)]
         m = self.marking
-        marking = Marking(m.tree_parent, m.geo)
+        marking = Marking(m.geo)
         if m.basis_to_edges is not None:
             marking.basis_to_edges = m.basis_to_edges.compose(phi)
         return MarkedMetricGraph(self.graph, self.basepoint, new_loops, marking)
@@ -480,7 +484,7 @@ class MarkedMetricGraph:
 
         The copy shares this point's marking object, so everything that
         depends on the marking alone is computed once for all copies: the
-        spanning tree, the marking maps and the label and loop tables; its
+        geometric table, the marking maps and the label and loop tables; its
         graph shares the candidate paths and their gather plan with this
         one's. What depends on the lengths is the copy's own and starts
         empty: its candidate lengths (candidate_lengths, one fsum per
@@ -708,11 +712,8 @@ def validate_point(point: MarkedMetricGraph) -> ValidationReport:
             problems.append(f"marking loop {i + 1} is not closed at the basepoint")
     if problems:
         return ValidationReport(False, problems)
-    try:
-        phi = point.marking_map()
-    except InvalidPointError as e:
-        return ValidationReport(False, e.problems)
-    if not phi.is_bijective():
+    # connected, with first Betti number rank: marking_map raises on neither
+    if not point.marking_map().is_bijective():
         return ValidationReport(False, ["marking loops do not define a basis of the free group"])
     return ValidationReport(True, [])
 

@@ -10,8 +10,8 @@ A point's graph holds its candidate paths (MetricGraph.candidate_paths),
 in graph order, shared by every marking and every with_lengths copy of
 the graph; that is the one order distance reads them in. A point's
 marking object (graphs.Marking) holds what its graph and marking fix at
-any edge lengths, shared by all its with_lengths copies: the spanning
-tree, marking maps, label and loop tables, and nothing of other markings.
+any edge lengths, shared by all its with_lengths copies: the geometric
+table, marking maps, label and loop tables, and nothing of other markings.
 What depends on lengths belongs to the point instance, which never
 changes its lengths (with_lengths and act make new instances), and is
 summed once:
@@ -47,6 +47,7 @@ from .graphs import (
     enumerate_candidates,
 )
 from .words import (
+    RankMismatchError,
     enumerate_cyclic_words,
     inverse_letters,
     join_pieces,
@@ -105,19 +106,14 @@ def distance(x: MarkedMetricGraph, y: MarkedMetricGraph) -> DistanceResult:
     y.loop_length would. The value is a max, so it reads no class.
     """
     if x.rank != y.rank:
-        raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
+        raise RankMismatchError.between(x.rank, y.rank)
     return DistanceResult(x, x.candidate_lengths(), y.loop_lengths(x))
-
-
-def check_oracle_bound(max_len: int):
-    """Raise ValueError unless max_len is a valid distance_oracle bound."""
-    if max_len < 1:
-        raise ValueError("oracle length bound must be >= 1")
 
 
 def distance_oracle(x: MarkedMetricGraph, y: MarkedMetricGraph, max_len: int) -> float:
     """Log max stretch over all conjugacy classes of word length <= max_len."""
-    check_oracle_bound(max_len)
+    if max_len < 1:
+        raise ValueError("oracle length bound must be >= 1")
     best = 0.0
     first = True
     for w in enumerate_cyclic_words(x.rank, max_len):

@@ -49,6 +49,7 @@ from .whitehead import (
 )
 from .words import (
     Automorphism,
+    RankMismatchError,
     WhiteheadMove,
     cyclic_tighten,
     inverse_letters,
@@ -760,7 +761,7 @@ def lamination_length_ratio(
     the ratio is exactly 1.0. The denominator's limit is <r, l_base>.
     """
     if target.rank != tt.point.rank:
-        raise ValueError(f"rank mismatch: {target.rank} vs {tt.point.rank}")
+        raise RankMismatchError.between(target.rank, tt.point.rank)
     if k_cap < 1:
         raise ValueError("k_cap must be >= 1")
     r = tt.frequencies
@@ -833,7 +834,7 @@ def no_cut_vertex_search(
     if start.graph.n_vertices != 1:
         raise ValueError("search starts at a rose point")
     if start.rank != ttF.point.rank:
-        raise ValueError(f"rank mismatch: {start.rank} vs {ttF.point.rank}")
+        raise RankMismatchError.between(start.rank, ttF.point.rank)
     X = start
     moves = []
     plus_trace = [lamination_length_ratio(ttF, X).value]

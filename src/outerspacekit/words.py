@@ -26,7 +26,13 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
 class RankMismatchError(ValueError):
-    """Operands live in free groups of different ranks."""
+    """Operands live in free groups of different ranks. Two ranks a != b
+    raise RankMismatchError.between(a, b), its one message "rank mismatch:
+    a vs b"; a rank below 1, or a letter beyond a rank, has its own."""
+
+    @classmethod
+    def between(cls, a: int, b: int) -> "RankMismatchError":
+        return cls(f"rank mismatch: {a} vs {b}")
 
 
 class InvalidMoveError(ValueError):
@@ -313,7 +319,7 @@ class Automorphism:
         both know their inverses, the composite is linked to other^-1 after
         self^-1."""
         if self.rank != other.rank:
-            raise RankMismatchError("rank mismatch in composition")
+            raise RankMismatchError.between(self.rank, other.rank)
         phi = Automorphism(self.rank, [Word(self.apply_letters(im.letters))
                                        for im in other.images])
         if self._inv is not None and other._inv is not None:
@@ -364,7 +370,7 @@ def verify_inverse(phi: Automorphism, psi: Automorphism) -> bool:
     """True iff phi o psi and psi o phi both fix every generator; a pair
     so checked is linked as each other's certified inverse."""
     if phi.rank != psi.rank:
-        raise RankMismatchError("rank mismatch in verify_inverse")
+        raise RankMismatchError.between(phi.rank, psi.rank)
     for i in range(1, phi.rank + 1):
         if phi.apply_letters(psi.image_of(i)) != (i,):
             return False

@@ -63,7 +63,7 @@ from operator import mul
 
 import numpy as np
 
-from outerspacekit.axes import ProjectionError, ProjectionResult
+from outerspacekit.axes import ProjectionResult
 from outerspacekit.graphs import (
     CandidateLoop,
     _arcs_between,
@@ -494,10 +494,21 @@ def path_word(point, path):
 
 
 def tree_path_from_base(point, v):
-    """Half-edge path from the basepoint to v inside the point's spanning
-    tree, read off its tree parents."""
-    point._ensure_tree()
-    parent = point.marking.tree_parent
+    """Half-edge path from the basepoint to v inside the spanning tree
+    grown breadth first from the basepoint, each vertex reached by the
+    first out-half-edge, in out_halfedges order, of the first vertex
+    dequeued that reaches it. The tree is rebuilt from the graph alone, so
+    a wrong tree in MarkedMetricGraph._ensure_tree shows in path_word."""
+    g = point.graph
+    parent = {point.basepoint: None}
+    queue = deque([point.basepoint])
+    while queue:
+        u = queue.popleft()
+        for h in g.out_halfedges(u):
+            w = g.term_of(h)
+            if w not in parent:
+                parent[w] = h
+                queue.append(w)
     path = []
     while v != point.basepoint:
         h = parent[v]
@@ -852,7 +863,7 @@ def project(X, ax, start=0, budget=40, margin=2):
         if argmin[-1] > hi - margin:
             hi += margin
         if hi - lo > 2 * budget:
-            raise ProjectionError(
+            raise ValueError(
                 f"no interior minimum within parameter budget [{lo}, {hi}]"
             )
         ensure(lo, hi)

@@ -115,6 +115,24 @@ class TestAxisPoints:
             ax._step_maps()
         assert realized == [] and ax._steps is None
 
+    def test_act_is_bounded(self, golden_axis, monkeypatch):
+        # two_axis_report acts on G_m by psi; that act once built G_14 . psi,
+        # 2 584 half-edges, past a bound of 2 000 that G_14, 1 597, is within
+        psi = random_automorphism(2, random.Random(0), 4)
+        monkeypatch.setattr(graphs, "LEAF_PATH_MAX", 2000)
+        G14 = golden_axis.point(14)
+        assert sum(map(len, G14.gen_loops)) == 1597
+        realized = []
+        real = MarkedMetricGraph.realize_based
+        monkeypatch.setattr(MarkedMetricGraph, "realize_based",
+                            lambda self, letters: realized.append(letters) or real(self, letters))
+        with pytest.raises(ValueError, match=r"^the marking loops of the acted point join 2584 "
+                                             r"half-edges, more than LEAF_PATH_MAX \(2000\)$"):
+            G14.act(psi)
+        assert realized == []
+        with pytest.raises(ValueError, match="more than LEAF_PATH_MAX"):
+            two_axis_report(golden_axis, psi, window=14)
+
     @pytest.mark.parametrize("name", AXES)
     def test_shift_is_one_act(self, name, request):
         # acting one level at a time gives the point one act by phi^s gives

@@ -10,7 +10,7 @@ import outerspacekit.cli as cli_mod
 import outerspacekit.graphs as graphs_mod
 import outerspacekit.traintrack as traintrack_mod
 from outerspacekit.cli import main
-from outerspacekit.graphs import point_to_dict, random_point, rose
+from outerspacekit.graphs import point_from_dict, point_to_dict, random_point, rose
 from outerspacekit.traintrack import pf_metric, selfmap_from_dict
 from outerspacekit.words import (
     ALPHABET,
@@ -166,6 +166,19 @@ class TestValidate:
             "invalid: marking loops do not define a basis of the free group\n",
             "error: point fails validation\n")
 
+    @pytest.mark.parametrize("graph, problem", [
+        (dict(GOLDEN_MAP["graph"], rank=3, marking={"x": ["e1"], "y": ["e2"], "z": ["e1"]}),
+         "first Betti number 2 != rank 3"),
+        (dict(GOLDEN_MAP["graph"], marking={"x": [], "y": ["e2"]}), "marking loop 1 is empty"),
+        (dict(THETA_DICT, marking={"x": ["e1"], "y": ["e2", "~e3"]}),
+         "marking loop 1 is not closed at the basepoint"),
+    ], ids=["betti", "empty-loop", "open-loop"])
+    def test_marking_problems(self, tmp_path, capsys, graph, problem):
+        p = tmp_path / "bad.graph"
+        p.write_text(json.dumps(graph))
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr() == (f"invalid: {problem}\n", "error: point fails validation\n")
+
     def test_nan_length_is_invalid(self, files, tmp_path, capsys):
         # NaN fails every comparison: the point once validated, and dist
         # printed "value nan" before failing on an empty min()
@@ -227,7 +240,55 @@ MALFORMED_MAPS = {
 }
 
 
+# JSON values a mutated file puts in place of a value, or adds
+MUTATION_VALUES = [None, True, 0, -1, 3, 10 ** 400, 0.5, 1e308, "", "v", "w", "e1", "~e1", "e9",
+                   "1/0", "x", [], {}, ["e1"], ["~e2", "e1"], [1], {"v": "v"}, {"x": ["e1"]}]
+
+
+def _mutated(data, rng):
+    """data, read back from its JSON text, after one to three edits at
+    random places: a value replaced, a key or entry deleted, or a key or
+    entry added, each new value drawn from MUTATION_VALUES."""
+    data = json.loads(json.dumps(data))
+    for _ in range(rng.randint(1, 3)):
+        places, stack = [], [data]
+        while stack:
+            node = stack.pop()
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            places += [(node, k) for k in keys]
+            stack += [node[k] for k in keys if isinstance(node[k], (dict, list))]
+        if not places:
+            continue
+        node, key = rng.choice(places)
+        value = json.loads(json.dumps(rng.choice(MUTATION_VALUES)))
+        edit = rng.randrange(3)
+        if edit == 0:
+            node[key] = value
+        elif edit == 1:
+            del node[key]
+        elif isinstance(node, dict):
+            node[rng.choice(["extra", "rank", "v", "e1", "x"])] = value
+        else:
+            node.insert(rng.randint(0, len(node)), value)
+    return data
+
+
 class TestFileErrors:
+    def test_readers_raise_only_value_error(self):
+        # cli._parse turns a ValueError, and nothing else, into an invalid
+        # file error: no file of the wrong shape may raise another type
+        rng = random.Random("mutated-files")
+        rejected = 0
+        for reader, data in ((point_from_dict, THETA_DICT), (selfmap_from_dict, GOLDEN_MAP)) * 1000:
+            mutated = _mutated(data, rng)
+            try:
+                reader(mutated)
+            except ValueError:
+                rejected += 1
+            except Exception as e:
+                pytest.fail(f"{reader.__name__} raised {e!r} on {json.dumps(mutated)}")
+        assert 1000 < rejected < 2000
+
     @pytest.mark.parametrize("name", MALFORMED_GRAPHS)
     def test_malformed_graph_file(self, files, tmp_path, capsys, name):
         p = tmp_path / f"{name}.graph"
@@ -423,13 +484,11 @@ class TestDist:
         assert main(["dist", files["rose"], files["uneven"], "--oracle", "4"]) == 0
         assert "oracle(L=4) 0.287682072" in capsys.readouterr().out
 
-    def test_oracle_zero_is_a_domain_error(self, files, capsys):
-        assert main(["dist", files["rose"], files["uneven"], "--oracle", "0"]) == 1
-        captured = capsys.readouterr()
-        assert "oracle length bound must be >= 1" in captured.err
-        # the bound is checked before the distance is computed or printed
-        assert not any(line.startswith("value") for line in captured.out.splitlines())
-        assert captured.out == ""
+    def test_oracle_zero_is_a_usage_error(self, files, capsys):
+        # a bound on an option is a usage error, as for --oracle -1; it once
+        # exited 1 with "oracle length bound must be >= 1"
+        assert main(["dist", files["rose"], files["uneven"], "--oracle", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: --oracle must be >= 1\n")
 
     def test_missing_file(self, files, capsys):
         assert main(["dist", str(files["tmp"] / "missing.graph"), files["rose"]]) == 2
@@ -454,6 +513,33 @@ class TestDist:
         captured = capsys.readouterr()
         assert captured.err == f"error: cannot write {out}: No such file or directory\n"
         assert "," not in captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["dist", "rose", "uneven"],
+        ["axis", "contract", "fwd", "bwd", "--samples", "1"],
+        ["axis", "pair", "fwd", "bwd", "--pairs", "1", "--window", "2"],
+    ], ids=["dist", "contract", "pair"])
+    def test_out_is_checked_first(self, files, tmp_path, capsys, monkeypatch, argv):
+        # the path was once tried after the work: dist printed its value
+        # and witness lines, and contract ran every sample, before exit 2
+        calls = []
+
+        def counting(f):
+            return lambda *a, **k: calls.append(f) or f(*a, **k)
+
+        for name in ("distance", "two_axis_report"):
+            monkeypatch.setattr(cli_mod, name, counting(getattr(cli_mod, name)))
+        for mode, (header, sample, summary) in list(axes_mod.CONTRACTION_MODES.items()):
+            monkeypatch.setitem(axes_mod.CONTRACTION_MODES, mode,
+                                (header, counting(sample), summary))
+        args = [files.get(a, a) for a in argv]
+        out = tmp_path / "missing" / "t.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {out}: No such file or directory\n")
+        assert calls == []
+        assert main(args + ["--out", str(tmp_path / "t.csv")]) == 0
+        assert calls
 
 
 class TestWhitehead:

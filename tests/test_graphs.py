@@ -84,6 +84,14 @@ class TestValidate:
         assert validate_point(MarkedMetricGraph(circle, 0, [(1,), (2,), (3,)])).problems == [
             "zero-length subgraph contains a circle", "graph is not connected"]
 
+    def test_basepoint_not_a_vertex(self):
+        # a file names its basepoint by vertex name, so only a point built
+        # in code reaches this problem
+        g = rose(2).graph
+        for bad in (1, -1):
+            assert validate_point(MarkedMetricGraph(g, bad, [(1,), (2,)])).problems == [
+                f"basepoint {bad} is not a vertex"]
+
     def test_valence_two_rejected(self):
         # subdivide one rose petal: middle vertex has valence 2
         g = MetricGraph(2, ["e1", "e2", "e3"], [(0, 1), (1, 0), (0, 0)],

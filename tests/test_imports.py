@@ -6,6 +6,7 @@ by the library or the benchmark."""
 import ast
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -198,3 +199,28 @@ def test_no_module_imports_numpy():
                 continue
             importing += [path.name for m in modules if m.split(".")[0] == "numpy"]
     assert importing == []
+
+
+def test_tests_import_what_they_declare():
+    """Every top-level module a file under tests/ imports is in the standard
+    library, is local (a package or module at the root of the repository
+    or under src/), or is named by the `test` extra of pyproject.toml: a
+    module that only arrives with another package is declared too."""
+    tomllib = pytest.importorskip("tomllib")  # the standard library's from 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", r)[0].lower().replace("-", "_")
+                for r in project["optional-dependencies"]["test"]}
+    local = {p.stem for folder in (ROOT, ROOT / "src") for p in folder.iterdir()
+             if p.is_dir() or p.suffix == ".py"}
+    undeclared = set()
+    for path in (ROOT / "tests").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            undeclared.update(f"{path.name}: {top}" for top in (m.split(".")[0] for m in modules)
+                              if top not in sys.stdlib_module_names | local | declared)
+    assert sorted(undeclared) == []

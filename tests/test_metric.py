@@ -369,7 +369,7 @@ class TestLoopCache:
                 distance(X, Y)
                 Z = Y.act(random_whitehead_move(rank, rng).automorphism(rank))
                 assert Z.marking is not Y.marking and Z._ly is None
-                assert Z.marking.tree_parent is Y.marking.tree_parent
+                assert Z.marking.geo is Y.marking.geo
                 assert _fields(distance(X, Z)) == _reference(X, Z)
                 assert Y.with_lengths(Y.graph.lengths).marking is Y.marking
 

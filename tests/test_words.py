@@ -4,6 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from outerspacekit.graphs import rose
+from outerspacekit.metric import distance
+from outerspacekit.traintrack import lamination_length_ratio, no_cut_vertex_search
 from outerspacekit.words import (
     Automorphism,
     CyclicWord,
@@ -237,6 +240,23 @@ class TestVerifyInverse:
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
             verify_inverse(Automorphism.identity(2), Automorphism.identity(3))
+
+
+@pytest.mark.parametrize("compare", [
+    lambda a3, tt, ax: a3.compose(Automorphism.identity(2)),
+    lambda a3, tt, ax: verify_inverse(a3, Automorphism.identity(2)),
+    lambda a3, tt, ax: rose(2).act(a3),
+    lambda a3, tt, ax: distance(rose(3), rose(2)),
+    lambda a3, tt, ax: ax.dist_to_axis_point(rose(3), 0),
+    lambda a3, tt, ax: lamination_length_ratio(tt[0], rose(3)),
+    lambda a3, tt, ax: no_cut_vertex_search(*tt, rose(3)),
+], ids=["compose", "verify_inverse", "act", "distance", "dist_to_axis_point",
+        "lamination_length_ratio", "no_cut_vertex_search"])
+def test_rank_mismatch_has_one_message(compare, golden_tt, golden_inv_tt, golden_axis):
+    # each comparison of two ranks once had a message of its own, and three
+    # raised a plain ValueError
+    with pytest.raises(RankMismatchError, match=r"^rank mismatch: 3 vs 2$"):
+        compare(Automorphism.identity(3), (golden_tt, golden_inv_tt), golden_axis)
 
 
 class TestInversion:

@@ -108,8 +108,8 @@ class Axis:
 
     Points are built by `shift` and `point`, and each is recorded with its
     root and shift (see the module docstring), kept weakly by its marking
-    object; dist_to_axis_point reads every point through its root, off the
-    step maps f+ and f- of the base graph, built once from phi and phi^-1.
+    object; _reader reads every point through its root, off the step maps
+    f+ and f- of the base graph, built once from phi and phi^-1.
     `backward`, a train-track map or self-map of phi^-1, is checked to
     represent the inverse of phi, which certifies phi, and is not kept.
     """
@@ -206,22 +206,29 @@ class Axis:
             found = self._walks[X.marking] = self._walk_from(self.base.tight_loops(X))
         return found
 
-    def dist_to_axis_point(self, X: MarkedMetricGraph, m: int) -> float:
-        """d(X, G_m), the value of distance(X, self.point(m)), bit for bit.
+    def _reader(self, X: MarkedMetricGraph):
+        """(k, m -> d(X, G_m)) for X recorded as (Z, k): X's root, walk and
+        candidate lengths found once, for every level read.
 
-        With X recorded as (Z, k), d(X, G_m) = d(X . phi^-k, G_(m-k)), and
-        X . phi^-k is Z's marking with X's lengths: the ratios are the walk
-        of Z's candidates at level m - k over X.candidate_lengths(), both in
-        the graph order of the one graph. distance takes the same ratios in
-        the same order; the tight loop of a class is unique up to rotation
-        and path_length is an exactly rounded sum, so the ratios are the
-        same floats, and so are their max and its log.
+        d(X, G_m) = d(X . phi^-k, G_(m-k)), and X . phi^-k is Z's marking
+        with X's lengths: the ratios are the walk of Z's candidates at
+        level m - k over X.candidate_lengths(), both in the graph order of
+        the one graph. distance takes the same ratios in the same order;
+        the tight loop of a class is unique up to rotation and path_length
+        is an exactly rounded sum, so the ratios are the same floats, and
+        so are their max and its log.
         """
         if X.rank != self.rank:
             raise RankMismatchError.between(X.rank, self.rank)
         Z, k = self._root(X)
-        ly = self._walk_of(Z).lengths_at(m - k)
-        return math.log(max(map(truediv, ly, X.candidate_lengths())))
+        lengths_at = self._walk_of(Z).lengths_at
+        lx = X.candidate_lengths()
+        return k, lambda m: math.log(max(map(truediv, lengths_at(m - k), lx)))
+
+    def dist_to_axis_point(self, X: MarkedMetricGraph, m: int) -> float:
+        """d(X, G_m), the value of distance(X, self.point(m)), bit for bit:
+        X's reader (see _reader) read at m."""
+        return self._reader(X)[1](m)
 
 
 @dataclass
@@ -252,7 +259,7 @@ def length_profile(alpha: CyclicWord, ax: Axis, window) -> LengthProfile:
     if not alpha:
         raise ValueError("empty conjugacy class")
     if alpha.max_index() > ax.rank:
-        raise RankMismatchError("word rank exceeds automorphism rank")
+        raise ValueError("word rank exceeds automorphism rank")
     lo, hi = int(window[0]), int(window[1])
     if hi - lo < 1:
         raise ValueError(f"window ({lo}, {hi}) holds fewer than two levels")
@@ -288,9 +295,10 @@ def project(X: MarkedMetricGraph, ax: Axis) -> ProjectionResult:
     """Closest-point projection of X to the axis over an expanding window.
 
     With X recorded by the axis as (Z, k) (see the module docstring), the
-    window starts at k, and each d(X, G_m) is read by ax.dist_to_axis_point
-    through Z. The values are Z's at m - k, so the argmin of Z . phi^s is
-    Z's shifted by s, and the scan builds no point G_m and no word phi^m.
+    window starts at k, and each d(X, G_m) is read through Z by X's one
+    reader, Axis._reader. The values are Z's at m - k, so the argmin of
+    Z . phi^s is Z's shifted by s, and the scan builds no point G_m and no
+    word phi^m.
 
     The result depends on how X was built: a point equal to Z . phi^s in
     marking and lengths, but not built by this axis (read from a file, or
@@ -298,14 +306,14 @@ def project(X: MarkedMetricGraph, ax: Axis) -> ProjectionResult:
     the same floats, but its window grows from 0, so `scanned` differs, the
     scan walks loops about lambda^|s| long, and where the profile has more
     than one local minimum the argmin may differ."""
-    k = ax._root(X)[1]
+    k, dist = ax._reader(X)
     lo, hi = k - PROJECT_MARGIN, k + PROJECT_MARGIN
     d = {}
 
     def ensure(a, b):
         for m in range(a, b + 1):
             if m not in d:
-                d[m] = ax.dist_to_axis_point(X, m)
+                d[m] = dist(m)
 
     ensure(lo, hi)
     while True:

@@ -5,9 +5,14 @@ map, leaf tiles whose end state does not repeat by the level cap, a path
 longer than LEAF_PATH_MAX half-edges), 2 usage and I/O errors. Every
 bound on an option's value, such as --oracle >= 1, is a usage error. An
 input file that cannot be read or is not JSON, and an --out file that
-cannot be written, are I/O errors; --out is checked before the command
-computes anything. JSON of the wrong shape, such as one with a missing
-key or an unknown vertex, is an invalid graph or self-map file.
+cannot be written, are I/O errors. --out is opened once, before the
+command computes anything, so a path that cannot be written fails first:
+a missing file is created, and a file already there is left as it is
+until the command's CSV overwrites it in place and cuts it to length; it
+is never truncated to zero, and one the command fails before writing
+keeps its bytes. A file that is not regular, such as /dev/null, is
+written without truncation. JSON of the wrong shape, such as one with a
+missing key or an unknown vertex, is an invalid graph or self-map file.
 Floats print with 9 significant digits; structured output goes to --out
 as CSV. `osk --log-level LEVEL ...` logs the outerspacekit package to
 stderr at LEVEL; without it the package logger is left as it is.
@@ -21,7 +26,9 @@ import functools
 import io
 import json
 import logging
+import os
 import random
+import stat
 import sys
 
 from .axes import (
@@ -68,24 +75,30 @@ def write_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _write_out(out, text, mode="w"):
-    """Write text to the --out file, opened in mode; UsageError when it
-    cannot be written."""
-    try:
-        with open(out, mode, encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise UsageError(f"cannot write {out}: {e.strerror or e}")
+def _cannot_write(path, e: OSError):
+    return UsageError(f"cannot write {path}: {e.strerror or e}")
 
 
 def _emit_csv(header, rows, out):
-    """write_csv(header, rows) to the file out, or to stdout without one.
-    The one place a CSV is written; main has checked out already."""
+    """write_csv(header, rows) to out, the (path, descriptor) of the --out
+    file main opened, or to stdout without one. The one place a CSV is
+    written: the text overwrites the file from its start, and a regular
+    file is then cut to the bytes written, so none is truncated to zero.
+    UsageError when the file cannot be written."""
     text = write_csv(header, rows)
-    if out:
-        _write_out(out, text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    path, fd = out
+    data = text.encode("utf-8")
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    except OSError as e:
+        raise _cannot_write(path, e)
 
 
 def _parse_words(texts, rank=None):
@@ -414,16 +427,24 @@ def build_parser():
                    help=f"profile the levels -W..W, W >= 1 (default 6); a level whose loops "
                    f"pass LEAF_PATH_MAX ({LEAF_PATH_MAX}) half-edges is an error")
     q.set_defaults(func=cmd_axis, action="profile")
+    headers = {mode: ",".join(header) for mode, (header, _, _) in CONTRACTION_MODES.items()}
     q = axsub.add_parser(
         "contract", help="ball or Morse contraction samples along the axis",
-        description="Ball or Morse contraction samples along the axis. Neither "
-        "sampler has been shown to detect an axis that is not strongly contracting; "
-        "the flat test (TestFlat in tests/test_axes.py) does.")
+        description=f"Ball or Morse contraction samples along the axis. Prints CSV, the "
+        f"mode's header, {headers['balls']} for balls and {headers['morse']} for morse, "
+        "then one row per sample, to --out or stdout; then `max-diam X`, the largest "
+        "projection diameter of a ball, or `max-off-axis X`, the farthest a Morse path "
+        "strays from the axis. Neither sampler has been shown to detect an axis that is "
+        "not strongly contracting; the flat test (TestFlat in tests/test_axes.py) does.")
     common(q)
-    q.add_argument("--samples", type=int, default=20)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--mode", choices=["balls", "morse"], default="balls")
-    q.add_argument("--out")
+    q.add_argument("--samples", type=int, default=20,
+                   help="the number of samples, one row each, >= 1 (default 20)")
+    q.add_argument("--seed", type=int, default=0,
+                   help="seed of the samples, each drawn from (seed, sample) (default 0)")
+    q.add_argument("--mode", choices=["balls", "morse"], default="balls",
+                   help="balls: project a ball around a point off the axis; morse: project "
+                   "a perturbed path between axis points (default balls)")
+    q.add_argument("--out", help="write the rows as CSV to this file")
     q.set_defaults(func=cmd_axis, action="contract")
     q = axsub.add_parser(
         "diverge", help="check the quadratic divergence bound on a detour path",
@@ -476,6 +497,25 @@ def _log_to_stderr(level: str):
     logger.addHandler(_StderrHandler(sys.stderr))
 
 
+def _run_with_out(args):
+    """args.func(args) with args.out, a path, replaced by (path, descriptor)
+    of the file opened once before any work: created when missing, else
+    left as it is until _emit_csv writes it, and closed afterwards."""
+    path = args.out
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as e:
+        raise _cannot_write(path, e)
+    try:
+        args.out = path, fd
+        args.func(args)
+    finally:
+        try:
+            os.close(fd)
+        except OSError as e:
+            raise _cannot_write(path, e)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -495,9 +535,9 @@ def main(argv=None) -> int:
         _log_to_stderr(args.log_level)
     try:
         if getattr(args, "out", None):
-            # fail before any work; appending nothing leaves a file as it is
-            _write_out(args.out, "", "a")
-        args.func(args)
+            _run_with_out(args)
+        else:
+            args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

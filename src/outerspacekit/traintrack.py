@@ -822,8 +822,9 @@ def no_cut_vertex_search(
     The axis distance of the point F found is read off two axis walks:
     Out(F_n) acts by isometries, so d(start . phi^m, F) is
     d(start, F . phi^-m), a distance to the axis of phi through F, and
-    d(F, start . phi^m) one to the axis through the start (see
-    Axis.dist_to_axis_point, which equals distance bit for bit).
+    d(F, start . phi^m) one to the axis through the start, each point read
+    once by its axis's reader (see Axis._reader, which equals distance bit
+    for bit).
     """
     from .axes import Axis  # axes imports this module
 
@@ -850,9 +851,9 @@ def no_cut_vertex_search(
                 "(input not fully irreducible)"
             )
         if not report.cut_vertices:
-            along, back = Axis(ttF, base=start, phi=phi), Axis(ttF, base=X, phi=phi)
-            prox = min(along.dist_to_axis_point(X, m) + back.dist_to_axis_point(start, -m)
-                       for m in range(-3, 4))
+            to_along = Axis(ttF, base=start, phi=phi)._reader(X)[1]
+            to_back = Axis(ttF, base=X, phi=phi)._reader(start)[1]
+            prox = min(to_along(m) + to_back(-m) for m in range(-3, 4))
             return CutVertexSearchResult(
                 X, moves, plus_trace, minus_trace, combined, max(kF, kB), prox)
         viable = []

@@ -44,7 +44,6 @@ from operator import neg
 
 from .words import (
     CyclicWord,
-    RankMismatchError,
     WhiteheadMove,
     canonical_cyclic,
     cyclic_tighten,
@@ -100,17 +99,17 @@ def whitehead_graph(words, rank=None) -> WhiteheadGraph:
     """Superposition of the Whitehead graphs of the given cyclic words.
 
     rank defaults to the largest generator index used; it must be at least 1
-    and at least every generator index, else RankMismatchError.
+    and at least every generator index, else ValueError.
     """
     words = list(words)
     top = max((w.max_index() for w in words), default=0)
     if rank is None:
         rank = top
     if rank < 1:
-        raise RankMismatchError(f"rank must be at least 1, got {rank}")
+        raise ValueError(f"rank must be at least 1, got {rank}")
     if top > rank:
         letter = next(l for w in words for l in w.letters if abs(l) > rank)
-        raise RankMismatchError(f"letter {letter} out of rank range (rank {rank})")
+        raise ValueError(f"letter {letter} out of rank range (rank {rank})")
     if any(not w for w in words):
         raise ValueError("empty cyclic word has no Whitehead graph")
     return _turn_graph([w.letters for w in words], rank)

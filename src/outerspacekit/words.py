@@ -28,7 +28,8 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 class RankMismatchError(ValueError):
     """Operands live in free groups of different ranks. Two ranks a != b
     raise RankMismatchError.between(a, b), its one message "rank mismatch:
-    a vs b"; a rank below 1, or a letter beyond a rank, has its own."""
+    a vs b", and nothing else raises it; a rank below 1, or a letter or
+    word beyond a rank, is a plain ValueError with a message of its own."""
 
     @classmethod
     def between(cls, a: int, b: int) -> "RankMismatchError":
@@ -185,7 +186,7 @@ class Word:
         return format_letters(self.letters) if self.letters else "1"
 
     def max_index(self) -> int:
-        return max((abs(l) for l in self.letters), default=0)
+        return max(map(abs, self.letters), default=0)
 
 
 def cyclic_tighten(letters) -> tuple:
@@ -246,7 +247,7 @@ class CyclicWord:
         return format_letters(self.letters) if self.letters else "1"
 
     def max_index(self) -> int:
-        return max((abs(l) for l in self.letters), default=0)
+        return max(map(abs, self.letters), default=0)
 
 
 class Automorphism:
@@ -311,7 +312,7 @@ class Automorphism:
 
     def apply(self, w: Word) -> Word:
         if w.max_index() > self.rank:
-            raise RankMismatchError("word rank exceeds automorphism rank")
+            raise ValueError("word rank exceeds automorphism rank")
         return Word(self.apply_letters(w.letters))
 
     def compose(self, other: "Automorphism") -> "Automorphism":

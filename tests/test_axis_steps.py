@@ -143,6 +143,21 @@ def test_off_axis_scans_build_no_power_beyond_one(name, request, monkeypatch):
     assert rec == ball_sample_record(fixture, X, seed=0, sample=0)
 
 
+@pytest.mark.parametrize("name", AXES)
+def test_project_finds_its_point_once(name, request, monkeypatch):
+    """project finds X's root and walk once, however many levels it scans."""
+    ax = _reference(request.getfixturevalue(name))
+    calls = []
+    for method in ("_root", "_walk_of"):
+        real = getattr(Axis, method)
+        monkeypatch.setattr(Axis, method, lambda self, X, real=real, method=method:
+                            calls.append(method) or real(self, X))
+    for X, _ in _points(ax, random.Random(f"once-{name}"), SHIFTS[name]):
+        calls.clear()
+        project(X, ax)
+        assert sorted(calls) == ["_root", "_walk_of"]
+
+
 def test_rank_mismatch(golden_axis):
     with pytest.raises(ValueError, match=r"^rank mismatch: 3 vs 2$"):
         project(rose(3), golden_axis)

@@ -1,6 +1,8 @@
+import builtins
 import json
 import logging
 import math
+import os
 import random
 
 import pytest
@@ -541,6 +543,63 @@ class TestDist:
         assert main(args + ["--out", str(tmp_path / "t.csv")]) == 0
         assert calls
 
+    OUT_COMMANDS = pytest.mark.parametrize("argv", [
+        ["dist", "rose", "uneven"],
+        ["axis", "contract", "fwd", "bwd", "--samples", "1"],
+        ["axis", "pair", "fwd", "bwd", "--pairs", "1", "--window", "2"],
+    ], ids=["dist", "contract", "pair"])
+
+    @OUT_COMMANDS
+    def test_out_overwrites_a_longer_file(self, files, tmp_path, capsys, argv):
+        args = [files.get(a, a) for a in argv]
+        fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+        assert main(args + ["--out", str(fresh)]) == 0
+        old.write_bytes(b"stale,row\n" * 1000)
+        assert main(args + ["--out", str(old)]) == 0
+        assert old.read_bytes() == fresh.read_bytes()
+
+    @OUT_COMMANDS
+    def test_failed_run_leaves_out_as_it_is(self, files, tmp_path, capsys, argv):
+        # the first input file is invalid, which is found after --out is open
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}")
+        args = [files.get(a, a) for a in argv]
+        args[next(i for i, a in enumerate(argv) if a in files)] = str(bad)
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"stale,row\n" * 100)
+        assert main(args + ["--out", str(old)]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid ")
+        assert old.read_bytes() == b"stale,row\n" * 100
+
+    @OUT_COMMANDS
+    def test_out_to_dev_null(self, files, capsys, argv):
+        assert main([files.get(a, a) for a in argv] + ["--out", os.devnull]) == 0
+        assert "," not in capsys.readouterr().out
+
+    @OUT_COMMANDS
+    def test_out_is_opened_once_without_truncation(self, files, tmp_path, capsys,
+                                                   monkeypatch, argv):
+        out = str(tmp_path / "t.csv")
+        opened = []
+        real_os_open, real_open = os.open, builtins.open
+
+        def os_open(path, flags, *args, **kwargs):
+            opened.append(("os.open", str(path), flags))
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def py_open(file, mode="r", *args, **kwargs):
+            opened.append(("open", str(file), mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", os_open)
+        monkeypatch.setattr(builtins, "open", py_open)
+        args = [files.get(a, a) for a in argv] + ["--out", out]
+        for _ in range(2):  # the file created, then overwritten
+            opened.clear()
+            assert main(args) == 0
+            (kind, _, how), = [o for o in opened if o[1] == out]
+            assert not (how & os.O_TRUNC if kind == "os.open" else "w" in how)
+
 
 class TestWhitehead:
     def test_minimize_trace_format(self, capsys):
@@ -911,6 +970,12 @@ class TestUsage:
           "bound", "empirical constant c", f"LEAF_PATH_MAX ({graphs_mod.LEAF_PATH_MAX})"]),
         ("pair", "Prints CSV, header windows,diam,parallel",
          ["the number of random automorphisms psi", "project the levels -W..W, W >= 2"]),
+        ("contract", "Prints CSV, the mode's header, seed,sample,r,n_ball_points,"
+         "proj_diam_m,proj_diam_dist for balls and seed,sample,n_points,max_off_axis for "
+         "morse, then one row per sample, to --out or stdout; then `max-diam X`",
+         ["--samples SAMPLES the number of samples, one row each, >= 1",
+          "--seed SEED seed of the samples", "--mode {balls,morse} balls: project a ball",
+          "--out OUT write the rows as CSV to this file", "or `max-off-axis X`"]),
     ])
     def test_axis_help_says_what_it_prints(self, capsys, command, prints, options):
         assert main(["axis", command, "--help"]) == 0

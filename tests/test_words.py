@@ -180,8 +180,9 @@ class TestApply:
 
     def test_rank_mismatch(self):
         phi = Automorphism.identity(2)
-        with pytest.raises(RankMismatchError):
+        with pytest.raises(ValueError, match="^word rank exceeds automorphism rank$") as excinfo:
             phi.apply(Word.make((3,)))
+        assert type(excinfo.value) is ValueError
 
     def test_composition_respected(self):
         rng = random.Random(1)

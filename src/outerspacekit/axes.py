@@ -25,7 +25,13 @@ point G_m and no conjugacy class is read, and the loops walked are Z's
 whatever k is.
 
 Projection of X recorded as (Z, k) scans m -> d(X, G_m) over a window
-expanding from k until the minimum is interior. Experiments are
+expanding from k until the minimum is interior. d(X, G_m) is a max over
+X's candidates, and each candidate is walked alone: the scan reads each
+level with a cap just above the least value so far, and a level above it
+is decided by the first candidate whose ratio passes the cap, usually the
+one stretched most at the level read before. The candidates a level does
+not need are walked no further, and what the scan returns is that of the
+scan reading every level exactly (see project). Experiments are
 deterministic in their seeds; per-sample RNG streams derive from (seed,
 sample index). They return records, named tuples that are their own CSV
 rows under the headers here; the CLI formats and writes them.
@@ -41,6 +47,7 @@ from dataclasses import dataclass
 from operator import truediv
 from typing import NamedTuple
 
+from . import graphs
 from .graphs import MarkedMetricGraph, check_path_size, jitter_lengths, random_point
 from .metric import distance
 from .traintrack import TrainTrackMap
@@ -68,38 +75,45 @@ DETOUR_TRIES = 8  # shrinking edges tried per detour point
 
 
 class _Walk:
-    """The tight loops at the base graph of phi^m(alpha), for a list of
-    classes alpha given by their tight loops at level 0, walked one level
-    at a time by the step maps {+1: f+, -1: f-}.
+    """The tight loops at the base graph of phi^m(alpha), for one class
+    alpha given by its tight loop at level 0, walked one level at a time by
+    the step maps {+1: f+, -1: f-}. Each class of a point has a walk of its
+    own, so a class is walked only as far as it is read.
 
-    Keeps the lengths of every level reached, and the loops of the lowest
-    and the highest level only, since the walk goes on from those. A level
-    whose loops have more than LEAF_PATH_MAX half-edges in all raises
-    ValueError (graphs.check_path_size).
+    Keeps the length of every level reached, and the loops of the lowest
+    and the highest level only, since the walk goes on from those. `built`,
+    level -> half-edges of the loops built at that level so far, is shared
+    by the walks of one point: a loop that takes its level past
+    LEAF_PATH_MAX raises ValueError (graphs.check_path_size).
     """
 
-    __slots__ = ("steps", "path_length", "lengths", "ends")
+    __slots__ = ("steps", "path_length", "built", "lengths", "ends")
 
-    def __init__(self, steps, path_length, loops):
+    def __init__(self, steps, path_length, built, loop):
         self.steps = steps
         self.path_length = path_length
-        self.lengths = {0: tuple(map(path_length, loops))}
-        self.ends = {1: (0, loops), -1: (0, loops)}
+        self.built = built
+        self.lengths = {0: path_length(loop)}
+        self.ends = {1: (0, loop), -1: (0, loop)}
 
-    def lengths_at(self, m: int):
-        """The base lengths of the loops at level m, in the order given."""
+    def length_at(self, m: int) -> float:
+        """The base length of the loop at level m."""
         found = self.lengths.get(m)
         if found is None:
             s = 1 if m > 0 else -1
-            f = self.steps[s]
-            k, loops = self.ends[s]
-            while k != m:
-                loops = [cyclic_tighten(join_pieces(f, loop)) for loop in loops]
-                k += s
-                check_path_size(sum(map(len, loops)), f"the axis walk at level {k} has")
-                self.lengths[k] = tuple(map(self.path_length, loops))
-            self.ends[s] = (k, loops)
-            found = self.lengths[m]
+            f, path_length = self.steps[s], self.path_length
+            built, lengths, ends = self.built, self.lengths, self.ends
+            limit = graphs.LEAF_PATH_MAX  # compared here, so a step builds no message
+            k, loop = ends[s]
+            for k in range(k + s, m + s, s):
+                loop = cyclic_tighten(join_pieces(f, loop))
+                size = built.get(k, 0) + len(loop)
+                if size > limit:
+                    check_path_size(size, f"the axis walk at level {k} has")
+                built[k] = size
+                lengths[k] = path_length(loop)
+                ends[s] = (k, loop)
+            found = lengths[m]
         return found
 
 
@@ -133,7 +147,7 @@ class Axis:
         self._points = {0: self.base}
         self._shifts = weakref.WeakKeyDictionary()  # marking object -> (root, shift)
         self._steps = None  # see _step_maps
-        self._walks = weakref.WeakKeyDictionary()  # marking object -> _Walk
+        self._walks = weakref.WeakKeyDictionary()  # marking object -> (walks, rows)
 
     @property
     def rank(self):
@@ -194,41 +208,79 @@ class Axis:
                            for s, f in ((1, self.phi), (-1, self.phi.inverse()))}
         return self._steps
 
-    def _walk_from(self, loops) -> _Walk:
-        """A walk from the given tight loops at the base graph, at level 0."""
-        return _Walk(self._step_maps(), self.base.graph.path_length, loops)
+    def _walks_from(self, loops):
+        """The walks from the given tight loops at the base graph, at level
+        0, one per loop, sharing one count of the half-edges built at each
+        level."""
+        steps, path_length, built = self._step_maps(), self.base.graph.path_length, {}
+        return [_Walk(steps, path_length, built, loop) for loop in loops]
 
-    def _walk_of(self, X: MarkedMetricGraph) -> _Walk:
-        """The walk of X's candidate classes, from base.tight_loops(X); kept
-        per marking object of X, held weakly."""
+    def _walk_of(self, X: MarkedMetricGraph):
+        """(walks, rows): the walks of X's candidate classes in graph order,
+        from base.tight_loops(X), and rows, level -> the tuple of their
+        lengths at a level read exactly; kept per marking object of X, held
+        weakly."""
         found = self._walks.get(X.marking)
         if found is None:
-            found = self._walks[X.marking] = self._walk_from(self.base.tight_loops(X))
+            found = self._walks[X.marking] = (self._walks_from(self.base.tight_loops(X)), {})
         return found
 
     def _reader(self, X: MarkedMetricGraph):
-        """(k, m -> d(X, G_m)) for X recorded as (Z, k): X's root, walk and
-        candidate lengths found once, for every level read.
+        """(k, read, walks) for X recorded as (Z, k): X's root, the walks of
+        Z's candidates (see _walk_of) and X's candidate lengths found once,
+        for every level read. read(m, cap=None) reads d(X, G_m).
 
         d(X, G_m) = d(X . phi^-k, G_(m-k)), and X . phi^-k is Z's marking
-        with X's lengths: the ratios are the walk of Z's candidates at
-        level m - k over X.candidate_lengths(), both in the graph order of
-        the one graph. distance takes the same ratios in the same order;
+        with X's lengths: d(X, G_m) is the log of the largest ratio of a
+        candidate's walk at level m - k to its length at X, both in the
+        graph order of the one graph. distance takes the same ratios;
         the tight loop of a class is unique up to rotation and path_length
         is an exactly rounded sum, so the ratios are the same floats, and
-        so are their max and its log.
+        so are their max and its log, in whatever order they are read.
+
+        With cap None, or when d(X, G_m) <= cap, read returns that value
+        bit for bit. Otherwise it stops at the first candidate whose
+        log-ratio passes cap and returns that log-ratio: a lower bound of
+        d(X, G_m) above cap, and the largest log-ratio read, since every
+        candidate read before it had one of at most cap. Candidates are
+        read in descending order of their ratios at the last level read,
+        those it did not read after in their old order, so that on a level
+        far from the minimum the one stretched candidate of the last level
+        usually decides it alone, and the others are walked no further. A
+        level of Z read exactly once keeps its row of lengths and is read
+        exactly again, cap or not, since that walks nothing.
         """
         if X.rank != self.rank:
             raise RankMismatchError.between(X.rank, self.rank)
         Z, k = self._root(X)
-        lengths_at = self._walk_of(Z).lengths_at
+        walks, rows = self._walk_of(Z)
         lx = X.candidate_lengths()
-        return k, lambda m: math.log(max(map(truediv, lengths_at(m - k), lx)))
+        order = list(range(len(lx)))
 
-    def dist_to_axis_point(self, X: MarkedMetricGraph, m: int) -> float:
+        def read(m, cap=None):
+            j = m - k
+            row = rows.get(j)
+            if row is None and cap is not None:
+                for n, i in enumerate(order):
+                    v = math.log(walks[i].length_at(j) / lx[i])
+                    if v > cap:
+                        if n:
+                            order[:n + 1] = [i, *sorted(order[:n], reverse=True,
+                                                        key=lambda i: walks[i].lengths[j] / lx[i])]
+                        return v
+            if row is None:
+                row = rows[j] = tuple([w.length_at(j) for w in walks])
+            ratios = list(map(truediv, row, lx))
+            order.sort(key=ratios.__getitem__, reverse=True)
+            return math.log(ratios[order[0]])
+
+        return k, read, walks
+
+    def dist_to_axis_point(self, X: MarkedMetricGraph, m: int, cap=None) -> float:
         """d(X, G_m), the value of distance(X, self.point(m)), bit for bit:
-        X's reader (see _reader) read at m."""
-        return self._reader(X)[1](m)
+        X's reader (see _reader) read at m. With a cap, a value above it is
+        only a lower bound of d(X, G_m) above it, which decides d >= cap."""
+        return self._reader(X)[1](m, cap)
 
 
 @dataclass
@@ -263,8 +315,8 @@ def length_profile(alpha: CyclicWord, ax: Axis, window) -> LengthProfile:
     lo, hi = int(window[0]), int(window[1])
     if hi - lo < 1:
         raise ValueError(f"window ({lo}, {hi}) holds fewer than two levels")
-    walk = ax._walk_from([cyclic_tighten(ax.base.realize_based(alpha.letters))])
-    values = [(m, walk.lengths_at(m)[0]) for m in range(lo, hi + 1)]
+    walk, = ax._walks_from([cyclic_tighten(ax.base.realize_based(alpha.letters))])
+    values = [(m, walk.length_at(m)) for m in range(lo, hi + 1)]
     mn = min(v for (_, v) in values)
     min_set = tuple(m for (m, v) in values if v <= mn * (1.0 + 1e-12) + 1e-15)
     boundary = lo in min_set or hi in min_set
@@ -300,24 +352,45 @@ def project(X: MarkedMetricGraph, ax: Axis) -> ProjectionResult:
     Z . phi^s is Z's shifted by s, and the scan builds no point G_m and no
     word phi^m.
 
+    Levels are read outward from k, each with the cap mn + 1e-9, mn the
+    least exact value so far; a value at most its cap is exact. A value
+    above its cap is a lower bound, and the level lies above mn + 1e-9,
+    so above every later minimum + 1e-9 too: it is neither the minimum nor
+    in the argmin set. The least value was read exactly, as no value read
+    before it was smaller, and so was every value within 1e-9 of it. So
+    argmin, value, scanned and unimodal are those of the scan that reads
+    every level exactly (tests/oracles.project_exhaustive), while a level
+    above the cap walks only the candidates it reads, mostly one.
+
     The result depends on how X was built: a point equal to Z . phi^s in
     marking and lengths, but not built by this axis (read from a file, or
     acted on by phi^s directly), is its own root at shift 0. Its values are
     the same floats, but its window grows from 0, so `scanned` differs, the
     scan walks loops about lambda^|s| long, and where the profile has more
     than one local minimum the argmin may differ."""
-    k, dist = ax._reader(X)
+    k, read, walks = ax._reader(X)
+    debug = log.isEnabledFor(logging.DEBUG)
+    if debug:
+        levels_before = sum(len(w.lengths) for w in walks)
     lo, hi = k - PROJECT_MARGIN, k + PROJECT_MARGIN
-    d = {}
+    mn = read(k)
+    d = {k: mn}
+    capped = []
 
     def ensure(a, b):
-        for m in range(a, b + 1):
+        nonlocal mn
+        for j in sorted(range(a - k, b - k + 1), key=abs):  # outward from k
+            m = k + j
             if m not in d:
-                d[m] = dist(m)
+                cap = mn + 1e-9
+                v = d[m] = read(m, cap)
+                if v > cap:
+                    capped.append(m)
+                elif v < mn:
+                    mn = v
 
     ensure(lo, hi)
     while True:
-        mn = min(d.values())
         argmin = sorted(m for m, v in d.items() if v <= mn + 1e-9)
         if argmin[0] >= lo + PROJECT_MARGIN and argmin[-1] <= hi - PROJECT_MARGIN:
             break
@@ -330,6 +403,10 @@ def project(X: MarkedMetricGraph, ax: Axis) -> ProjectionResult:
                 f"no interior minimum within the widest window [{lo}, {hi}]"
             )
         ensure(lo, hi)
+    if debug:
+        log.debug("projection window [%d, %d]: levels %s decided by a cap, %d candidate-levels "
+                  "walked", lo, hi, sorted(capped),
+                  sum(len(w.lengths) for w in walks) - levels_before)
     unimodal = all(b - a == 1 for a, b in zip(argmin, argmin[1:]))
     if not unimodal:
         log.warning("non-contiguous argmin set %s in projection scan", argmin)
@@ -534,7 +611,7 @@ def divergence_check(path_points, ax: Axis, R: float, d_emp: float,
             f"endpoints project {sep:.6g} apart; need at least 2R = {2 * R:.6g}"
         )
     mid = (p_start.argmin[0] + p_end.argmin[0]) // 2
-    avoids = all(ax.dist_to_axis_point(p, mid) >= R - 1e-12 for p in path_points)
+    avoids = all(ax.dist_to_axis_point(p, mid, R - 1e-12) >= R - 1e-12 for p in path_points)
     b_prime = d_emp + 4.0 * c_emp + 3.0
     bound = R * R / (2.0 * b_prime) - R / 2.0
     vacuous = bound <= 0.0
@@ -567,7 +644,7 @@ def detour_path(ax: Axis, R: float, seed: int):
             rest = sum(lengths) - lengths[0]
             lengths = [eps] + [l * (1.0 - eps) / rest for l in lengths[1:]]
             cand = base_pt.with_lengths(lengths)
-            if ax.dist_to_axis_point(cand, 0) >= R:
+            if ax.dist_to_axis_point(cand, 0, R) >= R:
                 points.append(cand)
                 break
         else:

@@ -824,7 +824,12 @@ def no_cut_vertex_search(
     d(start, F . phi^-m), a distance to the axis of phi through F, and
     d(F, start . phi^m) one to the axis through the start, each point read
     once by its axis's reader (see Axis._reader, which equals distance bit
-    for bit).
+    for bit). The min over m in [-3, 3] is a branch and bound, m read
+    outward from 0: the second distance of each sum is read with the cap
+    best - first + 1e-9, best the least sum so far. A read above that cap
+    is a lower bound whose sum exceeds best, the 1e-9 being far above the
+    rounding of sums of this size, so the min is the float of the exact
+    sums.
     """
     from .axes import Axis  # axes imports this module
 
@@ -853,7 +858,10 @@ def no_cut_vertex_search(
         if not report.cut_vertices:
             to_along = Axis(ttF, base=start, phi=phi)._reader(X)[1]
             to_back = Axis(ttF, base=X, phi=phi)._reader(start)[1]
-            prox = min(to_along(m) + to_back(-m) for m in range(-3, 4))
+            prox = math.inf
+            for m in sorted(range(-3, 4), key=abs):
+                a = to_along(m)
+                prox = min(prox, a + to_back(-m, prox - a + 1e-9))
             return CutVertexSearchResult(
                 X, moves, plus_trace, minus_trace, combined, max(kF, kB), prox)
         viable = []

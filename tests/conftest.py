@@ -1,4 +1,5 @@
 import logging
+import random
 
 import pytest
 
@@ -49,6 +50,20 @@ def swap_golden_selfmaps():
     fwd = GraphSelfMap(rose(4), {0: 0}, {1: (3,), 2: (4,), 3: (1, 2), 4: (1,)})
     bwd = GraphSelfMap(rose(4), {0: 0}, {1: (4,), 2: (-4, 3), 3: (1,), 4: (2,)})
     return fwd, bwd
+
+
+def positive_walk_selfmap(rank, length, seed):
+    """The rank-`rank` rose map of the composite of `length` transvections
+    x_i -> x_i x_j or x_j x_i, i != j, drawn from random.Random(seed). Its
+    edge images are positive words, so no turn is ever illegal: with a
+    primitive matrix it is a train-track map, with lambda growing about
+    exponentially in `length`."""
+    rng = random.Random(seed)
+    images = [(i,) for i in range(1, rank + 1)]
+    for _ in range(length):
+        i, j = rng.sample(range(rank), 2)
+        images[i] = images[i] + images[j] if rng.random() < 0.5 else images[j] + images[i]
+    return GraphSelfMap(rose(rank), {0: 0}, dict(enumerate(images, 1)))
 
 
 THETA_DICT = {
@@ -129,6 +144,23 @@ def tribo_axis(tribo_tt, tribo_inv_tt):
 @pytest.fixture(scope="session")
 def rank4_axis():
     return Axis(*map(pf_metric, rank4_selfmaps()))
+
+
+@pytest.fixture(scope="session")
+def swap_axis():
+    return Axis(*map(pf_metric, swap_golden_selfmaps()))
+
+
+@pytest.fixture(scope="session")
+def pw3_axis():
+    """The axis of a positive walk of 12 transvections at rank 3, lambda 26.4."""
+    return Axis(pf_metric(positive_walk_selfmap(3, 12, 1)))
+
+
+@pytest.fixture(scope="session")
+def pw5_axis():
+    """The axis of a positive walk of 30 transvections at rank 5, lambda 181.9."""
+    return Axis(pf_metric(positive_walk_selfmap(5, 30, 0)))
 
 
 @pytest.fixture()

@@ -36,6 +36,10 @@ loop did before they shared one index loop. `dist_to_axis_point` and
 warning it logs on a non-contiguous argmin: each level m builds the axis
 point G_m from the word phi^m and takes the candidate distance to it, and
 `length_values` measures phi^m(alpha) at the base the same way.
+`project_exhaustive` and `search_axis_distance_exhaustive` read every
+level exactly by the library's own axis reader, as the library did before
+it read levels with a cap: against them the capped scans are checked
+field for field and float for float.
 `enumerate_candidates` is the library's earlier per-marking enumeration:
 it reads the class of every raw candidate path of every point and keeps
 one path per class, where the library keeps one per half-edge cycle of the
@@ -63,7 +67,7 @@ from operator import mul
 
 import numpy as np
 
-from outerspacekit.axes import ProjectionResult
+from outerspacekit.axes import Axis, ProjectionResult
 from outerspacekit.graphs import (
     CandidateLoop,
     _arcs_between,
@@ -830,6 +834,17 @@ def search_axis_distance(ttF, start, X):
     return min(distance(X, G).value + distance(G, X).value for G in orbit)
 
 
+def search_axis_distance_exhaustive(ttF, start, X):
+    """Reference for CutVertexSearchResult.axis_distance, read as the search
+    read it before its branch and bound: the min over m in -3..3 of
+    d(X, start . phi^m) + d(start . phi^m, X), every distance read exactly
+    by the readers of the axes of phi through the start and through X."""
+    phi = ttF.automorphism()
+    to_along = Axis(ttF, base=start, phi=phi)._reader(X)[1]
+    to_back = Axis(ttF, base=X, phi=phi)._reader(start)[1]
+    return min(to_along(m) + to_back(-m) for m in range(-3, 4))
+
+
 def automorphism_power(phi, k):
     """phi^k, composed one factor of phi or phi^-1 at a time."""
     if k == 0:
@@ -844,13 +859,27 @@ def automorphism_power(phi, k):
 def project(X, ax, start=0, budget=40, margin=2):
     """Reference for axes.project, scanning dist_to_axis_point above over a
     window expanding from the level `start`."""
+    return _scan(lambda m: dist_to_axis_point(ax, X, m), ax, start, budget, margin)
+
+
+def project_exhaustive(X, ax, budget=40, margin=2):
+    """Reference for axes.project: its scan before levels were read with a
+    cap, every level of the window read exactly by X's reader and the
+    window grown from X's shift."""
+    k, read, _ = ax._reader(X)
+    return _scan(read, ax, k, budget, margin)
+
+
+def _scan(dist, ax, start, budget, margin):
+    """The scan of m -> dist(m) over a window expanding from `start` until
+    its minimum is interior, every level read."""
     lo, hi = start - margin, start + margin
     d = {}
 
     def ensure(a, b):
         for m in range(a, b + 1):
             if m not in d:
-                d[m] = dist_to_axis_point(ax, X, m)
+                d[m] = dist(m)
 
     ensure(lo, hi)
     while True:

@@ -1,10 +1,11 @@
 import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
-from outerspacekit import graphs
+from outerspacekit import axes, graphs
 from outerspacekit.axes import (
     BALL_HEADER,
     Axis,
@@ -21,7 +22,13 @@ from outerspacekit.axes import (
     two_axis_report,
 )
 from outerspacekit.cli import write_csv
-from outerspacekit.graphs import MarkedMetricGraph, jitter_lengths, random_point, rose
+from outerspacekit.graphs import (
+    MarkedMetricGraph,
+    jitter_lengths,
+    point_to_dict,
+    random_point,
+    rose,
+)
 from outerspacekit.metric import distance
 from outerspacekit.traintrack import legality_report, pf_metric
 from outerspacekit.words import Automorphism, CyclicWord, random_automorphism
@@ -114,6 +121,21 @@ class TestAxisPoints:
                                              r"LEAF_PATH_MAX \(20\)"):
             ax._step_maps()
         assert realized == [] and ax._steps is None
+
+    def test_walk_bound_counts_the_loops_built_at_a_level(self, golden_axis, monkeypatch):
+        # at level 12 the loops of the rose's four candidates have 377, 233,
+        # 610 and 144 half-edges: a read capped at 0 is decided by the first
+        # alone, and an exact read passes a bound of 1 000 at the third, as
+        # often as it is asked
+        ax = Axis(golden_axis.forward, base=golden_axis.base, phi=golden_axis.phi)
+        X = rose(2)
+        monkeypatch.setattr(graphs, "LEAF_PATH_MAX", 1000)
+        assert ax.dist_to_axis_point(X, 12, cap=0.0) > 0.0
+        assert [12 in w.lengths for w in ax._walk_of(X)[0]] == [True, False, False, False]
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^the axis walk at level 12 has 1220 "
+                                                 r"half-edges, more than LEAF_PATH_MAX \(1000\)$"):
+                ax.dist_to_axis_point(X, 12)
 
     def test_act_is_bounded(self, golden_axis, monkeypatch):
         # two_axis_report acts on G_m by psi; that act once built G_14 . psi,
@@ -367,6 +389,36 @@ class TestDivergence:
         path = detour_path(golden_axis, 2.0, seed=0)
         rep = divergence_check(path, golden_axis, 2.0, d_emp=0.5, c_emp=0.1)
         assert rep.avoids_ball and rep.satisfied
+
+    @pytest.mark.parametrize("name", ["golden_axis", "tribo_axis", "rank4_axis"])
+    def test_capped_reads_decide_as_exact_reads(self, name, request, monkeypatch):
+        """detour_path and divergence_check decide d(X, G_m) >= R by reads
+        capped at R: with every read exact they give the same detour points
+        and the same reports, of the detour paths of seeds 0-3 and of the
+        axis path through the ball, at R = 2..6. A path's length, a sum of
+        distances that reads no axis, is stood in for by its number of
+        steps: the real sum realizes markings of G_30 at rank 4."""
+        fixture = request.getfixturevalue(name)
+        monkeypatch.setattr(axes, "distance", lambda X, Y: SimpleNamespace(value=1.0))
+
+        def run():
+            ax = Axis(fixture.forward, base=fixture.base, phi=fixture.phi)
+            out = []
+            for R in (2.0, 3.0, 4.0, 5.0, 6.0):
+                k = max(1, math.ceil(R / ax.step))
+                paths = [detour_path(ax, R, seed) for seed in range(4)]
+                for path in paths + [[ax.point(m) for m in range(-k, k + 1)]]:
+                    rep = divergence_check(path, ax, R, d_emp=0.5, c_emp=0.1)
+                    out.append(([point_to_dict(P) for P in path], repr(rep)))
+            return out
+
+        capped = run()
+        assert [rep.startswith("DivergenceReport(avoids_ball=False") for _, rep in capped] == (
+            [False] * 4 + [True]) * 5
+        real = Axis.dist_to_axis_point
+        monkeypatch.setattr(Axis, "dist_to_axis_point",
+                            lambda self, X, m, cap=None: real(self, X, m))
+        assert run() == capped
 
     @pytest.mark.parametrize("d_emp, c_emp", [(-1.0, 0.1), (0.5, -0.1)])
     def test_negative_constants_rejected(self, golden_axis, d_emp, c_emp):

@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import random
+import re
 
 import pytest
 
@@ -1040,6 +1041,16 @@ class TestLogLevel:
         err = capsys.readouterr().err
         assert "leaf window widened" in err and "leaf ends repeat at level" in err
         assert package_logger.level == logging.DEBUG
+
+    def test_debug_logs_one_line_per_projection(self, files, capsys, package_logger):
+        argv = ["axis", "project", files["fwd"], files["bwd"], files["uneven"]]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["--log-level", "debug"] + argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(r"projection window \[-?\d+, -?\d+\]: levels \[[-\d, ]*\] decided "
+                            r"by a cap, \d+ candidate-levels walked", lines[0])
 
     def test_repeated_calls_add_one_handler(self, files, capsys, package_logger):
         before = len(package_logger.handlers)

@@ -920,7 +920,9 @@ class TestCutVertexSearch:
     @pytest.mark.parametrize("name", SEARCH_MAPS)
     def test_axis_distance_matches_orbit_reference(self, name):
         """axis_distance is the oracle's min over the orbit of the start,
-        float for float, from seeded starts of 1-4 moves."""
+        float for float, from seeded starts of 1-4 moves, and the min of
+        the sums read exactly by the axis readers, which the search bounds
+        by capped reads."""
         fwd, bwd = (pf_metric(f) for f in SEARCH_MAPS[name]())
         rank = fwd.point.rank
         nonzero = 0
@@ -932,6 +934,8 @@ class TestCutVertexSearch:
                 except NotTrainTrackError:
                     continue
                 assert res.axis_distance == oracles.search_axis_distance(fwd, start, res.point)
+                assert res.axis_distance == oracles.search_axis_distance_exhaustive(
+                    fwd, start, res.point)
                 nonzero += res.axis_distance != 0
         assert nonzero
 

@@ -28,13 +28,13 @@ Projection of X recorded as (Z, k) scans m -> d(X, G_m) over a window
 expanding from k until the minimum is interior. d(X, G_m) is a max over
 X's candidates, and each candidate is walked alone: the scan reads each
 level with a cap just above the least value so far, and a level above it
-is decided by the first candidate whose ratio passes the cap, usually the
-one stretched most at the level read before. The candidates a level does
-not need are walked no further, and what the scan returns is that of the
-scan reading every level exactly (see project). Experiments are
-deterministic in their seeds; per-sample RNG streams derive from (seed,
-sample index). They return records, named tuples that are their own CSV
-rows under the headers here; the CLI formats and writes them.
+is decided by the first candidate whose ratio passes the cap, tried from
+the lead: the candidate that decided the last level read. The candidates
+a level does not need are walked no further, and what the scan returns is
+that of the scan reading every level exactly (see project). Experiments
+are deterministic in their seeds; per-sample RNG streams derive from
+(seed, sample index). They return records, named tuples that are their
+own CSV rows under the headers here; the CLI formats and writes them.
 """
 
 from __future__ import annotations
@@ -139,11 +139,9 @@ class Axis:
         self.base = base if base is not None else forward.point
         self.phi = phi if phi is not None else forward.automorphism()
         self.lam = forward.lam
-        if backward is not None:
-            if not verify_inverse(self.phi, backward.automorphism()):
-                raise ValueError("backward train track does not represent the inverse")
-        else:
-            self.phi.inverse()
+        if backward is not None and not verify_inverse(self.phi, backward.automorphism()):
+            raise ValueError("backward train track does not represent the inverse")
+        self.phi.inverse()
         self._points = {0: self.base}
         self._shifts = weakref.WeakKeyDictionary()  # marking object -> (root, shift)
         self._steps = None  # see _step_maps
@@ -242,37 +240,36 @@ class Axis:
         bit for bit. Otherwise it stops at the first candidate whose
         log-ratio passes cap and returns that log-ratio: a lower bound of
         d(X, G_m) above cap, and the largest log-ratio read, since every
-        candidate read before it had one of at most cap. Candidates are
-        read in descending order of their ratios at the last level read,
-        those it did not read after in their old order, so that on a level
-        far from the minimum the one stretched candidate of the last level
-        usually decides it alone, and the others are walked no further. A
-        level of Z read exactly once keeps its row of lengths and is read
-        exactly again, cap or not, since that walks nothing.
+        candidate read before it had one of at most cap. A capped read
+        tries first the lead, the candidate that decided the last read
+        (passed its cap, or had the first largest ratio of an exact read),
+        then the others in graph order: far from the minimum the lead
+        usually decides a level alone, and the others are walked no
+        further. A level of Z read exactly once keeps its row of lengths
+        and is read exactly again, cap or not, since that walks nothing.
         """
         if X.rank != self.rank:
             raise RankMismatchError.between(X.rank, self.rank)
         Z, k = self._root(X)
         walks, rows = self._walk_of(Z)
         lx = X.candidate_lengths()
-        order = list(range(len(lx)))
+        lead = 0
 
         def read(m, cap=None):
+            nonlocal lead
             j = m - k
             row = rows.get(j)
             if row is None and cap is not None:
-                for n, i in enumerate(order):
+                for i in (lead, *range(lead), *range(lead + 1, len(lx))):
                     v = math.log(walks[i].length_at(j) / lx[i])
                     if v > cap:
-                        if n:
-                            order[:n + 1] = [i, *sorted(order[:n], reverse=True,
-                                                        key=lambda i: walks[i].lengths[j] / lx[i])]
+                        lead = i
                         return v
             if row is None:
                 row = rows[j] = tuple([w.length_at(j) for w in walks])
             ratios = list(map(truediv, row, lx))
-            order.sort(key=ratios.__getitem__, reverse=True)
-            return math.log(ratios[order[0]])
+            lead = ratios.index(max(ratios))
+            return math.log(ratios[lead])
 
         return k, read, walks
 
@@ -376,11 +373,8 @@ def project(X: MarkedMetricGraph, ax: Axis) -> ProjectionResult:
     mn = read(k)
     d = {k: mn}
     capped = []
-
-    def ensure(a, b):
-        nonlocal mn
-        for j in sorted(range(a - k, b - k + 1), key=abs):  # outward from k
-            m = k + j
+    while True:
+        for m in sorted(range(lo, hi + 1), key=lambda m: abs(m - k)):  # outward from k
             if m not in d:
                 cap = mn + 1e-9
                 v = d[m] = read(m, cap)
@@ -388,9 +382,6 @@ def project(X: MarkedMetricGraph, ax: Axis) -> ProjectionResult:
                     capped.append(m)
                 elif v < mn:
                     mn = v
-
-    ensure(lo, hi)
-    while True:
         argmin = sorted(m for m, v in d.items() if v <= mn + 1e-9)
         if argmin[0] >= lo + PROJECT_MARGIN and argmin[-1] <= hi - PROJECT_MARGIN:
             break
@@ -402,7 +393,6 @@ def project(X: MarkedMetricGraph, ax: Axis) -> ProjectionResult:
             raise ValueError(
                 f"no interior minimum within the widest window [{lo}, {hi}]"
             )
-        ensure(lo, hi)
     if debug:
         log.debug("projection window [%d, %d]: levels %s decided by a cap, %d candidate-levels "
                   "walked", lo, hi, sorted(capped),

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain errors (invalid graph, non-train-track
 map, leaf tiles whose end state does not repeat by the level cap, a path
 longer than LEAF_PATH_MAX half-edges), 2 usage and I/O errors. Every
-bound on an option's value, such as --oracle >= 1, is a usage error. An
+bound on an option's value, such as --oracle >= 1 or a --radius more than
+twice --d-emp, is a usage error, found before the work it bounds. An
 input file that cannot be read or is not JSON, and an --out file that
 cannot be written, are I/O errors. --out is opened once, before the
 command computes anything, so a path that cannot be written fails first:
@@ -116,7 +117,7 @@ def _parse_words(texts, rank=None):
     words = [parse_letters(t, names) for t in texts]
     inferred = max((abs(l) for w in words for l in w), default=1)
     if rank is not None and rank < inferred:
-        raise ValueError(f"--rank {rank} smaller than the {inferred} generators used")
+        raise UsageError(f"--rank {rank} smaller than the {inferred} generators used")
     return words, (rank or inferred), names
 
 
@@ -409,7 +410,11 @@ def build_parser():
         description="Prints: argmin, the levels m of the axis points G_m nearest the point "
         "(within 1e-9); value, the least distance d(point, G_m); diam, the distance the "
         "argmin levels span, their spread times log(lambda). Each float to 9 significant "
-        "digits.")
+        "digits. A point read from a file is scanned from level 0, even an axis point G_m "
+        "written out and read back: its loops at the axis's base graph are about "
+        "lambda^|m| long before the scan walks them, so on a large-lambda axis such a "
+        f"point far from G_0 projects slowly or passes LEAF_PATH_MAX ({LEAF_PATH_MAX}) "
+        "half-edges.")
     common(q)
     q.add_argument("point", help="graph file of the point projected")
     q.set_defaults(func=cmd_axis, action="project")
@@ -526,11 +531,17 @@ def main(argv=None) -> int:
     # length_profile two levels, where window 0 reads one
     pair = args.cmd == "axis" and args.action == "pair"
     for name, low in (("seed", 0), ("samples", 1), ("window", 2 if pair else 1), ("iters", 0),
-                      ("oracle", 1), ("radius", 0), ("pairs", 0)):
+                      ("oracle", 1), ("pairs", 0), ("d_emp", 0), ("c_emp", 0)):
         v = getattr(args, name, None)
         if v is not None and v < low:
-            print(f"error: --{name} must be >= {low}", file=sys.stderr)
+            print(f"error: --{name.replace('_', '-')} must be >= {low}", file=sys.stderr)
             return 2
+    # divergence_check's bound, checked before detour_path builds the path;
+    # with --d-emp >= 0 it bounds --radius above 0
+    if getattr(args, "d_emp", None) is not None and args.radius <= 2 * args.d_emp:
+        print(f"error: --radius {args.radius} must exceed twice --d-emp {args.d_emp}",
+              file=sys.stderr)
+        return 2
     if args.log_level:
         _log_to_stderr(args.log_level)
     try:

@@ -30,6 +30,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .words import (
+    ALPHABET,
     Automorphism,
     CyclicWord,
     RankMismatchError,
@@ -879,8 +880,6 @@ def point_from_dict(data: dict, validate=True) -> MarkedMetricGraph:
 
 def point_to_dict(point: MarkedMetricGraph) -> dict:
     g = point.graph
-    from .words import ALPHABET
-
     return {
         "rank": point.rank,
         "vertices": [f"v{i}" for i in range(g.n_vertices)],

@@ -623,6 +623,11 @@ class TestWhitehead:
         assert main(["whitehead", "primitive", "aa", "--rank", "3"]) == 0
         assert "not primitive" in capsys.readouterr().out
 
+    def test_rank_below_the_letters_used_is_a_usage_error(self, capsys):
+        assert main(["whitehead", "minimize", "ab", "--rank", "1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --rank 1 smaller than the 2 generators used\n")
+
     def test_rank8_without_exhaustive_scan(self, capsys):
         # the 2n * 4^(n-1) move list lives only in tests/oracles.py, so the
         # library cannot fall back to it; at rank 8 it has 262 144 moves
@@ -914,12 +919,36 @@ class TestAxis:
         assert capsys.readouterr() == (
             "", "error: could not sample a ball-avoiding detour point\n")
 
-    def test_diverge_negative_d_emp(self, files, capsys):
+    @staticmethod
+    def _count_detours(monkeypatch):
+        """The list of the CLI's calls of detour_path, which then builds no path."""
+        built = []
+        monkeypatch.setattr(cli_mod, "detour_path", lambda *a: built.append(a))
+        return built
+
+    def test_diverge_negative_d_emp(self, files, capsys, monkeypatch):
+        built = self._count_detours(monkeypatch)
         assert main(["axis", "diverge", files["fwd"], files["bwd"],
-                     "--radius", "3", "--d-emp", "-1"]) == 1
-        captured = capsys.readouterr()
-        assert "must be >= 0" in captured.err
-        assert "satisfied" not in captured.out
+                     "--radius", "3", "--d-emp", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: --d-emp must be >= 0\n")
+        assert built == []
+
+    @pytest.mark.parametrize("flags, err", [
+        (["--radius", "15", "--d-emp", "-1"], "--d-emp must be >= 0"),
+        (["--radius", "3", "--c-emp", "-1"], "--c-emp must be >= 0"),
+        (["--radius", "1", "--d-emp", "0.6"], "--radius 1.0 must exceed twice --d-emp 0.6"),
+        (["--radius", "15", "--d-emp", "8"], "--radius 15.0 must exceed twice --d-emp 8.0"),
+        (["--radius", "-1"], "--radius -1.0 must exceed twice --d-emp 0.5"),
+    ], ids=["negative-d-emp-far", "negative-c-emp", "radius-small", "radius-small-far",
+            "negative-radius"])
+    def test_diverge_bounds_are_usage_errors_before_the_path(self, files, capsys, monkeypatch,
+                                                             flags, err):
+        # once found by divergence_check alone, exit 1, after detour_path
+        # had built the whole path: 2 GB at --radius 15
+        built = self._count_detours(monkeypatch)
+        assert main(["axis", "diverge", files["fwd"], files["bwd"], *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert built == []
 
 
 class TestUsage:
@@ -963,7 +992,9 @@ class TestUsage:
 
     @pytest.mark.parametrize("command, prints, options", [
         ("project", "Prints: argmin, the levels m of the axis points G_m nearest the point",
-         ["graph file of the point projected"]),
+         ["graph file of the point projected", "A point read from a file is scanned from "
+          "level 0, even an axis point G_m written out and read back", "projects slowly or "
+          f"passes LEAF_PATH_MAX ({graphs_mod.LEAF_PATH_MAX})"]),
         ("profile", "Prints: one `l(m)` line per level m of the window",
          ["cyclic word in the generators", f"LEAF_PATH_MAX ({graphs_mod.LEAF_PATH_MAX})"]),
         ("diverge", "Prints: avoids-ball, whether every point of the path",

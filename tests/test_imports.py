@@ -185,6 +185,22 @@ def test_every_defaulted_parameter_is_passed():
     assert dead == []
 
 
+# (module, function) of the one import made at call time: axes imports
+# traintrack, so traintrack cannot import axes at load time
+CALL_TIME_IMPORTS = {("traintrack.py", "no_cut_vertex_search")}
+
+
+def test_no_import_inside_a_function():
+    """Every module imports at its top, but for CALL_TIME_IMPORTS."""
+    inside = set()
+    for path in MODULES:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(fn)):
+                    inside.add((path.name, fn.name))
+    assert inside == CALL_TIME_IMPORTS
+
+
 def test_no_module_imports_numpy():
     """The library runs on the standard library alone: no module imports
     numpy, which only the tests and the benchmark use."""

@@ -50,7 +50,6 @@ from typing import NamedTuple
 from . import graphs
 from .graphs import MarkedMetricGraph, check_path_size, jitter_lengths, random_point
 from .metric import distance
-from .traintrack import TrainTrackMap
 from .words import (
     Automorphism,
     CyclicWord,
@@ -124,13 +123,14 @@ class Axis:
     root and shift (see the module docstring), kept weakly by its marking
     object; _reader reads every point through its root, off the step maps
     f+ and f- of the base graph, built once from phi and phi^-1.
+    `forward` is a train-track map of phi (traintrack.TrainTrackMap);
     `backward`, a train-track map or self-map of phi^-1, is checked to
     represent the inverse of phi, which certifies phi, and is not kept.
     """
 
     def __init__(
         self,
-        forward: TrainTrackMap,
+        forward,
         backward=None,
         base: MarkedMetricGraph = None,
         phi: Automorphism = None,

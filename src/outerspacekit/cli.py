@@ -352,7 +352,9 @@ def build_parser():
         "Whitehead move made, with the letters of A, the letter a and the total lengths "
         "before and after the move; then `final <words> (<terminal state>)`, the minimized "
         "cyclic words and basis-reached, disconnected-min or no-cut-vertex. For primitive, "
-        "`primitive` or `not primitive`.")
+        "`primitive` or `not primitive`. Each step makes the move of largest decrease, then "
+        "of least a in letter_key order (a, A, b, B, ...), then of least A, compared as "
+        "the sequence of its letters in that order.")
     sp.add_argument("action", choices=["minimize", "primitive"])
     sp.add_argument("words", nargs="+",
                     help="cyclic words in letters a-z, upper case for inverses")

@@ -33,8 +33,9 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, itemgetter, mul
 
+from . import graphs
+from .axes import Axis
 from .graphs import (
-    LEAF_PATH_MAX,
     MarkedMetricGraph,
     MetricGraph,
     edge_map_pieces,
@@ -270,10 +271,11 @@ class TrainTrackMap:
                 [(i, image) for i, image in enumerate(images, 1) if len(image) > 1])
         # |f^j(e)| never decreases in j, since no edge image is empty
         counts = [1] * (2 * m + 1)
+        limit = graphs.LEAF_PATH_MAX  # read per call, so patching graphs reaches it
         for j in range(1, k + 1):
             counts = _next_level(counts, plan, _sum_counts)
-            if counts[edge_index] > LEAF_PATH_MAX:
-                raise ValueError(f"leaf f^{k}({ref}) has more than {LEAF_PATH_MAX} half-edges "
+            if counts[edge_index] > limit:
+                raise ValueError(f"leaf f^{k}({ref}) has more than {limit} half-edges "
                                  f"(f^{j}({ref}) has {counts[edge_index]})")
         pieces = [(), *((h,) for h in halves)]
         words = [(), *(self.point.path_word((h,)).letters for h in halves)]
@@ -831,8 +833,6 @@ def no_cut_vertex_search(
     rounding of sums of this size, so the min is the float of the exact
     sums.
     """
-    from .axes import Axis  # axes imports this module
-
     phi = ttF.automorphism()
     psi = ttB.automorphism()
     if not verify_inverse(phi, psi):

@@ -7,33 +7,34 @@ multiplicities of each vertex, the vertices in letter_key order 1, -1, 2,
 -2, ...; every graph is built by WhiteheadGraph.from_counter from a count
 of its edges, its edge list, isolated vertices and unions are read off
 those maps, and every walk of the graph reads only the edges that exist.
-Connectivity and cut vertices drive Whitehead's reduction algorithm: a
-basis element minimizes to a single letter, while a connected
+Connectivity and cut vertices tell where Whitehead's reduction algorithm
+ends: a basis element minimizes to a single letter, while a connected
 cut-vertex-free graph certifies a non-basis element. Cut vertices are the
 articulation points of one iterative depth-first search with lowpoints
 (Hopcroft-Tarjan, CACM 1973), and the same search gives the components
 left when each cut vertex is removed, as slices of its preorder.
 
-Every step of the minimization is read off the Whitehead graph. For a move
-(A, a) put S = {a} u {x^-1 : x in A, x != a}; S contains a but not a^-1,
-and every such S comes from exactly one move. Then (Lyndon-Schupp,
-Combinatorial Group Theory, Ch. I.4)
+Every step of the minimization makes the most length-decreasing Whitehead
+move, read off the Whitehead graph. For a move (A, a) put
+S = {a} u {x^-1 : x in A, x != a}; S contains a but not a^-1, and every
+such S comes from exactly one move. Then (Lyndon-Schupp, Combinatorial
+Group Theory, Ch. I.4)
 
     sum |phi_(A,a)(w)| - sum |w| = cap(S) - deg(a),
 
 where cap(S) is the total multiplicity of edges with exactly one end in S.
-So the moves derived from cut vertices are scored on the graph, and the
-largest decrease over all moves for a given a is deg(a) minus the minimum
-a / a^-1 cut: a step costs n max-flows on 2n vertices and is polynomial
-(Roig-Ventura-Weil, "On the complexity of the Whitehead minimization
-problem", IJAC 2007). Each max-flow is Edmonds-Karp over residual
-neighbour maps, so a step costs O(n flow (V + E)) for V = 2n vertices and E
-distinct edges. The source sides of the minimum cuts are the sets
-closed under the arcs of the residual graph of one maximum flow that hold a
-and not a^-1 (Picard-Queyranne, Math. Programming Study 13, 1980), so the
-least A among them is read off that residual graph. The words are rewritten
-once per step, by the chosen move alone, and the terminal state is read off
-the last step's analysis.
+So the largest decrease over all moves for a given a is deg(a) minus the
+minimum a / a^-1 cut: a step costs n max-flows on 2n vertices and is
+polynomial (Roig-Ventura-Weil, "On the complexity of the Whitehead
+minimization problem", IJAC 2007). Each max-flow is Edmonds-Karp over
+residual neighbour maps, so a step costs O(n flow (V + E)) for V = 2n
+vertices and E distinct edges. The source sides of the minimum cuts are the
+sets closed under the arcs of the residual graph of one maximum flow that
+hold a and not a^-1 (Picard-Queyranne, Math. Programming Study 13, 1980),
+so the least A among them is read off that residual graph. Ties go to the
+least a in letter_key order and then to the least A as a letter_key-sorted
+tuple. The words are rewritten once per step, by the chosen move alone,
+and the terminal state is read off one cut_analysis of the final graph.
 """
 
 from __future__ import annotations
@@ -230,14 +231,6 @@ def _apply_move(move: WhiteheadMove, words, rank):
     return [cyclic_tighten(join_pieces(image, w)) for w in words]
 
 
-def _length_change(nbrs, move: WhiteheadMove) -> int:
-    """cap(S) - deg(a): the change of total length the move makes, from the
-    neighbour maps of a Whitehead graph."""
-    S = {_letter_index(move.a)} | {_letter_index(-x) for x in move.A if x != move.a}
-    cut = sum(m for i in S for j, m in nbrs[i].items() if j not in S)
-    return cut - sum(nbrs[_letter_index(move.a)].values())
-
-
 def _min_cut(nbrs, s: int, t: int):
     """Value of a minimum s-t cut and the residual neighbour maps of a
     maximum flow: Edmonds-Karp on the neighbour maps of a symmetric graph,
@@ -339,27 +332,23 @@ def whitehead_minimize(words, rank=None) -> ReductionTrace:
     decreases the total length of the cyclic words.
 
     Each step is read off the Whitehead graph of the current words (see the
-    module docstring). When the graph (over its used vertices) is connected
-    and has a cut vertex, the moves of moves_from_cut_vertex (read off the
-    step's cut_analysis) are scored by cap(S) - deg(a) on the graph's
-    neighbour maps. Otherwise the best move over all (A, a) comes from at
-    most n minimum cuts, and its A from the residual graph of the winning
-    maximum flow: a step reads only the edges that exist and costs
+    module docstring): the best move over all (A, a) comes from at most n
+    minimum cuts, and its A from the residual graph of the winning maximum
+    flow, so a step reads only the edges that exist and costs
     O(n flow (V + E)) on V = 2n vertices and E distinct edges. Two exact
     shortcuts skip max-flows that cannot win: none runs for a generator
     whose degree is at most the best decrease found so far, and no minimum
     cut is searched when every word is a single letter, which no move can
-    shorten. Tie-break in both cases: largest decrease, then least a in
-    letter_key order (1 < -1 < 2 < ...), then least A as a letter_key-sorted
-    tuple, so the result equals trying every move in that order. The words
-    are rewritten once per step, by the chosen move, and the rewritten total
-    length must equal the predicted one.
+    shorten. Tie-break: largest decrease, then least a in letter_key order
+    (1 < -1 < 2 < ...), then least A as a letter_key-sorted tuple, so the
+    result equals trying every move in that order. The words are rewritten
+    once per step, by the chosen move, and the rewritten total length must
+    equal the predicted one.
 
     terminal_state is basis-reached when the final words are pairwise
     distinct generators; otherwise disconnected-min when the final graph is
     disconnected or has an isolated vertex, and no-cut-vertex when not, as
-    read off the cut_analysis of the last step, which found no shorter
-    words: cut_analysis runs once per step and once more.
+    read off the one cut_analysis of the final graph.
     """
     words = [w if isinstance(w, CyclicWord) else CyclicWord.make(w) for w in words]
     if any(not w for w in words):
@@ -371,25 +360,13 @@ def whitehead_minimize(words, rank=None) -> ReductionTrace:
     words = [w.letters for w in words]
     trace = ReductionTrace()
     while True:
-        report = cut_analysis(graph)
         before = _total(words)
-        if report.connected and report.cut_vertices:
-            scored = [(_length_change(graph.neighbours, m), m)
-                      for m in moves_from_cut_vertex(report)]
-            change, move = min(scored, key=lambda it: (it[0], it[1].sort_key()))
-            after = before + change
-            if after >= before:
-                raise AssertionError(
-                    f"cut-vertex move {move} failed to decrease length "
-                    f"({before} -> {after})"
-                )
-        else:
-            # no move shortens words that are all single letters
-            found = before > len(words) and _min_cut_move(graph.neighbours)
-            if not found:
-                break
-            move, decrease = found
-            after = before - decrease
+        # no move shortens words that are all single letters
+        found = before > len(words) and _min_cut_move(graph.neighbours)
+        if not found:
+            break
+        move, decrease = found
+        after = before - decrease
         words = _apply_move(move, words, rank)
         if _total(words) != after:
             raise AssertionError(
@@ -398,11 +375,12 @@ def whitehead_minimize(words, rank=None) -> ReductionTrace:
         trace.steps.append((move, before, after))
         graph = _turn_graph(words, rank)
     trace.final_words = finals = [CyclicWord(canonical_cyclic(w)) for w in words]
+    # a rotation or inversion of a word keeps its Whitehead graph, so the
+    # graph of the last words describes the final words
+    report = cut_analysis(graph)
     # canonical one-letter words are generators
     if all(len(w) == 1 for w in finals) and len(set(finals)) == len(finals):
         trace.terminal_state = "basis-reached"
-    # a rotation or inversion of a word keeps its Whitehead graph, so the
-    # last report describes the graph of the final words
     elif report.isolated or not report.connected:
         trace.terminal_state = "disconnected-min"
     else:

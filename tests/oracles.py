@@ -4,7 +4,7 @@ These deliberately avoid the library's high-level algorithms: the
 primitivity oracle does a breadth-first search over Whitehead moves with
 the intermediate length bounded by the start length (peak reduction makes
 this complete for the minimal length question), and the minimization
-oracle finds each non-cut-vertex step by trying all 2n * 4^(n-1) moves,
+oracle finds each step by trying all 2n * 4^(n-1) moves,
 which `all_whitehead_moves` lists and `apply_cyclic` applies. `points_equal`
 tells two points apart by the metric alone.
 `scan_cut_analysis` finds cut vertices by removing each used vertex in
@@ -85,7 +85,6 @@ from outerspacekit.whitehead import (
     CutReport,
     ReductionTrace,
     WhiteheadGraph,
-    moves_from_cut_vertex,
     whitehead_graph,
 )
 from outerspacekit.words import (
@@ -169,20 +168,14 @@ def _all_moves(rank):
 
 
 def exhaustive_minimize(words, rank) -> ReductionTrace:
-    """Reference for whitehead_minimize: the same cut-vertex steps, and
-    otherwise the move of least (total length after, a, sorted A) among all
-    (A, a) that shorten the words."""
+    """Reference for whitehead_minimize: at every step the move of least
+    (total length after, a, sorted A) among all (A, a) that shorten the
+    words."""
     trace = ReductionTrace()
     while True:
-        graph = whitehead_graph(words, rank)
-        report = scan_cut_analysis(graph)
         before = sum(len(w) for w in words)
-        if report.connected and report.cut_vertices:
-            candidates = [(m, m.automorphism(rank)) for m in moves_from_cut_vertex(report)]
-        else:
-            candidates = _all_moves(rank)
         best = None
-        for move, phi in candidates:
+        for move, phi in _all_moves(rank):
             new = [apply_cyclic(phi, w) for w in words]
             after = sum(len(w) for w in new)
             key = (after, move.sort_key())

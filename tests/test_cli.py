@@ -979,7 +979,7 @@ class TestUsage:
         assert main(["tt", "leaf", "--help"]) == 0
         out = " ".join(capsys.readouterr().out.split())
         assert "Prints: path, the refs of f^k(e); word, its word in the marking." in out
-        assert f"LEAF_PATH_MAX ({traintrack_mod.LEAF_PATH_MAX}) half-edges" in out
+        assert f"LEAF_PATH_MAX ({graphs_mod.LEAF_PATH_MAX}) half-edges" in out
 
     @pytest.mark.parametrize("command, prints", [
         ("verify", "Prints: train-track, whether every edge image is legal"),
@@ -1022,6 +1022,9 @@ class TestUsage:
         assert "`final <words> (<terminal state>)`" in out
         assert "basis-reached, disconnected-min or no-cut-vertex" in out
         assert "For primitive, `primitive` or `not primitive`." in out
+        assert "Each step makes the move of largest decrease, then of least a in " \
+               "letter_key order (a, A, b, B, ...), then of least A, compared as the " \
+               "sequence of its letters in that order." in out
         assert "--rank RANK the rank of the free group, at least the number of " \
                "distinct letters used (the default)" in out
 

@@ -185,9 +185,9 @@ def test_every_defaulted_parameter_is_passed():
     assert dead == []
 
 
-# (module, function) of the one import made at call time: axes imports
-# traintrack, so traintrack cannot import axes at load time
-CALL_TIME_IMPORTS = {("traintrack.py", "no_cut_vertex_search")}
+# (module, function) of each import made at call time: none, since no two
+# library modules import each other
+CALL_TIME_IMPORTS = set()
 
 
 def test_no_import_inside_a_function():

@@ -451,7 +451,7 @@ class TestLeafPath:
 
     def test_size_bound_is_exact(self, golden_tt, monkeypatch):
         # |f^4(e1)| = 8 and |f^5(e1)| = 13 on golden
-        monkeypatch.setattr(traintrack, "LEAF_PATH_MAX", 8)
+        monkeypatch.setattr(graphs, "LEAF_PATH_MAX", 8)
         assert len(golden_tt.leaf_path(1, 4)) == 8
         with pytest.raises(ValueError, match=r"f\^5\(~e1\) has more than 8 half-edges "
                                              r"\(f\^5\(~e1\) has 13\)"):
@@ -479,7 +479,7 @@ class TestLeafPath:
             golden_tt.leaf_pieces(1, -1)
         with pytest.raises(ValueError, match="k must be >= 0"):
             golden_tt.leaf_path(1, -1)
-        monkeypatch.setattr(traintrack, "LEAF_PATH_MAX", 8)
+        monkeypatch.setattr(graphs, "LEAF_PATH_MAX", 8)
         with pytest.raises(ValueError, match=r"f\^5\(e1\) has more than 8 half-edges"):
             golden_tt.leaf_pieces(1, 5)
 

@@ -6,7 +6,10 @@ edge loop per free-group generator; edge labels (words conjugating the
 geometric basis back to F_n) are derived by collapsing a deterministic
 spanning tree and inverting the induced map on fundamental groups. The
 labels invert the marking lazily: validation certifies the marking map by
-the basis fold alone, and its inverse images are read when a label is.
+the basis fold alone, and its inverse images are read when a label is. A
+marking map that sends each generator i to geometric letter i, that of
+every rose file with the identity marking, is the identity, its own
+inverse, and is neither folded nor inverted.
 
 Paths are mapped and read through words.join_pieces, the one
 substitution, whose pieces must be freely reduced: a half-edge's
@@ -266,7 +269,8 @@ class Marking:
     (half-edge -> word, the pieces of path_word) and the tightened
     generator loops (letter -> piece, the pieces of realize_based), all
     tuples. The marking keeps one map: its inverse is the one the marking
-    map knows, composed or, on the first marking_inverse() of a marking
+    map knows, composed, or the map itself when it is the identity (see
+    marking_map), or else, on the first marking_inverse() of a marking
     read from a file, read off the basis fold and checked; validation
     reads none (validate_point). The
     candidate paths belong to the graph (MetricGraph.candidate_paths), in
@@ -321,15 +325,24 @@ class MarkedMetricGraph:
         self.marking.geo = _collapse_table(g.n_edges, tree_edges)
 
     def marking_map(self) -> Automorphism:
-        """F_n -> F(geometric basis), generator -> geometric word of its loop."""
+        """F_n -> F(geometric basis), generator -> geometric word of its loop.
+
+        A map that sends each generator i to geometric letter i is
+        Automorphism.identity, linked to itself as its own inverse: so
+        validate_point certifies it with no fold, and marking_inverse() and
+        the labels read it with no inverse_images or verify_inverse. Any
+        other map knows no inverse when read from loops."""
         m = self.marking
         if m.basis_to_edges is None:
             self._ensure_tree()
             if self.graph.betti() != self.rank:
                 raise InvalidPointError(
                     [f"first Betti number {self.graph.betti()} does not match rank {self.rank}"])
-            m.basis_to_edges = Automorphism(
-                self.rank, [Word(join_pieces(m.geo, loop)) for loop in self.gen_loops])
+            images = [join_pieces(m.geo, loop) for loop in self.gen_loops]
+            if images == [(i,) for i in range(1, self.rank + 1)]:
+                m.basis_to_edges = Automorphism.identity(self.rank)
+            else:
+                m.basis_to_edges = Automorphism(self.rank, map(Word, images))
         return m.basis_to_edges
 
     def marking_inverse(self) -> Automorphism:
@@ -663,9 +676,10 @@ def enumerate_candidates(point: MarkedMetricGraph):
 
 def validate_point(point: MarkedMetricGraph) -> ValidationReport:
     """Check all Outer Space invariants of a marked metric graph. The
-    marking is certified by the inverse its map knows, or else by the basis
-    fold alone (Automorphism.is_bijective), which reads no inverse image:
-    marking_inverse() reads the words on its first call."""
+    marking is certified by the inverse its map knows, the map itself for
+    the identity marking (see MarkedMetricGraph.marking_map), with no fold;
+    or else by the basis fold alone (Automorphism.is_bijective), which reads
+    no inverse image: marking_inverse() reads the words on its first call."""
     problems = []
     g = point.graph
     for v in range(g.n_vertices):

@@ -885,8 +885,9 @@ def no_cut_vertex_search(
 
 
 def selfmap_from_dict(data: dict) -> GraphSelfMap:
-    """The self-map a file gives: its "graph", read by point_from_dict,
-    its "edge_images", edge id -> list of refs, and optionally its
+    """The self-map a file gives: its "graph", read by point_from_dict
+    (an identity marking, a -> e1, b -> e2, ..., is certified and inverted
+    with no fold: MarkedMetricGraph.marking_map), its "edge_images", edge id -> list of refs, and optionally its
     "vertex_images", vertex name -> vertex name; ValueError naming the key
     of any part missing, unknown or of the wrong JSON type."""
     data = json_value(data, dict, "a self-map")

@@ -12,6 +12,7 @@ import outerspacekit.axes as axes_mod
 import outerspacekit.cli as cli_mod
 import outerspacekit.graphs as graphs_mod
 import outerspacekit.traintrack as traintrack_mod
+import outerspacekit.words as words_mod
 from outerspacekit.cli import main
 from outerspacekit.graphs import point_from_dict, point_to_dict, random_point, rose
 from outerspacekit.traintrack import pf_metric, selfmap_from_dict
@@ -795,6 +796,23 @@ class TestAxis:
         assert "argmin 0" in out
         # d(rose, G_0) = log(2 / phi) = 0.21193535550034...
         assert "value 0.211935356" in out
+
+    def test_identity_marked_maps_neither_fold_nor_invert(self, files, capsys, monkeypatch):
+        """Map files with the identity marking are certified and read with
+        no fold: `tt pf` of the golden rose map, and `axis project` of G_0,
+        make no words._fold and no words.inverse_images call."""
+        g0 = files["tmp"] / "g0.graph"
+        g0.write_text(json.dumps(point_to_dict(pf_metric(selfmap_from_dict(GOLDEN_MAP)).point)))
+
+        def refuse(*args):
+            raise AssertionError("folded or inverted")
+
+        monkeypatch.setattr(words_mod, "_fold", refuse)
+        monkeypatch.setattr(words_mod, "inverse_images", refuse)
+        assert main(["tt", "pf", files["fwd"]]) == 0
+        assert capsys.readouterr().out.startswith("lambda 1.61803399\n")
+        assert main(["axis", "project", files["fwd"], files["bwd"], str(g0)]) == 0
+        assert capsys.readouterr() == ("argmin 0\nvalue 0\ndiam 0\n", "")
 
     def test_profile(self, files, capsys):
         assert main(["axis", "profile", files["fwd"], files["bwd"],

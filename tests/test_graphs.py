@@ -211,6 +211,31 @@ class TestBasisCertificate:
             point_from_dict(bad)
         assert e.value.problems == ["marking loops do not define a basis of the free group"]
 
+    def test_identity_marking_is_its_own_inverse(self, monkeypatch):
+        """A rose file's identity marking (a -> e1, b -> e2) is
+        Automorphism.identity, linked to itself: validation certifies it
+        with no fold, and its inverse and labels are read with no
+        inverse_images. A permuted marking still certifies by the fold, and
+        a repeated loop is still rejected."""
+        def refuse(*args):
+            raise AssertionError("inverse_images called")
+
+        folds = []
+        fold = words_mod._fold
+        monkeypatch.setattr(words_mod, "_fold", lambda *args: folds.append(args) or fold(*args))
+        monkeypatch.setattr(words_mod, "inverse_images", refuse)
+        data = point_to_dict(rose(2))
+        point = point_from_dict(data)
+        assert point.marking_inverse() is point.marking_map() == Automorphism.identity(2)
+        assert [point.path_word((h,)) for h in (1, -2)] == [Word.parse("a"), Word.parse("B")]
+        assert folds == []
+        swapped = point_from_dict(dict(data, marking={"a": ["e2"], "b": ["e1"]}))
+        assert len(folds) == 1
+        monkeypatch.undo()
+        assert swapped.marking_inverse().images == (Word.parse("b"), Word.parse("a"))
+        with pytest.raises(InvalidPointError) as e:
+            point_from_dict(dict(data, marking={"a": ["e1"], "b": ["e1"]}))
+        assert e.value.problems == ["marking loops do not define a basis of the free group"]
 
 CELLS = ["rose", "theta", "barbell", "trivalent"]
 
